@@ -7,6 +7,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .convex import (
@@ -19,7 +20,7 @@ from .convex import (
     remark_upper,
     steiner_volume,
 )
-from .discrepancy import isotropic_lower_bound, verify_thm1
+from .discrepancy import isotropic_lower_bound, thm1_verdict
 from .distance import DistanceNormConfig, distance_norms
 from .harness import (
     ALL_CHECKS,
@@ -57,6 +58,11 @@ def _emit(args, text: str) -> None:
 
 def _emit_json(args, payload) -> None:
     _emit(args, json.dumps(payload, indent=2) + "\n")
+
+
+def _seed(args, default: int = 0) -> int:
+    """--seed when it was given, else the command's own default."""
+    return default if args.seed is None else args.seed
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -106,8 +112,8 @@ def _cmd_points(args) -> int:
 def _cmd_isodisc(args) -> int:
     lat = _read_lattice(args.lattice)
     ps = enumerate_points(lat)
-    best, witnesses = isotropic_lower_bound(ps, args.budget, args.seed)
-    report = verify_thm1(lat, budget=args.budget, seed=args.seed, points=ps)
+    best, witnesses = isotropic_lower_bound(ps, args.budget, _seed(args))
+    report = thm1_verdict(lat, spectral_test(lat), best, witnesses)
     _emit_json(
         args,
         {
@@ -124,7 +130,7 @@ def _cmd_distnorm(args) -> int:
     ps = enumerate_points(lat)
     gammas = [math.inf if t == "inf" else float(t) for t in args.gamma.split(",")]
     cfg = DistanceNormConfig(
-        mc_samples=args.samples, seed=args.seed, covering_tol=args.tol
+        mc_samples=args.samples, seed=_seed(args), covering_tol=args.tol
     )
     reports = distance_norms(ps, gammas, cfg)
     _emit_json(
@@ -140,7 +146,7 @@ def _load_body(path: str):
 
 def _cmd_geom(args) -> int:
     body = _load_body(args.body)
-    cfg = McConfig(n_samples=args.samples, seed=args.seed)
+    cfg = McConfig(n_samples=args.samples, seed=_seed(args))
     if args.geom_op == "steiner":
         est = steiner_volume(body, args.rho, cfg)
     elif args.geom_op == "offset":
@@ -199,7 +205,7 @@ def _cmd_verify(args) -> int:
         corpus=corpus,
         checks=_VERIFY_CHECKS[args.claim],
         budgets=budgets,
-        seed=args.seed,
+        seed=_seed(args),
         out_dir=args.out or default_out_dir(),
     )
     result = run_campaign(campaign, workers=args.workers)
@@ -211,16 +217,9 @@ def _cmd_verify(args) -> int:
 def _cmd_campaign(args) -> int:
     data = json.loads(Path(args.spec).read_text())
     campaign = Campaign.from_json_dict(data)
-    if args.out:
-        campaign = Campaign(
-            corpus=campaign.corpus,
-            checks=campaign.checks,
-            budgets=campaign.budgets,
-            seed=campaign.seed if args.seed == 0 else args.seed,
-            out_dir=args.out,
-            corrupt_check=campaign.corrupt_check,
-            corrupt_rhs_scale=campaign.corrupt_rhs_scale,
-        )
+    campaign = replace(
+        campaign, seed=_seed(args, campaign.seed), out_dir=args.out or campaign.out_dir
+    )
     result = run_campaign(campaign, workers=args.workers)
     if not campaign.out_dir:
         write_artifacts(result, Path(default_out_dir()))
@@ -230,7 +229,7 @@ def _cmd_campaign(args) -> int:
 
 
 _GLOBAL_DEFAULTS = {
-    "seed": 0,
+    "seed": None,
     "samples": 200_000,
     "tol": 1e-4,
     "out": None,
@@ -252,7 +251,12 @@ def _global_flags(with_defaults: bool) -> argparse.ArgumentParser:
     def dflt(name):
         return _GLOBAL_DEFAULTS[name] if with_defaults else argparse.SUPPRESS
 
-    p.add_argument("--seed", type=int, default=dflt("seed"))
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=dflt("seed"),
+        help="random seed (default: 0; for `campaign run`, the spec's seed)",
+    )
     p.add_argument("--samples", type=int, default=dflt("samples"))
     p.add_argument("--tol", type=float, default=dflt("tol"))
     p.add_argument(

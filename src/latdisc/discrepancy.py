@@ -18,7 +18,7 @@ import numpy as np
 from .convex import AxisBox, Ball, ConvexBody, HPolytope, VolumeEstimate, VPolytope
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
 from .montecarlo import McConfig, box_fraction, chunk_rng
-from .ratlin import Vec, as_vec, vec_dot
+from .ratlin import Vec
 from .reduction import (
     SpectralReport,
     hyperplane_family,
@@ -33,46 +33,38 @@ SNAP_DENOM = 1 << 20
 # Exact half-space geometry
 # ---------------------------------------------------------------------------
 
-def _positive_form(a, b) -> tuple[list[Fraction], Fraction]:
-    """Drop zero coefficients and flip negatives via x -> 1 - x."""
+def _scaled_cut(a, b) -> tuple[list[int], int, int]:
+    """The cut a.x <= b of the cube in integers: zero coefficients dropped,
+    negative ones reflected via x -> 1 - x, then all scaled by the common
+    denominator c. Returns (pos, t, c); the cube volume is that of pos.x <= t.
+    """
     a = [Fraction(x) for x in a]
-    b = Fraction(b)
-    pos = []
-    for x in a:
-        if x > 0:
-            pos.append(x)
-        elif x < 0:
-            pos.append(-x)
-            b += -x
-    return pos, b
+    b = Fraction(b) - sum(x for x in a if x < 0)
+    pos = [abs(x) for x in a if x]
+    c = math.lcm(b.denominator, *(x.denominator for x in pos))
+    scaled = [x.numerator * (c // x.denominator) for x in pos]
+    return scaled, b.numerator * (c // b.denominator), c
+
+
+def _ie_sum(pos: list[int], t: int, power: int) -> int:
+    """sum over subsets S of pos of (-1)^|S| (t - sum S)_+^power."""
+    sums = [(0, 1)]
+    for x in pos:
+        sums += [(s + x, -sgn) for s, sgn in sums]
+    return sum(sgn * (t - s) ** power for s, sgn in sums if t > s)
 
 
 def halfspace_cube_volume(a, b) -> Fraction:
     """Vol({x in [0,1]^d : a.x <= b}) by inclusion-exclusion, exact.
 
     Zero coefficients factor out; negative ones are reflected. The closed
-    form is sum over vertex subsets S of (-1)^|S| (b - a_S)_+^k / (k! prod a).
+    form is sum over vertex subsets S of (-1)^|S| (b - a_S)_+^k / (k! prod a),
+    evaluated in integers after scaling the cut to integer coefficients.
     """
-    pos, b = _positive_form(a, b)
-    k = len(pos)
-    if k == 0:
-        return Fraction(int(b >= 0))
-    if b <= 0:
-        return Fraction(0)
-    if b >= sum(pos):
-        return Fraction(1)
-    sums = [(Fraction(0), 1)]
-    for x in pos:
-        sums = [(s, sgn) for s, sgn in sums] + [(s + x, -sgn) for s, sgn in sums]
-    acc = Fraction(0)
-    for s, sgn in sums:
-        t = b - s
-        if t > 0:
-            acc += sgn * t**k
-    denom = math.factorial(k)
-    for x in pos:
-        denom *= x
-    return acc / denom
+    pos, t, _ = _scaled_cut(a, b)
+    if not pos:
+        return Fraction(int(t >= 0))
+    return Fraction(_ie_sum(pos, t, len(pos)), math.factorial(len(pos)) * math.prod(pos))
 
 
 def halfspace_cube_volume_derivative(a, b) -> Fraction:
@@ -81,65 +73,107 @@ def halfspace_cube_volume_derivative(a, b) -> Fraction:
     Equals Vol_{d-1}({a.x = b} cap cube) / ||a||_2, so multiplying by ||a||
     gives the exact cross-section measure.
     """
-    pos, b = _positive_form(a, b)
+    pos, t, c = _scaled_cut(a, b)
     k = len(pos)
-    if k == 0 or b <= 0 or b >= sum(pos):
+    if k == 0 or t <= 0 or t >= sum(pos):
         return Fraction(0)
-    sums = [(Fraction(0), 1)]
-    for x in pos:
-        sums = [(s, sgn) for s, sgn in sums] + [(s + x, -sgn) for s, sgn in sums]
-    acc = Fraction(0)
-    for s, sgn in sums:
-        t = b - s
-        if t > 0:
-            acc += sgn * t ** (k - 1)
-    denom = math.factorial(k - 1)
-    for x in pos:
-        denom *= x
-    return acc / denom
+    return Fraction(c * _ie_sum(pos, t, k - 1), math.factorial(k - 1) * math.prod(pos))
 
 
 # ---------------------------------------------------------------------------
 # Exact counting
+#
+# A point is P / D with P an integer vector (LatticePointSet.ints). A rational
+# linear form a.p is s / scale with s = m.P an integer, so every comparison
+# against a rational threshold is an integer comparison against a threshold
+# rounded once, exactly. Products run in int64 when a magnitude bound shows
+# they cannot overflow, and on Python-int object arrays otherwise.
 # ---------------------------------------------------------------------------
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _exact_ints(ps: LatticePointSet, bound: int) -> np.ndarray:
+    """The points' integers, as Python-int objects when `bound` (a bound on
+    every intermediate magnitude) does not fit in int64."""
+    return ps.ints if bound <= _INT64_MAX else ps.ints.astype(object)
+
+
+def _scaled_dot(ps: LatticePointSet, a) -> tuple[np.ndarray, int]:
+    """Integers s and a scale with a.p = s[i] / scale for every point p."""
+    a = [Fraction(x) for x in a]
+    q = math.lcm(*(x.denominator for x in a))
+    m = [x.numerator * (q // x.denominator) for x in a]
+    ints = _exact_ints(ps, sum(map(abs, m)) * ps.denom)
+    return ints @ np.array(m, dtype=ints.dtype), q * ps.denom
+
+
+def _at_most(s: np.ndarray, t: int) -> np.ndarray:
+    """s <= t elementwise. An int64 s lies inside the int64 range, so
+    clamping t into that range leaves the answer unchanged."""
+    if s.dtype != object:
+        t = min(max(t, -_INT64_MAX), _INT64_MAX)
+    return np.asarray(s <= t, dtype=bool)
+
+
+def _in_halfspaces(ps: LatticePointSet, halfspaces) -> np.ndarray:
+    """Mask of the points with a.p <= b for every (a, b), exact."""
+    inside = np.ones(ps.n, dtype=bool)
+    for a, b in halfspaces:
+        s, scale = _scaled_dot(ps, a)
+        inside &= _at_most(s, math.floor(Fraction(b) * scale))
+    return inside
+
+
+def _in_ball(ps: LatticePointSet, ball: Ball) -> np.ndarray:
+    """Mask of |p - c|^2 <= r^2, exact. With c = C/S, r = R/S and p = P/D
+    this is sum_i (S P_i - D C_i)^2 <= (D R)^2."""
+    c = [Fraction(v) for v in ball.center.tolist()]
+    r = Fraction(ball.radius)
+    scale = math.lcm(r.denominator, *(x.denominator for x in c))
+    cs = [x.numerator * (scale // x.denominator) for x in c]
+    big_c = max(abs(x) for x in cs)
+    ints = _exact_ints(ps, ps.dim * (ps.denom * (scale + big_c)) ** 2)
+    u = ints * scale - np.array(cs, dtype=ints.dtype) * ps.denom
+    big_r = r.numerator * (scale // r.denominator)
+    return _at_most((u * u).sum(axis=1), (ps.denom * big_r) ** 2)
+
+
 def count_points_halfspace(ps: LatticePointSet, a, b) -> int:
-    a = as_vec(a)
-    b = Fraction(b)
-    return sum(1 for p in ps.points if vec_dot(a, p) <= b)
+    return int(np.count_nonzero(_in_halfspaces(ps, [(a, b)])))
 
 
 def count_points_slab(ps: LatticePointSet, h, lo, hi, closed: bool = True) -> int:
     """Points with lo <= h.x <= hi (or strict when closed=False), exact."""
-    h = as_vec(h)
-    lo, hi = Fraction(lo), Fraction(hi)
-    n = 0
-    for p in ps.points:
-        v = vec_dot(h, p)
-        if (lo <= v <= hi) if closed else (lo < v < hi):
-            n += 1
-    return n
+    s, scale = _scaled_dot(ps, h)
+    lo, hi = Fraction(lo) * scale, Fraction(hi) * scale
+    if closed:
+        inside = _at_most(-s, -math.ceil(lo)) & _at_most(s, math.floor(hi))
+    else:
+        inside = _at_most(-s, -math.floor(lo) - 1) & _at_most(s, math.ceil(hi) - 1)
+    return int(np.count_nonzero(inside))
 
 
-def _point_in_convex_polygon(p: Vec, hull: list[Vec]) -> bool:
-    """Closed membership in a counterclockwise convex polygon, exact."""
-    m = len(hull)
-    if m == 1:
-        return p == hull[0]
-    if m == 2:
-        a, b = hull
-        ab = (b[0] - a[0], b[1] - a[1])
-        ap = (p[0] - a[0], p[1] - a[1])
-        if ab[0] * ap[1] - ab[1] * ap[0] != 0:
-            return False
-        t = ap[0] * ab[0] + ap[1] * ab[1]
-        return 0 <= t <= ab[0] ** 2 + ab[1] ** 2
-    for i in range(m):
-        a, b = hull[i], hull[(i + 1) % m]
-        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if cross < 0:
-            return False
-    return True
+def _hull_halfplanes(hull: list[Vec]) -> list[tuple[Vec, Fraction]]:
+    """Half-planes (a, b), a.p <= b, whose intersection is the closed
+    counterclockwise hull: a polygon, a segment, or a point."""
+    if len(hull) >= 3:
+        return [
+            ((q[1] - p[1], p[0] - q[0]), (q[1] - p[1]) * p[0] - (q[0] - p[0]) * p[1])
+            for p, q in zip(hull, hull[1:] + hull[:1])
+        ]
+    p, q = hull[0], hull[-1]
+    # a segment is its line and the two end caps; a point is a segment whose
+    # direction is taken as e_1
+    e = (q[0] - p[0], q[1] - p[1]) if len(hull) == 2 else (Fraction(1), Fraction(0))
+    n = (e[1], -e[0])
+    n_p = n[0] * p[0] + n[1] * p[1]
+    return [
+        (n, n_p),
+        ((-n[0], -n[1]), -n_p),
+        (e, e[0] * q[0] + e[1] * q[1]),
+        ((-e[0], -e[1]), -(e[0] * p[0] + e[1] * p[1])),
+    ]
 
 
 def convex_hull_2d(points: list[Vec]) -> list[Vec]:
@@ -175,6 +209,25 @@ def polygon_area_exact(hull: list[Vec]) -> Fraction:
     return abs(acc) / 2
 
 
+def _exact_halfspaces(body: ConvexBody) -> list[tuple[Vec, Fraction]]:
+    """A box, an H-polytope or a 2-d hull as exact half-spaces a.x <= b."""
+    if isinstance(body, HPolytope):
+        return [
+            ([Fraction(v) for v in row], Fraction(b))
+            for row, b in zip(body.normals.tolist(), body.offsets.tolist())
+        ]
+    if isinstance(body, AxisBox):
+        unit = np.eye(body.dim, dtype=int).tolist()
+        return [(e, Fraction(v)) for e, v in zip(unit, body.upper.tolist())] + [
+            ([-x for x in e], -Fraction(v)) for e, v in zip(unit, body.lower.tolist())
+        ]
+    if isinstance(body, VPolytope) and body.dim == 2:
+        return _hull_halfplanes(
+            convex_hull_2d([tuple(Fraction(v) for v in row) for row in body.vertices.tolist()])
+        )
+    raise TypeError(f"exact counting not supported for {type(body).__name__}")
+
+
 def count_points(ps: LatticePointSet, body: ConvexBody) -> int:
     """Exact membership count for balls, boxes, H-polytopes, and 2-d hulls.
 
@@ -182,38 +235,10 @@ def count_points(ps: LatticePointSet, body: ConvexBody) -> int:
     membership is closed, matching closed witness bodies.
     """
     if isinstance(body, Ball):
-        c = [Fraction(v) for v in body.center.tolist()]
-        r2 = Fraction(body.radius) ** 2
-        n = 0
-        for p in ps.points:
-            if sum((x - ci) ** 2 for x, ci in zip(p, c)) <= r2:
-                n += 1
-        return n
-    if isinstance(body, HPolytope):
-        rows = [[Fraction(v) for v in row] for row in body.normals.tolist()]
-        offs = [Fraction(v) for v in body.offsets.tolist()]
-        n = 0
-        for p in ps.points:
-            if all(
-                sum(ai * xi for ai, xi in zip(row, p)) <= b
-                for row, b in zip(rows, offs)
-            ):
-                n += 1
-        return n
-    if isinstance(body, AxisBox):
-        lo = [Fraction(v) for v in body.lower.tolist()]
-        hi = [Fraction(v) for v in body.upper.tolist()]
-        return sum(
-            1
-            for p in ps.points
-            if all(l <= x <= u for x, l, u in zip(p, lo, hi))
-        )
-    if isinstance(body, VPolytope) and body.dim == 2:
-        hull = convex_hull_2d(
-            [tuple(Fraction(v) for v in row) for row in body.vertices.tolist()]
-        )
-        return sum(1 for p in ps.points if _point_in_convex_polygon(p, hull))
-    raise TypeError(f"exact counting not supported for {type(body).__name__}")
+        inside = _in_ball(ps, body)
+    else:
+        inside = _in_halfspaces(ps, _exact_halfspaces(body))
+    return int(np.count_nonzero(inside))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +253,7 @@ class DiscrepancyWitness:
     local_value: float
     family: str
     local_value_exact: Fraction | None = None
+    dual_slab: tuple[tuple[int, ...], int] | None = None  # (h, k) of a dual-slab witness
 
     @property
     def certified(self) -> bool:
@@ -290,6 +316,28 @@ def _cube_slab_body(h: tuple[int, ...], lo: Fraction, hi: Fraction, d: int) -> H
     return HPolytope(normals, offsets, skip_checks=True)
 
 
+def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:
+    """The first k maximising Vol(k + eps <= h.x <= k + 1 - eps) over the
+    slabs between adjacent planes that meet the cube, and that volume.
+
+    Scaled by eps's denominator q every cut has integer coefficients q|h_i|,
+    so all slab volumes share one denominator and compare as integers.
+    """
+    eps = _slab_eps_functional(h)
+    q, e = eps.denominator, eps.numerator
+    shift = -sum(x for x in h if x < 0)  # reflecting x -> 1 - x for h_i < 0
+    pos = [q * abs(x) for x in h if x]
+    best_k, best = None, None
+    for k in range(-shift, sum(x for x in h if x > 0)):
+        t = q * (k + shift)
+        v = _ie_sum(pos, t + q - e, len(pos)) - _ie_sum(pos, t + e, len(pos))
+        if best is None or v > best:
+            best_k, best = k, v
+    if best_k is None or best <= 0:
+        raise AssertionError("no slab with positive cube intersection")
+    return best_k, Fraction(best, math.factorial(len(pos)) * math.prod(pos))
+
+
 def slab_witness(
     lat: IntegrationLattice,
     h: tuple[int, ...] | None = None,
@@ -301,16 +349,9 @@ def slab_witness(
     if h is None:
         h = shortest_dual_vectors(lat, 1)[0]
     ps = points if points is not None else enumerate_points(lat)
-    fam = hyperplane_family(lat, h)
+    h = hyperplane_family(lat, h).h  # raises unless h is a dual vector
+    best_k, best_vol = _best_slab(h)
     eps = _slab_eps_functional(h)
-    best_k = None
-    best_vol = Fraction(-1)
-    for k in range(fam.k_min, fam.k_max):
-        vol = halfspace_cube_volume(h, k + 1 - eps) - halfspace_cube_volume(h, k + eps)
-        if vol > best_vol:
-            best_vol, best_k = vol, k
-    if best_k is None or best_vol <= 0:
-        raise AssertionError("no slab with positive cube intersection")
     lo, hi = best_k + eps, best_k + 1 - eps
     inside = count_points_slab(ps, h, lo, hi)
     if inside != 0:
@@ -323,6 +364,7 @@ def slab_witness(
         local_value=float(best_vol),
         family="dual-slab",
         local_value_exact=best_vol,
+        dual_slab=(h, best_k),
     )
 
 
@@ -341,7 +383,7 @@ def _halfspace_witness(
     """Best |count/N - volume| over thresholds of one random direction.
 
     Float screening picks the candidate; the returned value is re-certified
-    in exact rational arithmetic (volume, count, and tie handling).
+    in exact arithmetic (volume, count, and tie handling).
     """
     d = ps.dim
     n = ps.n
@@ -366,12 +408,12 @@ def _halfspace_witness(
     j_open = int(np.argmax(cand_open))
     use_open = cand_open[j_open] > cand_close[j_closed]
     j = j_open if use_open else j_closed
-    point_idx = int(order[j])
-    b_exact = vec_dot(as_vec(a), ps.points[point_idx])
+    s, scale = _scaled_dot(ps, a)
+    b_exact = Fraction(int(s[order[j]]), scale)
     if use_open:
         b_exact -= Fraction(1, 1 << 40)
     vol = halfspace_cube_volume(a, b_exact)
-    count = _certified_halfspace_count(ps, a, b_exact, proj, float(b_exact))
+    count = int(np.count_nonzero(_at_most(s, math.floor(b_exact * scale))))
     local = abs(Fraction(count, n) - vol)
     body = _cube_halfspace_body(a, b_exact, d)
     return DiscrepancyWitness(
@@ -401,20 +443,6 @@ def _halfspace_volume_float(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
     acc = (t**k * signs[None, :]).sum(axis=1)
     denom = math.factorial(k) * float(np.prod(pos))
     return np.clip(acc / denom, 0.0, 1.0)
-
-
-def _certified_halfspace_count(
-    ps: LatticePointSet, a: list[Fraction], b: Fraction, proj: np.ndarray, b_f: float
-) -> int:
-    """Exact count of a.p <= b, comparing in rationals only near the cut."""
-    window = 1e-9
-    sure = int(np.count_nonzero(proj <= b_f - window))
-    ambiguous = np.flatnonzero(np.abs(proj - b_f) < window)
-    av = as_vec(a)
-    for idx in ambiguous:
-        if vec_dot(av, ps.points[int(idx)]) <= b:
-            sure += 1
-    return sure
 
 
 def _cube_halfspace_body(a: list[Fraction], b: Fraction, d: int) -> HPolytope:
@@ -465,7 +493,7 @@ def _hull_witness(ps: LatticePointSet, rng: np.random.Generator) -> DiscrepancyW
     pts = [tuple(_snap_unit(v) for v in row) for row in raw]
     hull = convex_hull_2d(pts)
     area = polygon_area_exact(hull)
-    count = sum(1 for p in ps.points if _point_in_convex_polygon(p, hull))
+    count = int(np.count_nonzero(_in_halfspaces(ps, _hull_halfplanes(hull))))
     local = abs(Fraction(count, ps.n) - area)
     body = VPolytope([[float(x) for x in v] for v in hull] if len(hull) >= 3 else [[float(x) for x in v] for v in pts])
     return DiscrepancyWitness(
@@ -528,6 +556,17 @@ def verify_thm1(
     rep = report if report is not None else spectral_test(lat)
     ps = points if points is not None else enumerate_points(lat)
     best, witnesses = isotropic_lower_bound(ps, budget, seed)
+    return thm1_verdict(lat, rep, best, witnesses, lattice_id)
+
+
+def thm1_verdict(
+    lat: IntegrationLattice,
+    rep: SpectralReport,
+    best: DiscrepancyWitness,
+    witnesses: list[DiscrepancyWitness],
+    lattice_id: str = "",
+) -> Thm1Report:
+    """The Theorem 1 verdict from a finished witness search (see verify_thm1)."""
     d = lat.dim
     nsq = rep.dual_norm_sq
     j = best.local_value_exact
@@ -536,14 +575,14 @@ def verify_thm1(
     ok_one = j <= 1
     ok_bound = j * j * nsq <= Fraction(factor) ** 2
     slab = next(w for w in witnesses if w.family == "dual-slab")
+    # the floor is taken at the spectral test's shortest dual vector; the
+    # slab witnesses cover the shortest vectors, so its best k is usually known
     h = rep.shortest_dual
-    fam = hyperplane_family(lat, h)
-    eps = _slab_eps_functional(h)
-    best_k = max(
-        range(fam.k_min, fam.k_max),
-        key=lambda k: halfspace_cube_volume(h, k + 1 - eps)
-        - halfspace_cube_volume(h, k + eps),
+    best_k = next(
+        (w.dual_slab[1] for w in witnesses if w.dual_slab and w.dual_slab[0] == h), None
     )
+    if best_k is None:
+        best_k = _best_slab(h)[0]
     cross = halfspace_cube_volume_derivative(h, Fraction(2 * best_k + 1, 2))
     floor = Fraction(1, 5) * cross  # 0.2 * sigma * cross-section; sigma*CS = dV/db
     ok_slab = slab.local_value_exact >= floor and slab.local_value_exact > 0

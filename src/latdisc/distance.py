@@ -301,7 +301,7 @@ def distance_norms(
         mc_mean, mc_se = mc[g]
         mc_value = mc_mean ** (1.0 / g)
         if d == 1:
-            xs = sorted(float(p[0]) for p in ps.points)
+            xs = sorted(pts[:, 0].tolist())
             moment = _closed_form_1d_moment(xs, g)
             slack = 1e-12 * max(moment, 1e-30)
             out[g] = DistanceNormReport(

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,6 +133,13 @@ class Budgets:
         return d
 
 
+def _check_keys(raw: dict, cls, where: str) -> dict:
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) in campaign spec: {', '.join(unknown)}")
+    return raw
+
+
 @dataclass(frozen=True)
 class Campaign:
     corpus: CorpusSpec = CorpusSpec()
@@ -145,11 +152,13 @@ class Campaign:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Campaign":
+        """Inverse of to_json_dict; raises ValueError naming any unknown key."""
+        _check_keys(data, Campaign, "campaign")
         corpus = CorpusSpec(**{
             k: tuple(v) if isinstance(v, list) else v
-            for k, v in data.get("corpus", {}).items()
+            for k, v in _check_keys(data.get("corpus", {}), CorpusSpec, "corpus").items()
         })
-        braw = dict(data.get("budgets", {}))
+        braw = dict(_check_keys(data.get("budgets", {}), Budgets, "budgets"))
         if "prop1_gammas" in braw:
             braw["prop1_gammas"] = tuple(
                 math.inf if g == "inf" else float(g) for g in braw["prop1_gammas"]

@@ -11,6 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -26,7 +27,6 @@ from .ratlin import (
     is_integer_mat,
     lattices_equal,
     transpose,
-    vec_add,
     vec_dot,
 )
 
@@ -53,20 +53,33 @@ class IntegrationLattice:
         return np.array([[float(x) for x in row] for row in self.basis])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticePointSet:
-    """The N residues of L modulo Z^d, reduced to [0,1)^d, exact rationals."""
+    """The N residues of L modulo Z^d in [0,1)^d, as integers over one
+    denominator: point i is exactly ints[i] / denom.
+
+    `ints` is an int64 array of shape (N, d) with entries in [0, denom),
+    rows in lexicographic order.
+    """
 
     dim: int
-    points: tuple[Vec, ...]
+    ints: np.ndarray
+    denom: int
     source: IntegrationLattice | None = None
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.ints)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in p] for p in self.points])
+        return self.ints / self.denom
+
+    @cached_property
+    def points(self) -> tuple[Vec, ...]:
+        """The points as tuples of Fractions, built on first use."""
+        return tuple(
+            tuple(Fraction(x, self.denom) for x in row) for row in self.ints.tolist()
+        )
 
 
 @dataclass(frozen=True)
@@ -121,51 +134,46 @@ def korobov_lattice(n: int, a: int, d: int) -> IntegrationLattice:
     return rank1_lattice(n, g)
 
 
-def _mod1(v: Vec) -> Vec:
-    return tuple(x - math.floor(x) for x in v)
-
-
 def enumerate_points(
     lat: IntegrationLattice, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> LatticePointSet:
-    """All residues of L mod Z^d as exact rationals, sorted lexicographically.
+    """All residues of L mod Z^d, sorted lexicographically, as integers over
+    the common denominator D of the basis.
 
-    Breadth-first closure under the basis generators; raises
-    EnumerationCapExceeded when N exceeds the cap.
+    The residues form the group (L + Z^d) / Z^d. Scaled by D it is the
+    integer lattice M = D (L + Z^d) modulo D Z^d. Every residue is
+    sum_i c_i H_i mod D for exactly one choice of 0 <= c_i < D / H_ii, where
+    H is the upper-triangular HNF of M (H_ii divides D because D e_i lies
+    in M), so the points come from one mixed-radix walk. Raises
+    EnumerationCapExceeded when N exceeds the cap, and ValueError when the
+    group has not N elements.
     """
     if lat.n_points > cap:
         raise EnumerationCapExceeded(
             f"lattice has {lat.n_points} points, cap is {cap}"
         )
-    gens = []
-    seen_gens = set()
-    for row in lat.basis:
-        r = _mod1(row)
-        if any(r) and r not in seen_gens:
-            seen_gens.add(r)
-            gens.append(r)
-    origin: Vec = tuple(Fraction(0) for _ in range(lat.dim))
-    points = {origin}
-    frontier = [origin]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _mod1(vec_add(p, g))
-                if q not in points:
-                    if len(points) >= cap:
-                        raise EnumerationCapExceeded(
-                            f"enumeration exceeded cap {cap}"
-                        )
-                    points.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    if len(points) != lat.n_points:
+    d = lat.dim
+    denom = math.lcm(*(x.denominator for row in lat.basis for x in row))
+    gens = [[x.numerator * (denom // x.denominator) for x in row] for row in lat.basis]
+    gens += [[denom if i == j else 0 for j in range(d)] for i in range(d)]
+    hnf = hermite_normal_form(gens)
+    radices = [denom // hnf[i][i] for i in range(d)]
+    count = math.prod(radices)
+    if count > cap:
+        raise EnumerationCapExceeded(f"enumeration exceeded cap {cap}")
+    if count != lat.n_points:
         raise ValueError(
-            f"enumeration produced {len(points)} points, expected {lat.n_points};"
+            f"enumeration produced {count} points, expected {lat.n_points};"
             " lattice is not a valid integration lattice"
         )
-    return LatticePointSet(lat.dim, tuple(sorted(points)), source=lat)
+    ints = np.zeros((1, d), dtype=np.int64)
+    for row, radix in zip(hnf, radices):
+        steps = np.arange(radix, dtype=np.int64)[:, None] * np.array(row, dtype=np.int64)
+        steps %= denom
+        ints = ((ints[:, None, :] + steps[None, :, :]) % denom).reshape(-1, d)
+    ints = ints[np.lexsort(ints.T[::-1])]
+    ints.setflags(write=False)  # `points` is cached from it
+    return LatticePointSet(d, ints, denom, source=lat)
 
 
 def dual_basis(lat: IntegrationLattice) -> DualBasis:

@@ -62,6 +62,10 @@ def test_isodisc(tmp_path, capsys):
     assert data["thm1"]["verdict"] == "PASS"
     assert data["best"]["certified"]
     assert len(data["witnesses"]) >= 3
+    # the verdict is taken from the same witness search that is printed
+    assert data["best"] in data["witnesses"]
+    assert data["thm1"]["n_witnesses"] == len(data["witnesses"])
+    assert data["thm1"]["best_family"] == data["best"]["family"]
 
 
 def test_distnorm(tmp_path, capsys):
@@ -131,3 +135,47 @@ def test_campaign_run(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "artifacts" / "campaign.json").exists()
     assert "campaign:" in out
+
+
+def _tiny_campaign_spec(**extra):
+    spec = {
+        "corpus": {
+            "fibonacci_k": [5, 5],
+            "rank1_dims": [2],
+            "rank1_sizes": [64],
+            "rank1_per_cell": 1,
+            "zd_dims": [],
+            "include_bad_lattice": False,
+        },
+        "checks": ["spectral-exact"],
+        "seed": 4,
+    }
+    spec.update(extra)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "flags,expected_seed",
+    [((), 4), (("--seed", "5"), 5), (("--seed", "0"), 0)],
+)
+def test_campaign_run_seed_without_out(tmp_path, capsys, monkeypatch, flags, expected_seed):
+    # --seed applies whether or not --out is given, and 0 is a seed like any other
+    monkeypatch.setenv("LATDISC_OUT", str(tmp_path / "default"))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_tiny_campaign_spec()))
+    code, _ = run_cli(capsys, "campaign", "run", str(path), *flags)
+    assert code == 0
+    written = json.loads((tmp_path / "default" / "campaign.json").read_text())
+    assert written["campaign"]["seed"] == expected_seed
+
+
+def test_campaign_run_out_keeps_spec_seed(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_tiny_campaign_spec(out_dir=str(tmp_path / "spec-out"))))
+    code, _ = run_cli(capsys, "campaign", "run", str(path), "--out", str(tmp_path / "flag-out"))
+    assert code == 0
+    assert not (tmp_path / "spec-out").exists()
+    written = json.loads((tmp_path / "flag-out" / "campaign.json").read_text())
+    assert written["campaign"]["seed"] == 4
+    assert written["campaign"]["out_dir"] == str(tmp_path / "flag-out")
+

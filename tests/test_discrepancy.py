@@ -20,7 +20,14 @@ from latdisc.discrepancy import (
     slab_witness,
     verify_thm1,
 )
-from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
+from latdisc.discrepancy import (
+    _hull_halfplanes,
+    _in_halfspaces,
+    _scaled_dot,
+    _slab_eps_functional,
+)
+from latdisc.lattice import LatticePointSet, enumerate_points, fibonacci_lattice, rank1_lattice
+from latdisc.reduction import shortest_dual_vectors
 
 
 R5 = rank1_lattice(5, (1, 2))
@@ -249,3 +256,176 @@ def test_verify_thm1_fibonacci():
     assert rep.slab_floor_ok
     assert rep.slab_value > 0
     assert rep.j_lower <= min(1.0, rep.bound)
+
+
+# ---------------------------------------------------------------------------
+# Integer counting against a Fraction reference
+# ---------------------------------------------------------------------------
+
+def ref_in_halfspaces(p, halfspaces):
+    return all(sum(Fraction(ai) * x for ai, x in zip(a, p)) <= Fraction(b) for a, b in halfspaces)
+
+
+def ref_in_ball(p, ball):
+    c = [Fraction(v) for v in ball.center.tolist()]
+    return sum((x - ci) ** 2 for x, ci in zip(p, c)) <= Fraction(ball.radius) ** 2
+
+
+def ref_in_hull(p, hull):
+    if len(hull) == 1:
+        return p == hull[0]
+    if len(hull) == 2:
+        a, b = hull
+        ab, ap = (b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1])
+        t = ap[0] * ab[0] + ap[1] * ab[1]
+        return ab[0] * ap[1] - ab[1] * ap[0] == 0 and 0 <= t <= ab[0] ** 2 + ab[1] ** 2
+    return all(
+        (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0
+        for a, b in zip(hull, hull[1:] + hull[:1])
+    )
+
+
+def ref_count(ps, inside):
+    return sum(1 for p in ps.points if inside(p))
+
+
+CORPUS_POINT_SETS = [
+    enumerate_points(lat)
+    for lat in (
+        fibonacci_lattice(10),
+        rank1_lattice(64, (1, 27)),  # dyadic points: bodies can pass through them exactly
+        rank1_lattice(64, (5, 17, 41)),
+        rank1_lattice(256, (1, 45, 203, 117)),
+        rank1_lattice(1, (0, 0)),
+    )
+]
+PYTHAGOREAN = {2: ((3, 4), 5), 3: ((2, 3, 6), 7), 4: ((1, 2, 2, 4), 5)}
+
+
+def _random_ball(rng, ps):
+    """A ball in the cube, half the time with a lattice point on its sphere."""
+    d = ps.dim
+    v, norm = PYTHAGOREAN[d]
+    p = ps.as_array()[rng.integers(ps.n)]
+    c = p + rng.choice([-1, 1], size=d) * np.array(v) / 256
+    r = norm / 256
+    if rng.random() < 0.5 or np.any(c < r) or np.any(c > 1 - r):
+        r = float(rng.uniform(0.01, 0.45))
+        c = np.round(rng.uniform(r, 1 - r, size=d) * 2**20) / 2**20
+        c = np.clip(c, r, 1 - r)
+    return Ball(c, r)
+
+
+@pytest.mark.parametrize("ps", CORPUS_POINT_SETS, ids=lambda ps: f"d{ps.dim}-N{ps.n}")
+def test_integer_counts_match_fraction_reference(ps):
+    rng = np.random.default_rng(ps.n)
+    d = ps.dim
+    pts = ps.as_array()
+    unit = np.eye(d, dtype=int).tolist()
+    for _ in range(25):
+        h = tuple(int(x) for x in rng.integers(-5, 6, size=d))
+        lo = sum(hj * x for hj, x in zip(h, ps.points[rng.integers(ps.n)]))  # through a point
+        hi = lo + Fraction(int(rng.integers(0, 4)), int(rng.integers(1, 5)))
+        values = [sum(hj * x for hj, x in zip(h, q)) for q in ps.points]
+        assert count_points_slab(ps, h, lo, hi) == sum(lo <= v <= hi for v in values)
+        assert count_points_slab(ps, h, lo, hi, closed=False) == sum(lo < v < hi for v in values)
+
+        a = [Fraction(int(x), 1 << 20) for x in rng.integers(-(1 << 20), 1 << 20, size=d)]
+        b = sum(ai * x for ai, x in zip(a, ps.points[rng.integers(ps.n)]))
+        assert count_points_halfspace(ps, a, b) == ref_count(ps, lambda q: ref_in_halfspaces(q, [(a, b)]))
+
+        corner = pts[rng.integers(ps.n)] if rng.random() < 0.5 else rng.uniform(0, 1, size=d)
+        box = AxisBox(corner * 0.5, corner * 0.5 + rng.uniform(0, 0.5, size=d))
+        box_hs = list(zip(unit, box.upper.tolist()))
+        box_hs += [([-x for x in e], -v) for e, v in zip(unit, box.lower.tolist())]
+        assert count_points(ps, box) == ref_count(ps, lambda q: ref_in_halfspaces(q, box_hs))
+
+        ball = _random_ball(rng, ps)
+        assert count_points(ps, ball) == ref_count(ps, lambda q: ref_in_ball(q, ball))
+
+        normals = rng.integers(-3, 4, size=(3, d)).astype(float)
+        normals[~normals.any(axis=1), 0] = 1.0
+        offsets = np.einsum("ij,ij->i", normals, pts[rng.integers(ps.n, size=3)])
+        poly = HPolytope(normals, offsets + rng.integers(0, 2, size=3) / 8, skip_checks=True)
+        poly_hs = list(zip(poly.normals.tolist(), poly.offsets.tolist()))
+        assert count_points(ps, poly) == ref_count(ps, lambda q: ref_in_halfspaces(q, poly_hs))
+
+        if d == 2:
+            verts = pts[rng.integers(ps.n, size=int(rng.integers(3, 7)))]
+            if rng.random() < 0.5:
+                verts = np.round(rng.uniform(0, 1, size=verts.shape) * 128) / 128
+            hull = convex_hull_2d([tuple(Fraction(v) for v in row) for row in verts.tolist()])
+            assert count_points(ps, VPolytope(verts)) == ref_count(ps, lambda q: ref_in_hull(q, hull))
+
+
+def test_degenerate_hulls_match_fraction_reference():
+    ps = CORPUS_POINT_SETS[1]
+    p, q = ps.points[3], ps.points[7]
+    mid = tuple((x + y) / 2 for x, y in zip(p, q))
+    for hull in ([p], convex_hull_2d([p, q]), convex_hull_2d([p, mid, q])):
+        got = int(np.count_nonzero(_in_halfspaces(ps, _hull_halfplanes(hull))))
+        assert got == ref_count(ps, lambda x: ref_in_hull(x, hull))
+        assert got >= len(hull)
+
+
+def test_counts_exact_when_int64_could_overflow():
+    # a hand-made point set over D ~ 2^62: the products m.P need Python ints
+    denom = (1 << 62) + 3
+    ints = np.array([[0, 0], [1, denom - 1], [denom // 3, denom // 5], [denom - 2, 7]], dtype=np.int64)
+    ps = LatticePointSet(2, ints, denom)
+    h = (3, -5)
+    s, scale = _scaled_dot(ps, h)
+    assert s.dtype == object and scale == denom
+    for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(3 * (denom // 3) - 5 * (denom // 5), denom), 3)):
+        values = [sum(hj * x for hj, x in zip(h, q)) for q in ps.points]
+        assert count_points_slab(ps, h, lo, hi) == sum(lo <= v <= hi for v in values)
+        assert count_points_slab(ps, h, lo, hi, closed=False) == sum(lo < v < hi for v in values)
+    a = [Fraction(1, 3), Fraction(2, 7)]
+    for q in ps.points:
+        b = a[0] * q[0] + a[1] * q[1]
+        assert count_points_halfspace(ps, a, b) == ref_count(ps, lambda x: ref_in_halfspaces(x, [(a, b)]))
+    ball = Ball([0.5, 0.25], 0.25)
+    assert count_points(ps, ball) == ref_count(ps, lambda x: ref_in_ball(x, ball))
+    # the ball witnesses' scale: 2^20 centers over a corpus-size denominator
+    big = enumerate_points(fibonacci_lattice(20))
+    ball = Ball([0.5 + 3 / 2**20, 0.5], 0.3 + 1 / 2**20)
+    assert count_points(big, ball) == ref_count(big, lambda x: ref_in_ball(x, ball))
+
+
+def test_slab_witness_records_its_best_index():
+    lat = fibonacci_lattice(12)
+    ps = enumerate_points(lat)
+    for h in shortest_dual_vectors(lat, 4):
+        w = slab_witness(lat, h, points=ps)
+        fam_lo = sum(min(x, 0) for x in h)
+        fam_hi = sum(max(x, 0) for x in h)
+        eps = _slab_eps_functional(h)
+        vols = {
+            k: halfspace_cube_volume(h, k + 1 - eps) - halfspace_cube_volume(h, k + eps)
+            for k in range(fam_lo, fam_hi)
+        }
+        best_k = max(vols, key=lambda k: (vols[k], -k))
+        assert w.dual_slab == (h, best_k)
+        assert w.local_value_exact == vols[best_k]
+
+
+@pytest.mark.parametrize("lat", [fibonacci_lattice(11), rank1_lattice(256, (1, 45, 203))])
+def test_halfspace_witness_counts_match_fraction_reference(lat):
+    ps = enumerate_points(lat)
+    _, witnesses = isotropic_lower_bound(ps, budget=12, seed=2)
+    halfspaces = [w for w in witnesses if w.family == "halfspace"]
+    assert halfspaces
+    for w in halfspaces:
+        # the cut passes through a lattice point (closed), or 2^-40 below it (open)
+        a = [Fraction(v) for v in w.body.normals[0].tolist()]
+        values = [sum(ai * x for ai, x in zip(a, q)) for q in ps.points]
+        v = min(values, key=lambda t: abs(float(t) - w.body.offsets[0]))
+        candidates = [
+            (sum(t <= v for t in values), v),
+            (sum(t < v for t in values), v - Fraction(1, 1 << 40)),
+        ]
+        assert any(
+            count == w.inside_count
+            and abs(Fraction(count, ps.n) - halfspace_cube_volume(a, b)) == w.local_value_exact
+            for count, b in candidates
+        )

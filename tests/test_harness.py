@@ -145,3 +145,14 @@ def test_campaign_json_roundtrip():
 def test_all_checks_cover_spec_names():
     for name in ("thm1", "prop1", "lemma3", "corollary1", "remark", "thm2-diagnostic"):
         assert name in ALL_CHECKS
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [("corpus", "fibonaci_k"), ("budgets", "witness_budgett"), (None, "sead")],
+)
+def test_campaign_from_json_dict_names_unknown_key(section, key):
+    data = small_campaign().to_json_dict()
+    (data[section] if section else data)[key] = 1
+    with pytest.raises(ValueError, match=key):
+        Campaign.from_json_dict(data)

@@ -2,6 +2,7 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latdisc.errors import EnumerationCapExceeded
@@ -180,3 +181,60 @@ def test_points_csv_exact_and_decimal():
     buf = io.StringIO()
     write_points_csv(ps, buf, precision=3)
     assert "0.200,0.400" in buf.getvalue()
+
+
+def reference_fraction_points(lat):
+    """Breadth-first closure of the basis rows mod 1 in Fractions, sorted."""
+    gens = {tuple(x - math.floor(x) for x in row) for row in lat.basis}
+    origin = tuple(Fraction(0) for _ in range(lat.dim))
+    points, frontier = {origin}, [origin]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(x - math.floor(x) for x in vec_add(p, g))
+                if q not in points:
+                    points.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return tuple(sorted(points))
+
+
+NON_RANK1 = [
+    IntegrationLattice(2, as_mat([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]), 6),
+    IntegrationLattice(2, as_mat([[Fraction(1, 4), Fraction(1, 2)], [0, Fraction(1, 2)]]), 8),
+    IntegrationLattice(
+        3,
+        as_mat([[Fraction(1, 6), Fraction(1, 3), 0], [0, Fraction(1, 2), Fraction(1, 2)], [0, 0, 1]]),
+        12,
+    ),
+    # the same group from a basis that is not in Hermite form
+    IntegrationLattice(2, as_mat([[Fraction(1, 4), 1], [Fraction(-1, 4), Fraction(-3, 2)]]), 8),
+]
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [
+        rank1_lattice(5, (1, 2)),
+        fibonacci_lattice(12),
+        rank1_lattice(64, (5, 17, 41)),
+        rank1_lattice(16, (4, 6)),  # gcd collapse: N = 8
+        korobov_lattice(101, 7, 4),
+        rank1_lattice(1, (0, 0, 0)),
+    ]
+    + NON_RANK1,
+)
+def test_enumerate_matches_fraction_reference_in_order(lat):
+    ps = enumerate_points(lat)
+    assert ps.points == reference_fraction_points(lat)
+    assert ps.n == lat.n_points
+    assert ps.ints.dtype == np.int64 and ps.ints.shape == (lat.n_points, lat.dim)
+    assert np.array_equal(ps.as_array(), np.array([[float(x) for x in p] for p in ps.points]))
+
+
+def test_enumerate_rejects_a_wrong_point_count():
+    with pytest.raises(ValueError, match="expected 5"):
+        enumerate_points(IntegrationLattice(2, as_mat([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]), 5))
+    with pytest.raises(EnumerationCapExceeded):  # the closure, not the claimed N, exceeds the cap
+        enumerate_points(IntegrationLattice(1, as_mat([[Fraction(1, 1000)]]), 1), cap=50)
