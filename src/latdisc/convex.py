@@ -3,7 +3,9 @@ formula machinery, plus the quantitative sub-exponential bounds on the
 binomial-kappa sum.
 
 Geometry here is floating point; exact rational counting for discrepancy
-witnesses lives in the discrepancy module.
+witnesses lives in the discrepancy module. The distance to a polytope is the
+same nearest-face search in every dimension, finite and without a
+convergence tolerance.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from scipy.special import gammaln, logsumexp
 
-from .errors import EmptyBodyError, ProjectionConvergenceError
+from .errors import EmptyBodyError
 from .montecarlo import McConfig, box_fraction, box_fractions_multi
 
 MIN_MC_BUDGET = 10**4
-DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_ITER = 10**4
-MAX_PROJECTION_FAILURE_RATE = 1e-4
+FEASIBLE_TOL = 1e-10  # max facet margin of a face projection that counts as inside
+INCIDENCE_TOL = 1e-9  # |margin| of a vertex on a facet plane
+RANK_TOL = 1e-9  # relative singular-value floor of a face's affine hull
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +162,9 @@ class ConvexBody:
     def contains(self, x) -> bool:
         return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
 
-    def dist_many(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean distance to the body (0 inside)."""
+    def dist_many(self, x: np.ndarray, cap: float = math.inf) -> np.ndarray:
+        """Euclidean distance to the body (0 inside). A distance above `cap`
+        may be reported as +inf; distances up to `cap` are exact."""
         raise NotImplementedError
 
     def dist_to_body(self, x) -> float:
@@ -206,7 +209,7 @@ class Ball(ConvexBody):
         d = x - self.center
         return np.einsum("ij,ij->i", d, d) <= self.radius**2
 
-    def dist_many(self, x):
+    def dist_many(self, x, cap=math.inf):
         d = np.linalg.norm(x - self.center, axis=1) - self.radius
         return np.maximum(d, 0.0)
 
@@ -257,7 +260,7 @@ class AxisBox(ConvexBody):
     def contains_many(self, x):
         return np.all((x >= self.lower) & (x <= self.upper), axis=1)
 
-    def dist_many(self, x):
+    def dist_many(self, x, cap=math.inf):
         gap = np.maximum(np.maximum(self.lower - x, x - self.upper), 0.0)
         return np.linalg.norm(gap, axis=1)
 
@@ -286,43 +289,61 @@ def unit_cube(d: int) -> AxisBox:
     return AxisBox(np.zeros(d), np.ones(d))
 
 
-class _FaceGeometry:
-    """Vertices and (for d = 3) boundary edges of a polytope, used for exact
-    exterior distances: the nearest point lies on a face, so the distance is
-    the min over feasible facet projections, edge segments, and vertices."""
+class _Faces:
+    """Every proper face of a polytope, each stored once by one of its
+    vertices and an orthonormal basis of its affine hull (an SVD of the
+    vertex differences with a rank tolerance).
 
-    def __init__(self, vertices: np.ndarray):
-        self.vertices = vertices
-        self.edges: np.ndarray | None = None
-        d = vertices.shape[1]
-        if d == 3 and vertices.shape[0] >= 4:
-            hull = ConvexHull(vertices)
-            pairs = set()
-            for simplex in hull.simplices:
-                for i in range(3):
-                    a, b = simplex[i], simplex[(i + 1) % 3]
-                    pairs.add((min(a, b), max(a, b)))
-            idx = np.array(sorted(pairs))
-            self.edges = vertices[idx]  # (n_edges, 2, d)
+    The nearest point of the body to an exterior x lies in the relative
+    interior of some face F, where it is the orthogonal projection of x onto
+    aff(F) (Wolfe's nearest-point problem, with the active set found by
+    enumeration). Every projection that lands in the body is a point of the
+    body, so the distance is the least |x - p| over the faces whose
+    projection p is feasible: exact, in a fixed number of steps, in any
+    dimension. The faces are the facets' vertex sets closed under
+    intersection; the vertices themselves are the 0-dimensional faces.
+    """
 
-    def min_dist(self, x: np.ndarray) -> np.ndarray:
-        v = self.vertices
-        d2 = (
-            np.einsum("ij,ij->i", x, x)[:, None]
-            + np.einsum("ij,ij->i", v, v)[None, :]
-            - 2.0 * x @ v.T
-        )
-        best = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-        if self.edges is not None:
-            a = self.edges[:, 0]
-            ab = self.edges[:, 1] - a
-            ab_sq = np.einsum("ij,ij->i", ab, ab)
-            diff = x[:, None, :] - a[None, :, :]
-            t = np.clip(np.einsum("nej,ej->ne", diff, ab) / ab_sq[None, :], 0.0, 1.0)
-            proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-            e2 = ((x[:, None, :] - proj) ** 2).sum(axis=2)
-            best = np.minimum(best, np.sqrt(np.maximum(e2.min(axis=1), 0.0)))
-        return best
+    def __init__(self, vertices: np.ndarray, unit_normals: np.ndarray, unit_offsets: np.ndarray):
+        incident = np.abs(vertices @ unit_normals.T - unit_offsets) <= INCIDENCE_TOL
+        facets = {sum(1 << int(i) for i in np.flatnonzero(col)) for col in incident.T} - {0}
+        faces, frontier = set(facets), set(facets)
+        while frontier:
+            frontier = {a & b for a in frontier for b in facets} - faces - {0}
+            faces |= frontier
+        self.unit_normals = unit_normals
+        self.unit_offsets = unit_offsets
+        # for vertex o and basis Q, x minus its projection onto aff(F) is
+        # (x - o) P with P = I - Q^T Q; stored as (P, o P)
+        self.residual_maps: list[tuple[np.ndarray, np.ndarray]] = []
+        eye = np.eye(vertices.shape[1])
+        for mask in sorted(faces, key=lambda f: (f.bit_count(), f)):
+            members = vertices[[i for i in range(len(vertices)) if mask >> i & 1]]
+            _, s, vt = np.linalg.svd(members[1:] - members[0], full_matrices=False)
+            rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s[0]))) if s.size else 0
+            p = eye - vt[:rank].T @ vt[:rank]
+            self.residual_maps.append((p, members[0] @ p))
+
+    def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(distances, nearest points) for points outside the body.
+
+        A face whose affine hull is no nearer than the best feasible point
+        so far cannot improve on it, so only the remaining points are
+        checked for feasibility."""
+        best_sq = np.full(x.shape[0], np.inf)
+        best_p = np.empty_like(x)
+        for p_map, shift in self.residual_maps:
+            r = x @ p_map - shift
+            dist_sq = np.einsum("ij,ij->i", r, r)
+            cand = np.flatnonzero(dist_sq < best_sq)
+            if cand.size == 0:
+                continue
+            p = x[cand] - r[cand]
+            ok = (p @ self.unit_normals.T - self.unit_offsets).max(axis=1) <= FEASIBLE_TOL
+            sel = cand[ok]
+            best_sq[sel] = dist_sq[sel]
+            best_p[sel] = p[ok]
+        return np.sqrt(best_sq), best_p
 
 
 class HPolytope(ConvexBody):
@@ -339,13 +360,15 @@ class HPolytope(ConvexBody):
             raise ValueError("zero normal vector")
         self._unit_normals = self.normals / norms[:, None]
         self._unit_offsets = self.offsets / norms
-        self._face_geometry: _FaceGeometry | None = None
+        self._vertices: np.ndarray | None = None
+        self._face_set: _Faces | None = None
         if not skip_checks:
             self._check_nonempty_and_contained()
 
-    def _check_nonempty_and_contained(self):
+    def _chebyshev_lp(self):
+        """linprog result for the largest ball inside: maximise r subject to
+        a_i . c + |a_i| r <= b_i. Raises EmptyBodyError when infeasible."""
         d = self.dim
-        # Chebyshev feasibility: empty iff the inradius LP is infeasible.
         res = linprog(
             c=np.r_[np.zeros(d), -1.0],
             A_ub=np.c_[self.normals, np.linalg.norm(self.normals, axis=1)],
@@ -355,6 +378,11 @@ class HPolytope(ConvexBody):
         )
         if res.status == 2:
             raise EmptyBodyError("H-polytope is empty")
+        return res
+
+    def _check_nonempty_and_contained(self):
+        d = self.dim
+        self._chebyshev_lp()
         for i in range(d):
             # extreme of sign * x_i must stay within [0, 1]
             for sign, limit in ((1.0, 1.0), (-1.0, 0.0)):
@@ -379,26 +407,13 @@ class HPolytope(ConvexBody):
     def contains_many(self, x):
         return np.all(self.margins_many(x) <= 1e-12, axis=1)
 
-    def dist_many(self, x):
-        d, failures = self.dist_many_with_failures(x)
-        if failures:
-            raise ProjectionConvergenceError(
-                f"{failures} projections failed to converge"
-            )
-        return d
-
-    def dist_many_with_failures(self, x: np.ndarray) -> tuple[np.ndarray, int]:
-        return self.dist_many_capped(x, math.inf)
-
-    def dist_many_capped(self, x: np.ndarray, cap: float) -> tuple[np.ndarray, int]:
+    def dist_many(self, x, cap=math.inf):
         """Distances, with values certainly above `cap` reported as +inf.
 
         The max facet margin lower-bounds the distance, so points with
         margin > cap skip projection entirely; points whose single-facet
-        projection lands inside get their exact distance for free. For the
-        edge/corner remainder the distance is exact face geometry in d <= 3
-        (nearest point lies on a facet, edge, or vertex); d >= 4 falls back
-        to Dykstra projection.
+        projection lands inside get their exact distance for free. The
+        remainder takes the exact nearest-face search (`_Faces`).
         """
         m = self.margins_many(x)
         mm = m.max(axis=1)
@@ -407,93 +422,30 @@ class HPolytope(ConvexBody):
         out[over] = np.inf
         idx = np.flatnonzero(~over & (mm > 1e-12))
         if idx.size == 0:
-            return out, 0
+            return out
         worst = np.argmax(m[idx], axis=1)
         proj = x[idx] - mm[idx, None] * self._unit_normals[worst]
-        ok = self.contains_many(proj)
-        hard = idx[~ok]
-        if hard.size == 0:
-            return out, 0
-        if self.dim <= 3:
-            out[hard] = self._exact_exterior_dist(x[hard], m[hard])
-            return out, 0
-        p, failed = self._dykstra(x[hard])
-        out[hard] = np.linalg.norm(x[hard] - p, axis=1)
-        return out, int(np.count_nonzero(failed))
+        hard = idx[~self.contains_many(proj)]
+        if hard.size:
+            out[hard] = self._faces().nearest(x[hard])[0]
+        return out
 
-    def _exact_exterior_dist(self, x: np.ndarray, margins: np.ndarray) -> np.ndarray:
-        """Exact distance for exterior points: min over facet projections
-        that land inside the body, boundary edges, and vertices."""
-        best = self._faces().min_dist(x)
-        for i in range(self._unit_normals.shape[0]):
-            mask = margins[:, i] > 0
-            if not np.any(mask):
-                continue
-            proj = x[mask] - margins[mask, i, None] * self._unit_normals[i]
-            feas = np.all(self.margins_many(proj) <= 1e-10, axis=1)
-            sel = np.flatnonzero(mask)[feas]
-            best[sel] = np.minimum(best[sel], margins[sel, i])
-        return best
-
-    def _faces(self) -> _FaceGeometry:
-        if self._face_geometry is None:
-            interior = self._chebyshev_center()
-            halfspaces = np.c_[self.normals, -self.offsets]
-            hsi = HalfspaceIntersection(halfspaces, interior)
-            self._face_geometry = _FaceGeometry(hsi.intersections)
-        return self._face_geometry
+    def _faces(self) -> _Faces:
+        """The face structure, built on the first point that needs it."""
+        if self._face_set is None:
+            v = self._vertices
+            if v is None:
+                res = self._chebyshev_lp()
+                if res.status != 0 or res.x is None:
+                    raise EmptyBodyError("Chebyshev-center LP failed")
+                halfspaces = np.c_[self.normals, -self.offsets]
+                v = HalfspaceIntersection(halfspaces, res.x[: self.dim]).intersections
+            self._face_set = _Faces(v, self._unit_normals, self._unit_offsets)
+        return self._face_set
 
     def set_known_vertices(self, vertices: np.ndarray) -> None:
-        self._face_geometry = _FaceGeometry(np.asarray(vertices, dtype=float))
-
-    def _chebyshev_center(self) -> np.ndarray:
-        d = self.dim
-        res = linprog(
-            c=np.r_[np.zeros(d), -1.0],
-            A_ub=np.c_[self.normals, np.linalg.norm(self.normals, axis=1)],
-            b_ub=self.offsets,
-            bounds=[(None, None)] * d + [(0, None)],
-            method="highs",
-        )
-        if res.status != 0 or res.x is None:
-            raise EmptyBodyError("Chebyshev-center LP failed")
-        return res.x[:d]
-
-    def _dykstra(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dykstra's cyclic projection onto the halfspace intersection.
-
-        Per-point convergence (feasible within tolerance and a full sweep
-        moved less than tolerance) freezes finished points so stragglers do
-        not drag the whole batch. Returns (projections, failed_mask)."""
-        n_f = self._unit_normals.shape[0]
-        n = x.shape[0]
-        p_full = x.copy()
-        failed = np.zeros(n, dtype=bool)
-        active = np.arange(n)
-        p = x.copy()
-        corr = np.zeros((n_f, n, self.dim))
-        for _ in range(DYKSTRA_MAX_ITER):
-            prev = p.copy()
-            for i in range(n_f):
-                y = p + corr[i]
-                viol = y @ self._unit_normals[i] - self._unit_offsets[i]
-                np.maximum(viol, 0.0, out=viol)
-                p = y - viol[:, None] * self._unit_normals[i]
-                corr[i] = y - p
-            feas = self.margins_many(p).max(axis=1)
-            moved = np.linalg.norm(p - prev, axis=1)
-            done = (feas <= DYKSTRA_TOL) & (moved <= DYKSTRA_TOL)
-            if np.any(done):
-                p_full[active[done]] = p[done]
-                keep = ~done
-                active = active[keep]
-                if active.size == 0:
-                    return p_full, failed
-                p = p[keep]
-                corr = corr[:, keep]
-        p_full[active] = p
-        failed[active] = self.margins_many(p).max(axis=1) > DYKSTRA_TOL
-        return p_full, failed
+        """Use these vertices for the face structure instead of computing them."""
+        self._vertices = np.asarray(vertices, dtype=float)
 
     def complement_margin_many(self, x):
         depth = -self.margins_many(x).max(axis=1)
@@ -503,10 +455,7 @@ class HPolytope(ConvexBody):
         x = np.asarray(x, dtype=float)
         if self.contains(x):
             return x.copy()
-        p, failed = self._dykstra(x[None, :])
-        if failed[0]:
-            raise ProjectionConvergenceError("projection failed to converge")
-        return p[0]
+        return self._faces().nearest(x[None, :])[1][0]
 
     def bounding_box(self):
         d = self.dim
@@ -585,7 +534,7 @@ class VPolytope(ConvexBody):
             return self._hform.contains_many(x)
         return self.dist_many(x) <= 1e-12
 
-    def dist_many(self, x):
+    def dist_many(self, x, cap=math.inf):
         if self._kind == "point":
             return np.linalg.norm(x - self._point, axis=1)
         if self._kind == "segment":
@@ -593,17 +542,7 @@ class VPolytope(ConvexBody):
             ab = b - a
             t = np.clip((x - a) @ ab / (ab @ ab), 0.0, 1.0)
             return np.linalg.norm(x - (a + t[:, None] * ab), axis=1)
-        return self._hform.dist_many(x)
-
-    def dist_many_with_failures(self, x):
-        if self._kind == "full":
-            return self._hform.dist_many_with_failures(x)
-        return self.dist_many(x), 0
-
-    def dist_many_capped(self, x, cap):
-        if self._kind == "full":
-            return self._hform.dist_many_capped(x, cap)
-        return self.dist_many(x), 0
+        return self._hform.dist_many(x, cap)
 
     def complement_margin_many(self, x):
         if self._kind != "full":
@@ -683,17 +622,14 @@ def _elementary_symmetric(values: Iterable[float]) -> list[float]:
     return e
 
 
-def box_steiner_volume(sides: np.ndarray, rho: float) -> float:
-    """Vol(box + rho B) = sum_j V_{d-j}(box) kappa_j rho^j with V_k = e_k(sides)."""
+def box_steiner_volume(sides: np.ndarray, rho: float, outer_only: bool = False) -> float:
+    """Vol(box + rho B) = sum_j V_{d-j}(box) kappa_j rho^j with V_k = e_k(sides).
+
+    With `outer_only` the sum starts at j = 1, leaving out the box itself:
+    the outer offset volume Vol(box_rho^+)."""
     d = sides.shape[0]
     e = _elementary_symmetric(sides)
-    return sum(e[d - j] * kappa(j) * rho**j for j in range(d + 1))
-
-
-def box_outer_offset_volume(sides: np.ndarray, rho: float) -> float:
-    d = sides.shape[0]
-    e = _elementary_symmetric(sides)
-    return sum(e[d - j] * kappa(j) * rho**j for j in range(1, d + 1))
+    return sum(e[d - j] * kappa(j) * rho**j for j in range(int(outer_only), d + 1))
 
 
 def _polygon_area(v: np.ndarray) -> float:
@@ -730,15 +666,9 @@ def steiner_volume(
     )
     cfg = mc or McConfig()
     lo, hi = body.bounding_box()
-    failures = [0]
-
-    def indicator(x):
-        dist, fail = _dist_with_failures(body, x, cap=rho)
-        failures[0] += fail
-        return dist <= rho
-
-    hits, n = box_fraction(lo - rho, hi + rho, indicator, cfg)
-    _check_failures(failures[0], n)
+    hits, n = box_fraction(
+        lo - rho, hi + rho, lambda x: body.dist_many(x, cap=rho) <= rho, cfg
+    )
     return _fraction_estimate(hits, n, lo - rho, hi + rho, cfg.seed)
 
 
@@ -747,21 +677,6 @@ def _fraction_estimate(hits, n, lo, hi, seed) -> VolumeEstimate:
     p = hits / n
     se = box_vol * math.sqrt(max(p * (1 - p), 0.0) / n)
     return VolumeEstimate(box_vol * p, se, n, seed, False)
-
-
-def _dist_with_failures(
-    body: ConvexBody, x: np.ndarray, cap: float = math.inf
-) -> tuple[np.ndarray, int]:
-    if isinstance(body, (HPolytope, VPolytope)):
-        return body.dist_many_capped(x, cap)
-    return body.dist_many(x), 0
-
-
-def _check_failures(failures: int, n: int) -> None:
-    if failures > MAX_PROJECTION_FAILURE_RATE * n:
-        raise ProjectionConvergenceError(
-            f"{failures} of {n} samples failed projection (> {MAX_PROJECTION_FAILURE_RATE:.2%})"
-        )
 
 
 def ball_offset_volume(ball: Ball, rho: float, side: str) -> float:
@@ -773,7 +688,7 @@ def ball_offset_volume(ball: Ball, rho: float, side: str) -> float:
 
 def box_offset_volume(box: AxisBox, rho: float, side: str) -> float:
     if side == "outer":
-        return box_outer_offset_volume(box.sides, rho)
+        return box_steiner_volume(box.sides, rho, outer_only=True)
     inner = float(np.prod(np.maximum(box.sides - 2 * rho, 0.0)))
     return float(np.prod(box.sides)) - inner
 
@@ -815,13 +730,11 @@ def offset_volumes(
     if cfg.n_samples < MIN_MC_BUDGET:
         raise ValueError(f"sample budget below {MIN_MC_BUDGET}")
     lo, hi = body.bounding_box()
-    failures = [0]
     if side == "outer":
         rmax = max(rhos)
 
         def values(x):
-            dist, fail = _dist_with_failures(body, x, cap=rmax)
-            failures[0] += fail
+            dist = body.dist_many(x, cap=rmax)
             # exclude points of K itself (dist == 0 inside and on the boundary)
             dist[dist <= 0.0] = np.nan
             return dist
@@ -836,7 +749,6 @@ def offset_volumes(
             return margin
 
     counts, n = box_fractions_multi(lo, hi, values, np.array(rhos), cfg)
-    _check_failures(failures[0], n)
     return [_fraction_estimate(int(c), n, lo, hi, cfg.seed) for c in counts]
 
 
@@ -876,16 +788,7 @@ def inradius(body: ConvexBody) -> float:
             return 0.0
         body = body._hform
     if isinstance(body, HPolytope):
-        d = body.dim
-        res = linprog(
-            c=np.r_[np.zeros(d), -1.0],
-            A_ub=np.c_[body.normals, np.linalg.norm(body.normals, axis=1)],
-            b_ub=body.offsets,
-            bounds=[(None, None)] * d + [(0, None)],
-            method="highs",
-        )
-        if res.status == 2:
-            raise EmptyBodyError("H-polytope is empty")
+        res = body._chebyshev_lp()
         if res.status != 0:
             raise RuntimeError(f"inradius LP failed with status {res.status}")
         return float(-res.fun)

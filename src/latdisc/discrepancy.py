@@ -575,14 +575,8 @@ def thm1_verdict(
     ok_one = j <= 1
     ok_bound = j * j * nsq <= Fraction(factor) ** 2
     slab = next(w for w in witnesses if w.family == "dual-slab")
-    # the floor is taken at the spectral test's shortest dual vector; the
-    # slab witnesses cover the shortest vectors, so its best k is usually known
-    h = rep.shortest_dual
-    best_k = next(
-        (w.dual_slab[1] for w in witnesses if w.dual_slab and w.dual_slab[0] == h), None
-    )
-    if best_k is None:
-        best_k = _best_slab(h)[0]
+    # the floor is the cross-section of the slab witness's own (h, k)
+    h, best_k = slab.dual_slab
     cross = halfspace_cube_volume_derivative(h, Fraction(2 * best_k + 1, 2))
     floor = Fraction(1, 5) * cross  # 0.2 * sigma * cross-section; sigma*CS = dV/db
     ok_slab = slab.local_value_exact >= floor and slab.local_value_exact > 0

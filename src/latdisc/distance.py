@@ -369,15 +369,18 @@ class SlabUnion:
     per_plane: tuple[Fraction, ...]
 
 
-def slab_union_volume(lat: IntegrationLattice, h, t) -> SlabUnion:
+def slab_union_volume(
+    lat: IntegrationLattice, h, t, report: SpectralReport | None = None
+) -> SlabUnion:
     """Exact Vol(B_t) = sum_k Vol({|h.x - k| < t} cap cube) for the shortest
     dual vector h. In functional units the slab around plane k is
-    (k - t, k + t) because the plane spacing is exactly sigma = 1/||h||."""
+    (k - t, k + t) because the plane spacing is exactly sigma = 1/||h||.
+    `report` is the lattice's spectral test, run here when omitted."""
     t = Fraction(t)
     if not 0 < t < Fraction(1, 2):
         raise ValueError("t must lie in (0, 1/2)")
     h = tuple(int(x) for x in h)
-    rep = spectral_test(lat)
+    rep = report if report is not None else spectral_test(lat)
     if sum(x * x for x in h) != rep.dual_norm_sq:
         raise ValueError("h must be a shortest dual vector")
     fam = hyperplane_family(lat, h)
@@ -459,7 +462,7 @@ def verify_prop1(
     t_d = 1.0 / (12.0 * math.sqrt(d) * v_d)
     # rational t >= t_d so that A_t subset A_{t_d} makes the check conservative
     t_rat = Fraction(math.ceil(t_d * 10**12), 10**12)
-    su = slab_union_volume(lat, rep.shortest_dual, t_rat)
+    su = slab_union_volume(lat, rep.shortest_dual, t_rat, rep)
     vol_a_ok = su.vol_at >= Fraction(1, 2)
     b_bound = (2 * math.sqrt(d) + 4 * sigma) * v_d * float(t_rat)
     vol_b_bound_ok = float(su.vol_bt) <= b_bound + 1e-12

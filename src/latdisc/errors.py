@@ -13,10 +13,6 @@ class DimensionGuardError(LatdiscError):
     """Exact enumeration requested beyond the supported dimension."""
 
 
-class ProjectionConvergenceError(LatdiscError):
-    """Dykstra projection failed to reach tolerance within the iteration cap."""
-
-
 class EmptyBodyError(LatdiscError):
     """A convex body turned out to be empty (violates its type invariant)."""
 

@@ -1,12 +1,11 @@
 """Chunked, counter-based Monte Carlo sampling.
 
-Chunk i of a run draws from Philox keyed by (seed, i), so totals are
-bit-identical for any worker count and any chunk scheduling order.
+Chunk i of a run draws from Philox keyed by (seed, i), so a run's totals
+depend only on its seed and sample count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +19,6 @@ _MASK64 = (1 << 64) - 1
 class McConfig:
     n_samples: int = 10**6
     seed: int = 0
-    workers: int = 1
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -50,11 +48,7 @@ def box_fraction(
         return int(np.count_nonzero(indicator(x)))
 
     n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            hits = sum(pool.map(run_chunk, range(n_chunks)))
-    else:
-        hits = sum(run_chunk(i) for i in range(n_chunks))
+    hits = sum(run_chunk(i) for i in range(n_chunks))
     return hits, n
 
 
@@ -88,9 +82,5 @@ def box_fractions_multi(
         )
 
     n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            counts = sum(pool.map(run_chunk, range(n_chunks)))
-    else:
-        counts = sum(run_chunk(i) for i in range(n_chunks))
+    counts = sum(run_chunk(i) for i in range(n_chunks))
     return counts, n

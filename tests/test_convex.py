@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,13 +25,14 @@ from latdisc.convex import (
     offset_volumes,
     parallel_volume_derivative_check,
     random_bodies,
+    random_body,
     remark_lower,
     remark_upper,
     steiner_volume,
     unit_cube,
 )
 from latdisc.errors import EmptyBodyError
-from latdisc.montecarlo import McConfig
+from latdisc.montecarlo import McConfig, chunk_rng
 
 
 TRIANGLE = HPolytope(
@@ -346,3 +348,102 @@ def test_body_json_roundtrip():
         assert type(back) is type(body)
         x = np.array([[0.3, 0.3], [0.95, 0.95]])
         assert np.allclose(body.dist_many(x), back.dist_many(x))
+
+
+# ---------------------------------------------------------------------------
+# Polytope distance against brute-force KKT enumeration
+# ---------------------------------------------------------------------------
+
+def _kkt_distance(normals, offsets, x):
+    """Reference distance: project x onto every set of <= d facet planes with
+    linearly independent normals, keep the projections whose multipliers are
+    nonnegative and that are feasible, and take the nearest (0 inside)."""
+    a = np.asarray(normals, dtype=float)
+    norms = np.linalg.norm(a, axis=1)
+    a, b = a / norms[:, None], np.asarray(offsets, dtype=float) / norms
+    m, d = a.shape
+    best = np.where((x @ a.T - b).max(axis=1) <= 0, 0.0, np.inf)
+    for k in range(1, d + 1):
+        for s in itertools.combinations(range(m), k):
+            a_s = a[list(s)]
+            gram = a_s @ a_s.T
+            if np.linalg.matrix_rank(gram, tol=1e-10) < k:
+                continue
+            lam = np.linalg.solve(gram, (x @ a_s.T - b[list(s)]).T).T
+            p = x - lam @ a_s
+            ok = np.all(lam >= -1e-12, axis=1) & ((p @ a.T - b).max(axis=1) <= 1e-9)
+            best = np.where(ok, np.minimum(best, np.linalg.norm(x - p, axis=1)), best)
+    return best
+
+
+def _acceptance_body(d, index):
+    # the body of the acceptance campaign (seed 20200817) at (d, index)
+    kinds = ["ball", "box", "hpoly"] + (["hull"] if d <= 3 else [])
+    rng = chunk_rng(20200817 ^ 0xB0D1E5, d * 10_000 + index)
+    return random_body(d, rng, kinds[index % len(kinds)])
+
+
+def _h_form(body):
+    return body._hform if isinstance(body, VPolytope) else body
+
+
+def _points_around(body, n, seed):
+    lo, hi = body.bounding_box()
+    return np.random.default_rng(seed).uniform(lo - 0.15, hi + 0.15, size=(n, body.dim))
+
+
+@pytest.mark.parametrize(
+    "d, index",
+    [(2, 2), (2, 3), (2, 6), (2, 7), (3, 2), (3, 3), (3, 6), (3, 7), (4, 2), (4, 5)],
+)
+def test_polytope_distance_matches_kkt_reference(d, index):
+    body = _acceptance_body(d, index)
+    assert isinstance(body, (HPolytope, VPolytope))
+    h = _h_form(body)
+    x = _points_around(body, 400 if d == 4 else 1000, index)
+    ref = _kkt_distance(h.normals, h.offsets, x)
+    assert np.max(np.abs(body.dist_many(x) - ref)) <= 1e-9
+
+
+def _cut_cube_4d():
+    # unit 4-cube cut by x1+x2+x3+x4 <= 2: every vertex on the cut has 5 facets
+    d = 4
+    normals = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d))])
+    return HPolytope(normals, np.r_[np.ones(d), np.zeros(d), 2.0])
+
+
+def test_polytope_distance_with_non_simple_vertices():
+    body = _cut_cube_4d()
+    x = np.random.default_rng(0).uniform(-0.4, 1.4, size=(1500, 4))
+    ref = _kkt_distance(body.normals, body.offsets, x)
+    assert np.max(np.abs(body.dist_many(x) - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("body", [_cut_cube_4d(), _acceptance_body(4, 2)], ids=["cut-cube", "hpoly"])
+def test_projection_4d_is_feasible_and_at_the_distance(body):
+    x = _points_around(body, 60, 4)
+    x = x[~body.contains_many(x)]
+    for xi, dist in zip(x, body.dist_many(x)):
+        p = body.project(xi)
+        assert body.margins_many(p[None, :]).max() <= 1e-10
+        assert np.linalg.norm(xi - p) == pytest.approx(dist, abs=1e-12)
+
+
+def test_distance_cap_reports_inf_above_it():
+    body = _acceptance_body(4, 2)
+    x = _points_around(body, 2000, 5)
+    exact = body.dist_many(x)
+    capped = body.dist_many(x, cap=0.05)
+    assert np.all(capped[exact <= 0.05] == exact[exact <= 0.05])
+    assert np.all((capped == exact) | (np.isinf(capped) & (exact > 0.05)))
+    assert np.any(np.isinf(capped))
+
+
+def test_face_structure_is_built_only_when_a_distance_needs_it():
+    hull = VPolytope([[0.1, 0.1], [0.9, 0.2], [0.3, 0.8]])
+    body = _cut_cube_4d()
+    for b in (hull, body):
+        b.contains_many(np.full((3, b.dim), 0.5))
+        assert _h_form(b)._face_set is None
+    body.dist_many(np.array([[1.3, 1.2, 1.1, -0.2]]))
+    assert body._face_set is not None

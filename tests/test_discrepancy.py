@@ -258,6 +258,18 @@ def test_verify_thm1_fibonacci():
     assert rep.j_lower <= min(1.0, rep.bound)
 
 
+def test_thm1_slab_floor_is_taken_at_the_witness_slab():
+    # the spectral test picks (0, 4, -1), the slab witness (-2, 2, 3) of the
+    # same norm; their floors differ (0.05 and 0.0625)
+    lat = rank1_lattice(64, (51, 21, 20))
+    _, witnesses = isotropic_lower_bound(enumerate_points(lat), budget=12, seed=0)
+    h, k = next(w for w in witnesses if w.family == "dual-slab").dual_slab
+    rep = verify_thm1(lat, budget=12, seed=0)
+    floor = Fraction(1, 5) * halfspace_cube_volume_derivative(h, Fraction(2 * k + 1, 2))
+    assert rep.slab_floor == float(floor) == 0.0625
+    assert rep.slab_floor_ok
+
+
 # ---------------------------------------------------------------------------
 # Integer counting against a Fraction reference
 # ---------------------------------------------------------------------------
