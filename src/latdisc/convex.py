@@ -741,11 +741,14 @@ def offset_volumes(
 
         lo, hi = lo - rmax, hi + rmax
     else:
+        # only H-polytopes and full hulls get here; one margin pass per chunk
+        # gives both membership (contains_many) and depth (complement_margin_many)
+        hform = body._hform if isinstance(body, VPolytope) else body
 
         def values(x):
-            inside = body.contains_many(x)
-            margin = body.complement_margin_many(x)
-            margin[~inside] = np.nan
+            depth = -hform.margins_many(x).max(axis=1)
+            margin = np.maximum(depth, 0.0)
+            margin[depth < -1e-12] = np.nan
             return margin
 
     counts, n = box_fractions_multi(lo, hi, values, np.array(rhos), cfg)

@@ -2,8 +2,7 @@
 certified enclosures, slab-union volumes, the distance-vs-spectral-test
 sandwich, and the Sobolev approximation-error proxy.
 
-Distances are non-periodic (the plain Euclidean distance inside the cube);
-a torus metric exists behind a flag but is never used in verification runs.
+Distances are non-periodic: the plain Euclidean distance inside the cube.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .discrepancy import halfspace_cube_volume
-from .errors import RefinementBudgetExceeded
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
 from .montecarlo import CHUNK_SIZE, McConfig, chunk_rng
 from .reduction import SpectralReport, hyperplane_family, spectral_test
@@ -32,7 +30,6 @@ class DistanceNormConfig:
     mc_samples: int = 200_000
     seed: int = 0
     covering_tol: float = 1e-4
-    max_evals: int = 4_000_000
 
 
 def _default_resolution(d: int) -> int | None:
@@ -84,20 +81,12 @@ class DistanceNormReport:
         }
 
 
-def dist_to_pointset(x, ps: LatticePointSet | np.ndarray, torus: bool = False) -> float:
-    """Min Euclidean distance from x to the point set (non-periodic).
-
-    torus=True measures against all integer translates instead; it exists
-    for exploration only and is excluded from verification runs.
-    """
+def dist_to_pointset(x, ps: LatticePointSet | np.ndarray) -> float:
+    """Min Euclidean distance from x to the point set (non-periodic)."""
     pts = ps.as_array() if isinstance(ps, LatticePointSet) else np.asarray(ps, float)
     if pts.size == 0:
         raise ValueError("empty point set")
     x = np.asarray(x, dtype=float)
-    if torus:
-        delta = np.abs(pts - x)
-        delta = np.minimum(delta, 1.0 - delta)
-        return float(np.min(np.linalg.norm(delta, axis=1)))
     return float(np.min(np.linalg.norm(pts - x, axis=1)))
 
 
@@ -105,7 +94,6 @@ def covering_radius(
     ps: LatticePointSet | np.ndarray,
     tol: float = 1e-4,
     max_evals: int = 4_000_000,
-    raise_on_budget: bool = False,
 ) -> CoveringRadius:
     """Certified enclosure of sup_{y in cube} dist(y, P) by branch-and-bound.
 
@@ -162,12 +150,7 @@ def covering_radius(
                     heap, (-float(ubs[i]), next(counter), tuple(children[i]), float(child_halves[i]))
                 )
     ub = max(lb, -heap[0][0]) if heap else lb
-    converged = ub - lb <= tol
-    if not converged and raise_on_budget:
-        raise RefinementBudgetExceeded(
-            f"covering radius width {ub - lb:.3e} > tol {tol:.3e} after {n_evals} evals"
-        )
-    return CoveringRadius(lb, ub, witness, n_evals, converged)
+    return CoveringRadius(lb, ub, witness, n_evals, ub - lb <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +258,7 @@ def distance_norms(
     if any(g <= 0 for g in finite):
         raise ValueError("gamma must be positive")
     if math.inf in gammas or any(math.isinf(g) for g in gammas):
-        cr = covering_radius(ps, tol=cfg.covering_tol, max_evals=cfg.max_evals)
+        cr = covering_radius(ps, tol=cfg.covering_tol)
         out[math.inf] = DistanceNormReport(
             gamma=math.inf,
             value=0.5 * (cr.lower + cr.upper),
@@ -445,7 +428,7 @@ def verify_prop1(
     config: DistanceNormConfig | None = None,
     lattice_id: str = "",
     report: SpectralReport | None = None,
-    points: LatticePointSet | None = None,
+    norm_reports: dict[GammaValue, DistanceNormReport] | None = None,
 ) -> Prop1Report:
     """Check the distance-norm sandwich pieces that are verifiable:
 
@@ -454,6 +437,9 @@ def verify_prop1(
     - c_d sigma / 2^(1/gamma) <= ||dist||_gamma for each gamma (c_d = t_d);
     - the empirical ratio norm_inf / sigma (the companion constant to C_d
       is unknown, so the ratio is recorded, not asserted).
+
+    `report` and `norm_reports` (the `distance_norms` of the lattice's
+    points for at least these gammas) are computed here when omitted.
     """
     rep = report if report is not None else spectral_test(lat)
     d = lat.dim
@@ -467,9 +453,10 @@ def verify_prop1(
     b_bound = (2 * math.sqrt(d) + 4 * sigma) * v_d * float(t_rat)
     vol_b_bound_ok = float(su.vol_bt) <= b_bound + 1e-12
 
-    ps = points if points is not None else enumerate_points(lat)
     gammas = tuple(gammas)
-    reports = distance_norms(ps, gammas, config)
+    reports = norm_reports
+    if reports is None:
+        reports = distance_norms(enumerate_points(lat), gammas, config)
     norms = tuple(reports[math.inf if math.isinf(g) else g] for g in gammas)
     lower_bounds = tuple(
         t_d * sigma / (1.0 if math.isinf(g) else 2.0 ** (1.0 / g)) for g in gammas
@@ -478,8 +465,7 @@ def verify_prop1(
         r.lower_certified >= lb for r, lb in zip(norms, lower_bounds)
     )
     ratios = tuple(r.value / sigma for r in norms)
-    inf_report = reports.get(math.inf)
-    ratio_inf = (inf_report.value / sigma) if inf_report else float("nan")
+    ratio_inf = next((r for g, r in zip(gammas, ratios) if math.isinf(g)), float("nan"))
     return Prop1Report(
         lattice_id=lattice_id,
         dim=d,

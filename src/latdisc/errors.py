@@ -15,7 +15,3 @@ class DimensionGuardError(LatdiscError):
 
 class EmptyBodyError(LatdiscError):
     """A convex body turned out to be empty (violates its type invariant)."""
-
-
-class RefinementBudgetExceeded(LatdiscError):
-    """Certified refinement ran out of budget before reaching the tolerance."""

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, distance
 from .convex import (
     AxisBox,
     Ball,
@@ -34,18 +34,8 @@ from .convex import (
     steiner_volume,
 )
 from .discrepancy import verify_thm1
-from .distance import (
-    DistanceNormConfig,
-    distance_norm,
-    proxy_spec,
-    verify_prop1,
-)
-from .lattice import (
-    IntegrationLattice,
-    enumerate_points,
-    fibonacci_lattice,
-    rank1_lattice,
-)
+from .distance import DistanceNormConfig, ProxySpec, proxy_spec, verify_prop1
+from .lattice import IntegrationLattice, enumerate_points, rank1_lattice
 from .montecarlo import McConfig, chunk_rng
 from .reduction import spectral_test
 
@@ -269,6 +259,15 @@ def _norm_config(d: int, budgets: Budgets) -> DistanceNormConfig:
     )
 
 
+def _thm2_specs(budgets: Budgets, d: int) -> list[tuple[tuple, ProxySpec, float]]:
+    """((s, p, q), ProxySpec, gamma as a float) for each thm2 triple."""
+    out = []
+    for s, p, q in budgets.thm2_triples:
+        spec = proxy_spec(s, math.inf if p == "inf" else p, math.inf if q == "inf" else q, d)
+        out.append(((s, p, q), spec, math.inf if spec.gamma == math.inf else float(spec.gamma)))
+    return out
+
+
 def run_lattice_task(args: dict) -> dict:
     """All selected lattice-level checks for one corpus member."""
     lattice_id, n, g = args["id"], args["n"], tuple(args["g"])
@@ -278,7 +277,7 @@ def run_lattice_task(args: dict) -> dict:
     lat = rank1_lattice(n, g)
     d = lat.dim
     rows: list[BoundCheckReport] = []
-    tables: dict[str, list[dict]] = {"thm1": [], "prop1": []}
+    tables: dict[str, list[dict]] = {"thm1": [], "prop1": [], "thm2": []}
     rep = spectral_test(lat)
     points = None
     if "spectral-exact" in checks and d <= 3 and lat.n_points <= 4096:
@@ -324,16 +323,21 @@ def run_lattice_task(args: dict) -> dict:
             )
         )
         tables["thm1"].append(t1.to_json_dict())
-    if "prop1" in checks:
+    thm2 = _thm2_specs(budgets, d) if "thm2-diagnostic" in checks else []
+    if "prop1" in checks or thm2:
         if points is None:
             points = enumerate_points(lat)
+        # one distance pass serves prop1 and thm2; a shared gamma is computed once
+        prop1_gammas = budgets.prop1_gammas if "prop1" in checks else ()
+        gammas = dict.fromkeys([*prop1_gammas, *(gamma for _, _, gamma in thm2)])
+        norms = distance.distance_norms(points, gammas, _norm_config(d, budgets))
+    if "prop1" in checks:
         p1 = verify_prop1(
             lat,
-            gammas=budgets.prop1_gammas,
-            config=_norm_config(d, budgets),
+            gammas=prop1_gammas,
             lattice_id=lattice_id,
             report=rep,
-            points=points,
+            norm_reports=norms,
         )
         rows.append(
             BoundCheckReport(
@@ -396,6 +400,20 @@ def run_lattice_task(args: dict) -> dict:
                         verdict_for(width, tol * (1 + 1e-9), 0.0),
                     )
                 )
+    for (s, p, q), spec, gamma in thm2:
+        proxy = norms[gamma].value ** float(spec.exponent)
+        scale_exp = s / d - max(float(spec.inv_p - spec.inv_q), 0.0)
+        tables["thm2"].append(
+            {
+                "k": int(lattice_id.removeprefix("fib-k")),
+                "N": lat.n_points,
+                "sigma": rep.sigma,
+                "triple": f"s{s}-p{p}-q{q}",
+                "proxy": proxy,
+                "scaled": proxy * lat.n_points**scale_exp,
+                "sigma_sqrt_n": rep.sigma * math.sqrt(lat.n_points),
+            }
+        )
     return {"rows": [r.to_json_dict() for r in rows], "tables": tables}
 
 
@@ -509,63 +527,26 @@ def run_remark_task(args: dict) -> dict:
     return {"rows": [r.to_json_dict() for r in rows], "tables": {}}
 
 
-def run_thm2_task(args: dict) -> dict:
-    """Joint-boundedness diagnostic over the Fibonacci family."""
-    budgets = Budgets(**args["budgets"]) if isinstance(args["budgets"], dict) else args["budgets"]
-    corpus_spec = args["fibonacci_k"]
-    k_lo, k_hi = corpus_spec
-    rows: list[BoundCheckReport] = []
-    sigma_window = []
-    proxy_windows: dict[str, list[float]] = {}
-    detail_rows = []
-    for k in range(k_lo, k_hi + 1):
-        lat = fibonacci_lattice(k)
-        ps = enumerate_points(lat)
-        rep = spectral_test(lat)
-        n = lat.n_points
-        sigma_window.append(rep.sigma * math.sqrt(n))
-        cfg = _norm_config(2, budgets)
-        for s, p, q in budgets.thm2_triples:
-            pp = math.inf if p == "inf" else p
-            qq = math.inf if q == "inf" else q
-            spec = proxy_spec(s, pp, qq, 2)
-            g = math.inf if spec.gamma == math.inf else float(spec.gamma)
-            norm = distance_norm(ps, g, cfg)
-            proxy = norm.value ** float(spec.exponent)
-            scale_exp = s / 2 - max(float(spec.inv_p - spec.inv_q), 0.0)
-            scaled = proxy * n**scale_exp
-            key = f"s{s}-p{p}-q{q}"
-            proxy_windows.setdefault(key, []).append(scaled)
-            detail_rows.append(
-                {
-                    "k": k,
-                    "N": n,
-                    "sigma": rep.sigma,
-                    "triple": key,
-                    "proxy": proxy,
-                    "scaled": scaled,
-                    "sigma_sqrt_n": rep.sigma * math.sqrt(n),
-                }
-            )
-    ratio_sigma = max(sigma_window) / min(sigma_window)
-    rows.append(
-        BoundCheckReport(
-            "thm2-window-sigma", "fibonacci", ratio_sigma, 10.0, 0.0,
-            verdict_for(ratio_sigma, 10.0, 0.0),
-        )
-    )
-    for key, vals in sorted(proxy_windows.items()):
+def run_thm2_task(detail_rows: list[dict]) -> list[dict]:
+    """Joint-boundedness windows over the Fibonacci family: max/min of
+    sigma sqrt(N) and of each triple's scaled proxy, from the thm2 rows
+    the Fibonacci lattice tasks wrote."""
+    if not detail_rows:
+        raise ValueError("thm2-diagnostic needs fibonacci_k lattices and thm2_triples")
+    proxies: dict[str, list[float]] = {}
+    for r in detail_rows:
+        proxies.setdefault(r["triple"], []).append(r["scaled"])
+    rows = []
+    sigma = [r["sigma_sqrt_n"] for r in detail_rows]
+    for key, vals in [("sigma", sigma), *sorted(proxies.items())]:
         ratio = max(vals) / min(vals)
         rows.append(
             BoundCheckReport(
                 f"thm2-window-{key}", "fibonacci", ratio, 10.0, 0.0,
                 verdict_for(ratio, 10.0, 0.0),
-            )
+            ).to_json_dict()
         )
-    return {
-        "rows": [r.to_json_dict() for r in rows],
-        "tables": {"thm2": detail_rows},
-    }
+    return rows
 
 
 def _run_task(task: tuple[str, dict]) -> dict:
@@ -576,8 +557,6 @@ def _run_task(task: tuple[str, dict]) -> dict:
         return run_body_task(args)
     if kind == "remark":
         return run_remark_task(args)
-    if kind == "thm2":
-        return run_thm2_task(args)
     raise ValueError(f"unknown task kind {kind!r}")
 
 
@@ -612,8 +591,11 @@ def _build_tasks(c: Campaign) -> list[tuple[str, dict]]:
     }
     tasks: list[tuple[str, dict]] = []
     lattice_checks = {"spectral-exact", "thm1", "prop1"} & set(c.checks)
-    if lattice_checks:
-        for lattice_id, n, g in builtin_corpus(c.corpus, c.seed):
+    # the thm2 diagnostic rides on the Fibonacci members' lattice tasks
+    fib_checks = lattice_checks | ({"thm2-diagnostic"} & set(c.checks))
+    for lattice_id, n, g in builtin_corpus(c.corpus, c.seed):
+        checks = fib_checks if lattice_id.startswith("fib-k") else lattice_checks
+        if checks:
             tasks.append(
                 (
                     "lattice",
@@ -621,7 +603,7 @@ def _build_tasks(c: Campaign) -> list[tuple[str, dict]]:
                         "id": lattice_id,
                         "n": n,
                         "g": list(g),
-                        "checks": sorted(lattice_checks),
+                        "checks": sorted(checks),
                         "budgets": budgets_dict,
                         "seed": c.seed,
                     },
@@ -645,10 +627,6 @@ def _build_tasks(c: Campaign) -> list[tuple[str, dict]]:
                 )
     if "remark" in c.checks:
         tasks.append(("remark", {"budgets": budgets_dict}))
-    if "thm2-diagnostic" in c.checks:
-        tasks.append(
-            ("thm2", {"budgets": budgets_dict, "fibonacci_k": c.corpus.fibonacci_k})
-        )
     return tasks
 
 
@@ -665,6 +643,8 @@ def run_campaign(c: Campaign, workers: int = 1) -> CampaignResult:
         rows.extend(chunk["rows"])
         for name, extra in chunk.get("tables", {}).items():
             tables.setdefault(name, []).extend(extra)
+    if "thm2-diagnostic" in c.checks:
+        rows.extend(run_thm2_task(tables["thm2"]))
     if c.corrupt_check is not None:
         rows = [_corrupt_row(r, c) for r in rows]
     summary: dict[str, int] = {}

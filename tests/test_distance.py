@@ -46,11 +46,6 @@ def test_dist_to_pointset_basics():
     assert dist_to_pointset([0.5], EQUI4) == 0.0
 
 
-def test_dist_to_pointset_torus_flag():
-    one = enumerate_points(rank1_lattice(1, (0,)))
-    assert dist_to_pointset([0.7], one, torus=True) == pytest.approx(0.3)
-
-
 def test_covering_radius_single_point_d2():
     ps = enumerate_points(rank1_lattice(1, (0, 0)))
     cr = covering_radius(ps, tol=1e-6)
@@ -179,6 +174,20 @@ def test_verify_prop1_rank1_5_12_all_gammas():
     assert all(rep.lower_ok)
     assert all(r > 0 for r in rep.ratios)
     assert rep.ratio_inf > 0
+
+
+def test_verify_prop1_with_passed_in_norm_reports_is_unchanged():
+    gammas = (0.5, 2.0, math.inf)
+    plain = verify_prop1(R5, gammas=gammas, config=FAST, lattice_id="r5")
+    # the caller's reports may hold extra gammas; prop1 reads only its own,
+    # and ratio_inf stays NaN when inf is not one of them
+    reports = distance_norms(P5, (*gammas, 3.0, 1.0), FAST)
+    given = verify_prop1(
+        R5, gammas=gammas, lattice_id="r5", report=spectral_test(R5), norm_reports=reports
+    )
+    assert given == plain
+    no_inf = verify_prop1(R5, gammas=(1.0,), norm_reports=reports)
+    assert no_inf.norms == (reports[1.0],) and math.isnan(no_inf.ratio_inf)
 
 
 def test_proxy_spec_paper_cases():

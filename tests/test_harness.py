@@ -15,6 +15,9 @@ from latdisc.harness import (
     verdict_for,
     write_artifacts,
 )
+from latdisc import distance
+from latdisc.distance import DistanceNormConfig, error_proxy, proxy_spec
+from latdisc.lattice import enumerate_points, fibonacci_lattice
 from latdisc.reduction import spectral_test
 
 
@@ -156,3 +159,88 @@ def test_campaign_from_json_dict_names_unknown_key(section, key):
     (data[section] if section else data)[key] = 1
     with pytest.raises(ValueError, match=key):
         Campaign.from_json_dict(data)
+
+
+THM2_CORPUS = CorpusSpec(
+    fibonacci_k=(5, 8),
+    rank1_dims=(2, 3),
+    rank1_sizes=(64,),
+    rank1_per_cell=1,
+    zd_dims=(2,),
+    include_bad_lattice=False,
+)
+THM2_BUDGETS = Budgets(norm_mc_samples=20_000)  # default triples: gamma inf, 3 and 4
+
+
+def thm2_campaign(checks):
+    return Campaign(corpus=THM2_CORPUS, checks=checks, budgets=THM2_BUDGETS, seed=11)
+
+
+def thm2_reference(budgets, k_lo, k_hi):
+    """The thm2 table and window ratios computed one gamma at a time on each
+    fibonacci_lattice(k), independently of the campaign's lattice tasks."""
+    cfg = DistanceNormConfig(
+        mc_samples=budgets.norm_mc_samples, covering_tol=budgets.covering_tols[2]
+    )
+    table = []
+    for k in range(k_lo, k_hi + 1):
+        lat = fibonacci_lattice(k)
+        ps = enumerate_points(lat)
+        sigma, n = spectral_test(lat).sigma, lat.n_points
+        for s, p, q in budgets.thm2_triples:
+            spec = proxy_spec(s, math.inf if p == "inf" else p, math.inf if q == "inf" else q, 2)
+            proxy = error_proxy(ps, spec, cfg)
+            table.append({
+                "k": k, "N": n, "sigma": sigma, "triple": f"s{s}-p{p}-q{q}", "proxy": proxy,
+                "scaled": proxy * n ** (s / 2 - max(float(spec.inv_p - spec.inv_q), 0.0)),
+                "sigma_sqrt_n": sigma * math.sqrt(n),
+            })
+    windows = {"thm2-window-sigma": [t["sigma_sqrt_n"] for t in table]}
+    for t in table:
+        windows.setdefault(f"thm2-window-{t['triple']}", []).append(t["scaled"])
+    return table, {key: max(v) / min(v) for key, v in windows.items()}
+
+
+def test_thm2_matches_per_gamma_reference():
+    res = run_campaign(thm2_campaign(("thm2-diagnostic",)))
+    table, ratios = thm2_reference(THM2_BUDGETS, *THM2_CORPUS.fibonacci_k)
+    assert res.tables["thm2"] == table
+    checks = [r["check"] for r in res.rows]
+    assert checks[0] == "thm2-window-sigma" and checks[1:] == sorted(checks[1:])
+    assert {r["check"]: r["lhs"] for r in res.rows} == ratios
+    assert {r["subject"] for r in res.rows} == {"fibonacci"}
+
+
+def test_thm2_rows_do_not_depend_on_prop1():
+    alone = run_campaign(thm2_campaign(("thm2-diagnostic",)))
+    both = run_campaign(thm2_campaign(("prop1", "thm2-diagnostic")))
+    assert both.tables["thm2"] == alone.tables["thm2"]
+    n_windows = len(alone.rows)
+    assert both.rows[-n_windows:] == alone.rows  # the windows come last
+    assert not any(r["check"].startswith("thm2") for r in both.rows[:-n_windows])
+
+
+@pytest.mark.parametrize("checks", [("prop1", "thm2-diagnostic"), ("thm2-diagnostic",)])
+def test_one_distance_pass_per_lattice(monkeypatch, checks):
+    real = distance.distance_norms
+    calls = []
+
+    def counted(ps, gammas, config=None):
+        calls.append((ps.n, tuple(gammas)))
+        return real(ps, gammas, config)
+
+    monkeypatch.setattr(distance, "distance_norms", counted)
+    run_campaign(thm2_campaign(checks))
+    entries = builtin_corpus(THM2_CORPUS, 11)
+    fib_n = [n for ident, n, _ in entries if ident.startswith("fib-k")]
+    if "prop1" in checks:
+        assert [n for n, _ in calls] == [corpus_lattice(e).n_points for e in entries]
+        assert all(g == (0.5, 1.0, 2.0, math.inf, 3.0, 4.0) for _, g in calls[: len(fib_n)])
+    else:  # only the Fibonacci members run, on the thm2 gammas alone
+        assert calls == [(n, (math.inf, 3.0, 4.0)) for n in fib_n]
+
+
+def test_thm2_without_triples_names_the_field():
+    c = Campaign(corpus=THM2_CORPUS, checks=("thm2-diagnostic",), budgets=Budgets(thm2_triples=()))
+    with pytest.raises(ValueError, match="thm2_triples"):
+        run_campaign(c)
