@@ -112,8 +112,9 @@ def _cmd_points(args) -> int:
 def _cmd_isodisc(args) -> int:
     lat = _read_lattice(args.lattice)
     ps = enumerate_points(lat)
-    best, witnesses = isotropic_lower_bound(ps, args.budget, _seed(args))
-    report = thm1_verdict(lat, spectral_test(lat), best, witnesses)
+    rep = spectral_test(lat)
+    best, witnesses = isotropic_lower_bound(ps, args.budget, _seed(args), report=rep)
+    report = thm1_verdict(lat, rep, best, witnesses)
     _emit_json(
         args,
         {

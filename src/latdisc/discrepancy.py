@@ -512,18 +512,20 @@ def isotropic_lower_bound(
     seed: int,
     n_slabs: int = 10,
     ball_mc_samples: int = 10**5,
+    report: SpectralReport | None = None,
 ) -> tuple[DiscrepancyWitness, list[DiscrepancyWitness]]:
     """Search for the best witness; the returned best is always certified.
 
     Candidate i draws from a stream keyed by (seed, i), so a larger budget
     extends (never reshuffles) the candidate list and the best value is
-    monotone in the budget for a fixed seed.
+    monotone in the budget for a fixed seed. `report`, the spectral test of
+    `ps.source`, lends the slab search its reduced dual basis.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     witnesses: list[DiscrepancyWitness] = []
     if ps.source is not None:
-        for h in shortest_dual_vectors(ps.source, n_slabs):
+        for h in shortest_dual_vectors(ps.source, n_slabs, report):
             witnesses.append(slab_witness(ps.source, h, points=ps))
     pts_float = ps.as_array()
     for i in range(budget):
@@ -555,7 +557,7 @@ def verify_thm1(
     and the slab witness stays above a fifth of its exact cross-section floor."""
     rep = report if report is not None else spectral_test(lat)
     ps = points if points is not None else enumerate_points(lat)
-    best, witnesses = isotropic_lower_bound(ps, budget, seed)
+    best, witnesses = isotropic_lower_bound(ps, budget, seed, report=rep)
     return thm1_verdict(lat, rep, best, witnesses, lattice_id)
 
 

@@ -3,6 +3,10 @@ certified enclosures, slab-union volumes, the distance-vs-spectral-test
 sandwich, and the Sobolev approximation-error proxy.
 
 Distances are non-periodic: the plain Euclidean distance inside the cube.
+On the midpoint grid they come from an exact block-wise nearest-point
+search: each box of cells is measured only against the points a KD-tree
+query proves can be nearest to one of its cells, with the same float
+operations as the KD-tree query itself, so the values are its values.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .montecarlo import CHUNK_SIZE, McConfig, chunk_rng
 from .reduction import SpectralReport, hyperplane_family, spectral_test
 
 GammaValue = float  # finite positive real or math.inf
+
+GRID_BOX_ENTRIES = 1 << 15  # cap on the cells x candidates of one grid-search temporary
+GRID_BOX_MIN_CELLS = 1 << 8  # smaller boxes cost more in per-box overhead than in arithmetic
 
 
 @dataclass(frozen=True)
@@ -168,35 +175,96 @@ def _closed_form_1d_moment(xs: list[float], gamma: float) -> float:
     return total
 
 
+def _grid_axis(m: int) -> np.ndarray:
+    """Cell-centre coordinates of the m-cell midpoint grid along one axis."""
+    return (np.arange(m) + 0.5) * (1.0 / m)
+
+
+def _grid_row_chunks(d: int, m: int) -> list[tuple[int, int]]:
+    """First-axis row ranges [start, stop) of the m^d grid's chunks, each
+    about CHUNK_SIZE cells."""
+    rows = max(1, CHUNK_SIZE // m ** (d - 1))
+    return [(start, min(start + rows, m)) for start in range(0, m, rows)]
+
+
 def _grid_centers_chunks(d: int, m: int):
-    """Yield cell-center chunks of the m^d midpoint grid."""
-    step = 1.0 / m
-    axis = (np.arange(m) + 0.5) * step
-    if d == 1:
-        yield axis[:, None]
-        return
-    rows_per_chunk = max(1, CHUNK_SIZE // (m ** (d - 1)))
-    tail_shape = [m] * (d - 1)
-    tail = np.stack(
-        np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1
-    ).reshape(-1, d - 1)
-    for start in range(0, m, rows_per_chunk):
-        block = axis[start : start + rows_per_chunk]
+    """Yield cell-center chunks of the m^d midpoint grid, in lexicographic
+    order."""
+    axis = _grid_axis(m)
+    tail = (
+        np.stack(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
+        if d > 1
+        else np.empty((1, 0))
+    )
+    for start, stop in _grid_row_chunks(d, m):
+        block = axis[start:stop]
         head = np.repeat(block, tail.shape[0])[:, None]
         body = np.tile(tail, (block.shape[0], 1))
         yield np.hstack([head, body])
+
+
+def _box_distances(axes: list[np.ndarray], cands: np.ndarray) -> np.ndarray:
+    """dist to `cands` of every cell centre of the tensor box with per-axis
+    coordinates `axes`, shaped like the box. Squares are summed in axis
+    order, then min and sqrt: cKDTree's own operations, so the result is
+    bit-identical to its query. Candidates go in batches so that no
+    temporary exceeds GRID_BOX_ENTRIES entries."""
+    d = len(axes)
+    shape = tuple(len(a) for a in axes)
+    batch = max(1, GRID_BOX_ENTRIES // math.prod(shape))
+    best = np.full(shape, np.inf)
+    for j in range(0, len(cands), batch):
+        part = cands[j : j + batch]
+        sq = 0.0
+        for k, a in enumerate(axes):
+            diff = a - part[:, k, None]
+            sq = sq + (diff * diff).reshape((len(part),) + (1,) * k + (len(a),) + (1,) * (d - 1 - k))
+        np.minimum(best, sq.min(axis=0), out=best)
+    return np.sqrt(best)
+
+
+def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
+    """Yield dist(., P) at the cell centres of each `_grid_centers_chunks`
+    chunk, in the same order and bit-identical to `tree.query`.
+
+    Each chunk is cut into boxes of about one point spacing (between
+    GRID_BOX_MIN_CELLS and GRID_BOX_ENTRIES cells). A box whose cell centres
+    lie within h of its centre c, with u = dist(c, P), has every cell's
+    nearest point p* within u + 2h of c, since |p* - c| <= dist(x) + h; the
+    points in that ball (with a margin for rounding) are the box's candidates.
+    """
+    axis = _grid_axis(m)
+    pts = tree.data
+    side = m * tree.n ** (-1.0 / d)  # one point spacing, in cells
+    side = min(max(side, GRID_BOX_MIN_CELLS ** (1.0 / d)), GRID_BOX_ENTRIES ** (1.0 / d), m)
+    side = int(side + 1e-9)  # (2^15)^(1/3) evaluates to just under 32
+    for start, stop in _grid_row_chunks(d, m):
+        axes = [axis[start:stop]] + [axis] * (d - 1)
+        boxes = list(itertools.product(
+            *([slice(a, min(a + side, len(ax))) for a in range(0, len(ax), side)] for ax in axes)
+        ))
+        lo = np.array([[ax[s.start] for ax, s in zip(axes, box)] for box in boxes])
+        hi = np.array([[ax[s.stop - 1] for ax, s in zip(axes, box)] for box in boxes])
+        centres = 0.5 * (lo + hi)
+        half = 0.5 * np.sqrt(np.sum((hi - lo) ** 2, axis=1))
+        reach = tree.query(centres)[0] + 2 * half
+        cands = tree.query_ball_point(centres, reach * (1 + 1e-9) + 1e-12)
+        out = np.empty([len(ax) for ax in axes])
+        for box, idx in zip(boxes, cands):
+            out[box] = _box_distances([ax[s] for ax, s in zip(axes, box)], pts[idx])
+        yield out.reshape(-1)
 
 
 def _grid_moments_multi(
     tree: cKDTree, d: int, m: int, gammas: list[float]
 ) -> dict[float, tuple[float, float]]:
     """(midpoint estimate, certified error bound) of the dist^gamma integral
-    for each gamma, sharing one pass over the grid."""
+    for each gamma, sharing one pass over the grid. The distances come from
+    the exact block-wise search of `_grid_distance_chunks`, chunk by chunk."""
     r = math.sqrt(d) / (2 * m)
     totals = {g: 0.0 for g in gammas}
     errs = {g: 0.0 for g in gammas}
-    for centers in _grid_centers_chunks(d, m):
-        dist = tree.query(centers)[0]
+    for dist in _grid_distance_chunks(tree, d, m):
         for g in gammas:
             totals[g] += float(np.sum(dist**g))
             if g >= 1:
@@ -280,11 +348,11 @@ def distance_norms(
     grid = (
         _grid_moments_multi(tree, d, m, finite) if (d > 1 and m is not None) else None
     )
+    xs = sorted(pts[:, 0].tolist()) if d == 1 else None
     for g in finite:
         mc_mean, mc_se = mc[g]
         mc_value = mc_mean ** (1.0 / g)
         if d == 1:
-            xs = sorted(pts[:, 0].tolist())
             moment = _closed_form_1d_moment(xs, g)
             slack = 1e-12 * max(moment, 1e-30)
             out[g] = DistanceNormReport(
@@ -386,6 +454,7 @@ class Prop1Report:
     c_d: float
     vol_a_td: float
     vol_a_ok: bool
+    vol_b_bound: float
     vol_b_bound_ok: bool
     gammas: tuple[GammaValue, ...]
     norms: tuple[DistanceNormReport, ...]
@@ -405,6 +474,7 @@ class Prop1Report:
             "c_d": self.c_d,
             "vol_a_td": self.vol_a_td,
             "vol_a_ok": self.vol_a_ok,
+            "vol_b_bound": self.vol_b_bound,
             "vol_b_bound_ok": self.vol_b_bound_ok,
             "gammas": ["inf" if math.isinf(g) else g for g in self.gammas],
             "norms": [r.to_json_dict() for r in self.norms],
@@ -476,6 +546,7 @@ def verify_prop1(
         c_d=t_d,
         vol_a_td=float(su.vol_at),
         vol_a_ok=bool(vol_a_ok),
+        vol_b_bound=b_bound,
         vol_b_bound_ok=bool(vol_b_bound_ok),
         gammas=gammas,
         norms=norms,

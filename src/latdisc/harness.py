@@ -15,7 +15,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -350,9 +349,7 @@ def run_lattice_task(args: dict) -> dict:
                 "prop1-volB-bound",
                 lattice_id,
                 float(1.0 - p1.vol_a_td),
-                (2 * math.sqrt(d) + 4 * p1.sigma)
-                * p1.v_d
-                * float(Fraction(math.ceil(p1.t_d * 10**12), 10**12)),
+                p1.vol_b_bound,
                 0.0,
                 PASS if p1.vol_b_bound_ok else FAIL,
             )

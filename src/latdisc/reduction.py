@@ -10,7 +10,7 @@ minimum carries no floating doubt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +69,8 @@ class SpectralReport:
     lll_delta: float
     dual_norm_sq: int
     diam_cell_sq: Fraction
+    # LLL reduction of the dual basis, reused by `shortest_dual_vectors`
+    dual_reduced: ReducedBasis = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,12 +220,22 @@ def enumerate_below(rows: Mat, bound_sq: Fraction) -> list[tuple[tuple[int, ...]
     return sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
 
 
-def shortest_vector(basis) -> ShortestVector:
+def _check_reduction(src: Mat, reduced: ReducedBasis | None) -> ReducedBasis:
+    """`reduced` if it is the LLL reduction of `src`, else reduce `src` now."""
+    if reduced is None:
+        return lll_reduce(src)
+    if reduced.source != src:
+        raise ValueError("reduced is not a reduction of this basis")
+    return reduced
+
+
+def shortest_vector(basis, reduced: ReducedBasis | None = None) -> ShortestVector:
     """Exact minimizer of the Euclidean norm over nonzero lattice vectors.
 
     LLL-seeded Fincke-Pohst enumeration; ties broken by the lexicographically
     smallest coefficient vector with positive leading entry. Coefficients are
-    reported relative to the *input* basis.
+    reported relative to the *input* basis. `reduced` is the basis's
+    `lll_reduce`, computed here when omitted.
     """
     src = as_mat(basis)
     d = len(src)
@@ -231,7 +243,7 @@ def shortest_vector(basis) -> ShortestVector:
         raise DimensionGuardError(
             f"shortest_vector supports d <= {SVP_DIMENSION_CAP}, got {d}"
         )
-    reduced = lll_reduce(src)
+    reduced = _check_reduction(src, reduced)
     bound = min(norm_sq(r) for r in reduced.rows)
     hits = enumerate_below(reduced.rows, bound)
     best_norm = min(nsq for _, nsq in hits)
@@ -253,17 +265,20 @@ def shortest_vector(basis) -> ShortestVector:
     return ShortestVector(vec, coeffs, best_norm)
 
 
-def shortest_vectors(basis, k: int) -> list[ShortestVector]:
+def shortest_vectors(
+    basis, k: int, reduced: ReducedBasis | None = None
+) -> list[ShortestVector]:
     """The k shortest lattice vectors, one per +-sign pair, in deterministic
     (norm, coefficient) order. May return fewer only if k exceeds the number
-    of lattice vectors in a greatly inflated search radius (not expected)."""
+    of lattice vectors in a greatly inflated search radius (not expected).
+    `reduced` is the basis's `lll_reduce`, computed here when omitted."""
     src = as_mat(basis)
     d = len(src)
     if d > SVP_DIMENSION_CAP:
         raise DimensionGuardError(
             f"shortest_vectors supports d <= {SVP_DIMENSION_CAP}, got {d}"
         )
-    reduced = lll_reduce(src)
+    reduced = _check_reduction(src, reduced)
     bound = min(norm_sq(r) for r in reduced.rows)
     for _ in range(8):
         hits = enumerate_below(reduced.rows, bound)
@@ -317,8 +332,8 @@ def spectral_test(
         raise DimensionGuardError(
             f"spectral_test supports d <= {SVP_DIMENSION_CAP}, got {lat.dim}"
         )
-    dual = dual_basis(lat)
-    sv = shortest_vector(dual.basis)
+    dual_reduced = lll_reduce(dual_basis(lat).basis)
+    sv = shortest_vector(dual_reduced.source, dual_reduced)
     nsq = int(sv.norm_sq_exact)
     h = tuple(int(x) for x in sv.vector)
     rb = lll_reduce(lat.basis, delta)
@@ -338,17 +353,18 @@ def spectral_test(
         lll_delta=float(delta),
         dual_norm_sq=nsq,
         diam_cell_sq=diam_sq,
+        dual_reduced=dual_reduced,
     )
 
 
-def shortest_dual_vectors(lat: IntegrationLattice, k: int) -> list[tuple[int, ...]]:
+def shortest_dual_vectors(
+    lat: IntegrationLattice, k: int, report: SpectralReport | None = None
+) -> list[tuple[int, ...]]:
     """The k shortest dual-lattice vectors (one per sign pair) as integer
-    vectors, shortest first."""
-    dual = dual_basis(lat)
-    out = []
-    for sv in shortest_vectors(dual.basis, k):
-        out.append(tuple(int(x) for x in sv.vector))
-    return out
+    vectors, shortest first. `report`, the lattice's `spectral_test`, lends
+    its reduced dual basis; the basis is reduced here when omitted."""
+    reduced = report.dual_reduced if report is not None else lll_reduce(dual_basis(lat).basis)
+    return [tuple(int(x) for x in sv.vector) for sv in shortest_vectors(reduced.source, k, reduced)]
 
 
 def hyperplane_family(lat: IntegrationLattice, h) -> HyperplaneFamily:

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from latdisc.distance import (
     DistanceNormConfig,
+    _grid_centers_chunks,
+    _grid_distance_chunks,
     covering_radius,
     dist_to_pointset,
     distance_norm,
@@ -115,6 +118,41 @@ def test_grid_certificate_brackets_closed_form_2d():
     rep = distance_norm(ps, 1.0, DistanceNormConfig(grid_resolution=401))
     exact = (math.sqrt(2) + math.asinh(1.0)) / 3
     assert rep.lower_certified <= exact <= rep.upper_certified
+
+
+@pytest.mark.parametrize(("gamma", "moment"), [(2.0, 1.0), (4.0, 19 / 15)])
+def test_grid_certificate_brackets_closed_form_3d(gamma, moment):
+    # single point at the origin in d=3: integral of ||x||^2 over the cube is
+    # 1 and of ||x||^4 is 3/5 + 6/9 = 19/15
+    ps = enumerate_points(rank1_lattice(1, (0, 0, 0)))
+    cfg = DistanceNormConfig(grid_resolution=101, mc_samples=10_000)
+    rep = distance_norm(ps, gamma, cfg)
+    assert rep.method == "grid" and rep.resolution == 101
+    assert rep.lower_certified <= moment ** (1 / gamma) <= rep.upper_certified
+
+
+@pytest.mark.parametrize(
+    ("lat", "m"),
+    [
+        pytest.param(fibonacci_lattice(5), 401, id="fib-k05"),
+        pytest.param(fibonacci_lattice(5), 101, id="fib-k05-m101"),
+        pytest.param(rank1_lattice(1, (0, 0)), 401, id="Z2"),
+        pytest.param(rank1_lattice(1, (0, 0, 0)), 101, id="Z3"),
+        pytest.param(rank1_lattice(256, (1, 0)), 401, id="bad-axis-d2"),
+        pytest.param(rank1_lattice(64, (1, 11, 35)), 101, id="rank1-d3-n64"),
+        pytest.param(rank1_lattice(1024, (1, 229, 597)), 101, id="rank1-d3-n1024"),
+        pytest.param(rank1_lattice(4096, (1, 1487)), 401, id="rank1-d2-n4096"),
+        pytest.param(rank1_lattice(7, (1,)), 101, id="d1"),
+        pytest.param(rank1_lattice(256, (1, 21, 59, 101)), 17, id="rank1-d4-n256"),
+    ],
+)
+def test_grid_distances_equal_kdtree_queries(lat, m):
+    tree = cKDTree(enumerate_points(lat).as_array())
+    expected = [tree.query(c)[0] for c in _grid_centers_chunks(lat.dim, m)]
+    got = list(_grid_distance_chunks(tree, lat.dim, m))
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
 
 
 def test_slab_union_volume_1d():

@@ -16,7 +16,7 @@ from latdisc.harness import (
     write_artifacts,
 )
 from latdisc import distance
-from latdisc.distance import DistanceNormConfig, error_proxy, proxy_spec
+from latdisc.distance import DistanceNormConfig, error_proxy, proxy_spec, verify_prop1
 from latdisc.lattice import enumerate_points, fibonacci_lattice
 from latdisc.reduction import spectral_test
 
@@ -85,6 +85,18 @@ def test_small_campaign_no_failures():
     assert res.n_failures == 0
     assert res.summary["PASS"] > 0
     assert "RECORDED" in res.summary
+
+
+def test_prop1_volb_row_reads_the_reports_bound():
+    res = run_campaign(small_campaign(checks=("prop1",)))
+    rows = {r["subject"]: r for r in res.rows if r["check"] == "prop1-volB-bound"}
+    entries = builtin_corpus(SMALL_CORPUS, 11)
+    assert sorted(rows) == sorted(ident for ident, _, _ in entries)
+    cheap = DistanceNormConfig(grid_resolution=11, mc_samples=1000)
+    for entry in entries:
+        p1 = verify_prop1(corpus_lattice(entry), gammas=(1.0,), config=cheap)
+        assert rows[entry[0]]["rhs"] == p1.vol_b_bound
+        assert p1.vol_b_bound_ok == (rows[entry[0]]["verdict"] == "PASS")
 
 
 def test_campaign_worker_determinism(tmp_path):

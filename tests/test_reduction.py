@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from latdisc import reduction
 from latdisc.errors import DimensionGuardError
+from latdisc.harness import CorpusSpec, builtin_corpus, corpus_lattice
 from latdisc.lattice import fibonacci_lattice, rank1_lattice
 from latdisc.ratlin import as_mat, lattices_equal, norm_sq, vec_dot
 from latdisc.reduction import (
@@ -251,3 +253,31 @@ def test_fibonacci_sigma_scaling_window():
         rep = spectral_test(lat)
         val = rep.sigma * math.sqrt(lat.n_points)
         assert 0.4 <= val <= 1.6, (k, val)
+
+
+REUSE_CORPUS = CorpusSpec(
+    fibonacci_k=(5, 9), rank1_sizes=(64, 256, 1024), rank1_per_cell=1
+)
+
+
+@pytest.mark.parametrize(
+    "entry", builtin_corpus(REUSE_CORPUS, 20200817), ids=lambda e: e[0]
+)
+def test_shortest_dual_vectors_reuse_the_reports_reduction(entry, monkeypatch):
+    lat = corpus_lattice(entry)
+    plain = shortest_dual_vectors(lat, 10)
+    rep = spectral_test(lat)
+    assert "dual_reduced" not in rep.to_json_dict()
+    calls = []
+    real = reduction.lll_reduce
+    monkeypatch.setattr(reduction, "lll_reduce", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert shortest_dual_vectors(lat, 10, rep) == plain
+    assert calls == []  # the report's reduced dual basis is used as is
+    assert sum(x * x for x in plain[0]) == rep.dual_norm_sq
+
+
+def test_shortest_vectors_reject_a_foreign_reduction():
+    a = fibonacci_lattice(8).basis
+    b = rank1_lattice(12, (1, 5)).basis
+    with pytest.raises(ValueError, match="reduction"):
+        shortest_vectors(a, 3, lll_reduce(b))
