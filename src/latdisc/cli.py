@@ -22,6 +22,7 @@ from .convex import (
 )
 from .discrepancy import isotropic_lower_bound, thm1_verdict
 from .distance import DistanceNormConfig, distance_norms
+from .errors import EmptyBodyError
 from .harness import (
     ALL_CHECKS,
     Budgets,
@@ -40,7 +41,6 @@ from .lattice import (
     rank1_lattice,
     write_points_csv,
 )
-from .montecarlo import McConfig
 from .reduction import spectral_test
 
 
@@ -147,13 +147,12 @@ def _load_body(path: str):
 
 def _cmd_geom(args) -> int:
     body = _load_body(args.body)
-    cfg = McConfig(n_samples=args.samples, seed=_seed(args))
     if args.geom_op == "steiner":
-        est = steiner_volume(body, args.rho, cfg)
+        est = steiner_volume(body, args.rho)
     elif args.geom_op == "offset":
-        est = offset_volume(body, OffsetSpec(args.rho, args.side), cfg)
+        est = offset_volume(body, OffsetSpec(args.rho, args.side))
     else:
-        est = boundary_neighborhood_volume(body, args.rho, cfg)
+        est = boundary_neighborhood_volume(body, args.rho)
     _emit_json(args, est.to_json_dict())
     return 0
 
@@ -199,9 +198,7 @@ def _small_corpus() -> CorpusSpec:
 
 def _cmd_verify(args) -> int:
     corpus = _small_corpus() if args.small else CorpusSpec()
-    budgets = Budgets() if not args.small else Budgets(
-        body_count=6, body_mc_samples=10**5, norm_mc_samples=30_000
-    )
+    budgets = Budgets() if not args.small else Budgets(body_count=6, norm_mc_samples=30_000)
     campaign = Campaign(
         corpus=corpus,
         checks=_VERIFY_CHECKS[args.claim],
@@ -258,7 +255,12 @@ def _global_flags(with_defaults: bool) -> argparse.ArgumentParser:
         default=dflt("seed"),
         help="random seed (default: 0; for `campaign run`, the spec's seed)",
     )
-    p.add_argument("--samples", type=int, default=dflt("samples"))
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=dflt("samples"),
+        help="Monte Carlo sample count for `distnorm` (default: 200000)",
+    )
     p.add_argument("--tol", type=float, default=dflt("tol"))
     p.add_argument(
         "--out",
@@ -343,8 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ValueError, EmptyBodyError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

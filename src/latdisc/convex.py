@@ -5,13 +5,16 @@ binomial-kappa sum.
 Geometry here is floating point; exact rational counting for discrepancy
 witnesses lives in the discrepancy module. The distance to a polytope is the
 same nearest-face search in every dimension, finite and without a
-convergence tolerance.
+convergence tolerance. Parallel-body volumes are exact and nothing here
+samples: balls and boxes have closed forms in every d; a polytope's outer
+parallel volume is its Steiner polynomial (intrinsic volumes from the face
+lattice and external angles, d <= 4) and its inner parallel body is again
+an H-polytope, measured by qhull.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,9 +24,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from scipy.special import gammaln, logsumexp
 
 from .errors import EmptyBodyError
-from .montecarlo import McConfig, box_fraction, box_fractions_multi
 
-MIN_MC_BUDGET = 10**4
 FEASIBLE_TOL = 1e-10  # max facet margin of a face projection that counts as inside
 INCIDENCE_TOL = 1e-9  # |margin| of a vertex on a facet plane
 RANK_TOL = 1e-9  # relative singular-value floor of a face's affine hull
@@ -183,9 +184,8 @@ class ConvexBody:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def volume_exact(self) -> float | None:
-        """Closed-form volume when available, else None."""
-        return None
+    def volume_exact(self) -> float:
+        raise NotImplementedError
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -290,9 +290,9 @@ def unit_cube(d: int) -> AxisBox:
 
 
 class _Faces:
-    """Every proper face of a polytope, each stored once by one of its
-    vertices and an orthonormal basis of its affine hull (an SVD of the
-    vertex differences with a rank tolerance).
+    """Every proper face of a polytope, each stored once by its vertex set
+    (a bit mask), its dimension and an orthonormal basis of its affine hull
+    (an SVD of the vertex differences with a rank tolerance).
 
     The nearest point of the body to an exterior x lies in the relative
     interior of some face F, where it is the orthogonal projection of x onto
@@ -300,29 +300,48 @@ class _Faces:
     enumeration). Every projection that lands in the body is a point of the
     body, so the distance is the least |x - p| over the faces whose
     projection p is feasible: exact, in a fixed number of steps, in any
-    dimension. The faces are the facets' vertex sets closed under
+    dimension. The faces are the planes' vertex sets closed under
     intersection; the vertices themselves are the 0-dimensional faces.
     """
 
     def __init__(self, vertices: np.ndarray, unit_normals: np.ndarray, unit_offsets: np.ndarray):
         incident = np.abs(vertices @ unit_normals.T - unit_offsets) <= INCIDENCE_TOL
-        facets = {sum(1 << int(i) for i in np.flatnonzero(col)) for col in incident.T} - {0}
-        faces, frontier = set(facets), set(facets)
+        # HalfspaceIntersection repeats a non-simple vertex; a vertex is fixed
+        # by the planes it lies on, so one copy per incidence row is kept
+        keep = np.sort(np.unique(incident, axis=0, return_index=True)[1])
+        vertices, incident = vertices[keep], incident[keep]
+        planes: dict[int, int] = {}  # vertex set -> first plane with that set
+        for i, col in enumerate(incident.T):
+            planes.setdefault(sum(1 << int(k) for k in np.flatnonzero(col)), i)
+        planes.pop(0, None)
+        faces, frontier = set(planes), set(planes)
         while frontier:
-            frontier = {a & b for a in frontier for b in facets} - faces - {0}
+            frontier = {a & b for a in frontier for b in planes} - faces - {0}
             faces |= frontier
+        self.vertices = vertices
         self.unit_normals = unit_normals
         self.unit_offsets = unit_offsets
+        self.faces: list[tuple[int, int, np.ndarray]] = []  # (mask, dim, basis)
         # for vertex o and basis Q, x minus its projection onto aff(F) is
         # (x - o) P with P = I - Q^T Q; stored as (P, o P)
         self.residual_maps: list[tuple[np.ndarray, np.ndarray]] = []
-        eye = np.eye(vertices.shape[1])
+        d = vertices.shape[1]
+        eye = np.eye(d)
         for mask in sorted(faces, key=lambda f: (f.bit_count(), f)):
-            members = vertices[[i for i in range(len(vertices)) if mask >> i & 1]]
+            members = self._members(mask)
             _, s, vt = np.linalg.svd(members[1:] - members[0], full_matrices=False)
             rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s[0]))) if s.size else 0
+            self.faces.append((mask, rank, vt[:rank]))
             p = eye - vt[:rank].T @ vt[:rank]
             self.residual_maps.append((p, members[0] @ p))
+        # a facet is a vertex set of dimension d - 1: a redundant plane touches
+        # the body in a smaller face, and coplanar planes share one vertex set
+        self.facet_normals = {
+            mask: unit_normals[planes[mask]] for mask, dim, _ in self.faces if dim == d - 1
+        }
+
+    def _members(self, mask: int) -> np.ndarray:
+        return self.vertices[[i for i in range(len(self.vertices)) if mask >> i & 1]]
 
     def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(distances, nearest points) for points outside the body.
@@ -345,6 +364,53 @@ class _Faces:
             best_p[sel] = p[ok]
         return np.sqrt(best_sq), best_p
 
+    def intrinsic_volumes(self, volume: float) -> np.ndarray:
+        """V_0..V_d of the polytope of this volume: V_0 = 1, V_d = volume and
+        V_j = sum over the j-faces F of vol_j(F) times the external angle of F
+        (Schneider, Convex Bodies, 2nd ed., ch. 4). For d <= 4 every face of
+        dimension 1..d-1 has a normal cone of dimension at most 3."""
+        d = self.vertices.shape[1]
+        v = np.zeros(d + 1)
+        v[0], v[d] = 1.0, volume
+        for mask, dim, basis in self.faces:
+            if dim == 0:
+                continue
+            normals = np.array([n for f, n in self.facet_normals.items() if f & mask == mask])
+            v[dim] += _content(self._members(mask) @ basis.T) * _external_angle(normals, d - dim)
+        return v
+
+
+def _content(coords: np.ndarray) -> float:
+    """Volume of the hull of points given in coordinates of their own
+    affine hull: the length of a segment, else qhull's volume."""
+    if coords.shape[1] == 1:
+        return float(np.ptp(coords))
+    return float(ConvexHull(coords).volume)
+
+
+def _external_angle(normals: np.ndarray, codim: int) -> float:
+    """Solid angle of the cone spanned by the unit facet normals of a face,
+    as a fraction of the full sphere of dimension codim - 1 (codim <= 3).
+
+    For codim 3 the normals are taken to coordinates of their 3-d span and
+    sorted cyclically about their mean m, which lies inside the cone; the
+    cone is then the fan of triangles (m, n_i, n_i+1), each measured by the
+    Van Oosterom-Strackee formula (IEEE Trans. Biomed. Eng., 1983)."""
+    if codim == 1:
+        return 0.5
+    if codim == 2:
+        return math.acos(float(np.clip(normals[0] @ normals[1], -1.0, 1.0))) / (2 * math.pi)
+    u = normals @ np.linalg.svd(normals)[2][:3].T
+    m = u.sum(axis=0)
+    m /= np.linalg.norm(m)
+    e1 = u[0] - (u[0] @ m) * m
+    e1 /= np.linalg.norm(e1)
+    a = u[np.argsort(np.arctan2(u @ np.cross(m, e1), u @ e1))]
+    b = np.roll(a, -1, axis=0)
+    num = np.abs(np.cross(a, b) @ m)
+    den = 1.0 + a @ m + b @ m + np.einsum("ij,ij->i", a, b)
+    return float(2 * np.arctan2(num, den).sum()) / (4 * math.pi)
+
 
 class HPolytope(ConvexBody):
     """Intersection of halfspaces a_i . x <= b_i (normals need not be unit)."""
@@ -362,27 +428,36 @@ class HPolytope(ConvexBody):
         self._unit_offsets = self.offsets / norms
         self._vertices: np.ndarray | None = None
         self._face_set: _Faces | None = None
+        self._cheb: tuple[np.ndarray, float] | None = None
+        self._volume: float | None = None
+        self._intrinsic: np.ndarray | None = None
         if not skip_checks:
             self._check_nonempty_and_contained()
 
-    def _chebyshev_lp(self):
-        """linprog result for the largest ball inside: maximise r subject to
-        a_i . c + |a_i| r <= b_i. Raises EmptyBodyError when infeasible."""
-        d = self.dim
-        res = linprog(
-            c=np.r_[np.zeros(d), -1.0],
-            A_ub=np.c_[self.normals, np.linalg.norm(self.normals, axis=1)],
-            b_ub=self.offsets,
-            bounds=[(None, None)] * d + [(0, None)],
-            method="highs",
-        )
-        if res.status == 2:
-            raise EmptyBodyError("H-polytope is empty")
-        return res
+    def _chebyshev(self) -> tuple[np.ndarray, float]:
+        """Centre and radius of the largest ball inside (the inradius), from
+        the LP: maximise r subject to a_i . c + |a_i| r <= b_i."""
+        if self._cheb is None:
+            d = self.dim
+            res = linprog(
+                c=np.r_[np.zeros(d), -1.0],
+                A_ub=np.c_[self.normals, np.linalg.norm(self.normals, axis=1)],
+                b_ub=self.offsets,
+                bounds=[(None, None)] * d + [(0, None)],
+                method="highs",
+            )
+            if res.status == 2:
+                raise EmptyBodyError("H-polytope is empty")
+            if res.status == 3:
+                raise ValueError("H-polytope is unbounded")
+            if res.status != 0:
+                raise EmptyBodyError("Chebyshev-center LP failed")
+            self._cheb = (res.x[:d], float(-res.fun))
+        return self._cheb
 
     def _check_nonempty_and_contained(self):
         d = self.dim
-        self._chebyshev_lp()
+        self._chebyshev()
         for i in range(d):
             # extreme of sign * x_i must stay within [0, 1]
             for sign, limit in ((1.0, 1.0), (-1.0, 0.0)):
@@ -430,22 +505,56 @@ class HPolytope(ConvexBody):
             out[hard] = self._faces().nearest(x[hard])[0]
         return out
 
+    def _vertex_array(self) -> np.ndarray:
+        """The vertices, from qhull's halfspace intersection seeded at the
+        Chebyshev centre unless they were set as known; a non-simple vertex
+        may appear more than once."""
+        if self._vertices is None:
+            halfspaces = np.c_[self.normals, -self.offsets]
+            self._vertices = HalfspaceIntersection(halfspaces, self._chebyshev()[0]).intersections
+        return self._vertices
+
     def _faces(self) -> _Faces:
-        """The face structure, built on the first point that needs it."""
+        """The face structure, built on the first call that needs it."""
         if self._face_set is None:
-            v = self._vertices
-            if v is None:
-                res = self._chebyshev_lp()
-                if res.status != 0 or res.x is None:
-                    raise EmptyBodyError("Chebyshev-center LP failed")
-                halfspaces = np.c_[self.normals, -self.offsets]
-                v = HalfspaceIntersection(halfspaces, res.x[: self.dim]).intersections
-            self._face_set = _Faces(v, self._unit_normals, self._unit_offsets)
+            self._face_set = _Faces(self._vertex_array(), self._unit_normals, self._unit_offsets)
         return self._face_set
 
     def set_known_vertices(self, vertices: np.ndarray) -> None:
         """Use these vertices for the face structure instead of computing them."""
         self._vertices = np.asarray(vertices, dtype=float)
+
+    def volume_exact(self) -> float:
+        """qhull's volume of the vertices."""
+        if self._volume is None:
+            self._volume = float(ConvexHull(self._vertex_array()).volume)
+        return self._volume
+
+    def intrinsic_volumes(self) -> np.ndarray:
+        """V_0..V_d, the coefficients of the Steiner polynomial, for d <= 4.
+
+        Beyond d = 4, V_1 needs solid angles of normal cones of dimension 4
+        and more, which have no elementary closed form (Ribando, Discrete
+        Comput. Geom., 2006)."""
+        if self.dim > 4:
+            raise ValueError(
+                f"exact parallel volumes of polytopes need d <= 4, got d = {self.dim}"
+            )
+        if self._intrinsic is None:
+            self._intrinsic = self._faces().intrinsic_volumes(self.volume_exact())
+        return self._intrinsic
+
+    def inner_parallel(self, rho: float) -> HPolytope | None:
+        """{x : B(x, rho) inside the body} = {a_i . x <= b_i - rho} with unit
+        normals, or None when rho reaches the inradius (the set is then at
+        most a lower-dimensional piece, of volume 0). The Chebyshev ball
+        shrinks by rho about the same centre."""
+        centre, radius = self._chebyshev()
+        if rho >= radius:
+            return None
+        inner = HPolytope(self._unit_normals, self._unit_offsets - rho, skip_checks=True)
+        inner._cheb = (centre, radius - rho)
+        return inner
 
     def complement_margin_many(self, x):
         depth = -self.margins_many(x).max(axis=1)
@@ -489,8 +598,8 @@ class VPolytope(ConvexBody):
     """Convex hull of a vertex list.
 
     Full-dimensional hulls convert to an internal H-form; the degenerate
-    point and segment cases are handled directly (their inner offsets are
-    empty and outer offsets reduce to plain distance).
+    point and segment cases are handled directly (volume 0, and intrinsic
+    volumes 1 and the segment's length).
     """
 
     variant = "v_polytope"
@@ -516,7 +625,7 @@ class VPolytope(ConvexBody):
                     hull.equations[:, :-1], -hull.equations[:, -1], skip_checks=True
                 )
                 self._hform.set_known_vertices(self.vertices[hull.vertices])
-                self._hull = hull
+                self._hform._volume = float(hull.volume)
                 self._kind = "full"
             except QhullError:
                 span = uniq - uniq[0]
@@ -566,23 +675,18 @@ class VPolytope(ConvexBody):
     def volume_exact(self):
         if self._kind != "full":
             return 0.0
-        return float(self._hull.volume)
+        return self._hform.volume_exact()
 
-    def hull_vertices(self) -> np.ndarray:
-        """Hull vertices; for d=2 in counterclockwise boundary order."""
-        if self._kind == "point":
-            return self._point[None, :]
+    def intrinsic_volumes(self) -> np.ndarray:
+        """V_0..V_d; closed form for a point or a segment, else the H-form's."""
+        if self._kind == "full":
+            return self._hform.intrinsic_volumes()
+        v = np.zeros(self.dim + 1)
+        v[0] = 1.0
         if self._kind == "segment":
-            return np.vstack(self._segment)
-        if self.dim == 2:
-            return self.vertices[self._hull.vertices]
-        return self.vertices[np.unique(self._hull.vertices)]
-
-    def perimeter_2d(self) -> float:
-        if self.dim != 2 or self._kind != "full":
-            raise ValueError("perimeter requires a full-dimensional 2-d polytope")
-        v = self.hull_vertices()
-        return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
+            a, b = self._segment
+            v[1] = float(np.linalg.norm(b - a))
+        return v
 
     def to_json_dict(self):
         return {"variant": "v_polytope", "vertices": self.vertices.tolist()}
@@ -632,51 +736,11 @@ def box_steiner_volume(sides: np.ndarray, rho: float, outer_only: bool = False) 
     return sum(e[d - j] * kappa(j) * rho**j for j in range(int(outer_only), d + 1))
 
 
-def _polygon_area(v: np.ndarray) -> float:
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def steiner_volume(
-    body: ConvexBody, rho: float, mc: McConfig | None = None
-) -> VolumeEstimate:
-    """Vol(K + rho B) for bodies with known quermassintegrals.
-
-    Exact for balls, axis boxes (any d), and full-dimensional 2-d polytopes
-    (area + perimeter rho + pi rho^2). Other variants fall back to Monte
-    Carlo with a warning.
-    """
+def steiner_volume(body: ConvexBody, rho: float) -> VolumeEstimate:
+    """Vol(K + rho B), exact: `parallel_body_volume` at rho >= 0."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    if isinstance(body, Ball):
-        return VolumeEstimate.exact_value(
-            kappa(body.dim) * (body.radius + rho) ** body.dim
-        )
-    if isinstance(body, AxisBox):
-        return VolumeEstimate.exact_value(box_steiner_volume(body.sides, rho))
-    if isinstance(body, VPolytope) and body.dim == 2 and body._kind == "full":
-        v = body.hull_vertices()
-        area = _polygon_area(v)
-        return VolumeEstimate.exact_value(
-            area + body.perimeter_2d() * rho + math.pi * rho**2
-        )
-    warnings.warn(
-        f"no exact Steiner form for variant {body.variant!r}; Monte Carlo fallback",
-        stacklevel=2,
-    )
-    cfg = mc or McConfig()
-    lo, hi = body.bounding_box()
-    hits, n = box_fraction(
-        lo - rho, hi + rho, lambda x: body.dist_many(x, cap=rho) <= rho, cfg
-    )
-    return _fraction_estimate(hits, n, lo - rho, hi + rho, cfg.seed)
-
-
-def _fraction_estimate(hits, n, lo, hi, seed) -> VolumeEstimate:
-    box_vol = float(np.prod(hi - lo))
-    p = hits / n
-    se = box_vol * math.sqrt(max(p * (1 - p), 0.0) / n)
-    return VolumeEstimate(box_vol * p, se, n, seed, False)
+    return VolumeEstimate.exact_value(parallel_body_volume(body, rho))
 
 
 def ball_offset_volume(ball: Ball, rho: float, side: str) -> float:
@@ -693,23 +757,15 @@ def box_offset_volume(box: AxisBox, rho: float, side: str) -> float:
     return float(np.prod(box.sides)) - inner
 
 
-def offset_volume(
-    body: ConvexBody, spec: OffsetSpec, mc: McConfig | None = None
-) -> VolumeEstimate:
-    """Vol(K_rho^+) or Vol(K_rho^-): closed form for balls and axis boxes,
-    Monte Carlo with binomial standard error otherwise."""
-    est = offset_volumes(body, [spec.rho], spec.side, mc)[0]
-    return est
+def offset_volume(body: ConvexBody, spec: OffsetSpec) -> VolumeEstimate:
+    """Vol(K_rho^+) or Vol(K_rho^-), exact (see `offset_volumes`)."""
+    return offset_volumes(body, [spec.rho], spec.side)[0]
 
 
-def offset_volumes(
-    body: ConvexBody, rhos: Sequence[float], side: str, mc: McConfig | None = None
-) -> list[VolumeEstimate]:
-    """offset_volume at several radii sharing one sampling stream.
-
-    The sampling box is the bounding box inflated by max(rhos) for the outer
-    side, so all radii are estimated from the same distance evaluations.
-    """
+def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[VolumeEstimate]:
+    """Vol(K_rho^+) = v(rho) - Vol(K) or Vol(K_rho^-) = Vol(K) - v(-rho) at
+    each radius, where v is `parallel_body_volume`; balls and boxes use
+    their closed forms directly. Polytopes need d <= 4 on the outer side."""
     rhos = [float(r) for r in rhos]
     if any(r < 0 or r > 1 for r in rhos):
         raise ValueError("rho must lie in [0, 1]")
@@ -719,65 +775,23 @@ def offset_volumes(
         return [VolumeEstimate.exact_value(ball_offset_volume(body, r, side)) for r in rhos]
     if isinstance(body, AxisBox):
         return [VolumeEstimate.exact_value(box_offset_volume(body, r, side)) for r in rhos]
-    if isinstance(body, VPolytope) and body._kind != "full":
-        if side == "inner":
-            return [VolumeEstimate.exact_value(0.0) for _ in rhos]
-        if body._kind == "point" and body.dim >= 1:
-            return [
-                VolumeEstimate.exact_value(kappa(body.dim) * r**body.dim) for r in rhos
-            ]
-    cfg = mc or McConfig()
-    if cfg.n_samples < MIN_MC_BUDGET:
-        raise ValueError(f"sample budget below {MIN_MC_BUDGET}")
-    lo, hi = body.bounding_box()
-    if side == "outer":
-        rmax = max(rhos)
-
-        def values(x):
-            dist = body.dist_many(x, cap=rmax)
-            # exclude points of K itself (dist == 0 inside and on the boundary)
-            dist[dist <= 0.0] = np.nan
-            return dist
-
-        lo, hi = lo - rmax, hi + rmax
-    else:
-        # only H-polytopes and full hulls get here; one margin pass per chunk
-        # gives both membership (contains_many) and depth (complement_margin_many)
-        hform = body._hform if isinstance(body, VPolytope) else body
-
-        def values(x):
-            depth = -hform.margins_many(x).max(axis=1)
-            margin = np.maximum(depth, 0.0)
-            margin[depth < -1e-12] = np.nan
-            return margin
-
-    counts, n = box_fractions_multi(lo, hi, values, np.array(rhos), cfg)
-    return [_fraction_estimate(int(c), n, lo, hi, cfg.seed) for c in counts]
+    vol = body.volume_exact()
+    sign = 1.0 if side == "outer" else -1.0
+    return [
+        VolumeEstimate.exact_value(sign * (parallel_body_volume(body, sign * r) - vol))
+        for r in rhos
+    ]
 
 
-def boundary_neighborhood_volume(
-    body: ConvexBody, rho: float, mc: McConfig | None = None
-) -> VolumeEstimate:
+def boundary_neighborhood_volume(body: ConvexBody, rho: float) -> VolumeEstimate:
     """Vol{x in R^d : dist(x, boundary K) <= rho} = outer + inner offsets."""
-    outer = offset_volume(body, OffsetSpec(rho, "outer"), mc)
-    inner = offset_volume(body, OffsetSpec(rho, "inner"), mc)
-    return VolumeEstimate(
-        outer.value + inner.value,
-        math.hypot(outer.std_error, inner.std_error),
-        outer.n_samples + inner.n_samples,
-        outer.seed if not outer.exact else inner.seed,
-        outer.exact and inner.exact,
-    )
+    outer = offset_volume(body, OffsetSpec(rho, "outer"))
+    inner = offset_volume(body, OffsetSpec(rho, "inner"))
+    return VolumeEstimate.exact_value(outer.value + inner.value)
 
 
-def body_volume(body: ConvexBody, mc: McConfig | None = None) -> VolumeEstimate:
-    exact = body.volume_exact()
-    if exact is not None:
-        return VolumeEstimate.exact_value(exact)
-    cfg = mc or McConfig()
-    lo, hi = body.bounding_box()
-    hits, n = box_fraction(lo, hi, body.contains_many, cfg)
-    return _fraction_estimate(hits, n, lo, hi, cfg.seed)
+def body_volume(body: ConvexBody) -> VolumeEstimate:
+    return VolumeEstimate.exact_value(body.volume_exact())
 
 
 def inradius(body: ConvexBody) -> float:
@@ -791,17 +805,18 @@ def inradius(body: ConvexBody) -> float:
             return 0.0
         body = body._hform
     if isinstance(body, HPolytope):
-        res = body._chebyshev_lp()
-        if res.status != 0:
-            raise RuntimeError(f"inradius LP failed with status {res.status}")
-        return float(-res.fun)
+        return body._chebyshev()[1]
     raise TypeError(f"unsupported body type {type(body).__name__}")
 
 
 def parallel_body_volume(body: ConvexBody, rho: float) -> float:
-    """v(rho) = Vol(K_rho) in closed form; rho may be negative (inner body).
+    """v(rho) = Vol(K_rho), exact; rho may be negative (inner body).
 
-    Supported for balls and axis boxes.
+    Balls and axis boxes in closed form. For a polytope, rho >= 0 gives the
+    Steiner polynomial sum_j kappa_{d-j} V_j rho^{d-j} (d <= 4, else
+    ValueError), and rho < 0 the volume of the H-polytope
+    {a_i . x <= b_i - |rho|} (unit normals), 0 once |rho| reaches the
+    inradius.
     """
     if isinstance(body, Ball):
         if rho < -body.radius:
@@ -811,7 +826,14 @@ def parallel_body_volume(body: ConvexBody, rho: float) -> float:
         if rho >= 0:
             return box_steiner_volume(body.sides, rho)
         return float(np.prod(np.maximum(body.sides + 2 * rho, 0.0)))
-    raise TypeError("closed-form parallel volume needs a ball or an axis box")
+    if isinstance(body, (HPolytope, VPolytope)):
+        if rho >= 0:
+            v, d = body.intrinsic_volumes(), body.dim
+            return float(sum(kappa(d - j) * v[j] * rho ** (d - j) for j in range(d + 1)))
+        hform = body._hform if isinstance(body, VPolytope) else body
+        inner = None if hform is None else hform.inner_parallel(-rho)
+        return 0.0 if inner is None else inner.volume_exact()
+    raise TypeError(f"unsupported body type {type(body).__name__}")
 
 
 def surface_area_parallel(body: ConvexBody, rho: float) -> float:

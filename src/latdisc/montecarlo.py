@@ -50,37 +50,3 @@ def box_fraction(
     n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
     hits = sum(run_chunk(i) for i in range(n_chunks))
     return hits, n
-
-
-def box_fractions_multi(
-    lower: np.ndarray,
-    upper: np.ndarray,
-    values: Callable[[np.ndarray], np.ndarray],
-    thresholds: np.ndarray,
-    cfg: McConfig,
-) -> tuple[np.ndarray, int]:
-    """Hit counts for {values(x) <= t} at several thresholds from one stream.
-
-    `values` maps an (m, d) array to a float array with NaN meaning
-    "not eligible" (never counted). Shares the expensive value computation
-    across all thresholds.
-    """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    d = lower.shape[0]
-    n = int(cfg.n_samples)
-    spans = upper - lower
-    thresholds = np.asarray(thresholds, dtype=float)
-
-    def run_chunk(i: int) -> np.ndarray:
-        m = min(CHUNK_SIZE, n - i * CHUNK_SIZE)
-        x = chunk_rng(cfg.seed, i).random((m, d)) * spans + lower
-        v = values(x)
-        ok = ~np.isnan(v)
-        return np.array(
-            [np.count_nonzero(ok & (v <= t)) for t in thresholds], dtype=np.int64
-        )
-
-    n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-    counts = sum(run_chunk(i) for i in range(n_chunks))
-    return counts, n

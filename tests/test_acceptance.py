@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Campaign-backed criteria share module-scoped fixtures so the Monte Carlo
-work runs once. Runtime limits are asserted where the criterion states one.
+Campaign-backed criteria share module-scoped fixtures so each campaign
+runs once. Runtime limits are asserted where the criterion states one.
 """
 
 import json
@@ -126,6 +126,8 @@ def test_criterion_3_lemma2_lemma3(capsys, body_campaign):
     # exact closed-form cases carry zero uncertainty
     exact_rows = [r for r in l3 if r["subject"].startswith(("ball", "axisbox"))]
     assert exact_rows and all(r["uncertainty"] == 0 for r in exact_rows)
+    # polytope volumes are exact too: no row carries an uncertainty
+    assert all(r["uncertainty"] == 0 and r["verdict"] == "PASS" for r in l2 + l3)
     # cube outer offset at d=2, rho=0.1 equals the Steiner sum exactly
     est = offset_volume(unit_cube(2), OffsetSpec(0.1, "outer"))
     expected = sum(math.comb(2, j) * kappa(j) * 0.1**j for j in (1, 2))
@@ -147,7 +149,7 @@ def test_criterion_4_corollary1(capsys, body_campaign):
     assert bad == [], bad
     announce(
         capsys,
-        f"[criterion 4] PASS - boundary neighborhood <= d 2^(d+4) rho + 3 SE "
+        f"[criterion 4] PASS - exact boundary neighborhood <= d 2^(d+4) rho "
         f"on {len(rows)} body-rho cases",
     )
 
@@ -171,7 +173,7 @@ def test_criterion_5_steiner_identity_and_lemma1(capsys, body_campaign):
         assert abs(fd - analytic) <= 1e-3
     announce(
         capsys,
-        f"[criterion 5] PASS - Minkowski identity within 3 SE "
+        f"[criterion 5] PASS - Minkowski identity to 1e-12 "
         f"({len(steiner)} rows) and derivative checks within 1e-3 "
         f"({len(lemma1)} rows)",
     )

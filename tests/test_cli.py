@@ -95,6 +95,21 @@ def test_geom_commands(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(math.pi * (0.16 - 0.04), abs=1e-12)
 
 
+def test_geom_polytope_beyond_d4_is_a_usage_error(tmp_path, capsys):
+    d = 5
+    body = tmp_path / "cube5.json"
+    normals = [[float(i == k) * s for k in range(d)] for s in (1, -1) for i in range(d)]
+    body.write_text(
+        json.dumps({"variant": "h_polytope", "normals": normals, "offsets": [1.0] * d + [0.0] * d})
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["geom", "steiner", "--body", str(body), "--rho", "0.1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "latdisc: error:" in err and "d = 5" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_remark_csv(capsys):
     code, out = run_cli(
         capsys, "--format", "csv", "bounds", "remark", "--dims", "10,100"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from latdisc.convex import (
     body_from_json_dict,
     body_volume,
     boundary_neighborhood_volume,
+    box_offset_volume,
     box_quermassintegral,
+    box_steiner_volume,
     cube_intrinsic_volume,
     cube_quermassintegral,
     inradius,
@@ -23,6 +26,7 @@ from latdisc.convex import (
     log_kappa,
     offset_volume,
     offset_volumes,
+    parallel_body_volume,
     parallel_volume_derivative_check,
     random_bodies,
     random_body,
@@ -32,7 +36,7 @@ from latdisc.convex import (
     unit_cube,
 )
 from latdisc.errors import EmptyBodyError
-from latdisc.montecarlo import McConfig, chunk_rng
+from latdisc.montecarlo import McConfig, box_fraction, chunk_rng
 
 
 TRIANGLE = HPolytope(
@@ -104,8 +108,6 @@ def test_steiner_cube_against_mc_oracle():
     # MC oracle: sample [-0.3, 1.3]^2, distance to the cube
     cube = unit_cube(2)
     cfg = McConfig(n_samples=200_000, seed=7)
-    from latdisc.montecarlo import box_fraction
-
     hits, n = box_fraction(
         np.array([-0.3, -0.3]),
         np.array([1.3, 1.3]),
@@ -125,14 +127,14 @@ def test_steiner_polygon_2d():
     assert est.value == pytest.approx(0.25 + perim * 0.2 + math.pi * 0.04, abs=1e-12)
 
 
-def test_steiner_mc_fallback_warns():
-    with pytest.warns(UserWarning):
-        est = steiner_volume(TRIANGLE, 0.1, McConfig(n_samples=50_000, seed=3))
-    assert not est.exact
-    # same region as the exact 2-d polygon Steiner value
-    tri = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5]])
-    exact = steiner_volume(tri, 0.1).value
-    assert abs(est.value - exact) <= 4 * est.std_error
+def test_steiner_h_triangle_matches_2d_closed_form():
+    # the H-form of the triangle (0,0), (1,0), (0,0.5): area + perimeter rho + pi rho^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = steiner_volume(TRIANGLE, 0.1)
+    perim = 1 + 0.5 + math.hypot(1, 0.5)
+    assert est.exact and est.std_error == 0.0
+    assert est.value == pytest.approx(0.25 + perim * 0.1 + math.pi * 0.01, abs=1e-12)
 
 
 def test_dist_to_complement_cube_center():
@@ -188,25 +190,20 @@ def test_offset_inner_cube():
     assert est.value == pytest.approx(1 - 0.9**3, abs=1e-12)
 
 
-def test_offset_mc_matches_polygon_steiner_difference():
+def test_offset_matches_polygon_steiner_difference():
     tri = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]])
     rho = 0.08
-    mc = offset_volume(tri, OffsetSpec(rho, "outer"), McConfig(n_samples=200_000, seed=11))
-    exact = steiner_volume(tri, rho).value - tri.volume_exact()
-    assert abs(mc.value - exact) <= 3 * mc.std_error
+    est = offset_volume(tri, OffsetSpec(rho, "outer"))
+    perim = 0.8 + 0.4 + math.hypot(0.8, 0.4)
+    assert est.exact and est.std_error == 0.0
+    assert abs(est.value - (perim * rho + math.pi * rho**2)) <= 1e-12
 
 
 def test_offset_volumes_shares_stream_and_is_monotone():
     tri = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]])
-    ests = offset_volumes(tri, [0.01, 0.05, 0.1], "outer", McConfig(n_samples=100_000, seed=5))
+    ests = offset_volumes(tri, [0.01, 0.05, 0.1], "outer")
     vals = [e.value for e in ests]
     assert vals == sorted(vals)
-
-
-def test_offset_budget_guard():
-    tri = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]])
-    with pytest.raises(ValueError):
-        offset_volume(tri, OffsetSpec(0.1, "outer"), McConfig(n_samples=100, seed=1))
 
 
 def test_boundary_neighborhood_ball():
@@ -303,21 +300,21 @@ def test_random_bodies_inside_cube_and_valid():
             lo, hi = body.bounding_box()
             assert np.all(lo >= -1e-9) and np.all(hi <= 1 + 1e-9)
             assert inradius(body) >= 0
-            vol = body_volume(body, McConfig(n_samples=20_000, seed=2))
+            vol = body_volume(body)
+            assert vol.exact
             assert 0 <= vol.value <= 1 + 1e-9
 
 
 def test_lemma2_and_lemma3_small_sample():
     rng = np.random.Generator(np.random.Philox(key=np.array([5, 6], dtype=np.uint64)))
-    cfg = McConfig(n_samples=100_000, seed=9)
     for d in (2, 3):
         for body in random_bodies(d, 4, rng):
             for rho in (0.05, 0.1):
-                outer = offset_volume(body, OffsetSpec(rho, "outer"), cfg)
-                inner = offset_volume(body, OffsetSpec(rho, "inner"), cfg)
-                se = math.hypot(outer.std_error, inner.std_error)
-                assert outer.value >= inner.value - 3 * se
-                assert max(outer.value, inner.value) <= 2 ** (d + 3) * rho + 3 * se
+                outer = offset_volume(body, OffsetSpec(rho, "outer"))
+                inner = offset_volume(body, OffsetSpec(rho, "inner"))
+                assert outer.exact and inner.exact
+                assert outer.value >= inner.value
+                assert max(outer.value, inner.value) <= 2 ** (d + 3) * rho
 
 
 def test_outer_offset_monotone_in_rho_exact_bodies():
@@ -447,3 +444,134 @@ def test_face_structure_is_built_only_when_a_distance_needs_it():
         assert _h_form(b)._face_set is None
     body.dist_many(np.array([[1.3, 1.2, 1.1, -0.2]]))
     assert body._face_set is not None
+
+
+# ---------------------------------------------------------------------------
+# Exact parallel volumes of polytopes against independent references
+# ---------------------------------------------------------------------------
+
+RHOS = (0.01, 0.05, 0.1)
+
+
+def _h_box(lower, upper, rotation=None):
+    """The box lower <= R^T (x - c) + c <= upper about its centre c, as an
+    H-polytope (R = identity: the axis box itself)."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    d = lower.shape[0]
+    rot = np.eye(d) if rotation is None else rotation
+    centre = (lower + upper) / 2
+    half = (upper - lower) / 2
+    normals = np.vstack([rot.T, -rot.T])
+    return HPolytope(normals, np.r_[rot.T @ centre + half, -(rot.T @ centre) + half])
+
+
+def _rotation(d, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def _corner_simplex(d):
+    # {x >= 0, x_1 + ... + x_d <= 1}: inradius 1 / (d + sqrt(d)), and every
+    # inner parallel body is the simplex shrunk about the incentre
+    return HPolytope(np.vstack([-np.eye(d), np.ones((1, d))]), np.r_[np.zeros(d), 1.0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_axis_box_as_hpolytope_matches_box_closed_forms(d):
+    lower, upper = np.linspace(0.1, 0.3, d), np.linspace(0.5, 0.9, d)
+    box, h = AxisBox(lower, upper), _h_box(lower, upper)
+    for rho in RHOS:
+        assert abs(steiner_volume(h, rho).value - box_steiner_volume(box.sides, rho)) <= 1e-12
+        for side in ("outer", "inner"):
+            exact = box_offset_volume(box, rho, side)
+            assert abs(offset_volume(h, OffsetSpec(rho, side)).value - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_unit_cube_intrinsic_volumes_are_binomials(d):
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+    for body in (_h_box(np.zeros(d), np.ones(d)), VPolytope(corners)):
+        want = [math.comb(d, j) for j in range(d + 1)]
+        assert np.max(np.abs(body.intrinsic_volumes() - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rotated_box_intrinsic_volumes_are_elementary_symmetric(d):
+    # non-axis normals exercise the codimension-2 and -3 external angles; the
+    # hull of the corners exercises the merging of coplanar qhull facets
+    sides = np.array([0.2, 0.3, 0.25, 0.15][:d])
+    centre = np.full(d, 0.5)
+    want = [1.0]
+    for s in sides:
+        want = [a + s * b for a, b in zip(want + [0.0], [0.0] + want)]
+    for seed in range(3):
+        rot = _rotation(d, seed)
+        h = _h_box(centre - sides / 2, centre + sides / 2, rot)
+        corners = centre + (np.array(list(itertools.product((-0.5, 0.5), repeat=d))) * sides) @ rot.T
+        for body in (h, VPolytope(corners)):
+            assert np.max(np.abs(body.intrinsic_volumes() - want)) <= 1e-12
+
+
+def _mc_oracle(indicator, lo, hi, seed, n=1 << 17):
+    """Monte Carlo volume of {indicator} inside the box [lo, hi] with its
+    binomial standard error."""
+    hits, n = box_fraction(lo, hi, indicator, McConfig(n_samples=n, seed=seed))
+    box_vol, p = float(np.prod(hi - lo)), hits / n
+    return box_vol * p, box_vol * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [_cut_cube_4d()] + [_acceptance_body(d, i) for d, i in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]],
+    ids=["cut-cube", "hpoly-d2", "hull-d2", "hpoly-d3", "hull-d3", "hpoly-d4"],
+)
+def test_polytope_offsets_match_monte_carlo_oracle(body):
+    rho = 0.1
+    lo, hi = body.bounding_box()
+    h = _h_form(body)
+
+    def outer(x):
+        return (body.dist_many(x, cap=rho) <= rho) & ~body.contains_many(x)
+
+    def inner(x):
+        depth = -h.margins_many(x).max(axis=1)
+        return (depth >= 0) & (depth <= rho)
+
+    mc, se = _mc_oracle(outer, lo - rho, hi + rho, seed=31)
+    assert abs(offset_volume(body, OffsetSpec(rho, "outer")).value - mc) <= 4 * se
+    mc, se = _mc_oracle(inner, lo, hi, seed=37)
+    assert abs(offset_volume(body, OffsetSpec(rho, "inner")).value - mc) <= 4 * se
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_inner_side_below_and_above_the_inradius(d):
+    simplex = _corner_simplex(d)
+    r = 1 / (d + math.sqrt(d))
+    vol = 1 / math.factorial(d)
+    assert inradius(simplex) == pytest.approx(r, abs=1e-12)
+    assert simplex.volume_exact() == pytest.approx(vol, abs=1e-15)
+    for rho in (0.01, 0.05, (1 - 1e-3) * r, (1 + 1e-3) * r):
+        inner = offset_volume(simplex, OffsetSpec(rho, "inner")).value
+        # the inner parallel body is the simplex scaled by 1 - rho / r
+        assert inner == pytest.approx(vol * (1 - max(1 - rho / r, 0.0) ** d), abs=1e-12)
+    assert offset_volume(simplex, OffsetSpec(1.001 * r, "inner")).value == simplex.volume_exact()
+
+
+def test_segment_neighbourhood_is_a_capsule():
+    a, b = np.array([0.2, 0.3, 0.4]), np.array([0.7, 0.6, 0.5])
+    seg, length, rho = VPolytope([a, b]), float(np.linalg.norm(b - a)), 0.1
+    est = boundary_neighborhood_volume(seg, rho)
+    assert est.exact
+    assert est.value == pytest.approx(math.pi * rho**2 * length + 4 / 3 * math.pi * rho**3, abs=1e-14)
+
+
+def test_polytope_beyond_d4_raises_on_the_outer_side():
+    cube5 = _h_box(np.zeros(5), np.ones(5))
+    with pytest.raises(ValueError, match="d = 5"):
+        steiner_volume(cube5, 0.1)
+    with pytest.raises(ValueError, match="d = 5"):
+        offset_volume(cube5, OffsetSpec(0.1, "outer"))
+    # the inner side is a halfspace intersection, exact in any d
+    inner = offset_volume(cube5, OffsetSpec(0.1, "inner")).value
+    assert inner == pytest.approx(1 - 0.8**5, abs=1e-12)
+    assert parallel_body_volume(cube5, -0.5) == 0.0
