@@ -130,10 +130,7 @@ def _cmd_distnorm(args) -> int:
     lat = _read_lattice(args.lattice)
     ps = enumerate_points(lat)
     gammas = [math.inf if t == "inf" else float(t) for t in args.gamma.split(",")]
-    cfg = DistanceNormConfig(
-        mc_samples=args.samples, seed=_seed(args), covering_tol=args.tol
-    )
-    reports = distance_norms(ps, gammas, cfg)
+    reports = distance_norms(ps, gammas, DistanceNormConfig(covering_tol=args.tol))
     _emit_json(
         args,
         [reports[math.inf if math.isinf(g) else g].to_json_dict() for g in gammas],
@@ -198,7 +195,7 @@ def _small_corpus() -> CorpusSpec:
 
 def _cmd_verify(args) -> int:
     corpus = _small_corpus() if args.small else CorpusSpec()
-    budgets = Budgets() if not args.small else Budgets(body_count=6, norm_mc_samples=30_000)
+    budgets = Budgets() if not args.small else Budgets(body_count=6)
     campaign = Campaign(
         corpus=corpus,
         checks=_VERIFY_CHECKS[args.claim],
@@ -228,7 +225,6 @@ def _cmd_campaign(args) -> int:
 
 _GLOBAL_DEFAULTS = {
     "seed": None,
-    "samples": 200_000,
     "tol": 1e-4,
     "out": None,
     "format": "json",
@@ -254,12 +250,6 @@ def _global_flags(with_defaults: bool) -> argparse.ArgumentParser:
         type=int,
         default=dflt("seed"),
         help="random seed (default: 0; for `campaign run`, the spec's seed)",
-    )
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=dflt("samples"),
-        help="Monte Carlo sample count for `distnorm` (default: 200000)",
     )
     p.add_argument("--tol", type=float, default=dflt("tol"))
     p.add_argument(

@@ -456,24 +456,26 @@ class HPolytope(ConvexBody):
         return self._cheb
 
     def _check_nonempty_and_contained(self):
-        d = self.dim
-        self._chebyshev()
-        for i in range(d):
-            # extreme of sign * x_i must stay within [0, 1]
-            for sign, limit in ((1.0, 1.0), (-1.0, 0.0)):
-                c = np.zeros(d)
-                c[i] = -sign
-                r = linprog(
-                    c=c,
-                    A_ub=self.normals,
-                    b_ub=self.offsets,
-                    bounds=[(None, None)] * d,
-                    method="highs",
-                )
-                if r.status == 3:
-                    raise ValueError("H-polytope is unbounded")
-                if r.status == 0 and -r.fun > limit + 1e-9:
-                    raise ValueError("H-polytope is not contained in the unit cube")
+        """Full-dimensional (the Chebyshev LP), bounded, and inside the cube
+        up to 1e-9. {A x <= b} is bounded iff its recession cone {A y <= 0}
+        is {0}, iff (Stiemke's alternative) rank A = d and A^T lam = 0 has a
+        solution with lam > 0, here lam >= 1: one LP. The extremes of the
+        vertices then decide containment."""
+        if self._chebyshev()[1] <= 0:
+            raise EmptyBodyError("H-polytope has an empty interior")
+        k, d = self.normals.shape
+        res = linprog(
+            c=np.zeros(k),
+            A_eq=self.normals.T,
+            b_eq=np.zeros(d),
+            bounds=[(1.0, None)] * k,
+            method="highs",
+        )
+        if res.status != 0 or np.linalg.matrix_rank(self.normals) < d:
+            raise ValueError("H-polytope is unbounded")
+        lo, hi = self.bounding_box()
+        if np.any(lo < -1e-9) or np.any(hi > 1 + 1e-9):
+            raise ValueError("H-polytope is not contained in the unit cube")
 
     def margins_many(self, x: np.ndarray) -> np.ndarray:
         """Signed distances to the facet planes; positive means violated."""
@@ -567,24 +569,9 @@ class HPolytope(ConvexBody):
         return self._faces().nearest(x[None, :])[1][0]
 
     def bounding_box(self):
-        d = self.dim
-        lo = np.zeros(d)
-        hi = np.zeros(d)
-        for i in range(d):
-            for sign, tgt in ((1.0, hi), (-1.0, lo)):
-                c = np.zeros(d)
-                c[i] = -sign
-                r = linprog(
-                    c=c,
-                    A_ub=self.normals,
-                    b_ub=self.offsets,
-                    bounds=[(None, None)] * d,
-                    method="highs",
-                )
-                if r.status != 0:
-                    raise EmptyBodyError("bounding box LP failed")
-                tgt[i] = sign * (-r.fun)
-        return lo, hi
+        """Extremes of the vertices (a bounded polytope is their hull)."""
+        v = self._vertex_array()
+        return v.min(axis=0), v.max(axis=0)
 
     def to_json_dict(self):
         return {

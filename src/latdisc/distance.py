@@ -7,6 +7,11 @@ On the midpoint grid they come from an exact block-wise nearest-point
 search: each box of cells is measured only against the points a KD-tree
 query proves can be nearest to one of its cells, with the same float
 operations as the KD-tree query itself, so the values are its values.
+
+Every certified enclosure here is deterministic: per-cell brackets on the
+grid, branch and bound for the covering radius, closed forms in d = 1.
+Nothing is sampled. The enclosures are widened outward by a bound on the
+float rounding of the distances and sums (see `_dist_margin`).
 """
 
 from __future__ import annotations
@@ -22,29 +27,44 @@ from scipy.spatial import cKDTree
 
 from .discrepancy import halfspace_cube_volume
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
-from .montecarlo import CHUNK_SIZE, McConfig, chunk_rng
+from .montecarlo import CHUNK_SIZE
 from .reduction import SpectralReport, hyperplane_family, spectral_test
 
 GammaValue = float  # finite positive real or math.inf
 
 GRID_BOX_ENTRIES = 1 << 15  # cap on the cells x candidates of one grid-search temporary
 GRID_BOX_MIN_CELLS = 1 << 8  # smaller boxes cost more in per-box overhead than in arithmetic
+GRID_CELL_BUDGET = 21**4  # cells of the default grid for d >= 4
+EPS = float(np.finfo(float).eps)  # 2^-52, twice the unit roundoff u
 
 
 @dataclass(frozen=True)
 class DistanceNormConfig:
     grid_resolution: int | None = None  # per-axis; None picks a default by dim
-    mc_samples: int = 200_000
-    seed: int = 0
     covering_tol: float = 1e-4
 
 
-def _default_resolution(d: int) -> int | None:
+def _default_resolution(d: int) -> int:
+    """401 cells per axis for d <= 2, 101 for d = 3, and beyond that the
+    largest m with m^d <= GRID_CELL_BUDGET (21 for d = 4)."""
     if d <= 2:
         return 401
     if d == 3:
         return 101
-    return None  # Monte Carlo beyond d = 3
+    m = int(round(GRID_CELL_BUDGET ** (1.0 / d)))
+    while m**d > GRID_CELL_BUDGET:
+        m -= 1
+    return m
+
+
+def _dist_margin(d: int) -> float:
+    """Bound on |computed - exact| for a float distance between two points of
+    the cube, (d + 6) sqrt(d) eps: the inputs are within u of the rationals
+    they stand for in each coordinate (sqrt(d) u/2 for a point, sqrt(d) u
+    for a computed cell centre), and the d differences, squares, d - 1
+    additions and the sqrt add a relative (d + 3) u / 2 to a value at most
+    sqrt(d). This is four times the sum of those terms."""
+    return (d + 6) * math.sqrt(d) * EPS
 
 
 @dataclass(frozen=True)
@@ -54,6 +74,7 @@ class CoveringRadius:
     witness: tuple[float, ...]
     n_evals: int
     converged: bool
+    estimate: float
 
     @property
     def width(self) -> float:
@@ -66,12 +87,8 @@ class DistanceNormReport:
     value: float
     lower_certified: float
     upper_certified: float
-    method: str  # closed-form-1d | grid | mc | covering
+    method: str  # closed-form-1d | grid | covering
     resolution: int
-    n_samples: int
-    seed: int
-    mc_value: float
-    mc_std_error: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -81,10 +98,6 @@ class DistanceNormReport:
             "upper_certified": self.upper_certified,
             "method": self.method,
             "resolution": self.resolution,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "mc_value": self.mc_value,
-            "mc_std_error": self.mc_std_error,
         }
 
 
@@ -108,6 +121,13 @@ def covering_radius(
     sup_cell <= dist(center) + h sqrt(d). Cells are split until the largest
     remaining cell potential is within tol of the best evaluated point.
     The sup over the closed cube equals the half-open sup by continuity.
+
+    Cell centres are dyadic, so exact in floats; the KD-tree distances and
+    the potentials are not. `lower` is the best distance minus, and `upper`
+    the largest potential plus, a margin of `_dist_margin(d)` + 6 sqrt(d) eps
+    (the rounding of h sqrt(d) and of its sum with a distance). The stop
+    test measures the widened interval, so `converged` means width <= tol.
+    `estimate` is the midpoint of the interval before widening.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -115,6 +135,10 @@ def covering_radius(
     tree = cKDTree(pts)
     d = pts.shape[1]
     sqrt_d = math.sqrt(d)
+    margin = _dist_margin(d) + 6 * sqrt_d * EPS
+
+    def is_open(ub: float) -> bool:
+        return (ub + margin) - (lb - margin) > tol
 
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
     start = np.vstack([corners, np.full((1, d), 0.5)])
@@ -131,9 +155,9 @@ def covering_radius(
 
     offsets = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
     batch = max(1, 1024 // (1 << d))
-    while heap and -heap[0][0] > lb + tol and n_evals < max_evals:
+    while heap and is_open(-heap[0][0]) and n_evals < max_evals:
         cells = []
-        while heap and len(cells) < batch and -heap[0][0] > lb + tol:
+        while heap and len(cells) < batch and is_open(-heap[0][0]):
             cells.append(heapq.heappop(heap))
         if not cells:
             break
@@ -157,7 +181,8 @@ def covering_radius(
                     heap, (-float(ubs[i]), next(counter), tuple(children[i]), float(child_halves[i]))
                 )
     ub = max(lb, -heap[0][0]) if heap else lb
-    return CoveringRadius(lb, ub, witness, n_evals, ub - lb <= tol)
+    lower, upper = lb - margin, ub + margin
+    return CoveringRadius(lower, upper, witness, n_evals, upper - lower <= tol, 0.5 * (lb + ub))
 
 
 # ---------------------------------------------------------------------------
@@ -257,49 +282,50 @@ def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
 
 def _grid_moments_multi(
     tree: cKDTree, d: int, m: int, gammas: list[float]
-) -> dict[float, tuple[float, float]]:
-    """(midpoint estimate, certified error bound) of the dist^gamma integral
+) -> dict[float, tuple[float, float, float]]:
+    """(midpoint sum, lower bracket, upper bracket) of the dist^gamma integral
     for each gamma, sharing one pass over the grid. The distances come from
-    the exact block-wise search of `_grid_distance_chunks`, chunk by chunk."""
-    r = math.sqrt(d) / (2 * m)
-    totals = {g: 0.0 for g in gammas}
-    errs = {g: 0.0 for g in gammas}
+    the exact block-wise search of `_grid_distance_chunks`, chunk by chunk.
+
+    dist is 1-Lipschitz, so on a cell with centre c and half-diagonal
+    r = sqrt(d) / (2m), max(dist(c) - r, 0) <= dist <= dist(c) + r, and for
+    every gamma > 0
+
+        sum max(dist - r, 0)^gamma / m^d <= integral <= sum (dist + r)^gamma / m^d.
+
+    Rounding is covered outward: r is widened by `_dist_margin(d)` (the
+    error of the computed dist(c)) and a few ulps of its own, and each
+    bracket sum by a relative (n + gamma + 8) eps, n = m^d. That contains
+    Higham's any-order summation bound (n - 1) u sum |x_i| (Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 4.2), the rounding of
+    each term's subtraction or addition and power, and the division by n.
+    """
+    n = m**d
+    reach = math.sqrt(d) / (2 * m) * (1 + 4 * EPS) + _dist_margin(d)
+    sums = {g: [0.0, 0.0, 0.0] for g in gammas}
     for dist in _grid_distance_chunks(tree, d, m):
+        below = np.maximum(dist - reach, 0.0)
+        above = dist + reach
         for g in gammas:
-            totals[g] += float(np.sum(dist**g))
-            if g >= 1:
-                dev = g * (dist + r) ** (g - 1) * r
-            else:
-                dev = np.full_like(dist, r**g)
-                far = dist > r
-                dev[far] = np.minimum(dev[far], g * (dist[far] - r) ** (g - 1) * r)
-            errs[g] += float(np.sum(dev))
-    n_cells = m**d
-    return {g: (totals[g] / n_cells, errs[g] / n_cells) for g in gammas}
-
-
-def _mc_moments_multi(
-    tree: cKDTree, d: int, gammas: list[float], cfg: McConfig
-) -> dict[float, tuple[float, float]]:
-    """Monte Carlo mean and SE of dist^gamma for each gamma, one stream."""
-    n = cfg.n_samples
-    totals = {g: 0.0 for g in gammas}
-    totals_sq = {g: 0.0 for g in gammas}
-    n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-    for i in range(n_chunks):
-        mlen = min(CHUNK_SIZE, n - i * CHUNK_SIZE)
-        x = chunk_rng(cfg.seed, i).random((mlen, d))
-        dist = tree.query(x)[0]
-        for g in gammas:
-            v = dist**g
-            totals[g] += float(np.sum(v))
-            totals_sq[g] += float(np.sum(v * v))
+            s = sums[g]
+            s[0] += float(np.sum(dist**g))
+            s[1] += float(np.sum(below**g))
+            s[2] += float(np.sum(above**g))
     out = {}
-    for g in gammas:
-        mean = totals[g] / n
-        var = max(totals_sq[g] / n - mean * mean, 0.0)
-        out[g] = (mean, (var / n) ** 0.5)
+    for g, (mid, lo, hi) in sums.items():
+        slack = (n + g + 8) * EPS
+        out[g] = (mid / n, lo / n * (1 - slack), hi / n * (1 + slack))
     return out
+
+
+def _root_outward(lo: float, hi: float, g: float) -> tuple[float, float]:
+    """lo^(1/g) rounded down and hi^(1/g) rounded up: two ulps for the power,
+    and |ln x| eps / g for the rounding of the exponent 1/g."""
+
+    def widen(x: float) -> float:
+        return (2 + abs(math.log(x)) / g) * EPS if x > 0 else 0.0
+
+    return lo ** (1.0 / g) * (1 - widen(lo)), hi ** (1.0 / g) * (1 + widen(hi))
 
 
 def distance_norms(
@@ -309,50 +335,38 @@ def distance_norms(
 ) -> dict[GammaValue, DistanceNormReport]:
     """L_gamma norms of dist(., P) for several gammas, sharing the grid.
 
-    gamma = inf delegates to the covering radius. For d <= 3 the primary
-    value is a midpoint-rule tensor grid with a per-cell Lipschitz/Hoelder
-    certificate, cross-checked by an independent Monte Carlo estimate; for
-    d >= 4 the Monte Carlo estimate is primary (3 SE enclosure, method "mc").
-    For d = 1 the piecewise integral is evaluated in closed form.
+    gamma = inf delegates to the covering radius. For d = 1 the piecewise
+    integral is evaluated in closed form. For every d >= 2 the value is the
+    midpoint rule on a tensor grid (`_default_resolution`), and the
+    certified bounds are its per-cell brackets (`_grid_moments_multi`),
+    widened outward for rounding. Nothing is sampled.
     """
     cfg = config or DistanceNormConfig()
     gammas = list(gammas)
     d = ps.dim
     pts = ps.as_array()
-    tree = cKDTree(pts)
     out: dict[GammaValue, DistanceNormReport] = {}
 
     finite = [g for g in gammas if not math.isinf(g)]
     if any(g <= 0 for g in finite):
         raise ValueError("gamma must be positive")
-    if math.inf in gammas or any(math.isinf(g) for g in gammas):
+    if any(math.isinf(g) for g in gammas):
         cr = covering_radius(ps, tol=cfg.covering_tol)
         out[math.inf] = DistanceNormReport(
             gamma=math.inf,
-            value=0.5 * (cr.lower + cr.upper),
+            value=cr.estimate,
             lower_certified=cr.lower,
             upper_certified=cr.upper,
             method="covering",
             resolution=0,
-            n_samples=cr.n_evals,
-            seed=cfg.seed,
-            mc_value=cr.lower,
-            mc_std_error=0.0,
         )
 
     if not finite:
         return out
 
-    m = cfg.grid_resolution or _default_resolution(d)
-    mc = _mc_moments_multi(tree, d, finite, McConfig(cfg.mc_samples, cfg.seed))
-    grid = (
-        _grid_moments_multi(tree, d, m, finite) if (d > 1 and m is not None) else None
-    )
-    xs = sorted(pts[:, 0].tolist()) if d == 1 else None
-    for g in finite:
-        mc_mean, mc_se = mc[g]
-        mc_value = mc_mean ** (1.0 / g)
-        if d == 1:
+    if d == 1:
+        xs = sorted(pts[:, 0].tolist())
+        for g in finite:
             moment = _closed_form_1d_moment(xs, g)
             slack = 1e-12 * max(moment, 1e-30)
             out[g] = DistanceNormReport(
@@ -362,38 +376,22 @@ def distance_norms(
                 upper_certified=(moment + slack) ** (1.0 / g),
                 method="closed-form-1d",
                 resolution=0,
-                n_samples=cfg.mc_samples,
-                seed=cfg.seed,
-                mc_value=mc_value,
-                mc_std_error=mc_se,
             )
-        elif grid is not None:
-            moment, bound = grid[g]
-            out[g] = DistanceNormReport(
-                gamma=g,
-                value=moment ** (1.0 / g),
-                lower_certified=max(moment - bound, 0.0) ** (1.0 / g),
-                upper_certified=(moment + bound) ** (1.0 / g),
-                method="grid",
-                resolution=m,
-                n_samples=cfg.mc_samples,
-                seed=cfg.seed,
-                mc_value=mc_value,
-                mc_std_error=mc_se,
-            )
-        else:
-            out[g] = DistanceNormReport(
-                gamma=g,
-                value=mc_value,
-                lower_certified=max(mc_mean - 3 * mc_se, 0.0) ** (1.0 / g),
-                upper_certified=(mc_mean + 3 * mc_se) ** (1.0 / g),
-                method="mc",
-                resolution=0,
-                n_samples=cfg.mc_samples,
-                seed=cfg.seed,
-                mc_value=mc_value,
-                mc_std_error=mc_se,
-            )
+        return out
+
+    m = cfg.grid_resolution or _default_resolution(d)
+    grid = _grid_moments_multi(cKDTree(pts), d, m, finite)
+    for g in finite:
+        moment, lo, hi = grid[g]
+        lower, upper = _root_outward(lo, hi, g)
+        out[g] = DistanceNormReport(
+            gamma=g,
+            value=moment ** (1.0 / g),
+            lower_certified=lower,
+            upper_certified=upper,
+            method="grid",
+            resolution=m,
+        )
     return out
 
 

@@ -105,7 +105,7 @@ class Budgets:
     body_dims: tuple[int, ...] = (2, 3, 4)
     body_mc_samples: int = 10**6  # unread: body volumes are exact; specs that set it still load
     rhos: tuple[float, ...] = (0.01, 0.05, 0.1)
-    norm_mc_samples: int = 100_000
+    norm_mc_samples: int = 100_000  # unread: distance norms sample nothing; specs that set it still load
     prop1_gammas: tuple[float, ...] = (0.5, 1.0, 2.0, math.inf)
     covering_tols: dict = field(
         default_factory=lambda: {1: 1e-6, 2: 1e-4, 3: 1e-2, 4: 5e-2}
@@ -251,11 +251,7 @@ def brute_force_min_dual_norm_sq(n: int, g: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 def _norm_config(d: int, budgets: Budgets) -> DistanceNormConfig:
-    return DistanceNormConfig(
-        mc_samples=budgets.norm_mc_samples,
-        seed=0,
-        covering_tol=budgets.covering_tols.get(d, 5e-2),
-    )
+    return DistanceNormConfig(covering_tol=budgets.covering_tols.get(d, 5e-2))
 
 
 def _thm2_specs(budgets: Budgets, d: int) -> list[tuple[tuple, ProxySpec, float]]:
@@ -358,15 +354,14 @@ def run_lattice_task(args: dict) -> dict:
             p1.gammas, p1.norms, p1.lower_bounds, p1.lower_ok
         ):
             label = "inf" if math.isinf(gname) else f"{gname:g}"
-            unc = norm.mc_std_error if norm.method == "mc" else 0.0
             rows.append(
                 BoundCheckReport(
                     f"prop1-lower-g{label}",
                     lattice_id,
                     lb,
                     norm.lower_certified,
-                    unc,
-                    (PASS if unc == 0 else PASS_UNC) if ok else FAIL,
+                    0.0,
+                    PASS if ok else FAIL,
                 )
             )
             tables["prop1"].append(

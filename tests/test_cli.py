@@ -71,9 +71,7 @@ def test_isodisc(tmp_path, capsys):
 def test_distnorm(tmp_path, capsys):
     spec = tmp_path / "lat.txt"
     run_cli(capsys, "--out", str(spec), "gen", "rank1", "--n", "4", "--g", "1")
-    code, out = run_cli(
-        capsys, "--samples", "20000", "distnorm", str(spec), "--gamma", "1,inf"
-    )
+    code, out = run_cli(capsys, "distnorm", str(spec), "--gamma", "1,inf")
     assert code == 0
     reports = json.loads(out)
     assert reports[0]["value"] == pytest.approx(5 / 64, abs=1e-10)

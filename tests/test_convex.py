@@ -245,6 +245,40 @@ def test_inradius_empty_body_raises():
         HPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.2, -0.8])
 
 
+@pytest.mark.parametrize(
+    ("normals", "offsets"),
+    [
+        ([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.0]),  # strip: rank A < d
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [0.5, 0.0, 0.0]),  # half-strip: rank A = d
+    ],
+    ids=["strip", "half-strip"],
+)
+def test_hpolytope_unbounded_with_finite_inradius_raises(normals, offsets):
+    with pytest.raises(ValueError, match="unbounded"):
+        HPolytope(normals, offsets)
+
+
+def test_hpolytope_outside_cube_raises():
+    with pytest.raises(ValueError, match="not contained"):
+        HPolytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not contained"):
+        HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.5, 1e-6, 0.5, 0.0])
+    # within the 1e-9 slack
+    HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.5, 1e-10, 0.5, 0.0])
+
+
+def test_hpolytope_empty_triangle_raises():
+    with pytest.raises(EmptyBodyError):
+        HPolytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [-0.1, 0.0, 0.0])
+    with pytest.raises(EmptyBodyError, match="empty interior"):  # the segment x = 1/2
+        HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.5, -0.5, 1.0, 0.0])
+
+
+def test_hpolytope_bounding_box_is_the_vertex_extremes():
+    lo, hi = TRIANGLE.bounding_box()
+    assert np.allclose(lo, [0.0, 0.0], atol=1e-12) and np.allclose(hi, [1.0, 0.5], atol=1e-12)
+
+
 def test_derivative_check_ball():
     fd, analytic = parallel_volume_derivative_check(Ball([0.5, 0.5], 0.3), 0.1, 1e-4)
     assert analytic == pytest.approx(2 * math.pi * 0.4, abs=1e-12)

@@ -7,6 +7,7 @@ from scipy.spatial import cKDTree
 
 from latdisc.distance import (
     DistanceNormConfig,
+    _default_resolution,
     _grid_centers_chunks,
     _grid_distance_chunks,
     covering_radius,
@@ -21,6 +22,7 @@ from latdisc.distance import (
     verify_prop1,
 )
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
+from latdisc.montecarlo import CHUNK_SIZE, chunk_rng
 from latdisc.reduction import spectral_test
 
 
@@ -28,7 +30,7 @@ EQUI4 = enumerate_points(rank1_lattice(4, (1,)))
 R5 = rank1_lattice(5, (1, 2))
 P5 = enumerate_points(R5)
 
-FAST = DistanceNormConfig(grid_resolution=201, mc_samples=50_000, covering_tol=1e-4)
+FAST = DistanceNormConfig(grid_resolution=201, covering_tol=1e-4)
 
 
 def dense_grid_covering_oracle(ps, m=2001):
@@ -102,13 +104,132 @@ def test_norm_monotone_in_gamma():
         assert r.lower_certified <= r.value <= r.upper_certified
 
 
+def mc_moment_oracle(ps, gammas, n=1 << 20, seed=5):
+    """Test-only Monte Carlo oracle: (mean, standard error) of dist^gamma
+    over n uniform points of the cube, per gamma."""
+    tree = cKDTree(ps.as_array())
+    sums = {g: [0.0, 0.0] for g in gammas}
+    for i in range(n // CHUNK_SIZE):
+        dist = tree.query(chunk_rng(seed, i).random((CHUNK_SIZE, ps.dim)))[0]
+        for g in gammas:
+            v = dist**g
+            sums[g][0] += float(v.sum())
+            sums[g][1] += float((v * v).sum())
+    out = {}
+    for g, (s1, s2) in sums.items():
+        mean = s1 / n
+        out[g] = (mean, math.sqrt(max(s2 / n - mean * mean, 0.0) / n))
+    return out
+
+
+def old_derivative_bounds(tree, d, m, g):
+    """The per-cell derivative/Hoelder moment bounds that the direct bracket
+    replaced: (midpoint moment - E, midpoint moment + E)."""
+    r = math.sqrt(d) / (2 * m)
+    total = err = 0.0
+    for dist in _grid_distance_chunks(tree, d, m):
+        total += float(np.sum(dist**g))
+        if g >= 1:
+            dev = g * (dist + r) ** (g - 1) * r
+        else:
+            dev = np.full_like(dist, r**g)
+            far = dist > r
+            dev[far] = np.minimum(dev[far], g * (dist[far] - r) ** (g - 1) * r)
+        err += float(np.sum(dev))
+    moment, bound = total / m**d, err / m**d
+    return max(moment - bound, 0.0), moment + bound
+
+
 def test_grid_norm_matches_mc_cross_check():
     ps = enumerate_points(fibonacci_lattice(9))
     rep = distance_norm(ps, 2.0, FAST)
     assert rep.method == "grid"
-    grid_moment = rep.value**2.0
-    mc_moment = rep.mc_value**2.0
-    assert abs(grid_moment - mc_moment) <= 4 * rep.mc_std_error + 1e-9
+    mean, se = mc_moment_oracle(ps, [2.0])[2.0]
+    assert rep.lower_certified**2 <= mean + 4 * se
+    assert mean - 4 * se <= rep.upper_certified**2
+
+
+D4 = rank1_lattice(256, (1, 21, 59, 101))
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [fibonacci_lattice(10), rank1_lattice(256, (1, 103, 211)), D4, rank1_lattice(1, (0, 0, 0, 0))],
+    ids=["fib-k10", "rank1-d3-n256", "rank1-d4-n256", "Z4"],
+)
+def test_enclosure_contains_monte_carlo_oracle(lat):
+    gammas = [0.5, 1.0, 2.0, 3.0]
+    ps = enumerate_points(lat)
+    reports = distance_norms(ps, gammas)
+    oracle = mc_moment_oracle(ps, gammas)
+    for g in gammas:
+        rep, (mean, se) = reports[g], oracle[g]
+        assert rep.method == "grid" and rep.resolution == {2: 401, 3: 101, 4: 21}[lat.dim]
+        assert rep.lower_certified <= rep.value <= rep.upper_certified
+        assert rep.lower_certified**g <= mean + 4 * se, g
+        assert mean - 4 * se <= rep.upper_certified**g, g
+
+
+def test_enclosure_contains_dense_grid_oracle_d2():
+    ps = enumerate_points(fibonacci_lattice(8))
+    gammas = [0.5, 1.0, 2.0, 4.0]
+    reports = distance_norms(ps, gammas)
+    m = 1600
+    axis = (np.arange(m) + 0.5) / m
+    xx, yy = np.meshgrid(axis, axis)
+    dist = cKDTree(ps.as_array()).query(np.c_[xx.ravel(), yy.ravel()])[0]
+    for g in gammas:
+        dense = float(np.mean(dist**g)) ** (1 / g)
+        assert reports[g].lower_certified <= dense <= reports[g].upper_certified, g
+
+
+@pytest.mark.parametrize(
+    ("lat", "m"),
+    [
+        pytest.param(fibonacci_lattice(10), 401, id="fib-k10"),
+        pytest.param(rank1_lattice(256, (1, 0)), 401, id="bad-axis-d2"),
+        pytest.param(rank1_lattice(256, (1, 103, 211)), 101, id="rank1-d3-n256"),
+        pytest.param(D4, 21, id="rank1-d4-n256"),
+        pytest.param(rank1_lattice(1024, (1, 149, 469, 743)), 21, id="rank1-d4-n1024"),
+    ],
+)
+def test_direct_bracket_at_least_as_tight_as_derivative_bound(lat, m):
+    gammas = [0.5, 1.0, 2.0]
+    ps = enumerate_points(lat)
+    tree = cKDTree(ps.as_array())
+    reports = distance_norms(ps, gammas, DistanceNormConfig(grid_resolution=m))
+    for g in gammas:
+        old_lo, old_hi = old_derivative_bounds(tree, lat.dim, m, g)
+        # equal per cell where every cell lies at least r from P and gamma = 1;
+        # there the new bounds differ only by their outward rounding margin
+        slack = 1e-9
+        assert reports[g].lower_certified**g >= old_lo * (1 - slack), g
+        assert reports[g].upper_certified**g <= old_hi * (1 + slack), g
+
+
+def test_d4_rank1_norms_use_the_grid():
+    reports = distance_norms(enumerate_points(D4), [0.5, 1.0, 2.0, math.inf])
+    for g in (0.5, 1.0, 2.0):
+        assert reports[g].method == "grid" and reports[g].resolution == 21
+    assert reports[math.inf].method == "covering"
+
+
+def test_default_resolution_by_dimension():
+    assert [_default_resolution(d) for d in (2, 3, 4, 5, 6)] == [401, 101, 21, 11, 7]
+    for d in (4, 5, 6, 8):
+        m = _default_resolution(d)
+        assert m**d <= 21**4 < (m + 1) ** d
+
+
+def test_enclosures_hold_in_exact_arithmetic():
+    # the sup of dist to the origin is sqrt(2), at the corner (1, 1); the
+    # float sqrt(2) lies above it, so a bound without a rounding margin fails
+    cr = covering_radius(enumerate_points(rank1_lattice(1, (0, 0))), tol=1e-6)
+    assert Fraction(cr.lower) ** 2 < 2 < Fraction(cr.upper) ** 2
+    assert cr.converged and cr.width <= 1e-6
+    # the integral of |x|^2 over the square is 2/3
+    rep = distance_norm(enumerate_points(rank1_lattice(1, (0, 0))), 2.0)
+    assert Fraction(rep.lower_certified) ** 2 < Fraction(2, 3) < Fraction(rep.upper_certified) ** 2
 
 
 def test_grid_certificate_brackets_closed_form_2d():
@@ -125,7 +246,7 @@ def test_grid_certificate_brackets_closed_form_3d(gamma, moment):
     # single point at the origin in d=3: integral of ||x||^2 over the cube is
     # 1 and of ||x||^4 is 3/5 + 6/9 = 19/15
     ps = enumerate_points(rank1_lattice(1, (0, 0, 0)))
-    cfg = DistanceNormConfig(grid_resolution=101, mc_samples=10_000)
+    cfg = DistanceNormConfig(grid_resolution=101)
     rep = distance_norm(ps, gamma, cfg)
     assert rep.method == "grid" and rep.resolution == 101
     assert rep.lower_certified <= moment ** (1 / gamma) <= rep.upper_certified

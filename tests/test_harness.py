@@ -92,7 +92,7 @@ def test_prop1_volb_row_reads_the_reports_bound():
     rows = {r["subject"]: r for r in res.rows if r["check"] == "prop1-volB-bound"}
     entries = builtin_corpus(SMALL_CORPUS, 11)
     assert sorted(rows) == sorted(ident for ident, _, _ in entries)
-    cheap = DistanceNormConfig(grid_resolution=11, mc_samples=1000)
+    cheap = DistanceNormConfig(grid_resolution=11)
     for entry in entries:
         p1 = verify_prop1(corpus_lattice(entry), gammas=(1.0,), config=cheap)
         assert rows[entry[0]]["rhs"] == p1.vol_b_bound
@@ -181,7 +181,7 @@ THM2_CORPUS = CorpusSpec(
     zd_dims=(2,),
     include_bad_lattice=False,
 )
-THM2_BUDGETS = Budgets(norm_mc_samples=20_000)  # default triples: gamma inf, 3 and 4
+THM2_BUDGETS = Budgets()  # default triples: gamma inf, 3 and 4
 
 
 def thm2_campaign(checks):
@@ -191,9 +191,7 @@ def thm2_campaign(checks):
 def thm2_reference(budgets, k_lo, k_hi):
     """The thm2 table and window ratios computed one gamma at a time on each
     fibonacci_lattice(k), independently of the campaign's lattice tasks."""
-    cfg = DistanceNormConfig(
-        mc_samples=budgets.norm_mc_samples, covering_tol=budgets.covering_tols[2]
-    )
+    cfg = DistanceNormConfig(covering_tol=budgets.covering_tols[2])
     table = []
     for k in range(k_lo, k_hi + 1):
         lat = fibonacci_lattice(k)
