@@ -115,24 +115,18 @@ def remark_upper(d: int, kappa_exp: float) -> float:
 
 @dataclass(frozen=True)
 class VolumeEstimate:
+    """A volume as a float; `exact` when the float is the rounding of an
+    exact value, not the midpoint of an enclosure."""
+
     value: float
-    std_error: float
-    n_samples: int
-    seed: int
     exact: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "exact": self.exact,
-        }
+        return {"value": self.value, "exact": self.exact}
 
     @staticmethod
     def exact_value(v: float) -> "VolumeEstimate":
-        return VolumeEstimate(v, 0.0, 0, 0, True)
+        return VolumeEstimate(v, True)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Certified lower bounds for the isotropic discrepancy of lattice point
 sets, and the d 2^(2(d+1)) sigma upper-bound verdict.
 
-Witness families: empty dual slabs (exact), half-space cuts (exact),
-2-d convex hulls (exact), and random balls (Monte Carlo volume, excluded
-from certified verdicts). A certified witness value is a true lower bound
-for the isotropic discrepancy.
+Witness families: empty dual slabs, half-space cuts and 2-d convex hulls
+(exact volumes), and random balls (an exact rational enclosure of the
+volume). Every witness is certified: its value is a true lower bound for
+the isotropic discrepancy, and any of them may decide the verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .convex import AxisBox, Ball, ConvexBody, HPolytope, VolumeEstimate, VPolytope
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
-from .montecarlo import McConfig, box_fraction, chunk_rng
+from .montecarlo import chunk_rng
 from .ratlin import Vec
 from .reduction import (
     SpectralReport,
@@ -78,6 +78,25 @@ def halfspace_cube_volume_derivative(a, b) -> Fraction:
     if k == 0 or t <= 0 or t >= sum(pos):
         return Fraction(0)
     return Fraction(c * _ie_sum(pos, t, k - 1), math.factorial(k - 1) * math.prod(pos))
+
+
+# math.pi is pi correctly rounded, so it lies within half an ulp, 2^-52, of pi
+_PI_LO = Fraction(math.pi) - Fraction(1, 1 << 52)
+_PI_HI = Fraction(math.pi) + Fraction(1, 1 << 52)
+
+
+def ball_volume_enclosure(d: int, r) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= kappa_d r^d <= hi enclosing the volume of a d-ball of
+    rational radius r.
+
+    kappa_d is a rational times pi^m: pi^m / m! for d = 2m and
+    2^d m! pi^m / d! for d = 2m + 1. Powers of the bounds on pi enclose pi^m,
+    so the relative width is about 2 m 2^-52 / pi.
+    """
+    m, odd = divmod(d, 2)
+    c = Fraction(2**d * math.factorial(m), math.factorial(d)) if odd else Fraction(1, math.factorial(m))
+    scale = c * Fraction(r) ** d
+    return scale * _PI_LO**m, scale * _PI_HI**m
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +276,7 @@ class DiscrepancyWitness:
 
     @property
     def certified(self) -> bool:
-        return self.volume.exact and self.local_value_exact is not None
+        return self.local_value_exact is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -451,14 +470,10 @@ def _cube_halfspace_body(a: list[Fraction], b: Fraction, d: int) -> HPolytope:
     return HPolytope(normals, offsets, skip_checks=True)
 
 
-def _ball_witness(
-    ps: LatticePointSet,
-    rng: np.random.Generator,
-    mc_samples: int,
-    seed: int,
-    index: int,
-) -> DiscrepancyWitness:
-    """Random ball inside the cube; exact count, Monte Carlo volume."""
+def _ball_witness(ps: LatticePointSet, rng: np.random.Generator) -> DiscrepancyWitness:
+    """Random ball inside the cube: exact count and an exact enclosure
+    [lo, hi] of its volume (`ball_volume_enclosure`). The certified value is
+    the distance from count/N to [lo, hi], at most |count/N - volume|."""
     d = ps.dim
     r = float(rng.uniform(0.05, 0.45))
     c = rng.uniform(r, 1 - r, size=d)
@@ -468,21 +483,16 @@ def _ball_witness(
     ]  # snapping may overshoot the containment margin
     ball = Ball(center, r_snap)
     count = count_points(ps, ball)
-    cfg = McConfig(n_samples=mc_samples, seed=(seed << 20) ^ index)
-    lo, hi = ball.bounding_box()
-    hits, n = box_fraction(lo, hi, ball.contains_many, cfg)
-    box_vol = float(np.prod(hi - lo))
-    p = hits / n
-    vol = VolumeEstimate(
-        box_vol * p, box_vol * math.sqrt(max(p * (1 - p), 0.0) / n), n, cfg.seed, False
-    )
+    lo, hi = ball_volume_enclosure(d, Fraction(r_snap))
+    frac = Fraction(count, ps.n)
+    local = max(lo - frac, frac - hi, Fraction(0))
     return DiscrepancyWitness(
         body=ball,
         inside_count=count,
-        volume=vol,
-        local_value=abs(count / ps.n - vol.value),
+        volume=VolumeEstimate(float((lo + hi) / 2), False),
+        local_value=float(local),
         family="ball",
-        local_value_exact=None,
+        local_value_exact=local,
     )
 
 
@@ -511,10 +521,9 @@ def isotropic_lower_bound(
     budget: int,
     seed: int,
     n_slabs: int = 10,
-    ball_mc_samples: int = 10**5,
     report: SpectralReport | None = None,
 ) -> tuple[DiscrepancyWitness, list[DiscrepancyWitness]]:
-    """Search for the best witness; the returned best is always certified.
+    """Search for the best witness; every witness is certified.
 
     Candidate i draws from a stream keyed by (seed, i), so a larger budget
     extends (never reshuffles) the candidate list and the best value is
@@ -532,16 +541,12 @@ def isotropic_lower_bound(
         rng = chunk_rng(seed, i)
         kind = i % 3
         if kind == 1:
-            witnesses.append(_ball_witness(ps, rng, ball_mc_samples, seed, i))
+            witnesses.append(_ball_witness(ps, rng))
         elif kind == 2 and ps.dim == 2:
             witnesses.append(_hull_witness(ps, rng))
         else:
             witnesses.append(_halfspace_witness(ps, rng, pts_float))
-    certified = [w for w in witnesses if w.certified]
-    best = max(
-        certified,
-        key=lambda w: (w.local_value_exact, w.family, w.inside_count),
-    )
+    best = max(witnesses, key=lambda w: (w.local_value_exact, w.family, w.inside_count))
     return best, witnesses
 
 

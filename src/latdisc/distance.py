@@ -27,7 +27,6 @@ from scipy.spatial import cKDTree
 
 from .discrepancy import halfspace_cube_volume
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
-from .montecarlo import CHUNK_SIZE
 from .reduction import SpectralReport, hyperplane_family, spectral_test
 
 GammaValue = float  # finite positive real or math.inf
@@ -35,6 +34,7 @@ GammaValue = float  # finite positive real or math.inf
 GRID_BOX_ENTRIES = 1 << 15  # cap on the cells x candidates of one grid-search temporary
 GRID_BOX_MIN_CELLS = 1 << 8  # smaller boxes cost more in per-box overhead than in arithmetic
 GRID_CELL_BUDGET = 21**4  # cells of the default grid for d >= 4
+GRID_CHUNK_CELLS = 1 << 16  # cells per chunk of the grid walk
 EPS = float(np.finfo(float).eps)  # 2^-52, twice the unit roundoff u
 
 
@@ -207,8 +207,8 @@ def _grid_axis(m: int) -> np.ndarray:
 
 def _grid_row_chunks(d: int, m: int) -> list[tuple[int, int]]:
     """First-axis row ranges [start, stop) of the m^d grid's chunks, each
-    about CHUNK_SIZE cells."""
-    rows = max(1, CHUNK_SIZE // m ** (d - 1))
+    about GRID_CHUNK_CELLS cells."""
+    rows = max(1, GRID_CHUNK_CELLS // m ** (d - 1))
     return [(start, min(start + rows, m)) for start in range(0, m, rows)]
 
 

@@ -1,10 +1,9 @@
 """Verification campaigns over the builtin lattice and body corpora.
 
 A campaign is fully determined by (corpus spec, checks, budgets, seed):
-reruns produce byte-identical JSON artifacts for any worker count. Verdicts
-follow a fixed grammar: exact comparisons PASS or FAIL, Monte Carlo backed
-comparisons PASS-with-uncertainty (FAIL only when lhs - 3 SE > rhs), and
-claims with unknown constants are RECORDED, never failed.
+reruns produce byte-identical JSON artifacts for any worker count. Every
+compared value is exact or a certified bound, so a check is PASS or FAIL,
+and a claim with an unknown constant is RECORDED, never failed.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .montecarlo import chunk_rng
 from .reduction import spectral_test
 
 PASS = "PASS"
-PASS_UNC = "PASS-with-uncertainty"
 FAIL = "FAIL"
 RECORDED = "RECORDED"
 
@@ -63,7 +61,6 @@ class BoundCheckReport:
     subject: str
     lhs: float
     rhs: float | None
-    uncertainty: float
     verdict: str
 
     def to_json_dict(self) -> dict:
@@ -72,16 +69,14 @@ class BoundCheckReport:
             "subject": self.subject,
             "lhs": float(self.lhs),
             "rhs": None if self.rhs is None else float(self.rhs),
-            "uncertainty": float(self.uncertainty),
+            "uncertainty": 0.0,  # nothing is sampled; kept so artifacts keep their columns
             "verdict": self.verdict,
         }
 
 
-def verdict_for(lhs: float, rhs: float, uncertainty: float) -> str:
-    """FAIL only when lhs - 3 uncertainty > rhs; exact checks give PASS/FAIL."""
-    if lhs - 3 * uncertainty > rhs:
-        return FAIL
-    return PASS if uncertainty == 0 else PASS_UNC
+def verdict_for(lhs: float, rhs: float) -> str:
+    """FAIL iff lhs > rhs."""
+    return FAIL if lhs > rhs else PASS
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,6 @@ class CorpusSpec:
 @dataclass(frozen=True)
 class Budgets:
     witness_budget: int = 6
-    witness_ball_mc: int = 50_000
     body_count: int = 50
     body_dims: tuple[int, ...] = (2, 3, 4)
     body_mc_samples: int = 10**6  # unread: body volumes are exact; specs that set it still load
@@ -283,7 +277,6 @@ def run_lattice_task(args: dict) -> dict:
                 lattice_id,
                 float(abs(rep.dual_norm_sq - oracle)),
                 0.0,
-                0.0,
                 PASS if rep.dual_norm_sq == oracle else FAIL,
             )
         )
@@ -303,7 +296,6 @@ def run_lattice_task(args: dict) -> dict:
                 lattice_id,
                 t1.j_lower,
                 min(1.0, t1.bound),
-                0.0,
                 t1.verdict,
             )
         )
@@ -313,7 +305,6 @@ def run_lattice_task(args: dict) -> dict:
                 lattice_id,
                 t1.slab_floor,
                 t1.slab_value,
-                0.0,
                 PASS if t1.slab_floor_ok else FAIL,
             )
         )
@@ -336,7 +327,7 @@ def run_lattice_task(args: dict) -> dict:
         )
         rows.append(
             BoundCheckReport(
-                "prop1-volA", lattice_id, 0.5, p1.vol_a_td, 0.0,
+                "prop1-volA", lattice_id, 0.5, p1.vol_a_td,
                 PASS if p1.vol_a_ok else FAIL,
             )
         )
@@ -346,7 +337,6 @@ def run_lattice_task(args: dict) -> dict:
                 lattice_id,
                 float(1.0 - p1.vol_a_td),
                 p1.vol_b_bound,
-                0.0,
                 PASS if p1.vol_b_bound_ok else FAIL,
             )
         )
@@ -360,7 +350,6 @@ def run_lattice_task(args: dict) -> dict:
                     lattice_id,
                     lb,
                     norm.lower_certified,
-                    0.0,
                     PASS if ok else FAIL,
                 )
             )
@@ -375,7 +364,7 @@ def run_lattice_task(args: dict) -> dict:
             )
         rows.append(
             BoundCheckReport(
-                "prop1-ratio-inf", lattice_id, p1.ratio_inf, None, 0.0, RECORDED
+                "prop1-ratio-inf", lattice_id, p1.ratio_inf, None, RECORDED
             )
         )
         for gname, norm in zip(p1.gammas, p1.norms):
@@ -388,8 +377,7 @@ def run_lattice_task(args: dict) -> dict:
                         lattice_id,
                         width,
                         tol * (1 + 1e-9),
-                        0.0,
-                        verdict_for(width, tol * (1 + 1e-9), 0.0),
+                        verdict_for(width, tol * (1 + 1e-9)),
                     )
                 )
     for (s, p, q), spec, gamma in thm2:
@@ -425,22 +413,19 @@ def run_body_task(args: dict) -> dict:
     inner = offset_volumes(body, rhos, "inner")
     rows: list[BoundCheckReport] = []
     for rho, o, i in zip(rhos, outer, inner):
-        unc = math.hypot(o.std_error, i.std_error)
         if "lemma2" in checks:
             rows.append(
                 BoundCheckReport(
-                    "lemma2", f"{subject}-rho{rho:g}", i.value, o.value, unc,
-                    verdict_for(i.value, o.value, unc),
+                    "lemma2", f"{subject}-rho{rho:g}", i.value, o.value,
+                    verdict_for(i.value, o.value),
                 )
             )
         if "lemma3" in checks:
             lhs = max(o.value, i.value)
             rhs = 2 ** (d + 3) * rho
-            u = max(o.std_error, i.std_error)
             rows.append(
                 BoundCheckReport(
-                    "lemma3", f"{subject}-rho{rho:g}", lhs, rhs, u,
-                    verdict_for(lhs, rhs, u),
+                    "lemma3", f"{subject}-rho{rho:g}", lhs, rhs, verdict_for(lhs, rhs),
                 )
             )
         if "corollary1" in checks:
@@ -448,8 +433,7 @@ def run_body_task(args: dict) -> dict:
             rhs = d * 2 ** (d + 4) * rho
             rows.append(
                 BoundCheckReport(
-                    "corollary1", f"{subject}-rho{rho:g}", lhs, rhs, unc,
-                    verdict_for(lhs, rhs, unc),
+                    "corollary1", f"{subject}-rho{rho:g}", lhs, rhs, verdict_for(lhs, rhs),
                 )
             )
         if "steiner" in checks and isinstance(body, (Ball, AxisBox)):
@@ -462,8 +446,7 @@ def run_body_task(args: dict) -> dict:
             lhs = abs(o.value - expected)
             rows.append(
                 BoundCheckReport(
-                    "steiner", f"{subject}-rho{rho:g}", lhs, 1e-12, o.std_error,
-                    verdict_for(lhs, 1e-12, o.std_error),
+                    "steiner", f"{subject}-rho{rho:g}", lhs, 1e-12, verdict_for(lhs, 1e-12),
                 )
             )
     if "lemma1" in checks and isinstance(body, (Ball, AxisBox)):
@@ -473,8 +456,7 @@ def run_body_task(args: dict) -> dict:
             lhs = abs(fd - analytic)
             rows.append(
                 BoundCheckReport(
-                    "lemma1", f"{subject}-rho{rho:g}", lhs, 1e-3, 0.0,
-                    verdict_for(lhs, 1e-3, 0.0),
+                    "lemma1", f"{subject}-rho{rho:g}", lhs, 1e-3, verdict_for(lhs, 1e-3),
                 )
             )
     return {"rows": [r.to_json_dict() for r in rows], "tables": {}}
@@ -490,8 +472,7 @@ def run_remark_task(args: dict) -> dict:
             "d2",
             abs(s2 - (4 + math.pi)),
             1e-10,
-            0.0,
-            verdict_for(abs(s2 - (4 + math.pi)), 1e-10, 0.0),
+            verdict_for(abs(s2 - (4 + math.pi)), 1e-10),
         )
     )
     for d in budgets.remark_dims:
@@ -500,10 +481,10 @@ def run_remark_task(args: dict) -> dict:
         hi = remark_upper(d, budgets.remark_kappa)
         rows.append(
             BoundCheckReport(
-                "remark-lower", f"d{d}", lo, log_sum, 0.0, verdict_for(lo, log_sum, 0.0)
+                "remark-lower", f"d{d}", lo, log_sum, verdict_for(lo, log_sum)
             )
         )
-        rows.append(BoundCheckReport("remark-upper", f"d{d}", log_sum, hi, 0.0, RECORDED))
+        rows.append(BoundCheckReport("remark-upper", f"d{d}", log_sum, hi, RECORDED))
         if d >= 1000:
             lhs = log_sum / d ** (2 / 3)
             rhs = budgets.remark_kappa * math.log(
@@ -511,8 +492,7 @@ def run_remark_task(args: dict) -> dict:
             )
             rows.append(
                 BoundCheckReport(
-                    "remark-upper-scaled", f"d{d}", lhs, rhs, 0.0,
-                    verdict_for(lhs, rhs, 0.0),
+                    "remark-upper-scaled", f"d{d}", lhs, rhs, verdict_for(lhs, rhs),
                 )
             )
     return {"rows": [r.to_json_dict() for r in rows], "tables": {}}
@@ -533,8 +513,7 @@ def run_thm2_task(detail_rows: list[dict]) -> list[dict]:
         ratio = max(vals) / min(vals)
         rows.append(
             BoundCheckReport(
-                f"thm2-window-{key}", "fibonacci", ratio, 10.0, 0.0,
-                verdict_for(ratio, 10.0, 0.0),
+                f"thm2-window-{key}", "fibonacci", ratio, 10.0, verdict_for(ratio, 10.0),
             ).to_json_dict()
         )
     return rows
@@ -654,8 +633,8 @@ def _corrupt_row(row: dict, c: Campaign) -> dict:
     rhs = row["rhs"] * c.corrupt_rhs_scale
     out = dict(row)
     out["rhs"] = rhs
-    if row["verdict"] in (PASS, PASS_UNC, FAIL):
-        out["verdict"] = verdict_for(row["lhs"], rhs, row["uncertainty"])
+    if row["verdict"] in (PASS, FAIL):
+        out["verdict"] = verdict_for(row["lhs"], rhs)
     return out
 
 

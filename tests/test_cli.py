@@ -66,6 +66,19 @@ def test_isodisc(tmp_path, capsys):
     assert data["best"] in data["witnesses"]
     assert data["thm1"]["n_witnesses"] == len(data["witnesses"])
     assert data["thm1"]["best_family"] == data["best"]["family"]
+    # nothing is sampled, so no witness reports a standard error, a sample
+    # count or a sampling seed
+    assert {w["family"] for w in data["witnesses"]} >= {"ball"}
+    assert all(w["certified"] for w in data["witnesses"])
+
+    def keys(node):
+        if isinstance(node, dict):
+            return set(node) | set().union(*map(keys, node.values()))
+        if isinstance(node, list):
+            return set().union(*map(keys, node))
+        return set()
+
+    assert not keys(data) & {"std_error", "n_samples", "seed"}
 
 
 def test_distnorm(tmp_path, capsys):

@@ -36,7 +36,23 @@ from latdisc.convex import (
     unit_cube,
 )
 from latdisc.errors import EmptyBodyError
-from latdisc.montecarlo import McConfig, box_fraction, chunk_rng
+from latdisc.montecarlo import chunk_rng
+
+MC_CHUNK = 1 << 16
+
+
+def box_fraction(lower, upper, indicator, n, seed):
+    """Test-only Monte Carlo oracle: (hits, n) for n uniform samples of the
+    box [lower, upper] hitting `indicator`, which maps an (m, d) array to a
+    boolean array. Chunk i of MC_CHUNK samples draws from chunk_rng(seed, i)."""
+    lower = np.asarray(lower, dtype=float)
+    spans = np.asarray(upper, dtype=float) - lower
+    hits = 0
+    for i in range((n + MC_CHUNK - 1) // MC_CHUNK):
+        m = min(MC_CHUNK, n - i * MC_CHUNK)
+        x = chunk_rng(seed, i).random((m, lower.shape[0])) * spans + lower
+        hits += int(np.count_nonzero(indicator(x)))
+    return hits, n
 
 
 TRIANGLE = HPolytope(
@@ -107,12 +123,12 @@ def test_steiner_cube_against_mc_oracle():
     est = steiner_volume(unit_cube(2), 0.3)
     # MC oracle: sample [-0.3, 1.3]^2, distance to the cube
     cube = unit_cube(2)
-    cfg = McConfig(n_samples=200_000, seed=7)
     hits, n = box_fraction(
         np.array([-0.3, -0.3]),
         np.array([1.3, 1.3]),
         lambda x: cube.dist_many(x) <= 0.3,
-        cfg,
+        n=200_000,
+        seed=7,
     )
     mc = 1.6 * 1.6 * hits / n
     se = 1.6 * 1.6 * math.sqrt(0.25 / n)
@@ -133,7 +149,7 @@ def test_steiner_h_triangle_matches_2d_closed_form():
         warnings.simplefilter("error")
         est = steiner_volume(TRIANGLE, 0.1)
     perim = 1 + 0.5 + math.hypot(1, 0.5)
-    assert est.exact and est.std_error == 0.0
+    assert est.exact
     assert est.value == pytest.approx(0.25 + perim * 0.1 + math.pi * 0.01, abs=1e-12)
 
 
@@ -195,7 +211,7 @@ def test_offset_matches_polygon_steiner_difference():
     rho = 0.08
     est = offset_volume(tri, OffsetSpec(rho, "outer"))
     perim = 0.8 + 0.4 + math.hypot(0.8, 0.4)
-    assert est.exact and est.std_error == 0.0
+    assert est.exact
     assert abs(est.value - (perim * rho + math.pi * rho**2)) <= 1e-12
 
 
@@ -324,7 +340,8 @@ def test_remark_parameter_validation():
 
 def test_volume_estimate_invariant():
     est = VolumeEstimate.exact_value(0.5)
-    assert est.exact and est.std_error == 0.0
+    assert est.exact
+    assert est.to_json_dict() == {"value": 0.5, "exact": True}
 
 
 def test_random_bodies_inside_cube_and_valid():
@@ -549,7 +566,7 @@ def test_rotated_box_intrinsic_volumes_are_elementary_symmetric(d):
 def _mc_oracle(indicator, lo, hi, seed, n=1 << 17):
     """Monte Carlo volume of {indicator} inside the box [lo, hi] with its
     binomial standard error."""
-    hits, n = box_fraction(lo, hi, indicator, McConfig(n_samples=n, seed=seed))
+    hits, n = box_fraction(lo, hi, indicator, n, seed)
     box_vol, p = float(np.prod(hi - lo)), hits / n
     return box_vol * p, box_vol * math.sqrt(p * (1 - p) / n)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from latdisc.convex import AxisBox, Ball, HPolytope, VPolytope, unit_cube
 from latdisc.discrepancy import (
     DiscrepancyWitness,
+    ball_volume_enclosure,
     convex_hull_2d,
     count_points,
     count_points_halfspace,
@@ -26,6 +27,7 @@ from latdisc.discrepancy import (
     _scaled_dot,
     _slab_eps_functional,
 )
+from latdisc.harness import CorpusSpec, builtin_corpus, corpus_lattice
 from latdisc.lattice import LatticePointSet, enumerate_points, fibonacci_lattice, rank1_lattice
 from latdisc.reduction import shortest_dual_vectors
 
@@ -441,3 +443,62 @@ def test_halfspace_witness_counts_match_fraction_reference(lat):
             and abs(Fraction(count, ps.n) - halfspace_cube_volume(a, b)) == w.local_value_exact
             for count, b in candidates
         )
+
+
+# ---------------------------------------------------------------------------
+# Ball volumes in exact arithmetic
+# ---------------------------------------------------------------------------
+
+# pi truncated after 49 decimals: PI_50 < pi < PI_50 + 1e-49
+PI_50 = Fraction("3.1415926535897932384626433832795028841971693993751")
+PI_50_HI = PI_50 + Fraction(1, 10**49)
+
+
+def kappa_ref(d, pi):
+    """kappa_d by the recursion kappa_d = kappa_(d-2) 2 pi / d."""
+    k = [Fraction(1), Fraction(2)]
+    for j in range(2, d + 1):
+        k.append(k[j - 2] * 2 * pi / j)
+    return k[d]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_ball_volume_enclosure_contains_the_volume(d):
+    for r in (Fraction(1, 2**20), Fraction(1, 20) + Fraction(3, 2**20), Fraction(3, 8), Fraction(1, 2)):
+        lo, hi = ball_volume_enclosure(d, r)
+        assert lo <= kappa_ref(d, PI_50) * r**d <= kappa_ref(d, PI_50_HI) * r**d <= hi
+        assert hi - lo <= Fraction(1, 10**15) * lo
+
+
+def _corpus_point_sets(ids):
+    return [
+        enumerate_points(corpus_lattice(e))
+        for e in builtin_corpus(CorpusSpec(), 20200817)
+        if e[0] in ids
+    ]
+
+
+@pytest.mark.parametrize(
+    "ps", _corpus_point_sets({"rank1-d2-n256-i00", "rank1-d3-n256-i00", "rank1-d4-n1024-i00"})
+)
+def test_ball_witnesses_are_certified_lower_bounds(ps):
+    _, witnesses = isotropic_lower_bound(ps, budget=12, seed=20200817)
+    balls = [w for w in witnesses if w.family == "ball"]
+    assert len(balls) == 4
+    for w in balls:
+        assert w.certified and not w.volume.exact
+        assert w.inside_count == count_points(ps, w.body)
+        r = Fraction(w.body.radius)
+        frac = Fraction(w.inside_count, ps.n)
+        for pi in (PI_50, PI_50_HI):
+            assert w.local_value_exact <= abs(frac - kappa_ref(ps.dim, pi) * r**ps.dim)
+        assert w.local_value == float(w.local_value_exact)
+    assert any(w.local_value_exact > 0 for w in balls)
+
+
+@pytest.mark.parametrize("ps", CORPUS_POINT_SETS)
+def test_isotropic_lower_bound_returns_only_certified_witnesses(ps):
+    best, witnesses = isotropic_lower_bound(ps, budget=6, seed=7)
+    assert {w.family for w in witnesses} >= {"ball", "halfspace"}
+    assert all(w.certified for w in witnesses)
+    assert best.local_value_exact == max(w.local_value_exact for w in witnesses)

@@ -22,7 +22,7 @@ from latdisc.distance import (
     verify_prop1,
 )
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
-from latdisc.montecarlo import CHUNK_SIZE, chunk_rng
+from latdisc.montecarlo import chunk_rng
 from latdisc.reduction import spectral_test
 
 
@@ -104,13 +104,14 @@ def test_norm_monotone_in_gamma():
         assert r.lower_certified <= r.value <= r.upper_certified
 
 
-def mc_moment_oracle(ps, gammas, n=1 << 20, seed=5):
+def mc_moment_oracle(ps, gammas, n=1 << 20, seed=5, chunk=1 << 16):
     """Test-only Monte Carlo oracle: (mean, standard error) of dist^gamma
-    over n uniform points of the cube, per gamma."""
+    over n uniform points of the cube, per gamma; chunk i of `chunk` points
+    draws from chunk_rng(seed, i)."""
     tree = cKDTree(ps.as_array())
     sums = {g: [0.0, 0.0] for g in gammas}
-    for i in range(n // CHUNK_SIZE):
-        dist = tree.query(chunk_rng(seed, i).random((CHUNK_SIZE, ps.dim)))[0]
+    for i in range(n // chunk):
+        dist = tree.query(chunk_rng(seed, i).random((chunk, ps.dim)))[0]
         for g in gammas:
             v = dist**g
             sums[g][0] += float(v.sum())

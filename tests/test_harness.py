@@ -47,10 +47,9 @@ def small_campaign(**kw):
 
 
 def test_verdict_grammar():
-    assert verdict_for(1.0, 2.0, 0.0) == "PASS"
-    assert verdict_for(1.0, 2.0, 0.1) == "PASS-with-uncertainty"
-    assert verdict_for(2.5, 2.0, 0.1) == "FAIL"
-    assert verdict_for(2.2, 2.0, 0.1) == "PASS-with-uncertainty"  # within 3 SE
+    assert verdict_for(1.0, 2.0) == "PASS"
+    assert verdict_for(2.0, 2.0) == "PASS"
+    assert verdict_for(2.2, 2.0) == "FAIL"
 
 
 def test_builtin_corpus_structure():
@@ -170,6 +169,15 @@ def test_campaign_from_json_dict_names_unknown_key(section, key):
     data = small_campaign().to_json_dict()
     (data[section] if section else data)[key] = 1
     with pytest.raises(ValueError, match=key):
+        Campaign.from_json_dict(data)
+
+
+def test_campaign_spec_with_the_deleted_ball_budget_fails():
+    # witness_ball_mc sized the ball witnesses' Monte Carlo, which is gone
+    data = small_campaign().to_json_dict()
+    assert "witness_ball_mc" not in data["budgets"]
+    data["budgets"]["witness_ball_mc"] = 50_000
+    with pytest.raises(ValueError, match="unknown budgets key.*witness_ball_mc"):
         Campaign.from_json_dict(data)
 
 
