@@ -34,6 +34,7 @@ from .harness import (
 )
 from .lattice import (
     enumerate_points,
+    fibonacci_generator,
     format_lattice_text,
     format_rank1_text,
     korobov_lattice,
@@ -78,12 +79,7 @@ def _cmd_gen(args) -> int:
         else:
             _emit(args, format_lattice_text(lat))
     elif args.family == "fibonacci":
-        if args.k < 3:
-            raise SystemExit("k must be at least 3")
-        a, b = 1, 1
-        for _ in range(args.k - 2):
-            a, b = b, a + b
-        _emit(args, format_rank1_text(b, (1, a)))
+        _emit(args, format_rank1_text(*fibonacci_generator(args.k)))
     elif args.family == "korobov":
         lat = korobov_lattice(args.n, args.a, args.d)
         _emit(args, format_lattice_text(lat))
@@ -251,14 +247,29 @@ def _global_flags(with_defaults: bool) -> argparse.ArgumentParser:
         default=dflt("seed"),
         help="random seed (default: 0; for `campaign run`, the spec's seed)",
     )
-    p.add_argument("--tol", type=float, default=dflt("tol"))
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=dflt("tol"),
+        help="covering-radius tolerance read by `distnorm` (default: 1e-4)",
+    )
     p.add_argument(
         "--out",
         default=dflt("out"),
         help="output file/directory (default: stdout or $LATDISC_OUT)",
     )
-    p.add_argument("--format", choices=("json", "csv"), default=dflt("format"))
-    p.add_argument("--workers", type=int, default=dflt("workers"))
+    p.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default=dflt("format"),
+        help="table format read by `bounds remark` (default: json)",
+    )
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=dflt("workers"),
+        help="worker processes read by `verify` and `campaign run` (default: 1)",
+    )
     return p
 
 
@@ -277,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = add_parser("gen", help="generate a lattice spec file")
     gen.add_argument("family", choices=("rank1", "fibonacci", "korobov", "zd"))
-    gen.add_argument("--n", type=int, default=1)
-    gen.add_argument("--g", default="0")
-    gen.add_argument("--k", type=int, default=10)
-    gen.add_argument("--a", type=int, default=1)
-    gen.add_argument("--d", type=int, default=2)
+    gen.add_argument("--n", type=int, default=1, help="rank1/korobov: modulus n (default: 1)")
+    gen.add_argument("--g", default="0", help="rank1: comma list generator g (default: 0)")
+    gen.add_argument("--k", type=int, default=10, help="fibonacci: index k >= 3 (default: 10)")
+    gen.add_argument("--a", type=int, default=1, help="korobov: multiplier a (default: 1)")
+    gen.add_argument("--d", type=int, default=2, help="korobov/zd: dimension d (default: 2)")
     gen.set_defaults(fn=_cmd_gen)
 
     sp = add_parser("spectral", help="spectral test report for a lattice")
@@ -290,14 +301,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     pts = add_parser("points", help="enumerate the lattice point set as CSV")
     pts.add_argument("lattice")
-    pts.add_argument("--precision", type=int, default=17)
+    pts.add_argument(
+        "--precision", type=int, default=17, help="decimal digits per coordinate (default: 17)"
+    )
     pts.add_argument("--exact", action="store_true", help='render coordinates as "p/q"')
-    pts.add_argument("--cap", type=int, default=10**6)
+    pts.add_argument(
+        "--cap", type=int, default=10**6, help="refuse lattices with more points (default: 10^6)"
+    )
     pts.set_defaults(fn=_cmd_points)
 
     iso = add_parser("isodisc", help="isotropic-discrepancy witness search")
     iso.add_argument("lattice")
-    iso.add_argument("--budget", type=int, default=12)
+    iso.add_argument(
+        "--budget", type=int, default=12, help="random witness candidates (default: 12)"
+    )
     iso.set_defaults(fn=_cmd_isodisc)
 
     dn = add_parser("distnorm", help="distance-function L_gamma norms")
@@ -308,16 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
     geom = add_parser("geom", help="parallel-body volume operations")
     geom.add_argument("geom_op", choices=("steiner", "offset", "boundary"))
     geom.add_argument("--body", required=True, help="ConvexBody JSON file")
-    geom.add_argument("--rho", type=float, required=True)
-    geom.add_argument("--side", choices=("outer", "inner"), default="outer")
+    geom.add_argument("--rho", type=float, required=True, help="offset radius")
+    geom.add_argument(
+        "--side",
+        choices=("outer", "inner"),
+        default="outer",
+        help="side of the offset for `geom offset` (default: outer)",
+    )
     geom.set_defaults(fn=_cmd_geom)
 
     bounds = add_parser("bounds", help="quantitative bound tables")
     bsub = bounds.add_subparsers(dest="bounds_op", required=True)
     rem = bsub.add_parser("remark", parents=[common], help="binomial-kappa sum sandwich table")
-    rem.add_argument("--dims", default="10,100,1000,10000,100000")
-    rem.add_argument("--delta", type=float, default=0.3)
-    rem.add_argument("--kappa", type=float, default=5.1)
+    rem.add_argument(
+        "--dims", default="10,100,1000,10000,100000", help="comma list of dimensions d"
+    )
+    rem.add_argument("--delta", type=float, default=0.3, help="lower-bound delta (default: 0.3)")
+    rem.add_argument("--kappa", type=float, default=5.1, help="upper-bound kappa (default: 5.1)")
     rem.set_defaults(fn=_cmd_bounds_remark)
 
     ver = add_parser("verify", help="run verification checks on the builtin corpus")

@@ -18,13 +18,14 @@ import numpy as np
 from .convex import AxisBox, Ball, ConvexBody, HPolytope, VolumeEstimate, VPolytope
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
 from .montecarlo import chunk_rng
-from .ratlin import Vec
 from .reduction import (
     SpectralReport,
     hyperplane_family,
     shortest_dual_vectors,
     spectral_test,
 )
+
+Vec = tuple[Fraction, ...]
 
 SNAP_DENOM = 1 << 20
 

@@ -33,7 +33,7 @@ from .convex import (
 )
 from .discrepancy import verify_thm1
 from .distance import DistanceNormConfig, ProxySpec, proxy_spec, verify_prop1
-from .lattice import IntegrationLattice, enumerate_points, rank1_lattice
+from .lattice import IntegrationLattice, enumerate_points, fibonacci_generator, rank1_lattice
 from .montecarlo import chunk_rng
 from .reduction import spectral_test
 
@@ -193,11 +193,8 @@ def builtin_corpus(
     rank-1 so the independent spectral oracle stays a pure congruence check."""
     out: list[tuple[str, int, tuple[int, ...]]] = []
     k_lo, k_hi = spec.fibonacci_k
-    fib = [1, 1]
-    while len(fib) <= k_hi:
-        fib.append(fib[-1] + fib[-2])
     for k in range(k_lo, k_hi + 1):
-        out.append((f"fib-k{k:02d}", fib[k - 1], (1, fib[k - 2])))
+        out.append((f"fib-k{k:02d}", *fibonacci_generator(k)))
     idx = 0
     for d in spec.rank1_dims:
         for n in spec.rank1_sizes:

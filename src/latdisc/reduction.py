@@ -1,63 +1,55 @@
 """LLL reduction, exact shortest vectors, the spectral test, and the
 fundamental-cell diameter.
 
-LLL runs in exact rational arithmetic and records the unimodular transform.
-The shortest-vector search enumerates coefficient vectors with floating
-Gram-Schmidt pruning and certifies every candidate exactly, so the reported
-minimum carries no floating doubt.
+Every basis here is an integer matrix: the dual basis of an integration
+lattice is integral, and a primal basis is reduced as its integer rows over
+the lattice's one denominator (LLL commutes with that scaling). LLL is the
+integral algorithm of Cohen, *A Course in Computational Algebraic Number
+Theory* (1993), Alg. 2.6.7: the Gram determinants d_i and the scaled
+coefficients lambda_ij = d_{j+1} mu_ij are integers updated in place, and
+the unimodular transform is recorded. The shortest-vector search enumerates
+coefficient vectors with floating Gram-Schmidt pruning and certifies every
+candidate in integers, so the reported minimum carries no floating doubt.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionGuardError
-from .lattice import IntegrationLattice, dual_basis
-from .ratlin import (
-    Mat,
-    Vec,
-    as_mat,
-    det,
-    mat_mul,
-    norm_sq,
-    vec_add,
-    vec_dot,
-    vec_scale,
-    vec_sub,
-)
+from .lattice import IntegrationLattice, Mat, det_adj, dual_basis
 
 SVP_DIMENSION_CAP = 12
+LLL_DELTA = Fraction(3, 4)  # the Lovasz constant, reported as lll_delta
 
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """LLL output: rational rows, the exact unimodular transform, and delta."""
+    """LLL output: integer rows and the unimodular transform U with
+    rows = U . source."""
 
     dim: int
     rows: Mat
-    delta: Fraction
-    transform: tuple[tuple[int, ...], ...]
+    transform: Mat
     source: Mat
-
-    def rows_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in r] for r in self.rows])
 
 
 @dataclass(frozen=True)
 class ShortestVector:
     """Exact SVP minimizer with its integer coefficients in the given basis."""
 
-    vector: Vec
+    vector: tuple[int, ...]
     coefficients: tuple[int, ...]
-    norm_sq_exact: Fraction
+    norm_sq_exact: int
 
     @property
     def norm(self) -> float:
-        return math.sqrt(float(self.norm_sq_exact))
+        return math.sqrt(self.norm_sq_exact)
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,6 @@ class SpectralReport:
     shortest_dual: tuple[int, ...]
     dual_norm: float
     diam_cell: float
-    lll_delta: float
     dual_norm_sq: int
     diam_cell_sq: Fraction
     # LLL reduction of the dual basis, reused by `shortest_dual_vectors`
@@ -78,7 +69,7 @@ class SpectralReport:
             "shortest_dual": list(self.shortest_dual),
             "dual_norm": self.dual_norm,
             "diam_cell": self.diam_cell,
-            "lll_delta": self.lll_delta,
+            "lll_delta": float(LLL_DELTA),
         }
 
 
@@ -96,59 +87,90 @@ class HyperplaneFamily:
         return self.k_max - self.k_min + 1
 
 
-def _gram_schmidt(rows: list[Vec]) -> tuple[list[Vec], list[list[Fraction]]]:
-    d = len(rows)
-    ortho: list[Vec] = []
-    mu = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        v = rows[i]
-        for j in range(i):
-            denom = norm_sq(ortho[j])
-            mu[i][j] = vec_dot(rows[i], ortho[j]) / denom
-            v = vec_sub(v, vec_scale(ortho[j], mu[i][j]))
-        ortho.append(v)
-    return ortho, mu
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def lll_reduce(basis, delta: float | Fraction = Fraction(3, 4)) -> ReducedBasis:
-    """Exact LLL reduction recording the unimodular transform U.
+def _int_rows(basis) -> Mat:
+    """`basis` as integer row tuples; ValueError on any non-integer entry."""
+    try:
+        return tuple(tuple(operator.index(x) for x in row) for row in basis)
+    except TypeError:
+        raise ValueError("basis entries must be integers") from None
 
-    Output satisfies |mu_ij| <= 1/2 and the Lovasz condition for the given
-    delta, and equals U . input exactly (verified before returning).
+
+def _round_div(a: int, b: int) -> int:
+    """round(a / b) for b > 0, halves to even as `round` does."""
+    q, r = divmod(2 * a + b, 2 * b)
+    return q - 1 if r == 0 and q % 2 else q
+
+
+def lll_reduce(basis) -> ReducedBasis:
+    """Integral LLL reduction with delta = LLL_DELTA, recording the
+    unimodular transform U.
+
+    d[i] is the Gram determinant of the first i rows (d[0] = 1) and
+    lam[k][j] = d[j+1] mu_kj; both stay integers (Cohen Alg. 2.6.7). Row k
+    is size-reduced against rows k-1, ..., 0 (nearest integer, halves to
+    even) before the Lovasz test. The output satisfies |mu_ij| <= 1/2 and
+    the Lovasz condition, and equals U . input exactly (verified before
+    returning). Raises ValueError on non-integer or dependent rows.
     """
-    src = as_mat(basis)
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta <= 1:
-        raise ValueError("delta must lie in (1/4, 1]")
-    d = len(src)
-    if det(src) == 0:
-        raise ValueError("basis rows are linearly dependent")
-    rows = list(src)
-    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    ortho, mu = _gram_schmidt(rows)
+    src = _int_rows(basis)
+    n = len(src)
+    if any(len(r) != n for r in src):
+        raise ValueError("basis must be a square matrix")
+    rows = [list(r) for r in src]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            x = _dot(rows[k], rows[j])
+            for i in range(j):
+                x = (d[i + 1] * x - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = x
+            else:
+                d[k + 1] = x
+        if d[k + 1] == 0:
+            raise ValueError("basis rows are linearly dependent")
+    p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
     k = 1
-    while k < d:
+    while k < n:
+        lam_k = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                q = round(mu[k][j])
-                rows[k] = vec_sub(rows[k], vec_scale(rows[j], Fraction(q)))
-                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
-                ortho, mu = _gram_schmidt(rows)
-        if norm_sq(ortho[k]) >= (delta - mu[k][k - 1] ** 2) * norm_sq(ortho[k - 1]):
+            if 2 * abs(lam_k[j]) > d[j + 1]:
+                c = _round_div(lam_k[j], d[j + 1])
+                rows[k] = [a - c * b for a, b in zip(rows[k], rows[j])]
+                u[k] = [a - c * b for a, b in zip(u[k], u[j])]
+                lam_k[j] -= c * d[j + 1]
+                for i in range(j):
+                    lam_k[i] -= c * lam[j][i]
+        lk = lam_k[k - 1]
+        # |b*_k|^2 >= (delta - mu^2) |b*_{k-1}|^2, times q d[k] d[k-1]
+        if q * d[k + 1] * d[k - 1] >= p * d[k] ** 2 - q * lk * lk:
             k += 1
-        else:
-            rows[k], rows[k - 1] = rows[k - 1], rows[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
-            ortho, mu = _gram_schmidt(rows)
-            k = max(k - 1, 1)
+            continue
+        rows[k], rows[k - 1] = rows[k - 1], rows[k]
+        u[k], u[k - 1] = u[k - 1], u[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
 
-    out = tuple(rows)
+    out = tuple(tuple(r) for r in rows)
     transform = tuple(tuple(r) for r in u)
-    if abs(det(as_mat(transform))) != 1:
+    if abs(det_adj(transform)[0]) != 1:
         raise AssertionError("LLL transform is not unimodular")
-    if mat_mul(as_mat(transform), src) != out:
+    if tuple(tuple(_dot(r, col) for col in zip(*src)) for r in transform) != out:
         raise AssertionError("LLL transform does not reproduce the output basis")
-    return ReducedBasis(d, out, delta, transform, src)
+    return ReducedBasis(n, out, transform, src)
 
 
 def _float_gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,16 +188,11 @@ def _float_gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, bstar_sq
 
 
-def _exact_combination(rows: Mat, coeffs: tuple[int, ...]) -> Vec:
-    d = len(rows[0])
-    acc = tuple(Fraction(0) for _ in range(d))
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = vec_add(acc, vec_scale(row, Fraction(c)))
-    return acc
+def _combination(rows: Mat, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(_dot(coeffs, col) for col in zip(*rows))
 
 
-def enumerate_below(rows: Mat, bound_sq: Fraction) -> list[tuple[tuple[int, ...], Fraction]]:
+def enumerate_below(rows: Mat, bound_sq: int) -> list[tuple[tuple[int, ...], int]]:
     """All nonzero coefficient vectors (one per +-sign pair) whose lattice
     vector has exact squared norm <= bound_sq.
 
@@ -190,7 +207,7 @@ def enumerate_below(rows: Mat, bound_sq: Fraction) -> list[tuple[tuple[int, ...]
         raise ValueError("basis rows are linearly dependent")
     radius = float(bound_sq) * (1 + 1e-9) + 1e-12
 
-    found: dict[tuple[int, ...], Fraction] = {}
+    found: dict[tuple[int, ...], int] = {}
     coeff = [0] * d
 
     def search(level: int, used: float) -> None:
@@ -200,7 +217,8 @@ def enumerate_below(rows: Mat, bound_sq: Fraction) -> list[tuple[tuple[int, ...]
                 if u[next(i for i in range(d) if u[i])] < 0:
                     u = tuple(-c for c in u)
                 if u not in found:
-                    nsq = norm_sq(_exact_combination(rows, u))
+                    v = _combination(rows, u)
+                    nsq = _dot(v, v)
                     if nsq <= bound_sq:
                         found[u] = nsq
             return
@@ -230,21 +248,22 @@ def _check_reduction(src: Mat, reduced: ReducedBasis | None) -> ReducedBasis:
 
 
 def shortest_vector(basis, reduced: ReducedBasis | None = None) -> ShortestVector:
-    """Exact minimizer of the Euclidean norm over nonzero lattice vectors.
+    """Exact minimizer of the Euclidean norm over nonzero vectors of the
+    integer lattice spanned by `basis`.
 
     LLL-seeded Fincke-Pohst enumeration; ties broken by the lexicographically
     smallest coefficient vector with positive leading entry. Coefficients are
     reported relative to the *input* basis. `reduced` is the basis's
     `lll_reduce`, computed here when omitted.
     """
-    src = as_mat(basis)
+    src = _int_rows(basis)
     d = len(src)
     if d > SVP_DIMENSION_CAP:
         raise DimensionGuardError(
             f"shortest_vector supports d <= {SVP_DIMENSION_CAP}, got {d}"
         )
     reduced = _check_reduction(src, reduced)
-    bound = min(norm_sq(r) for r in reduced.rows)
+    bound = min(_dot(r, r) for r in reduced.rows)
     hits = enumerate_below(reduced.rows, bound)
     best_norm = min(nsq for _, nsq in hits)
     candidates = []
@@ -259,8 +278,8 @@ def shortest_vector(basis, reduced: ReducedBasis | None = None) -> ShortestVecto
             u_src = tuple(-c for c in u_src)
         candidates.append(u_src)
     coeffs = min(candidates)
-    vec = _exact_combination(src, coeffs)
-    if norm_sq(vec) != best_norm:
+    vec = _combination(src, coeffs)
+    if _dot(vec, vec) != best_norm:
         raise AssertionError("certificate mismatch in shortest_vector")
     return ShortestVector(vec, coeffs, best_norm)
 
@@ -272,14 +291,14 @@ def shortest_vectors(
     (norm, coefficient) order. May return fewer only if k exceeds the number
     of lattice vectors in a greatly inflated search radius (not expected).
     `reduced` is the basis's `lll_reduce`, computed here when omitted."""
-    src = as_mat(basis)
+    src = _int_rows(basis)
     d = len(src)
     if d > SVP_DIMENSION_CAP:
         raise DimensionGuardError(
             f"shortest_vectors supports d <= {SVP_DIMENSION_CAP}, got {d}"
         )
     reduced = _check_reduction(src, reduced)
-    bound = min(norm_sq(r) for r in reduced.rows)
+    bound = min(_dot(r, r) for r in reduced.rows)
     for _ in range(8):
         hits = enumerate_below(reduced.rows, bound)
         if len(hits) >= k:
@@ -292,36 +311,32 @@ def shortest_vectors(
         )
         if u_src[next(i for i in range(d) if u_src[i])] < 0:
             u_src = tuple(-c for c in u_src)
-        out.append(ShortestVector(_exact_combination(src, u_src), u_src, nsq))
+        out.append(ShortestVector(_combination(src, u_src), u_src, nsq))
     return out
 
 
 def cell_diameter(rb: ReducedBasis) -> float:
     """Diameter of the fundamental parallelotope spanned by the rows."""
-    return math.sqrt(float(cell_diameter_sq(rb)))
+    return math.sqrt(cell_diameter_sq(rb))
 
 
-def cell_diameter_sq(rb: ReducedBasis) -> Fraction:
+def cell_diameter_sq(rb: ReducedBasis) -> int:
     """Exact squared diameter: max over sign patterns of ||sum e_i b_i||^2.
 
     Negation symmetry fixes the first sign, leaving 2^(d-1) patterns.
     """
     d = rb.dim
-    best = Fraction(0)
+    best = 0
     for mask in range(1 << (d - 1)):
         v = rb.rows[0]
         for i in range(1, d):
-            if (mask >> (i - 1)) & 1:
-                v = vec_sub(v, rb.rows[i])
-            else:
-                v = vec_add(v, rb.rows[i])
-        best = max(best, norm_sq(v))
+            s = -1 if (mask >> (i - 1)) & 1 else 1
+            v = [a + s * b for a, b in zip(v, rb.rows[i])]
+        best = max(best, _dot(v, v))
     return best
 
 
-def spectral_test(
-    lat: IntegrationLattice, delta: float | Fraction = Fraction(3, 4)
-) -> SpectralReport:
+def spectral_test(lat: IntegrationLattice) -> SpectralReport:
     """sigma(L) = 1 / (shortest nonzero dual vector norm), with the
     fundamental-cell diameter of the LLL-reduced primal basis.
 
@@ -334,23 +349,22 @@ def spectral_test(
         )
     dual_reduced = lll_reduce(dual_basis(lat).basis)
     sv = shortest_vector(dual_reduced.source, dual_reduced)
-    nsq = int(sv.norm_sq_exact)
-    h = tuple(int(x) for x in sv.vector)
-    rb = lll_reduce(lat.basis, delta)
-    diam_sq = cell_diameter_sq(rb)
+    nsq = sv.norm_sq_exact
+    # the primal rows are basis / D, so their cell diameter is the integer one / D
+    diam_num = cell_diameter_sq(lll_reduce(lat.basis))
     d = lat.dim
-    if Fraction(1, nsq) > d:  # sigma^2 <= d
+    if nsq * d < 1:  # sigma^2 <= d
         raise AssertionError("sigma exceeds sqrt(d)")
-    if diam_sq * nsq > Fraction(d * 2 ** (d - 1)) ** 2:
+    if diam_num * nsq > (d * 2 ** (d - 1) * lat.denom) ** 2:
         raise AssertionError(
             "cell diameter violates diam <= d 2^(d-1) sigma; LLL output suspect"
         )
+    diam_sq = Fraction(diam_num, lat.denom**2)
     return SpectralReport(
         sigma=1.0 / math.sqrt(nsq),
-        shortest_dual=h,
+        shortest_dual=sv.vector,
         dual_norm=math.sqrt(nsq),
         diam_cell=math.sqrt(float(diam_sq)),
-        lll_delta=float(delta),
         dual_norm_sq=nsq,
         diam_cell_sq=diam_sq,
         dual_reduced=dual_reduced,
@@ -364,27 +378,24 @@ def shortest_dual_vectors(
     vectors, shortest first. `report`, the lattice's `spectral_test`, lends
     its reduced dual basis; the basis is reduced here when omitted."""
     reduced = report.dual_reduced if report is not None else lll_reduce(dual_basis(lat).basis)
-    return [tuple(int(x) for x in sv.vector) for sv in shortest_vectors(reduced.source, k, reduced)]
+    return [sv.vector for sv in shortest_vectors(reduced.source, k, reduced)]
 
 
 def hyperplane_family(lat: IntegrationLattice, h) -> HyperplaneFamily:
     """Descriptor of the parallel planes {x : h.x = k} for a dual vector h.
 
-    Verifies h in L-perp exactly; reports the plane spacing and the indices k
-    whose plane meets the closed unit cube.
+    Verifies h in L-perp exactly (B h = 0 mod D for the basis B / D);
+    reports the plane spacing and the indices k whose plane meets the
+    closed unit cube.
     """
     h = tuple(int(x) for x in h)
     if not any(h):
         raise ValueError("h must be nonzero")
-    hv = as_mat([h])[0]
-    for row in lat.basis:
-        if vec_dot(row, hv).denominator != 1:
-            raise ValueError("h is not in the dual lattice")
-    lo = sum(min(x, 0) for x in h)
-    hi = sum(max(x, 0) for x in h)
+    if any(_dot(row, h) % lat.denom for row in lat.basis):
+        raise ValueError("h is not in the dual lattice")
     return HyperplaneFamily(
         h=h,
-        spacing=1.0 / math.sqrt(sum(x * x for x in h)),
-        k_min=math.ceil(lo),
-        k_max=math.floor(hi),
+        spacing=1.0 / math.sqrt(_dot(h, h)),
+        k_min=sum(min(x, 0) for x in h),
+        k_max=sum(max(x, 0) for x in h),
     )

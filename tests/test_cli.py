@@ -205,3 +205,54 @@ def test_campaign_run_out_keeps_spec_seed(tmp_path, capsys):
     assert written["campaign"]["seed"] == 4
     assert written["campaign"]["out_dir"] == str(tmp_path / "flag-out")
 
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2 5\n1/5 2/5\n1/0 1\n", "line 3: basis entry '1/0' has a zero denominator"),
+        ("2 5\n1/5 two/5\n0 1\n", "line 2: basis entry 'two/5' is not a rational p/q"),
+        ("2 5\n1/5 2/5\n0\n", "line 3: basis row has 1 entries, expected 2"),
+        ("x 5\n1/5 2/5\n0 1\n", "line 1: dimension d 'x' is not an integer"),
+        ("2 5.0\nrank1: 1 2\n", "line 1: point count N '5.0' is not an integer"),
+        ("\n2\nrank1: 1 2\n", "line 2: expected \"d N\", got '2'"),
+        ("2 5\nrank1: 1 2/1\n", "line 2: rank1 generator entry '2/1' is not an integer"),
+        ("2 5\nrank1: 1 2 3\n", "line 2: rank1 generator has 3 entries, expected 2"),
+        ("2 5\nrank1: 1 2\n1/5 2/5\n", "line 3: unexpected line after the rank1 generator"),
+    ],
+)
+def test_bad_lattice_spec_names_line_and_field(tmp_path, capsys, text, message):
+    spec = tmp_path / "bad.lat"
+    spec.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", str(spec)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"latdisc: error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_gen_fibonacci_small_k_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "fibonacci", "--k", "2"])
+    assert exc.value.code == 2
+    assert "latdisc: error: k must be at least 3" in capsys.readouterr().err
+
+
+def test_every_option_has_help():
+    import argparse
+
+    from latdisc.cli import build_parser
+
+    def walk(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from walk(sub, path + (name,))
+            elif action.option_strings:
+                yield path, action
+
+    options = list(walk(build_parser(), ("latdisc",)))
+    assert len(options) > 20
+    missing = [(" ".join(p), a.option_strings) for p, a in options if not a.help]
+    assert missing == []

@@ -7,9 +7,15 @@ import pytest
 from latdisc import reduction
 from latdisc.errors import DimensionGuardError
 from latdisc.harness import CorpusSpec, builtin_corpus, corpus_lattice
-from latdisc.lattice import fibonacci_lattice, rank1_lattice
-from latdisc.ratlin import as_mat, lattices_equal, norm_sq, vec_dot
+from latdisc.lattice import (
+    dual_basis,
+    fibonacci_lattice,
+    hermite_normal_form,
+    korobov_lattice,
+    rank1_lattice,
+)
 from latdisc.reduction import (
+    LLL_DELTA,
     cell_diameter,
     cell_diameter_sq,
     hyperplane_family,
@@ -19,6 +25,76 @@ from latdisc.reduction import (
     shortest_vectors,
     spectral_test,
 )
+
+
+def norm_sq(v):
+    return sum(x * x for x in v)
+
+
+def reference_gram_schmidt(rows):
+    """Gram-Schmidt in Fractions: (orthogonal rows, mu)."""
+    d = len(rows)
+    ortho = []
+    mu = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        v = tuple(Fraction(x) for x in rows[i])
+        for j in range(i):
+            mu[i][j] = sum(a * b for a, b in zip(rows[i], ortho[j])) / norm_sq(ortho[j])
+            v = tuple(a - mu[i][j] * b for a, b in zip(v, ortho[j]))
+        ortho.append(v)
+    return ortho, mu
+
+
+def reference_lll(basis):
+    """Test-only reference: LLL in Fractions with delta 3/4, recomputing the
+    full Gram-Schmidt after every step. Row k is size-reduced against rows
+    k-1, ..., 0 with `round` (halves to even), then the Lovasz test.
+    Returns (rows, transform)."""
+    rows = [tuple(Fraction(x) for x in r) for r in basis]
+    d = len(rows)
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    ortho, mu = reference_gram_schmidt(rows)
+    k = 1
+    while k < d:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                q = round(mu[k][j])
+                rows[k] = tuple(a - q * b for a, b in zip(rows[k], rows[j]))
+                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                ortho, mu = reference_gram_schmidt(rows)
+        if norm_sq(ortho[k]) >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm_sq(ortho[k - 1]):
+            k += 1
+        else:
+            rows[k], rows[k - 1] = rows[k - 1], rows[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            ortho, mu = reference_gram_schmidt(rows)
+            k = max(k - 1, 1)
+    return tuple(rows), tuple(tuple(r) for r in u)
+
+
+def assert_lll_matches_reference(lat):
+    """Rows and transform of the integral LLL equal the Fraction reference on
+    the primal basis (rows over lat.denom) and on the dual basis."""
+    for basis, denom in ((lat.basis, lat.denom), (dual_basis(lat).basis, 1)):
+        rows, transform = reference_lll([[Fraction(x, denom) for x in r] for r in basis])
+        rb = lll_reduce(basis)
+        assert rb.transform == transform
+        assert tuple(tuple(Fraction(x, denom) for x in r) for r in rb.rows) == rows
+
+
+def test_lll_matches_fraction_reference_on_the_corpus():
+    for entry in builtin_corpus(CorpusSpec(), 20200817):
+        assert_lll_matches_reference(corpus_lattice(entry))
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [korobov_lattice(1009, 76, d) for d in (5, 6, 7, 8)]
+    + [rank1_lattice(4099, (1, 1233, 2001, 3001, 777))],
+    ids=lambda lat: f"d{lat.dim}-n{lat.n_points}",
+)
+def test_lll_matches_fraction_reference_in_higher_dimensions(lat):
+    assert_lll_matches_reference(lat)
 
 
 def brute_force_min_dual_norm_sq(n, g):
@@ -67,7 +143,7 @@ def _box(d, w):
 
 def test_lll_identity_fixed_point():
     rb = lll_reduce([[1, 0], [0, 1]])
-    assert rb.rows == as_mat([[1, 0], [0, 1]])
+    assert rb.rows == ((1, 0), (0, 1))
     assert rb.transform == ((1, 0), (0, 1))
 
 
@@ -83,37 +159,38 @@ def test_lll_rank1_5_12_reaches_minimal_norms():
                 if nsq > 0 and (best is None or nsq < best):
                     best = nsq
     assert best == Fraction(1, 5)
-    rb = lll_reduce([[Fraction(1, 5), Fraction(2, 5)], [0, 1]])
-    assert sorted(norm_sq(r) for r in rb.rows) == [Fraction(1, 5), Fraction(1, 5)]
-    assert lattices_equal(rb.rows, rb.source)
+    # the basis (1/5, 2/5), (0, 1) over denominator 5: squared norm 1/5 is 5
+    rb = lll_reduce([[1, 2], [0, 5]])
+    assert sorted(norm_sq(r) for r in rb.rows) == [5, 5]
+    assert hermite_normal_form(rb.rows) == hermite_normal_form(rb.source)
 
 
 def test_lll_permutation_spans_same_lattice():
-    rows = [[Fraction(1, 5), Fraction(2, 5)], [Fraction(2, 5), Fraction(-1, 5)]]
+    rows = [[1, 2], [2, -1]]  # (1/5, 2/5), (2/5, -1/5) over denominator 5
     rb1 = lll_reduce(rows)
     rb2 = lll_reduce(rows[::-1])
-    assert lattices_equal(rb1.rows, rb2.rows)
+    assert hermite_normal_form(rb1.rows) == hermite_normal_form(rb2.rows)
 
 
 def test_lll_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dependent"):
         lll_reduce([[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
-        lll_reduce([[1, 0], [0, 1]], delta=0.2)
+    with pytest.raises(ValueError, match="integers"):
+        lll_reduce([[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(ValueError, match="integers"):
+        lll_reduce([[0.5, 0], [0, 1]])
 
 
 def test_lll_size_reduction_and_lovasz_hold():
     lat = fibonacci_lattice(12)
     rb = lll_reduce(lat.basis)
-    from latdisc.reduction import _gram_schmidt
-
-    ortho, mu = _gram_schmidt(list(rb.rows))
+    ortho, mu = reference_gram_schmidt(rb.rows)
     d = rb.dim
     for i in range(d):
         for j in range(i):
             assert abs(mu[i][j]) <= Fraction(1, 2)
     for k in range(1, d):
-        assert norm_sq(ortho[k]) >= (rb.delta - mu[k][k - 1] ** 2) * norm_sq(
+        assert norm_sq(ortho[k]) >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm_sq(
             ortho[k - 1]
         )
 
@@ -125,22 +202,18 @@ def test_shortest_vector_zd_tiebreak_is_last_axis():
 
 
 def test_shortest_vector_dual_rank1_5_12():
-    from latdisc.lattice import dual_basis
-
     db = dual_basis(rank1_lattice(5, (1, 2)))
     sv = shortest_vector(db.basis)
     assert sv.norm_sq_exact == 5
     assert brute_force_min_dual_norm_sq(5, (1, 2)) == 5
-    h = tuple(int(x) for x in sv.vector)
+    h = sv.vector
     assert (h[0] + 2 * h[1]) % 5 == 0
 
 
 def test_shortest_vector_dual_fibonacci_55():
-    from latdisc.lattice import dual_basis
-
     db = dual_basis(rank1_lattice(55, (1, 34)))
     sv = shortest_vector(db.basis)
-    assert int(sv.norm_sq_exact) == brute_force_min_dual_norm_sq(55, (1, 34))
+    assert sv.norm_sq_exact == brute_force_min_dual_norm_sq(55, (1, 34))
 
 
 def test_shortest_vector_dimension_guard():
@@ -185,10 +258,12 @@ def test_cell_diameter_unit_square():
 
 
 def test_cell_diameter_reduced_rank1():
-    rb = lll_reduce([[Fraction(1, 5), Fraction(2, 5)], [Fraction(2, 5), Fraction(-1, 5)]])
-    # both sign patterns give squared norm 2/5 (evaluated by hand)
-    assert cell_diameter_sq(rb) == Fraction(2, 5)
-    assert cell_diameter(rb) == pytest.approx(math.sqrt(0.4))
+    # (1/5, 2/5), (2/5, -1/5) over denominator 5
+    rb = lll_reduce([[1, 2], [2, -1]])
+    # both sign patterns give squared norm 2/5, that is 10 / 5^2 (evaluated by hand)
+    assert cell_diameter_sq(rb) == 10
+    assert cell_diameter(rb) == pytest.approx(math.sqrt(10))
+    assert spectral_test(rank1_lattice(5, (1, 2))).diam_cell_sq == Fraction(2, 5)
 
 
 def test_cell_diameter_at_least_max_row():
@@ -199,8 +274,6 @@ def test_cell_diameter_at_least_max_row():
 
 
 def test_shortest_vectors_k_list_is_sorted_and_distinct():
-    from latdisc.lattice import dual_basis
-
     db = dual_basis(fibonacci_lattice(10))
     svs = shortest_vectors(db.basis, 10)
     assert len(svs) == 10
@@ -209,7 +282,7 @@ def test_shortest_vectors_k_list_is_sorted_and_distinct():
     assert len({sv.coefficients for sv in svs}) == 10
     # all satisfy the dual congruence h1 + 34 h2 = 0 mod 55
     for sv in svs:
-        h = tuple(int(x) for x in sv.vector)
+        h = sv.vector
         assert (h[0] + 34 * h[1]) % 55 == 0
 
 
@@ -241,9 +314,9 @@ def test_every_point_on_some_hyperplane():
 
     lat = rank1_lattice(5, (1, 2))
     pts = enumerate_points(lat)
-    h = as_mat([(2, -1)])[0]
+    h = (2, -1)
     for p in pts.points:
-        assert vec_dot(p, h).denominator == 1
+        assert sum(a * b for a, b in zip(p, h)).denominator == 1
 
 
 def test_fibonacci_sigma_scaling_window():
