@@ -66,13 +66,24 @@ def _seed(args, default: int = 0) -> int:
     return default if args.seed is None else args.seed
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+def _parse_list(text: str, flag: str, kind=int) -> list:
+    """The comma list given to `flag` as `kind` values (int, or float, which
+    also reads inf); empty entries are skipped. ValueError names the flag
+    and the entry."""
+    out = []
+    for tok in text.split(","):
+        if tok:
+            try:
+                out.append(kind(tok))
+            except ValueError:
+                expected = "an integer" if kind is int else "a number or inf"
+                raise ValueError(f"{flag}: entry {tok!r} is not {expected}") from None
+    return out
 
 
 def _cmd_gen(args) -> int:
     if args.family == "rank1":
-        g = _parse_int_list(args.g)
+        g = _parse_list(args.g, "--g")
         lat = rank1_lattice(args.n, g)
         if lat.n_points == args.n:
             _emit(args, format_rank1_text(args.n, g))
@@ -125,7 +136,7 @@ def _cmd_isodisc(args) -> int:
 def _cmd_distnorm(args) -> int:
     lat = _read_lattice(args.lattice)
     ps = enumerate_points(lat)
-    gammas = [math.inf if t == "inf" else float(t) for t in args.gamma.split(",")]
+    gammas = _parse_list(args.gamma, "--gamma", float)
     reports = distance_norms(ps, gammas, DistanceNormConfig(covering_tol=args.tol))
     _emit_json(
         args,
@@ -152,7 +163,7 @@ def _cmd_geom(args) -> int:
 
 def _cmd_bounds_remark(args) -> int:
     rows = []
-    for d in _parse_int_list(args.dims):
+    for d in _parse_list(args.dims, "--dims"):
         rows.append(
             {
                 "d": d,

@@ -22,7 +22,6 @@ from . import __version__, distance
 from .convex import (
     AxisBox,
     Ball,
-    VPolytope,
     binom_kappa_sum,
     offset_volumes,
     parallel_volume_derivative_check,
@@ -55,28 +54,23 @@ ALL_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class BoundCheckReport:
-    check: str
-    subject: str
-    lhs: float
-    rhs: float | None
-    verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "subject": self.subject,
-            "lhs": float(self.lhs),
-            "rhs": None if self.rhs is None else float(self.rhs),
-            "uncertainty": 0.0,  # nothing is sampled; kept so artifacts keep their columns
-            "verdict": self.verdict,
-        }
-
-
 def verdict_for(lhs: float, rhs: float) -> str:
     """FAIL iff lhs > rhs."""
     return FAIL if lhs > rhs else PASS
+
+
+def _row(
+    check: str, subject: str, lhs: float, rhs: float | None, verdict: str | None = None
+) -> dict:
+    """One row of campaign.json; the verdict defaults to verdict_for(lhs, rhs)."""
+    return {
+        "check": check,
+        "subject": subject,
+        "lhs": float(lhs),
+        "rhs": None if rhs is None else float(rhs),
+        "uncertainty": 0.0,  # nothing is sampled; kept so artifacts keep their columns
+        "verdict": verdict_for(lhs, rhs) if verdict is None else verdict,
+    }
 
 
 @dataclass(frozen=True)
@@ -87,6 +81,17 @@ class CorpusSpec:
     rank1_per_cell: int = 20
     zd_dims: tuple[int, ...] = (2, 3, 4)
     include_bad_lattice: bool = True
+
+    def __post_init__(self):
+        k = self.fibonacci_k
+        if not (
+            isinstance(k, tuple) and len(k) == 2 and all(isinstance(x, int) for x in k)
+            and k[0] >= 3
+        ):
+            raise ValueError(
+                "corpus.fibonacci_k must be a pair (k_lo, k_hi) of integers with k_lo >= 3,"
+                f" got {k!r}"
+            )
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -241,10 +246,6 @@ def brute_force_min_dual_norm_sq(n: int, g: tuple[int, ...]) -> int:
 # Per-task check runners (top-level functions so ProcessPool can pickle them)
 # ---------------------------------------------------------------------------
 
-def _norm_config(d: int, budgets: Budgets) -> DistanceNormConfig:
-    return DistanceNormConfig(covering_tol=budgets.covering_tols.get(d, 5e-2))
-
-
 def _thm2_specs(budgets: Budgets, d: int) -> list[tuple[tuple, ProxySpec, float]]:
     """((s, p, q), ProxySpec, gamma as a float) for each thm2 triple."""
     out = []
@@ -254,67 +255,48 @@ def _thm2_specs(budgets: Budgets, d: int) -> list[tuple[tuple, ProxySpec, float]
     return out
 
 
-def run_lattice_task(args: dict) -> dict:
-    """All selected lattice-level checks for one corpus member."""
-    lattice_id, n, g = args["id"], args["n"], tuple(args["g"])
-    checks = args["checks"]
-    budgets = Budgets(**args["budgets"]) if isinstance(args["budgets"], dict) else args["budgets"]
-    seed = args["seed"]
+def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -> dict:
+    """All selected lattice-level checks for one corpus member; a Fibonacci
+    member also writes its thm2 table rows."""
     lat = rank1_lattice(n, g)
     d = lat.dim
-    rows: list[BoundCheckReport] = []
+    tol = c.budgets.covering_tols.get(d, 5e-2)
+    rows: list[dict] = []
     tables: dict[str, list[dict]] = {"thm1": [], "prop1": [], "thm2": []}
     rep = spectral_test(lat)
     points = None
-    if "spectral-exact" in checks and d <= 3 and lat.n_points <= 4096:
+    if "spectral-exact" in c.checks and d <= 3 and lat.n_points <= 4096:
         oracle = brute_force_min_dual_norm_sq(n, g)
-        rows.append(
-            BoundCheckReport(
-                "spectral-exact",
-                lattice_id,
-                float(abs(rep.dual_norm_sq - oracle)),
-                0.0,
-                PASS if rep.dual_norm_sq == oracle else FAIL,
-            )
-        )
-    if "thm1" in checks:
+        rows.append(_row(
+            "spectral-exact", lattice_id, abs(rep.dual_norm_sq - oracle), 0.0,
+            PASS if rep.dual_norm_sq == oracle else FAIL,
+        ))
+    if "thm1" in c.checks:
         points = enumerate_points(lat)
         t1 = verify_thm1(
             lat,
-            budget=budgets.witness_budget,
-            seed=seed,
+            budget=c.budgets.witness_budget,
+            seed=c.seed,
             lattice_id=lattice_id,
             report=rep,
             points=points,
         )
-        rows.append(
-            BoundCheckReport(
-                "thm1",
-                lattice_id,
-                t1.j_lower,
-                min(1.0, t1.bound),
-                t1.verdict,
-            )
-        )
-        rows.append(
-            BoundCheckReport(
-                "thm1-slab-floor",
-                lattice_id,
-                t1.slab_floor,
-                t1.slab_value,
-                PASS if t1.slab_floor_ok else FAIL,
-            )
-        )
+        rows.append(_row("thm1", lattice_id, t1.j_lower, min(1.0, t1.bound), t1.verdict))
+        rows.append(_row(
+            "thm1-slab-floor", lattice_id, t1.slab_floor, t1.slab_value,
+            PASS if t1.slab_floor_ok else FAIL,
+        ))
         tables["thm1"].append(t1.to_json_dict())
-    thm2 = _thm2_specs(budgets, d) if "thm2-diagnostic" in checks else []
-    if "prop1" in checks or thm2:
+    fibonacci = lattice_id.startswith("fib-k") and "thm2-diagnostic" in c.checks
+    thm2 = _thm2_specs(c.budgets, d) if fibonacci else []
+    if "prop1" in c.checks or thm2:
         if points is None:
             points = enumerate_points(lat)
         # one distance pass serves prop1 and thm2; a shared gamma is computed once
-        prop1_gammas = budgets.prop1_gammas if "prop1" in checks else ()
+        prop1_gammas = c.budgets.prop1_gammas if "prop1" in c.checks else ()
         gammas = dict.fromkeys([*prop1_gammas, *(gamma for _, _, gamma in thm2)])
-        norms = distance.distance_norms(points, gammas, _norm_config(d, budgets))
-    if "prop1" in checks:
+        norms = distance.distance_norms(points, gammas, DistanceNormConfig(covering_tol=tol))
+    if "prop1" in c.checks:
         p1 = verify_prop1(
             lat,
             gammas=prop1_gammas,
@@ -322,34 +304,19 @@ def run_lattice_task(args: dict) -> dict:
             report=rep,
             norm_reports=norms,
         )
-        rows.append(
-            BoundCheckReport(
-                "prop1-volA", lattice_id, 0.5, p1.vol_a_td,
-                PASS if p1.vol_a_ok else FAIL,
-            )
-        )
-        rows.append(
-            BoundCheckReport(
-                "prop1-volB-bound",
-                lattice_id,
-                float(1.0 - p1.vol_a_td),
-                p1.vol_b_bound,
-                PASS if p1.vol_b_bound_ok else FAIL,
-            )
-        )
-        for gname, norm, lb, ok in zip(
-            p1.gammas, p1.norms, p1.lower_bounds, p1.lower_ok
-        ):
+        rows.append(_row(
+            "prop1-volA", lattice_id, 0.5, p1.vol_a_td, PASS if p1.vol_a_ok else FAIL
+        ))
+        rows.append(_row(
+            "prop1-volB-bound", lattice_id, 1.0 - p1.vol_a_td, p1.vol_b_bound,
+            PASS if p1.vol_b_bound_ok else FAIL,
+        ))
+        for gname, norm, lb, ok in zip(p1.gammas, p1.norms, p1.lower_bounds, p1.lower_ok):
             label = "inf" if math.isinf(gname) else f"{gname:g}"
-            rows.append(
-                BoundCheckReport(
-                    f"prop1-lower-g{label}",
-                    lattice_id,
-                    lb,
-                    norm.lower_certified,
-                    PASS if ok else FAIL,
-                )
-            )
+            rows.append(_row(
+                f"prop1-lower-g{label}", lattice_id, lb, norm.lower_certified,
+                PASS if ok else FAIL,
+            ))
             tables["prop1"].append(
                 {
                     "id": lattice_id,
@@ -359,24 +326,11 @@ def run_lattice_task(args: dict) -> dict:
                     "ratio": norm.value / p1.sigma,
                 }
             )
-        rows.append(
-            BoundCheckReport(
-                "prop1-ratio-inf", lattice_id, p1.ratio_inf, None, RECORDED
-            )
-        )
+        rows.append(_row("prop1-ratio-inf", lattice_id, p1.ratio_inf, None, RECORDED))
         for gname, norm in zip(p1.gammas, p1.norms):
             if math.isinf(gname):
                 width = norm.upper_certified - norm.lower_certified
-                tol = budgets.covering_tols.get(d, 5e-2)
-                rows.append(
-                    BoundCheckReport(
-                        "prop1-covering-width",
-                        lattice_id,
-                        width,
-                        tol * (1 + 1e-9),
-                        verdict_for(width, tol * (1 + 1e-9)),
-                    )
-                )
+                rows.append(_row("prop1-covering-width", lattice_id, width, tol * (1 + 1e-9)))
     for (s, p, q), spec, gamma in thm2:
         proxy = norms[gamma].value ** float(spec.exponent)
         scale_exp = s / d - max(float(spec.inv_p - spec.inv_q), 0.0)
@@ -391,108 +345,59 @@ def run_lattice_task(args: dict) -> dict:
                 "sigma_sqrt_n": rep.sigma * math.sqrt(lat.n_points),
             }
         )
-    return {"rows": [r.to_json_dict() for r in rows], "tables": tables}
+    return {"rows": rows, "tables": tables}
 
 
-def run_body_task(args: dict) -> dict:
+def run_body_task(c: Campaign, d: int, index: int) -> dict:
     """Lemma and Steiner checks for one random convex body."""
-    d = args["d"]
-    index = args["index"]
-    checks = args["checks"]
-    budgets = Budgets(**args["budgets"]) if isinstance(args["budgets"], dict) else args["budgets"]
-    seed = args["seed"]
     kinds = ["ball", "box", "hpoly"] + (["hull"] if d <= 3 else [])
-    rng = chunk_rng(seed ^ 0xB0D1E5, d * 10_000 + index)
+    rng = chunk_rng(c.seed ^ 0xB0D1E5, d * 10_000 + index)
     body = random_body(d, rng, kinds[index % len(kinds)])
     subject = f"{type(body).__name__.lower()}-d{d}-i{index:02d}"
-    rhos = list(budgets.rhos)
+    rhos = list(c.budgets.rhos)
     outer = offset_volumes(body, rhos, "outer")
     inner = offset_volumes(body, rhos, "inner")
-    rows: list[BoundCheckReport] = []
+    rows: list[dict] = []
     for rho, o, i in zip(rhos, outer, inner):
-        if "lemma2" in checks:
-            rows.append(
-                BoundCheckReport(
-                    "lemma2", f"{subject}-rho{rho:g}", i.value, o.value,
-                    verdict_for(i.value, o.value),
-                )
-            )
-        if "lemma3" in checks:
-            lhs = max(o.value, i.value)
-            rhs = 2 ** (d + 3) * rho
-            rows.append(
-                BoundCheckReport(
-                    "lemma3", f"{subject}-rho{rho:g}", lhs, rhs, verdict_for(lhs, rhs),
-                )
-            )
-        if "corollary1" in checks:
-            lhs = o.value + i.value
-            rhs = d * 2 ** (d + 4) * rho
-            rows.append(
-                BoundCheckReport(
-                    "corollary1", f"{subject}-rho{rho:g}", lhs, rhs, verdict_for(lhs, rhs),
-                )
-            )
-        if "steiner" in checks and isinstance(body, (Ball, AxisBox)):
+        at = f"{subject}-rho{rho:g}"
+        if "lemma2" in c.checks:
+            rows.append(_row("lemma2", at, i.value, o.value))
+        if "lemma3" in c.checks:
+            rows.append(_row("lemma3", at, max(o.value, i.value), 2 ** (d + 3) * rho))
+        if "corollary1" in c.checks:
+            rows.append(_row("corollary1", at, o.value + i.value, d * 2 ** (d + 4) * rho))
+        if "steiner" in c.checks and isinstance(body, (Ball, AxisBox)):
             # Minkowski identity on the closed-form bodies; agreement is
             # limited only by float roundoff. For a polytope both sides come
             # from the same Steiner polynomial, so the polytope path is
             # checked against independent references in the unit tests.
             st = steiner_volume(body, rho)
             expected = st.value - body.volume_exact()
-            lhs = abs(o.value - expected)
-            rows.append(
-                BoundCheckReport(
-                    "steiner", f"{subject}-rho{rho:g}", lhs, 1e-12, verdict_for(lhs, 1e-12),
-                )
-            )
-    if "lemma1" in checks and isinstance(body, (Ball, AxisBox)):
+            rows.append(_row("steiner", at, abs(o.value - expected), 1e-12))
+    if "lemma1" in c.checks and isinstance(body, (Ball, AxisBox)):
         h = 1e-3
         for rho in rhos:
             fd, analytic = parallel_volume_derivative_check(body, rho, h)
-            lhs = abs(fd - analytic)
-            rows.append(
-                BoundCheckReport(
-                    "lemma1", f"{subject}-rho{rho:g}", lhs, 1e-3, verdict_for(lhs, 1e-3),
-                )
-            )
-    return {"rows": [r.to_json_dict() for r in rows], "tables": {}}
+            rows.append(_row("lemma1", f"{subject}-rho{rho:g}", abs(fd - analytic), 1e-3))
+    return {"rows": rows, "tables": {}}
 
 
-def run_remark_task(args: dict) -> dict:
-    budgets = Budgets(**args["budgets"]) if isinstance(args["budgets"], dict) else args["budgets"]
-    rows: list[BoundCheckReport] = []
+def run_remark_task(c: Campaign) -> dict:
+    """The Remark's sandwich of the binomial-kappa sum over the budget's dimensions."""
+    budgets = c.budgets
     s2 = math.exp(binom_kappa_sum(2))
-    rows.append(
-        BoundCheckReport(
-            "remark-s2",
-            "d2",
-            abs(s2 - (4 + math.pi)),
-            1e-10,
-            verdict_for(abs(s2 - (4 + math.pi)), 1e-10),
-        )
-    )
+    rows = [_row("remark-s2", "d2", abs(s2 - (4 + math.pi)), 1e-10)]
     for d in budgets.remark_dims:
         log_sum = binom_kappa_sum(d)
-        lo = remark_lower(d, budgets.remark_delta)
-        hi = remark_upper(d, budgets.remark_kappa)
-        rows.append(
-            BoundCheckReport(
-                "remark-lower", f"d{d}", lo, log_sum, verdict_for(lo, log_sum)
-            )
-        )
-        rows.append(BoundCheckReport("remark-upper", f"d{d}", log_sum, hi, RECORDED))
+        rows.append(_row("remark-lower", f"d{d}", remark_lower(d, budgets.remark_delta), log_sum))
+        rows.append(_row(
+            "remark-upper", f"d{d}", log_sum, remark_upper(d, budgets.remark_kappa), RECORDED
+        ))
         if d >= 1000:
             lhs = log_sum / d ** (2 / 3)
-            rhs = budgets.remark_kappa * math.log(
-                d * math.sqrt(2 * math.e**3 * math.pi)
-            )
-            rows.append(
-                BoundCheckReport(
-                    "remark-upper-scaled", f"d{d}", lhs, rhs, verdict_for(lhs, rhs),
-                )
-            )
-    return {"rows": [r.to_json_dict() for r in rows], "tables": {}}
+            rhs = budgets.remark_kappa * math.log(d * math.sqrt(2 * math.e**3 * math.pi))
+            rows.append(_row("remark-upper-scaled", f"d{d}", lhs, rhs))
+    return {"rows": rows, "tables": {}}
 
 
 def run_thm2_task(detail_rows: list[dict]) -> list[dict]:
@@ -504,27 +409,19 @@ def run_thm2_task(detail_rows: list[dict]) -> list[dict]:
     proxies: dict[str, list[float]] = {}
     for r in detail_rows:
         proxies.setdefault(r["triple"], []).append(r["scaled"])
-    rows = []
     sigma = [r["sigma_sqrt_n"] for r in detail_rows]
-    for key, vals in [("sigma", sigma), *sorted(proxies.items())]:
-        ratio = max(vals) / min(vals)
-        rows.append(
-            BoundCheckReport(
-                f"thm2-window-{key}", "fibonacci", ratio, 10.0, verdict_for(ratio, 10.0),
-            ).to_json_dict()
-        )
-    return rows
+    return [
+        _row(f"thm2-window-{key}", "fibonacci", max(vals) / min(vals), 10.0)
+        for key, vals in [("sigma", sigma), *sorted(proxies.items())]
+    ]
 
 
-def _run_task(task: tuple[str, dict]) -> dict:
-    kind, args = task
-    if kind == "lattice":
-        return run_lattice_task(args)
-    if kind == "body":
-        return run_body_task(args)
-    if kind == "remark":
-        return run_remark_task(args)
-    raise ValueError(f"unknown task kind {kind!r}")
+def _run_task(task: tuple) -> dict:
+    """Run one `(kind, campaign, *key)` task. The runners are looked up when
+    the task runs, so a rebinding of the module's names takes effect."""
+    kind, c, *key = task
+    run = {"lattice": run_lattice_task, "body": run_body_task, "remark": run_remark_task}[kind]
+    return run(c, *key)
 
 
 # ---------------------------------------------------------------------------
@@ -552,48 +449,20 @@ class CampaignResult:
         }
 
 
-def _build_tasks(c: Campaign) -> list[tuple[str, dict]]:
-    budgets_dict = {
-        **asdict(c.budgets),
-    }
-    tasks: list[tuple[str, dict]] = []
+def _build_tasks(c: Campaign) -> list[tuple]:
+    tasks: list[tuple] = []
     lattice_checks = {"spectral-exact", "thm1", "prop1"} & set(c.checks)
     # the thm2 diagnostic rides on the Fibonacci members' lattice tasks
-    fib_checks = lattice_checks | ({"thm2-diagnostic"} & set(c.checks))
+    thm2 = "thm2-diagnostic" in c.checks
     for lattice_id, n, g in builtin_corpus(c.corpus, c.seed):
-        checks = fib_checks if lattice_id.startswith("fib-k") else lattice_checks
-        if checks:
-            tasks.append(
-                (
-                    "lattice",
-                    {
-                        "id": lattice_id,
-                        "n": n,
-                        "g": list(g),
-                        "checks": sorted(checks),
-                        "budgets": budgets_dict,
-                        "seed": c.seed,
-                    },
-                )
-            )
-    body_checks = {"lemma1", "lemma2", "lemma3", "corollary1", "steiner"} & set(c.checks)
-    if body_checks:
+        if lattice_checks or (thm2 and lattice_id.startswith("fib-k")):
+            tasks.append(("lattice", c, lattice_id, n, g))
+    if {"lemma1", "lemma2", "lemma3", "corollary1", "steiner"} & set(c.checks):
         for d in c.budgets.body_dims:
             for index in range(c.budgets.body_count):
-                tasks.append(
-                    (
-                        "body",
-                        {
-                            "d": d,
-                            "index": index,
-                            "checks": sorted(body_checks),
-                            "budgets": budgets_dict,
-                            "seed": c.seed,
-                        },
-                    )
-                )
+                tasks.append(("body", c, d, index))
     if "remark" in c.checks:
-        tasks.append(("remark", {"budgets": budgets_dict}))
+        tasks.append(("remark", c))
     return tasks
 
 
@@ -655,52 +524,46 @@ def write_artifacts(result: CampaignResult, out_dir: Path) -> list[Path]:
 
 
 def report_tables(result: CampaignResult, out_dir: Path) -> list[Path]:
-    """CSV emissions with a stable, documented column order."""
+    """CSV emissions with a stable, documented column order. Each table is
+    written from one list of row keys; a key's "lattice_" prefix is dropped
+    from its column header (thm1.csv's `id` is the row's `lattice_id`)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def write_csv(name: str, header: list[str], rows: list[list]) -> None:
+    def write_csv(name: str, keys: list[str], rows: list[dict]) -> None:
         p = out_dir / name
         with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+            w = csv.writer(fh)  # writes a None rhs as an empty field
+            w.writerow([k.removeprefix("lattice_") for k in keys])
+            w.writerows([[r[k] for k in keys] for r in rows])
         written.append(p)
 
     write_csv(
-        "checks.csv",
-        ["check", "subject", "lhs", "rhs", "uncertainty", "verdict"],
-        [
-            [r["check"], r["subject"], r["lhs"], "" if r["rhs"] is None else r["rhs"], r["uncertainty"], r["verdict"]]
-            for r in result.rows
-        ],
+        "checks.csv", ["check", "subject", "lhs", "rhs", "uncertainty", "verdict"], result.rows
     )
     if result.tables.get("thm1"):
         write_csv(
             "thm1.csv",
-            ["id", "d", "N", "sigma", "j_lower", "bound", "verdict"],
-            [
-                [t["lattice_id"], t["d"], t["N"], t["sigma"], t["j_lower"], t["bound"], t["verdict"]]
-                for t in result.tables["thm1"]
-            ],
+            ["lattice_id", "d", "N", "sigma", "j_lower", "bound", "verdict"],
+            result.tables["thm1"],
         )
     if result.tables.get("prop1"):
         write_csv(
-            "prop1.csv",
-            ["id", "gamma", "norm", "lower_bound", "ratio"],
-            [
-                [t["id"], t["gamma"], t["norm"], t["lower_bound"], t["ratio"]]
-                for t in result.tables["prop1"]
-            ],
+            "prop1.csv", ["id", "gamma", "norm", "lower_bound", "ratio"], result.tables["prop1"]
         )
     remark = [r for r in result.rows if r["check"] == "remark-upper"]
     if remark:
-        lower = {r["subject"]: r for r in result.rows if r["check"] == "remark-lower"}
+        lower = {r["subject"]: r["lhs"] for r in result.rows if r["check"] == "remark-lower"}
         write_csv(
             "remark.csv",
             ["d", "log_sum", "log_lower", "log_upper"],
             [
-                [r["subject"].removeprefix("d"), r["lhs"], lower[r["subject"]]["lhs"], r["rhs"]]
+                {
+                    "d": r["subject"].removeprefix("d"),
+                    "log_sum": r["lhs"],
+                    "log_lower": lower[r["subject"]],
+                    "log_upper": r["rhs"],
+                }
                 for r in remark
             ],
         )
@@ -708,9 +571,6 @@ def report_tables(result: CampaignResult, out_dir: Path) -> list[Path]:
         write_csv(
             "thm2.csv",
             ["k", "N", "sigma", "triple", "proxy", "scaled", "sigma_sqrt_n"],
-            [
-                [t["k"], t["N"], t["sigma"], t["triple"], t["proxy"], t["scaled"], t["sigma_sqrt_n"]]
-                for t in result.tables["thm2"]
-            ],
+            result.tables["thm2"],
         )
     return written

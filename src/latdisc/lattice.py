@@ -15,7 +15,6 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -69,21 +68,6 @@ class LatticePointSet:
 
     def as_array(self) -> np.ndarray:
         return self.ints / self.denom
-
-    @cached_property
-    def points(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The points as tuples of Fractions, built on first use."""
-        return tuple(
-            tuple(Fraction(x, self.denom) for x in row) for row in self.ints.tolist()
-        )
-
-
-@dataclass(frozen=True)
-class DualBasis:
-    """Integer rows generating L^perp = {h in Z^d : h.x in Z for all x in L}."""
-
-    dim: int
-    basis: Mat
 
 
 def hermite_normal_form(rows) -> Mat:
@@ -238,13 +222,13 @@ def enumerate_points(
         steps %= denom
         ints = ((ints[:, None, :] + steps[None, :, :]) % denom).reshape(-1, d)
     ints = ints[np.lexsort(ints.T[::-1])]
-    ints.setflags(write=False)  # `points` is cached from it
+    ints.setflags(write=False)
     return LatticePointSet(d, ints, denom, source=lat)
 
 
-def dual_basis(lat: IntegrationLattice) -> DualBasis:
-    """Integer basis of L^perp, the inverse-transpose of basis / D, which
-    is D adj(basis)^T / det(basis).
+def dual_basis(lat: IntegrationLattice) -> Mat:
+    """Integer rows generating L^perp = {h in Z^d : h.x in Z for all x in L}:
+    the inverse-transpose of basis / D, which is D adj(basis)^T / det(basis).
 
     Verified exactly: integer entries, integer inner products against all
     primal rows, and |det| = N.
@@ -265,7 +249,7 @@ def dual_basis(lat: IntegrationLattice) -> DualBasis:
         raise ValueError(
             f"dual determinant {lat.denom**lat.dim // det_b} does not match N = {lat.n_points}"
         )
-    return DualBasis(lat.dim, rows)
+    return rows
 
 
 def validate(lat: IntegrationLattice) -> list[str]:
@@ -370,11 +354,10 @@ def format_rank1_text(n: int, g: Iterable[int]) -> str:
     return f"{len(g)} {n}\nrank1: " + " ".join(str(x) for x in g) + "\n"
 
 
-def _decimal_str(x: Fraction, precision: int) -> str:
-    """Round-half-up decimal rendering done in integer arithmetic."""
+def _decimal_str(num: int, den: int, precision: int) -> str:
+    """num / den, rounded half up to `precision` decimals in integer arithmetic."""
     scale = 10**precision
-    num = x.numerator * scale * 2 + x.denominator
-    q = num // (2 * x.denominator)
+    q = (2 * num * scale + den) // (2 * den)
     sign = "-" if q < 0 else ""
     q = abs(q)
     whole, frac = divmod(q, scale)
@@ -387,8 +370,8 @@ def write_points_csv(
     """One point per row; decimal strings, or exact "p/q" when exact=True."""
     writer = csv.writer(out)
     writer.writerow([f"x{i + 1}" for i in range(ps.dim)])
-    for p in ps.points:
+    for row in ps.ints.tolist():
         if exact:
-            writer.writerow([str(c) for c in p])
+            writer.writerow([str(Fraction(x, ps.denom)) for x in row])
         else:
-            writer.writerow([_decimal_str(c, precision) for c in p])
+            writer.writerow([_decimal_str(x, ps.denom, precision) for x in row])

@@ -213,9 +213,7 @@ def enumerate_below(rows: Mat, bound_sq: int) -> list[tuple[tuple[int, ...], int
     def search(level: int, used: float) -> None:
         if level < 0:
             if any(coeff):
-                u = tuple(coeff)
-                if u[next(i for i in range(d) if u[i])] < 0:
-                    u = tuple(-c for c in u)
+                u = _sign_normalised(tuple(coeff))
                 if u not in found:
                     v = _combination(rows, u)
                     nsq = _dot(v, v)
@@ -238,13 +236,46 @@ def enumerate_below(rows: Mat, bound_sq: int) -> list[tuple[tuple[int, ...], int
     return sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
 
 
-def _check_reduction(src: Mat, reduced: ReducedBasis | None) -> ReducedBasis:
-    """`reduced` if it is the LLL reduction of `src`, else reduce `src` now."""
+def _sign_normalised(u: tuple[int, ...]) -> tuple[int, ...]:
+    """u or -u, whichever has a positive first nonzero entry."""
+    return tuple(-c for c in u) if next(c for c in u if c) < 0 else u
+
+
+def _short_vector_search(
+    basis, reduced: ReducedBasis | None, k: int, caller: str
+) -> tuple[Mat, list[tuple[tuple[int, ...], int]]]:
+    """(rows, hits) for the k shortest vectors of the lattice spanned by the
+    integer `basis`: its rows, and (coefficients in those rows,
+    sign-normalised; exact squared norm) pairs in (norm, reduced-basis
+    coefficient) order.
+
+    LLL-seeded Fincke-Pohst enumeration below the shortest reduced row's
+    norm, a bound quadrupled up to 8 times until it holds k vectors. The hits
+    are the k shortest and every later tie of the k-th norm; fewer only if
+    the last bound holds fewer. `reduced` is the basis's `lll_reduce`,
+    computed here when omitted.
+    """
+    src = _int_rows(basis)
+    if len(src) > SVP_DIMENSION_CAP:
+        raise DimensionGuardError(
+            f"{caller} supports d <= {SVP_DIMENSION_CAP}, got {len(src)}"
+        )
     if reduced is None:
-        return lll_reduce(src)
-    if reduced.source != src:
+        reduced = lll_reduce(src)
+    elif reduced.source != src:
         raise ValueError("reduced is not a reduction of this basis")
-    return reduced
+    bound = min(_dot(r, r) for r in reduced.rows)
+    for _ in range(8):
+        hits = enumerate_below(reduced.rows, bound)
+        if len(hits) >= k:
+            break
+        bound *= 4
+    if len(hits) > k:
+        hits = [h for h in hits if h[1] <= hits[k - 1][1]]
+    # v = u_red . rows = u_red . U . src, so u_red . U are the input coefficients
+    return src, [
+        (_sign_normalised(_combination(reduced.transform, u_red)), nsq) for u_red, nsq in hits
+    ]
 
 
 def shortest_vector(basis, reduced: ReducedBasis | None = None) -> ShortestVector:
@@ -256,28 +287,9 @@ def shortest_vector(basis, reduced: ReducedBasis | None = None) -> ShortestVecto
     reported relative to the *input* basis. `reduced` is the basis's
     `lll_reduce`, computed here when omitted.
     """
-    src = _int_rows(basis)
-    d = len(src)
-    if d > SVP_DIMENSION_CAP:
-        raise DimensionGuardError(
-            f"shortest_vector supports d <= {SVP_DIMENSION_CAP}, got {d}"
-        )
-    reduced = _check_reduction(src, reduced)
-    bound = min(_dot(r, r) for r in reduced.rows)
-    hits = enumerate_below(reduced.rows, bound)
-    best_norm = min(nsq for _, nsq in hits)
-    candidates = []
-    for u_red, nsq in hits:
-        if nsq != best_norm:
-            continue
-        # convert coefficients back to the input basis: v = u_red . U . src
-        u_src = tuple(
-            sum(u_red[i] * reduced.transform[i][j] for i in range(d)) for j in range(d)
-        )
-        if u_src[next(i for i in range(d) if u_src[i])] < 0:
-            u_src = tuple(-c for c in u_src)
-        candidates.append(u_src)
-    coeffs = min(candidates)
+    src, hits = _short_vector_search(basis, reduced, 1, "shortest_vector")
+    best_norm = hits[0][1]
+    coeffs = min(u for u, _ in hits)
     vec = _combination(src, coeffs)
     if _dot(vec, vec) != best_norm:
         raise AssertionError("certificate mismatch in shortest_vector")
@@ -291,28 +303,8 @@ def shortest_vectors(
     (norm, coefficient) order. May return fewer only if k exceeds the number
     of lattice vectors in a greatly inflated search radius (not expected).
     `reduced` is the basis's `lll_reduce`, computed here when omitted."""
-    src = _int_rows(basis)
-    d = len(src)
-    if d > SVP_DIMENSION_CAP:
-        raise DimensionGuardError(
-            f"shortest_vectors supports d <= {SVP_DIMENSION_CAP}, got {d}"
-        )
-    reduced = _check_reduction(src, reduced)
-    bound = min(_dot(r, r) for r in reduced.rows)
-    for _ in range(8):
-        hits = enumerate_below(reduced.rows, bound)
-        if len(hits) >= k:
-            break
-        bound *= 4
-    out = []
-    for u_red, nsq in hits[:k]:
-        u_src = tuple(
-            sum(u_red[i] * reduced.transform[i][j] for i in range(d)) for j in range(d)
-        )
-        if u_src[next(i for i in range(d) if u_src[i])] < 0:
-            u_src = tuple(-c for c in u_src)
-        out.append(ShortestVector(_combination(src, u_src), u_src, nsq))
-    return out
+    src, hits = _short_vector_search(basis, reduced, k, "shortest_vectors")
+    return [ShortestVector(_combination(src, u), u, nsq) for u, nsq in hits[:k]]
 
 
 def cell_diameter(rb: ReducedBasis) -> float:
@@ -347,7 +339,7 @@ def spectral_test(lat: IntegrationLattice) -> SpectralReport:
         raise DimensionGuardError(
             f"spectral_test supports d <= {SVP_DIMENSION_CAP}, got {lat.dim}"
         )
-    dual_reduced = lll_reduce(dual_basis(lat).basis)
+    dual_reduced = lll_reduce(dual_basis(lat))
     sv = shortest_vector(dual_reduced.source, dual_reduced)
     nsq = sv.norm_sq_exact
     # the primal rows are basis / D, so their cell diameter is the integer one / D
@@ -377,7 +369,7 @@ def shortest_dual_vectors(
     """The k shortest dual-lattice vectors (one per sign pair) as integer
     vectors, shortest first. `report`, the lattice's `spectral_test`, lends
     its reduced dual basis; the basis is reduced here when omitted."""
-    reduced = report.dual_reduced if report is not None else lll_reduce(dual_basis(lat).basis)
+    reduced = report.dual_reduced if report is not None else lll_reduce(dual_basis(lat))
     return [sv.vector for sv in shortest_vectors(reduced.source, k, reduced)]
 
 

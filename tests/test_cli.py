@@ -239,6 +239,40 @@ def test_gen_fibonacci_small_k_is_a_usage_error(capsys):
     assert "latdisc: error: k must be at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("gen", "rank1", "--n", "5", "--g", "1,x"), "--g: entry 'x' is not an integer"),
+        (("bounds", "remark", "--dims", "10,1e3"), "--dims: entry '1e3' is not an integer"),
+        (("distnorm", "{spec}", "--gamma", "1,two"), "--gamma: entry 'two' is not a number or inf"),
+    ],
+)
+def test_bad_list_entry_names_the_flag_and_the_entry(tmp_path, capsys, argv, message):
+    spec = tmp_path / "lat.txt"
+    spec.write_text("1 4\nrank1: 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(spec=spec) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"latdisc: error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_campaign_spec_with_small_fibonacci_k_fails_at_load(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LATDISC_OUT", str(tmp_path / "default"))
+    spec = _tiny_campaign_spec()
+    spec["corpus"]["fibonacci_k"] = [2, 5]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "run", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    message = "corpus.fibonacci_k must be a pair (k_lo, k_hi) of integers with k_lo >= 3, got (2, 5)"
+    assert f"latdisc: error: {message}" in err
+    assert not (tmp_path / "default").exists()
+
+
 def test_every_option_has_help():
     import argparse
 

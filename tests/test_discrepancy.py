@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -34,6 +35,12 @@ from latdisc.reduction import shortest_dual_vectors
 
 R5 = rank1_lattice(5, (1, 2))
 P5 = enumerate_points(R5)
+
+
+@functools.cache  # point sets compare by identity
+def fraction_points(ps):
+    """The points of `ps` as tuples of Fractions, the exact reference."""
+    return tuple(tuple(Fraction(x, ps.denom) for x in row) for row in ps.ints.tolist())
 
 
 def mc_halfspace_volume_oracle(a, b, d, n=200_000, seed=123):
@@ -144,7 +151,7 @@ def test_count_points_ball_exact():
     ball = Ball([0.5, 0.5], 0.25)
     # brute inspection: which of the 5 points are within 0.25 of center?
     expected = 0
-    for p in P5.points:
+    for p in fraction_points(P5):
         if (float(p[0]) - 0.5) ** 2 + (float(p[1]) - 0.5) ** 2 <= 0.25**2 + 1e-15:
             expected += 1
     assert count_points(P5, ball) == expected
@@ -153,11 +160,11 @@ def test_count_points_ball_exact():
 def test_count_points_box_and_polytope():
     box = AxisBox([0.0, 0.0], [0.5, 0.5])
     assert count_points(P5, box) == count_points_halfspace(P5, [1, 0], Fraction(1, 2)) - sum(
-        1 for p in P5.points if p[0] <= Fraction(1, 2) and p[1] > Fraction(1, 2)
+        1 for p in fraction_points(P5) if p[0] <= Fraction(1, 2) and p[1] > Fraction(1, 2)
     )
     tri = HPolytope([[1.0, 2.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
     assert count_points(P5, tri) == sum(
-        1 for p in P5.points if p[0] + 2 * p[1] <= 1
+        1 for p in fraction_points(P5) if p[0] + 2 * p[1] <= 1
     )
 
 
@@ -300,7 +307,7 @@ def ref_in_hull(p, hull):
 
 
 def ref_count(ps, inside):
-    return sum(1 for p in ps.points if inside(p))
+    return sum(1 for p in fraction_points(ps) if inside(p))
 
 
 CORPUS_POINT_SETS = [
@@ -335,17 +342,18 @@ def test_integer_counts_match_fraction_reference(ps):
     rng = np.random.default_rng(ps.n)
     d = ps.dim
     pts = ps.as_array()
+    exact = fraction_points(ps)
     unit = np.eye(d, dtype=int).tolist()
     for _ in range(25):
         h = tuple(int(x) for x in rng.integers(-5, 6, size=d))
-        lo = sum(hj * x for hj, x in zip(h, ps.points[rng.integers(ps.n)]))  # through a point
+        lo = sum(hj * x for hj, x in zip(h, exact[rng.integers(ps.n)]))  # through a point
         hi = lo + Fraction(int(rng.integers(0, 4)), int(rng.integers(1, 5)))
-        values = [sum(hj * x for hj, x in zip(h, q)) for q in ps.points]
+        values = [sum(hj * x for hj, x in zip(h, q)) for q in exact]
         assert count_points_slab(ps, h, lo, hi) == sum(lo <= v <= hi for v in values)
         assert count_points_slab(ps, h, lo, hi, closed=False) == sum(lo < v < hi for v in values)
 
         a = [Fraction(int(x), 1 << 20) for x in rng.integers(-(1 << 20), 1 << 20, size=d)]
-        b = sum(ai * x for ai, x in zip(a, ps.points[rng.integers(ps.n)]))
+        b = sum(ai * x for ai, x in zip(a, exact[rng.integers(ps.n)]))
         assert count_points_halfspace(ps, a, b) == ref_count(ps, lambda q: ref_in_halfspaces(q, [(a, b)]))
 
         corner = pts[rng.integers(ps.n)] if rng.random() < 0.5 else rng.uniform(0, 1, size=d)
@@ -374,7 +382,7 @@ def test_integer_counts_match_fraction_reference(ps):
 
 def test_degenerate_hulls_match_fraction_reference():
     ps = CORPUS_POINT_SETS[1]
-    p, q = ps.points[3], ps.points[7]
+    p, q = fraction_points(ps)[3], fraction_points(ps)[7]
     mid = tuple((x + y) / 2 for x, y in zip(p, q))
     for hull in ([p], convex_hull_2d([p, q]), convex_hull_2d([p, mid, q])):
         got = int(np.count_nonzero(_in_halfspaces(ps, _hull_halfplanes(hull))))
@@ -391,11 +399,11 @@ def test_counts_exact_when_int64_could_overflow():
     s, scale = _scaled_dot(ps, h)
     assert s.dtype == object and scale == denom
     for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(3 * (denom // 3) - 5 * (denom // 5), denom), 3)):
-        values = [sum(hj * x for hj, x in zip(h, q)) for q in ps.points]
+        values = [sum(hj * x for hj, x in zip(h, q)) for q in fraction_points(ps)]
         assert count_points_slab(ps, h, lo, hi) == sum(lo <= v <= hi for v in values)
         assert count_points_slab(ps, h, lo, hi, closed=False) == sum(lo < v < hi for v in values)
     a = [Fraction(1, 3), Fraction(2, 7)]
-    for q in ps.points:
+    for q in fraction_points(ps):
         b = a[0] * q[0] + a[1] * q[1]
         assert count_points_halfspace(ps, a, b) == ref_count(ps, lambda x: ref_in_halfspaces(x, [(a, b)]))
     ball = Ball([0.5, 0.25], 0.25)
@@ -432,7 +440,7 @@ def test_halfspace_witness_counts_match_fraction_reference(lat):
     for w in halfspaces:
         # the cut passes through a lattice point (closed), or 2^-40 below it (open)
         a = [Fraction(v) for v in w.body.normals[0].tolist()]
-        values = [sum(ai * x for ai, x in zip(a, q)) for q in ps.points]
+        values = [sum(ai * x for ai, x in zip(a, q)) for q in fraction_points(ps)]
         v = min(values, key=lambda t: abs(float(t) - w.body.offsets[0]))
         candidates = [
             (sum(t <= v for t in values), v),

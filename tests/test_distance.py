@@ -87,6 +87,26 @@ def test_distance_norm_equispaced_closed_form():
     assert rep4.value == pytest.approx(5 / 64, abs=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [1, 2, 3])
+def test_d1_bracket_contains_the_exact_moment(gamma):
+    # the moment of dist(., {k/N})^gamma, in Fractions: N - 1 gaps of 1/N,
+    # each contributing 2 (1/(2N))^(gamma+1) / (gamma+1), and the right edge
+    # (1/N)^(gamma+1) / (gamma+1)
+    n = 300_000
+    g1 = gamma + 1
+    exact = ((n - 1) * 2 * Fraction(1, 2 * n) ** g1 + Fraction(1, n) ** g1) / g1
+    rep = distance_norm(enumerate_points(rank1_lattice(n, (1,))), float(gamma))
+    assert rep.method == "closed-form-1d"
+    assert Fraction(rep.lower_certified) ** gamma <= exact <= Fraction(rep.upper_certified) ** gamma
+    assert rep.upper_certified - rep.lower_certified <= 1e-9 * rep.value
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, -math.inf])
+def test_distance_norms_reject_a_gamma_that_is_not_positive(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        distance_norms(P5, [1.0, gamma], FAST)
+
+
 def test_distance_norm_single_point_d1():
     ps = enumerate_points(rank1_lattice(1, (0,)))
     rep = distance_norm(ps, 1.0, FAST)

@@ -1,8 +1,11 @@
 import json
 import math
+import re
+from collections import Counter
 
 import pytest
 
+from latdisc import harness
 from latdisc.harness import (
     ALL_CHECKS,
     Budgets,
@@ -159,6 +162,30 @@ def test_campaign_json_roundtrip():
 def test_all_checks_cover_spec_names():
     for name in ("thm1", "prop1", "lemma3", "corollary1", "remark", "thm2-diagnostic"):
         assert name in ALL_CHECKS
+
+
+def test_tasks_run_through_the_module_names(monkeypatch):
+    # the benchmark's tracer (perfbench/spans.py) times every task by
+    # rebinding these names on the module, so a task must call them there
+    calls = Counter()
+    for name in ("run_lattice_task", "run_body_task", "run_thm2_task"):
+        def counted(*args, real=getattr(harness, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    run_campaign(small_campaign(checks=("spectral-exact", "lemma2", "thm2-diagnostic")))
+    assert calls == {
+        "run_lattice_task": len(builtin_corpus(SMALL_CORPUS, 11)),
+        "run_body_task": SMALL_BUDGETS.body_count * len(SMALL_BUDGETS.body_dims),
+        "run_thm2_task": 1,
+    }
+
+
+@pytest.mark.parametrize("k", [(2, 9), (5,), 5, (3.0, 9)])
+def test_bad_fibonacci_k_names_the_field(k):
+    with pytest.raises(ValueError, match=rf"corpus\.fibonacci_k .* got {re.escape(repr(k))}$"):
+        CorpusSpec(fibonacci_k=k)
 
 
 @pytest.mark.parametrize(

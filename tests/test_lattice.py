@@ -56,6 +56,11 @@ def rational_basis(lat):
     return tuple(tuple(Fraction(x, lat.denom) for x in row) for row in lat.basis)
 
 
+def fraction_points(ps):
+    """The points of `ps` as tuples of Fractions, the exact reference."""
+    return tuple(tuple(Fraction(x, ps.denom) for x in row) for row in ps.ints.tolist())
+
+
 def brute_force_rank1_residues(n, g):
     """Independent oracle: all k*g/n mod 1 for k = 0..n-1, deduplicated."""
     pts = set()
@@ -68,7 +73,7 @@ def test_identity_lattice_is_trivial():
     lat = rank1_lattice(1, (0, 0))
     assert lat.n_points == 1
     assert (lat.basis, lat.denom) == (((1, 0), (0, 1)), 1)
-    assert enumerate_points(lat).points == ((Fraction(0), Fraction(0)),)
+    assert fraction_points(enumerate_points(lat)) == ((Fraction(0), Fraction(0)),)
 
 
 def test_rank1_5_12_determinant_and_containment():
@@ -94,7 +99,7 @@ def test_fibonacci_f10_is_55():
 
 
 def test_enumerate_rank1_5_12_exact_points():
-    pts = enumerate_points(rank1_lattice(5, (1, 2))).points
+    pts = fraction_points(enumerate_points(rank1_lattice(5, (1, 2))))
     expected = {
         (Fraction(0), Fraction(0)),
         (Fraction(1, 5), Fraction(2, 5)),
@@ -109,7 +114,7 @@ def test_enumerate_rank1_5_12_exact_points():
 def test_enumerate_gcd_collapse():
     lat = rank1_lattice(4, (2, 2))
     assert lat.n_points == 2
-    pts = set(enumerate_points(lat).points)
+    pts = set(fraction_points(enumerate_points(lat)))
     assert pts == {(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))}
     assert pts == brute_force_rank1_residues(4, (2, 2))
 
@@ -117,17 +122,17 @@ def test_enumerate_gcd_collapse():
 @pytest.mark.parametrize("n,g", [(8, (1, 3)), (12, (2, 3)), (16, (4, 6)), (7, (1, 2, 3))])
 def test_enumerate_matches_brute_force(n, g):
     lat = rank1_lattice(n, g)
-    pts = set(enumerate_points(lat).points)
+    pts = set(fraction_points(enumerate_points(lat)))
     assert pts == brute_force_rank1_residues(n, g)
     assert len(pts) == lat.n_points
 
 
 def test_group_closure_and_origin():
     ps = enumerate_points(fibonacci_lattice(8))  # N = 21
-    pts = set(ps.points)
+    pts = set(fraction_points(ps))
     assert tuple(Fraction(0) for _ in range(2)) in pts
-    for p in ps.points:
-        for q in ps.points:
+    for p in pts:
+        for q in pts:
             s = tuple(x - math.floor(x) for x in vec_add(p, q))
             assert s in pts
 
@@ -139,9 +144,9 @@ def test_enumeration_cap():
 
 def test_dual_basis_identity_and_1d():
     z2 = rank1_lattice(1, (0, 0))
-    assert dual_basis(z2).basis == ((1, 0), (0, 1))
+    assert dual_basis(z2) == ((1, 0), (0, 1))
     one_d = rank1_lattice(7, (1,))
-    assert dual_basis(one_d).basis == ((7,),)
+    assert dual_basis(one_d) == ((7,),)
 
 
 def test_dual_basis_rank1_5_12_congruence():
@@ -155,10 +160,10 @@ def test_dual_basis_rank1_5_12_congruence():
         if (h1 + 2 * h2) % 5 == 0
     }
     # every integer combination of dual rows satisfies the congruence
-    for row in db.basis:
+    for row in db:
         assert (row[0] + 2 * row[1]) % 5 == 0
     # and the dual generates every brute-force member (exact rational solve)
-    _, dinv = fraction_det_inverse(db.basis)
+    _, dinv = fraction_det_inverse(db)
     for h in brute:
         coeffs = [sum(c * x for c, x in zip(col, h)) for col in zip(*dinv)]
         assert all(c.denominator == 1 for c in coeffs)
@@ -168,7 +173,7 @@ def test_dual_inner_products_are_integers():
     for lat in [rank1_lattice(55, (1, 34)), rank1_lattice(12, (2, 3)), korobov_lattice(16, 5, 3)]:
         db = dual_basis(lat)
         for prow in rational_basis(lat):
-            for drow in db.basis:
+            for drow in db:
                 assert sum(a * b for a, b in zip(prow, drow)).denominator == 1
 
 
@@ -255,10 +260,11 @@ NON_RANK1 = [
 )
 def test_enumerate_matches_fraction_reference_in_order(lat):
     ps = enumerate_points(lat)
-    assert ps.points == reference_fraction_points(lat)
     assert ps.n == lat.n_points
     assert ps.ints.dtype == np.int64 and ps.ints.shape == (lat.n_points, lat.dim)
-    assert np.array_equal(ps.as_array(), np.array([[float(x) for x in p] for p in ps.points]))
+    exact = fraction_points(ps)
+    assert exact == reference_fraction_points(lat)
+    assert np.array_equal(ps.as_array(), np.array([[float(x) for x in p] for p in exact]))
 
 
 def test_enumerate_rejects_a_wrong_point_count():

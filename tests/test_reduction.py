@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def reference_lll(basis):
 def assert_lll_matches_reference(lat):
     """Rows and transform of the integral LLL equal the Fraction reference on
     the primal basis (rows over lat.denom) and on the dual basis."""
-    for basis, denom in ((lat.basis, lat.denom), (dual_basis(lat).basis, 1)):
+    for basis, denom in ((lat.basis, lat.denom), (dual_basis(lat), 1)):
         rows, transform = reference_lll([[Fraction(x, denom) for x in r] for r in basis])
         rb = lll_reduce(basis)
         assert rb.transform == transform
@@ -201,9 +202,28 @@ def test_shortest_vector_zd_tiebreak_is_last_axis():
     assert sv.coefficients == (0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [((1, 0), (5, 1)), ((5, 1), (1, 0)), ((3, 2), (4, 3)), ((1, 1, 0), (0, 1, 1), (1, 2, 2)),
+     ((2, 0), (1, 2)), ((4, 1), (1, 4))],
+)
+def test_shortest_vector_ties_break_on_input_coefficients(basis):
+    # brute force over small coefficients of the input rows: the least norm,
+    # then the lexicographically least coefficients with a positive leading entry
+    d = len(basis)
+    best = min(
+        (sum(x * x for x in v), u)
+        for u in itertools.product(range(-6, 7), repeat=d)
+        if any(u) and next(c for c in u if c) > 0
+        for v in [[sum(c * row[j] for c, row in zip(u, basis)) for j in range(d)]]
+    )
+    sv = shortest_vector(basis)
+    assert (sv.norm_sq_exact, sv.coefficients) == best
+
+
 def test_shortest_vector_dual_rank1_5_12():
     db = dual_basis(rank1_lattice(5, (1, 2)))
-    sv = shortest_vector(db.basis)
+    sv = shortest_vector(db)
     assert sv.norm_sq_exact == 5
     assert brute_force_min_dual_norm_sq(5, (1, 2)) == 5
     h = sv.vector
@@ -212,7 +232,7 @@ def test_shortest_vector_dual_rank1_5_12():
 
 def test_shortest_vector_dual_fibonacci_55():
     db = dual_basis(rank1_lattice(55, (1, 34)))
-    sv = shortest_vector(db.basis)
+    sv = shortest_vector(db)
     assert sv.norm_sq_exact == brute_force_min_dual_norm_sq(55, (1, 34))
 
 
@@ -275,7 +295,7 @@ def test_cell_diameter_at_least_max_row():
 
 def test_shortest_vectors_k_list_is_sorted_and_distinct():
     db = dual_basis(fibonacci_lattice(10))
-    svs = shortest_vectors(db.basis, 10)
+    svs = shortest_vectors(db, 10)
     assert len(svs) == 10
     norms = [sv.norm_sq_exact for sv in svs]
     assert norms == sorted(norms)
@@ -315,8 +335,8 @@ def test_every_point_on_some_hyperplane():
     lat = rank1_lattice(5, (1, 2))
     pts = enumerate_points(lat)
     h = (2, -1)
-    for p in pts.points:
-        assert sum(a * b for a, b in zip(p, h)).denominator == 1
+    for row in pts.ints.tolist():
+        assert sum(Fraction(x, pts.denom) * a for x, a in zip(row, h)).denominator == 1
 
 
 def test_fibonacci_sigma_scaling_window():
