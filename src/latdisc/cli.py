@@ -66,6 +66,13 @@ def _seed(args, default: int = 0) -> int:
     return default if args.seed is None else args.seed
 
 
+def _workers(args) -> int:
+    """--workers, which must be at least 1."""
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
+    return args.workers
+
+
 def _parse_list(text: str, flag: str, kind=int) -> list:
     """The comma list given to `flag` as `kind` values (int, or float, which
     also reads inf); empty entries are skipped. ValueError names the flag
@@ -201,6 +208,7 @@ def _small_corpus() -> CorpusSpec:
 
 
 def _cmd_verify(args) -> int:
+    workers = _workers(args)
     corpus = _small_corpus() if args.small else CorpusSpec()
     budgets = Budgets() if not args.small else Budgets(body_count=6)
     campaign = Campaign(
@@ -210,19 +218,20 @@ def _cmd_verify(args) -> int:
         seed=_seed(args),
         out_dir=args.out or default_out_dir(),
     )
-    result = run_campaign(campaign, workers=args.workers)
+    result = run_campaign(campaign, workers=workers)
     summary = ", ".join(f"{k}={v}" for k, v in result.summary.items())
     print(f"{args.claim}: {summary}")
     return 0 if result.n_failures == 0 else 1
 
 
 def _cmd_campaign(args) -> int:
+    workers = _workers(args)
     data = json.loads(Path(args.spec).read_text())
     campaign = Campaign.from_json_dict(data)
     campaign = replace(
         campaign, seed=_seed(args, campaign.seed), out_dir=args.out or campaign.out_dir
     )
-    result = run_campaign(campaign, workers=args.workers)
+    result = run_campaign(campaign, workers=workers)
     if not campaign.out_dir:
         write_artifacts(result, Path(default_out_dir()))
     summary = ", ".join(f"{k}={v}" for k, v in result.summary.items())
@@ -279,7 +288,7 @@ def _global_flags(with_defaults: bool) -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=dflt("workers"),
-        help="worker processes read by `verify` and `campaign run` (default: 1)",
+        help="worker processes read by `verify` and `campaign run`, at least 1 (default: 1)",
     )
     return p
 

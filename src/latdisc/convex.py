@@ -10,24 +10,28 @@ samples: balls and boxes have closed forms in every d; a polytope's outer
 parallel volume is its Steiner polynomial (intrinsic volumes from the face
 lattice and external angles, d <= 4) and its inner parallel body is again
 an H-polytope, measured by qhull.
+
+Importing this module loads numpy only. scipy is imported inside the
+functions that call it: qhull and the LP by the polytope methods, gammaln
+and logsumexp by `binom_kappa_sum`. A V-polytope decides its kind in numpy
+when it is built and builds its qhull H-form on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
-from scipy.special import gammaln, logsumexp
 
 from .errors import EmptyBodyError
 
 FEASIBLE_TOL = 1e-10  # max facet margin of a face projection that counts as inside
 INCIDENCE_TOL = 1e-9  # |margin| of a vertex on a facet plane
 RANK_TOL = 1e-9  # relative singular-value floor of a face's affine hull
+_DEGENERATE_HULL = "degenerate V-polytope beyond point/segment is not supported"
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +81,8 @@ def binom_kappa_sum(d: int) -> float:
     """log of sum_{j=1}^d binom(d,j) kappa_j, evaluated in the log domain."""
     if d < 1:
         raise ValueError("d must be positive")
+    from scipy.special import gammaln, logsumexp
+
     j = np.arange(1, d + 1, dtype=float)
     log_terms = (
         gammaln(d + 1)
@@ -362,24 +368,22 @@ class _Faces:
         """V_0..V_d of the polytope of this volume: V_0 = 1, V_d = volume and
         V_j = sum over the j-faces F of vol_j(F) times the external angle of F
         (Schneider, Convex Bodies, 2nd ed., ch. 4). For d <= 4 every face of
-        dimension 1..d-1 has a normal cone of dimension at most 3."""
+        dimension 1..d-1 has a normal cone of dimension at most 3. vol_j(F)
+        is taken in coordinates of aff(F): an edge's length, else qhull's
+        volume."""
+        from scipy.spatial import ConvexHull
+
         d = self.vertices.shape[1]
         v = np.zeros(d + 1)
         v[0], v[d] = 1.0, volume
         for mask, dim, basis in self.faces:
             if dim == 0:
                 continue
+            coords = self._members(mask) @ basis.T
+            content = float(np.ptp(coords)) if dim == 1 else float(ConvexHull(coords).volume)
             normals = np.array([n for f, n in self.facet_normals.items() if f & mask == mask])
-            v[dim] += _content(self._members(mask) @ basis.T) * _external_angle(normals, d - dim)
+            v[dim] += content * _external_angle(normals, d - dim)
         return v
-
-
-def _content(coords: np.ndarray) -> float:
-    """Volume of the hull of points given in coordinates of their own
-    affine hull: the length of a segment, else qhull's volume."""
-    if coords.shape[1] == 1:
-        return float(np.ptp(coords))
-    return float(ConvexHull(coords).volume)
 
 
 def _external_angle(normals: np.ndarray, codim: int) -> float:
@@ -432,6 +436,8 @@ class HPolytope(ConvexBody):
         """Centre and radius of the largest ball inside (the inradius), from
         the LP: maximise r subject to a_i . c + |a_i| r <= b_i."""
         if self._cheb is None:
+            from scipy.optimize import linprog
+
             d = self.dim
             res = linprog(
                 c=np.r_[np.zeros(d), -1.0],
@@ -455,6 +461,8 @@ class HPolytope(ConvexBody):
         is {0}, iff (Stiemke's alternative) rank A = d and A^T lam = 0 has a
         solution with lam > 0, here lam >= 1: one LP. The extremes of the
         vertices then decide containment."""
+        from scipy.optimize import linprog
+
         if self._chebyshev()[1] <= 0:
             raise EmptyBodyError("H-polytope has an empty interior")
         k, d = self.normals.shape
@@ -506,6 +514,8 @@ class HPolytope(ConvexBody):
         Chebyshev centre unless they were set as known; a non-simple vertex
         may appear more than once."""
         if self._vertices is None:
+            from scipy.spatial import HalfspaceIntersection
+
             halfspaces = np.c_[self.normals, -self.offsets]
             self._vertices = HalfspaceIntersection(halfspaces, self._chebyshev()[0]).intersections
         return self._vertices
@@ -523,6 +533,8 @@ class HPolytope(ConvexBody):
     def volume_exact(self) -> float:
         """qhull's volume of the vertices."""
         if self._volume is None:
+            from scipy.spatial import ConvexHull
+
             self._volume = float(ConvexHull(self._vertex_array()).volume)
         return self._volume
 
@@ -578,9 +590,13 @@ class HPolytope(ConvexBody):
 class VPolytope(ConvexBody):
     """Convex hull of a vertex list.
 
-    Full-dimensional hulls convert to an internal H-form; the degenerate
-    point and segment cases are handled directly (volume 0, and intrinsic
-    volumes 1 and the segment's length).
+    The kind is decided in numpy when the body is built, from the rank of
+    the vertex differences: a point, a segment (d >= 2), or a
+    full-dimensional hull; any other set raises ValueError. A point and a
+    segment are handled directly (volume 0, and intrinsic volumes 1 and the
+    segment's length). A full hull converts to an H-form, built by qhull on
+    first use; if qhull finds the set flat after all, that use raises the
+    same ValueError.
     """
 
     variant = "v_polytope"
@@ -588,36 +604,43 @@ class VPolytope(ConvexBody):
     def __init__(self, vertices):
         self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
         self.dim = self.vertices.shape[1]
-        if self.vertices.shape[0] < 1:
+        if self.vertices.size == 0:
             raise ValueError("vertex list is empty")
         if np.any(self.vertices < -1e-12) or np.any(self.vertices > 1 + 1e-12):
             raise ValueError("vertices are not contained in the unit cube")
-        self._hform: HPolytope | None = None
         self._segment: tuple[np.ndarray, np.ndarray] | None = None
         uniq = np.unique(self.vertices, axis=0)
+        span = uniq - uniq[0]
+        rank = np.linalg.matrix_rank(span, tol=1e-9)
         if uniq.shape[0] == 1:
             self._kind = "point"
             self._point = uniq[0]
+        elif rank == 1 and self.dim >= 2:
+            t = span @ span[-1]
+            self._segment = (uniq[np.argmin(t)], uniq[np.argmax(t)])
+            self._kind = "segment"
+        elif rank == self.dim >= 2:
+            self._kind = "full"
         else:
-            try:
-                hull = ConvexHull(self.vertices)
-                # equations: A x + b <= 0 inside
-                self._hform = HPolytope(
-                    hull.equations[:, :-1], -hull.equations[:, -1], skip_checks=True
-                )
-                self._hform.set_known_vertices(self.vertices[hull.vertices])
-                self._hform._volume = float(hull.volume)
-                self._kind = "full"
-            except QhullError:
-                span = uniq - uniq[0]
-                if np.linalg.matrix_rank(span, tol=1e-9) == 1:
-                    t = span @ span[-1]
-                    self._segment = (uniq[np.argmin(t)], uniq[np.argmax(t)])
-                    self._kind = "segment"
-                else:
-                    raise ValueError(
-                        "degenerate V-polytope beyond point/segment is not supported"
-                    )
+            raise ValueError(_DEGENERATE_HULL)
+
+    @functools.cached_property
+    def _hform(self) -> HPolytope | None:
+        """The H-form of a full hull, from qhull's hull of the vertices; None
+        for a point or a segment."""
+        if self._kind != "full":
+            return None
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            hull = ConvexHull(self.vertices)
+        except QhullError:
+            raise ValueError(_DEGENERATE_HULL) from None
+        # equations: A x + b <= 0 inside
+        hform = HPolytope(hull.equations[:, :-1], -hull.equations[:, -1], skip_checks=True)
+        hform.set_known_vertices(self.vertices[hull.vertices])
+        hform._volume = float(hull.volume)
+        return hform
 
     def contains_many(self, x):
         if self._kind == "full":

@@ -12,6 +12,9 @@ Every certified enclosure here is deterministic: per-cell brackets on the
 grid, branch and bound for the covering radius, closed forms in d = 1.
 Nothing is sampled. The enclosures are widened outward by a bound on the
 float rounding of the distances and sums (see `_dist_margin`).
+
+The KD-tree is scipy's `cKDTree`, imported by the functions that build one,
+so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -21,13 +24,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .discrepancy import halfspace_cube_volume
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
 from .reduction import SpectralReport, hyperplane_family, spectral_test
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 GammaValue = float  # finite positive real or math.inf
 
@@ -131,6 +137,8 @@ def covering_radius(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    from scipy.spatial import cKDTree
+
     pts = ps.as_array() if isinstance(ps, LatticePointSet) else np.asarray(ps, float)
     tree = cKDTree(pts)
     d = pts.shape[1]
@@ -406,6 +414,8 @@ def distance_norms(
             )
         return out
 
+    from scipy.spatial import cKDTree
+
     m = cfg.grid_resolution or _default_resolution(d)
     grid = _grid_moments_multi(cKDTree(pts), d, m, finite)
     for g in finite:
@@ -661,6 +671,8 @@ def nn_baseline_error(
     For q = inf and an L-Lipschitz f the result is at most
     L * (covering radius) + grid slack.
     """
+    from scipy.spatial import cKDTree
+
     pts = ps.as_array()
     tree = cKDTree(pts)
     d = ps.dim

@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -73,6 +72,85 @@ def _row(
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _int_at_least(lo: int):
+    return lambda x: _is_int(x) and x >= lo
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, (list, tuple)) and all(ok(x) for x in v)
+
+
+def _str_or_none(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+def _check_fields(obj, where: str, rules: dict) -> None:
+    """Raise ValueError naming the first field of `obj` that breaks its
+    rule; `rules` maps a field to (what it must be, predicate), and `where`
+    prefixes the field's name."""
+    for name, (expected, ok) in rules.items():
+        value = getattr(obj, name)
+        if not ok(value):
+            raise ValueError(f"{where}{name} must be {expected}, got {value!r}")
+
+
+_CORPUS_RULES = {
+    "fibonacci_k": (
+        "a pair (k_lo, k_hi) of integers with k_lo >= 3",
+        lambda k: isinstance(k, tuple) and len(k) == 2 and all(map(_is_int, k)) and k[0] >= 3,
+    ),
+    "rank1_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
+    "rank1_sizes": ("a list of integers >= 2", _list_of(_int_at_least(2))),
+    "rank1_per_cell": ("an integer >= 0", _int_at_least(0)),
+    "zd_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
+    "include_bad_lattice": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+_BUDGET_RULES = {
+    "witness_budget": ("an integer >= 1", _int_at_least(1)),
+    "body_count": ("an integer >= 0", _int_at_least(0)),
+    "body_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
+    "body_mc_samples": ("an integer", _is_int),
+    "rhos": ("a list of numbers in [0, 1]", _list_of(lambda r: _is_real(r) and 0 <= r <= 1)),
+    "norm_mc_samples": ("an integer", _is_int),
+    "prop1_gammas": ("a list of positive numbers or inf", _list_of(lambda g: _is_real(g) and g > 0)),
+    "covering_tols": (
+        "a map from dimension to a positive number",
+        lambda v: isinstance(v, dict)
+        and all(_is_int(d) and _is_real(t) and t > 0 for d, t in v.items()),
+    ),
+    "remark_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
+    "remark_delta": ("a number", _is_real),
+    "remark_kappa": ("a number", _is_real),
+    "thm2_triples": (
+        "a list of [s, p, q] triples: an integer s, and numbers or inf p and q",
+        _list_of(
+            lambda t: isinstance(t, (list, tuple)) and len(t) == 3 and _is_int(t[0])
+            and all(_is_real(x) or x == "inf" for x in t[1:])
+        ),
+    ),
+}
+
+_CAMPAIGN_RULES = {  # the spec's top-level fields; corpus and budgets check their own
+    "checks": (
+        f"a non-empty list of checks from {', '.join(ALL_CHECKS)}",
+        lambda v: _list_of(ALL_CHECKS.__contains__)(v) and len(v) > 0,
+    ),
+    "seed": ("an integer", _is_int),
+    "out_dir": ("a path or null", _str_or_none),
+    "corrupt_check": ("a check name or null", _str_or_none),
+    "corrupt_rhs_scale": ("a number", _is_real),
+}
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     fibonacci_k: tuple[int, int] = (5, 20)
@@ -83,15 +161,7 @@ class CorpusSpec:
     include_bad_lattice: bool = True
 
     def __post_init__(self):
-        k = self.fibonacci_k
-        if not (
-            isinstance(k, tuple) and len(k) == 2 and all(isinstance(x, int) for x in k)
-            and k[0] >= 3
-        ):
-            raise ValueError(
-                "corpus.fibonacci_k must be a pair (k_lo, k_hi) of integers with k_lo >= 3,"
-                f" got {k!r}"
-            )
+        _check_fields(self, "corpus.", _CORPUS_RULES)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -114,6 +184,9 @@ class Budgets:
     remark_kappa: float = 5.1
     thm2_triples: tuple = ((2, 2, "inf"), (3, "inf", 1), (2, 2, 1))
 
+    def __post_init__(self):
+        _check_fields(self, "budgets.", _BUDGET_RULES)
+
     def to_json_dict(self) -> dict:
         d = asdict(self)
         d["prop1_gammas"] = ["inf" if math.isinf(g) else g for g in self.prop1_gammas]
@@ -122,10 +195,23 @@ class Budgets:
 
 
 def _check_keys(raw: dict, cls, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be an object, got {raw!r}")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} key(s) in campaign spec: {', '.join(unknown)}")
     return raw
+
+
+def _tuples(v):
+    """A JSON value with its lists made tuples, at every depth."""
+    return tuple(map(_tuples, v)) if isinstance(v, list) else v
+
+
+def _json_number(x):
+    """A JSON number as a float and "inf" as math.inf; anything else is
+    left for the field check to reject."""
+    return math.inf if x == "inf" else float(x) if _is_real(x) else x
 
 
 @dataclass(frozen=True)
@@ -138,34 +224,38 @@ class Campaign:
     corrupt_check: str | None = None  # harness self-test: scale this check's rhs
     corrupt_rhs_scale: float = 1.0
 
+    def __post_init__(self):
+        _check_fields(self, "", _CAMPAIGN_RULES)
+
     @staticmethod
     def from_json_dict(data: dict) -> "Campaign":
-        """Inverse of to_json_dict; raises ValueError naming any unknown key."""
+        """Inverse of to_json_dict; raises ValueError naming any unknown key
+        and any field of the wrong type."""
         _check_keys(data, Campaign, "campaign")
         corpus = CorpusSpec(**{
-            k: tuple(v) if isinstance(v, list) else v
+            k: _tuples(v)
             for k, v in _check_keys(data.get("corpus", {}), CorpusSpec, "corpus").items()
         })
-        braw = dict(_check_keys(data.get("budgets", {}), Budgets, "budgets"))
-        if "prop1_gammas" in braw:
-            braw["prop1_gammas"] = tuple(
-                math.inf if g == "inf" else float(g) for g in braw["prop1_gammas"]
-            )
-        if "covering_tols" in braw:
-            braw["covering_tols"] = {int(k): float(v) for k, v in braw["covering_tols"].items()}
-        for key in ("body_dims", "rhos", "remark_dims", "thm2_triples"):
-            if key in braw:
-                braw[key] = tuple(tuple(x) if isinstance(x, list) else x for x in braw[key]) \
-                    if key == "thm2_triples" else tuple(braw[key])
+        braw = {
+            k: _tuples(v)
+            for k, v in _check_keys(data.get("budgets", {}), Budgets, "budgets").items()
+        }
+        if isinstance(braw.get("prop1_gammas"), tuple):
+            braw["prop1_gammas"] = tuple(map(_json_number, braw["prop1_gammas"]))
+        if isinstance(braw.get("covering_tols"), dict):
+            braw["covering_tols"] = {
+                int(k) if k.isdecimal() else k: _json_number(v)
+                for k, v in braw["covering_tols"].items()
+            }
         budgets = Budgets(**braw)
         return Campaign(
             corpus=corpus,
-            checks=tuple(data.get("checks", ALL_CHECKS)),
+            checks=_tuples(data.get("checks", ALL_CHECKS)),
             budgets=budgets,
-            seed=int(data.get("seed", 20200817)),
+            seed=data.get("seed", 20200817),
             out_dir=data.get("out_dir"),
             corrupt_check=data.get("corrupt_check"),
-            corrupt_rhs_scale=float(data.get("corrupt_rhs_scale", 1.0)),
+            corrupt_rhs_scale=_json_number(data.get("corrupt_rhs_scale", 1.0)),
         )
 
     def to_json_dict(self) -> dict:
@@ -467,8 +557,12 @@ def _build_tasks(c: Campaign) -> list[tuple]:
 
 
 def run_campaign(c: Campaign, workers: int = 1) -> CampaignResult:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = _build_tasks(c)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     else:

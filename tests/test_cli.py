@@ -290,3 +290,40 @@ def test_every_option_has_help():
     assert len(options) > 20
     missing = [(" ".join(p), a.option_strings) for p, a in options if not a.help]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        ("corpus", "rank1_per_cell", "2", "corpus.rank1_per_cell must be an integer >= 0, got '2'"),
+        ("budgets", "rhos", [0.1, "x"], "budgets.rhos must be a list of numbers in [0, 1], got (0.1, 'x')"),
+    ],
+)
+def test_campaign_spec_field_of_wrong_type_fails_at_load(
+    tmp_path, capsys, monkeypatch, section, key, value, message
+):
+    monkeypatch.setenv("LATDISC_OUT", str(tmp_path / "default"))
+    spec = _tiny_campaign_spec(budgets={})
+    spec[section][key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "run", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"latdisc: error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "default").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", [("verify", "thm1", "--small"), ("campaign", "run", "{spec}")])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, workers, command):
+    monkeypatch.setenv("LATDISC_OUT", str(tmp_path / "default"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_tiny_campaign_spec()))
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", workers, *(a.format(spec=spec) for a in command)])
+    assert exc.value.code == 2
+    assert "latdisc: error: --workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "default").exists()

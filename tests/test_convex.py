@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -626,3 +627,64 @@ def test_polytope_beyond_d4_raises_on_the_outer_side():
     inner = offset_volume(cube5, OffsetSpec(0.1, "inner")).value
     assert inner == pytest.approx(1 - 0.8**5, abs=1e-12)
     assert parallel_body_volume(cube5, -0.5) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# V-polytope kinds, decided when the body is built
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([], "vertex list is empty"),
+        (np.zeros((0, 2)), "vertex list is empty"),
+        ([[0.2, 0.3], [0.5, 1.2]], "vertices are not contained in the unit cube"),
+        ([[-0.1, 0.3, 0.4]], "vertices are not contained in the unit cube"),
+        (
+            [[0.1, 0.1, 0.5], [0.9, 0.1, 0.5], [0.1, 0.9, 0.5], [0.9, 0.9, 0.5]],
+            "degenerate V-polytope beyond point/segment is not supported",
+        ),
+    ],
+)
+def test_vpolytope_rejects_bad_vertex_sets_when_built(vertices, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VPolytope(vertices)
+
+
+def test_vpolytope_point_segment_and_full_kinds():
+    x = np.array([[0.4, 0.4, 0.4], [0.4, 0.4, 0.9], [0.0, 0.0, 0.0]])
+    point = VPolytope([[0.4, 0.4, 0.4], [0.4, 0.4, 0.4]])
+    assert point._kind == "point" and point._hform is None
+    assert point.volume_exact() == 0.0
+    np.testing.assert_allclose(point.dist_many(x), [0.0, 0.5, math.sqrt(0.48)], atol=1e-15)
+
+    a, b = [0.1, 0.2, 0.3], [0.5, 0.2, 0.3]
+    segment = VPolytope([b, [0.3, 0.2, 0.3], a])
+    assert segment._kind == "segment" and segment._hform is None
+    assert segment.volume_exact() == 0.0
+    np.testing.assert_allclose(segment.intrinsic_volumes(), [1.0, 0.4, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(
+        segment.dist_many(x), [math.sqrt(0.05), math.sqrt(0.4), math.sqrt(0.14)], atol=1e-15
+    )
+
+    tri = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5], [0.3, 0.2]])
+    assert tri._kind == "full" and "_hform" not in vars(tri)  # qhull runs on first use
+    assert tri.volume_exact() == pytest.approx(0.16, abs=1e-15)
+    assert isinstance(tri._hform, HPolytope)
+    np.testing.assert_allclose(
+        tri.dist_many(np.array([[0.2, 0.2], [0.5, 0.0], [0.0, 0.6]])),
+        [0.0, 0.1, math.sqrt(0.02)],
+        atol=1e-15,
+    )
+
+
+def test_vpolytope_that_qhull_finds_flat_raises_on_first_use(monkeypatch):
+    import scipy.spatial
+
+    def flat(points):
+        raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
+
+    body = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]])
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", flat)
+    with pytest.raises(ValueError, match="degenerate V-polytope beyond point/segment"):
+        body.volume_exact()

@@ -189,6 +189,55 @@ def test_bad_fibonacci_k_names_the_field(k):
 
 
 @pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("corpus", "rank1_dims", [2, 2.5]),
+        ("corpus", "rank1_sizes", [1]),
+        ("corpus", "rank1_per_cell", True),
+        ("corpus", "zd_dims", 3),
+        ("corpus", "include_bad_lattice", "yes"),
+        ("budgets", "witness_budget", 0),
+        ("budgets", "body_count", 2.0),
+        ("budgets", "body_dims", ["2"]),
+        ("budgets", "body_mc_samples", None),
+        ("budgets", "rhos", [1.5]),
+        ("budgets", "norm_mc_samples", "many"),
+        ("budgets", "prop1_gammas", [1, "2"]),
+        ("budgets", "covering_tols", {"two": 1e-4}),
+        ("budgets", "remark_dims", [10, None]),
+        ("budgets", "remark_delta", "0.3"),
+        ("budgets", "remark_kappa", [5.1]),
+        ("budgets", "thm2_triples", [[2, 2]]),
+        (None, "checks", ["thm"]),
+        (None, "checks", "thm1"),
+        (None, "checks", []),
+        (None, "checks", 3),
+        (None, "seed", "4"),
+        (None, "out_dir", 3),
+        (None, "corrupt_rhs_scale", "2"),
+        (None, "corpus", None),
+        (None, "budgets", [1]),
+    ],
+)
+def test_campaign_from_json_dict_names_a_field_of_the_wrong_type(section, key, value):
+    data = small_campaign().to_json_dict()
+    (data[section] if section else data)[key] = value
+    name = f"{section}.{key}" if section else key
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "):
+        Campaign.from_json_dict(data)
+
+
+def test_campaign_spec_must_be_an_object():
+    with pytest.raises(ValueError, match=r"^campaign must be an object, got \[\]$"):
+        Campaign.from_json_dict([])
+
+
+def test_run_campaign_needs_a_worker():
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        run_campaign(small_campaign(), workers=0)
+
+
+@pytest.mark.parametrize(
     "section,key",
     [("corpus", "fibonaci_k"), ("budgets", "witness_budgett"), (None, "sead")],
 )

@@ -1,0 +1,45 @@
+"""scipy is imported where it is used: importing latdisc loads numpy only,
+and the spectral test and Theorem 1 checks never load any scipy module.
+Each check runs in a fresh interpreter, so modules imported by other tests
+do not count."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _loaded_modules(code: str) -> list[str]:
+    """sys.modules after running `code` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy_subpackage():
+    loaded = _loaded_modules("import latdisc, latdisc.cli")
+    assert not {"scipy.optimize", "scipy.spatial", "scipy.special"} & set(loaded)
+
+
+def test_spectral_and_thm1_load_no_scipy(tmp_path):
+    code = f"""
+from latdisc import fibonacci_lattice, rank1_lattice, spectral_test, verify_thm1
+from latdisc.cli import main
+
+for lat in (fibonacci_lattice(12), rank1_lattice(64, (1, 7, 19))):
+    rep = spectral_test(lat)
+    assert verify_thm1(lat, report=rep).verdict == "PASS"
+spec = {str(tmp_path / "fib.lat")!r}
+assert main(["--out", spec, "gen", "fibonacci", "--k", "12"]) == 0
+assert main(["--out", {str(tmp_path / "spectral.json")!r}, "spectral", spec]) == 0
+assert main(["--out", {str(tmp_path / "points.csv")!r}, "points", spec]) == 0
+"""
+    loaded = _loaded_modules(code)
+    assert [m for m in loaded if m.startswith("scipy")] == []
+    assert json.loads((tmp_path / "spectral.json").read_text())["dual_norm"] > 0
