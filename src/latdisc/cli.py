@@ -22,7 +22,7 @@ from .convex import (
 )
 from .discrepancy import isotropic_lower_bound, thm1_verdict
 from .distance import DistanceNormConfig, distance_norms
-from .errors import EmptyBodyError
+from .errors import LatdiscError
 from .harness import (
     ALL_CHECKS,
     Budgets,
@@ -45,8 +45,16 @@ from .lattice import (
 from .reduction import spectral_test
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at `path`; ValueError naming a path that cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _read_lattice(path: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    text = sys.stdin.read() if path == "-" else _read_text(path)
     return parse_lattice_text(text)
 
 
@@ -113,6 +121,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_points(args) -> int:
+    if args.precision < 0:
+        raise ValueError(f"--precision must be at least 0, got {args.precision}")
     lat = _read_lattice(args.lattice)
     ps = enumerate_points(lat, cap=args.cap)
     import io
@@ -125,9 +135,8 @@ def _cmd_points(args) -> int:
 
 def _cmd_isodisc(args) -> int:
     lat = _read_lattice(args.lattice)
-    ps = enumerate_points(lat)
     rep = spectral_test(lat)
-    best, witnesses = isotropic_lower_bound(ps, args.budget, _seed(args), report=rep)
+    best, witnesses = isotropic_lower_bound(lat, report=rep)
     report = thm1_verdict(lat, rep, best, witnesses)
     _emit_json(
         args,
@@ -153,7 +162,7 @@ def _cmd_distnorm(args) -> int:
 
 
 def _load_body(path: str):
-    return body_from_json_dict(json.loads(Path(path).read_text()))
+    return body_from_json_dict(json.loads(_read_text(path)))
 
 
 def _cmd_geom(args) -> int:
@@ -226,7 +235,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_campaign(args) -> int:
     workers = _workers(args)
-    data = json.loads(Path(args.spec).read_text())
+    data = json.loads(_read_text(args.spec))
     campaign = Campaign.from_json_dict(data)
     campaign = replace(
         campaign, seed=_seed(args, campaign.seed), out_dir=args.out or campaign.out_dir
@@ -265,7 +274,8 @@ def _global_flags(with_defaults: bool) -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=dflt("seed"),
-        help="random seed (default: 0; for `campaign run`, the spec's seed)",
+        help="random seed read by `verify` and `campaign run` (default: 0; for"
+        " `campaign run`, the spec's seed)",
     )
     p.add_argument(
         "--tol",
@@ -322,7 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     pts = add_parser("points", help="enumerate the lattice point set as CSV")
     pts.add_argument("lattice")
     pts.add_argument(
-        "--precision", type=int, default=17, help="decimal digits per coordinate (default: 17)"
+        "--precision",
+        type=int,
+        default=17,
+        help="decimal digits per coordinate, at least 0 (default: 17)",
     )
     pts.add_argument("--exact", action="store_true", help='render coordinates as "p/q"')
     pts.add_argument(
@@ -330,11 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pts.set_defaults(fn=_cmd_points)
 
-    iso = add_parser("isodisc", help="isotropic-discrepancy witness search")
+    iso = add_parser("isodisc", help="isotropic-discrepancy witness search over dual slabs")
     iso.add_argument("lattice")
-    iso.add_argument(
-        "--budget", type=int, default=12, help="random witness candidates (default: 12)"
-    )
     iso.set_defaults(fn=_cmd_isodisc)
 
     dn = add_parser("distnorm", help="distance-function L_gamma norms")
@@ -383,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, EmptyBodyError) as exc:
+    except (ValueError, LatdiscError) as exc:
         parser.error(str(exc))
 
 

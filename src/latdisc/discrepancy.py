@@ -1,10 +1,10 @@
 """Certified lower bounds for the isotropic discrepancy of lattice point
 sets, and the d 2^(2(d+1)) sigma upper-bound verdict.
 
-Witness families: empty dual slabs, half-space cuts and 2-d convex hulls
-(exact volumes), and random balls (an exact rational enclosure of the
-volume). Every witness is certified: its value is a true lower bound for
-the isotropic discrepancy, and any of them may decide the verdict.
+The witnesses are the empty slabs between adjacent hyperplanes of the
+shortest dual vectors. Each slab's volume and emptiness are decided in exact
+arithmetic, so every witness value is a true lower bound for the isotropic
+discrepancy, and the search involves no randomness.
 """
 
 from __future__ import annotations
@@ -15,19 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convex import AxisBox, Ball, ConvexBody, HPolytope, VolumeEstimate, VPolytope
+from .convex import HPolytope, VolumeEstimate
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
-from .montecarlo import chunk_rng
 from .reduction import (
     SpectralReport,
     hyperplane_family,
     shortest_dual_vectors,
     spectral_test,
 )
-
-Vec = tuple[Fraction, ...]
-
-SNAP_DENOM = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -81,25 +76,6 @@ def halfspace_cube_volume_derivative(a, b) -> Fraction:
     return Fraction(c * _ie_sum(pos, t, k - 1), math.factorial(k - 1) * math.prod(pos))
 
 
-# math.pi is pi correctly rounded, so it lies within half an ulp, 2^-52, of pi
-_PI_LO = Fraction(math.pi) - Fraction(1, 1 << 52)
-_PI_HI = Fraction(math.pi) + Fraction(1, 1 << 52)
-
-
-def ball_volume_enclosure(d: int, r) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= kappa_d r^d <= hi enclosing the volume of a d-ball of
-    rational radius r.
-
-    kappa_d is a rational times pi^m: pi^m / m! for d = 2m and
-    2^d m! pi^m / d! for d = 2m + 1. Powers of the bounds on pi enclose pi^m,
-    so the relative width is about 2 m 2^-52 / pi.
-    """
-    m, odd = divmod(d, 2)
-    c = Fraction(2**d * math.factorial(m), math.factorial(d)) if odd else Fraction(1, math.factorial(m))
-    scale = c * Fraction(r) ** d
-    return scale * _PI_LO**m, scale * _PI_HI**m
-
-
 # ---------------------------------------------------------------------------
 # Exact counting
 #
@@ -113,18 +89,13 @@ def ball_volume_enclosure(d: int, r) -> tuple[Fraction, Fraction]:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _exact_ints(ps: LatticePointSet, bound: int) -> np.ndarray:
-    """The points' integers, as Python-int objects when `bound` (a bound on
-    every intermediate magnitude) does not fit in int64."""
-    return ps.ints if bound <= _INT64_MAX else ps.ints.astype(object)
-
-
 def _scaled_dot(ps: LatticePointSet, a) -> tuple[np.ndarray, int]:
     """Integers s and a scale with a.p = s[i] / scale for every point p."""
     a = [Fraction(x) for x in a]
     q = math.lcm(*(x.denominator for x in a))
     m = [x.numerator * (q // x.denominator) for x in a]
-    ints = _exact_ints(ps, sum(map(abs, m)) * ps.denom)
+    # sum |m_i| D bounds every |s[i]|; beyond int64 the products need Python ints
+    ints = ps.ints if sum(map(abs, m)) * ps.denom <= _INT64_MAX else ps.ints.astype(object)
     return ints @ np.array(m, dtype=ints.dtype), q * ps.denom
 
 
@@ -134,33 +105,6 @@ def _at_most(s: np.ndarray, t: int) -> np.ndarray:
     if s.dtype != object:
         t = min(max(t, -_INT64_MAX), _INT64_MAX)
     return np.asarray(s <= t, dtype=bool)
-
-
-def _in_halfspaces(ps: LatticePointSet, halfspaces) -> np.ndarray:
-    """Mask of the points with a.p <= b for every (a, b), exact."""
-    inside = np.ones(ps.n, dtype=bool)
-    for a, b in halfspaces:
-        s, scale = _scaled_dot(ps, a)
-        inside &= _at_most(s, math.floor(Fraction(b) * scale))
-    return inside
-
-
-def _in_ball(ps: LatticePointSet, ball: Ball) -> np.ndarray:
-    """Mask of |p - c|^2 <= r^2, exact. With c = C/S, r = R/S and p = P/D
-    this is sum_i (S P_i - D C_i)^2 <= (D R)^2."""
-    c = [Fraction(v) for v in ball.center.tolist()]
-    r = Fraction(ball.radius)
-    scale = math.lcm(r.denominator, *(x.denominator for x in c))
-    cs = [x.numerator * (scale // x.denominator) for x in c]
-    big_c = max(abs(x) for x in cs)
-    ints = _exact_ints(ps, ps.dim * (ps.denom * (scale + big_c)) ** 2)
-    u = ints * scale - np.array(cs, dtype=ints.dtype) * ps.denom
-    big_r = r.numerator * (scale // r.denominator)
-    return _at_most((u * u).sum(axis=1), (ps.denom * big_r) ** 2)
-
-
-def count_points_halfspace(ps: LatticePointSet, a, b) -> int:
-    return int(np.count_nonzero(_in_halfspaces(ps, [(a, b)])))
 
 
 def count_points_slab(ps: LatticePointSet, h, lo, hi, closed: bool = True) -> int:
@@ -174,110 +118,26 @@ def count_points_slab(ps: LatticePointSet, h, lo, hi, closed: bool = True) -> in
     return int(np.count_nonzero(inside))
 
 
-def _hull_halfplanes(hull: list[Vec]) -> list[tuple[Vec, Fraction]]:
-    """Half-planes (a, b), a.p <= b, whose intersection is the closed
-    counterclockwise hull: a polygon, a segment, or a point."""
-    if len(hull) >= 3:
-        return [
-            ((q[1] - p[1], p[0] - q[0]), (q[1] - p[1]) * p[0] - (q[0] - p[0]) * p[1])
-            for p, q in zip(hull, hull[1:] + hull[:1])
-        ]
-    p, q = hull[0], hull[-1]
-    # a segment is its line and the two end caps; a point is a segment whose
-    # direction is taken as e_1
-    e = (q[0] - p[0], q[1] - p[1]) if len(hull) == 2 else (Fraction(1), Fraction(0))
-    n = (e[1], -e[0])
-    n_p = n[0] * p[0] + n[1] * p[1]
-    return [
-        (n, n_p),
-        ((-n[0], -n[1]), -n_p),
-        (e, e[0] * q[0] + e[1] * q[1]),
-        ((-e[0], -e[1]), -(e[0] * p[0] + e[1] * p[1])),
-    ]
-
-
-def convex_hull_2d(points: list[Vec]) -> list[Vec]:
-    """Andrew's monotone chain on exact rational points, counterclockwise."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def half(seq):
-        out: list[Vec] = []
-        for p in seq:
-            while len(out) >= 2:
-                o, q = out[-2], out[-1]
-                if (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0]) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return lower[:-1] + upper[:-1]
-
-
-def polygon_area_exact(hull: list[Vec]) -> Fraction:
-    if len(hull) < 3:
-        return Fraction(0)
-    acc = Fraction(0)
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        acc += a[0] * b[1] - a[1] * b[0]
-    return abs(acc) / 2
-
-
-def _exact_halfspaces(body: ConvexBody) -> list[tuple[Vec, Fraction]]:
-    """A box, an H-polytope or a 2-d hull as exact half-spaces a.x <= b."""
-    if isinstance(body, HPolytope):
-        return [
-            ([Fraction(v) for v in row], Fraction(b))
-            for row, b in zip(body.normals.tolist(), body.offsets.tolist())
-        ]
-    if isinstance(body, AxisBox):
-        unit = np.eye(body.dim, dtype=int).tolist()
-        return [(e, Fraction(v)) for e, v in zip(unit, body.upper.tolist())] + [
-            ([-x for x in e], -Fraction(v)) for e, v in zip(unit, body.lower.tolist())
-        ]
-    if isinstance(body, VPolytope) and body.dim == 2:
-        return _hull_halfplanes(
-            convex_hull_2d([tuple(Fraction(v) for v in row) for row in body.vertices.tolist()])
-        )
-    raise TypeError(f"exact counting not supported for {type(body).__name__}")
-
-
-def count_points(ps: LatticePointSet, body: ConvexBody) -> int:
-    """Exact membership count for balls, boxes, H-polytopes, and 2-d hulls.
-
-    Float parameters are dyadic rationals, so all comparisons are exact;
-    membership is closed, matching closed witness bodies.
-    """
-    if isinstance(body, Ball):
-        inside = _in_ball(ps, body)
-    else:
-        inside = _in_halfspaces(ps, _exact_halfspaces(body))
-    return int(np.count_nonzero(inside))
-
-
 # ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DiscrepancyWitness:
-    body: ConvexBody
+    """An empty slab k + eps <= h.x <= k + 1 - eps of the cube; its value
+    is the slab's exact volume."""
+
+    body: HPolytope
     inside_count: int
     volume: VolumeEstimate
     local_value: float
     family: str
-    local_value_exact: Fraction | None = None
-    dual_slab: tuple[tuple[int, ...], int] | None = None  # (h, k) of a dual-slab witness
+    local_value_exact: Fraction
+    dual_slab: tuple[tuple[int, ...], int]  # (h, k)
 
     @property
     def certified(self) -> bool:
-        return self.local_value_exact is not None
+        return True  # the value is exact
 
     def to_json_dict(self) -> dict:
         return {
@@ -388,173 +248,30 @@ def slab_witness(
     )
 
 
-def _snap(x: float) -> Fraction:
-    return Fraction(round(x * SNAP_DENOM), SNAP_DENOM)
-
-
-def _snap_unit(x: float) -> Fraction:
-    """Snap into the dyadic grid, clamped to [0, 1] (rounding may overshoot)."""
-    return min(max(_snap(x), Fraction(0)), Fraction(1))
-
-
-def _halfspace_witness(
-    ps: LatticePointSet, rng: np.random.Generator, pts_float: np.ndarray
-) -> DiscrepancyWitness:
-    """Best |count/N - volume| over thresholds of one random direction.
-
-    Float screening picks the candidate; the returned value is re-certified
-    in exact arithmetic (volume, count, and tie handling).
-    """
-    d = ps.dim
-    n = ps.n
-    while True:
-        a_f = rng.normal(size=d)
-        if np.linalg.norm(a_f) > 1e-9:
-            break
-    a_f /= np.linalg.norm(a_f)
-    a = [_snap(v) for v in a_f]
-    if not any(a):
-        a[0] = Fraction(1)
-    a_float = np.array([float(v) for v in a])
-    proj = pts_float @ a_float
-    order = np.argsort(proj, kind="stable")
-    ts = proj[order]
-    vols = _halfspace_volume_float(a_float, ts)
-    cnt_le = np.searchsorted(ts, ts, side="right")
-    cnt_lt = np.searchsorted(ts, ts, side="left")
-    cand_close = np.abs(cnt_le / n - vols)
-    cand_open = np.abs(cnt_lt / n - vols)
-    j_closed = int(np.argmax(cand_close))
-    j_open = int(np.argmax(cand_open))
-    use_open = cand_open[j_open] > cand_close[j_closed]
-    j = j_open if use_open else j_closed
-    s, scale = _scaled_dot(ps, a)
-    b_exact = Fraction(int(s[order[j]]), scale)
-    if use_open:
-        b_exact -= Fraction(1, 1 << 40)
-    vol = halfspace_cube_volume(a, b_exact)
-    count = int(np.count_nonzero(_at_most(s, math.floor(b_exact * scale))))
-    local = abs(Fraction(count, n) - vol)
-    body = _cube_halfspace_body(a, b_exact, d)
-    return DiscrepancyWitness(
-        body=body,
-        inside_count=count,
-        volume=VolumeEstimate.exact_value(float(vol)),
-        local_value=float(local),
-        family="halfspace",
-        local_value_exact=local,
-    )
-
-
-def _halfspace_volume_float(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Float inclusion-exclusion volumes for many thresholds at once."""
-    pos = np.abs(a[a != 0])
-    shift = -a[a < 0].sum()
-    k = pos.shape[0]
-    if k == 0:
-        return (bs >= 0).astype(float)
-    subset_sums = np.zeros(1)
-    signs = np.ones(1)
-    for x in pos:
-        subset_sums = np.r_[subset_sums, subset_sums + x]
-        signs = np.r_[signs, -signs]
-    t = (bs[:, None] + shift) - subset_sums[None, :]
-    np.maximum(t, 0.0, out=t)
-    acc = (t**k * signs[None, :]).sum(axis=1)
-    denom = math.factorial(k) * float(np.prod(pos))
-    return np.clip(acc / denom, 0.0, 1.0)
-
-
-def _cube_halfspace_body(a: list[Fraction], b: Fraction, d: int) -> HPolytope:
-    normals = np.vstack([np.array([float(v) for v in a]), np.eye(d), -np.eye(d)])
-    offsets = np.r_[float(b), np.ones(d), np.zeros(d)]
-    return HPolytope(normals, offsets, skip_checks=True)
-
-
-def _ball_witness(ps: LatticePointSet, rng: np.random.Generator) -> DiscrepancyWitness:
-    """Random ball inside the cube: exact count and an exact enclosure
-    [lo, hi] of its volume (`ball_volume_enclosure`). The certified value is
-    the distance from count/N to [lo, hi], at most |count/N - volume|."""
-    d = ps.dim
-    r = float(rng.uniform(0.05, 0.45))
-    c = rng.uniform(r, 1 - r, size=d)
-    r_snap = max(float(_snap(r)), 1 / SNAP_DENOM)
-    center = [
-        min(max(float(_snap(v)), r_snap), 1.0 - r_snap) for v in c
-    ]  # snapping may overshoot the containment margin
-    ball = Ball(center, r_snap)
-    count = count_points(ps, ball)
-    lo, hi = ball_volume_enclosure(d, Fraction(r_snap))
-    frac = Fraction(count, ps.n)
-    local = max(lo - frac, frac - hi, Fraction(0))
-    return DiscrepancyWitness(
-        body=ball,
-        inside_count=count,
-        volume=VolumeEstimate(float((lo + hi) / 2), False),
-        local_value=float(local),
-        family="ball",
-        local_value_exact=local,
-    )
-
-
-def _hull_witness(ps: LatticePointSet, rng: np.random.Generator) -> DiscrepancyWitness:
-    """2-d hull of random rational points: exact area and count."""
-    m = int(rng.integers(3, 9))
-    raw = rng.uniform(0, 1, size=(m, 2))
-    pts = [tuple(_snap_unit(v) for v in row) for row in raw]
-    hull = convex_hull_2d(pts)
-    area = polygon_area_exact(hull)
-    count = int(np.count_nonzero(_in_halfspaces(ps, _hull_halfplanes(hull))))
-    local = abs(Fraction(count, ps.n) - area)
-    body = VPolytope([[float(x) for x in v] for v in hull] if len(hull) >= 3 else [[float(x) for x in v] for v in pts])
-    return DiscrepancyWitness(
-        body=body,
-        inside_count=count,
-        volume=VolumeEstimate.exact_value(float(area)),
-        local_value=float(local),
-        family="hull",
-        local_value_exact=local,
-    )
-
-
 def isotropic_lower_bound(
-    ps: LatticePointSet,
-    budget: int,
-    seed: int,
+    lat: IntegrationLattice,
+    points: LatticePointSet | None = None,
     n_slabs: int = 10,
     report: SpectralReport | None = None,
 ) -> tuple[DiscrepancyWitness, list[DiscrepancyWitness]]:
-    """Search for the best witness; every witness is certified.
+    """The best of the slab witnesses of the `n_slabs` shortest dual
+    vectors, and all of them, shortest first.
 
-    Candidate i draws from a stream keyed by (seed, i), so a larger budget
-    extends (never reshuffles) the candidate list and the best value is
-    monotone in the budget for a fixed seed. `report`, the spectral test of
-    `ps.source`, lends the slab search its reduced dual basis.
+    Every value is exact and the search is deterministic: the first witness
+    of largest value wins. `points` is the lattice's `enumerate_points`, and
+    `report`, its spectral test, lends the search its reduced dual basis;
+    each is computed here when omitted.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    witnesses: list[DiscrepancyWitness] = []
-    if ps.source is not None:
-        for h in shortest_dual_vectors(ps.source, n_slabs, report):
-            witnesses.append(slab_witness(ps.source, h, points=ps))
-    pts_float = ps.as_array()
-    for i in range(budget):
-        rng = chunk_rng(seed, i)
-        kind = i % 3
-        if kind == 1:
-            witnesses.append(_ball_witness(ps, rng))
-        elif kind == 2 and ps.dim == 2:
-            witnesses.append(_hull_witness(ps, rng))
-        else:
-            witnesses.append(_halfspace_witness(ps, rng, pts_float))
-    best = max(witnesses, key=lambda w: (w.local_value_exact, w.family, w.inside_count))
+    ps = points if points is not None else enumerate_points(lat)
+    witnesses = [
+        slab_witness(lat, h, points=ps) for h in shortest_dual_vectors(lat, n_slabs, report)
+    ]
+    best = max(witnesses, key=lambda w: w.local_value_exact)
     return best, witnesses
 
 
 def verify_thm1(
     lat: IntegrationLattice,
-    budget: int = 12,
-    seed: int = 0,
     lattice_id: str = "",
     report: SpectralReport | None = None,
     points: LatticePointSet | None = None,
@@ -562,8 +279,7 @@ def verify_thm1(
     """PASS iff the best certified lower bound respects min(1, d 2^(2(d+1)) sigma),
     and the slab witness stays above a fifth of its exact cross-section floor."""
     rep = report if report is not None else spectral_test(lat)
-    ps = points if points is not None else enumerate_points(lat)
-    best, witnesses = isotropic_lower_bound(ps, budget, seed, report=rep)
+    best, witnesses = isotropic_lower_bound(lat, points, report=rep)
     return thm1_verdict(lat, rep, best, witnesses, lattice_id)
 
 
@@ -582,7 +298,7 @@ def thm1_verdict(
     # j <= min(1, factor * sigma), decided in exact arithmetic
     ok_one = j <= 1
     ok_bound = j * j * nsq <= Fraction(factor) ** 2
-    slab = next(w for w in witnesses if w.family == "dual-slab")
+    slab = witnesses[0]  # the shortest dual vector's slab
     # the floor is the cross-section of the slab witness's own (h, k)
     h, best_k = slab.dual_slab
     cross = halfspace_cube_volume_derivative(h, Fraction(2 * best_k + 1, 2))

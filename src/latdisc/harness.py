@@ -115,7 +115,6 @@ _CORPUS_RULES = {
 }
 
 _BUDGET_RULES = {
-    "witness_budget": ("an integer >= 1", _int_at_least(1)),
     "body_count": ("an integer >= 0", _int_at_least(0)),
     "body_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
     "body_mc_samples": ("an integer", _is_int),
@@ -169,7 +168,6 @@ class CorpusSpec:
 
 @dataclass(frozen=True)
 class Budgets:
-    witness_budget: int = 6
     body_count: int = 50
     body_dims: tuple[int, ...] = (2, 3, 4)
     body_mc_samples: int = 10**6  # unread: body volumes are exact; specs that set it still load
@@ -363,14 +361,7 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
         ))
     if "thm1" in c.checks:
         points = enumerate_points(lat)
-        t1 = verify_thm1(
-            lat,
-            budget=c.budgets.witness_budget,
-            seed=c.seed,
-            lattice_id=lattice_id,
-            report=rep,
-            points=points,
-        )
+        t1 = verify_thm1(lat, lattice_id=lattice_id, report=rep, points=points)
         rows.append(_row("thm1", lattice_id, t1.j_lower, min(1.0, t1.bound), t1.verdict))
         rows.append(_row(
             "thm1-slab-floor", lattice_id, t1.slab_floor, t1.slab_value,

@@ -60,7 +60,6 @@ class LatticePointSet:
     dim: int
     ints: np.ndarray
     denom: int
-    source: IntegrationLattice | None = None
 
     @property
     def n(self) -> int:
@@ -223,7 +222,7 @@ def enumerate_points(
         ints = ((ints[:, None, :] + steps[None, :, :]) % denom).reshape(-1, d)
     ints = ints[np.lexsort(ints.T[::-1])]
     ints.setflags(write=False)
-    return LatticePointSet(d, ints, denom, source=lat)
+    return LatticePointSet(d, ints, denom)
 
 
 def dual_basis(lat: IntegrationLattice) -> Mat:

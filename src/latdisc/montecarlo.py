@@ -2,8 +2,8 @@
 
 Stream i of a seed is Philox keyed by (seed, i), so what one consumer draws
 depends only on its seed and index, never on what other consumers drew.
-The corpus generators, the witness candidates and the random bodies draw
-from these streams; nothing in the package samples a volume or a moment.
+The corpus generators and the random bodies draw from these streams;
+nothing in the package samples a volume or a moment.
 """
 
 from __future__ import annotations

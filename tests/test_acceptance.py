@@ -301,7 +301,6 @@ def test_criterion_9_determinism(capsys, tmp_path):
         body_mc_samples=10**5,
         norm_mc_samples=20_000,
         remark_dims=(10, 100, 1000),
-        witness_budget=3,
     )
     out = tmp_path / "artifacts"
     c = Campaign(corpus=corpus, budgets=budgets, seed=SEED, out_dir=str(out))

@@ -56,19 +56,19 @@ def test_points_exact(tmp_path, capsys):
 def test_isodisc(tmp_path, capsys):
     spec = tmp_path / "lat.txt"
     run_cli(capsys, "--out", str(spec), "gen", "rank1", "--n", "5", "--g", "1,2")
-    code, out = run_cli(capsys, "--seed", "3", "isodisc", str(spec), "--budget", "3")
+    code, out = run_cli(capsys, "isodisc", str(spec))
     assert code == 0
     data = json.loads(out)
     assert data["thm1"]["verdict"] == "PASS"
     assert data["best"]["certified"]
-    assert len(data["witnesses"]) >= 3
+    assert len(data["witnesses"]) == 10
     # the verdict is taken from the same witness search that is printed
     assert data["best"] in data["witnesses"]
     assert data["thm1"]["n_witnesses"] == len(data["witnesses"])
     assert data["thm1"]["best_family"] == data["best"]["family"]
-    # nothing is sampled, so no witness reports a standard error, a sample
-    # count or a sampling seed
-    assert {w["family"] for w in data["witnesses"]} >= {"ball"}
+    # the witnesses are the dual slabs alone; nothing is sampled, so no
+    # witness reports a standard error, a sample count or a sampling seed
+    assert {w["family"] for w in data["witnesses"]} == {"dual-slab"}
     assert all(w["certified"] for w in data["witnesses"])
 
     def keys(node):
@@ -151,7 +151,7 @@ def test_campaign_run(tmp_path, capsys):
             "include_bad_lattice": False,
         },
         "checks": ["thm1", "remark"],
-        "budgets": {"witness_budget": 3, "remark_dims": [10, 100]},
+        "budgets": {"remark_dims": [10, 100]},
         "seed": 4,
         "out_dir": str(tmp_path / "artifacts"),
     }
@@ -327,3 +327,66 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, worke
     assert exc.value.code == 2
     assert "latdisc: error: --workers must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "default").exists()
+
+
+def test_isodisc_budget_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "lat.txt"
+    spec.write_text("2 5\nrank1: 1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["isodisc", str(spec), "--budget", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
+
+
+def test_campaign_spec_with_witness_budget_fails_at_load(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LATDISC_OUT", str(tmp_path / "default"))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_tiny_campaign_spec(budgets={"witness_budget": 3})))
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "run", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "latdisc: error: unknown budgets key(s) in campaign spec: witness_budget" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "default").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectral", "{missing}"),
+        ("geom", "steiner", "--body", "{missing}", "--rho", "0.1"),
+        ("campaign", "run", "{missing}"),
+        ("spectral", "{directory}"),
+    ],
+    ids=["lattice", "body", "spec", "directory"],
+)
+def test_file_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("LATDISC_OUT", str(tmp_path / "default"))
+    paths = {"missing": tmp_path / "nonexistent", "directory": tmp_path}
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**paths) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    path = next(str(p) for k, p in paths.items() if f"{{{k}}}" in argv)
+    assert f"latdisc: error: cannot read {path}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "default").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--cap", "0"), "lattice has 21 points, cap is 0"),
+        (("--precision", "-1"), "--precision must be at least 0, got -1"),
+    ],
+)
+def test_points_refusal_is_a_usage_error(tmp_path, capsys, flags, message):
+    spec = tmp_path / "fib.lat"
+    spec.write_text("2 21\nrank1: 1 13\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["points", str(spec), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"latdisc: error: {message}" in err
+    assert "Traceback" not in err

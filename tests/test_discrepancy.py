@@ -7,28 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latdisc.convex import AxisBox, Ball, HPolytope, VPolytope, unit_cube
 from latdisc.discrepancy import (
-    DiscrepancyWitness,
-    ball_volume_enclosure,
-    convex_hull_2d,
-    count_points,
-    count_points_halfspace,
     count_points_slab,
     halfspace_cube_volume,
     halfspace_cube_volume_derivative,
     isotropic_lower_bound,
-    polygon_area_exact,
     slab_witness,
     verify_thm1,
 )
-from latdisc.discrepancy import (
-    _hull_halfplanes,
-    _in_halfspaces,
-    _scaled_dot,
-    _slab_eps_functional,
-)
-from latdisc.harness import CorpusSpec, builtin_corpus, corpus_lattice
+from latdisc.discrepancy import _scaled_dot, _slab_eps_functional
 from latdisc.lattice import LatticePointSet, enumerate_points, fibonacci_lattice, rank1_lattice
 from latdisc.reduction import shortest_dual_vectors
 
@@ -136,49 +123,16 @@ def test_vd_decision_cross_sections_bounded_by_sqrt2():
 
 
 def test_count_points_halfspace_rank1():
-    assert count_points_halfspace(P5, [1, 0], Fraction(1, 2)) == 3
-    assert count_points_halfspace(P5, [1, 0], Fraction(2, 5)) == 3  # boundary point counts
-    assert count_points(P5, unit_cube(2)) == 5
+    # a slab whose lower side lies below the cube counts a half-space
+    assert count_points_slab(P5, [1, 0], -1, Fraction(1, 2)) == 3
+    assert count_points_slab(P5, [1, 0], -1, Fraction(2, 5)) == 3  # boundary point counts
+    assert count_points_slab(P5, [1, 0], 0, 1) == 5
 
 
 def test_count_points_open_slab_is_zero():
     # all five points satisfy 2x1 - x2 in {0, 1} exactly
     assert count_points_slab(P5, (2, -1), 0, 1, closed=False) == 0
     assert count_points_slab(P5, (2, -1), 0, 1, closed=True) == 5
-
-
-def test_count_points_ball_exact():
-    ball = Ball([0.5, 0.5], 0.25)
-    # brute inspection: which of the 5 points are within 0.25 of center?
-    expected = 0
-    for p in fraction_points(P5):
-        if (float(p[0]) - 0.5) ** 2 + (float(p[1]) - 0.5) ** 2 <= 0.25**2 + 1e-15:
-            expected += 1
-    assert count_points(P5, ball) == expected
-
-
-def test_count_points_box_and_polytope():
-    box = AxisBox([0.0, 0.0], [0.5, 0.5])
-    assert count_points(P5, box) == count_points_halfspace(P5, [1, 0], Fraction(1, 2)) - sum(
-        1 for p in fraction_points(P5) if p[0] <= Fraction(1, 2) and p[1] > Fraction(1, 2)
-    )
-    tri = HPolytope([[1.0, 2.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
-    assert count_points(P5, tri) == sum(
-        1 for p in fraction_points(P5) if p[0] + 2 * p[1] <= 1
-    )
-
-
-def test_convex_hull_2d_and_area():
-    pts = [
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(0)),
-        (Fraction(1), Fraction(1)),
-        (Fraction(0), Fraction(1)),
-        (Fraction(1, 2), Fraction(1, 2)),
-    ]
-    hull = convex_hull_2d(pts)
-    assert len(hull) == 4
-    assert polygon_area_exact(hull) == 1
 
 
 def test_slab_witness_rank1_5_12():
@@ -207,8 +161,7 @@ def test_slab_witness_equispaced_gap():
 
 def test_isotropic_lower_bound_single_point_d2():
     lat = rank1_lattice(1, (0, 0))
-    ps = enumerate_points(lat)
-    best, all_w = isotropic_lower_bound(ps, budget=6, seed=42)
+    best, all_w = isotropic_lower_bound(lat)
     assert best.certified
     assert best.local_value >= 0.9
     assert all(w.local_value <= 1 + 1e-12 for w in all_w)
@@ -216,32 +169,33 @@ def test_isotropic_lower_bound_single_point_d2():
 
 def test_isotropic_lower_bound_equispaced_d1():
     lat = rank1_lattice(16, (1,))
-    ps = enumerate_points(lat)
-    best, _ = isotropic_lower_bound(ps, budget=4, seed=1)
+    best, _ = isotropic_lower_bound(lat)
     assert best.local_value >= 1 / 16 - 1e-6
-    assert best.local_value <= 1 / 16 + 1e-6 or best.local_value <= 1.0
+    assert best.local_value_exact <= Fraction(1, 16)
 
 
 def test_isotropic_lower_bound_monotone_in_budget():
-    ps = enumerate_points(fibonacci_lattice(8))
-    vals = []
-    for budget in (2, 4, 8):
-        best, _ = isotropic_lower_bound(ps, budget, seed=11)
-        vals.append(best.local_value_exact)
+    # the number of dual vectors searched is the search's only budget: a
+    # larger one extends the witness list and never lowers the best value
+    lat = fibonacci_lattice(8)
+    searches = [isotropic_lower_bound(lat, n_slabs=n) for n in (2, 4, 8)]
+    vals = [best.local_value_exact for best, _ in searches]
     assert vals[0] <= vals[1] <= vals[2]
+    for (_, shorter), (_, longer) in zip(searches, searches[1:]):
+        assert [w.dual_slab for w in shorter] == [w.dual_slab for w in longer[: len(shorter)]]
 
 
 def test_witness_bodies_inside_cube():
-    ps = enumerate_points(fibonacci_lattice(7))
-    _, all_w = isotropic_lower_bound(ps, budget=6, seed=3)
+    lat = fibonacci_lattice(7)
+    _, all_w = isotropic_lower_bound(lat)
     for w in all_w:
         lo, hi = w.body.bounding_box()
         assert np.all(lo >= -1e-9) and np.all(hi <= 1 + 1e-9)
-        assert 0 <= w.inside_count <= ps.n
+        assert w.inside_count == 0
 
 
 def test_verify_thm1_rank1_5_12():
-    rep = verify_thm1(R5, budget=6, seed=0, lattice_id="rank1-5-12")
+    rep = verify_thm1(R5, lattice_id="rank1-5-12")
     assert rep.verdict == "PASS"
     assert rep.bound == pytest.approx(2 * 2**6 / math.sqrt(5), rel=1e-12)
     assert rep.old_bound == pytest.approx(4 * 4 / math.sqrt(5), rel=1e-12)
@@ -253,14 +207,27 @@ def test_verify_thm1_rank1_5_12():
 def test_verify_thm1_zd():
     for d in (1, 2, 3):
         lat = rank1_lattice(1, tuple(0 for _ in range(d)))
-        rep = verify_thm1(lat, budget=3, seed=5)
+        rep = verify_thm1(lat)
         assert rep.verdict == "PASS"
         assert rep.sigma == 1.0
         assert rep.slab_floor_ok
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_zd_lower_bound_is_the_exact_slab(d):
+    # the unit slab 0 < x_1 < 1 shrunk by (10^9 + 1) / 10^18 on each side
+    lat = rank1_lattice(1, (0,) * d)
+    best, witnesses = isotropic_lower_bound(lat)
+    assert best.local_value_exact == 1 - Fraction(2 * (10**9 + 1), 10**18)
+    assert {w.family for w in witnesses} == {"dual-slab"}
+    rep = verify_thm1(lat)
+    assert rep.j_lower == float(best.local_value_exact)
+    assert rep.best_family == "dual-slab"
+    assert rep.n_witnesses == len(witnesses) == 10
+
+
 def test_verify_thm1_fibonacci():
-    rep = verify_thm1(fibonacci_lattice(15), budget=6, seed=9)
+    rep = verify_thm1(fibonacci_lattice(15))
     assert rep.verdict == "PASS"
     assert rep.slab_floor_ok
     assert rep.slab_value > 0
@@ -271,9 +238,9 @@ def test_thm1_slab_floor_is_taken_at_the_witness_slab():
     # the spectral test picks (0, 4, -1), the slab witness (-2, 2, 3) of the
     # same norm; their floors differ (0.05 and 0.0625)
     lat = rank1_lattice(64, (51, 21, 20))
-    _, witnesses = isotropic_lower_bound(enumerate_points(lat), budget=12, seed=0)
-    h, k = next(w for w in witnesses if w.family == "dual-slab").dual_slab
-    rep = verify_thm1(lat, budget=12, seed=0)
+    _, witnesses = isotropic_lower_bound(lat)
+    h, k = witnesses[0].dual_slab
+    rep = verify_thm1(lat)
     floor = Fraction(1, 5) * halfspace_cube_volume_derivative(h, Fraction(2 * k + 1, 2))
     assert rep.slab_floor == float(floor) == 0.0625
     assert rep.slab_floor_ok
@@ -283,111 +250,40 @@ def test_thm1_slab_floor_is_taken_at_the_witness_slab():
 # Integer counting against a Fraction reference
 # ---------------------------------------------------------------------------
 
-def ref_in_halfspaces(p, halfspaces):
-    return all(sum(Fraction(ai) * x for ai, x in zip(a, p)) <= Fraction(b) for a, b in halfspaces)
+def ref_slab_counts(ps, h, lo, hi):
+    """Closed and open counts of lo <= h.p <= hi in Fractions."""
+    values = [sum(Fraction(hj) * x for hj, x in zip(h, q)) for q in fraction_points(ps)]
+    return sum(lo <= v <= hi for v in values), sum(lo < v < hi for v in values)
 
 
-def ref_in_ball(p, ball):
-    c = [Fraction(v) for v in ball.center.tolist()]
-    return sum((x - ci) ** 2 for x, ci in zip(p, c)) <= Fraction(ball.radius) ** 2
-
-
-def ref_in_hull(p, hull):
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        ab, ap = (b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1])
-        t = ap[0] * ab[0] + ap[1] * ab[1]
-        return ab[0] * ap[1] - ab[1] * ap[0] == 0 and 0 <= t <= ab[0] ** 2 + ab[1] ** 2
-    return all(
-        (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0
-        for a, b in zip(hull, hull[1:] + hull[:1])
-    )
-
-
-def ref_count(ps, inside):
-    return sum(1 for p in fraction_points(ps) if inside(p))
-
-
-CORPUS_POINT_SETS = [
-    enumerate_points(lat)
-    for lat in (
-        fibonacci_lattice(10),
-        rank1_lattice(64, (1, 27)),  # dyadic points: bodies can pass through them exactly
-        rank1_lattice(64, (5, 17, 41)),
-        rank1_lattice(256, (1, 45, 203, 117)),
-        rank1_lattice(1, (0, 0)),
-    )
-]
-PYTHAGOREAN = {2: ((3, 4), 5), 3: ((2, 3, 6), 7), 4: ((1, 2, 2, 4), 5)}
-
-
-def _random_ball(rng, ps):
-    """A ball in the cube, half the time with a lattice point on its sphere."""
-    d = ps.dim
-    v, norm = PYTHAGOREAN[d]
-    p = ps.as_array()[rng.integers(ps.n)]
-    c = p + rng.choice([-1, 1], size=d) * np.array(v) / 256
-    r = norm / 256
-    if rng.random() < 0.5 or np.any(c < r) or np.any(c > 1 - r):
-        r = float(rng.uniform(0.01, 0.45))
-        c = np.round(rng.uniform(r, 1 - r, size=d) * 2**20) / 2**20
-        c = np.clip(c, r, 1 - r)
-    return Ball(c, r)
+CORPUS_LATTICES = (
+    fibonacci_lattice(10),
+    rank1_lattice(64, (1, 27)),  # dyadic points: cuts can pass through them exactly
+    rank1_lattice(64, (5, 17, 41)),
+    rank1_lattice(256, (1, 45, 203, 117)),
+    rank1_lattice(1, (0, 0)),
+)
+CORPUS_POINT_SETS = [enumerate_points(lat) for lat in CORPUS_LATTICES]
 
 
 @pytest.mark.parametrize("ps", CORPUS_POINT_SETS, ids=lambda ps: f"d{ps.dim}-N{ps.n}")
 def test_integer_counts_match_fraction_reference(ps):
     rng = np.random.default_rng(ps.n)
     d = ps.dim
-    pts = ps.as_array()
     exact = fraction_points(ps)
-    unit = np.eye(d, dtype=int).tolist()
     for _ in range(25):
         h = tuple(int(x) for x in rng.integers(-5, 6, size=d))
         lo = sum(hj * x for hj, x in zip(h, exact[rng.integers(ps.n)]))  # through a point
         hi = lo + Fraction(int(rng.integers(0, 4)), int(rng.integers(1, 5)))
-        values = [sum(hj * x for hj, x in zip(h, q)) for q in exact]
-        assert count_points_slab(ps, h, lo, hi) == sum(lo <= v <= hi for v in values)
-        assert count_points_slab(ps, h, lo, hi, closed=False) == sum(lo < v < hi for v in values)
+        closed, open_ = ref_slab_counts(ps, h, lo, hi)
+        assert count_points_slab(ps, h, lo, hi) == closed
+        assert count_points_slab(ps, h, lo, hi, closed=False) == open_
 
+        # a rational normal, and a half-space: a slab from below the cube
         a = [Fraction(int(x), 1 << 20) for x in rng.integers(-(1 << 20), 1 << 20, size=d)]
         b = sum(ai * x for ai, x in zip(a, exact[rng.integers(ps.n)]))
-        assert count_points_halfspace(ps, a, b) == ref_count(ps, lambda q: ref_in_halfspaces(q, [(a, b)]))
-
-        corner = pts[rng.integers(ps.n)] if rng.random() < 0.5 else rng.uniform(0, 1, size=d)
-        box = AxisBox(corner * 0.5, corner * 0.5 + rng.uniform(0, 0.5, size=d))
-        box_hs = list(zip(unit, box.upper.tolist()))
-        box_hs += [([-x for x in e], -v) for e, v in zip(unit, box.lower.tolist())]
-        assert count_points(ps, box) == ref_count(ps, lambda q: ref_in_halfspaces(q, box_hs))
-
-        ball = _random_ball(rng, ps)
-        assert count_points(ps, ball) == ref_count(ps, lambda q: ref_in_ball(q, ball))
-
-        normals = rng.integers(-3, 4, size=(3, d)).astype(float)
-        normals[~normals.any(axis=1), 0] = 1.0
-        offsets = np.einsum("ij,ij->i", normals, pts[rng.integers(ps.n, size=3)])
-        poly = HPolytope(normals, offsets + rng.integers(0, 2, size=3) / 8, skip_checks=True)
-        poly_hs = list(zip(poly.normals.tolist(), poly.offsets.tolist()))
-        assert count_points(ps, poly) == ref_count(ps, lambda q: ref_in_halfspaces(q, poly_hs))
-
-        if d == 2:
-            verts = pts[rng.integers(ps.n, size=int(rng.integers(3, 7)))]
-            if rng.random() < 0.5:
-                verts = np.round(rng.uniform(0, 1, size=verts.shape) * 128) / 128
-            hull = convex_hull_2d([tuple(Fraction(v) for v in row) for row in verts.tolist()])
-            assert count_points(ps, VPolytope(verts)) == ref_count(ps, lambda q: ref_in_hull(q, hull))
-
-
-def test_degenerate_hulls_match_fraction_reference():
-    ps = CORPUS_POINT_SETS[1]
-    p, q = fraction_points(ps)[3], fraction_points(ps)[7]
-    mid = tuple((x + y) / 2 for x, y in zip(p, q))
-    for hull in ([p], convex_hull_2d([p, q]), convex_hull_2d([p, mid, q])):
-        got = int(np.count_nonzero(_in_halfspaces(ps, _hull_halfplanes(hull))))
-        assert got == ref_count(ps, lambda x: ref_in_hull(x, hull))
-        assert got >= len(hull)
+        below = -sum(map(abs, a)) - 1
+        assert count_points_slab(ps, a, below, b) == ref_slab_counts(ps, a, below, b)[0]
 
 
 def test_counts_exact_when_int64_could_overflow():
@@ -399,19 +295,14 @@ def test_counts_exact_when_int64_could_overflow():
     s, scale = _scaled_dot(ps, h)
     assert s.dtype == object and scale == denom
     for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(3 * (denom // 3) - 5 * (denom // 5), denom), 3)):
-        values = [sum(hj * x for hj, x in zip(h, q)) for q in fraction_points(ps)]
-        assert count_points_slab(ps, h, lo, hi) == sum(lo <= v <= hi for v in values)
-        assert count_points_slab(ps, h, lo, hi, closed=False) == sum(lo < v < hi for v in values)
+        closed, open_ = ref_slab_counts(ps, h, lo, hi)
+        assert count_points_slab(ps, h, lo, hi) == closed
+        assert count_points_slab(ps, h, lo, hi, closed=False) == open_
     a = [Fraction(1, 3), Fraction(2, 7)]
     for q in fraction_points(ps):
         b = a[0] * q[0] + a[1] * q[1]
-        assert count_points_halfspace(ps, a, b) == ref_count(ps, lambda x: ref_in_halfspaces(x, [(a, b)]))
-    ball = Ball([0.5, 0.25], 0.25)
-    assert count_points(ps, ball) == ref_count(ps, lambda x: ref_in_ball(x, ball))
-    # the ball witnesses' scale: 2^20 centers over a corpus-size denominator
-    big = enumerate_points(fibonacci_lattice(20))
-    ball = Ball([0.5 + 3 / 2**20, 0.5], 0.3 + 1 / 2**20)
-    assert count_points(big, ball) == ref_count(big, lambda x: ref_in_ball(x, ball))
+        for lo in (-1, b):
+            assert count_points_slab(ps, a, lo, b) == ref_slab_counts(ps, a, lo, b)[0]
 
 
 def test_slab_witness_records_its_best_index():
@@ -431,82 +322,10 @@ def test_slab_witness_records_its_best_index():
         assert w.local_value_exact == vols[best_k]
 
 
-@pytest.mark.parametrize("lat", [fibonacci_lattice(11), rank1_lattice(256, (1, 45, 203))])
-def test_halfspace_witness_counts_match_fraction_reference(lat):
-    ps = enumerate_points(lat)
-    _, witnesses = isotropic_lower_bound(ps, budget=12, seed=2)
-    halfspaces = [w for w in witnesses if w.family == "halfspace"]
-    assert halfspaces
-    for w in halfspaces:
-        # the cut passes through a lattice point (closed), or 2^-40 below it (open)
-        a = [Fraction(v) for v in w.body.normals[0].tolist()]
-        values = [sum(ai * x for ai, x in zip(a, q)) for q in fraction_points(ps)]
-        v = min(values, key=lambda t: abs(float(t) - w.body.offsets[0]))
-        candidates = [
-            (sum(t <= v for t in values), v),
-            (sum(t < v for t in values), v - Fraction(1, 1 << 40)),
-        ]
-        assert any(
-            count == w.inside_count
-            and abs(Fraction(count, ps.n) - halfspace_cube_volume(a, b)) == w.local_value_exact
-            for count, b in candidates
-        )
-
-
-# ---------------------------------------------------------------------------
-# Ball volumes in exact arithmetic
-# ---------------------------------------------------------------------------
-
-# pi truncated after 49 decimals: PI_50 < pi < PI_50 + 1e-49
-PI_50 = Fraction("3.1415926535897932384626433832795028841971693993751")
-PI_50_HI = PI_50 + Fraction(1, 10**49)
-
-
-def kappa_ref(d, pi):
-    """kappa_d by the recursion kappa_d = kappa_(d-2) 2 pi / d."""
-    k = [Fraction(1), Fraction(2)]
-    for j in range(2, d + 1):
-        k.append(k[j - 2] * 2 * pi / j)
-    return k[d]
-
-
-@pytest.mark.parametrize("d", range(1, 13))
-def test_ball_volume_enclosure_contains_the_volume(d):
-    for r in (Fraction(1, 2**20), Fraction(1, 20) + Fraction(3, 2**20), Fraction(3, 8), Fraction(1, 2)):
-        lo, hi = ball_volume_enclosure(d, r)
-        assert lo <= kappa_ref(d, PI_50) * r**d <= kappa_ref(d, PI_50_HI) * r**d <= hi
-        assert hi - lo <= Fraction(1, 10**15) * lo
-
-
-def _corpus_point_sets(ids):
-    return [
-        enumerate_points(corpus_lattice(e))
-        for e in builtin_corpus(CorpusSpec(), 20200817)
-        if e[0] in ids
-    ]
-
-
-@pytest.mark.parametrize(
-    "ps", _corpus_point_sets({"rank1-d2-n256-i00", "rank1-d3-n256-i00", "rank1-d4-n1024-i00"})
-)
-def test_ball_witnesses_are_certified_lower_bounds(ps):
-    _, witnesses = isotropic_lower_bound(ps, budget=12, seed=20200817)
-    balls = [w for w in witnesses if w.family == "ball"]
-    assert len(balls) == 4
-    for w in balls:
-        assert w.certified and not w.volume.exact
-        assert w.inside_count == count_points(ps, w.body)
-        r = Fraction(w.body.radius)
-        frac = Fraction(w.inside_count, ps.n)
-        for pi in (PI_50, PI_50_HI):
-            assert w.local_value_exact <= abs(frac - kappa_ref(ps.dim, pi) * r**ps.dim)
-        assert w.local_value == float(w.local_value_exact)
-    assert any(w.local_value_exact > 0 for w in balls)
-
-
-@pytest.mark.parametrize("ps", CORPUS_POINT_SETS)
-def test_isotropic_lower_bound_returns_only_certified_witnesses(ps):
-    best, witnesses = isotropic_lower_bound(ps, budget=6, seed=7)
-    assert {w.family for w in witnesses} >= {"ball", "halfspace"}
-    assert all(w.certified for w in witnesses)
+@pytest.mark.parametrize("lat", CORPUS_LATTICES, ids=[f"ps{i}" for i in range(len(CORPUS_LATTICES))])
+def test_isotropic_lower_bound_returns_only_certified_witnesses(lat):
+    best, witnesses = isotropic_lower_bound(lat)
+    assert {w.family for w in witnesses} == {"dual-slab"}
+    assert all(w.certified and w.inside_count == 0 for w in witnesses)
+    assert [w.dual_slab[0] for w in witnesses] == shortest_dual_vectors(lat, 10)
     assert best.local_value_exact == max(w.local_value_exact for w in witnesses)

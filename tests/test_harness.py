@@ -39,7 +39,6 @@ SMALL_BUDGETS = Budgets(
     norm_mc_samples=20_000,
     remark_dims=(10, 100, 1000),
     thm2_triples=((2, 2, "inf"),),
-    witness_budget=3,
 )
 
 
@@ -196,7 +195,7 @@ def test_bad_fibonacci_k_names_the_field(k):
         ("corpus", "rank1_per_cell", True),
         ("corpus", "zd_dims", 3),
         ("corpus", "include_bad_lattice", "yes"),
-        ("budgets", "witness_budget", 0),
+        ("budgets", "rhos", 0),
         ("budgets", "body_count", 2.0),
         ("budgets", "body_dims", ["2"]),
         ("budgets", "body_mc_samples", None),
@@ -246,6 +245,17 @@ def test_campaign_from_json_dict_names_unknown_key(section, key):
     (data[section] if section else data)[key] = 1
     with pytest.raises(ValueError, match=key):
         Campaign.from_json_dict(data)
+
+
+def test_the_deleted_witness_budget_fails_at_load():
+    # witness_budget sized the random witness search, which is gone
+    data = small_campaign().to_json_dict()
+    assert "witness_budget" not in data["budgets"]
+    data["budgets"]["witness_budget"] = 3
+    with pytest.raises(ValueError, match=r"^unknown budgets key\(s\) in campaign spec: witness_budget$"):
+        Campaign.from_json_dict(data)
+    with pytest.raises(TypeError, match="witness_budget"):
+        Budgets(witness_budget=3)
 
 
 def test_campaign_spec_with_the_deleted_ball_budget_fails():
