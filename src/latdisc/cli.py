@@ -150,6 +150,8 @@ def _cmd_isodisc(args) -> int:
 
 
 def _cmd_distnorm(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
     lat = _read_lattice(args.lattice)
     ps = enumerate_points(lat)
     gammas = _parse_list(args.gamma, "--gamma", float)

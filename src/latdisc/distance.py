@@ -5,8 +5,14 @@ sandwich, and the Sobolev approximation-error proxy.
 Distances are non-periodic: the plain Euclidean distance inside the cube.
 On the midpoint grid they come from an exact block-wise nearest-point
 search: each box of cells is measured only against the points a KD-tree
-query proves can be nearest to one of its cells, with the same float
-operations as the KD-tree query itself, so the values are its values.
+query proves can be nearest to one of its cells, less those the bisector
+test proves are beaten everywhere in the box by q, the nearest point of
+its centre. For points p, q and x, |x - p|^2 - |x - q|^2 is affine in x,
+so its minimum over a box sits at a corner and has a closed form; p is
+dropped when that minimum exceeds a bound on the float rounding of it and
+of the squared distances (see `_grid_distance_chunks`). The kept points
+are measured with the same float operations as the KD-tree query itself,
+so the values are its values.
 
 Every certified enclosure here is deterministic: per-cell brackets on the
 grid, branch and bound for the covering radius, closed forms in d = 1.
@@ -48,6 +54,18 @@ EPS = float(np.finfo(float).eps)  # 2^-52, twice the unit roundoff u
 class DistanceNormConfig:
     grid_resolution: int | None = None  # per-axis; None picks a default by dim
     covering_tol: float = 1e-4
+
+    def __post_init__(self):
+        m = self.grid_resolution
+        if m is not None and (isinstance(m, bool) or not isinstance(m, int) or m < 1):
+            raise ValueError(f"grid_resolution must be None or an integer >= 1, got {m!r}")
+        _check_tol("covering_tol", self.covering_tol)
+
+
+def _check_tol(name: str, tol) -> None:
+    """Raise unless tol is a finite positive number: 0, nan and inf raise."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
 
 
 def _default_resolution(d: int) -> int:
@@ -135,8 +153,7 @@ def covering_radius(
     test measures the widened interval, so `converged` means width <= tol.
     `estimate` is the midpoint of the interval before widening.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol("tol", tol)
     from scipy.spatial import cKDTree
 
     pts = ps.as_array() if isinstance(ps, LatticePointSet) else np.asarray(ps, float)
@@ -261,55 +278,145 @@ def _grid_centers_chunks(d: int, m: int):
         yield np.hstack([head, body])
 
 
-def _box_distances(axes: list[np.ndarray], cands: np.ndarray) -> np.ndarray:
-    """dist to `cands` of every cell centre of the tensor box with per-axis
-    coordinates `axes`, shaped like the box. Squares are summed in axis
-    order, then min and sqrt: cKDTree's own operations, so the result is
-    bit-identical to its query. Candidates go in batches so that no
-    temporary exceeds GRID_BOX_ENTRIES entries."""
-    d = len(axes)
-    shape = tuple(len(a) for a in axes)
-    batch = max(1, GRID_BOX_ENTRIES // math.prod(shape))
-    best = np.full(shape, np.inf)
-    for j in range(0, len(cands), batch):
-        part = cands[j : j + batch]
-        sq = 0.0
-        for k, a in enumerate(axes):
-            diff = a - part[:, k, None]
-            sq = sq + (diff * diff).reshape((len(part),) + (1,) * k + (len(a),) + (1,) * (d - 1 - k))
-        np.minimum(best, sq.min(axis=0), out=best)
-    return np.sqrt(best)
-
-
 def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
     """Yield dist(., P) at the cell centres of each `_grid_centers_chunks`
-    chunk, in the same order and bit-identical to `tree.query`.
+    chunk, in the same order and bit-identical to `tree.query`. The points
+    of P and the cells lie in the unit cube.
 
     Each chunk is cut into boxes of about one point spacing (between
     GRID_BOX_MIN_CELLS and GRID_BOX_ENTRIES cells). A box whose cell centres
     lie within h of its centre c, with u = dist(c, P), has every cell's
     nearest point p* within u + 2h of c, since |p* - c| <= dist(x) + h; the
-    points in that ball (with a margin for rounding) are the box's candidates.
+    points in that ball (with a margin for rounding) are the box's raw
+    candidates.
+
+    The bisector test then drops every raw candidate p that q, the nearest
+    point of c, beats at every cell x of the box. Exactly,
+    |x - p|^2 - |x - q|^2 = |p|^2 - |q|^2 - 2 (p - q).x, and over the box of
+    the cell centres, with centre c and half-widths w,
+
+        max_x 2 (p - q).x + |q|^2 - |p|^2
+            = 2 (p - q).c + 2 sum_k |p_k - q_k| w_k + |q|^2 - |p|^2 =: F,
+
+    so F < 0 puts every cell strictly on q's side of the bisector of p and q
+    (the lifting-map view of the Voronoi diagram: Aurenhammer, "Power
+    diagrams", SIAM J. Comput. 16(1), 1987). p is dropped when the computed
+    F is below -8 d (d + 4) eps. With coordinates in [0, 1] and u = eps / 2,
+    that bound covers two roundings (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 3.1 and 4.2):
+
+    - the computed F errs by at most gamma_{d+5} 4d. c and w are one
+      rounding from the exact box, each product two more, its sum with the
+      other one more, the sum over k d - 1 more, and the two additions of
+      the norms two more (the norms themselves carry gamma_d). The terms'
+      magnitudes sum to at most 4d, as |p_k - q_k| <= 1, c_k + w_k <= 1 and
+      |p|^2, |q|^2 <= d;
+    - each squared distance, as computed, errs by at most gamma_{d+2} d.
+
+    Their sum for F and two distances is 3 d (d + 4) eps to first order, so
+    the threshold is more than twice it: a dropped p computes strictly
+    larger than q at every cell. q itself, with F = 0, is never dropped, so
+    the minimum over the kept candidates is the minimum over all of P,
+    value for value.
+
+    The kept candidates are measured for many boxes per numpy call: boxes
+    are grouped by shape and sorted by kept count, each batch is padded to
+    its largest count with a sentinel point at +inf, and the results are
+    written through a strided view of the chunk that tiles it with boxes
+    of the batch's shape. Squares are summed in axis order from 0.0, then
+    min and sqrt: cKDTree's own operations, so the result is bit-identical
+    to its query. Every temporary that grows with candidates times cells,
+    and the coordinates of each slice of filtered pairs, are held to
+    GRID_BOX_ENTRIES entries.
     """
     axis = _grid_axis(m)
     pts = tree.data
+    padded = np.vstack([pts, np.full((1, d), np.inf)])  # row N is the sentinel
+    norms = np.sum(pts * pts, axis=1)
+    slack = 8 * d * (d + 4) * EPS
+    pair_step = max(1, GRID_BOX_ENTRIES // d)  # filter slice: pairs x coordinates <= the cap
     side = m * tree.n ** (-1.0 / d)  # one point spacing, in cells
     side = min(max(side, GRID_BOX_MIN_CELLS ** (1.0 / d)), GRID_BOX_ENTRIES ** (1.0 / d), m)
     side = int(side + 1e-9)  # (2^15)^(1/3) evaluates to just under 32
     for start, stop in _grid_row_chunks(d, m):
         axes = [axis[start:stop]] + [axis] * (d - 1)
-        boxes = list(itertools.product(
-            *([slice(a, min(a + side, len(ax))) for a in range(0, len(ax), side)] for ax in axes)
-        ))
-        lo = np.array([[ax[s.start] for ax, s in zip(axes, box)] for box in boxes])
-        hi = np.array([[ax[s.stop - 1] for ax, s in zip(axes, box)] for box in boxes])
+        lens = [len(ax) for ax in axes]
+        firsts = np.array(list(itertools.product(*(range(0, n, side) for n in lens))))
+        sizes = np.minimum(side, lens - firsts)
+        lo = np.stack([ax[f] for ax, f in zip(axes, firsts.T)], axis=1)
+        hi = np.stack([ax[f] for ax, f in zip(axes, (firsts + sizes - 1).T)], axis=1)
         centres = 0.5 * (lo + hi)
-        half = 0.5 * np.sqrt(np.sum((hi - lo) ** 2, axis=1))
-        reach = tree.query(centres)[0] + 2 * half
-        cands = tree.query_ball_point(centres, reach * (1 + 1e-9) + 1e-12)
-        out = np.empty([len(ax) for ax in axes])
-        for box, idx in zip(boxes, cands):
-            out[box] = _box_distances([ax[s] for ax, s in zip(axes, box)], pts[idx])
+        widths = 0.5 * (hi - lo)
+        u, nearest = tree.query(centres)
+        reach = u + 2 * np.sqrt(np.sum(widths**2, axis=1))
+        balls = tree.query_ball_point(centres, reach * (1 + 1e-9) + 1e-12, return_sorted=False)
+
+        n = len(firsts)
+        owner = np.repeat(np.arange(n), np.fromiter(map(len, balls), np.intp, n))
+        cand = np.fromiter(itertools.chain.from_iterable(balls), np.intp, owner.size)
+        del balls
+        keep = np.empty(owner.size, bool)
+        for j in range(0, owner.size, pair_step):
+            b, p = owner[j : j + pair_step], cand[j : j + pair_step]
+            q = nearest[b]
+            f = 0.0
+            for k in range(d):
+                a = pts[p, k] - pts[q, k]
+                f = f + (a * centres[b, k] + np.abs(a) * widths[b, k])
+            keep[j : j + pair_step] = 2 * f + norms[q] - norms[p] >= -slack
+        owner, cand = owner[keep], cand[keep]
+
+        # batch order: boxes by shape, then by kept count, each box's kept
+        # candidates contiguous
+        counts = np.bincount(owner, minlength=n)
+        order = np.lexsort((counts, *sizes.T))
+        cand = cand[np.argsort(np.argsort(order)[owner], kind="stable")]
+        counts, firsts, sizes = counts[order], firsts[order], sizes[order]
+        count_of, ends = counts.tolist(), np.cumsum(counts).tolist()
+        shapes = list(map(tuple, sizes.tolist()))
+        # boxes of one shape tile the chunk from a corner: the origin, or the
+        # last row of boxes along an axis where the shape is narrower
+        corners = np.where(sizes < side, lens - sizes, 0)
+        tile_of = (firsts - corners) // sizes
+        corners = corners.tolist()
+        coords = [  # per box, its cells' coordinates along each axis, padded to side
+            ax[np.minimum(firsts[:, k, None] + np.arange(side), len(ax) - 1)]
+            for k, ax in enumerate(axes)
+        ]
+
+        out = np.empty(lens)
+        i = 0
+        while i < n:
+            shape = shapes[i]
+            limit = max(1, GRID_BOX_ENTRIES // math.prod(shape))  # box x candidate pairs
+            j = i + 1
+            while j < n and shapes[j] == shape and (j + 1 - i) * count_of[j] <= limit:
+                j += 1
+            width = count_of[j - 1]
+            idx = np.full((j - i, width), len(pts))
+            idx[np.arange(width) < counts[i:j, None]] = cand[ends[i] - count_of[i] : ends[j - 1]]
+            best = None
+            step = max(1, limit // (j - i))
+            for c in range(0, width, step):
+                part = padded[idx[:, c : c + step]]
+                sq = 0.0
+                for k, s in enumerate(shape):
+                    diff = coords[k][i:j, None, :s] - part[:, :, k, None]
+                    along_k = diff.shape[:2] + (1,) * k + (s,) + (1,) * (d - 1 - k)
+                    sq = sq + (diff * diff).reshape(along_k)
+                near = sq.min(axis=1)
+                best = near if best is None else np.minimum(best, near, out=best)
+            # the chunk's cells tiled by boxes of this shape, viewed as
+            # (tile index per axis..., cell index per axis...)
+            corner = corners[i]
+            tiles = np.ndarray(
+                tuple((size - a) // s for size, a, s in zip(lens, corner, shape)) + shape,
+                buffer=out,
+                offset=sum(a * t for a, t in zip(corner, out.strides)),
+                strides=tuple(t * s for t, s in zip(out.strides, shape)) + out.strides,
+            )
+            tiles[tuple(tile_of[i:j].T)] = np.sqrt(best, out=best)
+            i = j
         yield out.reshape(-1)
 
 

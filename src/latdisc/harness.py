@@ -122,9 +122,9 @@ _BUDGET_RULES = {
     "norm_mc_samples": ("an integer", _is_int),
     "prop1_gammas": ("a list of positive numbers or inf", _list_of(lambda g: _is_real(g) and g > 0)),
     "covering_tols": (
-        "a map from dimension to a positive number",
+        "a map from dimension to a finite positive number",
         lambda v: isinstance(v, dict)
-        and all(_is_int(d) and _is_real(t) and t > 0 for d, t in v.items()),
+        and all(_is_int(d) and _is_real(t) and 0 < t < math.inf for d, t in v.items()),
     ),
     "remark_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
     "remark_delta": ("a number", _is_real),

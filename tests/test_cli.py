@@ -390,3 +390,15 @@ def test_points_refusal_is_a_usage_error(tmp_path, capsys, flags, message):
     err = capsys.readouterr().err
     assert f"latdisc: error: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-4", "nan", "inf"])
+def test_distnorm_tol_that_is_not_finite_positive_is_a_usage_error(tmp_path, capsys, tol):
+    spec = tmp_path / "r13.lat"
+    spec.write_text("2 13\nrank1: 1 5\n")
+    with pytest.raises(SystemExit) as exc:
+        main([f"--tol={tol}", "distnorm", str(spec), "--gamma", "1,inf"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "latdisc: error: --tol must be a finite positive number, got " in err
+    assert "Traceback" not in err

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from latdisc.distance import (
@@ -31,6 +34,9 @@ R5 = rank1_lattice(5, (1, 2))
 P5 = enumerate_points(R5)
 
 FAST = DistanceNormConfig(grid_resolution=201, covering_tol=1e-4)
+# the prop1 workload's d = 4, N = 1024 lattice: the most raw grid-search
+# candidates per cell of its rank-1 members
+R1024_D4 = rank1_lattice(1024, (312, 557, 248, 104))
 
 
 def dense_grid_covering_oracle(ps, m=2001):
@@ -58,6 +64,26 @@ def test_covering_radius_single_point_d2():
     assert cr.lower <= math.sqrt(2) <= cr.upper + 1e-12
     assert cr.upper - cr.lower <= 1e-6
     assert cr.upper == pytest.approx(math.sqrt(2), abs=1e-5)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+def test_covering_radius_rejects_a_tolerance_that_is_not_finite_positive(tol):
+    with pytest.raises(ValueError, match=r"^tol must be a finite positive number"):
+        covering_radius(P5, tol=tol)
+
+
+@pytest.mark.parametrize("m", [-3, 0, 2.5, True, "21"])
+def test_config_rejects_a_bad_grid_resolution(m):
+    # grid_resolution=-3 used to certify a norm of 0 for a point set whose
+    # norm is 0.114; 0 ran at the default and 2.5 failed inside range()
+    with pytest.raises(ValueError, match=r"^grid_resolution must be None or an integer >= 1"):
+        DistanceNormConfig(grid_resolution=m)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf, "1e-4", None])
+def test_config_rejects_a_bad_covering_tol(tol):
+    with pytest.raises(ValueError, match=r"^covering_tol must be a finite positive number"):
+        DistanceNormConfig(covering_tol=tol)
 
 
 def test_covering_radius_equispaced_d1():
@@ -286,15 +312,68 @@ def test_grid_certificate_brackets_closed_form_3d(gamma, moment):
         pytest.param(rank1_lattice(4096, (1, 1487)), 401, id="rank1-d2-n4096"),
         pytest.param(rank1_lattice(7, (1,)), 101, id="d1"),
         pytest.param(rank1_lattice(256, (1, 21, 59, 101)), 17, id="rank1-d4-n256"),
+        pytest.param(R1024_D4, 21, id="rank1-d4-n1024"),
+        pytest.param(rank1_lattice(8, (1, 3)), 16, id="ties-n8"),
     ],
 )
 def test_grid_distances_equal_kdtree_queries(lat, m):
-    tree = cKDTree(enumerate_points(lat).as_array())
-    expected = [tree.query(c)[0] for c in _grid_centers_chunks(lat.dim, m)]
-    got = list(_grid_distance_chunks(tree, lat.dim, m))
+    _assert_grid_distances_equal_kdtree_queries(enumerate_points(lat).as_array(), m)
+
+
+def _assert_grid_distances_equal_kdtree_queries(pts, m):
+    tree = cKDTree(pts)
+    d = pts.shape[1]
+    expected = [tree.query(c)[0] for c in _grid_centers_chunks(d, m)]
+    got = list(_grid_distance_chunks(tree, d, m))
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
+
+
+def test_ties_case_has_cells_equidistant_from_two_points():
+    # the ties-n8 case above measures exact ties, where the bisector filter
+    # relies on its rounding slack to keep both points
+    tree = cKDTree(enumerate_points(rank1_lattice(8, (1, 3))).as_array())
+    two = tree.query(np.concatenate(list(_grid_centers_chunks(2, 16))), k=2)[0]
+    assert int(np.sum(two[:, 0] == two[:, 1])) == 22
+
+
+_GRID_SIZES = {1: (1, 600), 2: (1, 60), 3: (1, 20), 4: (1, 9)}  # several boxes per axis at the top
+_COORD = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),  # faces, and exact ties
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=1, max_size=40),
+            st.lists(st.integers(min_value=0, max_value=39), max_size=5),
+            st.integers(*_GRID_SIZES[d]),
+        )
+    )
+)
+def test_grid_distances_equal_kdtree_queries_on_random_point_sets(case):
+    rows, dups, m = case
+    rows = rows + [rows[i % len(rows)] for i in dups]  # duplicate points
+    _assert_grid_distances_equal_kdtree_queries(np.array(rows, dtype=float), m)
+
+
+def test_grid_pass_peak_memory_is_bounded():
+    # the grid search holds its large temporaries to GRID_BOX_ENTRIES entries;
+    # building the bisector filter's (pair x axis) arrays for a whole chunk
+    # at once peaks above 4 MiB
+    tree = cKDTree(enumerate_points(R1024_D4).as_array())
+    tracemalloc.start()
+    try:
+        for _ in _grid_distance_chunks(tree, 4, 21):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"grid pass peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_slab_union_volume_1d():

@@ -216,6 +216,7 @@ def test_bad_fibonacci_k_names_the_field(k):
         (None, "corrupt_rhs_scale", "2"),
         (None, "corpus", None),
         (None, "budgets", [1]),
+        ("budgets", "covering_tols", {"2": "inf"}),
     ],
 )
 def test_campaign_from_json_dict_names_a_field_of_the_wrong_type(section, key, value):
