@@ -106,6 +106,8 @@ def _cmd_gen(args) -> int:
             _emit(args, format_lattice_text(lat))
     elif args.family == "fibonacci":
         _emit(args, format_rank1_text(*fibonacci_generator(args.k)))
+    elif args.d < 1:
+        raise ValueError(f"--d must be at least 1, got {args.d}")
     elif args.family == "korobov":
         lat = korobov_lattice(args.n, args.a, args.d)
         _emit(args, format_lattice_text(lat))
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--g", default="0", help="rank1: comma list generator g (default: 0)")
     gen.add_argument("--k", type=int, default=10, help="fibonacci: index k >= 3 (default: 10)")
     gen.add_argument("--a", type=int, default=1, help="korobov: multiplier a (default: 1)")
-    gen.add_argument("--d", type=int, default=2, help="korobov/zd: dimension d (default: 2)")
+    gen.add_argument("--d", type=int, default=2, help="korobov/zd: dimension d >= 1 (default: 2)")
     gen.set_defaults(fn=_cmd_gen)
 
     sp = add_parser("spectral", help="spectral test report for a lattice")

@@ -141,8 +141,8 @@ class OffsetSpec:
     side: str  # "outer" or "inner"
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be a finite nonnegative number, got {self.rho}")
         if self.side not in ("outer", "inner"):
             raise ValueError('side must be "outer" or "inner"')
 
@@ -742,8 +742,8 @@ def box_steiner_volume(sides: np.ndarray, rho: float, outer_only: bool = False) 
 
 def steiner_volume(body: ConvexBody, rho: float) -> VolumeEstimate:
     """Vol(K + rho B), exact: `parallel_body_volume` at rho >= 0."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not 0 <= rho < math.inf:
+        raise ValueError(f"rho must be a finite nonnegative number, got {rho}")
     return VolumeEstimate.exact_value(parallel_body_volume(body, rho))
 
 
@@ -771,8 +771,9 @@ def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[V
     each radius, where v is `parallel_body_volume`; balls and boxes use
     their closed forms directly. Polytopes need d <= 4 on the outer side."""
     rhos = [float(r) for r in rhos]
-    if any(r < 0 or r > 1 for r in rhos):
-        raise ValueError("rho must lie in [0, 1]")
+    bad = [r for r in rhos if not 0 <= r <= 1]  # nan fails both comparisons
+    if bad:
+        raise ValueError(f"rho must lie in [0, 1], got {bad[0]}")
     if side not in ("outer", "inner"):
         raise ValueError('side must be "outer" or "inner"')
     if isinstance(body, Ball):

@@ -42,11 +42,17 @@ def _scaled_cut(a, b) -> tuple[list[int], int, int]:
     return scaled, b.numerator * (c // b.denominator), c
 
 
-def _ie_sum(pos: list[int], t: int, power: int) -> int:
-    """sum over subsets S of pos of (-1)^|S| (t - sum S)_+^power."""
+def _subset_sums(pos: list[int]) -> list[tuple[int, int]]:
+    """(sum S, (-1)^|S|) for every subset S of pos."""
     sums = [(0, 1)]
     for x in pos:
         sums += [(s + x, -sgn) for s, sgn in sums]
+    return sums
+
+
+def _ie_sum(sums: list[tuple[int, int]], t: int, power: int) -> int:
+    """sum over subsets S of pos of (-1)^|S| (t - sum S)_+^power, given
+    sums = _subset_sums(pos)."""
     return sum(sgn * (t - s) ** power for s, sgn in sums if t > s)
 
 
@@ -60,7 +66,8 @@ def halfspace_cube_volume(a, b) -> Fraction:
     pos, t, _ = _scaled_cut(a, b)
     if not pos:
         return Fraction(int(t >= 0))
-    return Fraction(_ie_sum(pos, t, len(pos)), math.factorial(len(pos)) * math.prod(pos))
+    k = len(pos)
+    return Fraction(_ie_sum(_subset_sums(pos), t, k), math.factorial(k) * math.prod(pos))
 
 
 def halfspace_cube_volume_derivative(a, b) -> Fraction:
@@ -73,7 +80,8 @@ def halfspace_cube_volume_derivative(a, b) -> Fraction:
     k = len(pos)
     if k == 0 or t <= 0 or t >= sum(pos):
         return Fraction(0)
-    return Fraction(c * _ie_sum(pos, t, k - 1), math.factorial(k - 1) * math.prod(pos))
+    num = c * _ie_sum(_subset_sums(pos), t, k - 1)
+    return Fraction(num, math.factorial(k - 1) * math.prod(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +135,6 @@ class DiscrepancyWitness:
     """An empty slab k + eps <= h.x <= k + 1 - eps of the cube; its value
     is the slab's exact volume."""
 
-    body: HPolytope
     inside_count: int
     volume: VolumeEstimate
     local_value: float
@@ -138,6 +145,17 @@ class DiscrepancyWitness:
     @property
     def certified(self) -> bool:
         return True  # the value is exact
+
+    @property
+    def body(self) -> HPolytope:
+        """The witness slab intersected with the cube, as an H-polytope."""
+        h, k = self.dual_slab
+        eps = _slab_eps_functional(h)
+        d = len(h)
+        hf = np.array(h, dtype=float)
+        normals = np.vstack([hf, -hf, np.eye(d), -np.eye(d)])
+        offsets = np.r_[float(k + 1 - eps), -float(k + eps), np.ones(d), np.zeros(d)]
+        return HPolytope(normals, offsets, skip_checks=True)
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,32 +208,55 @@ def _slab_eps_functional(h: tuple[int, ...]) -> Fraction:
     return Fraction(math.isqrt(hh * 10**18) + 1, 10**18)
 
 
-def _cube_slab_body(h: tuple[int, ...], lo: Fraction, hi: Fraction, d: int) -> HPolytope:
-    normals = np.vstack([np.array(h, dtype=float), -np.array(h, dtype=float), np.eye(d), -np.eye(d)])
-    offsets = np.r_[float(hi), -float(lo), np.ones(d), np.zeros(d)]
-    return HPolytope(normals, offsets, skip_checks=True)
-
-
 def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:
     """The first k maximising Vol(k + eps <= h.x <= k + 1 - eps) over the
     slabs between adjacent planes that meet the cube, and that volume.
 
+    Reflecting x_i -> 1 - x_i for h_i < 0 turns h.x into y = sum |h_i| x_i
+    and slab k into slab j = k + shift of y, j = 0..S-1 with S = sum |h_i|.
     Scaled by eps's denominator q every cut has integer coefficients q|h_i|,
     so all slab volumes share one denominator and compare as integers.
+
+    The volume F(j) of slab j is non-decreasing for j <= j_c = floor((S-1)/2)
+    and F(j) = F(S-1-j), so F(j_c) is the maximum. Proof: with x uniform on
+    the cube, y is a sum of independent uniforms on [0, |h_i|], each with a
+    density symmetric and unimodal about |h_i|/2. A convolution of symmetric
+    unimodal densities is symmetric unimodal (Wintner 1938; Ibragimov, "On
+    the composition of unimodal distributions", Theory Probab. Appl. 1956),
+    so y has a density f, non-decreasing below S/2, with f(y) = f(S - y).
+    The window G(a) = integral of f over [a, a + w] then has
+    G(b) - G(a) = integral over [a, b] of f(t + w) - f(t), which is >= 0
+    while b + w/2 <= S/2: either t + w <= S/2, or f(t + w) = f(S - t - w)
+    with t <= S - t - w <= S/2. Slab j is the window at a = j + eps of width
+    w = 1 - 2 eps, centred at j + 1/2, so F(j) <= F(j + 1) for
+    j + 1 <= (S-1)/2, and the reflection y -> S - y maps slab j to slab
+    S-1-j, which gives F(j) = F(S-1-j) <= F(j_c) for every j > j_c.
+
+    F may be flat on top (a trapezoid when h has two entries), so the first
+    maximiser is found by binary search for the smallest j <= j_c with
+    F(j) = F(j_c): 1 + ceil(log2(j_c + 1)) volumes instead of S.
     """
     eps = _slab_eps_functional(h)
     q, e = eps.denominator, eps.numerator
-    shift = -sum(x for x in h if x < 0)  # reflecting x -> 1 - x for h_i < 0
+    shift = -sum(x for x in h if x < 0)
     pos = [q * abs(x) for x in h if x]
-    best_k, best = None, None
-    for k in range(-shift, sum(x for x in h if x > 0)):
-        t = q * (k + shift)
-        v = _ie_sum(pos, t + q - e, len(pos)) - _ie_sum(pos, t + e, len(pos))
-        if best is None or v > best:
-            best_k, best = k, v
-    if best_k is None or best <= 0:
+    sums, n = _subset_sums(pos), len(pos)
+
+    def volume(j: int) -> int:  # F(j) * n! * prod(pos)
+        t = q * j
+        return _ie_sum(sums, t + q - e, n) - _ie_sum(sums, t + e, n)
+
+    lo, hi = 0, (sum(map(abs, h)) - 1) // 2
+    best = volume(hi)
+    if best <= 0:
         raise AssertionError("no slab with positive cube intersection")
-    return best_k, Fraction(best, math.factorial(len(pos)) * math.prod(pos))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if volume(mid) == best:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo - shift, Fraction(best, math.factorial(n) * math.prod(pos))
 
 
 def slab_witness(
@@ -236,9 +277,7 @@ def slab_witness(
     inside = count_points_slab(ps, h, lo, hi)
     if inside != 0:
         raise AssertionError("slab witness contains lattice points; dual vector invalid")
-    body = _cube_slab_body(h, lo, hi, lat.dim)
     return DiscrepancyWitness(
-        body=body,
         inside_count=0,
         volume=VolumeEstimate.exact_value(float(best_vol)),
         local_value=float(best_vol),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -66,6 +67,9 @@ def test_isodisc(tmp_path, capsys):
     assert data["best"] in data["witnesses"]
     assert data["thm1"]["n_witnesses"] == len(data["witnesses"])
     assert data["thm1"]["best_family"] == data["best"]["family"]
+    # sha256 of the recorded output (9124 bytes)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "2873b29ff934145968e0171014e1deb555121b3e687ce24d7b0d55c724fbd9ac"
     # the witnesses are the dual slabs alone; nothing is sampled, so no
     # witness reports a standard error, a sample count or a sampling seed
     assert {w["family"] for w in data["witnesses"]} == {"dual-slab"}
@@ -104,6 +108,20 @@ def test_geom_commands(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(math.pi * 0.07, abs=1e-12)
     code, out = run_cli(capsys, "geom", "boundary", "--body", str(body), "--rho", "0.1")
     assert json.loads(out)["value"] == pytest.approx(math.pi * (0.16 - 0.04), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op,rho", [("offset", "nan"), ("boundary", "nan"), ("steiner", "nan"), ("steiner", "inf")]
+)
+def test_geom_rho_that_is_not_finite_is_a_usage_error(tmp_path, capsys, op, rho):
+    body = tmp_path / "ball.json"
+    body.write_text(json.dumps({"variant": "ball", "center": [0.5, 0.5], "radius": 0.3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["geom", op, "--body", str(body), "--rho", rho])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"latdisc: error: rho must be a finite nonnegative number, got {rho}" in captured.err
 
 
 def test_geom_polytope_beyond_d4_is_a_usage_error(tmp_path, capsys):
@@ -237,6 +255,17 @@ def test_gen_fibonacci_small_k_is_a_usage_error(capsys):
         main(["gen", "fibonacci", "--k", "2"])
     assert exc.value.code == 2
     assert "latdisc: error: k must be at least 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["zd", "korobov"])
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_gen_dimension_below_one_is_a_usage_error(capsys, family, d):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", family, "--n", "5", "--d", d])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"latdisc: error: --d must be at least 1, got {d}" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -223,6 +223,19 @@ def test_offset_volumes_shares_stream_and_is_monotone():
     assert vals == sorted(vals)
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -0.1])
+def test_offset_radius_that_is_not_finite_nonnegative_is_rejected(rho):
+    ball = Ball([0.5, 0.5], 0.3)
+    with pytest.raises(ValueError, match="rho"):
+        OffsetSpec(rho, "outer")
+    with pytest.raises(ValueError, match="rho"):
+        offset_volumes(ball, [0.05, rho], "inner")
+    with pytest.raises(ValueError, match="rho"):
+        steiner_volume(ball, rho)
+    with pytest.raises(ValueError, match="rho"):
+        boundary_neighborhood_volume(ball, rho)
+
+
 def test_boundary_neighborhood_ball():
     est = boundary_neighborhood_volume(Ball([0.5, 0.5], 0.3), 0.1)
     assert est.value == pytest.approx(math.pi * (0.4**2 - 0.2**2), abs=1e-12)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latdisc import discrepancy
 from latdisc.discrepancy import (
     count_points_slab,
     halfspace_cube_volume,
@@ -15,7 +16,7 @@ from latdisc.discrepancy import (
     slab_witness,
     verify_thm1,
 )
-from latdisc.discrepancy import _scaled_dot, _slab_eps_functional
+from latdisc.discrepancy import _best_slab, _scaled_dot, _slab_eps_functional
 from latdisc.lattice import LatticePointSet, enumerate_points, fibonacci_lattice, rank1_lattice
 from latdisc.reduction import shortest_dual_vectors
 
@@ -143,6 +144,13 @@ def test_slab_witness_rank1_5_12():
     # slab 0 < 2x1 - x2 < 1 has area 1/2 (piecewise-linear computation)
     assert w.local_value == pytest.approx(0.5, abs=1e-6)
     assert w.local_value_exact <= Fraction(1, 2)
+    # the slab 1 + eps <= x_1 + 2 x_2 <= 2 - eps cut by the cube's faces
+    assert w.dual_slab == ((1, 2), 1)
+    assert w.body.to_json_dict() == {
+        "variant": "h_polytope",
+        "normals": [[1.0, 2.0], [-1.0, -2.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]],
+        "offsets": [1.999999997763932, -1.000000002236068, 1.0, 1.0, 0.0, 0.0],
+    }
 
 
 def test_slab_witness_z1_single_point():
@@ -305,21 +313,73 @@ def test_counts_exact_when_int64_could_overflow():
             assert count_points_slab(ps, a, lo, b) == ref_slab_counts(ps, a, lo, b)[0]
 
 
+def best_slab_by_scan(h):
+    """The first k of largest Vol(k + eps <= h.x <= k + 1 - eps) and that
+    volume, from the exact volume of every slab: the reference search."""
+    eps = _slab_eps_functional(h)
+    vols = {
+        k: halfspace_cube_volume(h, k + 1 - eps) - halfspace_cube_volume(h, k + eps)
+        for k in range(sum(min(x, 0) for x in h), sum(max(x, 0) for x in h))
+    }
+    best_k = max(vols, key=lambda k: (vols[k], -k))
+    return best_k, vols[best_k]
+
+
 def test_slab_witness_records_its_best_index():
     lat = fibonacci_lattice(12)
     ps = enumerate_points(lat)
     for h in shortest_dual_vectors(lat, 4):
         w = slab_witness(lat, h, points=ps)
-        fam_lo = sum(min(x, 0) for x in h)
-        fam_hi = sum(max(x, 0) for x in h)
-        eps = _slab_eps_functional(h)
-        vols = {
-            k: halfspace_cube_volume(h, k + 1 - eps) - halfspace_cube_volume(h, k + eps)
-            for k in range(fam_lo, fam_hi)
-        }
-        best_k = max(vols, key=lambda k: (vols[k], -k))
+        best_k, vol = best_slab_by_scan(h)
         assert w.dual_slab == (h, best_k)
-        assert w.local_value_exact == vols[best_k]
+        assert w.local_value_exact == vol
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=4).filter(any)
+)
+def test_best_slab_equals_the_exhaustive_scan(h):
+    assert _best_slab(tuple(h)) == best_slab_by_scan(tuple(h))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        (5, 2),  # trapezoid: slabs 2, 3 and 4 tie on the flat top, the first wins
+        (2, -5),
+        (7, 7),  # triangle: slabs 6 and 7 tie across the middle
+        (3, 3, 3, 3),
+        (1,),
+        (8,),
+        (1597,),
+        (3, 0, 0),
+        (0, -4, 0),
+        (1, 1),
+        (60, -1, 1, 60),
+    ],
+)
+def test_best_slab_equals_the_exhaustive_scan_on_plateaus_and_degenerate_h(h):
+    assert _best_slab(h) == best_slab_by_scan(h)
+
+
+@pytest.mark.parametrize("h", [(312, 557, 131), (1000,), (250, -250, 250, -250), (499, 501)])
+def test_best_slab_evaluates_logarithmically_many_volumes(h, monkeypatch):
+    calls = []
+
+    def counting_ie_sum(sums, t, power):
+        calls.append(t)
+        return ie_sum(sums, t, power)
+
+    ie_sum = discrepancy._ie_sum
+    monkeypatch.setattr(discrepancy, "_ie_sum", counting_ie_sum)
+    best = _best_slab(h)
+    monkeypatch.undo()
+    s = sum(map(abs, h))
+    assert s == 1000
+    # two inclusion-exclusion sums per slab volume
+    assert len(calls) <= 2 * (math.ceil(math.log2(s)) + 2)
+    assert best == best_slab_by_scan(h)
 
 
 @pytest.mark.parametrize("lat", CORPUS_LATTICES, ids=[f"ps{i}" for i in range(len(CORPUS_LATTICES))])
