@@ -172,12 +172,12 @@ def _load_body(path: str):
 def _cmd_geom(args) -> int:
     body = _load_body(args.body)
     if args.geom_op == "steiner":
-        est = steiner_volume(body, args.rho)
+        value = steiner_volume(body, args.rho)
     elif args.geom_op == "offset":
-        est = offset_volume(body, OffsetSpec(args.rho, args.side))
+        value = offset_volume(body, OffsetSpec(args.rho, args.side))
     else:
-        est = boundary_neighborhood_volume(body, args.rho)
-    _emit_json(args, est.to_json_dict())
+        value = boundary_neighborhood_volume(body, args.rho)
+    _emit_json(args, {"value": value})
     return 0
 
 

@@ -3,13 +3,12 @@ formula machinery, plus the quantitative sub-exponential bounds on the
 binomial-kappa sum.
 
 Geometry here is floating point; exact rational counting for discrepancy
-witnesses lives in the discrepancy module. The distance to a polytope is the
-same nearest-face search in every dimension, finite and without a
-convergence tolerance. Parallel-body volumes are exact and nothing here
-samples: balls and boxes have closed forms in every d; a polytope's outer
-parallel volume is its Steiner polynomial (intrinsic volumes from the face
-lattice and external angles, d <= 4) and its inner parallel body is again
-an H-polytope, measured by qhull.
+witnesses lives in the discrepancy module. Parallel-body volumes are exact
+and nothing here samples or measures a distance: balls and boxes have
+closed forms in every d; a polytope's outer parallel volume is its Steiner
+polynomial (intrinsic volumes from the face lattice and external angles,
+d <= 4) and its inner parallel body is again an H-polytope, measured by
+qhull.
 
 Importing this module loads numpy only. scipy is imported inside the
 functions that call it: qhull and the LP by the polytope methods, gammaln
@@ -28,7 +27,6 @@ import numpy as np
 
 from .errors import EmptyBodyError
 
-FEASIBLE_TOL = 1e-10  # max facet margin of a face projection that counts as inside
 INCIDENCE_TOL = 1e-9  # |margin| of a vertex on a facet plane
 RANK_TOL = 1e-9  # relative singular-value floor of a face's affine hull
 _DEGENERATE_HULL = "degenerate V-polytope beyond point/segment is not supported"
@@ -64,17 +62,6 @@ def cube_quermassintegral(d: int, j: int) -> float:
     if not 0 <= j <= d:
         raise ValueError("j out of range")
     return kappa(j) * cube_intrinsic_volume(d, d - j) / math.comb(d, j)
-
-
-def box_quermassintegral(sides, j: int) -> float:
-    """W_j of an axis box via binom(d,j) W_j = kappa_j V_{d-j}, with
-    V_k(box) = e_k(sides)."""
-    sides = np.asarray(sides, dtype=float)
-    d = sides.shape[0]
-    if not 0 <= j <= d:
-        raise ValueError("j out of range")
-    e = _elementary_symmetric(sides)
-    return kappa(j) * e[d - j] / math.comb(d, j)
 
 
 def binom_kappa_sum(d: int) -> float:
@@ -115,26 +102,6 @@ def remark_upper(d: int, kappa_exp: float) -> float:
     return kappa_exp * d ** (2 / 3) * math.log(d * math.sqrt(2 * math.e**3 * math.pi))
 
 
-# ---------------------------------------------------------------------------
-# Volume estimates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VolumeEstimate:
-    """A volume as a float; `exact` when the float is the rounding of an
-    exact value, not the midpoint of an enclosure."""
-
-    value: float
-    exact: bool
-
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "exact": self.exact}
-
-    @staticmethod
-    def exact_value(v: float) -> "VolumeEstimate":
-        return VolumeEstimate(v, True)
-
-
 @dataclass(frozen=True)
 class OffsetSpec:
     rho: float
@@ -156,30 +123,6 @@ class ConvexBody:
 
     variant: str
     dim: int
-
-    def contains_many(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def contains(self, x) -> bool:
-        return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def dist_many(self, x: np.ndarray, cap: float = math.inf) -> np.ndarray:
-        """Euclidean distance to the body (0 inside). A distance above `cap`
-        may be reported as +inf; distances up to `cap` are exact."""
-        raise NotImplementedError
-
-    def dist_to_body(self, x) -> float:
-        return float(self.dist_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def complement_margin_many(self, x: np.ndarray) -> np.ndarray:
-        """Distance to the complement (depth inside the body, 0 outside)."""
-        raise NotImplementedError
-
-    def dist_to_complement(self, x) -> float:
-        return float(self.complement_margin_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def project(self, x) -> np.ndarray:
-        raise NotImplementedError
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -204,26 +147,6 @@ class Ball(ConvexBody):
             self.center + self.radius > 1 + 1e-12
         ):
             raise ValueError("ball is not contained in the unit cube")
-
-    def contains_many(self, x):
-        d = x - self.center
-        return np.einsum("ij,ij->i", d, d) <= self.radius**2
-
-    def dist_many(self, x, cap=math.inf):
-        d = np.linalg.norm(x - self.center, axis=1) - self.radius
-        return np.maximum(d, 0.0)
-
-    def complement_margin_many(self, x):
-        d = self.radius - np.linalg.norm(x - self.center, axis=1)
-        return np.maximum(d, 0.0)
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        v = x - self.center
-        n = np.linalg.norm(v)
-        if n <= self.radius:
-            return x.copy()
-        return self.center + v * (self.radius / n)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -257,20 +180,6 @@ class AxisBox(ConvexBody):
     def sides(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains_many(self, x):
-        return np.all((x >= self.lower) & (x <= self.upper), axis=1)
-
-    def dist_many(self, x, cap=math.inf):
-        gap = np.maximum(np.maximum(self.lower - x, x - self.upper), 0.0)
-        return np.linalg.norm(gap, axis=1)
-
-    def complement_margin_many(self, x):
-        depth = np.minimum(x - self.lower, self.upper - x).min(axis=1)
-        return np.maximum(depth, 0.0)
-
-    def project(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
 
@@ -290,18 +199,12 @@ def unit_cube(d: int) -> AxisBox:
 
 
 class _Faces:
-    """Every proper face of a polytope, each stored once by its vertex set
-    (a bit mask), its dimension and an orthonormal basis of its affine hull
-    (an SVD of the vertex differences with a rank tolerance).
-
-    The nearest point of the body to an exterior x lies in the relative
-    interior of some face F, where it is the orthogonal projection of x onto
-    aff(F) (Wolfe's nearest-point problem, with the active set found by
-    enumeration). Every projection that lands in the body is a point of the
-    body, so the distance is the least |x - p| over the faces whose
-    projection p is feasible: exact, in a fixed number of steps, in any
-    dimension. The faces are the planes' vertex sets closed under
-    intersection; the vertices themselves are the 0-dimensional faces.
+    """The face lattice of a polytope, for its intrinsic volumes: every
+    proper face stored once by its vertex set (a bit mask), its dimension
+    and an orthonormal basis of its affine hull (an SVD of the vertex
+    differences with a rank tolerance), and the unit normal of each facet.
+    The faces are the planes' vertex sets closed under intersection; the
+    vertices themselves are the 0-dimensional faces.
     """
 
     def __init__(self, vertices: np.ndarray, unit_normals: np.ndarray, unit_offsets: np.ndarray):
@@ -319,21 +222,13 @@ class _Faces:
             frontier = {a & b for a in frontier for b in planes} - faces - {0}
             faces |= frontier
         self.vertices = vertices
-        self.unit_normals = unit_normals
-        self.unit_offsets = unit_offsets
         self.faces: list[tuple[int, int, np.ndarray]] = []  # (mask, dim, basis)
-        # for vertex o and basis Q, x minus its projection onto aff(F) is
-        # (x - o) P with P = I - Q^T Q; stored as (P, o P)
-        self.residual_maps: list[tuple[np.ndarray, np.ndarray]] = []
         d = vertices.shape[1]
-        eye = np.eye(d)
         for mask in sorted(faces, key=lambda f: (f.bit_count(), f)):
             members = self._members(mask)
             _, s, vt = np.linalg.svd(members[1:] - members[0], full_matrices=False)
             rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s[0]))) if s.size else 0
             self.faces.append((mask, rank, vt[:rank]))
-            p = eye - vt[:rank].T @ vt[:rank]
-            self.residual_maps.append((p, members[0] @ p))
         # a facet is a vertex set of dimension d - 1: a redundant plane touches
         # the body in a smaller face, and coplanar planes share one vertex set
         self.facet_normals = {
@@ -342,27 +237,6 @@ class _Faces:
 
     def _members(self, mask: int) -> np.ndarray:
         return self.vertices[[i for i in range(len(self.vertices)) if mask >> i & 1]]
-
-    def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(distances, nearest points) for points outside the body.
-
-        A face whose affine hull is no nearer than the best feasible point
-        so far cannot improve on it, so only the remaining points are
-        checked for feasibility."""
-        best_sq = np.full(x.shape[0], np.inf)
-        best_p = np.empty_like(x)
-        for p_map, shift in self.residual_maps:
-            r = x @ p_map - shift
-            dist_sq = np.einsum("ij,ij->i", r, r)
-            cand = np.flatnonzero(dist_sq < best_sq)
-            if cand.size == 0:
-                continue
-            p = x[cand] - r[cand]
-            ok = (p @ self.unit_normals.T - self.unit_offsets).max(axis=1) <= FEASIBLE_TOL
-            sel = cand[ok]
-            best_sq[sel] = dist_sq[sel]
-            best_p[sel] = p[ok]
-        return np.sqrt(best_sq), best_p
 
     def intrinsic_volumes(self, volume: float) -> np.ndarray:
         """V_0..V_d of the polytope of this volume: V_0 = 1, V_d = volume and
@@ -479,36 +353,6 @@ class HPolytope(ConvexBody):
         if np.any(lo < -1e-9) or np.any(hi > 1 + 1e-9):
             raise ValueError("H-polytope is not contained in the unit cube")
 
-    def margins_many(self, x: np.ndarray) -> np.ndarray:
-        """Signed distances to the facet planes; positive means violated."""
-        return x @ self._unit_normals.T - self._unit_offsets
-
-    def contains_many(self, x):
-        return np.all(self.margins_many(x) <= 1e-12, axis=1)
-
-    def dist_many(self, x, cap=math.inf):
-        """Distances, with values certainly above `cap` reported as +inf.
-
-        The max facet margin lower-bounds the distance, so points with
-        margin > cap skip projection entirely; points whose single-facet
-        projection lands inside get their exact distance for free. The
-        remainder takes the exact nearest-face search (`_Faces`).
-        """
-        m = self.margins_many(x)
-        mm = m.max(axis=1)
-        out = np.maximum(mm, 0.0)
-        over = mm > cap
-        out[over] = np.inf
-        idx = np.flatnonzero(~over & (mm > 1e-12))
-        if idx.size == 0:
-            return out
-        worst = np.argmax(m[idx], axis=1)
-        proj = x[idx] - mm[idx, None] * self._unit_normals[worst]
-        hard = idx[~self.contains_many(proj)]
-        if hard.size:
-            out[hard] = self._faces().nearest(x[hard])[0]
-        return out
-
     def _vertex_array(self) -> np.ndarray:
         """The vertices, from qhull's halfspace intersection seeded at the
         Chebyshev centre unless they were set as known; a non-simple vertex
@@ -564,16 +408,6 @@ class HPolytope(ConvexBody):
         inner._cheb = (centre, radius - rho)
         return inner
 
-    def complement_margin_many(self, x):
-        depth = -self.margins_many(x).max(axis=1)
-        return np.maximum(depth, 0.0)
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.contains(x):
-            return x.copy()
-        return self._faces().nearest(x[None, :])[1][0]
-
     def bounding_box(self):
         """Extremes of the vertices (a bounded polytope is their hull)."""
         v = self._vertex_array()
@@ -614,7 +448,6 @@ class VPolytope(ConvexBody):
         rank = np.linalg.matrix_rank(span, tol=1e-9)
         if uniq.shape[0] == 1:
             self._kind = "point"
-            self._point = uniq[0]
         elif rank == 1 and self.dim >= 2:
             t = span @ span[-1]
             self._segment = (uniq[np.argmin(t)], uniq[np.argmax(t)])
@@ -642,37 +475,6 @@ class VPolytope(ConvexBody):
         hform._volume = float(hull.volume)
         return hform
 
-    def contains_many(self, x):
-        if self._kind == "full":
-            return self._hform.contains_many(x)
-        return self.dist_many(x) <= 1e-12
-
-    def dist_many(self, x, cap=math.inf):
-        if self._kind == "point":
-            return np.linalg.norm(x - self._point, axis=1)
-        if self._kind == "segment":
-            a, b = self._segment
-            ab = b - a
-            t = np.clip((x - a) @ ab / (ab @ ab), 0.0, 1.0)
-            return np.linalg.norm(x - (a + t[:, None] * ab), axis=1)
-        return self._hform.dist_many(x, cap)
-
-    def complement_margin_many(self, x):
-        if self._kind != "full":
-            return np.zeros(x.shape[0])
-        return self._hform.complement_margin_many(x)
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._kind == "point":
-            return self._point.copy()
-        if self._kind == "segment":
-            a, b = self._segment
-            ab = b - a
-            t = float(np.clip((x - a) @ ab / (ab @ ab), 0.0, 1.0))
-            return a + t * ab
-        return self._hform.project(x)
-
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
@@ -696,27 +498,29 @@ class VPolytope(ConvexBody):
         return {"variant": "v_polytope", "vertices": self.vertices.tolist()}
 
 
-def dist_to_body(x, body: ConvexBody) -> float:
-    """Euclidean distance from x to the body (0 inside)."""
-    return body.dist_to_body(x)
-
-
-def dist_to_complement(x, body: ConvexBody) -> float:
-    """Distance from x to the complement of the body (0 outside)."""
-    return body.dist_to_complement(x)
+_BODY_FIELDS = {
+    "ball": (Ball, ("center", "radius")),
+    "axis_box": (AxisBox, ("lower", "upper")),
+    "h_polytope": (HPolytope, ("normals", "offsets")),
+    "v_polytope": (VPolytope, ("vertices",)),
+}
 
 
 def body_from_json_dict(data: dict) -> ConvexBody:
+    """The body that `to_json_dict` wrote. ValueError names a non-object
+    input, an unknown variant or a missing field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a body must be a JSON object, got {data!r}")
+    if "variant" not in data:
+        raise ValueError("body is missing the field 'variant'")
     variant = data["variant"]
-    if variant == "ball":
-        return Ball(data["center"], data["radius"])
-    if variant == "axis_box":
-        return AxisBox(data["lower"], data["upper"])
-    if variant == "h_polytope":
-        return HPolytope(data["normals"], data["offsets"])
-    if variant == "v_polytope":
-        return VPolytope(data["vertices"])
-    raise ValueError(f"unknown body variant {variant!r}")
+    if not isinstance(variant, str) or variant not in _BODY_FIELDS:
+        raise ValueError(f"unknown body variant {variant!r}")
+    cls, names = _BODY_FIELDS[variant]
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError(f"{variant} body is missing the field {missing[0]!r}")
+    return cls(*(data[name] for name in names))
 
 
 # ---------------------------------------------------------------------------
@@ -740,11 +544,11 @@ def box_steiner_volume(sides: np.ndarray, rho: float, outer_only: bool = False) 
     return sum(e[d - j] * kappa(j) * rho**j for j in range(int(outer_only), d + 1))
 
 
-def steiner_volume(body: ConvexBody, rho: float) -> VolumeEstimate:
+def steiner_volume(body: ConvexBody, rho: float) -> float:
     """Vol(K + rho B), exact: `parallel_body_volume` at rho >= 0."""
     if not 0 <= rho < math.inf:
         raise ValueError(f"rho must be a finite nonnegative number, got {rho}")
-    return VolumeEstimate.exact_value(parallel_body_volume(body, rho))
+    return parallel_body_volume(body, rho)
 
 
 def ball_offset_volume(ball: Ball, rho: float, side: str) -> float:
@@ -761,12 +565,12 @@ def box_offset_volume(box: AxisBox, rho: float, side: str) -> float:
     return float(np.prod(box.sides)) - inner
 
 
-def offset_volume(body: ConvexBody, spec: OffsetSpec) -> VolumeEstimate:
+def offset_volume(body: ConvexBody, spec: OffsetSpec) -> float:
     """Vol(K_rho^+) or Vol(K_rho^-), exact (see `offset_volumes`)."""
     return offset_volumes(body, [spec.rho], spec.side)[0]
 
 
-def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[VolumeEstimate]:
+def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[float]:
     """Vol(K_rho^+) = v(rho) - Vol(K) or Vol(K_rho^-) = Vol(K) - v(-rho) at
     each radius, where v is `parallel_body_volume`; balls and boxes use
     their closed forms directly. Polytopes need d <= 4 on the outer side."""
@@ -777,26 +581,19 @@ def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[V
     if side not in ("outer", "inner"):
         raise ValueError('side must be "outer" or "inner"')
     if isinstance(body, Ball):
-        return [VolumeEstimate.exact_value(ball_offset_volume(body, r, side)) for r in rhos]
+        return [ball_offset_volume(body, r, side) for r in rhos]
     if isinstance(body, AxisBox):
-        return [VolumeEstimate.exact_value(box_offset_volume(body, r, side)) for r in rhos]
+        return [box_offset_volume(body, r, side) for r in rhos]
     vol = body.volume_exact()
     sign = 1.0 if side == "outer" else -1.0
-    return [
-        VolumeEstimate.exact_value(sign * (parallel_body_volume(body, sign * r) - vol))
-        for r in rhos
-    ]
+    return [sign * (parallel_body_volume(body, sign * r) - vol) for r in rhos]
 
 
-def boundary_neighborhood_volume(body: ConvexBody, rho: float) -> VolumeEstimate:
+def boundary_neighborhood_volume(body: ConvexBody, rho: float) -> float:
     """Vol{x in R^d : dist(x, boundary K) <= rho} = outer + inner offsets."""
-    outer = offset_volume(body, OffsetSpec(rho, "outer"))
-    inner = offset_volume(body, OffsetSpec(rho, "inner"))
-    return VolumeEstimate.exact_value(outer.value + inner.value)
-
-
-def body_volume(body: ConvexBody) -> VolumeEstimate:
-    return VolumeEstimate.exact_value(body.volume_exact())
+    return offset_volume(body, OffsetSpec(rho, "outer")) + offset_volume(
+        body, OffsetSpec(rho, "inner")
+    )
 
 
 def inradius(body: ConvexBody) -> float:
@@ -911,10 +708,3 @@ def random_body(d: int, rng: np.random.Generator, kind: str | None = None) -> Co
         return VPolytope(pts)
     raise ValueError(f"unknown body kind {kind!r}")
 
-
-def random_bodies(d: int, count: int, rng: np.random.Generator) -> list[ConvexBody]:
-    kinds = ["ball", "box", "hpoly"] + (["hull"] if d <= 3 else [])
-    out = []
-    for i in range(count):
-        out.append(random_body(d, rng, kinds[i % len(kinds)]))
-    return out

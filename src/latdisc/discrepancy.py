@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convex import HPolytope, VolumeEstimate
+from .convex import HPolytope
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
 from .reduction import (
     SpectralReport,
@@ -115,14 +115,11 @@ def _at_most(s: np.ndarray, t: int) -> np.ndarray:
     return np.asarray(s <= t, dtype=bool)
 
 
-def count_points_slab(ps: LatticePointSet, h, lo, hi, closed: bool = True) -> int:
-    """Points with lo <= h.x <= hi (or strict when closed=False), exact."""
+def count_points_slab(ps: LatticePointSet, h, lo, hi) -> int:
+    """Points with lo <= h.x <= hi, exact."""
     s, scale = _scaled_dot(ps, h)
     lo, hi = Fraction(lo) * scale, Fraction(hi) * scale
-    if closed:
-        inside = _at_most(-s, -math.ceil(lo)) & _at_most(s, math.floor(hi))
-    else:
-        inside = _at_most(-s, -math.floor(lo) - 1) & _at_most(s, math.ceil(hi) - 1)
+    inside = _at_most(-s, -math.ceil(lo)) & _at_most(s, math.floor(hi))
     return int(np.count_nonzero(inside))
 
 
@@ -133,18 +130,14 @@ def count_points_slab(ps: LatticePointSet, h, lo, hi, closed: bool = True) -> in
 @dataclass(frozen=True)
 class DiscrepancyWitness:
     """An empty slab k + eps <= h.x <= k + 1 - eps of the cube; its value
-    is the slab's exact volume."""
+    is the slab's exact volume, so every witness is certified."""
 
-    inside_count: int
-    volume: VolumeEstimate
     local_value: float
-    family: str
     local_value_exact: Fraction
     dual_slab: tuple[tuple[int, ...], int]  # (h, k)
 
-    @property
-    def certified(self) -> bool:
-        return True  # the value is exact
+    family = "dual-slab"
+    certified = True
 
     @property
     def body(self) -> HPolytope:
@@ -161,8 +154,6 @@ class DiscrepancyWitness:
         return {
             "family": self.family,
             "body": self.body.to_json_dict(),
-            "inside_count": self.inside_count,
-            "volume": self.volume.to_json_dict(),
             "local_value": self.local_value,
             "certified": self.certified,
         }
@@ -181,8 +172,6 @@ class Thm1Report:
     slab_value: float
     slab_floor: float
     slab_floor_ok: bool
-    best_family: str
-    n_witnesses: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,8 +186,6 @@ class Thm1Report:
             "slab_value": self.slab_value,
             "slab_floor": self.slab_floor,
             "slab_floor_ok": self.slab_floor_ok,
-            "best_family": self.best_family,
-            "n_witnesses": self.n_witnesses,
         }
 
 
@@ -278,10 +265,7 @@ def slab_witness(
     if inside != 0:
         raise AssertionError("slab witness contains lattice points; dual vector invalid")
     return DiscrepancyWitness(
-        inside_count=0,
-        volume=VolumeEstimate.exact_value(float(best_vol)),
         local_value=float(best_vol),
-        family="dual-slab",
         local_value_exact=best_vol,
         dual_slab=(h, best_k),
     )
@@ -356,6 +340,4 @@ def thm1_verdict(
         slab_value=slab.local_value,
         slab_floor=float(floor),
         slab_floor_ok=bool(ok_slab),
-        best_family=best.family,
-        n_witnesses=len(witnesses),
     )

@@ -770,7 +770,6 @@ def nn_baseline_error(
     f,
     q: GammaValue,
     grid_per_dim: int = 201,
-    lipschitz: float | None = None,
 ) -> float:
     """L_q error, on a fine midpoint grid, of the nearest-neighbor
     piecewise-constant reconstruction of f from samples at P.

@@ -31,8 +31,7 @@ from .convex import (
 )
 from .discrepancy import verify_thm1
 from .distance import DistanceNormConfig, ProxySpec, proxy_spec, verify_prop1
-from .lattice import IntegrationLattice, enumerate_points, fibonacci_generator, rank1_lattice
-from .montecarlo import chunk_rng
+from .lattice import enumerate_points, fibonacci_generator, rank1_lattice
 from .reduction import spectral_test
 
 PASS = "PASS"
@@ -67,7 +66,6 @@ def _row(
         "subject": subject,
         "lhs": float(lhs),
         "rhs": None if rhs is None else float(rhs),
-        "uncertainty": 0.0,  # nothing is sampled; kept so artifacts keep their columns
         "verdict": verdict_for(lhs, rhs) if verdict is None else verdict,
     }
 
@@ -272,6 +270,18 @@ class Campaign:
 # Corpus
 # ---------------------------------------------------------------------------
 
+_MASK64 = (1 << 64) - 1
+
+
+def chunk_rng(seed: int, index: int) -> np.random.Generator:
+    """Stream `index` of `seed`: Philox keyed by (seed, index), so what one
+    consumer draws depends only on its seed and index, never on what other
+    consumers drew. The rank-1 generators and the random bodies draw from
+    these streams."""
+    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _random_generator_vector(d: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
     while True:
         g = tuple(int(x) for x in rng.integers(1, n, size=d))
@@ -301,11 +311,6 @@ def builtin_corpus(
     if spec.include_bad_lattice:
         out.append(("bad-axis-d2", 256, (1, 0)))
     return out
-
-
-def corpus_lattice(entry: tuple[str, int, tuple[int, ...]]) -> IntegrationLattice:
-    _, n, g = entry
-    return rank1_lattice(n, g)
 
 
 def brute_force_min_dual_norm_sq(n: int, g: tuple[int, ...]) -> int:
@@ -442,19 +447,18 @@ def run_body_task(c: Campaign, d: int, index: int) -> dict:
     for rho, o, i in zip(rhos, outer, inner):
         at = f"{subject}-rho{rho:g}"
         if "lemma2" in c.checks:
-            rows.append(_row("lemma2", at, i.value, o.value))
+            rows.append(_row("lemma2", at, i, o))
         if "lemma3" in c.checks:
-            rows.append(_row("lemma3", at, max(o.value, i.value), 2 ** (d + 3) * rho))
+            rows.append(_row("lemma3", at, max(o, i), 2 ** (d + 3) * rho))
         if "corollary1" in c.checks:
-            rows.append(_row("corollary1", at, o.value + i.value, d * 2 ** (d + 4) * rho))
+            rows.append(_row("corollary1", at, o + i, d * 2 ** (d + 4) * rho))
         if "steiner" in c.checks and isinstance(body, (Ball, AxisBox)):
             # Minkowski identity on the closed-form bodies; agreement is
             # limited only by float roundoff. For a polytope both sides come
             # from the same Steiner polynomial, so the polytope path is
             # checked against independent references in the unit tests.
-            st = steiner_volume(body, rho)
-            expected = st.value - body.volume_exact()
-            rows.append(_row("steiner", at, abs(o.value - expected), 1e-12))
+            expected = steiner_volume(body, rho) - body.volume_exact()
+            rows.append(_row("steiner", at, abs(o - expected), 1e-12))
     if "lemma1" in c.checks and isinstance(body, (Ball, AxisBox)):
         h = 1e-3
         for rho in rhos:
@@ -624,7 +628,7 @@ def report_tables(result: CampaignResult, out_dir: Path) -> list[Path]:
         written.append(p)
 
     write_csv(
-        "checks.csv", ["check", "subject", "lhs", "rhs", "uncertainty", "verdict"], result.rows
+        "checks.csv", ["check", "subject", "lhs", "rhs", "verdict"], result.rows
     )
     if result.tables.get("thm1"):
         write_csv(

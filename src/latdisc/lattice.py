@@ -265,17 +265,6 @@ def validate(lat: IntegrationLattice) -> list[str]:
     return problems
 
 
-def same_lattice(a: IntegrationLattice, b: IntegrationLattice) -> bool:
-    """Whether a and b generate the same lattice. The least denominator D
-    (the least D with D L <= Z^d) is a lattice invariant, so equal lattices
-    share it and have equal HNFs of their integer bases."""
-    return (
-        a.dim == b.dim
-        and a.denom == b.denom
-        and hermite_normal_form(a.basis) == hermite_normal_form(b.basis)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Text / CSV interfaces
 # ---------------------------------------------------------------------------

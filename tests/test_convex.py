@@ -12,13 +12,10 @@ from latdisc.convex import (
     HPolytope,
     OffsetSpec,
     VPolytope,
-    VolumeEstimate,
     binom_kappa_sum,
     body_from_json_dict,
-    body_volume,
     boundary_neighborhood_volume,
     box_offset_volume,
-    box_quermassintegral,
     box_steiner_volume,
     cube_intrinsic_volume,
     cube_quermassintegral,
@@ -29,7 +26,6 @@ from latdisc.convex import (
     offset_volumes,
     parallel_body_volume,
     parallel_volume_derivative_check,
-    random_bodies,
     random_body,
     remark_lower,
     remark_upper,
@@ -37,7 +33,7 @@ from latdisc.convex import (
     unit_cube,
 )
 from latdisc.errors import EmptyBodyError
-from latdisc.montecarlo import chunk_rng
+from latdisc.harness import chunk_rng
 
 MC_CHUNK = 1 << 16
 
@@ -54,6 +50,46 @@ def box_fraction(lower, upper, indicator, n, seed):
         x = chunk_rng(seed, i).random((m, lower.shape[0])) * spans + lower
         hits += int(np.count_nonzero(indicator(x)))
     return hits, n
+
+
+def random_bodies(d, count, rng):
+    """`count` random bodies, cycling through the kinds `random_body` draws."""
+    kinds = ["ball", "box", "hpoly"] + (["hull"] if d <= 3 else [])
+    return [random_body(d, rng, kinds[i % len(kinds)]) for i in range(count)]
+
+
+def box_quermassintegral(sides, j):
+    """W_j of an axis box via binom(d, j) W_j = kappa_j V_{d-j}, with
+    V_k(box) = e_k(sides), the k-th elementary symmetric polynomial."""
+    d = len(sides)
+    e = sum(math.prod(c) for c in itertools.combinations(sides, d - j))
+    return kappa(j) * e / math.comb(d, j)
+
+
+def _h_form(body):
+    return body._hform if isinstance(body, VPolytope) else body
+
+
+def polytope_distance(body, x, cap=math.inf):
+    """Test-only oracle: (distances, nearest points) from the rows of x to a
+    polytope, 0 and x itself inside. The nearest point to an exterior x is
+    the projection of x onto aff(F) for some face F, so the distance is the
+    least |x - p| over the faces whose projection p is feasible. The largest
+    facet margin bounds the distance below; points with a margin above `cap`
+    skip the search and get +inf."""
+    h = _h_form(body)
+    a, b, faces = h._unit_normals, h._unit_offsets, h._faces()
+    margin = (x @ a.T - b).max(axis=1)
+    dist = np.where(margin <= 0, 0.0, np.inf)
+    nearest = x.copy()
+    out = np.flatnonzero((margin > 0) & (margin <= cap))
+    for mask, _, basis in faces.faces:
+        o = faces._members(mask)[0]
+        p = o + (x[out] - o) @ basis.T @ basis
+        r = np.linalg.norm(x[out] - p, axis=1)
+        better = ((p @ a.T - b).max(axis=1) <= 1e-10) & (r < dist[out])
+        dist[out[better]], nearest[out[better]] = r[better], p[better]
+    return dist, nearest
 
 
 TRIANGLE = HPolytope(
@@ -104,44 +140,39 @@ def test_box_quermassintegral_monotone_under_inclusion():
 
 def test_steiner_cube_2d():
     est = steiner_volume(unit_cube(2), 0.5)
-    assert est.exact
-    assert est.value == pytest.approx(1 + 4 * 0.5 + math.pi * 0.25, abs=1e-12)
+    assert est == pytest.approx(1 + 4 * 0.5 + math.pi * 0.25, abs=1e-12)
 
 
 def test_steiner_ball():
     est = steiner_volume(Ball([0.5, 0.5], 0.3), 0.1)
-    assert est.value == pytest.approx(math.pi * 0.16, abs=1e-12)
+    assert est == pytest.approx(math.pi * 0.16, abs=1e-12)
 
 
 def test_steiner_rho_zero_is_volume():
     for body in [unit_cube(3), Ball([0.5, 0.5], 0.25)]:
-        assert steiner_volume(body, 0.0).value == pytest.approx(
-            body.volume_exact(), abs=1e-12
-        )
+        assert steiner_volume(body, 0.0) == pytest.approx(body.volume_exact(), abs=1e-12)
 
 
 def test_steiner_cube_against_mc_oracle():
     est = steiner_volume(unit_cube(2), 0.3)
     # MC oracle: sample [-0.3, 1.3]^2, distance to the cube
-    cube = unit_cube(2)
     hits, n = box_fraction(
         np.array([-0.3, -0.3]),
         np.array([1.3, 1.3]),
-        lambda x: cube.dist_many(x) <= 0.3,
+        lambda x: np.linalg.norm(np.maximum(np.maximum(-x, x - 1), 0), axis=1) <= 0.3,
         n=200_000,
         seed=7,
     )
     mc = 1.6 * 1.6 * hits / n
     se = 1.6 * 1.6 * math.sqrt(0.25 / n)
-    assert abs(est.value - mc) <= 3 * se
+    assert abs(est - mc) <= 3 * se
 
 
 def test_steiner_polygon_2d():
     tri = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5]])
     est = steiner_volume(tri, 0.2)
     perim = 1 + 0.5 + math.hypot(1, 0.5)
-    assert est.exact
-    assert est.value == pytest.approx(0.25 + perim * 0.2 + math.pi * 0.04, abs=1e-12)
+    assert est == pytest.approx(0.25 + perim * 0.2 + math.pi * 0.04, abs=1e-12)
 
 
 def test_steiner_h_triangle_matches_2d_closed_form():
@@ -150,26 +181,12 @@ def test_steiner_h_triangle_matches_2d_closed_form():
         warnings.simplefilter("error")
         est = steiner_volume(TRIANGLE, 0.1)
     perim = 1 + 0.5 + math.hypot(1, 0.5)
-    assert est.exact
-    assert est.value == pytest.approx(0.25 + perim * 0.1 + math.pi * 0.01, abs=1e-12)
-
-
-def test_dist_to_complement_cube_center():
-    cube = unit_cube(3)
-    assert cube.dist_to_complement([0.5, 0.5, 0.5]) == pytest.approx(0.5)
-    assert cube.dist_to_complement([2.0, 0.5, 0.5]) == 0.0
-
-
-def test_dist_to_body_ball():
-    ball = Ball([0.5, 0.5], 0.3)
-    assert ball.dist_to_body([0.9, 0.5]) == pytest.approx(0.1, abs=1e-14)
-    assert ball.dist_to_body([0.5, 0.6]) == 0.0
-    assert ball.dist_to_complement([0.5, 0.5]) == pytest.approx(0.3)
+    assert est == pytest.approx(0.25 + perim * 0.1 + math.pi * 0.01, abs=1e-12)
 
 
 def test_triangle_projection_matches_grid_oracle():
     x = np.array([1.0, 1.0])
-    d = TRIANGLE.dist_to_body(x)
+    d = polytope_distance(TRIANGLE, x[None, :])[0][0]
     # dense grid oracle over the triangle
     g = np.linspace(0, 1, 2001)
     xx, yy = np.meshgrid(g, g * 0.5)
@@ -181,30 +198,29 @@ def test_triangle_projection_matches_grid_oracle():
 
 
 def test_projection_point_is_feasible_and_optimal():
-    p = TRIANGLE.project([1.0, 1.0])
-    assert TRIANGLE.margins_many(p[None, :]).max() <= 1e-10
+    p = polytope_distance(TRIANGLE, np.array([[1.0, 1.0]]))[1][0]
+    assert (TRIANGLE.normals @ p - TRIANGLE.offsets).max() <= 1e-10
     assert np.allclose(p, [0.6, 0.2], atol=1e-8)
 
 
 def test_offset_ball_annulus():
     est = offset_volume(Ball([0.5, 0.5], 0.3), OffsetSpec(0.1, "outer"))
-    assert est.exact
-    assert est.value == pytest.approx(math.pi * (0.4**2 - 0.3**2), abs=1e-12)
+    assert est == pytest.approx(math.pi * (0.4**2 - 0.3**2), abs=1e-12)
 
 
 def test_offset_cube_outer_matches_lemma3_equality_case():
     est = offset_volume(unit_cube(2), OffsetSpec(0.1, "outer"))
-    assert est.value == pytest.approx(4 * 0.1 + math.pi * 0.01, abs=1e-12)
+    assert est == pytest.approx(4 * 0.1 + math.pi * 0.01, abs=1e-12)
 
 
 def test_offset_rho_zero():
     for side in ("outer", "inner"):
-        assert offset_volume(unit_cube(2), OffsetSpec(0.0, side)).value == 0.0
+        assert offset_volume(unit_cube(2), OffsetSpec(0.0, side)) == 0.0
 
 
 def test_offset_inner_cube():
     est = offset_volume(unit_cube(3), OffsetSpec(0.05, "inner"))
-    assert est.value == pytest.approx(1 - 0.9**3, abs=1e-12)
+    assert est == pytest.approx(1 - 0.9**3, abs=1e-12)
 
 
 def test_offset_matches_polygon_steiner_difference():
@@ -212,14 +228,12 @@ def test_offset_matches_polygon_steiner_difference():
     rho = 0.08
     est = offset_volume(tri, OffsetSpec(rho, "outer"))
     perim = 0.8 + 0.4 + math.hypot(0.8, 0.4)
-    assert est.exact
-    assert abs(est.value - (perim * rho + math.pi * rho**2)) <= 1e-12
+    assert abs(est - (perim * rho + math.pi * rho**2)) <= 1e-12
 
 
 def test_offset_volumes_shares_stream_and_is_monotone():
     tri = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]])
-    ests = offset_volumes(tri, [0.01, 0.05, 0.1], "outer")
-    vals = [e.value for e in ests]
+    vals = offset_volumes(tri, [0.01, 0.05, 0.1], "outer")
     assert vals == sorted(vals)
 
 
@@ -238,22 +252,21 @@ def test_offset_radius_that_is_not_finite_nonnegative_is_rejected(rho):
 
 def test_boundary_neighborhood_ball():
     est = boundary_neighborhood_volume(Ball([0.5, 0.5], 0.3), 0.1)
-    assert est.value == pytest.approx(math.pi * (0.4**2 - 0.2**2), abs=1e-12)
-    assert est.value <= 2 * 2**6 * 0.1
+    assert est == pytest.approx(math.pi * (0.4**2 - 0.2**2), abs=1e-12)
+    assert est <= 2 * 2**6 * 0.1
 
 
 def test_boundary_neighborhood_point():
     pt = VPolytope([[0.4, 0.4, 0.4]])
     est = boundary_neighborhood_volume(pt, 0.2)
-    assert est.exact
-    assert est.value == pytest.approx(kappa(3) * 0.2**3, abs=1e-12)
+    assert est == pytest.approx(kappa(3) * 0.2**3, abs=1e-12)
 
 
 def test_boundary_neighborhood_cube_3d():
     est = boundary_neighborhood_volume(unit_cube(3), 0.05)
     outer = sum(math.comb(3, j) * kappa(j) * 0.05**j for j in range(1, 4))
     inner = 1 - 0.9**3
-    assert est.value == pytest.approx(outer + inner, abs=1e-12)
+    assert est == pytest.approx(outer + inner, abs=1e-12)
 
 
 def test_inradius_closed_forms():
@@ -352,12 +365,6 @@ def test_remark_parameter_validation():
         remark_upper(10, 2.0)
 
 
-def test_volume_estimate_invariant():
-    est = VolumeEstimate.exact_value(0.5)
-    assert est.exact
-    assert est.to_json_dict() == {"value": 0.5, "exact": True}
-
-
 def test_random_bodies_inside_cube_and_valid():
     rng = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
     for d in (2, 3, 4):
@@ -365,9 +372,7 @@ def test_random_bodies_inside_cube_and_valid():
             lo, hi = body.bounding_box()
             assert np.all(lo >= -1e-9) and np.all(hi <= 1 + 1e-9)
             assert inradius(body) >= 0
-            vol = body_volume(body)
-            assert vol.exact
-            assert 0 <= vol.value <= 1 + 1e-9
+            assert 0 <= body.volume_exact() <= 1 + 1e-9
 
 
 def test_lemma2_and_lemma3_small_sample():
@@ -377,15 +382,14 @@ def test_lemma2_and_lemma3_small_sample():
             for rho in (0.05, 0.1):
                 outer = offset_volume(body, OffsetSpec(rho, "outer"))
                 inner = offset_volume(body, OffsetSpec(rho, "inner"))
-                assert outer.exact and inner.exact
-                assert outer.value >= inner.value
-                assert max(outer.value, inner.value) <= 2 ** (d + 3) * rho
+                assert outer >= inner
+                assert max(outer, inner) <= 2 ** (d + 3) * rho
 
 
 def test_outer_offset_monotone_in_rho_exact_bodies():
     grid = np.linspace(0.0, 0.5, 11)
     for body in [Ball([0.5, 0.5], 0.25), AxisBox([0.2, 0.3], [0.7, 0.8]), unit_cube(3)]:
-        vals = [offset_volume(body, OffsetSpec(float(r), "outer")).value for r in grid]
+        vals = [offset_volume(body, OffsetSpec(float(r), "outer")) for r in grid]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -393,10 +397,10 @@ def test_inner_offset_saturates_above_inradius():
     # K_rho is empty below -r(K), so the inner shell at rho > r(K) is all of K
     box = AxisBox([0.4, 0.1], [0.6, 0.9])  # inradius 0.1
     est = offset_volume(box, OffsetSpec(0.11, "inner"))
-    assert est.value == pytest.approx(box.volume_exact(), abs=1e-12)
+    assert est == pytest.approx(box.volume_exact(), abs=1e-12)
     ball = Ball([0.5, 0.5], 0.2)
     est = offset_volume(ball, OffsetSpec(0.21, "inner"))
-    assert est.value == pytest.approx(ball.volume_exact(), abs=1e-12)
+    assert est == pytest.approx(ball.volume_exact(), abs=1e-12)
 
 
 def test_body_json_roundtrip():
@@ -408,12 +412,12 @@ def test_body_json_roundtrip():
     ]:
         back = body_from_json_dict(body.to_json_dict())
         assert type(back) is type(body)
-        x = np.array([[0.3, 0.3], [0.95, 0.95]])
-        assert np.allclose(body.dist_many(x), back.dist_many(x))
+        assert back.to_json_dict() == body.to_json_dict()
+        assert back.volume_exact() == body.volume_exact()
 
 
 # ---------------------------------------------------------------------------
-# Polytope distance against brute-force KKT enumeration
+# The test-only polytope distance oracle against brute-force KKT enumeration
 # ---------------------------------------------------------------------------
 
 def _kkt_distance(normals, offsets, x):
@@ -445,10 +449,6 @@ def _acceptance_body(d, index):
     return random_body(d, rng, kinds[index % len(kinds)])
 
 
-def _h_form(body):
-    return body._hform if isinstance(body, VPolytope) else body
-
-
 def _points_around(body, n, seed):
     lo, hi = body.bounding_box()
     return np.random.default_rng(seed).uniform(lo - 0.15, hi + 0.15, size=(n, body.dim))
@@ -464,7 +464,7 @@ def test_polytope_distance_matches_kkt_reference(d, index):
     h = _h_form(body)
     x = _points_around(body, 400 if d == 4 else 1000, index)
     ref = _kkt_distance(h.normals, h.offsets, x)
-    assert np.max(np.abs(body.dist_many(x) - ref)) <= 1e-9
+    assert np.max(np.abs(polytope_distance(body, x)[0] - ref)) <= 1e-9
 
 
 def _cut_cube_4d():
@@ -478,37 +478,41 @@ def test_polytope_distance_with_non_simple_vertices():
     body = _cut_cube_4d()
     x = np.random.default_rng(0).uniform(-0.4, 1.4, size=(1500, 4))
     ref = _kkt_distance(body.normals, body.offsets, x)
-    assert np.max(np.abs(body.dist_many(x) - ref)) <= 1e-9
+    assert np.max(np.abs(polytope_distance(body, x)[0] - ref)) <= 1e-9
 
 
 @pytest.mark.parametrize("body", [_cut_cube_4d(), _acceptance_body(4, 2)], ids=["cut-cube", "hpoly"])
 def test_projection_4d_is_feasible_and_at_the_distance(body):
     x = _points_around(body, 60, 4)
-    x = x[~body.contains_many(x)]
-    for xi, dist in zip(x, body.dist_many(x)):
-        p = body.project(xi)
-        assert body.margins_many(p[None, :]).max() <= 1e-10
-        assert np.linalg.norm(xi - p) == pytest.approx(dist, abs=1e-12)
+    dist, nearest = polytope_distance(body, x)
+    outside = dist > 0
+    assert np.any(outside)
+    margins = nearest[outside] @ body._unit_normals.T - body._unit_offsets
+    assert margins.max() <= 1e-10
+    np.testing.assert_allclose(
+        np.linalg.norm(x[outside] - nearest[outside], axis=1), dist[outside], rtol=0, atol=1e-12
+    )
 
 
 def test_distance_cap_reports_inf_above_it():
     body = _acceptance_body(4, 2)
     x = _points_around(body, 2000, 5)
-    exact = body.dist_many(x)
-    capped = body.dist_many(x, cap=0.05)
+    exact = polytope_distance(body, x)[0]
+    capped = polytope_distance(body, x, cap=0.05)[0]
     assert np.all(capped[exact <= 0.05] == exact[exact <= 0.05])
     assert np.all((capped == exact) | (np.isinf(capped) & (exact > 0.05)))
     assert np.any(np.isinf(capped))
 
 
-def test_face_structure_is_built_only_when_a_distance_needs_it():
+def test_face_structure_is_built_only_for_intrinsic_volumes():
     hull = VPolytope([[0.1, 0.1], [0.9, 0.2], [0.3, 0.8]])
     body = _cut_cube_4d()
     for b in (hull, body):
-        b.contains_many(np.full((3, b.dim), 0.5))
+        b.volume_exact()
+        offset_volume(b, OffsetSpec(0.05, "inner"))
         assert _h_form(b)._face_set is None
-    body.dist_many(np.array([[1.3, 1.2, 1.1, -0.2]]))
-    assert body._face_set is not None
+        offset_volume(b, OffsetSpec(0.05, "outer"))
+        assert _h_form(b)._face_set is not None
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +550,10 @@ def test_axis_box_as_hpolytope_matches_box_closed_forms(d):
     lower, upper = np.linspace(0.1, 0.3, d), np.linspace(0.5, 0.9, d)
     box, h = AxisBox(lower, upper), _h_box(lower, upper)
     for rho in RHOS:
-        assert abs(steiner_volume(h, rho).value - box_steiner_volume(box.sides, rho)) <= 1e-12
+        assert abs(steiner_volume(h, rho) - box_steiner_volume(box.sides, rho)) <= 1e-12
         for side in ("outer", "inner"):
             exact = box_offset_volume(box, rho, side)
-            assert abs(offset_volume(h, OffsetSpec(rho, side)).value - exact) <= 1e-12
+            assert abs(offset_volume(h, OffsetSpec(rho, side)) - exact) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -596,16 +600,17 @@ def test_polytope_offsets_match_monte_carlo_oracle(body):
     h = _h_form(body)
 
     def outer(x):
-        return (body.dist_many(x, cap=rho) <= rho) & ~body.contains_many(x)
+        dist = polytope_distance(body, x, cap=rho)[0]
+        return (dist > 0) & (dist <= rho)
 
     def inner(x):
-        depth = -h.margins_many(x).max(axis=1)
+        depth = -(x @ h._unit_normals.T - h._unit_offsets).max(axis=1)
         return (depth >= 0) & (depth <= rho)
 
     mc, se = _mc_oracle(outer, lo - rho, hi + rho, seed=31)
-    assert abs(offset_volume(body, OffsetSpec(rho, "outer")).value - mc) <= 4 * se
+    assert abs(offset_volume(body, OffsetSpec(rho, "outer")) - mc) <= 4 * se
     mc, se = _mc_oracle(inner, lo, hi, seed=37)
-    assert abs(offset_volume(body, OffsetSpec(rho, "inner")).value - mc) <= 4 * se
+    assert abs(offset_volume(body, OffsetSpec(rho, "inner")) - mc) <= 4 * se
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -616,18 +621,17 @@ def test_inner_side_below_and_above_the_inradius(d):
     assert inradius(simplex) == pytest.approx(r, abs=1e-12)
     assert simplex.volume_exact() == pytest.approx(vol, abs=1e-15)
     for rho in (0.01, 0.05, (1 - 1e-3) * r, (1 + 1e-3) * r):
-        inner = offset_volume(simplex, OffsetSpec(rho, "inner")).value
+        inner = offset_volume(simplex, OffsetSpec(rho, "inner"))
         # the inner parallel body is the simplex scaled by 1 - rho / r
         assert inner == pytest.approx(vol * (1 - max(1 - rho / r, 0.0) ** d), abs=1e-12)
-    assert offset_volume(simplex, OffsetSpec(1.001 * r, "inner")).value == simplex.volume_exact()
+    assert offset_volume(simplex, OffsetSpec(1.001 * r, "inner")) == simplex.volume_exact()
 
 
 def test_segment_neighbourhood_is_a_capsule():
     a, b = np.array([0.2, 0.3, 0.4]), np.array([0.7, 0.6, 0.5])
     seg, length, rho = VPolytope([a, b]), float(np.linalg.norm(b - a)), 0.1
     est = boundary_neighborhood_volume(seg, rho)
-    assert est.exact
-    assert est.value == pytest.approx(math.pi * rho**2 * length + 4 / 3 * math.pi * rho**3, abs=1e-14)
+    assert est == pytest.approx(math.pi * rho**2 * length + 4 / 3 * math.pi * rho**3, abs=1e-14)
 
 
 def test_polytope_beyond_d4_raises_on_the_outer_side():
@@ -637,7 +641,7 @@ def test_polytope_beyond_d4_raises_on_the_outer_side():
     with pytest.raises(ValueError, match="d = 5"):
         offset_volume(cube5, OffsetSpec(0.1, "outer"))
     # the inner side is a halfspace intersection, exact in any d
-    inner = offset_volume(cube5, OffsetSpec(0.1, "inner")).value
+    inner = offset_volume(cube5, OffsetSpec(0.1, "inner"))
     assert inner == pytest.approx(1 - 0.8**5, abs=1e-12)
     assert parallel_body_volume(cube5, -0.5) == 0.0
 
@@ -665,30 +669,21 @@ def test_vpolytope_rejects_bad_vertex_sets_when_built(vertices, message):
 
 
 def test_vpolytope_point_segment_and_full_kinds():
-    x = np.array([[0.4, 0.4, 0.4], [0.4, 0.4, 0.9], [0.0, 0.0, 0.0]])
     point = VPolytope([[0.4, 0.4, 0.4], [0.4, 0.4, 0.4]])
     assert point._kind == "point" and point._hform is None
     assert point.volume_exact() == 0.0
-    np.testing.assert_allclose(point.dist_many(x), [0.0, 0.5, math.sqrt(0.48)], atol=1e-15)
+    np.testing.assert_array_equal(point.intrinsic_volumes(), [1.0, 0.0, 0.0, 0.0])
 
     a, b = [0.1, 0.2, 0.3], [0.5, 0.2, 0.3]
     segment = VPolytope([b, [0.3, 0.2, 0.3], a])
     assert segment._kind == "segment" and segment._hform is None
     assert segment.volume_exact() == 0.0
     np.testing.assert_allclose(segment.intrinsic_volumes(), [1.0, 0.4, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(
-        segment.dist_many(x), [math.sqrt(0.05), math.sqrt(0.4), math.sqrt(0.14)], atol=1e-15
-    )
 
     tri = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5], [0.3, 0.2]])
     assert tri._kind == "full" and "_hform" not in vars(tri)  # qhull runs on first use
     assert tri.volume_exact() == pytest.approx(0.16, abs=1e-15)
     assert isinstance(tri._hform, HPolytope)
-    np.testing.assert_allclose(
-        tri.dist_many(np.array([[0.2, 0.2], [0.5, 0.0], [0.0, 0.6]])),
-        [0.0, 0.1, math.sqrt(0.02)],
-        atol=1e-15,
-    )
 
 
 def test_vpolytope_that_qhull_finds_flat_raises_on_first_use(monkeypatch):

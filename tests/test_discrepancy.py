@@ -131,15 +131,17 @@ def test_count_points_halfspace_rank1():
 
 
 def test_count_points_open_slab_is_zero():
-    # all five points satisfy 2x1 - x2 in {0, 1} exactly
-    assert count_points_slab(P5, (2, -1), 0, 1, closed=False) == 0
-    assert count_points_slab(P5, (2, -1), 0, 1, closed=True) == 5
+    # all five points satisfy 2x1 - x2 in {0, 1} exactly: the closed slab
+    # holds them all, and its two boundary planes hold them all too
+    h = (2, -1)
+    assert count_points_slab(P5, h, 0, 1) == 5
+    on_planes = count_points_slab(P5, h, 0, 0) + count_points_slab(P5, h, 1, 1)
+    assert count_points_slab(P5, h, 0, 1) - on_planes == 0
 
 
 def test_slab_witness_rank1_5_12():
     w = slab_witness(R5)
     assert w.family == "dual-slab"
-    assert w.inside_count == 0
     assert w.certified
     # slab 0 < 2x1 - x2 < 1 has area 1/2 (piecewise-linear computation)
     assert w.local_value == pytest.approx(0.5, abs=1e-6)
@@ -199,7 +201,6 @@ def test_witness_bodies_inside_cube():
     for w in all_w:
         lo, hi = w.body.bounding_box()
         assert np.all(lo >= -1e-9) and np.all(hi <= 1 + 1e-9)
-        assert w.inside_count == 0
 
 
 def test_verify_thm1_rank1_5_12():
@@ -230,8 +231,7 @@ def test_zd_lower_bound_is_the_exact_slab(d):
     assert {w.family for w in witnesses} == {"dual-slab"}
     rep = verify_thm1(lat)
     assert rep.j_lower == float(best.local_value_exact)
-    assert rep.best_family == "dual-slab"
-    assert rep.n_witnesses == len(witnesses) == 10
+    assert len(witnesses) == 10
 
 
 def test_verify_thm1_fibonacci():
@@ -258,10 +258,10 @@ def test_thm1_slab_floor_is_taken_at_the_witness_slab():
 # Integer counting against a Fraction reference
 # ---------------------------------------------------------------------------
 
-def ref_slab_counts(ps, h, lo, hi):
-    """Closed and open counts of lo <= h.p <= hi in Fractions."""
+def ref_slab_count(ps, h, lo, hi):
+    """The count of lo <= h.p <= hi in Fractions."""
     values = [sum(Fraction(hj) * x for hj, x in zip(h, q)) for q in fraction_points(ps)]
-    return sum(lo <= v <= hi for v in values), sum(lo < v < hi for v in values)
+    return sum(lo <= v <= hi for v in values)
 
 
 CORPUS_LATTICES = (
@@ -283,15 +283,13 @@ def test_integer_counts_match_fraction_reference(ps):
         h = tuple(int(x) for x in rng.integers(-5, 6, size=d))
         lo = sum(hj * x for hj, x in zip(h, exact[rng.integers(ps.n)]))  # through a point
         hi = lo + Fraction(int(rng.integers(0, 4)), int(rng.integers(1, 5)))
-        closed, open_ = ref_slab_counts(ps, h, lo, hi)
-        assert count_points_slab(ps, h, lo, hi) == closed
-        assert count_points_slab(ps, h, lo, hi, closed=False) == open_
+        assert count_points_slab(ps, h, lo, hi) == ref_slab_count(ps, h, lo, hi)
 
         # a rational normal, and a half-space: a slab from below the cube
         a = [Fraction(int(x), 1 << 20) for x in rng.integers(-(1 << 20), 1 << 20, size=d)]
         b = sum(ai * x for ai, x in zip(a, exact[rng.integers(ps.n)]))
         below = -sum(map(abs, a)) - 1
-        assert count_points_slab(ps, a, below, b) == ref_slab_counts(ps, a, below, b)[0]
+        assert count_points_slab(ps, a, below, b) == ref_slab_count(ps, a, below, b)
 
 
 def test_counts_exact_when_int64_could_overflow():
@@ -303,14 +301,12 @@ def test_counts_exact_when_int64_could_overflow():
     s, scale = _scaled_dot(ps, h)
     assert s.dtype == object and scale == denom
     for lo, hi in ((Fraction(-1), Fraction(1)), (Fraction(3 * (denom // 3) - 5 * (denom // 5), denom), 3)):
-        closed, open_ = ref_slab_counts(ps, h, lo, hi)
-        assert count_points_slab(ps, h, lo, hi) == closed
-        assert count_points_slab(ps, h, lo, hi, closed=False) == open_
+        assert count_points_slab(ps, h, lo, hi) == ref_slab_count(ps, h, lo, hi)
     a = [Fraction(1, 3), Fraction(2, 7)]
     for q in fraction_points(ps):
         b = a[0] * q[0] + a[1] * q[1]
         for lo in (-1, b):
-            assert count_points_slab(ps, a, lo, b) == ref_slab_counts(ps, a, lo, b)[0]
+            assert count_points_slab(ps, a, lo, b) == ref_slab_count(ps, a, lo, b)
 
 
 def best_slab_by_scan(h):
@@ -386,6 +382,6 @@ def test_best_slab_evaluates_logarithmically_many_volumes(h, monkeypatch):
 def test_isotropic_lower_bound_returns_only_certified_witnesses(lat):
     best, witnesses = isotropic_lower_bound(lat)
     assert {w.family for w in witnesses} == {"dual-slab"}
-    assert all(w.certified and w.inside_count == 0 for w in witnesses)
+    assert all(w.certified for w in witnesses)
     assert [w.dual_slab[0] for w in witnesses] == shortest_dual_vectors(lat, 10)
     assert best.local_value_exact == max(w.local_value_exact for w in witnesses)

@@ -24,8 +24,8 @@ from latdisc.distance import (
     slab_union_volume,
     verify_prop1,
 )
+from latdisc.harness import chunk_rng
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
-from latdisc.montecarlo import chunk_rng
 from latdisc.reduction import spectral_test
 
 

@@ -13,14 +13,13 @@ from latdisc.harness import (
     CorpusSpec,
     brute_force_min_dual_norm_sq,
     builtin_corpus,
-    corpus_lattice,
     run_campaign,
     verdict_for,
     write_artifacts,
 )
 from latdisc import distance
 from latdisc.distance import DistanceNormConfig, error_proxy, proxy_spec, verify_prop1
-from latdisc.lattice import enumerate_points, fibonacci_lattice
+from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
 from latdisc.reduction import spectral_test
 
 
@@ -76,8 +75,7 @@ def test_corpus_generators_coprime():
 
 def test_brute_force_oracle_agrees_with_enumeration():
     for _, n, g in builtin_corpus(SMALL_CORPUS, seed=5)[:8]:
-        lat = corpus_lattice((_, n, g))
-        rep = spectral_test(lat)
+        rep = spectral_test(rank1_lattice(n, g))
         assert rep.dual_norm_sq == brute_force_min_dual_norm_sq(n, g)
 
 
@@ -94,10 +92,10 @@ def test_prop1_volb_row_reads_the_reports_bound():
     entries = builtin_corpus(SMALL_CORPUS, 11)
     assert sorted(rows) == sorted(ident for ident, _, _ in entries)
     cheap = DistanceNormConfig(grid_resolution=11)
-    for entry in entries:
-        p1 = verify_prop1(corpus_lattice(entry), gammas=(1.0,), config=cheap)
-        assert rows[entry[0]]["rhs"] == p1.vol_b_bound
-        assert p1.vol_b_bound_ok == (rows[entry[0]]["verdict"] == "PASS")
+    for ident, n, g in entries:
+        p1 = verify_prop1(rank1_lattice(n, g), gammas=(1.0,), config=cheap)
+        assert rows[ident]["rhs"] == p1.vol_b_bound
+        assert p1.vol_b_bound_ok == (rows[ident]["verdict"] == "PASS")
 
 
 def test_campaign_worker_determinism(tmp_path):
@@ -140,6 +138,9 @@ def test_artifact_tables(tmp_path):
     paths = write_artifacts(res, tmp_path)
     names = {p.name for p in paths}
     assert {"campaign.json", "checks.csv", "thm1.csv", "prop1.csv", "remark.csv", "thm2.csv"} <= names
+    checks = (tmp_path / "checks.csv").read_text().splitlines()
+    assert checks[0] == "check,subject,lhs,rhs,verdict"
+    assert len(checks) == 1 + len(res.rows)
     thm1 = (tmp_path / "thm1.csv").read_text().splitlines()
     assert thm1[0] == "id,d,N,sigma,j_lower,bound,verdict"
     assert len(thm1) == 1 + len(res.tables["thm1"])
@@ -339,7 +340,7 @@ def test_one_distance_pass_per_lattice(monkeypatch, checks):
     entries = builtin_corpus(THM2_CORPUS, 11)
     fib_n = [n for ident, n, _ in entries if ident.startswith("fib-k")]
     if "prop1" in checks:
-        assert [n for n, _ in calls] == [corpus_lattice(e).n_points for e in entries]
+        assert [n for n, _ in calls] == [rank1_lattice(n, g).n_points for _, n, g in entries]
         assert all(g == (0.5, 1.0, 2.0, math.inf, 3.0, 4.0) for _, g in calls[: len(fib_n)])
     else:  # only the Fibonacci members run, on the thm2 gammas alone
         assert calls == [(n, (math.inf, 3.0, 4.0)) for n in fib_n]

@@ -43,3 +43,22 @@ assert main(["--out", {str(tmp_path / "points.csv")!r}, "points", spec]) == 0
     loaded = _loaded_modules(code)
     assert [m for m in loaded if m.startswith("scipy")] == []
     assert json.loads((tmp_path / "spectral.json").read_text())["dual_norm"] > 0
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    import ast
+
+    import latdisc
+
+    tree = ast.parse(Path(latdisc.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert sorted(latdisc.__all__) == sorted(imported)
+    assert len(set(latdisc.__all__)) == len(latdisc.__all__)
+    namespace: dict = {}
+    exec("from latdisc import *", namespace)
+    assert set(latdisc.__all__) <= set(namespace)

@@ -21,10 +21,20 @@ from latdisc.lattice import (
     korobov_lattice,
     parse_lattice_text,
     rank1_lattice,
-    same_lattice,
     validate,
     write_points_csv,
 )
+
+
+def same_lattice(a, b):
+    """Whether a and b generate the same lattice. The least denominator D
+    (the least D with D L <= Z^d) is a lattice invariant, so equal lattices
+    share it and have equal HNFs of their integer bases."""
+    return (
+        a.dim == b.dim
+        and a.denom == b.denom
+        and hermite_normal_form(a.basis) == hermite_normal_form(b.basis)
+    )
 
 
 def vec_add(u, v):

@@ -7,7 +7,7 @@ import pytest
 
 from latdisc import reduction
 from latdisc.errors import DimensionGuardError
-from latdisc.harness import CorpusSpec, builtin_corpus, corpus_lattice
+from latdisc.harness import CorpusSpec, builtin_corpus
 from latdisc.lattice import (
     dual_basis,
     fibonacci_lattice,
@@ -84,8 +84,8 @@ def assert_lll_matches_reference(lat):
 
 
 def test_lll_matches_fraction_reference_on_the_corpus():
-    for entry in builtin_corpus(CorpusSpec(), 20200817):
-        assert_lll_matches_reference(corpus_lattice(entry))
+    for _, n, g in builtin_corpus(CorpusSpec(), 20200817):
+        assert_lll_matches_reference(rank1_lattice(n, g))
 
 
 @pytest.mark.parametrize(
@@ -357,7 +357,7 @@ REUSE_CORPUS = CorpusSpec(
     "entry", builtin_corpus(REUSE_CORPUS, 20200817), ids=lambda e: e[0]
 )
 def test_shortest_dual_vectors_reuse_the_reports_reduction(entry, monkeypatch):
-    lat = corpus_lattice(entry)
+    lat = rank1_lattice(*entry[1:])
     plain = shortest_dual_vectors(lat, 10)
     rep = spectral_test(lat)
     assert "dual_reduced" not in rep.to_json_dict()
