@@ -293,6 +293,11 @@ class HPolytope(ConvexBody):
         self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
         self.offsets = np.asarray(offsets, dtype=float)
         self.dim = self.normals.shape[1]
+        if self.offsets.shape != self.normals.shape[:1]:
+            raise ValueError(
+                f"offsets must hold one entry per normal ({self.normals.shape[0]}), "
+                f"got shape {self.offsets.shape}"
+            )
         norms = np.linalg.norm(self.normals, axis=1)
         if np.any(norms == 0):
             raise ValueError("zero normal vector")
@@ -498,17 +503,36 @@ class VPolytope(ConvexBody):
         return {"variant": "v_polytope", "vertices": self.vertices.tolist()}
 
 
-_BODY_FIELDS = {
-    "ball": (Ball, ("center", "radius")),
-    "axis_box": (AxisBox, ("lower", "upper")),
-    "h_polytope": (HPolytope, ("normals", "offsets")),
-    "v_polytope": (VPolytope, ("vertices",)),
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_vector(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
+
+
+def _is_rows(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(map(_is_vector, v)) and (
+        len({len(row) for row in v}) == 1
+    )
+
+
+_NUMBER = ("a finite number", _is_number)
+_VECTOR = ("a non-empty list of finite numbers", _is_vector)
+_ROWS = ("a non-empty list of equally long, non-empty lists of finite numbers", _is_rows)
+
+_BODY_FIELDS = {  # variant: (class, {field: (what it must be, predicate)})
+    "ball": (Ball, {"center": _VECTOR, "radius": _NUMBER}),
+    "axis_box": (AxisBox, {"lower": _VECTOR, "upper": _VECTOR}),
+    "h_polytope": (HPolytope, {"normals": _ROWS, "offsets": _VECTOR}),
+    "v_polytope": (VPolytope, {"vertices": _ROWS}),
 }
 
 
 def body_from_json_dict(data: dict) -> ConvexBody:
     """The body that `to_json_dict` wrote. ValueError names a non-object
-    input, an unknown variant or a missing field."""
+    input, an unknown variant, a missing field or a field of the wrong
+    shape."""
     if not isinstance(data, dict):
         raise ValueError(f"a body must be a JSON object, got {data!r}")
     if "variant" not in data:
@@ -516,11 +540,14 @@ def body_from_json_dict(data: dict) -> ConvexBody:
     variant = data["variant"]
     if not isinstance(variant, str) or variant not in _BODY_FIELDS:
         raise ValueError(f"unknown body variant {variant!r}")
-    cls, names = _BODY_FIELDS[variant]
-    missing = [name for name in names if name not in data]
-    if missing:
-        raise ValueError(f"{variant} body is missing the field {missing[0]!r}")
-    return cls(*(data[name] for name in names))
+    cls, rules = _BODY_FIELDS[variant]
+    for name, (expected, ok) in rules.items():
+        if name not in data:
+            raise ValueError(f"{variant} body is missing the field {name!r}")
+        if not ok(data[name]):
+            value = data[name]
+            raise ValueError(f"{variant} body field {name!r} must be {expected}, got {value!r}")
+    return cls(*(data[name] for name in rules))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 sets, and the d 2^(2(d+1)) sigma upper-bound verdict.
 
 The witnesses are the empty slabs between adjacent hyperplanes of the
-shortest dual vectors. Each slab's volume and emptiness are decided in exact
-arithmetic, so every witness value is a true lower bound for the isotropic
-discrepancy, and the search involves no randomness.
+shortest dual vectors. A witness is empty because its dual vector h lies in
+L^perp, which `hyperplane_family` checks exactly: every lattice point then
+has h.x in Z, and the witness lies strictly between two integers. Its volume
+is exact, so every witness value is a true lower bound for the isotropic
+discrepancy. No point is enumerated, so enumeration never limits N, and the
+search involves no randomness.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .convex import HPolytope
-from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
+from .lattice import IntegrationLattice
 from .reduction import (
     SpectralReport,
     hyperplane_family,
@@ -82,45 +85,6 @@ def halfspace_cube_volume_derivative(a, b) -> Fraction:
         return Fraction(0)
     num = c * _ie_sum(_subset_sums(pos), t, k - 1)
     return Fraction(num, math.factorial(k - 1) * math.prod(pos))
-
-
-# ---------------------------------------------------------------------------
-# Exact counting
-#
-# A point is P / D with P an integer vector (LatticePointSet.ints). A rational
-# linear form a.p is s / scale with s = m.P an integer, so every comparison
-# against a rational threshold is an integer comparison against a threshold
-# rounded once, exactly. Products run in int64 when a magnitude bound shows
-# they cannot overflow, and on Python-int object arrays otherwise.
-# ---------------------------------------------------------------------------
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _scaled_dot(ps: LatticePointSet, a) -> tuple[np.ndarray, int]:
-    """Integers s and a scale with a.p = s[i] / scale for every point p."""
-    a = [Fraction(x) for x in a]
-    q = math.lcm(*(x.denominator for x in a))
-    m = [x.numerator * (q // x.denominator) for x in a]
-    # sum |m_i| D bounds every |s[i]|; beyond int64 the products need Python ints
-    ints = ps.ints if sum(map(abs, m)) * ps.denom <= _INT64_MAX else ps.ints.astype(object)
-    return ints @ np.array(m, dtype=ints.dtype), q * ps.denom
-
-
-def _at_most(s: np.ndarray, t: int) -> np.ndarray:
-    """s <= t elementwise. An int64 s lies inside the int64 range, so
-    clamping t into that range leaves the answer unchanged."""
-    if s.dtype != object:
-        t = min(max(t, -_INT64_MAX), _INT64_MAX)
-    return np.asarray(s <= t, dtype=bool)
-
-
-def count_points_slab(ps: LatticePointSet, h, lo, hi) -> int:
-    """Points with lo <= h.x <= hi, exact."""
-    s, scale = _scaled_dot(ps, h)
-    lo, hi = Fraction(lo) * scale, Fraction(hi) * scale
-    inside = _at_most(-s, -math.ceil(lo)) & _at_most(s, math.floor(hi))
-    return int(np.count_nonzero(inside))
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +210,23 @@ def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:
     return lo - shift, Fraction(best, math.factorial(n) * math.prod(pos))
 
 
-def slab_witness(
-    lat: IntegrationLattice,
-    h: tuple[int, ...] | None = None,
-    points: LatticePointSet | None = None,
-) -> DiscrepancyWitness:
-    """The empty slab between adjacent covering hyperplanes of the dual
-    vector h (shortest dual when omitted), shrunk by a Euclidean 1e-9 so the
-    closed witness contains no lattice point; all values exact."""
+def slab_witness(lat: IntegrationLattice, h: tuple[int, ...] | None = None) -> DiscrepancyWitness:
+    """The largest slab k + eps <= h.x <= k + 1 - eps of the cube for the
+    dual vector h (shortest dual when omitted), eps a Euclidean 1e-9; all
+    values exact.
+
+    The slab holds no lattice point, with no point enumerated. Proof:
+    `hyperplane_family` checks h in L^perp exactly, so h.x is an integer
+    for every x in L, and 0 < eps < 1/2 puts the closed interval
+    [k + eps, k + 1 - eps] strictly between the integers k and k + 1.
+    eps >= 1/2 would need ||h|| >= 5 10^8 and raises ValueError.
+    """
     if h is None:
         h = shortest_dual_vectors(lat, 1)[0]
-    ps = points if points is not None else enumerate_points(lat)
     h = hyperplane_family(lat, h).h  # raises unless h is a dual vector
+    if _slab_eps_functional(h) >= Fraction(1, 2):
+        raise ValueError(f"the 1e-9 shrink leaves no slab for a dual vector this long: {h}")
     best_k, best_vol = _best_slab(h)
-    eps = _slab_eps_functional(h)
-    lo, hi = best_k + eps, best_k + 1 - eps
-    inside = count_points_slab(ps, h, lo, hi)
-    if inside != 0:
-        raise AssertionError("slab witness contains lattice points; dual vector invalid")
     return DiscrepancyWitness(
         local_value=float(best_vol),
         local_value_exact=best_vol,
@@ -273,7 +236,6 @@ def slab_witness(
 
 def isotropic_lower_bound(
     lat: IntegrationLattice,
-    points: LatticePointSet | None = None,
     n_slabs: int = 10,
     report: SpectralReport | None = None,
 ) -> tuple[DiscrepancyWitness, list[DiscrepancyWitness]]:
@@ -281,14 +243,10 @@ def isotropic_lower_bound(
     vectors, and all of them, shortest first.
 
     Every value is exact and the search is deterministic: the first witness
-    of largest value wins. `points` is the lattice's `enumerate_points`, and
-    `report`, its spectral test, lends the search its reduced dual basis;
-    each is computed here when omitted.
+    of largest value wins. `report`, the lattice's spectral test, lends the
+    search its reduced dual basis; it is computed here when omitted.
     """
-    ps = points if points is not None else enumerate_points(lat)
-    witnesses = [
-        slab_witness(lat, h, points=ps) for h in shortest_dual_vectors(lat, n_slabs, report)
-    ]
+    witnesses = [slab_witness(lat, h) for h in shortest_dual_vectors(lat, n_slabs, report)]
     best = max(witnesses, key=lambda w: w.local_value_exact)
     return best, witnesses
 
@@ -297,12 +255,11 @@ def verify_thm1(
     lat: IntegrationLattice,
     lattice_id: str = "",
     report: SpectralReport | None = None,
-    points: LatticePointSet | None = None,
 ) -> Thm1Report:
     """PASS iff the best certified lower bound respects min(1, d 2^(2(d+1)) sigma),
     and the slab witness stays above a fifth of its exact cross-section floor."""
     rep = report if report is not None else spectral_test(lat)
-    best, witnesses = isotropic_lower_bound(lat, points, report=rep)
+    best, witnesses = isotropic_lower_bound(lat, report=rep)
     return thm1_verdict(lat, rep, best, witnesses, lattice_id)
 
 

@@ -9,6 +9,7 @@ and a claim with an unknown constant is RECORDED, never failed.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -314,25 +315,24 @@ def builtin_corpus(
 
 
 def brute_force_min_dual_norm_sq(n: int, g: tuple[int, ...]) -> int:
-    """Shell-growing exhaustive search for the minimal dual norm of a rank-1
-    lattice; independent of the LLL/enumeration code paths."""
-    d = len(g)
-    gv = np.array(g, dtype=np.int64)
-    best: int | None = None
-    w = 0
+    """The minimal dual norm^2 of a rank-1 lattice by exhaustive search over
+    h with h.g = 0 mod n; independent of the LLL/enumeration code paths.
+
+    Searches the cubes [-W, W]^d for W = 1, 2, 4, ... and stops once the
+    smallest nonzero congruent norm^2 in the cube is <= (W + 1)^2: every
+    integer vector outside the cube has a coordinate of size >= W + 1, so
+    none is shorter.
+    """
+    g = [x % n for x in g]
+    w = 1
     while True:
-        w += 1
-        rng = np.arange(-w, w + 1, dtype=np.int64)
-        grids = np.meshgrid(*([rng] * d), indexing="ij")
-        pts = np.stack([a.ravel() for a in grids], axis=1)
-        shell = pts[np.abs(pts).max(axis=1) == w]
-        cong = shell[(shell @ gv) % n == 0]
-        if cong.size:
-            nsq = int(np.min(np.einsum("ij,ij->i", cong, cong)))
-            if best is None or nsq < best:
-                best = nsq
-        if best is not None and w * w >= best:
+        axis = np.arange(-w, w + 1, dtype=np.int64)
+        residue = functools.reduce(np.add.outer, [axis * x for x in g]) % n
+        nsq = functools.reduce(np.add.outer, [axis * axis] * len(g))
+        congruent = nsq[(residue == 0) & (nsq > 0)]
+        if congruent.size and (best := int(congruent.min())) <= (w + 1) ** 2:
             return best
+        w *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,6 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
     rows: list[dict] = []
     tables: dict[str, list[dict]] = {"thm1": [], "prop1": [], "thm2": []}
     rep = spectral_test(lat)
-    points = None
     if "spectral-exact" in c.checks and d <= 3 and lat.n_points <= 4096:
         oracle = brute_force_min_dual_norm_sq(n, g)
         rows.append(_row(
@@ -365,8 +364,7 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
             PASS if rep.dual_norm_sq == oracle else FAIL,
         ))
     if "thm1" in c.checks:
-        points = enumerate_points(lat)
-        t1 = verify_thm1(lat, lattice_id=lattice_id, report=rep, points=points)
+        t1 = verify_thm1(lat, lattice_id=lattice_id, report=rep)
         rows.append(_row("thm1", lattice_id, t1.j_lower, min(1.0, t1.bound), t1.verdict))
         rows.append(_row(
             "thm1-slab-floor", lattice_id, t1.slab_floor, t1.slab_value,
@@ -376,12 +374,12 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
     fibonacci = lattice_id.startswith("fib-k") and "thm2-diagnostic" in c.checks
     thm2 = _thm2_specs(c.budgets, d) if fibonacci else []
     if "prop1" in c.checks or thm2:
-        if points is None:
-            points = enumerate_points(lat)
         # one distance pass serves prop1 and thm2; a shared gamma is computed once
         prop1_gammas = c.budgets.prop1_gammas if "prop1" in c.checks else ()
         gammas = dict.fromkeys([*prop1_gammas, *(gamma for _, _, gamma in thm2)])
-        norms = distance.distance_norms(points, gammas, DistanceNormConfig(covering_tol=tol))
+        norms = distance.distance_norms(
+            enumerate_points(lat), gammas, DistanceNormConfig(covering_tol=tol)
+        )
     if "prop1" in c.checks:
         p1 = verify_prop1(
             lat,
@@ -539,9 +537,10 @@ def _build_tasks(c: Campaign) -> list[tuple]:
     lattice_checks = {"spectral-exact", "thm1", "prop1"} & set(c.checks)
     # the thm2 diagnostic rides on the Fibonacci members' lattice tasks
     thm2 = "thm2-diagnostic" in c.checks
-    for lattice_id, n, g in builtin_corpus(c.corpus, c.seed):
-        if lattice_checks or (thm2 and lattice_id.startswith("fib-k")):
-            tasks.append(("lattice", c, lattice_id, n, g))
+    if lattice_checks or thm2:
+        for lattice_id, n, g in builtin_corpus(c.corpus, c.seed):
+            if lattice_checks or lattice_id.startswith("fib-k"):
+                tasks.append(("lattice", c, lattice_id, n, g))
     if {"lemma1", "lemma2", "lemma3", "corollary1", "steiner"} & set(c.checks):
         for d in c.budgets.body_dims:
             for index in range(c.budgets.body_count):

@@ -131,8 +131,38 @@ def test_geom_rho_that_is_not_finite_is_a_usage_error(tmp_path, capsys, op, rho)
         ({"center": [0.5, 0.5], "radius": 0.1}, "body is missing the field 'variant'"),
         ({"variant": "cone"}, "unknown body variant 'cone'"),
         ([1, 2], "a body must be a JSON object, got [1, 2]"),
+        (
+            {"variant": "ball", "center": 5, "radius": 0.1},
+            "ball body field 'center' must be a non-empty list of finite numbers, got 5",
+        ),
+        (
+            {"variant": "axis_box", "lower": [0.1, 0.1], "upper": 0.9},
+            "axis_box body field 'upper' must be a non-empty list of finite numbers, got 0.9",
+        ),
+        (
+            {"variant": "axis_box", "lower": [math.nan, 0.1], "upper": [0.5, 0.5]},
+            "axis_box body field 'lower' must be a non-empty list of finite numbers, got [nan, 0.1]",
+        ),
+        (
+            {"variant": "h_polytope", "normals": [1.0, 0.0], "offsets": [0.5]},
+            "h_polytope body field 'normals' must be a non-empty list of equally long, "
+            "non-empty lists of finite numbers, got [1.0, 0.0]",
+        ),
+        (
+            {"variant": "h_polytope", "normals": [[1.0, 0.0], [-1.0, 0.0]], "offsets": [0.5]},
+            "offsets must hold one entry per normal (2), got shape (1,)",
+        ),
+        (
+            {"variant": "v_polytope", "vertices": [[0.1, 0.2], [0.3]]},
+            "v_polytope body field 'vertices' must be a non-empty list of equally long, "
+            "non-empty lists of finite numbers, got [[0.1, 0.2], [0.3]]",
+        ),
     ],
-    ids=["no-center", "no-upper", "no-variant", "unknown-variant", "list"],
+    ids=[
+        "no-center", "no-upper", "no-variant", "unknown-variant", "list",
+        "ball-scalar-center", "box-scalar-upper", "box-nan-lower", "hpoly-flat-normals",
+        "hpoly-offsets-count", "vpoly-ragged-vertices",
+    ],
 )
 def test_geom_malformed_body_is_a_usage_error(tmp_path, capsys, body, message):
     path = tmp_path / "body.json"

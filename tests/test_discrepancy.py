@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,18 +8,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latdisc import discrepancy
+from latdisc import cli, discrepancy, distance, harness, lattice
 from latdisc.discrepancy import (
-    count_points_slab,
     halfspace_cube_volume,
     halfspace_cube_volume_derivative,
     isotropic_lower_bound,
     slab_witness,
     verify_thm1,
 )
-from latdisc.discrepancy import _best_slab, _scaled_dot, _slab_eps_functional
-from latdisc.lattice import LatticePointSet, enumerate_points, fibonacci_lattice, rank1_lattice
+from latdisc.discrepancy import _best_slab, _slab_eps_functional
+from latdisc.harness import Campaign, CorpusSpec, builtin_corpus, run_lattice_task
+from latdisc.lattice import (
+    LatticePointSet,
+    enumerate_points,
+    fibonacci_generator,
+    fibonacci_lattice,
+    rank1_lattice,
+)
 from latdisc.reduction import shortest_dual_vectors
+
+
+# ---------------------------------------------------------------------------
+# Exact counting, the oracle for witness emptiness
+#
+# A point is P / D with P an integer vector (LatticePointSet.ints). A rational
+# linear form a.p is s / scale with s = m.P an integer, so every comparison
+# against a rational threshold is an integer comparison against a threshold
+# rounded once, exactly. Products run in int64 when a magnitude bound shows
+# they cannot overflow, and on Python-int object arrays otherwise.
+# ---------------------------------------------------------------------------
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _scaled_dot(ps: LatticePointSet, a) -> tuple[np.ndarray, int]:
+    """Integers s and a scale with a.p = s[i] / scale for every point p."""
+    a = [Fraction(x) for x in a]
+    q = math.lcm(*(x.denominator for x in a))
+    m = [x.numerator * (q // x.denominator) for x in a]
+    # sum |m_i| D bounds every |s[i]|; beyond int64 the products need Python ints
+    ints = ps.ints if sum(map(abs, m)) * ps.denom <= _INT64_MAX else ps.ints.astype(object)
+    return ints @ np.array(m, dtype=ints.dtype), q * ps.denom
+
+
+def _at_most(s: np.ndarray, t: int) -> np.ndarray:
+    """s <= t elementwise. An int64 s lies inside the int64 range, so
+    clamping t into that range leaves the answer unchanged."""
+    if s.dtype != object:
+        t = min(max(t, -_INT64_MAX), _INT64_MAX)
+    return np.asarray(s <= t, dtype=bool)
+
+
+def count_points_slab(ps: LatticePointSet, h, lo, hi) -> int:
+    """Points with lo <= h.x <= hi, exact."""
+    s, scale = _scaled_dot(ps, h)
+    lo, hi = Fraction(lo) * scale, Fraction(hi) * scale
+    inside = _at_most(-s, -math.ceil(lo)) & _at_most(s, math.floor(hi))
+    return int(np.count_nonzero(inside))
 
 
 R5 = rank1_lattice(5, (1, 2))
@@ -323,9 +369,8 @@ def best_slab_by_scan(h):
 
 def test_slab_witness_records_its_best_index():
     lat = fibonacci_lattice(12)
-    ps = enumerate_points(lat)
     for h in shortest_dual_vectors(lat, 4):
-        w = slab_witness(lat, h, points=ps)
+        w = slab_witness(lat, h)
         best_k, vol = best_slab_by_scan(h)
         assert w.dual_slab == (h, best_k)
         assert w.local_value_exact == vol
@@ -385,3 +430,53 @@ def test_isotropic_lower_bound_returns_only_certified_witnesses(lat):
     assert all(w.certified for w in witnesses)
     assert [w.dual_slab[0] for w in witnesses] == shortest_dual_vectors(lat, 10)
     assert best.local_value_exact == max(w.local_value_exact for w in witnesses)
+
+
+# ---------------------------------------------------------------------------
+# Point-free witnesses: emptiness comes from h in L^perp, not from a count
+# ---------------------------------------------------------------------------
+
+def test_thm1_is_point_free(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the thm1 path enumerated or counted points")
+
+    for module in (lattice, harness, distance, cli):
+        monkeypatch.setattr(module, "enumerate_points", refuse)
+    monkeypatch.setattr(sys.modules[__name__], "count_points_slab", refuse)
+    assert not hasattr(discrepancy, "enumerate_points")
+    assert not hasattr(discrepancy, "count_points_slab")
+    c = Campaign(checks=("spectral-exact", "thm1"))
+    spec = tmp_path / "lat.txt"
+    # fib-k40 has N = 102,334,155 points, far past enumeration
+    for k in (12, 40):
+        n, g = fibonacci_generator(k)
+        lat = fibonacci_lattice(k)
+        assert lat.n_points == n
+        assert verify_thm1(lat).verdict == "PASS"
+        rows = run_lattice_task(c, f"fib-k{k}", n, g)["rows"]
+        assert [r["check"] for r in rows][-2:] == ["thm1", "thm1-slab-floor"]
+        assert {r["verdict"] for r in rows} == {"PASS"}
+        spec.write_text(f"2 {n}\nrank1: {g[0]} {g[1]}\n")
+        assert cli.main(["isodisc", str(spec)]) == 0
+        assert '"verdict": "PASS"' in capsys.readouterr().out
+
+
+def test_slab_witness_refuses_a_shrink_that_leaves_no_slab():
+    # eps ~ 1e-9 ||h|| reaches 1/2 at ||h|| = 5e8: here h = (0, 5e8) is dual
+    n = 5 * 10**8
+    lat = rank1_lattice(n, (1, 0))
+    with pytest.raises(ValueError, match="no slab"):
+        slab_witness(lat, (0, n))
+    assert slab_witness(lat, (0, n - 1)).local_value_exact > 0
+
+
+def test_every_witness_slab_of_the_enumerable_corpus_holds_no_point():
+    corpus = [(i, rank1_lattice(n, g)) for i, n, g in builtin_corpus(CorpusSpec(), 20200817)]
+    enumerable = [(i, lat) for i, lat in corpus if lat.dim <= 4 and lat.n_points <= 1024]
+    assert len(enumerable) > 150
+    for lattice_id, lat in enumerable:
+        ps = enumerate_points(lat)
+        for w in isotropic_lower_bound(lat)[1]:
+            h, k = w.dual_slab
+            eps = _slab_eps_functional(h)
+            assert count_points_slab(ps, h, k + eps, k + 1 - eps) == 0, (lattice_id, h, k)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -77,6 +78,23 @@ def test_brute_force_oracle_agrees_with_enumeration():
     for _, n, g in builtin_corpus(SMALL_CORPUS, seed=5)[:8]:
         rep = spectral_test(rank1_lattice(n, g))
         assert rep.dual_norm_sq == brute_force_min_dual_norm_sq(n, g)
+
+
+def test_body_only_campaign_builds_no_lattice_corpus(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a body-only campaign built the lattice corpus")
+
+    monkeypatch.setattr(harness, "builtin_corpus", refuse)
+    c = Campaign(
+        checks=("lemma1", "lemma2", "lemma3", "corollary1", "steiner"),
+        budgets=Budgets(body_count=2, body_dims=(2, 3)),
+    )
+    res = run_campaign(c)
+    assert res.summary == {"PASS": 60}
+    write_artifacts(res, tmp_path)
+    # the campaign.json this campaign wrote when the corpus was still built
+    digest = hashlib.sha256((tmp_path / "campaign.json").read_bytes()).hexdigest()
+    assert digest == "25823440e61a324961470e0b2da3275d65c94b32aa05a551dbb99c6341e8df10"
 
 
 def test_small_campaign_no_failures():

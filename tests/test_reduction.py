@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latdisc import reduction
+from latdisc import harness, reduction
 from latdisc.errors import DimensionGuardError
 from latdisc.harness import CorpusSpec, builtin_corpus
 from latdisc.lattice import (
@@ -140,6 +142,53 @@ def _box(d, w):
     for first in range(-w, w + 1):
         for rest in _box(d - 1, w):
             yield (first, *rest)
+
+
+@st.composite
+def rank1_generators(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4096))
+    return n, tuple(draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank1_generators())
+def test_doubling_cube_oracle_equals_the_shell_oracle(ng):
+    n, g = ng
+    assert harness.brute_force_min_dual_norm_sq(n, g) == brute_force_min_dual_norm_sq(n, g)
+
+
+# lambda_1^2 in (W^2, (W+1)^2] for the doubling search's W = 2, 4, 8. The
+# shortest dual vector lies inside the cube [-W, W]^d, so the search stops
+# at W; or outside it, where the cube holds no congruent vector or only a
+# longer one, so the search must go on to 2W.
+@pytest.mark.parametrize(
+    "w, n, g, lam_sq, where",
+    [
+        (2, 6, (2, 5), 5, "inside"),
+        (2, 36, (12, 13, 19), 9, "inside"),
+        (2, 717, (239, 255), 9, "outside, none in the cube"),
+        (2, 324, (108, 209, 154), 9, "outside, none in the cube"),
+        (4, 20, (4, 11), 17, "inside"),
+        (4, 690, (138, 613, 429), 19, "inside"),
+        (4, 1795, (359, 364), 25, "outside, none in the cube"),
+        (4, 580, (116, 37, 204), 25, "outside, 26 in the cube"),
+        (8, 72, (8, 11), 68, "inside"),
+        (8, 18963, (2107, 3696, 4510), 81, "inside"),
+        (8, 26091, (2899, 7502, 7057), 81, "outside, none in the cube"),
+        (8, 3357, (373, 252, 530), 81, "outside, 101 in the cube"),
+    ],
+)
+def test_doubling_cube_oracle_stops_at_the_right_cube(w, n, g, lam_sq, where):
+    assert w * w < lam_sq <= (w + 1) ** 2
+    cube = [h for h in _box(len(g), w) if any(h) and sum(map(math.prod, zip(h, g))) % n == 0]
+    in_cube = min((norm_sq(h) for h in cube), default=None)
+    assert where == (
+        "inside" if in_cube == lam_sq
+        else f"outside, {'none' if in_cube is None else in_cube} in the cube"
+    )
+    assert harness.brute_force_min_dual_norm_sq(n, g) == lam_sq
+    assert brute_force_min_dual_norm_sq(n, g) == lam_sq
 
 
 def test_lll_identity_fixed_point():
