@@ -210,10 +210,9 @@ def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:
     return lo - shift, Fraction(best, math.factorial(n) * math.prod(pos))
 
 
-def slab_witness(lat: IntegrationLattice, h: tuple[int, ...] | None = None) -> DiscrepancyWitness:
+def slab_witness(lat: IntegrationLattice, h: tuple[int, ...]) -> DiscrepancyWitness:
     """The largest slab k + eps <= h.x <= k + 1 - eps of the cube for the
-    dual vector h (shortest dual when omitted), eps a Euclidean 1e-9; all
-    values exact.
+    dual vector h, eps a Euclidean 1e-9; all values exact.
 
     The slab holds no lattice point, with no point enumerated. Proof:
     `hyperplane_family` checks h in L^perp exactly, so h.x is an integer
@@ -221,8 +220,6 @@ def slab_witness(lat: IntegrationLattice, h: tuple[int, ...] | None = None) -> D
     [k + eps, k + 1 - eps] strictly between the integers k and k + 1.
     eps >= 1/2 would need ||h|| >= 5 10^8 and raises ValueError.
     """
-    if h is None:
-        h = shortest_dual_vectors(lat, 1)[0]
     h = hyperplane_family(lat, h).h  # raises unless h is a dual vector
     if _slab_eps_functional(h) >= Fraction(1, 2):
         raise ValueError(f"the 1e-9 shrink leaves no slab for a dual vector this long: {h}")
@@ -244,9 +241,10 @@ def isotropic_lower_bound(
 
     Every value is exact and the search is deterministic: the first witness
     of largest value wins. `report`, the lattice's spectral test, lends the
-    search its reduced dual basis; it is computed here when omitted.
+    search its reduced dual basis; it is run here when omitted.
     """
-    witnesses = [slab_witness(lat, h) for h in shortest_dual_vectors(lat, n_slabs, report)]
+    rep = report if report is not None else spectral_test(lat)
+    witnesses = [slab_witness(lat, h) for h in shortest_dual_vectors(rep, n_slabs)]
     best = max(witnesses, key=lambda w: w.local_value_exact)
     return best, witnesses
 

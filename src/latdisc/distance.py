@@ -559,16 +559,23 @@ class SlabUnion:
     t: Fraction
     vol_bt: Fraction
     vol_at: Fraction
-    per_plane: tuple[Fraction, ...]
 
 
 def slab_union_volume(
     lat: IntegrationLattice, h, t, report: SpectralReport | None = None
 ) -> SlabUnion:
-    """Exact Vol(B_t) = sum_k Vol({|h.x - k| < t} cap cube) for the shortest
+    """Exact Vol(B_t) = sum_k Vol({|h.x - k| < t} cap cube) for a shortest
     dual vector h. In functional units the slab around plane k is
     (k - t, k + t) because the plane spacing is exactly sigma = 1/||h||.
-    `report` is the lattice's spectral test, run here when omitted."""
+    `report` is the lattice's spectral test, run here when omitted.
+
+    Vol(B_t) = 2t for every nonzero integer h and 0 < t < 1/2: some h_i is
+    a nonzero integer, so h_i x_i mod 1 is uniform for x_i uniform on
+    [0, 1], and adding the independent rest of h.x keeps it uniform; B_t is
+    the set where h.x mod 1 lies within t of an integer. So Vol(A_t) =
+    1 - 2t whichever shortest dual vector h is, and the exact sum below
+    returns exactly that.
+    """
     t = Fraction(t)
     if not 0 < t < Fraction(1, 2):
         raise ValueError("t must lie in (0, 1/2)")
@@ -577,12 +584,14 @@ def slab_union_volume(
     if sum(x * x for x in h) != rep.dual_norm_sq:
         raise ValueError("h must be a shortest dual vector")
     fam = hyperplane_family(lat, h)
-    per = []
-    for k in range(fam.k_min, fam.k_max + 1):
-        vol = halfspace_cube_volume(h, k + t) - halfspace_cube_volume(h, k - t)
-        per.append(vol)
-    total = sum(per, Fraction(0))
-    return SlabUnion(t, total, 1 - total, tuple(per))
+    total = sum(
+        (
+            halfspace_cube_volume(h, k + t) - halfspace_cube_volume(h, k - t)
+            for k in range(fam.k_min, fam.k_max + 1)
+        ),
+        Fraction(0),
+    )
+    return SlabUnion(t, total, 1 - total)
 
 
 @dataclass(frozen=True)
@@ -593,7 +602,6 @@ class Prop1Report:
     sigma: float
     v_d: float
     t_d: float
-    c_d: float
     vol_a_td: float
     vol_a_ok: bool
     vol_b_bound: float
@@ -604,27 +612,6 @@ class Prop1Report:
     lower_ok: tuple[bool, ...]
     ratios: tuple[float, ...]
     ratio_inf: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lattice_id": self.lattice_id,
-            "d": self.dim,
-            "N": self.n_points,
-            "sigma": self.sigma,
-            "v_d": self.v_d,
-            "t_d": self.t_d,
-            "c_d": self.c_d,
-            "vol_a_td": self.vol_a_td,
-            "vol_a_ok": self.vol_a_ok,
-            "vol_b_bound": self.vol_b_bound,
-            "vol_b_bound_ok": self.vol_b_bound_ok,
-            "gammas": ["inf" if math.isinf(g) else g for g in self.gammas],
-            "norms": [r.to_json_dict() for r in self.norms],
-            "lower_bounds": list(self.lower_bounds),
-            "lower_ok": list(self.lower_ok),
-            "ratios": list(self.ratios),
-            "ratio_inf": self.ratio_inf,
-        }
 
 
 def hyperplane_section_constant(d: int) -> float:
@@ -646,7 +633,8 @@ def verify_prop1(
 
     - Vol(A_{t_d}) >= 1/2 exactly, with t_d = 1/(12 sqrt(d) v_d);
     - Vol(B_t) <= (2 sqrt(d) + 4 sigma) v_d t;
-    - c_d sigma / 2^(1/gamma) <= ||dist||_gamma for each gamma (c_d = t_d);
+    - t_d sigma / 2^(1/gamma) <= ||dist||_gamma for each gamma (the paper's
+      c_d is t_d);
     - the empirical ratio norm_inf / sigma (the companion constant to C_d
       is unknown, so the ratio is recorded, not asserted).
 
@@ -685,7 +673,6 @@ def verify_prop1(
         sigma=sigma,
         v_d=v_d,
         t_d=t_d,
-        c_d=t_d,
         vol_a_td=float(su.vol_at),
         vol_a_ok=bool(vol_a_ok),
         vol_b_bound=b_bound,

@@ -395,7 +395,9 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
             "prop1-volB-bound", lattice_id, 1.0 - p1.vol_a_td, p1.vol_b_bound,
             PASS if p1.vol_b_bound_ok else FAIL,
         ))
-        for gname, norm, lb, ok in zip(p1.gammas, p1.norms, p1.lower_bounds, p1.lower_ok):
+        for gname, norm, lb, ok, ratio in zip(
+            p1.gammas, p1.norms, p1.lower_bounds, p1.lower_ok, p1.ratios
+        ):
             label = "inf" if math.isinf(gname) else f"{gname:g}"
             rows.append(_row(
                 f"prop1-lower-g{label}", lattice_id, lb, norm.lower_certified,
@@ -407,7 +409,7 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
                     "gamma": label,
                     "norm": norm.value,
                     "lower_bound": lb,
-                    "ratio": norm.value / p1.sigma,
+                    "ratio": ratio,
                 }
             )
         rows.append(_row("prop1-ratio-inf", lattice_id, p1.ratio_inf, None, RECORDED))

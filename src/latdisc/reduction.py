@@ -1,15 +1,19 @@
-"""LLL reduction, exact shortest vectors, the spectral test, and the
-fundamental-cell diameter.
+"""LLL reduction, exact shortest vectors, the spectral test, and dual
+hyperplane families.
 
-Every basis here is an integer matrix: the dual basis of an integration
-lattice is integral, and a primal basis is reduced as its integer rows over
-the lattice's one denominator (LLL commutes with that scaling). LLL is the
-integral algorithm of Cohen, *A Course in Computational Algebraic Number
-Theory* (1993), Alg. 2.6.7: the Gram determinants d_i and the scaled
-coefficients lambda_ij = d_{j+1} mu_ij are integers updated in place, and
-the unimodular transform is recorded. The shortest-vector search enumerates
-coefficient vectors with floating Gram-Schmidt pruning and certifies every
-candidate in integers, so the reported minimum carries no floating doubt.
+Every basis here is an integer matrix; the dual basis of an integration
+lattice is integral, and it is the only basis the spectral test reduces,
+once per lattice. LLL is the integral algorithm of Cohen, *A Course in
+Computational Algebraic Number Theory* (1993), Alg. 2.6.7: the Gram
+determinants d_i and the scaled coefficients lambda_ij = d_{j+1} mu_ij are
+integers updated in place, and the unimodular transform is recorded.
+
+One shortest-vector search, `shortest_vectors`, serves every caller. It
+enumerates coefficient vectors of the reduced basis with floating
+Gram-Schmidt pruning, decides every candidate in integers, and returns
+vectors in one order: (squared norm, reduced-basis coefficients). So the
+spectral test's shortest dual vector is the first of the dual vectors that
+Theorem 1's witnesses and Proposition 1's slab union are built from.
 """
 
 from __future__ import annotations
@@ -41,25 +45,19 @@ class ReducedBasis:
 
 @dataclass(frozen=True)
 class ShortestVector:
-    """Exact SVP minimizer with its integer coefficients in the given basis."""
+    """A short lattice vector with its integer coefficients in the input
+    basis and its exact squared norm."""
 
     vector: tuple[int, ...]
     coefficients: tuple[int, ...]
     norm_sq_exact: int
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq_exact)
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     sigma: float
     shortest_dual: tuple[int, ...]
-    dual_norm: float
-    diam_cell: float
     dual_norm_sq: int
-    diam_cell_sq: Fraction
     # LLL reduction of the dual basis, reused by `shortest_dual_vectors`
     dual_reduced: ReducedBasis = field(compare=False, repr=False)
 
@@ -67,8 +65,7 @@ class SpectralReport:
         return {
             "sigma": self.sigma,
             "shortest_dual": list(self.shortest_dual),
-            "dual_norm": self.dual_norm,
-            "diam_cell": self.diam_cell,
+            "dual_norm": math.sqrt(self.dual_norm_sq),
             "lll_delta": float(LLL_DELTA),
         }
 
@@ -78,13 +75,8 @@ class HyperplaneFamily:
     """The planes {h.x = k} for a dual vector h, restricted to the cube."""
 
     h: tuple[int, ...]
-    spacing: float
     k_min: int
     k_max: int
-
-    @property
-    def count(self) -> int:
-        return self.k_max - self.k_min + 1
 
 
 def _dot(u, v) -> int:
@@ -241,144 +233,73 @@ def _sign_normalised(u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in u) if next(c for c in u if c) < 0 else u
 
 
-def _short_vector_search(
-    basis, reduced: ReducedBasis | None, k: int, caller: str
-) -> tuple[Mat, list[tuple[tuple[int, ...], int]]]:
-    """(rows, hits) for the k shortest vectors of the lattice spanned by the
-    integer `basis`: its rows, and (coefficients in those rows,
-    sign-normalised; exact squared norm) pairs in (norm, reduced-basis
-    coefficient) order.
+def shortest_vectors(reduced: ReducedBasis, k: int) -> list[ShortestVector]:
+    """The k shortest nonzero vectors of the integer lattice that `reduced`
+    spans, one per +-sign pair, in (squared norm, reduced-basis coefficient)
+    order: the order `enumerate_below` returns.
 
     LLL-seeded Fincke-Pohst enumeration below the shortest reduced row's
-    norm, a bound quadrupled up to 8 times until it holds k vectors. The hits
-    are the k shortest and every later tie of the k-th norm; fewer only if
-    the last bound holds fewer. `reduced` is the basis's `lll_reduce`,
-    computed here when omitted.
+    norm, a bound quadrupled up to 8 times until it holds k vectors; fewer
+    only if the last bound holds fewer. Each vector is reported with its
+    coefficients in the input basis `reduced.source`, sign-normalised, and
+    is certified exactly: rebuilt from those coefficients, it has the
+    enumerated squared norm.
     """
-    src = _int_rows(basis)
-    if len(src) > SVP_DIMENSION_CAP:
+    if reduced.dim > SVP_DIMENSION_CAP:
         raise DimensionGuardError(
-            f"{caller} supports d <= {SVP_DIMENSION_CAP}, got {len(src)}"
+            f"shortest_vectors supports d <= {SVP_DIMENSION_CAP}, got {reduced.dim}"
         )
-    if reduced is None:
-        reduced = lll_reduce(src)
-    elif reduced.source != src:
-        raise ValueError("reduced is not a reduction of this basis")
     bound = min(_dot(r, r) for r in reduced.rows)
     for _ in range(8):
         hits = enumerate_below(reduced.rows, bound)
         if len(hits) >= k:
             break
         bound *= 4
-    if len(hits) > k:
-        hits = [h for h in hits if h[1] <= hits[k - 1][1]]
-    # v = u_red . rows = u_red . U . src, so u_red . U are the input coefficients
-    return src, [
-        (_sign_normalised(_combination(reduced.transform, u_red)), nsq) for u_red, nsq in hits
-    ]
-
-
-def shortest_vector(basis, reduced: ReducedBasis | None = None) -> ShortestVector:
-    """Exact minimizer of the Euclidean norm over nonzero vectors of the
-    integer lattice spanned by `basis`.
-
-    LLL-seeded Fincke-Pohst enumeration; ties broken by the lexicographically
-    smallest coefficient vector with positive leading entry. Coefficients are
-    reported relative to the *input* basis. `reduced` is the basis's
-    `lll_reduce`, computed here when omitted.
-    """
-    src, hits = _short_vector_search(basis, reduced, 1, "shortest_vector")
-    best_norm = hits[0][1]
-    coeffs = min(u for u, _ in hits)
-    vec = _combination(src, coeffs)
-    if _dot(vec, vec) != best_norm:
-        raise AssertionError("certificate mismatch in shortest_vector")
-    return ShortestVector(vec, coeffs, best_norm)
-
-
-def shortest_vectors(
-    basis, k: int, reduced: ReducedBasis | None = None
-) -> list[ShortestVector]:
-    """The k shortest lattice vectors, one per +-sign pair, in deterministic
-    (norm, coefficient) order. May return fewer only if k exceeds the number
-    of lattice vectors in a greatly inflated search radius (not expected).
-    `reduced` is the basis's `lll_reduce`, computed here when omitted."""
-    src, hits = _short_vector_search(basis, reduced, k, "shortest_vectors")
-    return [ShortestVector(_combination(src, u), u, nsq) for u, nsq in hits[:k]]
-
-
-def cell_diameter(rb: ReducedBasis) -> float:
-    """Diameter of the fundamental parallelotope spanned by the rows."""
-    return math.sqrt(cell_diameter_sq(rb))
-
-
-def cell_diameter_sq(rb: ReducedBasis) -> int:
-    """Exact squared diameter: max over sign patterns of ||sum e_i b_i||^2.
-
-    Negation symmetry fixes the first sign, leaving 2^(d-1) patterns.
-    """
-    d = rb.dim
-    best = 0
-    for mask in range(1 << (d - 1)):
-        v = rb.rows[0]
-        for i in range(1, d):
-            s = -1 if (mask >> (i - 1)) & 1 else 1
-            v = [a + s * b for a, b in zip(v, rb.rows[i])]
-        best = max(best, _dot(v, v))
-    return best
+    out = []
+    for u_red, nsq in hits[:k]:
+        # v = u_red . rows = u_red . U . source, so u_red . U are the input coefficients
+        coeffs = _sign_normalised(_combination(reduced.transform, u_red))
+        vec = _combination(reduced.source, coeffs)
+        if _dot(vec, vec) != nsq:
+            raise AssertionError("certificate mismatch in shortest_vectors")
+        out.append(ShortestVector(vec, coeffs, nsq))
+    return out
 
 
 def spectral_test(lat: IntegrationLattice) -> SpectralReport:
-    """sigma(L) = 1 / (shortest nonzero dual vector norm), with the
-    fundamental-cell diameter of the LLL-reduced primal basis.
+    """sigma(L) = 1 / (shortest nonzero dual vector norm), from one LLL
+    reduction of the dual basis; the shortest dual vector is the first of
+    `shortest_vectors`.
 
-    The construction-time invariants (sigma <= sqrt(d) and
-    diam <= d 2^(d-1) sigma) are verified exactly and raise on violation.
+    The construction-time invariant sigma <= sqrt(d) is verified exactly
+    and raises on violation.
     """
-    if lat.dim > SVP_DIMENSION_CAP:
-        raise DimensionGuardError(
-            f"spectral_test supports d <= {SVP_DIMENSION_CAP}, got {lat.dim}"
-        )
     dual_reduced = lll_reduce(dual_basis(lat))
-    sv = shortest_vector(dual_reduced.source, dual_reduced)
+    sv = shortest_vectors(dual_reduced, 1)[0]
     nsq = sv.norm_sq_exact
-    # the primal rows are basis / D, so their cell diameter is the integer one / D
-    diam_num = cell_diameter_sq(lll_reduce(lat.basis))
-    d = lat.dim
-    if nsq * d < 1:  # sigma^2 <= d
+    if nsq * lat.dim < 1:  # sigma^2 <= d
         raise AssertionError("sigma exceeds sqrt(d)")
-    if diam_num * nsq > (d * 2 ** (d - 1) * lat.denom) ** 2:
-        raise AssertionError(
-            "cell diameter violates diam <= d 2^(d-1) sigma; LLL output suspect"
-        )
-    diam_sq = Fraction(diam_num, lat.denom**2)
     return SpectralReport(
         sigma=1.0 / math.sqrt(nsq),
         shortest_dual=sv.vector,
-        dual_norm=math.sqrt(nsq),
-        diam_cell=math.sqrt(float(diam_sq)),
         dual_norm_sq=nsq,
-        diam_cell_sq=diam_sq,
         dual_reduced=dual_reduced,
     )
 
 
-def shortest_dual_vectors(
-    lat: IntegrationLattice, k: int, report: SpectralReport | None = None
-) -> list[tuple[int, ...]]:
+def shortest_dual_vectors(report: SpectralReport, k: int) -> list[tuple[int, ...]]:
     """The k shortest dual-lattice vectors (one per sign pair) as integer
-    vectors, shortest first. `report`, the lattice's `spectral_test`, lends
-    its reduced dual basis; the basis is reduced here when omitted."""
-    reduced = report.dual_reduced if report is not None else lll_reduce(dual_basis(lat))
-    return [sv.vector for sv in shortest_vectors(reduced.source, k, reduced)]
+    vectors, in `shortest_vectors` order, from the reduced dual basis of
+    `report`, the lattice's `spectral_test`; the first is its shortest_dual."""
+    return [sv.vector for sv in shortest_vectors(report.dual_reduced, k)]
 
 
 def hyperplane_family(lat: IntegrationLattice, h) -> HyperplaneFamily:
     """Descriptor of the parallel planes {x : h.x = k} for a dual vector h.
 
     Verifies h in L-perp exactly (B h = 0 mod D for the basis B / D);
-    reports the plane spacing and the indices k whose plane meets the
-    closed unit cube.
+    reports the indices k whose plane meets the closed unit cube. The
+    planes are 1/||h|| apart.
     """
     h = tuple(int(x) for x in h)
     if not any(h):
@@ -387,7 +308,6 @@ def hyperplane_family(lat: IntegrationLattice, h) -> HyperplaneFamily:
         raise ValueError("h is not in the dual lattice")
     return HyperplaneFamily(
         h=h,
-        spacing=1.0 / math.sqrt(_dot(h, h)),
         k_min=sum(min(x, 0) for x in h),
         k_max=sum(max(x, 0) for x in h),
     )

@@ -23,7 +23,7 @@ def test_gen_and_spectral_roundtrip(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["sigma"] == pytest.approx(5**-0.5)
     assert rep["dual_norm"] == pytest.approx(math.sqrt(5))
-    assert sorted(rep) == ["diam_cell", "dual_norm", "lll_delta", "shortest_dual", "sigma"]
+    assert sorted(rep) == ["dual_norm", "lll_delta", "shortest_dual", "sigma"]
 
 
 def test_global_flags_accepted_before_and_after_subcommand(tmp_path, capsys):
@@ -483,3 +483,16 @@ def test_distnorm_tol_that_is_not_finite_positive_is_a_usage_error(tmp_path, cap
     err = capsys.readouterr().err
     assert "latdisc: error: --tol must be a finite positive number, got " in err
     assert "Traceback" not in err
+
+
+def test_spectral_and_isodisc_name_the_same_shortest_dual_vector(tmp_path, capsys):
+    # fib-k05 has two shortest dual vectors, (2, 1) and (-1, 2)
+    spec = tmp_path / "fib5.lat"
+    spec.write_text("2 5\nrank1: 1 3\n")
+    code, out = run_cli(capsys, "spectral", str(spec))
+    assert code == 0
+    h = json.loads(out)["shortest_dual"]
+    code, out = run_cli(capsys, "isodisc", str(spec))
+    assert code == 0
+    first = json.loads(out)["witnesses"][0]["body"]["normals"][0]
+    assert h == [int(x) for x in first] == [-1, 2]

@@ -25,7 +25,7 @@ from latdisc.lattice import (
     fibonacci_lattice,
     rank1_lattice,
 )
-from latdisc.reduction import shortest_dual_vectors
+from latdisc.reduction import shortest_dual_vectors, spectral_test
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_count_points_open_slab_is_zero():
 
 
 def test_slab_witness_rank1_5_12():
-    w = slab_witness(R5)
+    w = slab_witness(R5, spectral_test(R5).shortest_dual)
     assert w.family == "dual-slab"
     assert w.certified
     # slab 0 < 2x1 - x2 < 1 has area 1/2 (piecewise-linear computation)
@@ -203,13 +203,13 @@ def test_slab_witness_rank1_5_12():
 
 def test_slab_witness_z1_single_point():
     lat = rank1_lattice(1, (0,))
-    w = slab_witness(lat)
+    w = slab_witness(lat, spectral_test(lat).shortest_dual)
     assert w.local_value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_slab_witness_equispaced_gap():
     lat = rank1_lattice(8, (1,))
-    w = slab_witness(lat)
+    w = slab_witness(lat, spectral_test(lat).shortest_dual)
     assert w.local_value == pytest.approx(1 / 8, abs=1e-6)
     # length is exactly 1/N minus twice the 1e-9 Euclidean shrink
     assert Fraction(1, 8) - w.local_value_exact <= Fraction(3, 10**9)
@@ -369,7 +369,7 @@ def best_slab_by_scan(h):
 
 def test_slab_witness_records_its_best_index():
     lat = fibonacci_lattice(12)
-    for h in shortest_dual_vectors(lat, 4):
+    for h in shortest_dual_vectors(spectral_test(lat), 4):
         w = slab_witness(lat, h)
         best_k, vol = best_slab_by_scan(h)
         assert w.dual_slab == (h, best_k)
@@ -428,7 +428,7 @@ def test_isotropic_lower_bound_returns_only_certified_witnesses(lat):
     best, witnesses = isotropic_lower_bound(lat)
     assert {w.family for w in witnesses} == {"dual-slab"}
     assert all(w.certified for w in witnesses)
-    assert [w.dual_slab[0] for w in witnesses] == shortest_dual_vectors(lat, 10)
+    assert [w.dual_slab[0] for w in witnesses] == shortest_dual_vectors(spectral_test(lat), 10)
     assert best.local_value_exact == max(w.local_value_exact for w in witnesses)
 
 

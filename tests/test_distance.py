@@ -26,7 +26,7 @@ from latdisc.distance import (
 )
 from latdisc.harness import chunk_rng
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
-from latdisc.reduction import spectral_test
+from latdisc.reduction import shortest_dual_vectors, spectral_test
 
 
 EQUI4 = enumerate_points(rank1_lattice(4, (1,)))
@@ -502,3 +502,21 @@ def test_nn_baseline_lipschitz_bound():
     cr = covering_radius(ps, tol=1e-4)
     err = nn_baseline_error(ps, f, math.inf, grid_per_dim=301)
     assert err <= lip * cr.upper + 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=400),
+    g=st.lists(st.integers(min_value=0, max_value=399), min_size=2, max_size=4),
+    t=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(499, 1000)),
+)
+def test_slab_union_volume_is_2t_for_every_shortest_dual_vector(n, g, t):
+    lat = rank1_lattice(n, g)
+    rep = spectral_test(lat)
+    # d <= 4 has at most 12 shortest vectors up to sign
+    ties = [h for h in shortest_dual_vectors(rep, 12) if sum(x * x for x in h) == rep.dual_norm_sq]
+    assert ties[0] == rep.shortest_dual
+    for h in ties:
+        su = slab_union_volume(lat, h, t, rep)
+        assert su.vol_bt == 2 * t
+        assert su.vol_at == 1 - 2 * t

@@ -368,3 +368,15 @@ def test_thm2_without_triples_names_the_field():
     c = Campaign(corpus=THM2_CORPUS, checks=("thm2-diagnostic",), budgets=Budgets(thm2_triples=()))
     with pytest.raises(ValueError, match="thm2_triples"):
         run_campaign(c)
+
+
+def test_a_lattice_task_reduces_its_dual_basis_once(monkeypatch):
+    from latdisc import reduction
+
+    calls = []
+    real = reduction.lll_reduce
+    monkeypatch.setattr(reduction, "lll_reduce", lambda *a: calls.append(a) or real(*a))
+    c = Campaign(checks=("spectral-exact", "thm1", "prop1"))
+    rows = harness.run_lattice_task(c, "fib-k07", 13, (1, 8))["rows"]
+    assert {r["check"] for r in rows} >= {"spectral-exact", "thm1", "prop1-volA"}
+    assert len(calls) == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latdisc import harness, reduction
+from latdisc import harness, lattice, reduction
 from latdisc.errors import DimensionGuardError
 from latdisc.harness import CorpusSpec, builtin_corpus
 from latdisc.lattice import (
@@ -19,12 +19,9 @@ from latdisc.lattice import (
 )
 from latdisc.reduction import (
     LLL_DELTA,
-    cell_diameter,
-    cell_diameter_sq,
     hyperplane_family,
     lll_reduce,
     shortest_dual_vectors,
-    shortest_vector,
     shortest_vectors,
     spectral_test,
 )
@@ -245,10 +242,51 @@ def test_lll_size_reduction_and_lovasz_hold():
         )
 
 
+def shortest_vector(basis):
+    """The first vector of the one search, over a fresh reduction of `basis`."""
+    return shortest_vectors(lll_reduce(basis), 1)[0]
+
+
 def test_shortest_vector_zd_tiebreak_is_last_axis():
     sv = shortest_vector([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert sv.norm_sq_exact == 1
     assert sv.coefficients == (0, 0, 1)
+
+
+def brute_force_shortest_vectors(basis, k, radius):
+    """The k shortest vectors of the lattice spanned by the integer `basis`,
+    in (norm^2, reduced-basis coefficient) order, as (norm^2, vector,
+    input coefficients) with the input coefficients sign-normalised.
+
+    Scans every integer vector of the box [-radius, radius]^d, keeps those
+    in the lattice (their input coefficients are integers, found with
+    Fractions), and asserts that the k-th norm^2 is at most radius^2, so the
+    box holds every vector that short.
+    """
+    d = len(basis)
+    rb = lll_reduce(basis)
+
+    def solver(rows):
+        det, adj = lattice.det_adj(rows)
+        # v = c . rows, so c = v . adj(rows) / det(rows)
+        return lambda v: tuple(Fraction(sum(map(math.prod, zip(v, col))), det) for col in zip(*adj))
+
+    input_coefficients, reduced_coefficients = solver(basis), solver(rb.rows)
+
+    def positive_lead(c):
+        return tuple(-x for x in c) if next(x for x in c if x) < 0 else c
+
+    found = []
+    for v in itertools.product(range(-radius, radius + 1), repeat=d):
+        c = input_coefficients(v)
+        if any(v) and all(x.denominator == 1 for x in c):
+            c = tuple(int(x) for x in c)
+            if c == positive_lead(c):  # one vector per +- pair, as input coefficients sign it
+                w = positive_lead(tuple(int(x) for x in reduced_coefficients(v)))
+                found.append((norm_sq(v), w, v, c))
+    found.sort()
+    assert found[k - 1][0] <= radius * radius
+    return [(nsq, v, c) for nsq, _, v, c in found[:k]]
 
 
 @pytest.mark.parametrize(
@@ -256,18 +294,10 @@ def test_shortest_vector_zd_tiebreak_is_last_axis():
     [((1, 0), (5, 1)), ((5, 1), (1, 0)), ((3, 2), (4, 3)), ((1, 1, 0), (0, 1, 1), (1, 2, 2)),
      ((2, 0), (1, 2)), ((4, 1), (1, 4))],
 )
-def test_shortest_vector_ties_break_on_input_coefficients(basis):
-    # brute force over small coefficients of the input rows: the least norm,
-    # then the lexicographically least coefficients with a positive leading entry
-    d = len(basis)
-    best = min(
-        (sum(x * x for x in v), u)
-        for u in itertools.product(range(-6, 7), repeat=d)
-        if any(u) and next(c for c in u if c) > 0
-        for v in [[sum(c * row[j] for c, row in zip(u, basis)) for j in range(d)]]
-    )
-    sv = shortest_vector(basis)
-    assert (sv.norm_sq_exact, sv.coefficients) == best
+def test_shortest_vectors_ties_break_on_reduced_coefficients(basis):
+    svs = shortest_vectors(lll_reduce(basis), 6)
+    expected = brute_force_shortest_vectors(basis, 6, 8)
+    assert [(sv.norm_sq_exact, sv.vector, sv.coefficients) for sv in svs] == expected
 
 
 def test_shortest_vector_dual_rank1_5_12():
@@ -317,34 +347,13 @@ def test_sigma_diam_invariants():
         rep = spectral_test(lat)
         d = lat.dim
         assert rep.sigma <= math.sqrt(d) + 1e-15
-        assert rep.diam_cell <= d * 2 ** (d - 1) * rep.sigma + 1e-12
-        assert rep.sigma * rep.dual_norm == pytest.approx(1.0, abs=1e-14)
-
-
-def test_cell_diameter_unit_square():
-    rb = lll_reduce([[1, 0], [0, 1]])
-    assert cell_diameter(rb) == pytest.approx(math.sqrt(2))
-
-
-def test_cell_diameter_reduced_rank1():
-    # (1/5, 2/5), (2/5, -1/5) over denominator 5
-    rb = lll_reduce([[1, 2], [2, -1]])
-    # both sign patterns give squared norm 2/5, that is 10 / 5^2 (evaluated by hand)
-    assert cell_diameter_sq(rb) == 10
-    assert cell_diameter(rb) == pytest.approx(math.sqrt(10))
-    assert spectral_test(rank1_lattice(5, (1, 2))).diam_cell_sq == Fraction(2, 5)
-
-
-def test_cell_diameter_at_least_max_row():
-    lat = fibonacci_lattice(9)
-    rb = lll_reduce(lat.basis)
-    diam_sq = cell_diameter_sq(rb)
-    assert diam_sq >= max(norm_sq(r) for r in rb.rows)
+        assert rep.sigma * math.sqrt(rep.dual_norm_sq) == pytest.approx(1.0, abs=1e-14)
+        assert rep.to_json_dict()["dual_norm"] == math.sqrt(rep.dual_norm_sq)
 
 
 def test_shortest_vectors_k_list_is_sorted_and_distinct():
     db = dual_basis(fibonacci_lattice(10))
-    svs = shortest_vectors(db, 10)
+    svs = shortest_vectors(lll_reduce(db), 10)
     assert len(svs) == 10
     norms = [sv.norm_sq_exact for sv in svs]
     assert norms == sorted(norms)
@@ -357,18 +366,16 @@ def test_shortest_vectors_k_list_is_sorted_and_distinct():
 
 def test_hyperplane_family_z2():
     fam = hyperplane_family(rank1_lattice(1, (0, 0)), (1, 0))
-    assert fam.spacing == pytest.approx(1.0)
-    assert (fam.k_min, fam.k_max, fam.count) == (0, 1, 2)
+    assert (fam.h, fam.k_min, fam.k_max) == ((1, 0), 0, 1)
 
 
 def test_hyperplane_family_rank1_5_12():
     lat = rank1_lattice(5, (1, 2))
     fam = hyperplane_family(lat, (2, -1))
-    assert fam.spacing == pytest.approx(5 ** -0.5)
     assert (fam.k_min, fam.k_max) == (-1, 2)
-    assert fam.count == 4
     rep = spectral_test(lat)
-    assert fam.count <= math.sqrt(2) / rep.sigma + 2
+    # the cube's diagonal sqrt(2) crosses at most sqrt(2) / sigma + 1 gaps
+    assert fam.k_max - fam.k_min + 1 <= math.sqrt(2) / rep.sigma + 2
 
 
 def test_hyperplane_family_rejects_non_dual():
@@ -407,19 +414,50 @@ REUSE_CORPUS = CorpusSpec(
 )
 def test_shortest_dual_vectors_reuse_the_reports_reduction(entry, monkeypatch):
     lat = rank1_lattice(*entry[1:])
-    plain = shortest_dual_vectors(lat, 10)
+    fresh = [sv.vector for sv in shortest_vectors(lll_reduce(dual_basis(lat)), 10)]
     rep = spectral_test(lat)
     assert "dual_reduced" not in rep.to_json_dict()
     calls = []
     real = reduction.lll_reduce
     monkeypatch.setattr(reduction, "lll_reduce", lambda *a, **k: calls.append(a) or real(*a, **k))
-    assert shortest_dual_vectors(lat, 10, rep) == plain
+    assert shortest_dual_vectors(rep, 10) == fresh
     assert calls == []  # the report's reduced dual basis is used as is
-    assert sum(x * x for x in plain[0]) == rep.dual_norm_sq
+    assert fresh[0] == rep.shortest_dual
+    assert sum(x * x for x in fresh[0]) == rep.dual_norm_sq
 
 
-def test_shortest_vectors_reject_a_foreign_reduction():
-    a = fibonacci_lattice(8).basis
-    b = rank1_lattice(12, (1, 5)).basis
-    with pytest.raises(ValueError, match="reduction"):
-        shortest_vectors(a, 3, lll_reduce(b))
+DEFAULT_CORPUS = {lid: (n, g) for lid, n, g in builtin_corpus(CorpusSpec(), 20200817)}
+
+
+def test_spectral_test_names_the_first_shortest_dual_vector_on_the_default_corpus():
+    assert len(DEFAULT_CORPUS) == 260
+    for lattice_id, (n, g) in DEFAULT_CORPUS.items():
+        rep = spectral_test(rank1_lattice(n, g))
+        assert rep.shortest_dual == shortest_dual_vectors(rep, 10)[0], lattice_id
+
+
+# two shortest dual vectors each, on which two tie rules once picked different ones
+TIED = ("fib-k05", "fib-k07", "rank1-d3-n64-i19", "rank1-d4-n1024-i17")
+
+
+@pytest.mark.parametrize(
+    "lattice_id", [*TIED, "fib-k06", "rank1-d2-n64-i03", "rank1-d3-n256-i00"]
+)
+def test_every_check_uses_the_same_shortest_dual_vector(lattice_id, monkeypatch):
+    from latdisc import discrepancy, distance
+
+    lat = rank1_lattice(*DEFAULT_CORPUS[lattice_id])
+    rep = spectral_test(lat)
+    _, witnesses = discrepancy.isotropic_lower_bound(lat, report=rep)
+    prop1_h = []
+    real = distance.slab_union_volume
+    monkeypatch.setattr(
+        distance, "slab_union_volume", lambda lat, h, *a: prop1_h.append(h) or real(lat, h, *a)
+    )
+    distance.verify_prop1(lat, gammas=(), report=rep, norm_reports={})
+    h = rep.shortest_dual
+    assert shortest_dual_vectors(rep, 10)[0] == h
+    assert witnesses[0].dual_slab[0] == h
+    assert prop1_h == [h]
+    ties = [v for v in shortest_dual_vectors(rep, 12) if norm_sq(v) == rep.dual_norm_sq]
+    assert len(ties) == (2 if lattice_id in TIED else 1)
