@@ -91,10 +91,14 @@ def halfspace_cube_volume_derivative(a, b) -> Fraction:
 # Witnesses
 # ---------------------------------------------------------------------------
 
+SLAB_EPS = Fraction(1, 10**9)  # the witness slab's shrink from each plane, in units of h.x
+
+
 @dataclass(frozen=True)
 class DiscrepancyWitness:
-    """An empty slab k + eps <= h.x <= k + 1 - eps of the cube; its value
-    is the slab's exact volume, so every witness is certified."""
+    """An empty slab k + eps <= h.x <= k + 1 - eps of the cube, eps =
+    SLAB_EPS; its value is the slab's exact volume, so every witness is
+    certified."""
 
     local_value: float
     local_value_exact: Fraction
@@ -107,11 +111,10 @@ class DiscrepancyWitness:
     def body(self) -> HPolytope:
         """The witness slab intersected with the cube, as an H-polytope."""
         h, k = self.dual_slab
-        eps = _slab_eps_functional(h)
         d = len(h)
         hf = np.array(h, dtype=float)
         normals = np.vstack([hf, -hf, np.eye(d), -np.eye(d)])
-        offsets = np.r_[float(k + 1 - eps), -float(k + eps), np.ones(d), np.zeros(d)]
+        offsets = np.r_[float(k + 1 - SLAB_EPS), -float(k + SLAB_EPS), np.ones(d), np.zeros(d)]
         return HPolytope(normals, offsets, skip_checks=True)
 
     def to_json_dict(self) -> dict:
@@ -153,15 +156,10 @@ class Thm1Report:
         }
 
 
-def _slab_eps_functional(h: tuple[int, ...]) -> Fraction:
-    """Rational upper bound of 1e-9 * ||h||: a Euclidean shrink of 1e-9."""
-    hh = sum(x * x for x in h)
-    return Fraction(math.isqrt(hh * 10**18) + 1, 10**18)
-
-
 def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:
-    """The first k maximising Vol(k + eps <= h.x <= k + 1 - eps) over the
-    slabs between adjacent planes that meet the cube, and that volume.
+    """The first k maximising Vol(k + eps <= h.x <= k + 1 - eps), eps =
+    SLAB_EPS, over the slabs between adjacent planes that meet the cube,
+    and that volume.
 
     Reflecting x_i -> 1 - x_i for h_i < 0 turns h.x into y = sum |h_i| x_i
     and slab k into slab j = k + shift of y, j = 0..S-1 with S = sum |h_i|.
@@ -187,8 +185,7 @@ def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:
     maximiser is found by binary search for the smallest j <= j_c with
     F(j) = F(j_c): 1 + ceil(log2(j_c + 1)) volumes instead of S.
     """
-    eps = _slab_eps_functional(h)
-    q, e = eps.denominator, eps.numerator
+    q, e = SLAB_EPS.denominator, SLAB_EPS.numerator
     shift = -sum(x for x in h if x < 0)
     pos = [q * abs(x) for x in h if x]
     sums, n = _subset_sums(pos), len(pos)
@@ -212,17 +209,15 @@ def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:
 
 def slab_witness(lat: IntegrationLattice, h: tuple[int, ...]) -> DiscrepancyWitness:
     """The largest slab k + eps <= h.x <= k + 1 - eps of the cube for the
-    dual vector h, eps a Euclidean 1e-9; all values exact.
+    dual vector h, eps = SLAB_EPS = 1e-9 in units of h.x (a Euclidean
+    1e-9 / ||h||); all values exact.
 
     The slab holds no lattice point, with no point enumerated. Proof:
     `hyperplane_family` checks h in L^perp exactly, so h.x is an integer
     for every x in L, and 0 < eps < 1/2 puts the closed interval
     [k + eps, k + 1 - eps] strictly between the integers k and k + 1.
-    eps >= 1/2 would need ||h|| >= 5 10^8 and raises ValueError.
     """
     h = hyperplane_family(lat, h).h  # raises unless h is a dual vector
-    if _slab_eps_functional(h) >= Fraction(1, 2):
-        raise ValueError(f"the 1e-9 shrink leaves no slab for a dual vector this long: {h}")
     best_k, best_vol = _best_slab(h)
     return DiscrepancyWitness(
         local_value=float(best_vol),

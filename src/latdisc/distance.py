@@ -1,6 +1,6 @@
 """Distance-function norms of lattice point sets, covering radii with
-certified enclosures, slab-union volumes, the distance-vs-spectral-test
-sandwich, and the Sobolev approximation-error proxy.
+certified enclosures, the distance-vs-spectral-test sandwich of
+Proposition 1, and the Sobolev approximation-error proxy.
 
 Distances are non-periodic: the plain Euclidean distance inside the cube.
 On the midpoint grid they come from an exact block-wise nearest-point
@@ -34,9 +34,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .discrepancy import halfspace_cube_volume
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
-from .reduction import SpectralReport, hyperplane_family, spectral_test
+from .reduction import SpectralReport, spectral_test
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -95,7 +94,6 @@ def _dist_margin(d: int) -> float:
 class CoveringRadius:
     lower: float
     upper: float
-    witness: tuple[float, ...]
     n_evals: int
     converged: bool
     estimate: float
@@ -169,9 +167,7 @@ def covering_radius(
     start = np.vstack([corners, np.full((1, d), 0.5)])
     vals = tree.query(start)[0]
     n_evals = len(start)
-    best_idx = int(np.argmax(vals))
-    lb = float(vals[best_idx])
-    witness = tuple(start[best_idx])
+    lb = float(np.max(vals))
 
     counter = itertools.count()
     heap: list[tuple[float, int, tuple, float]] = []
@@ -195,10 +191,7 @@ def covering_radius(
         child_halves = np.repeat(child_half, offsets.shape[0])
         cvals = tree.query(children)[0]
         n_evals += children.shape[0]
-        top = int(np.argmax(cvals))
-        if cvals[top] > lb:
-            lb = float(cvals[top])
-            witness = tuple(children[top])
+        lb = max(lb, float(np.max(cvals)))
         ubs = cvals + child_halves * sqrt_d
         for i in range(children.shape[0]):
             if ubs[i] > lb:
@@ -207,7 +200,7 @@ def covering_radius(
                 )
     ub = max(lb, -heap[0][0]) if heap else lb
     lower, upper = lb - margin, ub + margin
-    return CoveringRadius(lower, upper, witness, n_evals, upper - lower <= tol, 0.5 * (lb + ub))
+    return CoveringRadius(lower, upper, n_evals, upper - lower <= tol, 0.5 * (lb + ub))
 
 
 # ---------------------------------------------------------------------------
@@ -548,57 +541,11 @@ def distance_norm(
 
 
 # ---------------------------------------------------------------------------
-# Slab unions and the lower-bound construction
+# Proposition 1
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SlabUnion:
-    """Volumes of B_t (points within t sigma of some covering hyperplane)
-    and its complement A_t, both exact rationals."""
-
-    t: Fraction
-    vol_bt: Fraction
-    vol_at: Fraction
-
-
-def slab_union_volume(
-    lat: IntegrationLattice, h, t, report: SpectralReport | None = None
-) -> SlabUnion:
-    """Exact Vol(B_t) = sum_k Vol({|h.x - k| < t} cap cube) for a shortest
-    dual vector h. In functional units the slab around plane k is
-    (k - t, k + t) because the plane spacing is exactly sigma = 1/||h||.
-    `report` is the lattice's spectral test, run here when omitted.
-
-    Vol(B_t) = 2t for every nonzero integer h and 0 < t < 1/2: some h_i is
-    a nonzero integer, so h_i x_i mod 1 is uniform for x_i uniform on
-    [0, 1], and adding the independent rest of h.x keeps it uniform; B_t is
-    the set where h.x mod 1 lies within t of an integer. So Vol(A_t) =
-    1 - 2t whichever shortest dual vector h is, and the exact sum below
-    returns exactly that.
-    """
-    t = Fraction(t)
-    if not 0 < t < Fraction(1, 2):
-        raise ValueError("t must lie in (0, 1/2)")
-    h = tuple(int(x) for x in h)
-    rep = report if report is not None else spectral_test(lat)
-    if sum(x * x for x in h) != rep.dual_norm_sq:
-        raise ValueError("h must be a shortest dual vector")
-    fam = hyperplane_family(lat, h)
-    total = sum(
-        (
-            halfspace_cube_volume(h, k + t) - halfspace_cube_volume(h, k - t)
-            for k in range(fam.k_min, fam.k_max + 1)
-        ),
-        Fraction(0),
-    )
-    return SlabUnion(t, total, 1 - total)
-
-
-@dataclass(frozen=True)
 class Prop1Report:
-    lattice_id: str
-    dim: int
-    n_points: int
     sigma: float
     v_d: float
     t_d: float
@@ -611,7 +558,6 @@ class Prop1Report:
     lower_bounds: tuple[float, ...]
     lower_ok: tuple[bool, ...]
     ratios: tuple[float, ...]
-    ratio_inf: float
 
 
 def hyperplane_section_constant(d: int) -> float:
@@ -625,7 +571,6 @@ def verify_prop1(
     lat: IntegrationLattice,
     gammas=(0.5, 1.0, 2.0, math.inf),
     config: DistanceNormConfig | None = None,
-    lattice_id: str = "",
     report: SpectralReport | None = None,
     norm_reports: dict[GammaValue, DistanceNormReport] | None = None,
 ) -> Prop1Report:
@@ -635,8 +580,17 @@ def verify_prop1(
     - Vol(B_t) <= (2 sqrt(d) + 4 sigma) v_d t;
     - t_d sigma / 2^(1/gamma) <= ||dist||_gamma for each gamma (the paper's
       c_d is t_d);
-    - the empirical ratio norm_inf / sigma (the companion constant to C_d
-      is unknown, so the ratio is recorded, not asserted).
+    - the empirical ratios norm_gamma / sigma (the companion constant to C_d
+      is unknown, so the ratios are recorded, not asserted).
+
+    B_t is the set of points of the cube within t sigma of a hyperplane
+    h.x = k of a shortest dual vector h, and A_t its complement. The plane
+    spacing is exactly sigma = 1/||h||, so in units of h.x B_t is the set
+    where h.x lies within t of an integer. Vol(B_t) = 2t exactly for every
+    nonzero integer h and 0 < t < 1/2: some h_i is a nonzero integer, so
+    h_i x_i mod 1 is uniform for x_i uniform on [0, 1], and adding the
+    independent rest of h.x keeps h.x mod 1 uniform. So Vol(A_t) = 1 - 2t
+    whichever shortest dual vector h is, and only sigma is read.
 
     `report` and `norm_reports` (the `distance_norms` of the lattice's
     points for at least these gammas) are computed here when omitted.
@@ -648,10 +602,9 @@ def verify_prop1(
     t_d = 1.0 / (12.0 * math.sqrt(d) * v_d)
     # rational t >= t_d so that A_t subset A_{t_d} makes the check conservative
     t_rat = Fraction(math.ceil(t_d * 10**12), 10**12)
-    su = slab_union_volume(lat, rep.shortest_dual, t_rat, rep)
-    vol_a_ok = su.vol_at >= Fraction(1, 2)
+    vol_bt = 2 * t_rat
+    vol_at = 1 - vol_bt
     b_bound = (2 * math.sqrt(d) + 4 * sigma) * v_d * float(t_rat)
-    vol_b_bound_ok = float(su.vol_bt) <= b_bound + 1e-12
 
     gammas = tuple(gammas)
     reports = norm_reports
@@ -665,24 +618,19 @@ def verify_prop1(
         r.lower_certified >= lb for r, lb in zip(norms, lower_bounds)
     )
     ratios = tuple(r.value / sigma for r in norms)
-    ratio_inf = next((r for g, r in zip(gammas, ratios) if math.isinf(g)), float("nan"))
     return Prop1Report(
-        lattice_id=lattice_id,
-        dim=d,
-        n_points=lat.n_points,
         sigma=sigma,
         v_d=v_d,
         t_d=t_d,
-        vol_a_td=float(su.vol_at),
-        vol_a_ok=bool(vol_a_ok),
+        vol_a_td=float(vol_at),
+        vol_a_ok=vol_at >= Fraction(1, 2),
         vol_b_bound=b_bound,
-        vol_b_bound_ok=bool(vol_b_bound_ok),
+        vol_b_bound_ok=float(vol_bt) <= b_bound + 1e-12,
         gammas=gammas,
         norms=norms,
         lower_bounds=lower_bounds,
         lower_ok=lower_ok,
         ratios=ratios,
-        ratio_inf=ratio_inf,
     )
 
 
@@ -702,24 +650,10 @@ def _inv(x) -> Fraction:
 
 @dataclass(frozen=True)
 class ProxySpec:
-    s: int
-    p: object
-    q: object
-    d: int
     inv_p: Fraction
     inv_q: Fraction
     gamma: Fraction | float  # exact rational, or math.inf
     exponent: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "p": "inf" if self.inv_p == 0 else str(Fraction(1) / self.inv_p),
-            "q": "inf" if self.inv_q == 0 else str(Fraction(1) / self.inv_q),
-            "d": self.d,
-            "gamma": "inf" if self.gamma == math.inf else str(self.gamma),
-            "exponent": str(self.exponent),
-        }
 
 
 def proxy_spec(s: int, p, q, d: int) -> ProxySpec:
@@ -740,7 +674,7 @@ def proxy_spec(s: int, p, q, d: int) -> ProxySpec:
         gamma = Fraction(s) / (inv_q - inv_p)
     else:
         gamma = math.inf
-    return ProxySpec(s, p, q, d, inv_p, inv_q, gamma, exponent)
+    return ProxySpec(inv_p, inv_q, gamma, exponent)
 
 
 def error_proxy(

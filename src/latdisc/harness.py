@@ -79,6 +79,10 @@ def _is_real(x) -> bool:
     return _is_int(x) or isinstance(x, float)
 
 
+def _is_finite(x) -> bool:
+    return _is_real(x) and math.isfinite(x)
+
+
 def _int_at_least(lo: int):
     return lambda x: _is_int(x) and x >= lo
 
@@ -126,8 +130,8 @@ _BUDGET_RULES = {
         and all(_is_int(d) and _is_real(t) and 0 < t < math.inf for d, t in v.items()),
     ),
     "remark_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
-    "remark_delta": ("a number", _is_real),
-    "remark_kappa": ("a number", _is_real),
+    "remark_delta": ("a finite number", _is_finite),
+    "remark_kappa": ("a finite number", _is_finite),
     "thm2_triples": (
         "a list of [s, p, q] triples: an integer s, and numbers or inf p and q",
         _list_of(
@@ -145,7 +149,7 @@ _CAMPAIGN_RULES = {  # the spec's top-level fields; corpus and budgets check the
     "seed": ("an integer", _is_int),
     "out_dir": ("a path or null", _str_or_none),
     "corrupt_check": ("a check name or null", _str_or_none),
-    "corrupt_rhs_scale": ("a number", _is_real),
+    "corrupt_rhs_scale": ("a finite number", _is_finite),
 }
 
 
@@ -384,7 +388,6 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
         p1 = verify_prop1(
             lat,
             gammas=prop1_gammas,
-            lattice_id=lattice_id,
             report=rep,
             norm_reports=norms,
         )
@@ -412,9 +415,8 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
                     "ratio": ratio,
                 }
             )
-        rows.append(_row("prop1-ratio-inf", lattice_id, p1.ratio_inf, None, RECORDED))
-        for gname, norm in zip(p1.gammas, p1.norms):
             if math.isinf(gname):
+                rows.append(_row("prop1-ratio-inf", lattice_id, ratio, None, RECORDED))
                 width = norm.upper_certified - norm.lower_certified
                 rows.append(_row("prop1-covering-width", lattice_id, width, tol * (1 + 1e-9)))
     for (s, p, q), spec, gamma in thm2:
@@ -605,7 +607,7 @@ def default_out_dir() -> str:
 def write_artifacts(result: CampaignResult, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    payload = json.dumps(result.to_json_dict(), indent=2) + "\n"
+    payload = json.dumps(result.to_json_dict(), indent=2, allow_nan=False) + "\n"
     path = out_dir / "campaign.json"
     path.write_text(payload)
     written.append(path)

@@ -13,7 +13,7 @@ enumerates coefficient vectors of the reduced basis with floating
 Gram-Schmidt pruning, decides every candidate in integers, and returns
 vectors in one order: (squared norm, reduced-basis coefficients). So the
 spectral test's shortest dual vector is the first of the dual vectors that
-Theorem 1's witnesses and Proposition 1's slab union are built from.
+Theorem 1's witnesses are built from.
 """
 
 from __future__ import annotations

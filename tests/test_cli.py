@@ -65,9 +65,9 @@ def test_isodisc(tmp_path, capsys):
     assert len(data["witnesses"]) == 10
     # the verdict is taken from the same witness search that is printed
     assert data["best"] in data["witnesses"]
-    # sha256 of the recorded output (7883 bytes)
+    # sha256 of the recorded output (7716 bytes)
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "e9debf2c1707de6b5becb282393fe44d7f894d185a39eb7c5525e986d93f4a5d"
+    assert digest == "903b21f638d158b3210f91f3b61c25a18c803fde11ef5f42b62e000d8a99412c"
     assert sorted(data["best"]) == ["body", "certified", "family", "local_value"]
     # the witnesses are the dual slabs alone; nothing is sampled, so no
     # witness reports a standard error, a sample count or a sampling seed

@@ -16,7 +16,7 @@ from latdisc.discrepancy import (
     slab_witness,
     verify_thm1,
 )
-from latdisc.discrepancy import _best_slab, _slab_eps_functional
+from latdisc.discrepancy import SLAB_EPS, _best_slab
 from latdisc.harness import Campaign, CorpusSpec, builtin_corpus, run_lattice_task
 from latdisc.lattice import (
     LatticePointSet,
@@ -197,7 +197,7 @@ def test_slab_witness_rank1_5_12():
     assert w.body.to_json_dict() == {
         "variant": "h_polytope",
         "normals": [[1.0, 2.0], [-1.0, -2.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]],
-        "offsets": [1.999999997763932, -1.000000002236068, 1.0, 1.0, 0.0, 0.0],
+        "offsets": [1.999999999, -1.000000001, 1.0, 1.0, 0.0, 0.0],
     }
 
 
@@ -211,8 +211,9 @@ def test_slab_witness_equispaced_gap():
     lat = rank1_lattice(8, (1,))
     w = slab_witness(lat, spectral_test(lat).shortest_dual)
     assert w.local_value == pytest.approx(1 / 8, abs=1e-6)
-    # length is exactly 1/N minus twice the 1e-9 Euclidean shrink
-    assert Fraction(1, 8) - w.local_value_exact <= Fraction(3, 10**9)
+    # length is exactly 1/N less the 1e-9 shrink from each end in units of
+    # h.x = 8x, so 2e-9 / 8 less
+    assert w.local_value_exact == Fraction(1, 8) - Fraction(2, 8 * 10**9)
 
 
 def test_isotropic_lower_bound_single_point_d2():
@@ -270,10 +271,10 @@ def test_verify_thm1_zd():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_zd_lower_bound_is_the_exact_slab(d):
-    # the unit slab 0 < x_1 < 1 shrunk by (10^9 + 1) / 10^18 on each side
+    # the unit slab 0 < x_1 < 1 shrunk by 1e-9 on each side
     lat = rank1_lattice(1, (0,) * d)
     best, witnesses = isotropic_lower_bound(lat)
-    assert best.local_value_exact == 1 - Fraction(2 * (10**9 + 1), 10**18)
+    assert best.local_value_exact == 1 - Fraction(2, 10**9)
     assert {w.family for w in witnesses} == {"dual-slab"}
     rep = verify_thm1(lat)
     assert rep.j_lower == float(best.local_value_exact)
@@ -358,9 +359,8 @@ def test_counts_exact_when_int64_could_overflow():
 def best_slab_by_scan(h):
     """The first k of largest Vol(k + eps <= h.x <= k + 1 - eps) and that
     volume, from the exact volume of every slab: the reference search."""
-    eps = _slab_eps_functional(h)
     vols = {
-        k: halfspace_cube_volume(h, k + 1 - eps) - halfspace_cube_volume(h, k + eps)
+        k: halfspace_cube_volume(h, k + 1 - SLAB_EPS) - halfspace_cube_volume(h, k + SLAB_EPS)
         for k in range(sum(min(x, 0) for x in h), sum(max(x, 0) for x in h))
     }
     best_k = max(vols, key=lambda k: (vols[k], -k))
@@ -461,13 +461,15 @@ def test_thm1_is_point_free(monkeypatch, tmp_path, capsys):
         assert '"verdict": "PASS"' in capsys.readouterr().out
 
 
-def test_slab_witness_refuses_a_shrink_that_leaves_no_slab():
-    # eps ~ 1e-9 ||h|| reaches 1/2 at ||h|| = 5e8: here h = (0, 5e8) is dual
-    n = 5 * 10**8
-    lat = rank1_lattice(n, (1, 0))
-    with pytest.raises(ValueError, match="no slab"):
-        slab_witness(lat, (0, n))
-    assert slab_witness(lat, (0, n - 1)).local_value_exact > 0
+def test_isodisc_takes_dual_vectors_longer_than_the_inverse_shrink(tmp_path, capsys):
+    # in d = 1 the tenth shortest dual vector is 10N = 1e9: a Euclidean 1e-9
+    # shrink would leave no slab, the shrink of 1e-9 in units of h.x does
+    spec = tmp_path / "lat.txt"
+    spec.write_text("1 100000000\nrank1: 1\n")
+    assert cli.main(["isodisc", str(spec)]) == 0
+    assert '"verdict": "PASS"' in capsys.readouterr().out
+    w = slab_witness(rank1_lattice(10**8, (1,)), (10**9,))
+    assert w.local_value_exact == (1 - 2 * SLAB_EPS) / 10**9
 
 
 def test_every_witness_slab_of_the_enumerable_corpus_holds_no_point():
@@ -478,5 +480,5 @@ def test_every_witness_slab_of_the_enumerable_corpus_holds_no_point():
         ps = enumerate_points(lat)
         for w in isotropic_lower_bound(lat)[1]:
             h, k = w.dual_slab
-            eps = _slab_eps_functional(h)
-            assert count_points_slab(ps, h, k + eps, k + 1 - eps) == 0, (lattice_id, h, k)
+            lo, hi = k + SLAB_EPS, k + 1 - SLAB_EPS
+            assert count_points_slab(ps, h, lo, hi) == 0, (lattice_id, h, k)

@@ -21,12 +21,12 @@ from latdisc.distance import (
     hyperplane_section_constant,
     nn_baseline_error,
     proxy_spec,
-    slab_union_volume,
     verify_prop1,
 )
-from latdisc.harness import chunk_rng
+from latdisc.discrepancy import halfspace_cube_volume
+from latdisc.harness import CorpusSpec, builtin_corpus, chunk_rng
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
-from latdisc.reduction import shortest_dual_vectors, spectral_test
+from latdisc.reduction import hyperplane_family, shortest_dual_vectors, spectral_test
 
 
 EQUI4 = enumerate_points(rank1_lattice(4, (1,)))
@@ -376,40 +376,67 @@ def test_grid_pass_peak_memory_is_bounded():
     assert peak < 4 * 2**20, f"grid pass peaked at {peak / 2**20:.2f} MiB"
 
 
+# ---------------------------------------------------------------------------
+# Slab unions: the oracle for Vol(B_t) = 2t in verify_prop1
+# ---------------------------------------------------------------------------
+
+def slab_union_volume(lat, h, t: Fraction) -> Fraction:
+    """Exact Vol(B_t) = sum_k Vol({|h.x - k| < t} cap cube) over the planes
+    h.x = k that meet the cube, for a dual vector h and 0 < t < 1/2: the
+    plane-by-plane sum that verify_prop1's closed form 2t replaces."""
+    assert 0 < t < Fraction(1, 2)
+    fam = hyperplane_family(lat, h)
+    return sum(
+        (
+            halfspace_cube_volume(fam.h, k + t) - halfspace_cube_volume(fam.h, k - t)
+            for k in range(fam.k_min, fam.k_max + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def prop1_t(d: int) -> Fraction:
+    """The rational t >= t_d at which verify_prop1 takes Vol(A_t)."""
+    t_d = verify_prop1(rank1_lattice(1, (0,) * d), gammas=(), norm_reports={}).t_d
+    return Fraction(math.ceil(t_d * 10**12), 10**12)
+
+
 def test_slab_union_volume_1d():
     lat = rank1_lattice(1, (0,))
-    su = slab_union_volume(lat, (1,), Fraction(1, 4))
-    assert su.vol_bt == Fraction(1, 2)
-    assert su.vol_at == Fraction(1, 2)
+    assert slab_union_volume(lat, (1,), Fraction(1, 4)) == Fraction(1, 2)
 
 
 def test_slab_union_volume_rank1_5_12():
-    su = slab_union_volume(R5, (2, -1), Fraction(1, 10))
-    # direct check: widths 2t in functional units across k = -1, 0, 1, 2
-    from latdisc.discrepancy import halfspace_cube_volume
-
     t = Fraction(1, 10)
+    vol_bt = slab_union_volume(R5, (2, -1), t)
+    # direct check: widths 2t in functional units across k = -1, 0, 1, 2
     expect = sum(
         halfspace_cube_volume((2, -1), k + t) - halfspace_cube_volume((2, -1), k - t)
         for k in range(-1, 3)
     )
-    assert su.vol_bt == expect
-    assert su.vol_at == 1 - expect
+    assert vol_bt == expect == 2 * t
     rep = spectral_test(R5)
     v_d = hyperplane_section_constant(2)
-    assert float(su.vol_bt) <= (2 * math.sqrt(2) + 4 * rep.sigma) * v_d * float(t)
+    assert float(vol_bt) <= (2 * math.sqrt(2) + 4 * rep.sigma) * v_d * float(t)
 
 
-def test_slab_union_requires_shortest_dual():
-    with pytest.raises(ValueError):
-        slab_union_volume(R5, (5, 0), Fraction(1, 10))
-    with pytest.raises(ValueError):
-        slab_union_volume(R5, (2, -1), Fraction(3, 4))
+def test_prop1_vol_a_is_the_exact_slab_union_on_the_default_corpus():
+    corpus = builtin_corpus(CorpusSpec(), 20200817)
+    assert len(corpus) == 260
+    ts = {d: prop1_t(d) for d in {len(g) for _, _, g in corpus}}
+    for lattice_id, n, g in corpus:
+        lat = rank1_lattice(n, g)
+        rep = spectral_test(lat)
+        t = ts[lat.dim]
+        vol_bt = slab_union_volume(lat, rep.shortest_dual, t)
+        assert vol_bt == 2 * t, lattice_id
+        p1 = verify_prop1(lat, gammas=(), report=rep, norm_reports={})
+        assert p1.vol_a_td == float(1 - vol_bt) and p1.vol_a_ok, lattice_id
 
 
 def test_verify_prop1_equispaced_d1():
     lat = rank1_lattice(4, (1,))
-    rep = verify_prop1(lat, gammas=(1.0,), config=FAST, lattice_id="equi4")
+    rep = verify_prop1(lat, gammas=(1.0,), config=FAST)
     assert rep.v_d == 1.0
     assert rep.t_d == pytest.approx(1 / 12)
     assert rep.vol_a_ok and rep.vol_b_bound_ok
@@ -423,7 +450,7 @@ def test_verify_prop1_sigma_norm_ratio_d1():
     lat = rank1_lattice(8, (1,))
     rep = verify_prop1(lat, gammas=(math.inf,), config=FAST)
     assert rep.sigma == pytest.approx(1 / 8)
-    assert rep.ratio_inf == pytest.approx(1.0, abs=1e-3)
+    assert rep.ratios == (pytest.approx(1.0, abs=1e-3),)
 
 
 def test_verify_prop1_rank1_5_12_all_gammas():
@@ -432,21 +459,17 @@ def test_verify_prop1_rank1_5_12_all_gammas():
     assert rep.vol_b_bound_ok
     assert all(rep.lower_ok)
     assert all(r > 0 for r in rep.ratios)
-    assert rep.ratio_inf > 0
 
 
 def test_verify_prop1_with_passed_in_norm_reports_is_unchanged():
     gammas = (0.5, 2.0, math.inf)
-    plain = verify_prop1(R5, gammas=gammas, config=FAST, lattice_id="r5")
-    # the caller's reports may hold extra gammas; prop1 reads only its own,
-    # and ratio_inf stays NaN when inf is not one of them
+    plain = verify_prop1(R5, gammas=gammas, config=FAST)
+    # the caller's reports may hold extra gammas; prop1 reads only its own
     reports = distance_norms(P5, (*gammas, 3.0, 1.0), FAST)
-    given = verify_prop1(
-        R5, gammas=gammas, lattice_id="r5", report=spectral_test(R5), norm_reports=reports
-    )
+    given = verify_prop1(R5, gammas=gammas, report=spectral_test(R5), norm_reports=reports)
     assert given == plain
     no_inf = verify_prop1(R5, gammas=(1.0,), norm_reports=reports)
-    assert no_inf.norms == (reports[1.0],) and math.isnan(no_inf.ratio_inf)
+    assert no_inf.norms == (reports[1.0],) and no_inf.ratios == (reports[1.0].value / no_inf.sigma,)
 
 
 def test_proxy_spec_paper_cases():
@@ -517,6 +540,4 @@ def test_slab_union_volume_is_2t_for_every_shortest_dual_vector(n, g, t):
     ties = [h for h in shortest_dual_vectors(rep, 12) if sum(x * x for x in h) == rep.dual_norm_sq]
     assert ties[0] == rep.shortest_dual
     for h in ties:
-        su = slab_union_volume(lat, h, t, rep)
-        assert su.vol_bt == 2 * t
-        assert su.vol_at == 1 - 2 * t
+        assert slab_union_volume(lat, h, t) == 2 * t

@@ -168,6 +168,23 @@ def test_artifact_tables(tmp_path):
     assert remark[0] == "d,log_sum,log_lower,log_upper"
 
 
+def test_campaign_json_is_strict_json_when_inf_is_not_a_prop1_gamma(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"campaign.json holds {constant}")
+
+    c = Campaign.from_json_dict({
+        "corpus": {"fibonacci_k": [5, 5], "rank1_per_cell": 0, "zd_dims": [],
+                   "include_bad_lattice": False},
+        "checks": ["prop1"],
+        "budgets": {"prop1_gammas": [1]},
+        "out_dir": str(tmp_path),
+    })
+    run_campaign(c)
+    data = json.loads((tmp_path / "campaign.json").read_text(), parse_constant=refuse)
+    checks = [r["check"] for r in data["rows"]]
+    assert checks == ["prop1-volA", "prop1-volB-bound", "prop1-lower-g1"]
+
+
 def test_campaign_json_roundtrip():
     c = small_campaign(out_dir="x")
     back = Campaign.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
@@ -236,6 +253,8 @@ def test_bad_fibonacci_k_names_the_field(k):
         (None, "corpus", None),
         (None, "budgets", [1]),
         ("budgets", "covering_tols", {"2": "inf"}),
+        (None, "corrupt_rhs_scale", "inf"),
+        ("budgets", "remark_kappa", math.nan),
     ],
 )
 def test_campaign_from_json_dict_names_a_field_of_the_wrong_type(section, key, value):
