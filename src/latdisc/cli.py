@@ -11,11 +11,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .convex import (
-    OffsetSpec,
     binom_kappa_sum,
     body_from_json_dict,
     boundary_neighborhood_volume,
-    offset_volume,
+    offset_volumes,
     remark_lower,
     remark_upper,
     steiner_volume,
@@ -84,7 +83,7 @@ def _workers(args) -> int:
 def _parse_list(text: str, flag: str, kind=int) -> list:
     """The comma list given to `flag` as `kind` values (int, or float, which
     also reads inf); empty entries are skipped. ValueError names the flag
-    and the entry."""
+    and the entry, or the flag when the list holds no entry."""
     out = []
     for tok in text.split(","):
         if tok:
@@ -93,6 +92,8 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
             except ValueError:
                 expected = "an integer" if kind is int else "a number or inf"
                 raise ValueError(f"{flag}: entry {tok!r} is not {expected}") from None
+    if not out:
+        raise ValueError(f"{flag}: the list is empty")
     return out
 
 
@@ -174,7 +175,7 @@ def _cmd_geom(args) -> int:
     if args.geom_op == "steiner":
         value = steiner_volume(body, args.rho)
     elif args.geom_op == "offset":
-        value = offset_volume(body, OffsetSpec(args.rho, args.side))
+        value = offset_volumes(body, [args.rho], args.side)[0]
     else:
         value = boundary_neighborhood_volume(body, args.rho)
     _emit_json(args, {"value": value})

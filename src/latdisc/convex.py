@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,18 +99,6 @@ def remark_upper(d: int, kappa_exp: float) -> float:
     if d < 1:
         raise ValueError("d must be positive")
     return kappa_exp * d ** (2 / 3) * math.log(d * math.sqrt(2 * math.e**3 * math.pi))
-
-
-@dataclass(frozen=True)
-class OffsetSpec:
-    rho: float
-    side: str  # "outer" or "inner"
-
-    def __post_init__(self):
-        if not 0 <= self.rho < math.inf:
-            raise ValueError(f"rho must be a finite nonnegative number, got {self.rho}")
-        if self.side not in ("outer", "inner"):
-            raise ValueError('side must be "outer" or "inner"')
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +579,6 @@ def box_offset_volume(box: AxisBox, rho: float, side: str) -> float:
     return float(np.prod(box.sides)) - inner
 
 
-def offset_volume(body: ConvexBody, spec: OffsetSpec) -> float:
-    """Vol(K_rho^+) or Vol(K_rho^-), exact (see `offset_volumes`)."""
-    return offset_volumes(body, [spec.rho], spec.side)[0]
-
-
 def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[float]:
     """Vol(K_rho^+) = v(rho) - Vol(K) or Vol(K_rho^-) = Vol(K) - v(-rho) at
     each radius, where v is `parallel_body_volume`; balls and boxes use
@@ -618,9 +600,7 @@ def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[f
 
 def boundary_neighborhood_volume(body: ConvexBody, rho: float) -> float:
     """Vol{x in R^d : dist(x, boundary K) <= rho} = outer + inner offsets."""
-    return offset_volume(body, OffsetSpec(rho, "outer")) + offset_volume(
-        body, OffsetSpec(rho, "inner")
-    )
+    return offset_volumes(body, [rho], "outer")[0] + offset_volumes(body, [rho], "inner")[0]
 
 
 def inradius(body: ConvexBody) -> float:

@@ -3,7 +3,7 @@ sets, and the d 2^(2(d+1)) sigma upper-bound verdict.
 
 The witnesses are the empty slabs between adjacent hyperplanes of the
 shortest dual vectors. A witness is empty because its dual vector h lies in
-L^perp, which `hyperplane_family` checks exactly: every lattice point then
+L^perp, which `slab_witness` checks exactly: every lattice point then
 has h.x in Z, and the witness lies strictly between two integers. Its volume
 is exact, so every witness value is a true lower bound for the isotropic
 discrepancy. No point is enumerated, so enumeration never limits N, and the
@@ -13,6 +13,7 @@ search involves no randomness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,12 +21,7 @@ import numpy as np
 
 from .convex import HPolytope
 from .lattice import IntegrationLattice
-from .reduction import (
-    SpectralReport,
-    hyperplane_family,
-    shortest_dual_vectors,
-    spectral_test,
-)
+from .reduction import SpectralReport, shortest_vectors, spectral_test
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +208,22 @@ def slab_witness(lat: IntegrationLattice, h: tuple[int, ...]) -> DiscrepancyWitn
     dual vector h, eps = SLAB_EPS = 1e-9 in units of h.x (a Euclidean
     1e-9 / ||h||); all values exact.
 
-    The slab holds no lattice point, with no point enumerated. Proof:
-    `hyperplane_family` checks h in L^perp exactly, so h.x is an integer
-    for every x in L, and 0 < eps < 1/2 puts the closed interval
-    [k + eps, k + 1 - eps] strictly between the integers k and k + 1.
+    The slab holds no lattice point, with no point enumerated. Proof: h is
+    checked to lie in L^perp exactly (B h = 0 mod D for the basis B / D),
+    so h.x is an integer for every x in L, and 0 < eps < 1/2 puts the
+    closed interval [k + eps, k + 1 - eps] strictly between the integers k
+    and k + 1.
     """
-    h = hyperplane_family(lat, h).h  # raises unless h is a dual vector
+    try:
+        h = tuple(operator.index(x) for x in h)
+    except TypeError:
+        raise ValueError(f"h must have integer entries, got {h!r}") from None
+    if len(h) != lat.dim:
+        raise ValueError(f"h has length {len(h)}, the lattice dimension is {lat.dim}")
+    if not any(h):
+        raise ValueError("h must be nonzero")
+    if any(sum(a * b for a, b in zip(row, h)) % lat.denom for row in lat.basis):
+        raise ValueError("h is not in the dual lattice")
     best_k, best_vol = _best_slab(h)
     return DiscrepancyWitness(
         local_value=float(best_vol),
@@ -239,7 +245,8 @@ def isotropic_lower_bound(
     search its reduced dual basis; it is run here when omitted.
     """
     rep = report if report is not None else spectral_test(lat)
-    witnesses = [slab_witness(lat, h) for h in shortest_dual_vectors(rep, n_slabs)]
+    duals = shortest_vectors(rep.dual_reduced, n_slabs)
+    witnesses = [slab_witness(lat, sv.vector) for sv in duals]
     best = max(witnesses, key=lambda w: w.local_value_exact)
     return best, witnesses
 

@@ -46,6 +46,7 @@ GRID_BOX_ENTRIES = 1 << 15  # cap on the cells x candidates of one grid-search t
 GRID_BOX_MIN_CELLS = 1 << 8  # smaller boxes cost more in per-box overhead than in arithmetic
 GRID_CELL_BUDGET = 21**4  # cells of the default grid for d >= 4
 GRID_CHUNK_CELLS = 1 << 16  # cells per chunk of the grid walk
+COVERING_MAX_EVALS = 4_000_000  # distance evaluations before the covering radius stops unconverged
 EPS = float(np.finfo(float).eps)  # 2^-52, twice the unit roundoff u
 
 
@@ -123,20 +124,17 @@ class DistanceNormReport:
         }
 
 
-def dist_to_pointset(x, ps: LatticePointSet | np.ndarray) -> float:
+def dist_to_pointset(x, ps: LatticePointSet) -> float:
     """Min Euclidean distance from x to the point set (non-periodic)."""
-    pts = ps.as_array() if isinstance(ps, LatticePointSet) else np.asarray(ps, float)
-    if pts.size == 0:
-        raise ValueError("empty point set")
     x = np.asarray(x, dtype=float)
-    return float(np.min(np.linalg.norm(pts - x, axis=1)))
+    if x.shape != (ps.dim,):
+        raise ValueError(
+            f"x must have length {ps.dim}, the point set's dimension, got shape {x.shape}"
+        )
+    return float(np.min(np.linalg.norm(ps.as_array() - x, axis=1)))
 
 
-def covering_radius(
-    ps: LatticePointSet | np.ndarray,
-    tol: float = 1e-4,
-    max_evals: int = 4_000_000,
-) -> CoveringRadius:
+def covering_radius(ps: LatticePointSet, tol: float = 1e-4) -> CoveringRadius:
     """Certified enclosure of sup_{y in cube} dist(y, P) by branch-and-bound.
 
     dist is 1-Lipschitz, so a cell of half-width h satisfies
@@ -148,15 +146,16 @@ def covering_radius(
     the potentials are not. `lower` is the best distance minus, and `upper`
     the largest potential plus, a margin of `_dist_margin(d)` + 6 sqrt(d) eps
     (the rounding of h sqrt(d) and of its sum with a distance). The stop
-    test measures the widened interval, so `converged` means width <= tol.
-    `estimate` is the midpoint of the interval before widening.
+    test measures the widened interval, so `converged` means width <= tol;
+    after COVERING_MAX_EVALS distance evaluations the search stops with the
+    enclosure it has, `converged` False. `estimate` is the midpoint of the
+    interval before widening.
     """
     _check_tol("tol", tol)
     from scipy.spatial import cKDTree
 
-    pts = ps.as_array() if isinstance(ps, LatticePointSet) else np.asarray(ps, float)
-    tree = cKDTree(pts)
-    d = pts.shape[1]
+    tree = cKDTree(ps.as_array())
+    d = ps.dim
     sqrt_d = math.sqrt(d)
     margin = _dist_margin(d) + 6 * sqrt_d * EPS
 
@@ -176,7 +175,7 @@ def covering_radius(
 
     offsets = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
     batch = max(1, 1024 // (1 << d))
-    while heap and is_open(-heap[0][0]) and n_evals < max_evals:
+    while heap and is_open(-heap[0][0]) and n_evals < COVERING_MAX_EVALS:
         cells = []
         while heap and len(cells) < batch and is_open(-heap[0][0]):
             cells.append(heapq.heappop(heap))
@@ -532,14 +531,6 @@ def distance_norms(
     return out
 
 
-def distance_norm(
-    ps: LatticePointSet, gamma: GammaValue, config: DistanceNormConfig | None = None
-) -> DistanceNormReport:
-    return distance_norms(ps, [gamma], config)[
-        math.inf if math.isinf(gamma) else gamma
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Proposition 1
 # ---------------------------------------------------------------------------
@@ -682,8 +673,7 @@ def error_proxy(
 ) -> float:
     """||dist(., P)||_gamma raised to the proxy exponent."""
     g = math.inf if spec.gamma == math.inf else float(spec.gamma)
-    rep = distance_norm(ps, g, config)
-    return rep.value ** float(spec.exponent)
+    return distance_norms(ps, [g], config)[g].value ** float(spec.exponent)
 
 
 def nn_baseline_error(
@@ -698,6 +688,8 @@ def nn_baseline_error(
     For q = inf and an L-Lipschitz f the result is at most
     L * (covering radius) + grid slack.
     """
+    if isinstance(grid_per_dim, bool) or not isinstance(grid_per_dim, int) or grid_per_dim < 1:
+        raise ValueError(f"grid_per_dim must be an integer >= 1, got {grid_per_dim!r}")
     from scipy.spatial import cKDTree
 
     pts = ps.as_array()

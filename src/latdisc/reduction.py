@@ -1,5 +1,4 @@
-"""LLL reduction, exact shortest vectors, the spectral test, and dual
-hyperplane families.
+"""LLL reduction, exact shortest vectors, and the spectral test.
 
 Every basis here is an integer matrix; the dual basis of an integration
 lattice is integral, and it is the only basis the spectral test reduces,
@@ -58,7 +57,7 @@ class SpectralReport:
     sigma: float
     shortest_dual: tuple[int, ...]
     dual_norm_sq: int
-    # LLL reduction of the dual basis, reused by `shortest_dual_vectors`
+    # LLL reduction of the dual basis, reused by Theorem 1's witness search
     dual_reduced: ReducedBasis = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -68,15 +67,6 @@ class SpectralReport:
             "dual_norm": math.sqrt(self.dual_norm_sq),
             "lll_delta": float(LLL_DELTA),
         }
-
-
-@dataclass(frozen=True)
-class HyperplaneFamily:
-    """The planes {h.x = k} for a dual vector h, restricted to the cube."""
-
-    h: tuple[int, ...]
-    k_min: int
-    k_max: int
 
 
 def _dot(u, v) -> int:
@@ -284,30 +274,4 @@ def spectral_test(lat: IntegrationLattice) -> SpectralReport:
         shortest_dual=sv.vector,
         dual_norm_sq=nsq,
         dual_reduced=dual_reduced,
-    )
-
-
-def shortest_dual_vectors(report: SpectralReport, k: int) -> list[tuple[int, ...]]:
-    """The k shortest dual-lattice vectors (one per sign pair) as integer
-    vectors, in `shortest_vectors` order, from the reduced dual basis of
-    `report`, the lattice's `spectral_test`; the first is its shortest_dual."""
-    return [sv.vector for sv in shortest_vectors(report.dual_reduced, k)]
-
-
-def hyperplane_family(lat: IntegrationLattice, h) -> HyperplaneFamily:
-    """Descriptor of the parallel planes {x : h.x = k} for a dual vector h.
-
-    Verifies h in L-perp exactly (B h = 0 mod D for the basis B / D);
-    reports the indices k whose plane meets the closed unit cube. The
-    planes are 1/||h|| apart.
-    """
-    h = tuple(int(x) for x in h)
-    if not any(h):
-        raise ValueError("h must be nonzero")
-    if any(_dot(row, h) % lat.denom for row in lat.basis):
-        raise ValueError("h is not in the dual lattice")
-    return HyperplaneFamily(
-        h=h,
-        k_min=sum(min(x, 0) for x in h),
-        k_max=sum(max(x, 0) for x in h),
     )

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from latdisc.convex import Ball, kappa, offset_volume, OffsetSpec, unit_cube
+from latdisc.convex import Ball, kappa, offset_volumes, unit_cube
 from latdisc.discrepancy import verify_thm1
 from latdisc.distance import (
     DistanceNormConfig,
     covering_radius,
-    distance_norm,
+    distance_norms,
     proxy_spec,
 )
 from latdisc.harness import (
@@ -124,7 +124,7 @@ def test_criterion_3_lemma2_lemma3(capsys, body_campaign):
     bad = [r for r in l2 + l3 if r["verdict"] == "FAIL"]
     assert bad == [], bad
     # cube outer offset at d=2, rho=0.1 equals the Steiner sum exactly
-    est = offset_volume(unit_cube(2), OffsetSpec(0.1, "outer"))
+    est = offset_volumes(unit_cube(2), [0.1], "outer")[0]
     expected = sum(math.comb(2, j) * kappa(j) * 0.1**j for j in (1, 2))
     assert abs(est - expected) <= 1e-12
     assert abs(est - 0.4314159265358979) <= 1e-12
@@ -161,7 +161,7 @@ def test_criterion_5_steiner_identity_and_lemma1(capsys, body_campaign):
         from latdisc.convex import parallel_volume_derivative_check, steiner_volume
 
         rho = 0.1
-        outer = offset_volume(body, OffsetSpec(rho, "outer"))
+        outer = offset_volumes(body, [rho], "outer")[0]
         ident = abs(outer - (steiner_volume(body, rho) - body.volume_exact()))
         assert ident <= 1e-12
         fd, analytic = parallel_volume_derivative_check(body, rho, 1e-3)
@@ -218,7 +218,7 @@ def test_criterion_7_proposition1(capsys, prop1_campaign):
     # equispaced d=1 closed form reproduced to 1e-10
     for n in (4, 64):
         ps = enumerate_points(rank1_lattice(n, (1,)))
-        rep = distance_norm(ps, 1.0, DistanceNormConfig())
+        rep = distance_norms(ps, [1.0], DistanceNormConfig())[1.0]
         assert abs(rep.value - (n + 1) / (4 * n * n)) <= 1e-10
 
     # covering-radius width <= 1e-4 for every d=2 member (campaign rows), and

@@ -110,7 +110,14 @@ def test_geom_commands(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "op,rho", [("offset", "nan"), ("boundary", "nan"), ("steiner", "nan"), ("steiner", "inf")]
+    "op,rho",
+    [
+        ("offset", "nan"),
+        ("boundary", "nan"),
+        ("steiner", "nan"),
+        ("steiner", "inf"),
+        ("offset", "inf"),
+    ],
 )
 def test_geom_rho_that_is_not_finite_is_a_usage_error(tmp_path, capsys, op, rho):
     body = tmp_path / "ball.json"
@@ -120,7 +127,9 @@ def test_geom_rho_that_is_not_finite_is_a_usage_error(tmp_path, capsys, op, rho)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"latdisc: error: rho must be a finite nonnegative number, got {rho}" in captured.err
+    # steiner takes any finite rho >= 0; offset volumes, as `offset_volumes`, only [0, 1]
+    expected = "be a finite nonnegative number" if op == "steiner" else "lie in [0, 1]"
+    assert f"latdisc: error: rho must {expected}, got {rho}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -326,6 +335,10 @@ def test_gen_dimension_below_one_is_a_usage_error(capsys, family, d):
         (("gen", "rank1", "--n", "5", "--g", "1,x"), "--g: entry 'x' is not an integer"),
         (("bounds", "remark", "--dims", "10,1e3"), "--dims: entry '1e3' is not an integer"),
         (("distnorm", "{spec}", "--gamma", "1,two"), "--gamma: entry 'two' is not a number or inf"),
+        (("distnorm", "{spec}", "--gamma", ""), "--gamma: the list is empty"),
+        (("distnorm", "{spec}", "--gamma", ","), "--gamma: the list is empty"),
+        (("bounds", "remark", "--dims", ""), "--dims: the list is empty"),
+        (("gen", "rank1", "--n", "5", "--g", ","), "--g: the list is empty"),
     ],
 )
 def test_bad_list_entry_names_the_flag_and_the_entry(tmp_path, capsys, argv, message):

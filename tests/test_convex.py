@@ -10,7 +10,6 @@ from latdisc.convex import (
     AxisBox,
     Ball,
     HPolytope,
-    OffsetSpec,
     VPolytope,
     binom_kappa_sum,
     body_from_json_dict,
@@ -22,7 +21,6 @@ from latdisc.convex import (
     inradius,
     kappa,
     log_kappa,
-    offset_volume,
     offset_volumes,
     parallel_body_volume,
     parallel_volume_derivative_check,
@@ -204,29 +202,29 @@ def test_projection_point_is_feasible_and_optimal():
 
 
 def test_offset_ball_annulus():
-    est = offset_volume(Ball([0.5, 0.5], 0.3), OffsetSpec(0.1, "outer"))
+    est = offset_volumes(Ball([0.5, 0.5], 0.3), [0.1], "outer")[0]
     assert est == pytest.approx(math.pi * (0.4**2 - 0.3**2), abs=1e-12)
 
 
 def test_offset_cube_outer_matches_lemma3_equality_case():
-    est = offset_volume(unit_cube(2), OffsetSpec(0.1, "outer"))
+    est = offset_volumes(unit_cube(2), [0.1], "outer")[0]
     assert est == pytest.approx(4 * 0.1 + math.pi * 0.01, abs=1e-12)
 
 
 def test_offset_rho_zero():
     for side in ("outer", "inner"):
-        assert offset_volume(unit_cube(2), OffsetSpec(0.0, side)) == 0.0
+        assert offset_volumes(unit_cube(2), [0.0], side)[0] == 0.0
 
 
 def test_offset_inner_cube():
-    est = offset_volume(unit_cube(3), OffsetSpec(0.05, "inner"))
+    est = offset_volumes(unit_cube(3), [0.05], "inner")[0]
     assert est == pytest.approx(1 - 0.9**3, abs=1e-12)
 
 
 def test_offset_matches_polygon_steiner_difference():
     tri = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]])
     rho = 0.08
-    est = offset_volume(tri, OffsetSpec(rho, "outer"))
+    est = offset_volumes(tri, [rho], "outer")[0]
     perim = 0.8 + 0.4 + math.hypot(0.8, 0.4)
     assert abs(est - (perim * rho + math.pi * rho**2)) <= 1e-12
 
@@ -240,8 +238,6 @@ def test_offset_volumes_shares_stream_and_is_monotone():
 @pytest.mark.parametrize("rho", [math.nan, math.inf, -0.1])
 def test_offset_radius_that_is_not_finite_nonnegative_is_rejected(rho):
     ball = Ball([0.5, 0.5], 0.3)
-    with pytest.raises(ValueError, match="rho"):
-        OffsetSpec(rho, "outer")
     with pytest.raises(ValueError, match="rho"):
         offset_volumes(ball, [0.05, rho], "inner")
     with pytest.raises(ValueError, match="rho"):
@@ -380,8 +376,8 @@ def test_lemma2_and_lemma3_small_sample():
     for d in (2, 3):
         for body in random_bodies(d, 4, rng):
             for rho in (0.05, 0.1):
-                outer = offset_volume(body, OffsetSpec(rho, "outer"))
-                inner = offset_volume(body, OffsetSpec(rho, "inner"))
+                outer = offset_volumes(body, [rho], "outer")[0]
+                inner = offset_volumes(body, [rho], "inner")[0]
                 assert outer >= inner
                 assert max(outer, inner) <= 2 ** (d + 3) * rho
 
@@ -389,17 +385,17 @@ def test_lemma2_and_lemma3_small_sample():
 def test_outer_offset_monotone_in_rho_exact_bodies():
     grid = np.linspace(0.0, 0.5, 11)
     for body in [Ball([0.5, 0.5], 0.25), AxisBox([0.2, 0.3], [0.7, 0.8]), unit_cube(3)]:
-        vals = [offset_volume(body, OffsetSpec(float(r), "outer")) for r in grid]
+        vals = [offset_volumes(body, [float(r)], "outer")[0] for r in grid]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_inner_offset_saturates_above_inradius():
     # K_rho is empty below -r(K), so the inner shell at rho > r(K) is all of K
     box = AxisBox([0.4, 0.1], [0.6, 0.9])  # inradius 0.1
-    est = offset_volume(box, OffsetSpec(0.11, "inner"))
+    est = offset_volumes(box, [0.11], "inner")[0]
     assert est == pytest.approx(box.volume_exact(), abs=1e-12)
     ball = Ball([0.5, 0.5], 0.2)
-    est = offset_volume(ball, OffsetSpec(0.21, "inner"))
+    est = offset_volumes(ball, [0.21], "inner")[0]
     assert est == pytest.approx(ball.volume_exact(), abs=1e-12)
 
 
@@ -509,9 +505,9 @@ def test_face_structure_is_built_only_for_intrinsic_volumes():
     body = _cut_cube_4d()
     for b in (hull, body):
         b.volume_exact()
-        offset_volume(b, OffsetSpec(0.05, "inner"))
+        offset_volumes(b, [0.05], "inner")
         assert _h_form(b)._face_set is None
-        offset_volume(b, OffsetSpec(0.05, "outer"))
+        offset_volumes(b, [0.05], "outer")
         assert _h_form(b)._face_set is not None
 
 
@@ -553,7 +549,7 @@ def test_axis_box_as_hpolytope_matches_box_closed_forms(d):
         assert abs(steiner_volume(h, rho) - box_steiner_volume(box.sides, rho)) <= 1e-12
         for side in ("outer", "inner"):
             exact = box_offset_volume(box, rho, side)
-            assert abs(offset_volume(h, OffsetSpec(rho, side)) - exact) <= 1e-12
+            assert abs(offset_volumes(h, [rho], side)[0] - exact) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -608,9 +604,9 @@ def test_polytope_offsets_match_monte_carlo_oracle(body):
         return (depth >= 0) & (depth <= rho)
 
     mc, se = _mc_oracle(outer, lo - rho, hi + rho, seed=31)
-    assert abs(offset_volume(body, OffsetSpec(rho, "outer")) - mc) <= 4 * se
+    assert abs(offset_volumes(body, [rho], "outer")[0] - mc) <= 4 * se
     mc, se = _mc_oracle(inner, lo, hi, seed=37)
-    assert abs(offset_volume(body, OffsetSpec(rho, "inner")) - mc) <= 4 * se
+    assert abs(offset_volumes(body, [rho], "inner")[0] - mc) <= 4 * se
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -621,10 +617,10 @@ def test_inner_side_below_and_above_the_inradius(d):
     assert inradius(simplex) == pytest.approx(r, abs=1e-12)
     assert simplex.volume_exact() == pytest.approx(vol, abs=1e-15)
     for rho in (0.01, 0.05, (1 - 1e-3) * r, (1 + 1e-3) * r):
-        inner = offset_volume(simplex, OffsetSpec(rho, "inner"))
+        inner = offset_volumes(simplex, [rho], "inner")[0]
         # the inner parallel body is the simplex scaled by 1 - rho / r
         assert inner == pytest.approx(vol * (1 - max(1 - rho / r, 0.0) ** d), abs=1e-12)
-    assert offset_volume(simplex, OffsetSpec(1.001 * r, "inner")) == simplex.volume_exact()
+    assert offset_volumes(simplex, [1.001 * r], "inner")[0] == simplex.volume_exact()
 
 
 def test_segment_neighbourhood_is_a_capsule():
@@ -639,9 +635,9 @@ def test_polytope_beyond_d4_raises_on_the_outer_side():
     with pytest.raises(ValueError, match="d = 5"):
         steiner_volume(cube5, 0.1)
     with pytest.raises(ValueError, match="d = 5"):
-        offset_volume(cube5, OffsetSpec(0.1, "outer"))
+        offset_volumes(cube5, [0.1], "outer")[0]
     # the inner side is a halfspace intersection, exact in any d
-    inner = offset_volume(cube5, OffsetSpec(0.1, "inner"))
+    inner = offset_volumes(cube5, [0.1], "inner")[0]
     assert inner == pytest.approx(1 - 0.8**5, abs=1e-12)
     assert parallel_body_volume(cube5, -0.5) == 0.0
 

@@ -25,7 +25,7 @@ from latdisc.lattice import (
     fibonacci_lattice,
     rank1_lattice,
 )
-from latdisc.reduction import shortest_dual_vectors, spectral_test
+from latdisc.reduction import shortest_vectors, spectral_test
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,19 @@ def test_slab_witness_rank1_5_12():
     }
 
 
+def test_slab_witness_rejects_a_vector_outside_the_dual():
+    with pytest.raises(ValueError, match="not in the dual"):
+        slab_witness(R5, (1, 0))
+    with pytest.raises(ValueError, match="nonzero"):
+        slab_witness(R5, (0, 0))
+    # (2, -1, 5) would pass the dual check on its first two entries alone
+    with pytest.raises(ValueError, match="h has length 3, the lattice dimension is 2"):
+        slab_witness(R5, (2, -1, 5))
+    # 2.7 was once truncated to 2, and the slab of (2, -1) came back
+    with pytest.raises(ValueError, match="h must have integer entries"):
+        slab_witness(R5, (2.7, -1))
+
+
 def test_slab_witness_z1_single_point():
     lat = rank1_lattice(1, (0,))
     w = slab_witness(lat, spectral_test(lat).shortest_dual)
@@ -290,8 +303,8 @@ def test_verify_thm1_fibonacci():
 
 
 def test_thm1_slab_floor_is_taken_at_the_witness_slab():
-    # the spectral test picks (0, 4, -1), the slab witness (-2, 2, 3) of the
-    # same norm; their floors differ (0.05 and 0.0625)
+    # the spectral test and the slab witness both pick (-2, 2, 3); (0, 4, -1)
+    # comes second, with the same norm^2 17, and a different floor (0.05, not 0.0625)
     lat = rank1_lattice(64, (51, 21, 20))
     _, witnesses = isotropic_lower_bound(lat)
     h, k = witnesses[0].dual_slab
@@ -367,9 +380,14 @@ def best_slab_by_scan(h):
     return best_k, vols[best_k]
 
 
+def shortest_dual_vectors(lat, k):
+    """The k shortest dual vectors of lat, in the spectral test's order."""
+    return [sv.vector for sv in shortest_vectors(spectral_test(lat).dual_reduced, k)]
+
+
 def test_slab_witness_records_its_best_index():
     lat = fibonacci_lattice(12)
-    for h in shortest_dual_vectors(spectral_test(lat), 4):
+    for h in shortest_dual_vectors(lat, 4):
         w = slab_witness(lat, h)
         best_k, vol = best_slab_by_scan(h)
         assert w.dual_slab == (h, best_k)
@@ -428,7 +446,7 @@ def test_isotropic_lower_bound_returns_only_certified_witnesses(lat):
     best, witnesses = isotropic_lower_bound(lat)
     assert {w.family for w in witnesses} == {"dual-slab"}
     assert all(w.certified for w in witnesses)
-    assert [w.dual_slab[0] for w in witnesses] == shortest_dual_vectors(spectral_test(lat), 10)
+    assert [w.dual_slab[0] for w in witnesses] == shortest_dual_vectors(lat, 10)
     assert best.local_value_exact == max(w.local_value_exact for w in witnesses)
 
 

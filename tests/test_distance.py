@@ -15,7 +15,6 @@ from latdisc.distance import (
     _grid_distance_chunks,
     covering_radius,
     dist_to_pointset,
-    distance_norm,
     distance_norms,
     error_proxy,
     hyperplane_section_constant,
@@ -26,7 +25,7 @@ from latdisc.distance import (
 from latdisc.discrepancy import halfspace_cube_volume
 from latdisc.harness import CorpusSpec, builtin_corpus, chunk_rng
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
-from latdisc.reduction import hyperplane_family, shortest_dual_vectors, spectral_test
+from latdisc.reduction import shortest_vectors, spectral_test
 
 
 EQUI4 = enumerate_points(rank1_lattice(4, (1,)))
@@ -57,6 +56,13 @@ def test_dist_to_pointset_basics():
     assert dist_to_pointset([0.5], EQUI4) == 0.0
 
 
+@pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+def test_dist_to_pointset_rejects_a_point_of_another_dimension(x):
+    # [0.5] once broadcast to (0.5, 0.5)
+    with pytest.raises(ValueError, match=r"x must have length 2, .* got shape"):
+        dist_to_pointset(x, P5)
+
+
 def test_covering_radius_single_point_d2():
     ps = enumerate_points(rank1_lattice(1, (0, 0)))
     cr = covering_radius(ps, tol=1e-6)
@@ -64,6 +70,17 @@ def test_covering_radius_single_point_d2():
     assert cr.lower <= math.sqrt(2) <= cr.upper + 1e-12
     assert cr.upper - cr.lower <= 1e-6
     assert cr.upper == pytest.approx(math.sqrt(2), abs=1e-5)
+
+
+def test_covering_radius_stops_unconverged_at_the_evaluation_cap(monkeypatch):
+    from latdisc import distance
+
+    full = covering_radius(P5, tol=1e-6)
+    monkeypatch.setattr(distance, "COVERING_MAX_EVALS", 50)
+    cr = covering_radius(P5, tol=1e-6)
+    assert full.converged and not cr.converged and cr.width > 1e-6
+    assert 50 <= cr.n_evals < 50 + 1024  # the cap is checked once per batch
+    assert cr.lower <= full.lower and full.upper <= cr.upper
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
@@ -106,10 +123,10 @@ def test_distance_norm_equispaced_closed_form():
     # independent oracle: (N+1)/(4 N^2) for N equispaced points
     for n in (4, 16, 64):
         ps = enumerate_points(rank1_lattice(n, (1,)))
-        rep = distance_norm(ps, 1.0, FAST)
+        rep = distance_norms(ps, [1.0], FAST)[1.0]
         assert rep.method == "closed-form-1d"
         assert rep.value == pytest.approx((n + 1) / (4 * n * n), abs=1e-10)
-    rep4 = distance_norm(EQUI4, 1.0, FAST)
+    rep4 = distance_norms(EQUI4, [1.0], FAST)[1.0]
     assert rep4.value == pytest.approx(5 / 64, abs=1e-12)
 
 
@@ -121,7 +138,7 @@ def test_d1_bracket_contains_the_exact_moment(gamma):
     n = 300_000
     g1 = gamma + 1
     exact = ((n - 1) * 2 * Fraction(1, 2 * n) ** g1 + Fraction(1, n) ** g1) / g1
-    rep = distance_norm(enumerate_points(rank1_lattice(n, (1,))), float(gamma))
+    rep = distance_norms(enumerate_points(rank1_lattice(n, (1,))), [gamma])[gamma]
     assert rep.method == "closed-form-1d"
     assert Fraction(rep.lower_certified) ** gamma <= exact <= Fraction(rep.upper_certified) ** gamma
     assert rep.upper_certified - rep.lower_certified <= 1e-9 * rep.value
@@ -135,7 +152,7 @@ def test_distance_norms_reject_a_gamma_that_is_not_positive(gamma):
 
 def test_distance_norm_single_point_d1():
     ps = enumerate_points(rank1_lattice(1, (0,)))
-    rep = distance_norm(ps, 1.0, FAST)
+    rep = distance_norms(ps, [1.0], FAST)[1.0]
     assert rep.value == pytest.approx(0.5, abs=1e-12)
 
 
@@ -189,7 +206,7 @@ def old_derivative_bounds(tree, d, m, g):
 
 def test_grid_norm_matches_mc_cross_check():
     ps = enumerate_points(fibonacci_lattice(9))
-    rep = distance_norm(ps, 2.0, FAST)
+    rep = distance_norms(ps, [2.0], FAST)[2.0]
     assert rep.method == "grid"
     mean, se = mc_moment_oracle(ps, [2.0])[2.0]
     assert rep.lower_certified**2 <= mean + 4 * se
@@ -275,7 +292,7 @@ def test_enclosures_hold_in_exact_arithmetic():
     assert Fraction(cr.lower) ** 2 < 2 < Fraction(cr.upper) ** 2
     assert cr.converged and cr.width <= 1e-6
     # the integral of |x|^2 over the square is 2/3
-    rep = distance_norm(enumerate_points(rank1_lattice(1, (0, 0))), 2.0)
+    rep = distance_norms(enumerate_points(rank1_lattice(1, (0, 0))), [2.0])[2.0]
     assert Fraction(rep.lower_certified) ** 2 < Fraction(2, 3) < Fraction(rep.upper_certified) ** 2
 
 
@@ -283,7 +300,7 @@ def test_grid_certificate_brackets_closed_form_2d():
     # single point at the origin in d=2: integral of ||x||^1 over the square
     # is (sqrt(2) + asinh(1)) / 3
     ps = enumerate_points(rank1_lattice(1, (0, 0)))
-    rep = distance_norm(ps, 1.0, DistanceNormConfig(grid_resolution=401))
+    rep = distance_norms(ps, [1.0], DistanceNormConfig(grid_resolution=401))[1.0]
     exact = (math.sqrt(2) + math.asinh(1.0)) / 3
     assert rep.lower_certified <= exact <= rep.upper_certified
 
@@ -294,7 +311,7 @@ def test_grid_certificate_brackets_closed_form_3d(gamma, moment):
     # 1 and of ||x||^4 is 3/5 + 6/9 = 19/15
     ps = enumerate_points(rank1_lattice(1, (0, 0, 0)))
     cfg = DistanceNormConfig(grid_resolution=101)
-    rep = distance_norm(ps, gamma, cfg)
+    rep = distance_norms(ps, [gamma], cfg)[gamma]
     assert rep.method == "grid" and rep.resolution == 101
     assert rep.lower_certified <= moment ** (1 / gamma) <= rep.upper_certified
 
@@ -380,16 +397,15 @@ def test_grid_pass_peak_memory_is_bounded():
 # Slab unions: the oracle for Vol(B_t) = 2t in verify_prop1
 # ---------------------------------------------------------------------------
 
-def slab_union_volume(lat, h, t: Fraction) -> Fraction:
+def slab_union_volume(h, t: Fraction) -> Fraction:
     """Exact Vol(B_t) = sum_k Vol({|h.x - k| < t} cap cube) over the planes
     h.x = k that meet the cube, for a dual vector h and 0 < t < 1/2: the
     plane-by-plane sum that verify_prop1's closed form 2t replaces."""
     assert 0 < t < Fraction(1, 2)
-    fam = hyperplane_family(lat, h)
     return sum(
         (
-            halfspace_cube_volume(fam.h, k + t) - halfspace_cube_volume(fam.h, k - t)
-            for k in range(fam.k_min, fam.k_max + 1)
+            halfspace_cube_volume(h, k + t) - halfspace_cube_volume(h, k - t)
+            for k in range(sum(min(x, 0) for x in h), sum(max(x, 0) for x in h) + 1)
         ),
         Fraction(0),
     )
@@ -402,13 +418,12 @@ def prop1_t(d: int) -> Fraction:
 
 
 def test_slab_union_volume_1d():
-    lat = rank1_lattice(1, (0,))
-    assert slab_union_volume(lat, (1,), Fraction(1, 4)) == Fraction(1, 2)
+    assert slab_union_volume((1,), Fraction(1, 4)) == Fraction(1, 2)
 
 
 def test_slab_union_volume_rank1_5_12():
     t = Fraction(1, 10)
-    vol_bt = slab_union_volume(R5, (2, -1), t)
+    vol_bt = slab_union_volume((2, -1), t)
     # direct check: widths 2t in functional units across k = -1, 0, 1, 2
     expect = sum(
         halfspace_cube_volume((2, -1), k + t) - halfspace_cube_volume((2, -1), k - t)
@@ -428,7 +443,7 @@ def test_prop1_vol_a_is_the_exact_slab_union_on_the_default_corpus():
         lat = rank1_lattice(n, g)
         rep = spectral_test(lat)
         t = ts[lat.dim]
-        vol_bt = slab_union_volume(lat, rep.shortest_dual, t)
+        vol_bt = slab_union_volume(rep.shortest_dual, t)
         assert vol_bt == 2 * t, lattice_id
         p1 = verify_prop1(lat, gammas=(), report=rep, norm_reports={})
         assert p1.vol_a_td == float(1 - vol_bt) and p1.vol_a_ok, lattice_id
@@ -512,6 +527,12 @@ def test_nn_baseline_constant_function():
     assert nn_baseline_error(P5, lambda x: np.ones(len(x)), math.inf) == 0.0
 
 
+@pytest.mark.parametrize("m", [0, -1, 2.0, True, None])
+def test_nn_baseline_rejects_a_grid_that_is_not_a_positive_integer(m):
+    with pytest.raises(ValueError, match="grid_per_dim must be an integer >= 1"):
+        nn_baseline_error(P5, lambda x: x[:, 0], math.inf, grid_per_dim=m)
+
+
 def test_nn_baseline_identity_1d():
     ps = enumerate_points(rank1_lattice(8, (1,)))
     err = nn_baseline_error(ps, lambda x: x[:, 0], math.inf, grid_per_dim=4001)
@@ -537,7 +558,8 @@ def test_slab_union_volume_is_2t_for_every_shortest_dual_vector(n, g, t):
     lat = rank1_lattice(n, g)
     rep = spectral_test(lat)
     # d <= 4 has at most 12 shortest vectors up to sign
-    ties = [h for h in shortest_dual_vectors(rep, 12) if sum(x * x for x in h) == rep.dual_norm_sq]
+    duals = shortest_vectors(rep.dual_reduced, 12)
+    ties = [sv.vector for sv in duals if sv.norm_sq_exact == rep.dual_norm_sq]
     assert ties[0] == rep.shortest_dual
     for h in ties:
-        assert slab_union_volume(lat, h, t) == 2 * t
+        assert slab_union_volume(h, t) == 2 * t

@@ -19,9 +19,7 @@ from latdisc.lattice import (
 )
 from latdisc.reduction import (
     LLL_DELTA,
-    hyperplane_family,
     lll_reduce,
-    shortest_dual_vectors,
     shortest_vectors,
     spectral_test,
 )
@@ -364,27 +362,6 @@ def test_shortest_vectors_k_list_is_sorted_and_distinct():
         assert (h[0] + 34 * h[1]) % 55 == 0
 
 
-def test_hyperplane_family_z2():
-    fam = hyperplane_family(rank1_lattice(1, (0, 0)), (1, 0))
-    assert (fam.h, fam.k_min, fam.k_max) == ((1, 0), 0, 1)
-
-
-def test_hyperplane_family_rank1_5_12():
-    lat = rank1_lattice(5, (1, 2))
-    fam = hyperplane_family(lat, (2, -1))
-    assert (fam.k_min, fam.k_max) == (-1, 2)
-    rep = spectral_test(lat)
-    # the cube's diagonal sqrt(2) crosses at most sqrt(2) / sigma + 1 gaps
-    assert fam.k_max - fam.k_min + 1 <= math.sqrt(2) / rep.sigma + 2
-
-
-def test_hyperplane_family_rejects_non_dual():
-    with pytest.raises(ValueError):
-        hyperplane_family(rank1_lattice(5, (1, 2)), (1, 0))
-    with pytest.raises(ValueError):
-        hyperplane_family(rank1_lattice(5, (1, 2)), (0, 0))
-
-
 def test_every_point_on_some_hyperplane():
     from latdisc.lattice import enumerate_points
 
@@ -413,6 +390,8 @@ REUSE_CORPUS = CorpusSpec(
     "entry", builtin_corpus(REUSE_CORPUS, 20200817), ids=lambda e: e[0]
 )
 def test_shortest_dual_vectors_reuse_the_reports_reduction(entry, monkeypatch):
+    from latdisc.discrepancy import isotropic_lower_bound
+
     lat = rank1_lattice(*entry[1:])
     fresh = [sv.vector for sv in shortest_vectors(lll_reduce(dual_basis(lat)), 10)]
     rep = spectral_test(lat)
@@ -420,10 +399,16 @@ def test_shortest_dual_vectors_reuse_the_reports_reduction(entry, monkeypatch):
     calls = []
     real = reduction.lll_reduce
     monkeypatch.setattr(reduction, "lll_reduce", lambda *a, **k: calls.append(a) or real(*a, **k))
-    assert shortest_dual_vectors(rep, 10) == fresh
+    _, witnesses = isotropic_lower_bound(lat, report=rep)
+    assert [w.dual_slab[0] for w in witnesses] == fresh
     assert calls == []  # the report's reduced dual basis is used as is
     assert fresh[0] == rep.shortest_dual
     assert sum(x * x for x in fresh[0]) == rep.dual_norm_sq
+
+
+def dual_vectors(rep, k):
+    """The k shortest dual vectors from the report's reduced dual basis."""
+    return [sv.vector for sv in shortest_vectors(rep.dual_reduced, k)]
 
 
 DEFAULT_CORPUS = {lid: (n, g) for lid, n, g in builtin_corpus(CorpusSpec(), 20200817)}
@@ -433,7 +418,7 @@ def test_spectral_test_names_the_first_shortest_dual_vector_on_the_default_corpu
     assert len(DEFAULT_CORPUS) == 260
     for lattice_id, (n, g) in DEFAULT_CORPUS.items():
         rep = spectral_test(rank1_lattice(n, g))
-        assert rep.shortest_dual == shortest_dual_vectors(rep, 10)[0], lattice_id
+        assert rep.shortest_dual == dual_vectors(rep, 10)[0], lattice_id
 
 
 # two shortest dual vectors each, on which two tie rules once picked different ones
@@ -450,7 +435,7 @@ def test_every_check_uses_the_same_shortest_dual_vector(lattice_id):
     rep = spectral_test(lat)
     _, witnesses = discrepancy.isotropic_lower_bound(lat, report=rep)
     h = rep.shortest_dual
-    assert shortest_dual_vectors(rep, 10)[0] == h
+    assert dual_vectors(rep, 10)[0] == h
     assert witnesses[0].dual_slab[0] == h
-    ties = [v for v in shortest_dual_vectors(rep, 12) if norm_sq(v) == rep.dual_norm_sq]
+    ties = [v for v in dual_vectors(rep, 12) if norm_sq(v) == rep.dual_norm_sq]
     assert len(ties) == (2 if lattice_id in TIED else 1)
