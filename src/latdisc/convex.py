@@ -11,9 +11,10 @@ d <= 4) and its inner parallel body is again an H-polytope, measured by
 qhull.
 
 Importing this module loads numpy only. scipy is imported inside the
-functions that call it: qhull and the LP by the polytope methods, gammaln
-and logsumexp by `binom_kappa_sum`. A V-polytope decides its kind in numpy
-when it is built and builds its qhull H-form on first use.
+functions that call it: qhull and the Chebyshev LP by the polytope
+methods, gammaln and logsumexp by `binom_kappa_sum`. A V-polytope decides
+its kind in numpy when it is built and builds its qhull H-form on first
+use.
 """
 
 from __future__ import annotations
@@ -105,6 +106,15 @@ def remark_upper(d: int, kappa_exp: float) -> float:
 # Convex bodies
 # ---------------------------------------------------------------------------
 
+def _finite(field: str, values) -> np.ndarray:
+    """`values` as a float array; ValueError naming the field if an entry is
+    nan or infinite."""
+    array = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{field} must be finite, got {array.tolist()}")
+    return array
+
+
 class ConvexBody:
     """Common surface for the body variants; coordinates are floats."""
 
@@ -125,8 +135,8 @@ class Ball(ConvexBody):
     variant = "ball"
 
     def __init__(self, center: Sequence[float], radius: float):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
+        self.center = _finite("center", center)
+        self.radius = float(_finite("radius", radius))
         self.dim = self.center.shape[0]
         if self.radius <= 0:
             raise ValueError("radius must be positive")
@@ -153,8 +163,8 @@ class AxisBox(ConvexBody):
     variant = "axis_box"
 
     def __init__(self, lower: Sequence[float], upper: Sequence[float]):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
+        self.lower = _finite("lower", lower)
+        self.upper = _finite("upper", upper)
         self.dim = self.lower.shape[0]
         if self.upper.shape != self.lower.shape:
             raise ValueError("lower/upper shape mismatch")
@@ -186,12 +196,15 @@ def unit_cube(d: int) -> AxisBox:
 
 
 class _Faces:
-    """The face lattice of a polytope, for its intrinsic volumes: every
-    proper face stored once by its vertex set (a bit mask), its dimension
+    """The face lattice of a polytope, for its intrinsic volumes. The proper
+    faces are the planes' vertex sets closed under intersection, each stored
+    once, in order of vertex count and then of vertex set: a row of the
+    boolean face x vertex matrix `members`, its vertex count, its dimension
     and an orthonormal basis of its affine hull (an SVD of the vertex
-    differences with a rank tolerance), and the unit normal of each facet.
-    The faces are the planes' vertex sets closed under intersection; the
-    vertices themselves are the 0-dimensional faces.
+    differences with a rank tolerance, one stacked SVD per vertex count).
+    `in_facet` is the boolean face x facet incidence and `facet_normals` the
+    facets' unit normals, in face order. The vertices themselves are the
+    0-dimensional faces.
     """
 
     def __init__(self, vertices: np.ndarray, unit_normals: np.ndarray, unit_offsets: np.ndarray):
@@ -200,30 +213,61 @@ class _Faces:
         # by the planes it lies on, so one copy per incidence row is kept
         keep = np.sort(np.unique(incident, axis=0, return_index=True)[1])
         vertices, incident = vertices[keep], incident[keep]
-        planes: dict[int, int] = {}  # vertex set -> first plane with that set
-        for i, col in enumerate(incident.T):
-            planes.setdefault(sum(1 << int(k) for k in np.flatnonzero(col)), i)
+        n, d = vertices.shape
+        planes: dict[int, int] = {}  # vertex set (bit i: vertex i) -> first plane with that set
+        for i, col in enumerate(np.packbits(incident, axis=0, bitorder="little").T):
+            planes.setdefault(int.from_bytes(col.tobytes(), "little"), i)
         planes.pop(0, None)
         faces, frontier = set(planes), set(planes)
         while frontier:
             frontier = {a & b for a in frontier for b in planes} - faces - {0}
             faces |= frontier
+        masks = sorted(faces, key=lambda f: (f.bit_count(), f))
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(f.to_bytes(width, "little") for f in masks), np.uint8)
         self.vertices = vertices
-        self.faces: list[tuple[int, int, np.ndarray]] = []  # (mask, dim, basis)
-        d = vertices.shape[1]
-        for mask in sorted(faces, key=lambda f: (f.bit_count(), f)):
-            members = self._members(mask)
-            _, s, vt = np.linalg.svd(members[1:] - members[0], full_matrices=False)
-            rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s[0]))) if s.size else 0
-            self.faces.append((mask, rank, vt[:rank]))
+        self.members = np.unpackbits(
+            packed.reshape(len(masks), width), axis=1, count=n, bitorder="little"
+        ).astype(bool)
+        self.counts = self.members.sum(axis=1)
+        self.dims = np.zeros(len(masks), dtype=int)
+        self.bases = [np.zeros((0, d))] * len(masks)
+        for count in np.unique(self.counts):
+            group = np.flatnonzero(self.counts == count)
+            points = self._stacked(group)
+            _, s, vt = np.linalg.svd(points[:, 1:] - points[:, :1], full_matrices=False)
+            self.dims[group] = np.count_nonzero(s > RANK_TOL * np.maximum(1.0, s[:, :1]), axis=1)
+            for f, basis in zip(group, vt):
+                self.bases[f] = basis[: self.dims[f]]
         # a facet is a vertex set of dimension d - 1: a redundant plane touches
         # the body in a smaller face, and coplanar planes share one vertex set
-        self.facet_normals = {
-            mask: unit_normals[planes[mask]] for mask, dim, _ in self.faces if dim == d - 1
-        }
+        facets = np.flatnonzero(self.dims == d - 1)
+        self.facet_normals = unit_normals[[planes[masks[f]] for f in facets]]
+        # a face lies in a facet iff none of its vertices is outside it
+        outside = self.members.astype(np.int64) @ (~self.members[facets]).T.astype(np.int64)
+        self.in_facet = outside == 0
 
-    def _members(self, mask: int) -> np.ndarray:
-        return self.vertices[[i for i in range(len(self.vertices)) if mask >> i & 1]]
+    def _stacked(self, group: np.ndarray) -> np.ndarray:
+        """The vertices of faces of one vertex count, in vertex order, as a
+        (faces, count, d) array."""
+        d = self.vertices.shape[1]
+        return self.vertices[np.nonzero(self.members[group])[1]].reshape(len(group), -1, d)
+
+    def external_angles(self) -> np.ndarray:
+        """The external angle of each face of dimension >= 1, nan at the
+        vertices: 1/2 at a facet, else the angle of the cone spanned by the
+        unit normals of the facets that contain the face, taken together
+        for all faces of one codimension and one number of facets."""
+        d = self.vertices.shape[1]
+        codims = d - self.dims
+        sizes = self.in_facet.sum(axis=1)
+        angles = np.where(codims == 1, 0.5, np.nan)
+        cones = (self.dims > 0) & (codims > 1)
+        for codim, k in set(zip(codims[cones], sizes[cones])):
+            group = np.flatnonzero(cones & (codims == codim) & (sizes == k))
+            normals = self.facet_normals[np.nonzero(self.in_facet[group])[1]].reshape(-1, k, d)
+            angles[group] = _wedge_angles(normals) if codim == 2 else _solid_angles(normals)
+        return angles
 
     def intrinsic_volumes(self, volume: float) -> np.ndarray:
         """V_0..V_d of the polytope of this volume: V_0 = 1, V_d = volume and
@@ -231,44 +275,62 @@ class _Faces:
         (Schneider, Convex Bodies, 2nd ed., ch. 4). For d <= 4 every face of
         dimension 1..d-1 has a normal cone of dimension at most 3. vol_j(F)
         is taken in coordinates of aff(F): an edge's length, else qhull's
-        volume."""
+        volume. The terms are added one face at a time, in face order."""
         from scipy.spatial import ConvexHull
 
         d = self.vertices.shape[1]
+        contents = np.zeros(len(self.dims))
+        edges = np.flatnonzero(self.dims == 1)
+        for count in np.unique(self.counts[edges]):
+            group = edges[self.counts[edges] == count]
+            along = _matvec(self._stacked(group), np.array([self.bases[f][0] for f in group]))
+            contents[group] = np.ptp(along, axis=1)
+        for f in np.flatnonzero(self.dims > 1):
+            contents[f] = ConvexHull(self.vertices[self.members[f]] @ self.bases[f].T).volume
         v = np.zeros(d + 1)
         v[0], v[d] = 1.0, volume
-        for mask, dim, basis in self.faces:
-            if dim == 0:
-                continue
-            coords = self._members(mask) @ basis.T
-            content = float(np.ptp(coords)) if dim == 1 else float(ConvexHull(coords).volume)
-            normals = np.array([n for f, n in self.facet_normals.items() if f & mask == mask])
-            v[dim] += content * _external_angle(normals, d - dim)
+        faces = np.flatnonzero(self.dims > 0)
+        np.add.at(v, self.dims[faces], contents[faces] * self.external_angles()[faces])
         return v
 
 
-def _external_angle(normals: np.ndarray, codim: int) -> float:
-    """Solid angle of the cone spanned by the unit facet normals of a face,
-    as a fraction of the full sphere of dimension codim - 1 (codim <= 3).
+def _wedge_angles(normals: np.ndarray) -> np.ndarray:
+    """The angle between the two unit normals of each (2, d) stack entry, as
+    a fraction of the full circle."""
+    cos = _dot(normals[:, 0], normals[:, 1])
+    return np.arccos(np.clip(cos, -1.0, 1.0)) / (2 * math.pi)
 
-    For codim 3 the normals are taken to coordinates of their 3-d span and
-    sorted cyclically about their mean m, which lies inside the cone; the
-    cone is then the fan of triangles (m, n_i, n_i+1), each measured by the
-    Van Oosterom-Strackee formula (IEEE Trans. Biomed. Eng., 1983)."""
-    if codim == 1:
-        return 0.5
-    if codim == 2:
-        return math.acos(float(np.clip(normals[0] @ normals[1], -1.0, 1.0))) / (2 * math.pi)
-    u = normals @ np.linalg.svd(normals)[2][:3].T
-    m = u.sum(axis=0)
-    m /= np.linalg.norm(m)
-    e1 = u[0] - (u[0] @ m) * m
-    e1 /= np.linalg.norm(e1)
-    a = u[np.argsort(np.arctan2(u @ np.cross(m, e1), u @ e1))]
-    b = np.roll(a, -1, axis=0)
-    num = np.abs(np.cross(a, b) @ m)
-    den = 1.0 + a @ m + b @ m + np.einsum("ij,ij->i", a, b)
-    return float(2 * np.arctan2(num, den).sum()) / (4 * math.pi)
+
+def _solid_angles(normals: np.ndarray) -> np.ndarray:
+    """The solid angle of the cone spanned by the k unit normals of each
+    (k, d) stack entry, whose span is 3-dimensional, as a fraction of the
+    full sphere.
+
+    The normals are taken to coordinates of their 3-d span and sorted
+    cyclically about their mean m, which lies inside the cone; the cone is
+    then the fan of triangles (m, n_i, n_i+1), each measured by the Van
+    Oosterom-Strackee formula (IEEE Trans. Biomed. Eng., 1983)."""
+    u = normals @ np.linalg.svd(normals)[2][:, :3].transpose(0, 2, 1)
+    m = u.sum(axis=1)
+    m /= np.sqrt(_dot(m, m))[:, None]
+    e1 = u[:, 0] - _dot(u[:, 0], m)[:, None] * m
+    e1 /= np.sqrt(_dot(e1, e1))[:, None]
+    order = np.argsort(np.arctan2(_matvec(u, np.cross(m, e1)), _matvec(u, e1)), axis=1)
+    a = np.take_along_axis(u, order[:, :, None], axis=1)
+    b = np.roll(a, -1, axis=1)
+    num = np.abs(_matvec(np.cross(a, b), m))
+    den = 1.0 + _matvec(a, m) + _matvec(b, m) + np.einsum("bij,bij->bi", a, b)
+    return 2 * np.arctan2(num, den).sum(axis=1) / (4 * math.pi)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row i, rounded as that product is."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a[i] @ v[i] for each matrix a[i] and row v[i], rounded as that product is."""
+    return (a @ v[:, :, None])[:, :, 0]
 
 
 class HPolytope(ConvexBody):
@@ -277,8 +339,8 @@ class HPolytope(ConvexBody):
     variant = "h_polytope"
 
     def __init__(self, normals, offsets, skip_checks: bool = False):
-        self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        self.offsets = np.asarray(offsets, dtype=float)
+        self.normals = np.atleast_2d(_finite("normals", normals))
+        self.offsets = _finite("offsets", offsets)
         self.dim = self.normals.shape[1]
         if self.offsets.shape != self.normals.shape[:1]:
             raise ValueError(
@@ -323,37 +385,43 @@ class HPolytope(ConvexBody):
 
     def _check_nonempty_and_contained(self):
         """Full-dimensional (the Chebyshev LP), bounded, and inside the cube
-        up to 1e-9. {A x <= b} is bounded iff its recession cone {A y <= 0}
-        is {0}, iff (Stiemke's alternative) rank A = d and A^T lam = 0 has a
-        solution with lam > 0, here lam >= 1: one LP. The extremes of the
-        vertices then decide containment."""
-        from scipy.optimize import linprog
+        up to 1e-9. qhull intersects the halfspaces in the dual about the
+        Chebyshev centre c, where plane i is the point a_i / (b_i - a_i . c);
+        {A x <= b} is bounded iff the origin is strictly inside the hull of
+        those points, that is every dual facet offset is below -1e-9. qhull
+        fails on points that span less than R^d (k <= d or rank A < d), an
+        unbounded set as well. The vertices found are kept, and their
+        extremes decide containment."""
+        from scipy.spatial import QhullError
 
         if self._chebyshev()[1] <= 0:
             raise EmptyBodyError("H-polytope has an empty interior")
-        k, d = self.normals.shape
-        res = linprog(
-            c=np.zeros(k),
-            A_eq=self.normals.T,
-            b_eq=np.zeros(d),
-            bounds=[(1.0, None)] * k,
-            method="highs",
-        )
-        if res.status != 0 or np.linalg.matrix_rank(self.normals) < d:
+        try:
+            hs = self._halfspace_intersection()
+        except QhullError:
+            hs = None
+        if hs is None or np.any(hs.dual_equations[:, -1] >= -1e-9):
             raise ValueError("H-polytope is unbounded")
+        self._vertices = hs.intersections
         lo, hi = self.bounding_box()
         if np.any(lo < -1e-9) or np.any(hi > 1 + 1e-9):
             raise ValueError("H-polytope is not contained in the unit cube")
 
-    def _vertex_array(self) -> np.ndarray:
-        """The vertices, from qhull's halfspace intersection seeded at the
-        Chebyshev centre unless they were set as known; a non-simple vertex
-        may appear more than once."""
-        if self._vertices is None:
-            from scipy.spatial import HalfspaceIntersection
+    def _halfspace_intersection(self):
+        """qhull's halfspace intersection seeded at the Chebyshev centre. On
+        an unbounded set its vertices at infinity divide by zero; the caller
+        rejects that set, so the warnings are silenced."""
+        from scipy.spatial import HalfspaceIntersection
 
-            halfspaces = np.c_[self.normals, -self.offsets]
-            self._vertices = HalfspaceIntersection(halfspaces, self._chebyshev()[0]).intersections
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return HalfspaceIntersection(np.c_[self.normals, -self.offsets], self._chebyshev()[0])
+
+    def _vertex_array(self) -> np.ndarray:
+        """The vertices, from qhull's halfspace intersection unless they were
+        found by the checks or set as known; a non-simple vertex may appear
+        more than once."""
+        if self._vertices is None:
+            self._vertices = self._halfspace_intersection().intersections
         return self._vertices
 
     def _faces(self) -> _Faces:
@@ -428,7 +496,7 @@ class VPolytope(ConvexBody):
     variant = "v_polytope"
 
     def __init__(self, vertices):
-        self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
+        self.vertices = np.atleast_2d(_finite("vertices", vertices))
         self.dim = self.vertices.shape[1]
         if self.vertices.size == 0:
             raise ValueError("vertex list is empty")

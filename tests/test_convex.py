@@ -31,7 +31,7 @@ from latdisc.convex import (
     unit_cube,
 )
 from latdisc.errors import EmptyBodyError
-from latdisc.harness import chunk_rng
+from latdisc.harness import Budgets, chunk_rng
 
 MC_CHUNK = 1 << 16
 
@@ -81,8 +81,8 @@ def polytope_distance(body, x, cap=math.inf):
     dist = np.where(margin <= 0, 0.0, np.inf)
     nearest = x.copy()
     out = np.flatnonzero((margin > 0) & (margin <= cap))
-    for mask, _, basis in faces.faces:
-        o = faces._members(mask)[0]
+    for members, basis in zip(faces.members, faces.bases):
+        o = faces.vertices[members][0]
         p = o + (x[out] - o) @ basis.T @ basis
         r = np.linalg.norm(x[out] - p, axis=1)
         better = ((p @ a.T - b).max(axis=1) <= 1e-10) & (r < dist[out])
@@ -293,8 +293,58 @@ def test_inradius_empty_body_raises():
     ids=["strip", "half-strip"],
 )
 def test_hpolytope_unbounded_with_finite_inradius_raises(normals, offsets):
-    with pytest.raises(ValueError, match="unbounded"):
-        HPolytope(normals, offsets)
+    # qhull's vertices at infinity divide by zero; that must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="unbounded"):
+            HPolytope(normals, offsets)
+
+
+def test_hpolytope_runs_one_lp_and_one_halfspace_intersection(monkeypatch):
+    import scipy.optimize
+    import scipy.spatial
+
+    calls = {"linprog": 0, "HalfspaceIntersection": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(scipy.optimize, "linprog")
+    counted(scipy.spatial, "HalfspaceIntersection")
+    body = _cut_cube_4d()
+    body.bounding_box()
+    body.volume_exact()
+    body.intrinsic_volumes()
+    assert calls == {"linprog": 1, "HalfspaceIntersection": 1}
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: AxisBox([math.nan, 0.0], [1.0, 1.0]), "lower"),
+        (lambda: AxisBox([0.0, 0.0], [1.0, math.inf]), "upper"),
+        (lambda: Ball([0.5, math.nan], 0.1), "center"),
+        (lambda: Ball([0.5, 0.5], math.nan), "radius"),
+        (lambda: VPolytope([[0.1, 0.1], [math.nan, 0.2], [0.3, 0.9]]), "vertices"),
+        (lambda: HPolytope([[1.0, 0.0], [math.nan, 1.0], [0.0, -1.0]], [1.0, 1.0, 0.0]), "normals"),
+        (
+            lambda: HPolytope(
+                [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.5, 0.0, math.inf, 0.0]
+            ),
+            "offsets",
+        ),
+    ],
+    ids=["lower", "upper", "center", "radius", "vertices", "normals", "offsets"],
+)
+def test_non_finite_body_input_is_rejected_naming_the_field(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build()
 
 
 def test_hpolytope_outside_cube_raises():
@@ -575,6 +625,75 @@ def test_rotated_box_intrinsic_volumes_are_elementary_symmetric(d):
         corners = centre + (np.array(list(itertools.product((-0.5, 0.5), repeat=d))) * sides) @ rot.T
         for body in (h, VPolytope(corners)):
             assert np.max(np.abs(body.intrinsic_volumes() - want)) <= 1e-12
+
+
+def _external_angle(normals, codim):
+    """Test-only oracle, one face at a time: the external angle of a face of
+    codimension `codim` <= 3 from the unit normals of the facets that contain
+    it, as a fraction of the full sphere of dimension codim - 1. For codim 3
+    the normals are taken to coordinates of their 3-d span, sorted
+    cyclically about their mean m, and the cone is the fan of triangles
+    (m, n_i, n_i+1), each measured by the Van Oosterom-Strackee formula."""
+    if codim == 1:
+        return 0.5
+    if codim == 2:
+        return math.acos(float(np.clip(normals[0] @ normals[1], -1.0, 1.0))) / (2 * math.pi)
+    u = normals @ np.linalg.svd(normals)[2][:3].T
+    m = u.sum(axis=0)
+    m /= np.linalg.norm(m)
+    e1 = u[0] - (u[0] @ m) * m
+    e1 /= np.linalg.norm(e1)
+    a = u[np.argsort(np.arctan2(u @ np.cross(m, e1), u @ e1))]
+    b = np.roll(a, -1, axis=0)
+    num = np.abs(np.cross(a, b) @ m)
+    den = 1.0 + a @ m + b @ m + np.einsum("ij,ij->i", a, b)
+    return float(2 * np.arctan2(num, den).sum()) / (4 * math.pi)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_external_angles_match_the_per_face_oracle(d):
+    # every face of dimension >= 1 of every polytope in the acceptance corpus
+    compared = 0
+    for index in range(Budgets().body_count):
+        body = _acceptance_body(d, index)
+        if not isinstance(body, (HPolytope, VPolytope)):
+            continue
+        faces = _h_form(body)._faces()
+        angles = faces.external_angles()
+        for f in np.flatnonzero(faces.dims > 0):
+            want = _external_angle(faces.facet_normals[faces.in_facet[f]], d - faces.dims[f])
+            assert abs(angles[f] - want) <= 1e-15
+            compared += 1
+    assert compared > 100
+
+
+def _cross_polytope_4d(r):
+    """The 16-cell conv{0.5 +- r e_i} as a V-polytope and as an H-polytope,
+    whose facets are s . (x - 0.5) <= r for the 16 sign vectors s."""
+    centre = np.full(4, 0.5)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+    vertices = np.vstack([centre + r * np.eye(4), centre - r * np.eye(4)])
+    return VPolytope(vertices), HPolytope(signs, signs @ centre + r)
+
+
+def test_non_simple_16_cell_intrinsic_volumes():
+    # the 24 edges (length r sqrt 2) each lie in 4 facets, the 32 triangles
+    # (area r^2 sqrt 3 / 2) in 2; 16 tetrahedral facets of volume r^3 / 3
+    r = 0.4
+    edge_normals = np.array([[1.0, 1.0, s, t] for s in (-1, 1) for t in (-1, 1)]) / 2
+    triangle_normals = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]]) / 2
+    want = [
+        1.0,
+        24 * math.sqrt(2) * r * _external_angle(edge_normals, 3),
+        32 * math.sqrt(3) / 2 * r**2 * _external_angle(triangle_normals, 2),
+        8 * r**3 / 3,
+        2 * r**4 / 3,
+    ]
+    for body in _cross_polytope_4d(r):
+        faces = _h_form(body)._faces()
+        assert np.bincount(faces.dims).tolist() == [8, 24, 32, 16]
+        assert np.all(faces.in_facet[faces.dims == 1].sum(axis=1) == 4)
+        np.testing.assert_allclose(body.intrinsic_volumes(), want, rtol=1e-14, atol=0)
 
 
 def _mc_oracle(indicator, lo, hi, seed, n=1 << 17):
