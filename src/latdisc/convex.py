@@ -12,14 +12,12 @@ qhull.
 
 Importing this module loads numpy only. scipy is imported inside the
 functions that call it: qhull and the Chebyshev LP by the polytope
-methods, gammaln and logsumexp by `binom_kappa_sum`. A V-polytope decides
-its kind in numpy when it is built and builds its qhull H-form on first
-use.
+methods, gammaln and logsumexp by `binom_kappa_sum`. A full V-polytope
+runs qhull's hull when it is built.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable, Sequence
 
@@ -30,6 +28,7 @@ from .errors import EmptyBodyError
 INCIDENCE_TOL = 1e-9  # |margin| of a vertex on a facet plane
 RANK_TOL = 1e-9  # relative singular-value floor of a face's affine hull
 _DEGENERATE_HULL = "degenerate V-polytope beyond point/segment is not supported"
+_ONE_DIM = "polytopes need d >= 2, got d = 1; an interval is an AxisBox"
 
 
 # ---------------------------------------------------------------------------
@@ -333,32 +332,35 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[:, :, None])[:, :, 0]
 
 
-class HPolytope(ConvexBody):
-    """Intersection of halfspaces a_i . x <= b_i (normals need not be unit)."""
+def _halfspace_intersection(normals: np.ndarray, offsets: np.ndarray, centre: np.ndarray):
+    """qhull's intersection of the halfspaces a_i . x <= b_i, seeded at the
+    interior point `centre`. On an unbounded set its vertices at infinity
+    divide by zero; the caller rejects that set, so the warnings are
+    silenced."""
+    from scipy.spatial import HalfspaceIntersection
 
-    variant = "h_polytope"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return HalfspaceIntersection(np.c_[normals, -offsets], centre)
 
-    def __init__(self, normals, offsets, skip_checks: bool = False):
-        self.normals = np.atleast_2d(_finite("normals", normals))
-        self.offsets = _finite("offsets", offsets)
-        self.dim = self.normals.shape[1]
-        if self.offsets.shape != self.normals.shape[:1]:
-            raise ValueError(
-                f"offsets must hold one entry per normal ({self.normals.shape[0]}), "
-                f"got shape {self.offsets.shape}"
-            )
-        norms = np.linalg.norm(self.normals, axis=1)
-        if np.any(norms == 0):
-            raise ValueError("zero normal vector")
-        self._unit_normals = self.normals / norms[:, None]
-        self._unit_offsets = self.offsets / norms
-        self._vertices: np.ndarray | None = None
-        self._face_set: _Faces | None = None
-        self._cheb: tuple[np.ndarray, float] | None = None
-        self._volume: float | None = None
-        self._intrinsic: np.ndarray | None = None
-        if not skip_checks:
-            self._check_nonempty_and_contained()
+
+class _Polytope(ConvexBody):
+    """What H- and V-polytopes share, each value computed once: the planes
+    a_i . x <= b_i (`normals`, `offsets` and their unit versions), the
+    vertices, the Chebyshev ball, the face lattice, the volume and the
+    intrinsic volumes. A point or a segment has no planes: its volume 0,
+    Chebyshev radius 0 and intrinsic volumes are set when it is built."""
+
+    _vertices: np.ndarray
+    _cheb: tuple[np.ndarray, float] | None = None
+    _volume: float | None = None
+    _intrinsic: np.ndarray | None = None
+    _face_set: _Faces | None = None
+
+    def _set_planes(self, normals: np.ndarray, offsets: np.ndarray) -> None:
+        self.normals, self.offsets = normals, offsets
+        norms = np.linalg.norm(normals, axis=1)
+        self._unit_normals = normals / norms[:, None]
+        self._unit_offsets = offsets / norms
 
     def _chebyshev(self) -> tuple[np.ndarray, float]:
         """Centre and radius of the largest ball inside (the inradius), from
@@ -383,63 +385,18 @@ class HPolytope(ConvexBody):
             self._cheb = (res.x[:d], float(-res.fun))
         return self._cheb
 
-    def _check_nonempty_and_contained(self):
-        """Full-dimensional (the Chebyshev LP), bounded, and inside the cube
-        up to 1e-9. qhull intersects the halfspaces in the dual about the
-        Chebyshev centre c, where plane i is the point a_i / (b_i - a_i . c);
-        {A x <= b} is bounded iff the origin is strictly inside the hull of
-        those points, that is every dual facet offset is below -1e-9. qhull
-        fails on points that span less than R^d (k <= d or rank A < d), an
-        unbounded set as well. The vertices found are kept, and their
-        extremes decide containment."""
-        from scipy.spatial import QhullError
-
-        if self._chebyshev()[1] <= 0:
-            raise EmptyBodyError("H-polytope has an empty interior")
-        try:
-            hs = self._halfspace_intersection()
-        except QhullError:
-            hs = None
-        if hs is None or np.any(hs.dual_equations[:, -1] >= -1e-9):
-            raise ValueError("H-polytope is unbounded")
-        self._vertices = hs.intersections
-        lo, hi = self.bounding_box()
-        if np.any(lo < -1e-9) or np.any(hi > 1 + 1e-9):
-            raise ValueError("H-polytope is not contained in the unit cube")
-
-    def _halfspace_intersection(self):
-        """qhull's halfspace intersection seeded at the Chebyshev centre. On
-        an unbounded set its vertices at infinity divide by zero; the caller
-        rejects that set, so the warnings are silenced."""
-        from scipy.spatial import HalfspaceIntersection
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return HalfspaceIntersection(np.c_[self.normals, -self.offsets], self._chebyshev()[0])
-
-    def _vertex_array(self) -> np.ndarray:
-        """The vertices, from qhull's halfspace intersection unless they were
-        found by the checks or set as known; a non-simple vertex may appear
-        more than once."""
-        if self._vertices is None:
-            self._vertices = self._halfspace_intersection().intersections
-        return self._vertices
-
     def _faces(self) -> _Faces:
         """The face structure, built on the first call that needs it."""
         if self._face_set is None:
-            self._face_set = _Faces(self._vertex_array(), self._unit_normals, self._unit_offsets)
+            self._face_set = _Faces(self._vertices, self._unit_normals, self._unit_offsets)
         return self._face_set
-
-    def set_known_vertices(self, vertices: np.ndarray) -> None:
-        """Use these vertices for the face structure instead of computing them."""
-        self._vertices = np.asarray(vertices, dtype=float)
 
     def volume_exact(self) -> float:
         """qhull's volume of the vertices."""
         if self._volume is None:
             from scipy.spatial import ConvexHull
 
-            self._volume = float(ConvexHull(self._vertex_array()).volume)
+            self._volume = float(ConvexHull(self._vertices).volume)
         return self._volume
 
     def intrinsic_volumes(self) -> np.ndarray:
@@ -448,30 +405,76 @@ class HPolytope(ConvexBody):
         Beyond d = 4, V_1 needs solid angles of normal cones of dimension 4
         and more, which have no elementary closed form (Ribando, Discrete
         Comput. Geom., 2006)."""
-        if self.dim > 4:
-            raise ValueError(
-                f"exact parallel volumes of polytopes need d <= 4, got d = {self.dim}"
-            )
         if self._intrinsic is None:
+            if self.dim > 4:
+                raise ValueError(
+                    f"exact parallel volumes of polytopes need d <= 4, got d = {self.dim}"
+                )
             self._intrinsic = self._faces().intrinsic_volumes(self.volume_exact())
         return self._intrinsic
 
-    def inner_parallel(self, rho: float) -> HPolytope | None:
-        """{x : B(x, rho) inside the body} = {a_i . x <= b_i - rho} with unit
-        normals, or None when rho reaches the inradius (the set is then at
-        most a lower-dimensional piece, of volume 0). The Chebyshev ball
-        shrinks by rho about the same centre."""
+    def inner_volume(self, rho: float) -> float:
+        """Vol{x : B(x, rho) inside the body}, the volume of
+        {a_i . x <= b_i - rho} with unit normals: qhull's halfspace
+        intersection seeded at the Chebyshev centre, about which the
+        Chebyshev ball shrinks by rho. 0 once rho reaches the inradius (the
+        set is then at most a lower-dimensional piece)."""
         centre, radius = self._chebyshev()
         if rho >= radius:
-            return None
-        inner = HPolytope(self._unit_normals, self._unit_offsets - rho, skip_checks=True)
-        inner._cheb = (centre, radius - rho)
-        return inner
+            return 0.0
+        from scipy.spatial import ConvexHull
+
+        hs = _halfspace_intersection(self._unit_normals, self._unit_offsets - rho, centre)
+        return float(ConvexHull(hs.intersections).volume)
 
     def bounding_box(self):
         """Extremes of the vertices (a bounded polytope is their hull)."""
-        v = self._vertex_array()
-        return v.min(axis=0), v.max(axis=0)
+        return self._vertices.min(axis=0), self._vertices.max(axis=0)
+
+
+class HPolytope(_Polytope):
+    """Intersection of halfspaces a_i . x <= b_i (normals need not be unit).
+
+    Checked when built: full-dimensional (the Chebyshev LP), bounded, and
+    inside the cube up to 1e-9. qhull intersects the halfspaces in the dual
+    about the Chebyshev centre c, where plane i is the point
+    a_i / (b_i - a_i . c); {A x <= b} is bounded iff the origin is strictly
+    inside the hull of those points, that is every dual facet offset is
+    below -1e-9. qhull fails on points that span less than R^d (k <= d or
+    rank A < d), an unbounded set as well. The vertices found are kept, and
+    their extremes decide containment."""
+
+    variant = "h_polytope"
+
+    def __init__(self, normals, offsets):
+        normals = np.atleast_2d(_finite("normals", normals))
+        offsets = _finite("offsets", offsets)
+        self.dim = normals.shape[1]
+        if offsets.shape != normals.shape[:1]:
+            raise ValueError(
+                f"offsets must hold one entry per normal ({normals.shape[0]}), "
+                f"got shape {offsets.shape}"
+            )
+        if np.any(np.linalg.norm(normals, axis=1) == 0):
+            raise ValueError("zero normal vector")
+        if self.dim == 1:
+            raise ValueError(_ONE_DIM)
+        self._set_planes(normals, offsets)
+        centre, radius = self._chebyshev()
+        if radius <= 0:
+            raise EmptyBodyError("H-polytope has an empty interior")
+        from scipy.spatial import QhullError
+
+        try:
+            hs = _halfspace_intersection(normals, offsets, centre)
+        except QhullError:
+            hs = None
+        if hs is None or np.any(hs.dual_equations[:, -1] >= -1e-9):
+            raise ValueError("H-polytope is unbounded")
+        self._vertices = hs.intersections  # a non-simple vertex may appear more than once
+        lo, hi = self.bounding_box()
+        if np.any(lo < -1e-9) or np.any(hi > 1 + 1e-9):
+            raise ValueError("H-polytope is not contained in the unit cube")
 
     def to_json_dict(self):
         return {
@@ -481,16 +484,15 @@ class HPolytope(ConvexBody):
         }
 
 
-class VPolytope(ConvexBody):
+class VPolytope(_Polytope):
     """Convex hull of a vertex list.
 
-    The kind is decided in numpy when the body is built, from the rank of
-    the vertex differences: a point, a segment (d >= 2), or a
-    full-dimensional hull; any other set raises ValueError. A point and a
-    segment are handled directly (volume 0, and intrinsic volumes 1 and the
-    segment's length). A full hull converts to an H-form, built by qhull on
-    first use; if qhull finds the set flat after all, that use raises the
-    same ValueError.
+    Decided when the body is built, from the rank of the vertex differences:
+    a point, a segment (d >= 2), or a full-dimensional hull; any other set
+    raises ValueError. A point or a segment stores its closed forms (volume
+    0, Chebyshev radius 0, intrinsic volumes 1 and the segment's length). A
+    full hull runs qhull once and stores its planes, vertices and volume; if
+    qhull finds the set flat after all, it raises the same ValueError.
     """
 
     variant = "v_polytope"
@@ -502,57 +504,30 @@ class VPolytope(ConvexBody):
             raise ValueError("vertex list is empty")
         if np.any(self.vertices < -1e-12) or np.any(self.vertices > 1 + 1e-12):
             raise ValueError("vertices are not contained in the unit cube")
-        self._segment: tuple[np.ndarray, np.ndarray] | None = None
         uniq = np.unique(self.vertices, axis=0)
         span = uniq - uniq[0]
         rank = np.linalg.matrix_rank(span, tol=1e-9)
-        if uniq.shape[0] == 1:
-            self._kind = "point"
-        elif rank == 1 and self.dim >= 2:
+        if len(uniq) > 1 and self.dim == 1:
+            raise ValueError(_ONE_DIM)
+        if len(uniq) == 1 or rank == 1:  # a point or a segment, between its ends
             t = span @ span[-1]
-            self._segment = (uniq[np.argmin(t)], uniq[np.argmax(t)])
-            self._kind = "segment"
-        elif rank == self.dim >= 2:
-            self._kind = "full"
+            ends = uniq[[np.argmin(t), np.argmax(t)]]
+            self._vertices, self._volume, self._cheb = ends, 0.0, (ends[0], 0.0)
+            self._intrinsic = np.zeros(self.dim + 1)
+            self._intrinsic[:2] = 1.0, float(np.linalg.norm(ends[1] - ends[0]))
+        elif rank == self.dim:
+            from scipy.spatial import ConvexHull, QhullError
+
+            try:
+                hull = ConvexHull(self.vertices)
+            except QhullError:
+                raise ValueError(_DEGENERATE_HULL) from None
+            # equations: A x + b <= 0 inside
+            self._set_planes(hull.equations[:, :-1], -hull.equations[:, -1])
+            self._vertices = self.vertices[hull.vertices]
+            self._volume = float(hull.volume)
         else:
             raise ValueError(_DEGENERATE_HULL)
-
-    @functools.cached_property
-    def _hform(self) -> HPolytope | None:
-        """The H-form of a full hull, from qhull's hull of the vertices; None
-        for a point or a segment."""
-        if self._kind != "full":
-            return None
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = ConvexHull(self.vertices)
-        except QhullError:
-            raise ValueError(_DEGENERATE_HULL) from None
-        # equations: A x + b <= 0 inside
-        hform = HPolytope(hull.equations[:, :-1], -hull.equations[:, -1], skip_checks=True)
-        hform.set_known_vertices(self.vertices[hull.vertices])
-        hform._volume = float(hull.volume)
-        return hform
-
-    def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def volume_exact(self):
-        if self._kind != "full":
-            return 0.0
-        return self._hform.volume_exact()
-
-    def intrinsic_volumes(self) -> np.ndarray:
-        """V_0..V_d; closed form for a point or a segment, else the H-form's."""
-        if self._kind == "full":
-            return self._hform.intrinsic_volumes()
-        v = np.zeros(self.dim + 1)
-        v[0] = 1.0
-        if self._kind == "segment":
-            a, b = self._segment
-            v[1] = float(np.linalg.norm(b - a))
-        return v
 
     def to_json_dict(self):
         return {"variant": "v_polytope", "vertices": self.vertices.tolist()}
@@ -662,8 +637,9 @@ def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[f
     if isinstance(body, AxisBox):
         return [box_offset_volume(body, r, side) for r in rhos]
     vol = body.volume_exact()
-    sign = 1.0 if side == "outer" else -1.0
-    return [sign * (parallel_body_volume(body, sign * r) - vol) for r in rhos]
+    if side == "outer":
+        return [parallel_body_volume(body, r) - vol for r in rhos]
+    return [vol - parallel_body_volume(body, -r) for r in rhos]
 
 
 def boundary_neighborhood_volume(body: ConvexBody, rho: float) -> float:
@@ -677,11 +653,7 @@ def inradius(body: ConvexBody) -> float:
         return body.radius
     if isinstance(body, AxisBox):
         return float(np.min(body.sides)) / 2.0
-    if isinstance(body, VPolytope):
-        if body._kind != "full":
-            return 0.0
-        body = body._hform
-    if isinstance(body, HPolytope):
+    if isinstance(body, _Polytope):
         return body._chebyshev()[1]
     raise TypeError(f"unsupported body type {type(body).__name__}")
 
@@ -691,9 +663,7 @@ def parallel_body_volume(body: ConvexBody, rho: float) -> float:
 
     Balls and axis boxes in closed form. For a polytope, rho >= 0 gives the
     Steiner polynomial sum_j kappa_{d-j} V_j rho^{d-j} (d <= 4, else
-    ValueError), and rho < 0 the volume of the H-polytope
-    {a_i . x <= b_i - |rho|} (unit normals), 0 once |rho| reaches the
-    inradius.
+    ValueError), and rho < 0 its `inner_volume` at |rho|.
     """
     if isinstance(body, Ball):
         if rho < -body.radius:
@@ -703,13 +673,11 @@ def parallel_body_volume(body: ConvexBody, rho: float) -> float:
         if rho >= 0:
             return box_steiner_volume(body.sides, rho)
         return float(np.prod(np.maximum(body.sides + 2 * rho, 0.0)))
-    if isinstance(body, (HPolytope, VPolytope)):
+    if isinstance(body, _Polytope):
         if rho >= 0:
             v, d = body.intrinsic_volumes(), body.dim
             return float(sum(kappa(d - j) * v[j] * rho ** (d - j) for j in range(d + 1)))
-        hform = body._hform if isinstance(body, VPolytope) else body
-        inner = None if hform is None else hform.inner_parallel(-rho)
-        return 0.0 if inner is None else inner.volume_exact()
+        return body.inner_volume(-rho)
     raise TypeError(f"unsupported body type {type(body).__name__}")
 
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convex import HPolytope
 from .lattice import IntegrationLattice
 from .reduction import SpectralReport, shortest_vectors, spectral_test
 
@@ -103,20 +102,17 @@ class DiscrepancyWitness:
     family = "dual-slab"
     certified = True
 
-    @property
-    def body(self) -> HPolytope:
-        """The witness slab intersected with the cube, as an H-polytope."""
+    def to_json_dict(self) -> dict:
+        """The witness with its slab intersected with the cube, written as
+        the JSON of an H-polytope body."""
         h, k = self.dual_slab
         d = len(h)
         hf = np.array(h, dtype=float)
         normals = np.vstack([hf, -hf, np.eye(d), -np.eye(d)])
         offsets = np.r_[float(k + 1 - SLAB_EPS), -float(k + SLAB_EPS), np.ones(d), np.zeros(d)]
-        return HPolytope(normals, offsets, skip_checks=True)
-
-    def to_json_dict(self) -> dict:
         return {
             "family": self.family,
-            "body": self.body.to_json_dict(),
+            "body": {"variant": "h_polytope", "normals": normals.tolist(), "offsets": offsets.tolist()},
             "local_value": self.local_value,
             "certified": self.certified,
         }

@@ -4,6 +4,7 @@ Campaign-backed criteria share module-scoped fixtures so each campaign
 runs once. Runtime limits are asserted where the criterion states one.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -28,6 +29,7 @@ from latdisc.harness import (
     brute_force_min_dual_norm_sq,
     builtin_corpus,
     run_campaign,
+    write_artifacts,
 )
 from latdisc.lattice import enumerate_points, rank1_lattice
 from latdisc.reduction import spectral_test
@@ -134,6 +136,15 @@ def test_criterion_3_lemma2_lemma3(capsys, body_campaign):
         f"[criterion 3] PASS - Lemma 2/3 hold on 450 body-rho cases "
         f"(cube case exact to 1e-12) in {elapsed:.1f}s",
     )
+
+
+def test_body_campaign_json_is_byte_identical_to_the_recorded_one(body_campaign, tmp_path):
+    res, _ = body_campaign
+    write_artifacts(res, tmp_path)
+    # sha256 of the campaign.json recorded when a V-polytope still measured
+    # its volumes through a separate H-form; the shared polytope code must not move a bit
+    digest = hashlib.sha256((tmp_path / "campaign.json").read_bytes()).hexdigest()
+    assert digest == "4be769b05413b5af06e95052679cd8c6aa07acdeca6f9023af4e7c21ad523634"
 
 
 def test_criterion_4_corollary1(capsys, body_campaign):

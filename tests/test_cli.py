@@ -109,6 +109,16 @@ def test_geom_commands(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(math.pi * (0.16 - 0.04), abs=1e-12)
 
 
+def test_geom_inner_offset_of_a_segment_prints_zero(tmp_path, capsys):
+    body = tmp_path / "segment.json"
+    body.write_text(json.dumps({"variant": "v_polytope", "vertices": [[0.2, 0.3], [0.7, 0.3]]}))
+    code, out = run_cli(
+        capsys, "geom", "offset", "--body", str(body), "--rho", "0.1", "--side", "inner"
+    )
+    assert code == 0
+    assert out.split() == ["{", '"value":', "0.0", "}"]  # not -0.0
+
+
 @pytest.mark.parametrize(
     "op,rho",
     [

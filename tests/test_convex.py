@@ -64,10 +64,6 @@ def box_quermassintegral(sides, j):
     return kappa(j) * e / math.comb(d, j)
 
 
-def _h_form(body):
-    return body._hform if isinstance(body, VPolytope) else body
-
-
 def polytope_distance(body, x, cap=math.inf):
     """Test-only oracle: (distances, nearest points) from the rows of x to a
     polytope, 0 and x itself inside. The nearest point to an exterior x is
@@ -75,8 +71,7 @@ def polytope_distance(body, x, cap=math.inf):
     least |x - p| over the faces whose projection p is feasible. The largest
     facet margin bounds the distance below; points with a margin above `cap`
     skip the search and get +inf."""
-    h = _h_form(body)
-    a, b, faces = h._unit_normals, h._unit_offsets, h._faces()
+    a, b, faces = body._unit_normals, body._unit_offsets, body._faces()
     margin = (x @ a.T - b).max(axis=1)
     dist = np.where(margin <= 0, 0.0, np.inf)
     nearest = x.copy()
@@ -300,23 +295,25 @@ def test_hpolytope_unbounded_with_finite_inradius_raises(normals, offsets):
             HPolytope(normals, offsets)
 
 
+def _counted(monkeypatch, calls, module, name):
+    """Replace module.name by a wrapper that counts its calls in calls[name]."""
+    real = getattr(module, name)
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_hpolytope_runs_one_lp_and_one_halfspace_intersection(monkeypatch):
     import scipy.optimize
     import scipy.spatial
 
-    calls = {"linprog": 0, "HalfspaceIntersection": 0}
-
-    def counted(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(scipy.optimize, "linprog")
-    counted(scipy.spatial, "HalfspaceIntersection")
+    calls = {}
+    _counted(monkeypatch, calls, scipy.optimize, "linprog")
+    _counted(monkeypatch, calls, scipy.spatial, "HalfspaceIntersection")
     body = _cut_cube_4d()
     body.bounding_box()
     body.volume_exact()
@@ -507,9 +504,8 @@ def _points_around(body, n, seed):
 def test_polytope_distance_matches_kkt_reference(d, index):
     body = _acceptance_body(d, index)
     assert isinstance(body, (HPolytope, VPolytope))
-    h = _h_form(body)
     x = _points_around(body, 400 if d == 4 else 1000, index)
-    ref = _kkt_distance(h.normals, h.offsets, x)
+    ref = _kkt_distance(body.normals, body.offsets, x)
     assert np.max(np.abs(polytope_distance(body, x)[0] - ref)) <= 1e-9
 
 
@@ -556,9 +552,9 @@ def test_face_structure_is_built_only_for_intrinsic_volumes():
     for b in (hull, body):
         b.volume_exact()
         offset_volumes(b, [0.05], "inner")
-        assert _h_form(b)._face_set is None
+        assert b._face_set is None
         offset_volumes(b, [0.05], "outer")
-        assert _h_form(b)._face_set is not None
+        assert b._face_set is not None
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +654,7 @@ def test_external_angles_match_the_per_face_oracle(d):
         body = _acceptance_body(d, index)
         if not isinstance(body, (HPolytope, VPolytope)):
             continue
-        faces = _h_form(body)._faces()
+        faces = body._faces()
         angles = faces.external_angles()
         for f in np.flatnonzero(faces.dims > 0):
             want = _external_angle(faces.facet_normals[faces.in_facet[f]], d - faces.dims[f])
@@ -690,7 +686,7 @@ def test_non_simple_16_cell_intrinsic_volumes():
         2 * r**4 / 3,
     ]
     for body in _cross_polytope_4d(r):
-        faces = _h_form(body)._faces()
+        faces = body._faces()
         assert np.bincount(faces.dims).tolist() == [8, 24, 32, 16]
         assert np.all(faces.in_facet[faces.dims == 1].sum(axis=1) == 4)
         np.testing.assert_allclose(body.intrinsic_volumes(), want, rtol=1e-14, atol=0)
@@ -712,14 +708,13 @@ def _mc_oracle(indicator, lo, hi, seed, n=1 << 17):
 def test_polytope_offsets_match_monte_carlo_oracle(body):
     rho = 0.1
     lo, hi = body.bounding_box()
-    h = _h_form(body)
 
     def outer(x):
         dist = polytope_distance(body, x, cap=rho)[0]
         return (dist > 0) & (dist <= rho)
 
     def inner(x):
-        depth = -(x @ h._unit_normals.T - h._unit_offsets).max(axis=1)
+        depth = -(x @ body._unit_normals.T - body._unit_offsets).max(axis=1)
         return (depth >= 0) & (depth <= rho)
 
     mc, se = _mc_oracle(outer, lo - rho, hi + rho, seed=31)
@@ -783,31 +778,58 @@ def test_vpolytope_rejects_bad_vertex_sets_when_built(vertices, message):
         VPolytope(vertices)
 
 
-def test_vpolytope_point_segment_and_full_kinds():
+def test_vpolytope_point_segment_and_full_kinds(monkeypatch):
+    import scipy.spatial
+
+    calls = {}
+    _counted(monkeypatch, calls, scipy.spatial, "ConvexHull")
     point = VPolytope([[0.4, 0.4, 0.4], [0.4, 0.4, 0.4]])
-    assert point._kind == "point" and point._hform is None
-    assert point.volume_exact() == 0.0
+    assert point.volume_exact() == 0.0 and inradius(point) == 0.0
     np.testing.assert_array_equal(point.intrinsic_volumes(), [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(point.bounding_box(), [[0.4] * 3, [0.4] * 3])
 
     a, b = [0.1, 0.2, 0.3], [0.5, 0.2, 0.3]
     segment = VPolytope([b, [0.3, 0.2, 0.3], a])
-    assert segment._kind == "segment" and segment._hform is None
-    assert segment.volume_exact() == 0.0
+    assert segment.volume_exact() == 0.0 and inradius(segment) == 0.0
     np.testing.assert_allclose(segment.intrinsic_volumes(), [1.0, 0.4, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_array_equal(segment.bounding_box(), [a, b])
+    assert parallel_body_volume(segment, -0.05) == 0.0
+    assert calls == {"ConvexHull": 0}  # the closed forms need no qhull
 
+    # a full hull runs qhull once, when it is built
     tri = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5], [0.3, 0.2]])
-    assert tri._kind == "full" and "_hform" not in vars(tri)  # qhull runs on first use
+    assert calls == {"ConvexHull": 1}
     assert tri.volume_exact() == pytest.approx(0.16, abs=1e-15)
-    assert isinstance(tri._hform, HPolytope)
+    assert len(tri.normals) == 3 and len(tri.intrinsic_volumes()) == 3
+    np.testing.assert_array_equal(tri.bounding_box(), [[0.1, 0.1], [0.9, 0.5]])
+    assert calls == {"ConvexHull": 1}
 
 
-def test_vpolytope_that_qhull_finds_flat_raises_on_first_use(monkeypatch):
+def test_vpolytope_that_qhull_finds_flat_raises_when_built(monkeypatch):
     import scipy.spatial
 
     def flat(points):
         raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
 
-    body = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]])
     monkeypatch.setattr(scipy.spatial, "ConvexHull", flat)
     with pytest.raises(ValueError, match="degenerate V-polytope beyond point/segment"):
-        body.volume_exact()
+        VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]])
+
+
+def test_polytopes_in_d1_name_d1_and_point_to_axis_box():
+    # qhull needs d >= 2, so the interval [0.2, 0.7] is an AxisBox, not a polytope
+    with pytest.raises(ValueError, match=r"got d = 1; an interval is an AxisBox"):
+        HPolytope([[1.0], [-1.0]], [0.7, -0.2])
+    with pytest.raises(ValueError, match=r"got d = 1; an interval is an AxisBox"):
+        VPolytope([[0.2], [0.7], [0.2]])
+    point = VPolytope([[0.3], [0.3]])
+    assert point.volume_exact() == 0.0
+    np.testing.assert_array_equal(point.intrinsic_volumes(), [1.0, 0.0])
+    assert offset_volumes(point, [0.1], "outer")[0] == pytest.approx(0.2, abs=1e-15)
+
+
+def test_inner_offset_of_a_zero_volume_body_is_positive_zero():
+    for body in (VPolytope([[0.2, 0.3], [0.7, 0.3]]), VPolytope([[0.4, 0.4, 0.4]])):
+        inner = offset_volumes(body, [0.0, 0.1], "inner")
+        assert inner == [0.0, 0.0]
+        assert [math.copysign(1.0, v) for v in inner] == [1.0, 1.0]

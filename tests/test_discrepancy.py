@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latdisc import cli, discrepancy, distance, harness, lattice
+from latdisc.convex import body_from_json_dict
 from latdisc.discrepancy import (
     halfspace_cube_volume,
     halfspace_cube_volume_derivative,
@@ -194,7 +195,8 @@ def test_slab_witness_rank1_5_12():
     assert w.local_value_exact <= Fraction(1, 2)
     # the slab 1 + eps <= x_1 + 2 x_2 <= 2 - eps cut by the cube's faces
     assert w.dual_slab == ((1, 2), 1)
-    assert w.body.to_json_dict() == {
+    # read back as a checked polytope: bounded, full-dimensional, in the cube
+    assert body_from_json_dict(w.to_json_dict()["body"]).to_json_dict() == {
         "variant": "h_polytope",
         "normals": [[1.0, 2.0], [-1.0, -2.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]],
         "offsets": [1.999999999, -1.000000001, 1.0, 1.0, 0.0, 0.0],
@@ -259,7 +261,7 @@ def test_witness_bodies_inside_cube():
     lat = fibonacci_lattice(7)
     _, all_w = isotropic_lower_bound(lat)
     for w in all_w:
-        lo, hi = w.body.bounding_box()
+        lo, hi = body_from_json_dict(w.to_json_dict()["body"]).bounding_box()
         assert np.all(lo >= -1e-9) and np.all(hi <= 1 + 1e-9)
 
 

@@ -39,10 +39,14 @@ spec = {str(tmp_path / "fib.lat")!r}
 assert main(["--out", spec, "gen", "fibonacci", "--k", "12"]) == 0
 assert main(["--out", {str(tmp_path / "spectral.json")!r}, "spectral", spec]) == 0
 assert main(["--out", {str(tmp_path / "points.csv")!r}, "points", spec]) == 0
+assert main(["--out", {str(tmp_path / "isodisc.json")!r}, "isodisc", spec]) == 0
 """
     loaded = _loaded_modules(code)
     assert [m for m in loaded if m.startswith("scipy")] == []
     assert json.loads((tmp_path / "spectral.json").read_text())["dual_norm"] > 0
+    # each witness writes its slab as an h_polytope body without building one
+    witnesses = json.loads((tmp_path / "isodisc.json").read_text())["witnesses"]
+    assert [w["body"]["variant"] for w in witnesses] == ["h_polytope"] * 10
 
 
 def test_all_lists_exactly_the_names_the_package_imports():

@@ -287,6 +287,34 @@ def brute_force_shortest_vectors(basis, k, radius):
     return [(nsq, v, c) for nsq, _, v, c in found[:k]]
 
 
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize(
+    "g", [(1,), (1, 7), (1, 7, 19), (1, 7, 19, 27)], ids=lambda g: f"d{len(g)}"
+)
+def test_shortest_vectors_runs_one_enumeration(g, k, monkeypatch):
+    reduced = lll_reduce(dual_basis(rank1_lattice(64, g)))
+    real = reduction.enumerate_below
+    calls = []
+    monkeypatch.setattr(reduction, "enumerate_below", lambda *a: calls.append(a) or real(*a))
+    svs = shortest_vectors(reduced, k)
+    assert len(calls) == 1 and len(svs) == k
+    # a search with four times the bound finds no vector the one search missed
+    wider = real(reduced.rows, 4 * svs[-1].norm_sq_exact)
+    assert [nsq for _, nsq in wider[:k]] == [sv.norm_sq_exact for sv in svs]
+
+
+def test_shortest_vectors_bound_stays_tight_on_a_skewed_basis(monkeypatch):
+    # rows of lengths 1 and 100: the 10 shortest vectors are j (1, 0), j <= 10.
+    # Over the coefficient box {-2..2}^2 alone the 10th norm^2 is |2 (0, 100)|^2 + 4,
+    # and the one search would return 550 vectors
+    real = reduction.enumerate_below
+    found = []
+    monkeypatch.setattr(reduction, "enumerate_below", lambda *a: found.append(real(*a)) or found[-1])
+    svs = shortest_vectors(lll_reduce([[1, 0], [0, 100]]), 10)
+    assert [sv.vector for sv in svs] == [(j, 0) for j in range(1, 11)]
+    assert [len(hits) for hits in found] == [10]
+
+
 @pytest.mark.parametrize(
     "basis",
     [((1, 0), (5, 1)), ((5, 1), (1, 0)), ((3, 2), (4, 3)), ((1, 1, 0), (0, 1, 1), (1, 2, 2)),
