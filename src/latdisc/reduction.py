@@ -223,29 +223,23 @@ def _sign_normalised(u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in u) if next(c for c in u if c) < 0 else u
 
 
-def _box_bound(rows: Mat, k: int) -> int:
+def _candidate_bound(rows: Mat, k: int) -> int:
     """A squared norm that at least k lattice vectors (one per +-sign pair)
-    stay within: the k-th smallest squared norm of c . rows over the
-    sign-normalised nonzero c in {-m..m}^d, m the least with
-    ((2m+1)^d - 1) / 2 >= k, and the multiples j e_i, m < j <= k. These c
-    give distinct vectors, so the k-th shortest vector is at most this long.
-    The multiples keep the bound near the k-th norm when one row is much
-    shorter than the others; the box alone then holds its few multiples and
-    combinations with the long rows. The norms are exact: c^T G c with the
-    integer Gram matrix G, in int64 when no sum can overflow it.
+    stay within: the k-th smallest exact squared norm of c . rows over the
+    coefficient vectors j e_i (1 <= j <= k) and e_i +- e_j (i < j), read off
+    the integer Gram matrix. These d k + d (d - 1) vectors are distinct up
+    to sign, so the k-th shortest lattice vector is at most this long. The
+    multiples keep the bound near the k-th norm when one row is much
+    shorter than the others.
     """
     d = len(rows)
-    m = 1
-    while ((2 * m + 1) ** d - 1) // 2 < k:
-        m += 1
-    gram = [[_dot(a, b) for b in rows] for a in rows]
-    fits = max(abs(x) for row in gram for x in row) * (d * k) ** 2 < 2**63
-    g = np.array(gram, dtype=np.int64 if fits else object)
-    box = np.indices((2 * m + 1,) * d).reshape(d, -1).T - m  # lexicographic order
-    box = box[len(box) // 2 + 1 :]  # after 0: the first nonzero entry is positive
-    multiples = np.kron(np.eye(d, dtype=int), np.arange(m + 1, k + 1)[:, None])
-    c = np.concatenate([box, multiples]).astype(g.dtype)
-    return int(np.sort(((c @ g) * c).sum(axis=1))[k - 1])
+    g = [[_dot(a, b) for b in rows] for a in rows]
+    norms = [j * j * g[a][a] for a in range(d) for j in range(1, k + 1)]
+    norms += [
+        g[a][a] + g[b][b] + s * 2 * g[a][b]
+        for a in range(d) for b in range(a + 1, d) for s in (1, -1)
+    ]
+    return sorted(norms)[k - 1]
 
 
 def shortest_vectors(reduced: ReducedBasis, k: int) -> list[ShortestVector]:
@@ -253,16 +247,17 @@ def shortest_vectors(reduced: ReducedBasis, k: int) -> list[ShortestVector]:
     spans, one per +-sign pair, in (squared norm, reduced-basis coefficient)
     order: the order `enumerate_below` returns.
 
-    One LLL-seeded Fincke-Pohst enumeration below `_box_bound`, which holds
-    at least k vectors. Each vector is reported with its coefficients in the
-    input basis `reduced.source`, sign-normalised, and is certified exactly:
-    rebuilt from those coefficients, it has the enumerated squared norm.
+    One LLL-seeded Fincke-Pohst enumeration below `_candidate_bound`, which
+    holds at least k vectors. Each vector is reported with its coefficients
+    in the input basis `reduced.source`, sign-normalised, and is certified
+    exactly: rebuilt from those coefficients, it has the enumerated squared
+    norm.
     """
     if reduced.dim > SVP_DIMENSION_CAP:
         raise DimensionGuardError(
             f"shortest_vectors supports d <= {SVP_DIMENSION_CAP}, got {reduced.dim}"
         )
-    hits = enumerate_below(reduced.rows, _box_bound(reduced.rows, k))
+    hits = enumerate_below(reduced.rows, _candidate_bound(reduced.rows, k))
     out = []
     for u_red, nsq in hits[:k]:
         # v = u_red . rows = u_red . U . source, so u_red . U are the input coefficients

@@ -195,8 +195,10 @@ def test_slab_witness_rank1_5_12():
     assert w.local_value_exact <= Fraction(1, 2)
     # the slab 1 + eps <= x_1 + 2 x_2 <= 2 - eps cut by the cube's faces
     assert w.dual_slab == ((1, 2), 1)
-    # read back as a checked polytope: bounded, full-dimensional, in the cube
-    assert body_from_json_dict(w.to_json_dict()["body"]).to_json_dict() == {
+    # read back as a checked polytope (bounded, full-dimensional, in the cube),
+    # it writes the same JSON: the witness and HPolytope share one layout
+    body = w.to_json_dict()["body"]
+    assert body_from_json_dict(body).to_json_dict() == body == {
         "variant": "h_polytope",
         "normals": [[1.0, 2.0], [-1.0, -2.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]],
         "offsets": [1.999999999, -1.000000001, 1.0, 1.0, 0.0, 0.0],

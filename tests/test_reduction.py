@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -305,14 +306,33 @@ def test_shortest_vectors_runs_one_enumeration(g, k, monkeypatch):
 
 def test_shortest_vectors_bound_stays_tight_on_a_skewed_basis(monkeypatch):
     # rows of lengths 1 and 100: the 10 shortest vectors are j (1, 0), j <= 10.
-    # Over the coefficient box {-2..2}^2 alone the 10th norm^2 is |2 (0, 100)|^2 + 4,
-    # and the one search would return 550 vectors
+    # The multiples j e_1 among the bound's candidates put it at exactly
+    # |10 (1, 0)|^2, so the one search returns these 10 vectors and no more
     real = reduction.enumerate_below
     found = []
     monkeypatch.setattr(reduction, "enumerate_below", lambda *a: found.append(real(*a)) or found[-1])
     svs = shortest_vectors(lll_reduce([[1, 0], [0, 100]]), 10)
     assert [sv.vector for sv in svs] == [(j, 0) for j in range(1, 11)]
     assert [len(hits) for hits in found] == [10]
+
+
+def test_shortest_vectors_in_d12_stay_small(monkeypatch):
+    # the bound has d k + d (d - 1) candidates; a coefficient box such as
+    # {-1..1}^12 would have 3^12 rows
+    reduced = spectral_test(korobov_lattice(4099, 1606, 12)).dual_reduced
+    real = reduction.enumerate_below
+    found = []
+    monkeypatch.setattr(reduction, "enumerate_below", lambda *a: found.append(real(*a)) or found[-1])
+    tracemalloc.start()
+    try:
+        svs = [shortest_vectors(reduced, k) for k in (1, 10)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [sv.norm_sq_exact for sv in svs[1]] == [3, 3, 3, 3, 4, 4, 6, 6, 6, 6]
+    assert svs[0] == svs[1][:1]
+    assert [len(hits) < 100 for hits in found] == [True, True]
 
 
 @pytest.mark.parametrize(
