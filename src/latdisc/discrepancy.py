@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import IntegrationLattice
-from .reduction import SpectralReport, shortest_vectors, spectral_test
+from .reduction import SpectralReport, check_count, spectral_test
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +228,32 @@ def slab_witness(lat: IntegrationLattice, h: tuple[int, ...]) -> DiscrepancyWitn
     )
 
 
+N_SLABS = 10  # the shortest dual vectors whose slabs Theorem 1's witness search tries
+
+
 def isotropic_lower_bound(
     lat: IntegrationLattice,
-    n_slabs: int = 10,
+    n_slabs: int = N_SLABS,
     report: SpectralReport | None = None,
 ) -> tuple[DiscrepancyWitness, list[DiscrepancyWitness]]:
     """The best of the slab witnesses of the `n_slabs` shortest dual
     vectors, and all of them, shortest first.
 
     Every value is exact and the search is deterministic: the first witness
-    of largest value wins. `report`, the lattice's spectral test, lends the
-    search its reduced dual basis; it is run here when omitted.
+    of largest value wins. The dual vectors are read from `report`, the
+    lattice's spectral test, which must hold at least `n_slabs` of them
+    (`spectral_test(lat, n_slabs)`), so sigma and the witnesses come from
+    one search; it is run here when omitted. Raises ValueError unless
+    n_slabs is an int >= 1 that the report covers.
     """
-    rep = report if report is not None else spectral_test(lat)
-    duals = shortest_vectors(rep.dual_reduced, n_slabs)
-    witnesses = [slab_witness(lat, sv.vector) for sv in duals]
+    check_count("n_slabs", n_slabs)
+    rep = report if report is not None else spectral_test(lat, n_slabs)
+    if len(rep.shortest_duals) < n_slabs:
+        raise ValueError(
+            f"n_slabs = {n_slabs}, but the report holds {len(rep.shortest_duals)} "
+            f"dual vectors; run spectral_test(lat, {n_slabs})"
+        )
+    witnesses = [slab_witness(lat, sv.vector) for sv in rep.shortest_duals[:n_slabs]]
     best = max(witnesses, key=lambda w: w.local_value_exact)
     return best, witnesses
 
@@ -253,8 +264,13 @@ def verify_thm1(
     report: SpectralReport | None = None,
 ) -> Thm1Report:
     """PASS iff the best certified lower bound respects min(1, d 2^(2(d+1)) sigma),
-    and the slab witness stays above a fifth of its exact cross-section floor."""
-    rep = report if report is not None else spectral_test(lat)
+    and the slab witness stays above a fifth of its exact cross-section floor.
+
+    The witnesses are the slabs of the N_SLABS shortest dual vectors, read
+    from `report`, which must hold that many (`spectral_test(lat, N_SLABS)`);
+    it is run here when omitted, so one search gives sigma and the witnesses.
+    """
+    rep = report if report is not None else spectral_test(lat, N_SLABS)
     best, witnesses = isotropic_lower_bound(lat, report=rep)
     return thm1_verdict(lat, rep, best, witnesses, lattice_id)
 

@@ -30,7 +30,7 @@ from .convex import (
     remark_upper,
     steiner_volume,
 )
-from .discrepancy import verify_thm1
+from .discrepancy import N_SLABS, verify_thm1
 from .distance import DistanceNormConfig, ProxySpec, proxy_spec, verify_prop1
 from .lattice import enumerate_points, fibonacci_generator, rank1_lattice
 from .reduction import spectral_test
@@ -360,7 +360,8 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
     tol = c.budgets.covering_tols.get(d, 5e-2)
     rows: list[dict] = []
     tables: dict[str, list[dict]] = {"thm1": [], "prop1": [], "thm2": []}
-    rep = spectral_test(lat)
+    # one dual search serves sigma and, when thm1 runs, its witnesses
+    rep = spectral_test(lat, N_SLABS if "thm1" in c.checks else 1)
     if "spectral-exact" in c.checks and d <= 3 and lat.n_points <= 4096:
         oracle = brute_force_min_dual_norm_sq(n, g)
         rows.append(_row(

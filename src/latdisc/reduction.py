@@ -7,19 +7,21 @@ Computational Algebraic Number Theory* (1993), Alg. 2.6.7: the Gram
 determinants d_i and the scaled coefficients lambda_ij = d_{j+1} mu_ij are
 integers updated in place, and the unimodular transform is recorded.
 
-One shortest-vector search, `shortest_vectors`, serves every caller. It
-enumerates coefficient vectors of the reduced basis with floating
-Gram-Schmidt pruning, decides every candidate in integers, and returns
-vectors in one order: (squared norm, reduced-basis coefficients). So the
-spectral test's shortest dual vector is the first of the dual vectors that
-Theorem 1's witnesses are built from.
+One shortest-vector search, `shortest_vectors`, serves every caller, and
+it runs once per lattice: the spectral test asks it for as many dual
+vectors as its caller needs, so sigma and Theorem 1's witnesses are read
+off one search. It is a k-best Fincke-Pohst enumeration of coefficient
+vectors of the reduced basis with floating Gram-Schmidt pruning: it
+decides every candidate in integers, stops widening past the k-th
+smallest norm found, and returns vectors in one order: (squared norm,
+reduced-basis coefficients).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,11 +56,22 @@ class ShortestVector:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    sigma: float
-    shortest_dual: tuple[int, ...]
-    dual_norm_sq: int
-    # LLL reduction of the dual basis, reused by Theorem 1's witness search
-    dual_reduced: ReducedBasis = field(compare=False, repr=False)
+    """The spectral test of a lattice: its shortest dual vectors, shortest
+    first, with coefficients in the dual basis `dual_basis` returns."""
+
+    shortest_duals: tuple[ShortestVector, ...]
+
+    @property
+    def shortest_dual(self) -> tuple[int, ...]:
+        return self.shortest_duals[0].vector
+
+    @property
+    def dual_norm_sq(self) -> int:
+        return self.shortest_duals[0].norm_sq_exact
+
+    @property
+    def sigma(self) -> float:
+        return 1.0 / math.sqrt(self.dual_norm_sq)
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,48 +187,66 @@ def _combination(rows: Mat, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(_dot(coeffs, col) for col in zip(*rows))
 
 
-def enumerate_below(rows: Mat, bound_sq: int) -> list[tuple[tuple[int, ...], int]]:
-    """All nonzero coefficient vectors (one per +-sign pair) whose lattice
-    vector has exact squared norm <= bound_sq.
+def enumerate_below(rows: Mat, bound_sq: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """The nonzero coefficient vectors (one per +-sign pair) whose lattice
+    vectors are the k shortest, given that at least k have exact squared
+    norm <= bound_sq: every vector as short as the k-th, so more than k
+    only when norms tie at the k-th place.
 
-    Coefficient vectors are returned sign-normalized (first nonzero entry
-    positive) and deduplicated. The float pruning radius carries a relative
-    safety margin; membership in the bound is always decided exactly.
+    Fincke-Pohst depth-first search (Math. Comp. 44, 1985). Only coefficient
+    vectors whose last nonzero entry is positive are visited, so each
+    +-pair is met once. Once k vectors are held, the bound shrinks to the
+    k-th smallest exact squared norm found and longer ones are dropped, as
+    in Schnorr and Euchner (Math. Programming 66, 1994). The float pruning
+    radius carries a relative safety margin over the bound; membership is
+    always decided exactly. Returned sign-normalized (first nonzero entry
+    positive), in (squared norm, coefficient) order.
     """
     d = len(rows)
     b = np.array([[float(x) for x in r] for r in rows])
     mu, bstar_sq = _float_gram_schmidt(b)
     if np.any(bstar_sq <= 0):
         raise ValueError("basis rows are linearly dependent")
+    mu, bstar_sq = mu.tolist(), bstar_sq.tolist()
+    found: list[tuple[int, tuple[int, ...]]] = []  # (squared norm, coefficients), norm <= bound_sq
     radius = float(bound_sq) * (1 + 1e-9) + 1e-12
-
-    found: dict[tuple[int, ...], int] = {}
     coeff = [0] * d
 
-    def search(level: int, used: float) -> None:
-        if level < 0:
-            if any(coeff):
-                u = _sign_normalised(tuple(coeff))
-                if u not in found:
-                    v = _combination(rows, u)
-                    nsq = _dot(v, v)
-                    if nsq <= bound_sq:
-                        found[u] = nsq
+    def keep(u: tuple[int, ...]) -> None:
+        nonlocal bound_sq, found, radius
+        v = _combination(rows, u)
+        nsq = _dot(v, v)
+        if nsq > bound_sq:
             return
-        center = -sum(mu[j, level] * coeff[j] for j in range(level + 1, d))
+        found.append((nsq, _sign_normalised(u)))
+        if len(found) >= k:
+            kth = sorted(n for n, _ in found)[k - 1]
+            if kth < bound_sq:
+                bound_sq = kth
+                radius = float(bound_sq) * (1 + 1e-9) + 1e-12
+                found = [hit for hit in found if hit[0] <= bound_sq]
+
+    def search(level: int, used: float, free: bool) -> None:
+        # free: a coefficient above `level` is nonzero, so both signs here are new
+        if level < 0:
+            if free:
+                keep(tuple(coeff))
+            return
         budget = radius - used
         if budget < 0:
             return
+        center = -sum(mu[j][level] * coeff[j] for j in range(level + 1, d))
         half = math.sqrt(budget / bstar_sq[level])
-        for c in range(math.ceil(center - half - 1e-9), math.floor(center + half + 1e-9) + 1):
+        lo = math.ceil(center - half - 1e-9) if free else 0
+        for c in range(lo, math.floor(center + half + 1e-9) + 1):
             step = bstar_sq[level] * (c - center) ** 2
-            if step <= budget * (1 + 1e-12) + 1e-12:
+            if step <= (radius - used) * (1 + 1e-12) + 1e-12:  # radius shrinks as hits come in
                 coeff[level] = c
-                search(level - 1, used + step)
+                search(level - 1, used + step, free or c != 0)
         coeff[level] = 0
 
-    search(d - 1, 0.0)
-    return sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
+    search(d - 1, 0.0, False)
+    return [(u, nsq) for nsq, u in sorted(found)]
 
 
 def _sign_normalised(u: tuple[int, ...]) -> tuple[int, ...]:
@@ -242,22 +273,30 @@ def _candidate_bound(rows: Mat, k: int) -> int:
     return sorted(norms)[k - 1]
 
 
+def check_count(name: str, value) -> None:
+    """Raise ValueError, naming `name`, unless value is an int >= 1; a bool
+    is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def shortest_vectors(reduced: ReducedBasis, k: int) -> list[ShortestVector]:
     """The k shortest nonzero vectors of the integer lattice that `reduced`
     spans, one per +-sign pair, in (squared norm, reduced-basis coefficient)
     order: the order `enumerate_below` returns.
 
-    One LLL-seeded Fincke-Pohst enumeration below `_candidate_bound`, which
-    holds at least k vectors. Each vector is reported with its coefficients
-    in the input basis `reduced.source`, sign-normalised, and is certified
-    exactly: rebuilt from those coefficients, it has the enumerated squared
-    norm.
+    One LLL-seeded k-best enumeration, started below `_candidate_bound`,
+    which holds at least k vectors. Each vector is reported with its
+    coefficients in the input basis `reduced.source`, sign-normalised, and
+    is certified exactly: rebuilt from those coefficients, it has the
+    enumerated squared norm. Raises ValueError unless k is an int >= 1.
     """
+    check_count("k", k)
     if reduced.dim > SVP_DIMENSION_CAP:
         raise DimensionGuardError(
             f"shortest_vectors supports d <= {SVP_DIMENSION_CAP}, got {reduced.dim}"
         )
-    hits = enumerate_below(reduced.rows, _candidate_bound(reduced.rows, k))
+    hits = enumerate_below(reduced.rows, _candidate_bound(reduced.rows, k), k)
     out = []
     for u_red, nsq in hits[:k]:
         # v = u_red . rows = u_red . U . source, so u_red . U are the input coefficients
@@ -269,22 +308,18 @@ def shortest_vectors(reduced: ReducedBasis, k: int) -> list[ShortestVector]:
     return out
 
 
-def spectral_test(lat: IntegrationLattice) -> SpectralReport:
+def spectral_test(lat: IntegrationLattice, n_shortest: int = 1) -> SpectralReport:
     """sigma(L) = 1 / (shortest nonzero dual vector norm), from one LLL
-    reduction of the dual basis; the shortest dual vector is the first of
-    `shortest_vectors`.
+    reduction of the dual basis and one `shortest_vectors` search.
 
-    The construction-time invariant sigma <= sqrt(d) is verified exactly
-    and raises on violation.
+    The report keeps the `n_shortest` shortest dual vectors, so a caller
+    that also needs Theorem 1's witnesses asks for them here and the search
+    runs once per lattice; sigma reads the first. The construction-time
+    invariant sigma <= sqrt(d) is verified exactly and raises on violation.
+    Raises ValueError unless n_shortest is an int >= 1.
     """
-    dual_reduced = lll_reduce(dual_basis(lat))
-    sv = shortest_vectors(dual_reduced, 1)[0]
-    nsq = sv.norm_sq_exact
-    if nsq * lat.dim < 1:  # sigma^2 <= d
+    check_count("n_shortest", n_shortest)
+    duals = tuple(shortest_vectors(lll_reduce(dual_basis(lat)), n_shortest))
+    if duals[0].norm_sq_exact * lat.dim < 1:  # sigma^2 <= d
         raise AssertionError("sigma exceeds sqrt(d)")
-    return SpectralReport(
-        sigma=1.0 / math.sqrt(nsq),
-        shortest_dual=sv.vector,
-        dual_norm_sq=nsq,
-        dual_reduced=dual_reduced,
-    )
+    return SpectralReport(duals)

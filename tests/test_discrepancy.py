@@ -26,7 +26,7 @@ from latdisc.lattice import (
     fibonacci_lattice,
     rank1_lattice,
 )
-from latdisc.reduction import shortest_vectors, spectral_test
+from latdisc.reduction import spectral_test
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +259,22 @@ def test_isotropic_lower_bound_monotone_in_budget():
         assert [w.dual_slab for w in shorter] == [w.dual_slab for w in longer[: len(shorter)]]
 
 
+@pytest.mark.parametrize("n", [0, -3, True, 2.5])
+def test_isotropic_lower_bound_rejects_a_bad_n_slabs(n):
+    # n_slabs = 0 once ended in max() of an empty list, and -3 in an IndexError
+    with pytest.raises(ValueError, match="^n_slabs must be an integer >= 1"):
+        isotropic_lower_bound(fibonacci_lattice(11), n_slabs=n)
+
+
+def test_isotropic_lower_bound_reads_its_dual_vectors_from_the_report():
+    lat = fibonacci_lattice(11)
+    rep = spectral_test(lat, 4)
+    _, witnesses = isotropic_lower_bound(lat, n_slabs=3, report=rep)
+    assert [w.dual_slab[0] for w in witnesses] == [sv.vector for sv in rep.shortest_duals[:3]]
+    with pytest.raises(ValueError, match="^n_slabs = 5, but the report holds 4 dual vectors"):
+        isotropic_lower_bound(lat, n_slabs=5, report=rep)
+
+
 def test_witness_bodies_inside_cube():
     lat = fibonacci_lattice(7)
     _, all_w = isotropic_lower_bound(lat)
@@ -386,7 +402,7 @@ def best_slab_by_scan(h):
 
 def shortest_dual_vectors(lat, k):
     """The k shortest dual vectors of lat, in the spectral test's order."""
-    return [sv.vector for sv in shortest_vectors(spectral_test(lat).dual_reduced, k)]
+    return [sv.vector for sv in spectral_test(lat, k).shortest_duals]
 
 
 def test_slab_witness_records_its_best_index():

@@ -25,7 +25,7 @@ from latdisc.distance import (
 from latdisc.discrepancy import halfspace_cube_volume
 from latdisc.harness import CorpusSpec, builtin_corpus, chunk_rng
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
-from latdisc.reduction import shortest_vectors, spectral_test
+from latdisc.reduction import spectral_test
 
 
 EQUI4 = enumerate_points(rank1_lattice(4, (1,)))
@@ -556,9 +556,9 @@ def test_nn_baseline_lipschitz_bound():
 )
 def test_slab_union_volume_is_2t_for_every_shortest_dual_vector(n, g, t):
     lat = rank1_lattice(n, g)
-    rep = spectral_test(lat)
+    rep = spectral_test(lat, 12)
     # d <= 4 has at most 12 shortest vectors up to sign
-    duals = shortest_vectors(rep.dual_reduced, 12)
+    duals = rep.shortest_duals
     ties = [sv.vector for sv in duals if sv.norm_sq_exact == rep.dual_norm_sq]
     assert ties[0] == rep.shortest_dual
     for h in ties:

@@ -399,3 +399,40 @@ def test_a_lattice_task_reduces_its_dual_basis_once(monkeypatch):
     rows = harness.run_lattice_task(c, "fib-k07", 13, (1, 8))["rows"]
     assert {r["check"] for r in rows} >= {"spectral-exact", "thm1", "prop1-volA"}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "checks, lattice_id, n, g, k",
+    [
+        (("spectral-exact", "thm1", "prop1"), "fib-k07", 13, (1, 8), 10),
+        (("spectral-exact", "thm1", "prop1"), "rank1-d4-n64-i00", 64, (6, 39, 14, 16), 10),
+        (("prop1",), "fib-k07", 13, (1, 8), 1),
+    ],
+    ids=["thm1-fib-k07", "thm1-d4", "prop1-only"],
+)
+def test_a_lattice_task_runs_one_dual_search(checks, lattice_id, n, g, k, monkeypatch):
+    # sigma and Theorem 1's witnesses share one k-best search; a task
+    # without thm1 asks for one vector
+    from latdisc import reduction
+
+    calls = []
+    real = reduction.enumerate_below
+    monkeypatch.setattr(reduction, "enumerate_below", lambda *a: calls.append(a) or real(*a))
+    rows = harness.run_lattice_task(Campaign(checks=checks), lattice_id, n, g)["rows"]
+    assert "prop1-volA" in {r["check"] for r in rows}
+    assert ("thm1" in checks) == ("thm1" in {r["check"] for r in rows})
+    assert [a[2] for a in calls] == [k]
+
+
+def test_isodisc_runs_one_dual_search(tmp_path, monkeypatch, capsys):
+    from latdisc import reduction
+    from latdisc.cli import main
+
+    spec = tmp_path / "fib.lat"
+    assert main(["--out", str(spec), "gen", "fibonacci", "--k", "12"]) == 0
+    calls = []
+    real = reduction.enumerate_below
+    monkeypatch.setattr(reduction, "enumerate_below", lambda *a: calls.append(a) or real(*a))
+    assert main(["isodisc", str(spec)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["witnesses"]) == 10
+    assert [a[2] for a in calls] == [10]

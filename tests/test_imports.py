@@ -33,7 +33,7 @@ from latdisc import fibonacci_lattice, rank1_lattice, spectral_test, verify_thm1
 from latdisc.cli import main
 
 for lat in (fibonacci_lattice(12), rank1_lattice(64, (1, 7, 19))):
-    rep = spectral_test(lat)
+    rep = spectral_test(lat, 10)
     assert verify_thm1(lat, report=rep).verdict == "PASS"
 spec = {str(tmp_path / "fib.lat")!r}
 assert main(["--out", spec, "gen", "fibonacci", "--k", "12"]) == 0

@@ -299,8 +299,8 @@ def test_shortest_vectors_runs_one_enumeration(g, k, monkeypatch):
     monkeypatch.setattr(reduction, "enumerate_below", lambda *a: calls.append(a) or real(*a))
     svs = shortest_vectors(reduced, k)
     assert len(calls) == 1 and len(svs) == k
-    # a search with four times the bound finds no vector the one search missed
-    wider = real(reduced.rows, 4 * svs[-1].norm_sq_exact)
+    # a search from four times the bound finds no vector the one search missed
+    wider = real(reduced.rows, 4 * svs[-1].norm_sq_exact, k)
     assert [nsq for _, nsq in wider[:k]] == [sv.norm_sq_exact for sv in svs]
 
 
@@ -319,7 +319,7 @@ def test_shortest_vectors_bound_stays_tight_on_a_skewed_basis(monkeypatch):
 def test_shortest_vectors_in_d12_stay_small(monkeypatch):
     # the bound has d k + d (d - 1) candidates; a coefficient box such as
     # {-1..1}^12 would have 3^12 rows
-    reduced = spectral_test(korobov_lattice(4099, 1606, 12)).dual_reduced
+    reduced = lll_reduce(dual_basis(korobov_lattice(4099, 1606, 12)))
     real = reduction.enumerate_below
     found = []
     monkeypatch.setattr(reduction, "enumerate_below", lambda *a: found.append(real(*a)) or found[-1])
@@ -344,6 +344,75 @@ def test_shortest_vectors_ties_break_on_reduced_coefficients(basis):
     svs = shortest_vectors(lll_reduce(basis), 6)
     expected = brute_force_shortest_vectors(basis, 6, 8)
     assert [(sv.norm_sq_exact, sv.vector, sv.coefficients) for sv in svs] == expected
+
+
+ORACLE_BASES = {
+    "Z2": ([[1, 0], [0, 1]], 5),
+    "Z3": ([[int(i == j) for j in range(3)] for i in range(3)], 3),
+    "Z4": ([[int(i == j) for j in range(4)] for i in range(4)], 2),
+    "skewed": ([[1, 0], [0, 100]], 25),
+    "rank1-d5": (dual_basis(rank1_lattice(17, (1, 3, 4, 5, 7))), 3),
+    "rank1-d6": (dual_basis(rank1_lattice(7, (1, 2, 3, 4, 5, 6))), 2),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_BASES)
+def test_shortest_vectors_match_the_brute_force_oracle(name):
+    # Z^d and the rank-1 duals tie many vectors at the k-th norm, so the
+    # tie order decides which k are returned
+    basis, radius = ORACLE_BASES[name]
+    expected = brute_force_shortest_vectors(basis, 25, radius)
+    reduced = lll_reduce(basis)
+    for k in (1, 3, 10, 25):
+        svs = shortest_vectors(reduced, k)
+        assert [(sv.norm_sq_exact, sv.vector, sv.coefficients) for sv in svs] == expected[:k], k
+
+
+@pytest.mark.parametrize("k", [1, 3, 9, 10, 25])
+@pytest.mark.parametrize(
+    "lat",
+    [fibonacci_lattice(16), fibonacci_lattice(11), rank1_lattice(1024, (1, 271, 343)),
+     rank1_lattice(17, (1, 3, 4, 5, 7))],
+    ids=["fib-k16", "fib-k11", "d3-n1024", "d5-n17"],
+)
+def test_enumerate_below_keeps_only_the_k_th_norm_and_shorter(lat, k, monkeypatch):
+    # the search shrinks its bound to the k-th norm found, so it returns more
+    # than k vectors only when norms tie at the k-th place. A search below the
+    # candidate bound alone returned 36 vectors on fib-k16 for k = 10
+    reduced = lll_reduce(dual_basis(lat))
+    norms = [sv.norm_sq_exact for sv in shortest_vectors(reduced, k + 1)]
+    real = reduction.enumerate_below
+    found = []
+    monkeypatch.setattr(reduction, "enumerate_below", lambda *a: found.append(real(*a)) or found[-1])
+    shortest_vectors(reduced, k)
+    (hits,) = found
+    assert [nsq for _, nsq in hits[:k]] == norms[:k]
+    assert all(nsq == norms[k - 1] for _, nsq in hits[k:])
+    if norms[k - 1] < norms[k]:
+        assert len(hits) == k
+
+
+@pytest.mark.parametrize("k", [-1, 0, True, False, 1.0, "3", None])
+def test_shortest_vectors_rejects_a_bad_k(k):
+    # k = -1 once returned the first vectors but one, and k = 0 none
+    reduced = lll_reduce(dual_basis(fibonacci_lattice(11)))
+    with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+        shortest_vectors(reduced, k)
+
+
+@pytest.mark.parametrize("n", [-1, 0, True, 2.0])
+def test_spectral_test_rejects_a_bad_n_shortest(n):
+    with pytest.raises(ValueError, match="^n_shortest must be an integer >= 1"):
+        spectral_test(fibonacci_lattice(11), n)
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_spectral_test_keeps_the_n_shortest_dual_vectors(n):
+    lat = fibonacci_lattice(11)
+    rep = spectral_test(lat, n)
+    assert list(rep.shortest_duals) == shortest_vectors(lll_reduce(dual_basis(lat)), n)
+    assert rep.shortest_dual == rep.shortest_duals[0].vector
+    assert rep.to_json_dict() == spectral_test(lat).to_json_dict()
 
 
 def test_shortest_vector_dual_rank1_5_12():
@@ -442,21 +511,21 @@ def test_shortest_dual_vectors_reuse_the_reports_reduction(entry, monkeypatch):
 
     lat = rank1_lattice(*entry[1:])
     fresh = [sv.vector for sv in shortest_vectors(lll_reduce(dual_basis(lat)), 10)]
-    rep = spectral_test(lat)
-    assert "dual_reduced" not in rep.to_json_dict()
+    rep = spectral_test(lat, 10)
     calls = []
-    real = reduction.lll_reduce
-    monkeypatch.setattr(reduction, "lll_reduce", lambda *a, **k: calls.append(a) or real(*a, **k))
+    for name in ("lll_reduce", "enumerate_below"):
+        real = getattr(reduction, name)
+        monkeypatch.setattr(reduction, name, lambda *a, real=real: calls.append(a) or real(*a))
     _, witnesses = isotropic_lower_bound(lat, report=rep)
     assert [w.dual_slab[0] for w in witnesses] == fresh
-    assert calls == []  # the report's reduced dual basis is used as is
+    assert calls == []  # the report's dual vectors are used as they are
     assert fresh[0] == rep.shortest_dual
     assert sum(x * x for x in fresh[0]) == rep.dual_norm_sq
 
 
-def dual_vectors(rep, k):
-    """The k shortest dual vectors from the report's reduced dual basis."""
-    return [sv.vector for sv in shortest_vectors(rep.dual_reduced, k)]
+def dual_vectors(lat, k):
+    """The k shortest dual vectors, from a fresh reduction of the dual basis."""
+    return [sv.vector for sv in shortest_vectors(lll_reduce(dual_basis(lat)), k)]
 
 
 DEFAULT_CORPUS = {lid: (n, g) for lid, n, g in builtin_corpus(CorpusSpec(), 20200817)}
@@ -465,8 +534,8 @@ DEFAULT_CORPUS = {lid: (n, g) for lid, n, g in builtin_corpus(CorpusSpec(), 2020
 def test_spectral_test_names_the_first_shortest_dual_vector_on_the_default_corpus():
     assert len(DEFAULT_CORPUS) == 260
     for lattice_id, (n, g) in DEFAULT_CORPUS.items():
-        rep = spectral_test(rank1_lattice(n, g))
-        assert rep.shortest_dual == dual_vectors(rep, 10)[0], lattice_id
+        lat = rank1_lattice(n, g)
+        assert spectral_test(lat).shortest_dual == dual_vectors(lat, 10)[0], lattice_id
 
 
 # two shortest dual vectors each, on which two tie rules once picked different ones
@@ -480,10 +549,10 @@ def test_every_check_uses_the_same_shortest_dual_vector(lattice_id):
     from latdisc import discrepancy
 
     lat = rank1_lattice(*DEFAULT_CORPUS[lattice_id])
-    rep = spectral_test(lat)
+    rep = spectral_test(lat, 10)
     _, witnesses = discrepancy.isotropic_lower_bound(lat, report=rep)
     h = rep.shortest_dual
-    assert dual_vectors(rep, 10)[0] == h
+    assert dual_vectors(lat, 10)[0] == h
     assert witnesses[0].dual_slab[0] == h
-    ties = [v for v in dual_vectors(rep, 12) if norm_sq(v) == rep.dual_norm_sq]
+    ties = [v for v in dual_vectors(lat, 12) if norm_sq(v) == rep.dual_norm_sq]
     assert len(ties) == (2 if lattice_id in TIED else 1)
