@@ -151,52 +151,58 @@ class Thm1Report:
 def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:
     """The first k maximising Vol(k + eps <= h.x <= k + 1 - eps), eps =
     SLAB_EPS, over the slabs between adjacent planes that meet the cube,
-    and that volume.
+    and that volume, in closed form.
 
-    Reflecting x_i -> 1 - x_i for h_i < 0 turns h.x into y = sum |h_i| x_i
-    and slab k into slab j = k + shift of y, j = 0..S-1 with S = sum |h_i|.
-    Scaled by eps's denominator q every cut has integer coefficients q|h_i|,
-    so all slab volumes share one denominator and compare as integers.
+    Reflecting x_i -> 1 - x_i for h_i < 0 turns h.x into y = sum a_i x_i,
+    a_i = |h_i| over the nonzero entries, and slab k into slab j = k + shift
+    of y, j = 0..S-1 with S = sum a_i. With x uniform on the cube, y is a
+    sum of independent uniforms on [0, a_i], whose density f is their
+    convolution. Let M = max a_i and R = S - M, the range of the other terms.
 
-    The volume F(j) of slab j is non-decreasing for j <= j_c = floor((S-1)/2)
-    and F(j) = F(S-1-j), so F(j_c) is the maximum. Proof: with x uniform on
-    the cube, y is a sum of independent uniforms on [0, |h_i|], each with a
-    density symmetric and unimodal about |h_i|/2. A convolution of symmetric
-    unimodal densities is symmetric unimodal (Wintner 1938; Ibragimov, "On
-    the composition of unimodal distributions", Theory Probab. Appl. 1956),
-    so y has a density f, non-decreasing below S/2, with f(y) = f(S - y).
-    The window G(a) = integral of f over [a, a + w] then has
-    G(b) - G(a) = integral over [a, b] of f(t + w) - f(t), which is >= 0
-    while b + w/2 <= S/2: either t + w <= S/2, or f(t + w) = f(S - t - w)
-    with t <= S - t - w <= S/2. Slab j is the window at a = j + eps of width
-    w = 1 - 2 eps, centred at j + 1/2, so F(j) <= F(j + 1) for
-    j + 1 <= (S-1)/2, and the reflection y -> S - y maps slab j to slab
-    S-1-j, which gives F(j) = F(S-1-j) <= F(j_c) for every j > j_c.
+    If M > R, f(y) = P(y - M <= Z <= y) / M for Z, the sum of the other
+    terms, on [0, R]: exactly 1/M on [R, M] and below 1/M on (0, R). Slab R
+    lies in [R, M], as M >= R + 1 in integers, so its volume (1 - 2 eps) / M
+    is the largest and every earlier slab's is smaller: no inclusion-exclusion
+    sum is needed.
 
-    F may be flat on top (a trapezoid when h has two entries), so the first
-    maximiser is found by binary search for the smallest j <= j_c with
-    F(j) = F(j_c): 1 + ceil(log2(j_c + 1)) volumes instead of S.
+    Otherwise the volume F(j) of slab j is non-decreasing for j <= j_c =
+    floor((S-1)/2) and F(j) = F(S-1-j), so F(j_c) is the maximum. Proof:
+    each uniform has a density symmetric and unimodal about a_i/2, and a
+    convolution of symmetric unimodal densities is symmetric unimodal
+    (Wintner 1938; Ibragimov, "On the composition of unimodal
+    distributions", Theory Probab. Appl. 1956), so f is non-decreasing
+    below S/2, with f(y) = f(S - y). The window G(a) = integral of f over
+    [a, a + w] then has G(b) - G(a) = integral over [a, b] of
+    f(t + w) - f(t), which is >= 0 while b + w/2 <= S/2: either
+    t + w <= S/2, or f(t + w) = f(S - t - w) with t <= S - t - w <= S/2.
+    Slab j is the window at a = j + eps of width w = 1 - 2 eps, centred at
+    j + 1/2, so F(j) <= F(j + 1) for j + 1 <= (S-1)/2, and the reflection
+    y -> S - y maps slab j to slab S-1-j, which gives F(j) = F(S-1-j) <=
+    F(j_c) for every j > j_c. As F(j) <= F(j_c - 1) for j < j_c, the exact
+    check F(j_c - 1) < F(j_c) makes j_c the first maximiser (F(-1) = 0, so
+    j_c = 0 needs no special case); AssertionError is raised should it fail. Scaled by
+    eps's denominator q every cut has integer coefficients q a_i, so both
+    volumes share one denominator and compare as integers.
     """
     q, e = SLAB_EPS.denominator, SLAB_EPS.numerator
     shift = -sum(x for x in h if x < 0)
-    pos = [q * abs(x) for x in h if x]
+    a = [abs(x) for x in h if x]
+    top = max(a)
+    rest = sum(a) - top
+    if top > rest:
+        return rest - shift, Fraction(q - 2 * e, q * top)
+    pos = [q * x for x in a]
     sums, n = _subset_sums(pos), len(pos)
 
     def volume(j: int) -> int:  # F(j) * n! * prod(pos)
         t = q * j
         return _ie_sum(sums, t + q - e, n) - _ie_sum(sums, t + e, n)
 
-    lo, hi = 0, (sum(map(abs, h)) - 1) // 2
-    best = volume(hi)
-    if best <= 0:
-        raise AssertionError("no slab with positive cube intersection")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if volume(mid) == best:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo - shift, Fraction(best, math.factorial(n) * math.prod(pos))
+    j_c = (top + rest - 1) // 2
+    best = volume(j_c)
+    if volume(j_c - 1) >= best:
+        raise AssertionError(f"slab {j_c - shift} of h = {h} is not the first largest")
+    return j_c - shift, Fraction(best, math.factorial(n) * math.prod(pos))
 
 
 def slab_witness(lat: IntegrationLattice, h: tuple[int, ...]) -> DiscrepancyWitness:

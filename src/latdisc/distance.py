@@ -192,11 +192,11 @@ def covering_radius(ps: LatticePointSet, tol: float = 1e-4) -> CoveringRadius:
         n_evals += children.shape[0]
         lb = max(lb, float(np.max(cvals)))
         ubs = cvals + child_halves * sqrt_d
-        for i in range(children.shape[0]):
-            if ubs[i] > lb:
-                heapq.heappush(
-                    heap, (-float(ubs[i]), next(counter), tuple(children[i]), float(child_halves[i]))
-                )
+        live = ubs > lb
+        for neg_ub, child, half in zip(
+            (-ubs[live]).tolist(), children[live].tolist(), child_halves[live].tolist()
+        ):
+            heapq.heappush(heap, (neg_ub, next(counter), tuple(child), half))
     ub = max(lb, -heap[0][0]) if heap else lb
     lower, upper = lb - margin, ub + margin
     return CoveringRadius(lower, upper, n_evals, upper - lower <= tol, 0.5 * (lb + ub))
@@ -440,9 +440,8 @@ def _grid_moments_multi(
         above = dist + reach
         for g in gammas:
             s = sums[g]
-            s[0] += float(np.sum(dist**g))
-            s[1] += float(np.sum(below**g))
-            s[2] += float(np.sum(above**g))
+            for i, x in enumerate((dist, below, above)):
+                s[i] += float(np.sum(x if g == 1 else x**g))  # x**1.0 is x, exactly
     out = {}
     for g, (mid, lo, hi) in sums.items():
         slack = (n + g + 8) * EPS

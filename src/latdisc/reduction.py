@@ -83,7 +83,7 @@ class SpectralReport:
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _int_rows(basis) -> Mat:
@@ -211,10 +211,11 @@ def enumerate_below(rows: Mat, bound_sq: int, k: int) -> list[tuple[tuple[int, .
     found: list[tuple[int, tuple[int, ...]]] = []  # (squared norm, coefficients), norm <= bound_sq
     radius = float(bound_sq) * (1 + 1e-9) + 1e-12
     coeff = [0] * d
+    cols = list(zip(*rows))
 
     def keep(u: tuple[int, ...]) -> None:
         nonlocal bound_sq, found, radius
-        v = _combination(rows, u)
+        v = [_dot(u, col) for col in cols]
         nsq = _dot(v, v)
         if nsq > bound_sq:
             return

@@ -138,13 +138,31 @@ def test_criterion_3_lemma2_lemma3(capsys, body_campaign):
     )
 
 
-def test_body_campaign_json_is_byte_identical_to_the_recorded_one(body_campaign, tmp_path):
-    res, _ = body_campaign
+def _campaign_sha256(campaign, tmp_path):
+    res, _ = campaign
     write_artifacts(res, tmp_path)
+    return hashlib.sha256((tmp_path / "campaign.json").read_bytes()).hexdigest()
+
+
+def test_body_campaign_json_is_byte_identical_to_the_recorded_one(body_campaign, tmp_path):
     # sha256 of the campaign.json recorded when a V-polytope still measured
     # its volumes through a separate H-form; the shared polytope code must not move a bit
-    digest = hashlib.sha256((tmp_path / "campaign.json").read_bytes()).hexdigest()
+    digest = _campaign_sha256(body_campaign, tmp_path)
     assert digest == "4be769b05413b5af06e95052679cd8c6aa07acdeca6f9023af4e7c21ad523634"
+
+
+def test_thm1_campaign_json_is_byte_identical_to_the_recorded_one(thm1_campaign, tmp_path):
+    # sha256 of the campaign.json recorded when the first largest slab was
+    # still found by binary search over the slab volumes
+    digest = _campaign_sha256(thm1_campaign, tmp_path)
+    assert digest == "a54aa9c59c8534ed51d0c151535039c08333a695a2fe80289760a115a32f0ae4"
+
+
+def test_prop1_campaign_json_is_byte_identical_to_the_recorded_one(prop1_campaign, tmp_path):
+    # sha256 of the campaign.json recorded when the covering radius still
+    # pushed its children one numpy scalar at a time and gamma = 1 took powers
+    digest = _campaign_sha256(prop1_campaign, tmp_path)
+    assert digest == "5929d115a6fed568ac80733995e1ac311fc818ffae382190dd14e4761fc72a3c"
 
 
 def test_criterion_4_corollary1(capsys, body_campaign):

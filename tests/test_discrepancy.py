@@ -416,7 +416,10 @@ def test_slab_witness_records_its_best_index():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    h=st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=4).filter(any)
+    h=st.one_of(
+        st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=4),
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=5, max_size=6),
+    ).filter(any)
 )
 def test_best_slab_equals_the_exhaustive_scan(h):
     assert _best_slab(tuple(h)) == best_slab_by_scan(tuple(h))
@@ -442,8 +445,11 @@ def test_best_slab_equals_the_exhaustive_scan_on_plateaus_and_degenerate_h(h):
     assert _best_slab(h) == best_slab_by_scan(h)
 
 
-@pytest.mark.parametrize("h", [(312, 557, 131), (1000,), (250, -250, 250, -250), (499, 501)])
-def test_best_slab_evaluates_logarithmically_many_volumes(h, monkeypatch):
+@pytest.mark.parametrize(
+    "h",
+    [(312, 557, 131), (1000,), (250, -250, 250, -250), (499, 501), (3, -2, 4, 1, 2, 5), (7, 7)],
+)
+def test_best_slab_evaluates_at_most_two_volumes(h, monkeypatch):
     calls = []
 
     def counting_ie_sum(sums, t, power):
@@ -454,11 +460,19 @@ def test_best_slab_evaluates_logarithmically_many_volumes(h, monkeypatch):
     monkeypatch.setattr(discrepancy, "_ie_sum", counting_ie_sum)
     best = _best_slab(h)
     monkeypatch.undo()
-    s = sum(map(abs, h))
-    assert s == 1000
-    # two inclusion-exclusion sums per slab volume
-    assert len(calls) <= 2 * (math.ceil(math.log2(s)) + 2)
+    top = max(map(abs, h))
+    if top > sum(map(abs, h)) - top:  # the flat top of the density: closed form
+        assert calls == []
+    else:  # two inclusion-exclusion sums per slab volume
+        assert len(calls) <= 4
     assert best == best_slab_by_scan(h)
+
+
+def test_best_slab_raises_when_its_slab_is_not_strictly_first(monkeypatch):
+    # a flat volume ties slab j_c with slab j_c - 1, which the certificate rejects
+    monkeypatch.setattr(discrepancy, "_ie_sum", lambda sums, t, power: t)
+    with pytest.raises(AssertionError, match="not the first largest"):
+        _best_slab((3, 3, 3, 3))
 
 
 @pytest.mark.parametrize("lat", CORPUS_LATTICES, ids=[f"ps{i}" for i in range(len(CORPUS_LATTICES))])
