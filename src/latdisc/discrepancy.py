@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import IntegrationLattice
-from .reduction import SpectralReport, check_count, spectral_test
+from .reduction import SpectralReport, _dot, check_count, spectral_test
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def slab_witness(lat: IntegrationLattice, h: tuple[int, ...]) -> DiscrepancyWitn
         raise ValueError(f"h has length {len(h)}, the lattice dimension is {lat.dim}")
     if not any(h):
         raise ValueError("h must be nonzero")
-    if any(sum(a * b for a, b in zip(row, h)) % lat.denom for row in lat.basis):
+    if any(_dot(row, h) % lat.denom for row in lat.basis):
         raise ValueError("h is not in the dual lattice")
     best_k, best_vol = _best_slab(h)
     return DiscrepancyWitness(

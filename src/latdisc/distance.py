@@ -270,13 +270,28 @@ def _grid_centers_chunks(d: int, m: int):
         yield np.hstack([head, body])
 
 
+def _balanced_boxes(n: int, side: int) -> list[tuple[int, int, int]]:
+    """Cut n cells into ceil(n / side) runs whose sizes differ by at most one,
+    the larger first: (first cell, size, first cell of the runs of that
+    size) per run."""
+    count = -(-n // side)
+    q, r = divmod(n, count)
+    large = [(i * (q + 1), q + 1, 0) for i in range(r)]
+    return large + [(r * (q + 1) + i * q, q, r * (q + 1)) for i in range(count - r)]
+
+
 def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
     """Yield dist(., P) at the cell centres of each `_grid_centers_chunks`
     chunk, in the same order and bit-identical to `tree.query`. The points
     of P and the cells lie in the unit cube.
 
-    Each chunk is cut into boxes of about one point spacing (between
-    GRID_BOX_MIN_CELLS and GRID_BOX_ENTRIES cells). A box whose cell centres
+    The search runs on slabs of two consecutive chunks (the last slab is a
+    single chunk when the count is odd), so a box is not clipped to the
+    depth of one chunk; each slab then yields its chunks one by one, the
+    same arrays a chunk-by-chunk search would give. A slab is cut into
+    boxes of about one point spacing (between GRID_BOX_MIN_CELLS and
+    GRID_BOX_ENTRIES cells), balanced along each axis: their sizes differ
+    by at most one cell (`_balanced_boxes`). A box whose cell centres
     lie within h of its centre c, with u = dist(c, P), has every cell's
     nearest point p* within u + 2h of c, since |p* - c| <= dist(x) + h; the
     points in that ball (with a margin for rounding) are the box's raw
@@ -314,12 +329,12 @@ def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
     The kept candidates are measured for many boxes per numpy call: boxes
     are grouped by shape and sorted by kept count, each batch is padded to
     its largest count with a sentinel point at +inf, and the results are
-    written through a strided view of the chunk that tiles it with boxes
-    of the batch's shape. Squares are summed in axis order from 0.0, then
-    min and sqrt: cKDTree's own operations, so the result is bit-identical
-    to its query. Every temporary that grows with candidates times cells,
-    and the coordinates of each slice of filtered pairs, are held to
-    GRID_BOX_ENTRIES entries.
+    written through a strided view of the slab that tiles it with boxes
+    of the batch's shape, from the first box of that shape. Squares are
+    summed in axis order from 0.0, then min and sqrt: cKDTree's own
+    operations, so the result is bit-identical to its query. Every
+    temporary that grows with candidates times cells, and the coordinates
+    of each slice of filtered pairs, are held to GRID_BOX_ENTRIES entries.
     """
     axis = _grid_axis(m)
     pts = tree.data
@@ -330,11 +345,14 @@ def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
     side = m * tree.n ** (-1.0 / d)  # one point spacing, in cells
     side = min(max(side, GRID_BOX_MIN_CELLS ** (1.0 / d)), GRID_BOX_ENTRIES ** (1.0 / d), m)
     side = int(side + 1e-9)  # (2^15)^(1/3) evaluates to just under 32
-    for start, stop in _grid_row_chunks(d, m):
+    chunks = _grid_row_chunks(d, m)
+    for slab in (chunks[i : i + 2] for i in range(0, len(chunks), 2)):
+        start, stop = slab[0][0], slab[-1][1]
         axes = [axis[start:stop]] + [axis] * (d - 1)
         lens = [len(ax) for ax in axes]
-        firsts = np.array(list(itertools.product(*(range(0, n, side) for n in lens))))
-        sizes = np.minimum(side, lens - firsts)
+        # per box and axis: (first cell, size, first cell of the boxes of that size)
+        boxes = np.array(list(itertools.product(*map(_balanced_boxes, lens, [side] * d))))
+        firsts, sizes, corners = boxes[:, :, 0], boxes[:, :, 1], boxes[:, :, 2]
         lo = np.stack([ax[f] for ax, f in zip(axes, firsts.T)], axis=1)
         hi = np.stack([ax[f] for ax, f in zip(axes, (firsts + sizes - 1).T)], axis=1)
         centres = 0.5 * (lo + hi)
@@ -363,12 +381,10 @@ def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
         counts = np.bincount(owner, minlength=n)
         order = np.lexsort((counts, *sizes.T))
         cand = cand[np.argsort(np.argsort(order)[owner], kind="stable")]
-        counts, firsts, sizes = counts[order], firsts[order], sizes[order]
+        counts, firsts, sizes, corners = counts[order], firsts[order], sizes[order], corners[order]
         count_of, ends = counts.tolist(), np.cumsum(counts).tolist()
         shapes = list(map(tuple, sizes.tolist()))
-        # boxes of one shape tile the chunk from a corner: the origin, or the
-        # last row of boxes along an axis where the shape is narrower
-        corners = np.where(sizes < side, lens - sizes, 0)
+        # boxes of one shape tile the slab from one corner
         tile_of = (firsts - corners) // sizes
         corners = corners.tolist()
         coords = [  # per box, its cells' coordinates along each axis, padded to side
@@ -398,7 +414,7 @@ def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
                     sq = sq + (diff * diff).reshape(along_k)
                 near = sq.min(axis=1)
                 best = near if best is None else np.minimum(best, near, out=best)
-            # the chunk's cells tiled by boxes of this shape, viewed as
+            # the slab's cells tiled by boxes of this shape, viewed as
             # (tile index per axis..., cell index per axis...)
             corner = corners[i]
             tiles = np.ndarray(
@@ -409,15 +425,18 @@ def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
             )
             tiles[tuple(tile_of[i:j].T)] = np.sqrt(best, out=best)
             i = j
-        yield out.reshape(-1)
+        for a, b in slab:
+            yield out[a - start : b - start].reshape(-1)
+        del out, tiles  # free the slab before the next search, unless the caller holds a chunk
 
 
 def _grid_moments_multi(
-    tree: cKDTree, d: int, m: int, gammas: list[float]
+    tree: cKDTree, d: int, m: int, gammas: list[float], bracketed: set[float]
 ) -> dict[float, tuple[float, float, float]]:
     """(midpoint sum, lower bracket, upper bracket) of the dist^gamma integral
     for each gamma, sharing one pass over the grid. The distances come from
-    the exact block-wise search of `_grid_distance_chunks`, chunk by chunk.
+    the exact block-wise search of `_grid_distance_chunks`, chunk by chunk:
+    each sum adds one np.sum per chunk, however the search cut its slabs.
 
     dist is 1-Lipschitz, so on a cell with centre c and half-diagonal
     r = sqrt(d) / (2m), max(dist(c) - r, 0) <= dist <= dist(c) + r, and for
@@ -431,21 +450,32 @@ def _grid_moments_multi(
     Higham's any-order summation bound (n - 1) u sum |x_i| (Accuracy and
     Stability of Numerical Algorithms, 2002, sec. 4.2), the rounding of
     each term's subtraction or addition and power, and the division by n.
+
+    The bracket sums are taken only for the gammas in `bracketed`; every
+    other gamma gets the vacuous but true bracket (0, inf).
     """
     n = m**d
     reach = math.sqrt(d) / (2 * m) * (1 + 4 * EPS) + _dist_margin(d)
     sums = {g: [0.0, 0.0, 0.0] for g in gammas}
+    with_brackets = [g for g in gammas if g in bracketed]
+
+    def add(i: int, x: np.ndarray, gs: list[float]) -> None:
+        for g in gs:
+            sums[g][i] += float(np.sum(x if g == 1 else x**g))  # x**1.0 is x, exactly
+
     for dist in _grid_distance_chunks(tree, d, m):
-        below = np.maximum(dist - reach, 0.0)
-        above = dist + reach
-        for g in gammas:
-            s = sums[g]
-            for i, x in enumerate((dist, below, above)):
-                s[i] += float(np.sum(x if g == 1 else x**g))  # x**1.0 is x, exactly
+        add(0, dist, gammas)
+        if with_brackets:
+            bracket = np.maximum(dist - reach, 0.0)
+            add(1, bracket, with_brackets)
+            add(2, np.add(dist, reach, out=bracket), with_brackets)
+            del bracket
+        del dist  # so the walk can free each slab before it cuts the next
     out = {}
     for g, (mid, lo, hi) in sums.items():
         slack = (n + g + 8) * EPS
-        out[g] = (mid / n, lo / n * (1 - slack), hi / n * (1 + slack))
+        bounds = (lo / n * (1 - slack), hi / n * (1 + slack)) if g in bracketed else (0.0, math.inf)
+        out[g] = (mid / n, *bounds)
     return out
 
 
@@ -463,6 +493,8 @@ def distance_norms(
     ps: LatticePointSet,
     gammas,
     config: DistanceNormConfig | None = None,
+    *,
+    bracketed=None,
 ) -> dict[GammaValue, DistanceNormReport]:
     """L_gamma norms of dist(., P) for several gammas, sharing the grid.
 
@@ -472,9 +504,15 @@ def distance_norms(
     midpoint rule on a tensor grid (`_default_resolution`), and the
     certified bounds are its per-cell brackets (`_grid_moments_multi`),
     widened outward for rounding. Nothing is sampled.
+
+    `bracketed` (default: every gamma) names the gammas whose certified
+    bounds the caller reads. On the grid the bracket sums of the other
+    gammas are skipped, and their reports carry the vacuous but true
+    enclosure [0, inf]; their values are unchanged. The closed form and the
+    covering radius bracket every gamma, at no extra cost.
     """
     cfg = config or DistanceNormConfig()
-    gammas = list(gammas)
+    gammas = list(dict.fromkeys(gammas))  # a repeated gamma must not add its grid sums twice
     d = ps.dim
     pts = ps.as_array()
     out: dict[GammaValue, DistanceNormReport] = {}
@@ -515,7 +553,9 @@ def distance_norms(
     from scipy.spatial import cKDTree
 
     m = cfg.grid_resolution or _default_resolution(d)
-    grid = _grid_moments_multi(cKDTree(pts), d, m, finite)
+    grid = _grid_moments_multi(
+        cKDTree(pts), d, m, finite, set(gammas if bracketed is None else bracketed)
+    )
     for g in finite:
         moment, lo, hi = grid[g]
         lower, upper = _root_outward(lo, hi, g)

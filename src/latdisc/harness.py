@@ -382,8 +382,12 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
         # one distance pass serves prop1 and thm2; a shared gamma is computed once
         prop1_gammas = c.budgets.prop1_gammas if "prop1" in c.checks else ()
         gammas = dict.fromkeys([*prop1_gammas, *(gamma for _, _, gamma in thm2)])
+        # thm2 reads only values, so only the prop1 gammas need certified brackets
         norms = distance.distance_norms(
-            enumerate_points(lat), gammas, DistanceNormConfig(covering_tol=tol)
+            enumerate_points(lat),
+            gammas,
+            DistanceNormConfig(covering_tol=tol),
+            bracketed=prop1_gammas,
         )
     if "prop1" in c.checks:
         p1 = verify_prop1(
@@ -605,10 +609,57 @@ def default_out_dir() -> str:
     return os.environ.get("LATDISC_OUT", "latdisc-artifacts")
 
 
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """json's C encoder, separating items by a line break and the indent of
+    `depth`, as indent=2 does."""
+    return json.JSONEncoder(allow_nan=False, separators=(",\n" + "  " * depth, ": "))
+
+
+def _is_flat(obj) -> bool:
+    """obj is a nonempty dict or list of plain JSON scalars."""
+    values = obj.values() if isinstance(obj, dict) else obj
+    return bool(obj) and set(map(type, values)) <= _JSON_SCALARS
+
+
+def _json_indented(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2, allow_nan=False), byte for byte. indent
+    makes json use its pure-Python encoder; here json's C encoder writes
+    every flat container, and a list of flat objects (a table's rows) in one
+    call, so only the few containers above those are laid out in Python."""
+    pad, inner, deeper = "  " * depth, "  " * (depth + 1), "  " * (depth + 2)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _flat_encoder(0).encode(obj)
+    if _is_flat(obj):
+        text = _flat_encoder(depth + 1).encode(obj)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if isinstance(obj, list) and all(isinstance(row, dict) and _is_flat(row) for row in obj):
+        # an encoded string holds no line break, so each "},\n{" is a
+        # separator between two rows, and gets the rows' own indent
+        text = _flat_encoder(depth + 2).encode(obj)[2:-2]
+        text = text.replace(f"}},\n{deeper}{{", f"\n{inner}}},\n{inner}{{\n{deeper}")
+        return f"[\n{inner}{{\n{deeper}{text}\n{inner}}}\n{pad}]"
+    if isinstance(obj, dict):
+        # each key as the C encoder writes it: '{"k": null}' less its ends
+        items = (
+            f"{_flat_encoder(0).encode({k: None})[1:-7]}: {_json_indented(v, depth + 1)}"
+            for k, v in obj.items()
+        )
+        brackets = "{}"
+    else:
+        items = (_json_indented(v, depth + 1) for v in obj)
+        brackets = "[]"
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
 def write_artifacts(result: CampaignResult, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    payload = json.dumps(result.to_json_dict(), indent=2, allow_nan=False) + "\n"
+    payload = _json_indented(result.to_json_dict()) + "\n"
     path = out_dir / "campaign.json"
     path.write_text(payload)
     written.append(path)

@@ -183,10 +183,6 @@ def _float_gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, bstar_sq
 
 
-def _combination(rows: Mat, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(_dot(coeffs, col) for col in zip(*rows))
-
-
 def enumerate_below(rows: Mat, bound_sq: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     """The nonzero coefficient vectors (one per +-sign pair) whose lattice
     vectors are the k shortest, given that at least k have exact squared
@@ -298,11 +294,13 @@ def shortest_vectors(reduced: ReducedBasis, k: int) -> list[ShortestVector]:
             f"shortest_vectors supports d <= {SVP_DIMENSION_CAP}, got {reduced.dim}"
         )
     hits = enumerate_below(reduced.rows, _candidate_bound(reduced.rows, k), k)
+    transform_cols = list(zip(*reduced.transform))
+    source_cols = list(zip(*reduced.source))
     out = []
     for u_red, nsq in hits[:k]:
         # v = u_red . rows = u_red . U . source, so u_red . U are the input coefficients
-        coeffs = _sign_normalised(_combination(reduced.transform, u_red))
-        vec = _combination(reduced.source, coeffs)
+        coeffs = _sign_normalised(tuple(_dot(u_red, col) for col in transform_cols))
+        vec = tuple(_dot(coeffs, col) for col in source_cols)
         if _dot(vec, vec) != nsq:
             raise AssertionError("certificate mismatch in shortest_vectors")
         out.append(ShortestVector(vec, coeffs, nsq))

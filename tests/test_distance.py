@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from latdisc import distance
 from latdisc.distance import (
     DistanceNormConfig,
+    _balanced_boxes,
     _default_resolution,
     _grid_centers_chunks,
     _grid_distance_chunks,
+    _grid_moments_multi,
+    _grid_row_chunks,
     covering_radius,
     dist_to_pointset,
     distance_norms,
@@ -148,6 +152,11 @@ def test_d1_bracket_contains_the_exact_moment(gamma):
 def test_distance_norms_reject_a_gamma_that_is_not_positive(gamma):
     with pytest.raises(ValueError, match="gamma must be positive"):
         distance_norms(P5, [1.0, gamma], FAST)
+
+
+def test_distance_norms_count_a_repeated_gamma_once():
+    once = distance_norms(P5, [1.0, 2.0], FAST)
+    assert distance_norms(P5, [1.0, 2.0, 1, 1.0], FAST) == once
 
 
 def test_distance_norm_single_point_d1():
@@ -378,19 +387,110 @@ def test_grid_distances_equal_kdtree_queries_on_random_point_sets(case):
     _assert_grid_distances_equal_kdtree_queries(np.array(rows, dtype=float), m)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=1, max_size=40),
+            st.integers(*_GRID_SIZES[d]),
+            st.integers(min_value=1, max_value=3),
+        )
+    )
+)
+def test_grid_distances_equal_kdtree_queries_across_slabs(case):
+    # chunks of 1-3 rows, so the search cuts several slabs of two chunks,
+    # and a final single-chunk slab whenever the chunk count is odd
+    rows, m, chunk_rows = case
+    d = len(rows[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "GRID_CHUNK_CELLS", chunk_rows * m ** (d - 1))
+        pts = np.array(rows, dtype=float)
+        got = list(_grid_distance_chunks(cKDTree(pts), d, m))
+        assert [c.shape for c in got] == [
+            ((b - a) * m ** (d - 1),) for a, b in _grid_row_chunks(d, m)
+        ]
+        _assert_grid_distances_equal_kdtree_queries(pts, m)
+
+
+@pytest.mark.parametrize(
+    "lat, m, chunk_rows, n_chunks",
+    [
+        pytest.param(rank1_lattice(64, (1, 11, 35)), 101, 2, 51, id="rank1-d3-n64"),
+        pytest.param(fibonacci_lattice(15), 401, 50, 9, id="fib-k15"),
+        pytest.param(R1024_D4, 21, 5, 5, id="rank1-d4-n1024"),
+        pytest.param(R1024_D4, 21, 3, 7, id="rank1-d4-n1024-3rows"),
+    ],
+)
+def test_grid_distances_equal_kdtree_queries_with_a_final_single_chunk_slab(
+    lat, m, chunk_rows, n_chunks, monkeypatch
+):
+    monkeypatch.setattr(distance, "GRID_CHUNK_CELLS", chunk_rows * m ** (lat.dim - 1))
+    assert len(_grid_row_chunks(lat.dim, m)) == n_chunks  # odd: the last slab is one chunk
+    _assert_grid_distances_equal_kdtree_queries(enumerate_points(lat).as_array(), m)
+
+
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=40))
+def test_balanced_boxes_tile_the_axis_with_sizes_one_apart(n, side):
+    runs = _balanced_boxes(n, side)
+    sizes = [size for _, size, _ in runs]
+    assert len(runs) == -(-n // side) and max(sizes) <= side
+    assert sizes == sorted(sizes, reverse=True) and max(sizes) - min(sizes) <= 1
+    assert [first for first, _, _ in runs] == [sum(sizes[:i]) for i in range(len(runs))]
+    for first, size, corner in runs:  # the runs of one size tile from their corner
+        assert corner == next(f for f, s, _ in runs if s == size)
+        assert (first - corner) % size == 0
+
+
 def test_grid_pass_peak_memory_is_bounded():
     # the grid search holds its large temporaries to GRID_BOX_ENTRIES entries;
     # building the bisector filter's (pair x axis) arrays for a whole chunk
-    # at once peaks above 4 MiB
-    tree = cKDTree(enumerate_points(R1024_D4).as_array())
-    tracemalloc.start()
-    try:
-        for _ in _grid_distance_chunks(tree, 4, 21):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20, f"grid pass peaked at {peak / 2**20:.2f} MiB"
+    # at once peaks above 4 MiB. The walk holds a slab of two chunks, and
+    # the moments hold one bracket array besides it.
+    cases = [
+        (R1024_D4, 21),
+        (rank1_lattice(1, (0, 0, 0)), 101),
+        (rank1_lattice(64, (1, 11, 35)), 101),
+        (rank1_lattice(4096, (1, 1487)), 401),
+    ]
+    gammas = [0.5, 1.0, 2.0, 3.0, 4.0]
+    passes = {
+        "walk": lambda tree, d, m: [None for _ in _grid_distance_chunks(tree, d, m)],
+        "moments": lambda tree, d, m: _grid_moments_multi(tree, d, m, gammas, set(gammas)),
+    }
+    for lat, m in cases:
+        tree = cKDTree(enumerate_points(lat).as_array())
+        for name, run in passes.items():
+            tracemalloc.start()
+            try:
+                run(tree, lat.dim, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            where = f"{name} pass, N = {lat.n_points}, m = {m}"
+            assert peak < 4 * 2**20, f"{where}: {peak / 2**20:.2f} MiB"
+
+
+def test_unbracketed_gammas_skip_only_their_brackets():
+    # a prop1 + thm2 lattice task: thm2 reads only the values of 3 and 4
+    ps = enumerate_points(fibonacci_lattice(7))
+    prop1, thm2 = [0.5, 1.0, 2.0, math.inf], [3.0, 4.0]
+    cfg = DistanceNormConfig(covering_tol=1e-4)
+    partial = distance_norms(ps, prop1 + thm2, cfg, bracketed=prop1)
+    full = distance_norms(ps, prop1 + thm2, cfg)
+    alone = distance_norms(ps, prop1, cfg)
+    assert all(partial[g] == alone[g] == full[g] for g in prop1)
+    for g in thm2:
+        assert partial[g].value == full[g].value and partial[g].method == "grid"
+        assert (partial[g].lower_certified, partial[g].upper_certified) == (0.0, math.inf)
+        assert full[g].lower_certified <= full[g].value <= full[g].upper_certified < math.inf
+
+
+def test_bracketed_is_ignored_where_brackets_are_free():
+    # the closed form in d = 1 and the covering radius bracket every gamma
+    d1 = enumerate_points(rank1_lattice(7, (1,)))
+    assert distance_norms(d1, [1.0, 3.0], bracketed=()) == distance_norms(d1, [1.0, 3.0])
+    covering = distance_norms(P5, [math.inf], FAST)
+    assert distance_norms(P5, [math.inf], FAST, bracketed=()) == covering
 
 
 # ---------------------------------------------------------------------------

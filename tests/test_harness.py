@@ -185,6 +185,37 @@ def test_campaign_json_is_strict_json_when_inf_is_not_a_prop1_gamma(tmp_path):
     assert checks == ["prop1-volA", "prop1-volB-bound", "prop1-lower-g1"]
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        0, -1.5e-300, "a\u00e9\n\"", None, True, [], {}, (1, (2, 3)), [[[]]],
+        [1, [2, []], {}], {"a": {"b": [1, 2.0, {"c": []}]}, "d": [], "e": {}},
+        {1: [1, {}], 2.5: "x", None: [3], True: {"q": 1e300}, "\u2211": ["\u00b5"]},
+        {"rows": [{"a": "},\n    {", "b": 1}, {"c": None, "d": -0.0}], "n": 2},
+        [{"a": 1}, {}], [{"a": 1}, 2], [{"a": 1}, {"b": [1]}], [{"a": 1}, {"b": []}],
+        [[{"a": 1}, {"b": 2}], ({"c": 3},)],
+    ],
+)
+def test_json_indented_matches_the_indenting_encoder(obj):
+    assert harness._json_indented(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        (math.nan, ValueError),
+        ({"a": [{"b": -math.inf}]}, ValueError),
+        ({(1, 2): [1]}, TypeError),
+        ({"a": [object()]}, TypeError),
+    ],
+)
+def test_json_indented_refuses_what_the_indenting_encoder_refuses(obj, error):
+    with pytest.raises(error):
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(error):
+        harness._json_indented(obj)
+
+
 def test_campaign_json_roundtrip():
     c = small_campaign(out_dir="x")
     back = Campaign.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
@@ -368,10 +399,12 @@ def test_one_distance_pass_per_lattice(monkeypatch, checks):
     real = distance.distance_norms
     calls = []
 
-    def counted(ps, gammas, config=None):
+    def counted(ps, gammas, config=None, *, bracketed=None):
         calls.append((ps.n, tuple(gammas)))
-        return real(ps, gammas, config)
+        brackets.append(tuple(bracketed))
+        return real(ps, gammas, config, bracketed=bracketed)
 
+    brackets = []
     monkeypatch.setattr(distance, "distance_norms", counted)
     run_campaign(thm2_campaign(checks))
     entries = builtin_corpus(THM2_CORPUS, 11)
@@ -379,8 +412,23 @@ def test_one_distance_pass_per_lattice(monkeypatch, checks):
     if "prop1" in checks:
         assert [n for n, _ in calls] == [rank1_lattice(n, g).n_points for _, n, g in entries]
         assert all(g == (0.5, 1.0, 2.0, math.inf, 3.0, 4.0) for _, g in calls[: len(fib_n)])
+        assert set(brackets) == {(0.5, 1.0, 2.0, math.inf)}  # thm2 reads only values
     else:  # only the Fibonacci members run, on the thm2 gammas alone
         assert calls == [(n, (math.inf, 3.0, 4.0)) for n in fib_n]
+        assert set(brackets) == {()}
+
+
+def test_campaign_json_does_not_depend_on_the_brackets_left_out(monkeypatch, tmp_path):
+    # the thm2 gammas' reports carry no bracket, and none reaches campaign.json
+    write_artifacts(run_campaign(thm2_campaign(("prop1", "thm2-diagnostic"))), tmp_path / "some")
+    real = distance.distance_norms
+    monkeypatch.setattr(
+        distance, "distance_norms", lambda ps, gammas, config, bracketed: real(ps, gammas, config)
+    )
+    write_artifacts(run_campaign(thm2_campaign(("prop1", "thm2-diagnostic"))), tmp_path / "all")
+    assert (tmp_path / "some" / "campaign.json").read_bytes() == (
+        tmp_path / "all" / "campaign.json"
+    ).read_bytes()
 
 
 def test_thm2_without_triples_names_the_field():
