@@ -32,7 +32,7 @@ _ONE_DIM = "polytopes need d >= 2, got d = 1; an interval is an AxisBox"
 
 
 # ---------------------------------------------------------------------------
-# kappa_j and cube functionals
+# kappa_j and the binomial-kappa sum
 # ---------------------------------------------------------------------------
 
 def kappa(j: int) -> float:
@@ -47,20 +47,6 @@ def log_kappa(j: int) -> float:
     if j < 0:
         raise ValueError("j must be nonnegative")
     return 0.5 * j * math.log(math.pi) - math.lgamma(1 + 0.5 * j)
-
-
-def cube_intrinsic_volume(d: int, j: int) -> int:
-    """V_j of the unit cube: exactly binomial(d, j)."""
-    if not 0 <= j <= d:
-        raise ValueError("j out of range")
-    return math.comb(d, j)
-
-
-def cube_quermassintegral(d: int, j: int) -> float:
-    """W_j of the unit cube via binom(d,j) W_j = kappa_j V_{d-j}: equals kappa_j."""
-    if not 0 <= j <= d:
-        raise ValueError("j out of range")
-    return kappa(j) * cube_intrinsic_volume(d, d - j) / math.comb(d, j)
 
 
 def binom_kappa_sum(d: int) -> float:
@@ -721,11 +707,9 @@ def parallel_volume_derivative_check(
 # Random body corpus
 # ---------------------------------------------------------------------------
 
-def random_body(d: int, rng: np.random.Generator, kind: str | None = None) -> ConvexBody:
-    """One random body inside the cube: ball, axis box, tangent H-polytope,
-    or (d <= 3) a hull of random points."""
-    kinds = ["ball", "box", "hpoly"] + (["hull"] if d <= 3 else [])
-    kind = kind or kinds[int(rng.integers(len(kinds)))]
+def random_body(d: int, rng: np.random.Generator, kind: str) -> ConvexBody:
+    """One random body of the given kind inside the cube: a ball, an axis
+    box, a tangent H-polytope ("hpoly") or a hull of random points."""
     if kind == "ball":
         r = float(rng.uniform(0.05, 0.2))
         c = rng.uniform(r, 1 - r, size=d)

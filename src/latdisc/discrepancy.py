@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import IntegrationLattice
-from .reduction import SpectralReport, _dot, check_count, spectral_test
+from .reduction import SpectralReport, _dot, spectral_test
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +239,25 @@ N_SLABS = 10  # the shortest dual vectors whose slabs Theorem 1's witness search
 
 def isotropic_lower_bound(
     lat: IntegrationLattice,
-    n_slabs: int = N_SLABS,
     report: SpectralReport | None = None,
 ) -> tuple[DiscrepancyWitness, list[DiscrepancyWitness]]:
-    """The best of the slab witnesses of the `n_slabs` shortest dual
+    """The best of the slab witnesses of the N_SLABS shortest dual
     vectors, and all of them, shortest first.
 
     Every value is exact and the search is deterministic: the first witness
     of largest value wins. The dual vectors are read from `report`, the
-    lattice's spectral test, which must hold at least `n_slabs` of them
-    (`spectral_test(lat, n_slabs)`), so sigma and the witnesses come from
-    one search; it is run here when omitted. Raises ValueError unless
-    n_slabs is an int >= 1 that the report covers.
+    lattice's spectral test, which must hold at least N_SLABS of them
+    (`spectral_test(lat, N_SLABS)`), so sigma and the witnesses come from
+    one search; it is run here when omitted. Raises ValueError when the
+    report holds fewer.
     """
-    check_count("n_slabs", n_slabs)
-    rep = report if report is not None else spectral_test(lat, n_slabs)
-    if len(rep.shortest_duals) < n_slabs:
+    rep = report if report is not None else spectral_test(lat, N_SLABS)
+    if len(rep.shortest_duals) < N_SLABS:
         raise ValueError(
-            f"n_slabs = {n_slabs}, but the report holds {len(rep.shortest_duals)} "
-            f"dual vectors; run spectral_test(lat, {n_slabs})"
+            f"the witness search needs N_SLABS = {N_SLABS} dual vectors, but the report "
+            f"holds {len(rep.shortest_duals)}; run spectral_test(lat, {N_SLABS})"
         )
-    witnesses = [slab_witness(lat, sv.vector) for sv in rep.shortest_duals[:n_slabs]]
+    witnesses = [slab_witness(lat, sv.vector) for sv in rep.shortest_duals[:N_SLABS]]
     best = max(witnesses, key=lambda w: w.local_value_exact)
     return best, witnesses
 

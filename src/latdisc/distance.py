@@ -1,6 +1,6 @@
 """Distance-function norms of lattice point sets, covering radii with
 certified enclosures, the distance-vs-spectral-test sandwich of
-Proposition 1, and the Sobolev approximation-error proxy.
+Proposition 1, and the exponents of the Sobolev approximation-error proxy.
 
 Distances are non-periodic: the plain Euclidean distance inside the cube.
 On the midpoint grid they come from an exact block-wise nearest-point
@@ -124,16 +124,6 @@ class DistanceNormReport:
         }
 
 
-def dist_to_pointset(x, ps: LatticePointSet) -> float:
-    """Min Euclidean distance from x to the point set (non-periodic)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ps.dim,):
-        raise ValueError(
-            f"x must have length {ps.dim}, the point set's dimension, got shape {x.shape}"
-        )
-    return float(np.min(np.linalg.norm(ps.as_array() - x, axis=1)))
-
-
 def covering_radius(ps: LatticePointSet, tol: float = 1e-4) -> CoveringRadius:
     """Certified enclosure of sup_{y in cube} dist(y, P) by branch-and-bound.
 
@@ -179,8 +169,6 @@ def covering_radius(ps: LatticePointSet, tol: float = 1e-4) -> CoveringRadius:
         cells = []
         while heap and len(cells) < batch and is_open(-heap[0][0]):
             cells.append(heapq.heappop(heap))
-        if not cells:
-            break
         centers = np.array([c for _, _, c, _ in cells])
         halves = np.array([h for _, _, _, h in cells])
         child_half = halves / 2.0
@@ -254,22 +242,6 @@ def _grid_row_chunks(d: int, m: int) -> list[tuple[int, int]]:
     return [(start, min(start + rows, m)) for start in range(0, m, rows)]
 
 
-def _grid_centers_chunks(d: int, m: int):
-    """Yield cell-center chunks of the m^d midpoint grid, in lexicographic
-    order."""
-    axis = _grid_axis(m)
-    tail = (
-        np.stack(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
-        if d > 1
-        else np.empty((1, 0))
-    )
-    for start, stop in _grid_row_chunks(d, m):
-        block = axis[start:stop]
-        head = np.repeat(block, tail.shape[0])[:, None]
-        body = np.tile(tail, (block.shape[0], 1))
-        yield np.hstack([head, body])
-
-
 def _balanced_boxes(n: int, side: int) -> list[tuple[int, int, int]]:
     """Cut n cells into ceil(n / side) runs whose sizes differ by at most one,
     the larger first: (first cell, size, first cell of the runs of that
@@ -281,9 +253,9 @@ def _balanced_boxes(n: int, side: int) -> list[tuple[int, int, int]]:
 
 
 def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
-    """Yield dist(., P) at the cell centres of each `_grid_centers_chunks`
-    chunk, in the same order and bit-identical to `tree.query`. The points
-    of P and the cells lie in the unit cube.
+    """Yield dist(., P) at the cell centres of each `_grid_row_chunks`
+    chunk, in lexicographic order and bit-identical to `tree.query`. The
+    points of P and the cells lie in the unit cube.
 
     The search runs on slabs of two consecutive chunks (the last slab is a
     single chunk when the count is odd), so a box is not clipped to the
@@ -705,45 +677,3 @@ def proxy_spec(s: int, p, q, d: int) -> ProxySpec:
     else:
         gamma = math.inf
     return ProxySpec(inv_p, inv_q, gamma, exponent)
-
-
-def error_proxy(
-    ps: LatticePointSet, spec: ProxySpec, config: DistanceNormConfig | None = None
-) -> float:
-    """||dist(., P)||_gamma raised to the proxy exponent."""
-    g = math.inf if spec.gamma == math.inf else float(spec.gamma)
-    return distance_norms(ps, [g], config)[g].value ** float(spec.exponent)
-
-
-def nn_baseline_error(
-    ps: LatticePointSet,
-    f,
-    q: GammaValue,
-    grid_per_dim: int = 201,
-) -> float:
-    """L_q error, on a fine midpoint grid, of the nearest-neighbor
-    piecewise-constant reconstruction of f from samples at P.
-
-    For q = inf and an L-Lipschitz f the result is at most
-    L * (covering radius) + grid slack.
-    """
-    if isinstance(grid_per_dim, bool) or not isinstance(grid_per_dim, int) or grid_per_dim < 1:
-        raise ValueError(f"grid_per_dim must be an integer >= 1, got {grid_per_dim!r}")
-    from scipy.spatial import cKDTree
-
-    pts = ps.as_array()
-    tree = cKDTree(pts)
-    d = ps.dim
-    total = 0.0
-    worst = 0.0
-    n_cells = grid_per_dim**d
-    for centers in _grid_centers_chunks(d, grid_per_dim):
-        idx = tree.query(centers)[1]
-        err = np.abs(np.asarray(f(centers)) - np.asarray(f(pts[idx])))
-        if math.isinf(q):
-            worst = max(worst, float(np.max(err, initial=0.0)))
-        else:
-            total += float(np.sum(err**q))
-    if math.isinf(q):
-        return worst
-    return (total / n_cells) ** (1.0 / q)

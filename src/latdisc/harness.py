@@ -227,6 +227,22 @@ class Campaign:
 
     def __post_init__(self):
         _check_fields(self, "", _CAMPAIGN_RULES)
+        # a spec that a check cannot run on fails here, before any task runs
+        if "thm2-diagnostic" in self.checks:
+            k_lo, k_hi = self.corpus.fibonacci_k
+            if k_lo > k_hi:
+                raise ValueError(
+                    "thm2-diagnostic needs Fibonacci lattices, but corpus.fibonacci_k = "
+                    f"[{k_lo}, {k_hi}] is an empty range"
+                )
+            if not self.budgets.thm2_triples:
+                raise ValueError("thm2-diagnostic needs a triple in budgets.thm2_triples")
+        missing = sorted(_covering_dims(self) - set(self.budgets.covering_tols))
+        if missing:
+            raise ValueError(
+                f"budgets.covering_tols has no tolerance for d = {', '.join(map(str, missing))}, "
+                "where the lattice tasks compute a covering radius"
+            )
 
     @staticmethod
     def from_json_dict(data: dict) -> "Campaign":
@@ -318,6 +334,20 @@ def builtin_corpus(
     return out
 
 
+def _covering_dims(c: Campaign) -> set[int]:
+    """The dimensions whose lattice tasks compute a covering radius: those
+    whose distance norms include gamma = inf, from prop1 on every corpus
+    member or from a thm2 triple on the Fibonacci members (d = 2)."""
+    dims = set()
+    if "prop1" in c.checks and math.inf in c.budgets.prop1_gammas:
+        dims = {len(g) for _, _, g in builtin_corpus(c.corpus, c.seed)}
+    if "thm2-diagnostic" in c.checks and any(
+        math.isinf(gamma) for _, _, gamma in _thm2_specs(c.budgets, 2)
+    ):
+        dims.add(2)
+    return dims
+
+
 def brute_force_min_dual_norm_sq(n: int, g: tuple[int, ...]) -> int:
     """The minimal dual norm^2 of a rank-1 lattice by exhaustive search over
     h with h.g = 0 mod n; independent of the LLL/enumeration code paths.
@@ -357,7 +387,6 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
     member also writes its thm2 table rows."""
     lat = rank1_lattice(n, g)
     d = lat.dim
-    tol = c.budgets.covering_tols.get(d, 5e-2)
     rows: list[dict] = []
     tables: dict[str, list[dict]] = {"thm1": [], "prop1": [], "thm2": []}
     # one dual search serves sigma and, when thm1 runs, its witnesses
@@ -382,12 +411,15 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
         # one distance pass serves prop1 and thm2; a shared gamma is computed once
         prop1_gammas = c.budgets.prop1_gammas if "prop1" in c.checks else ()
         gammas = dict.fromkeys([*prop1_gammas, *(gamma for _, _, gamma in thm2)])
+        # only gamma = inf computes a covering radius, and reads d's tolerance
+        config = (
+            DistanceNormConfig(covering_tol=c.budgets.covering_tols[d])
+            if math.inf in gammas
+            else DistanceNormConfig()
+        )
         # thm2 reads only values, so only the prop1 gammas need certified brackets
         norms = distance.distance_norms(
-            enumerate_points(lat),
-            gammas,
-            DistanceNormConfig(covering_tol=tol),
-            bracketed=prop1_gammas,
+            enumerate_points(lat), gammas, config, bracketed=prop1_gammas
         )
     if "prop1" in c.checks:
         p1 = verify_prop1(
@@ -423,7 +455,9 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
             if math.isinf(gname):
                 rows.append(_row("prop1-ratio-inf", lattice_id, ratio, None, RECORDED))
                 width = norm.upper_certified - norm.lower_certified
-                rows.append(_row("prop1-covering-width", lattice_id, width, tol * (1 + 1e-9)))
+                rows.append(_row(
+                    "prop1-covering-width", lattice_id, width, config.covering_tol * (1 + 1e-9)
+                ))
     for (s, p, q), spec, gamma in thm2:
         proxy = norms[gamma].value ** float(spec.exponent)
         scale_exp = s / d - max(float(spec.inv_p - spec.inv_q), 0.0)
@@ -496,8 +530,6 @@ def run_thm2_task(detail_rows: list[dict]) -> list[dict]:
     """Joint-boundedness windows over the Fibonacci family: max/min of
     sigma sqrt(N) and of each triple's scaled proxy, from the thm2 rows
     the Fibonacci lattice tasks wrote."""
-    if not detail_rows:
-        raise ValueError("thm2-diagnostic needs fibonacci_k lattices and thm2_triples")
     proxies: dict[str, list[float]] = {}
     for r in detail_rows:
         proxies.setdefault(r["triple"], []).append(r["scaled"])

@@ -251,20 +251,6 @@ def dual_basis(lat: IntegrationLattice) -> Mat:
     return rows
 
 
-def validate(lat: IntegrationLattice) -> list[str]:
-    """Check the type invariants; returns diagnostics instead of raising."""
-    det_b, adj = det_adj(lat.basis)
-    if det_b == 0:
-        return ["basis rows are linearly dependent"]
-    problems = []
-    # Z^d <= L iff the inverse of basis / D, that is D adj / det, is integral
-    if any(lat.denom * x % det_b for row in adj for x in row):
-        problems.append("Z^d not contained")
-    if abs(det_b) * lat.n_points != lat.denom**lat.dim:
-        problems.append("determinant mismatch")
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # Text / CSV interfaces
 # ---------------------------------------------------------------------------
@@ -324,9 +310,10 @@ def parse_lattice_text(text: str) -> IntegrationLattice:
     denom = math.lcm(*(x.denominator for row in entries for x in row))
     basis = tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in entries)
     lat = IntegrationLattice(dim, basis, denom, n)
-    problems = validate(lat)
-    if problems:
-        raise ValueError("invalid lattice spec: " + "; ".join(problems))
+    try:
+        dual_basis(lat)
+    except ValueError as exc:
+        raise ValueError(f"invalid lattice spec: {exc}") from None
     return lat
 
 

@@ -16,8 +16,6 @@ from latdisc.convex import (
     boundary_neighborhood_volume,
     box_offset_volume,
     box_steiner_volume,
-    cube_intrinsic_volume,
-    cube_quermassintegral,
     inradius,
     kappa,
     log_kappa,
@@ -51,7 +49,7 @@ def box_fraction(lower, upper, indicator, n, seed):
 
 
 def random_bodies(d, count, rng):
-    """`count` random bodies, cycling through the kinds `random_body` draws."""
+    """`count` random bodies, cycling through the kinds the campaign draws."""
     kinds = ["ball", "box", "hpoly"] + (["hull"] if d <= 3 else [])
     return [random_body(d, rng, kinds[i % len(kinds)]) for i in range(count)]
 
@@ -103,28 +101,20 @@ def test_kappa_max_at_five():
     assert log_kappa(10**7) < 0  # stable far beyond the float-gamma range
 
 
-def test_cube_intrinsic_volumes():
-    assert cube_intrinsic_volume(7, 0) == 1
-    assert cube_intrinsic_volume(7, 7) == 1
-    assert cube_intrinsic_volume(4, 2) == 6
-    with pytest.raises(ValueError):
-        cube_intrinsic_volume(3, 4)
-
-
 def test_cube_quermassintegral_is_kappa():
-    assert cube_quermassintegral(3, 1) == pytest.approx(kappa(1), abs=1e-13)
+    assert box_quermassintegral(np.ones(3), 1) == pytest.approx(kappa(1), abs=1e-13)
     # d * W_1 is the surface area of the unit cube
-    assert 3 * cube_quermassintegral(3, 1) == pytest.approx(6.0, abs=1e-12)
+    assert 3 * box_quermassintegral(np.ones(3), 1) == pytest.approx(6.0, abs=1e-12)
     for d in (2, 3, 5):
         for j in range(d + 1):
-            assert cube_quermassintegral(d, j) == pytest.approx(kappa(j), abs=1e-12)
+            assert box_quermassintegral(np.ones(d), j) == pytest.approx(kappa(j), abs=1e-12)
 
 
 def test_box_quermassintegral_monotone_under_inclusion():
     for d in (2, 3, 4):
         sides = np.full(d, 0.6)
         for j in range(d + 1):
-            assert box_quermassintegral(sides, j) <= cube_quermassintegral(d, j) + 1e-12
+            assert box_quermassintegral(sides, j) <= kappa(j) + 1e-12  # the unit cube's W_j
         # nested boxes
         small, big = np.full(d, 0.3), np.full(d, 0.8)
         for j in range(d + 1):
@@ -490,6 +480,11 @@ def _acceptance_body(d, index):
     kinds = ["ball", "box", "hpoly"] + (["hull"] if d <= 3 else [])
     rng = chunk_rng(20200817 ^ 0xB0D1E5, d * 10_000 + index)
     return random_body(d, rng, kinds[index % len(kinds)])
+
+
+def test_random_body_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown body kind 'cone'$"):
+        random_body(2, chunk_rng(0, 0), "cone")
 
 
 def _points_around(body, n, seed):

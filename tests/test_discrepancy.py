@@ -17,7 +17,7 @@ from latdisc.discrepancy import (
     slab_witness,
     verify_thm1,
 )
-from latdisc.discrepancy import SLAB_EPS, _best_slab
+from latdisc.discrepancy import N_SLABS, SLAB_EPS, _best_slab
 from latdisc.harness import Campaign, CorpusSpec, builtin_corpus, run_lattice_task
 from latdisc.lattice import (
     LatticePointSet,
@@ -248,31 +248,17 @@ def test_isotropic_lower_bound_equispaced_d1():
     assert best.local_value_exact <= Fraction(1, 16)
 
 
-def test_isotropic_lower_bound_monotone_in_budget():
-    # the number of dual vectors searched is the search's only budget: a
-    # larger one extends the witness list and never lowers the best value
-    lat = fibonacci_lattice(8)
-    searches = [isotropic_lower_bound(lat, n_slabs=n) for n in (2, 4, 8)]
-    vals = [best.local_value_exact for best, _ in searches]
-    assert vals[0] <= vals[1] <= vals[2]
-    for (_, shorter), (_, longer) in zip(searches, searches[1:]):
-        assert [w.dual_slab for w in shorter] == [w.dual_slab for w in longer[: len(shorter)]]
-
-
-@pytest.mark.parametrize("n", [0, -3, True, 2.5])
-def test_isotropic_lower_bound_rejects_a_bad_n_slabs(n):
-    # n_slabs = 0 once ended in max() of an empty list, and -3 in an IndexError
-    with pytest.raises(ValueError, match="^n_slabs must be an integer >= 1"):
-        isotropic_lower_bound(fibonacci_lattice(11), n_slabs=n)
-
-
 def test_isotropic_lower_bound_reads_its_dual_vectors_from_the_report():
     lat = fibonacci_lattice(11)
-    rep = spectral_test(lat, 4)
-    _, witnesses = isotropic_lower_bound(lat, n_slabs=3, report=rep)
-    assert [w.dual_slab[0] for w in witnesses] == [sv.vector for sv in rep.shortest_duals[:3]]
-    with pytest.raises(ValueError, match="^n_slabs = 5, but the report holds 4 dual vectors"):
-        isotropic_lower_bound(lat, n_slabs=5, report=rep)
+    rep = spectral_test(lat, N_SLABS + 2)
+    _, witnesses = isotropic_lower_bound(lat, report=rep)
+    assert [w.dual_slab[0] for w in witnesses] == [
+        sv.vector for sv in rep.shortest_duals[:N_SLABS]
+    ]
+    short = spectral_test(lat, N_SLABS - 1)
+    message = f"needs N_SLABS = {N_SLABS} dual vectors, but the report holds {N_SLABS - 1};"
+    with pytest.raises(ValueError, match=message):
+        isotropic_lower_bound(lat, report=short)
 
 
 def test_witness_bodies_inside_cube():

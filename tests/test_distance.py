@@ -13,16 +13,13 @@ from latdisc.distance import (
     DistanceNormConfig,
     _balanced_boxes,
     _default_resolution,
-    _grid_centers_chunks,
+    _grid_axis,
     _grid_distance_chunks,
     _grid_moments_multi,
     _grid_row_chunks,
     covering_radius,
-    dist_to_pointset,
     distance_norms,
-    error_proxy,
     hyperplane_section_constant,
-    nn_baseline_error,
     proxy_spec,
     verify_prop1,
 )
@@ -51,20 +48,6 @@ def dense_grid_covering_oracle(ps, m=2001):
     xx, yy = np.meshgrid(g, g)
     dist = tree.query(np.c_[xx.ravel(), yy.ravel()])[0]
     return float(dist.max()), math.sqrt(2) / (2 * (m - 1))
-
-
-def test_dist_to_pointset_basics():
-    one = enumerate_points(rank1_lattice(1, (0,)))
-    assert dist_to_pointset([0.7], one) == pytest.approx(0.7)
-    assert dist_to_pointset([0.99], EQUI4) == pytest.approx(0.24)
-    assert dist_to_pointset([0.5], EQUI4) == 0.0
-
-
-@pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
-def test_dist_to_pointset_rejects_a_point_of_another_dimension(x):
-    # [0.5] once broadcast to (0.5, 0.5)
-    with pytest.raises(ValueError, match=r"x must have length 2, .* got shape"):
-        dist_to_pointset(x, P5)
 
 
 def test_covering_radius_single_point_d2():
@@ -346,6 +329,22 @@ def test_grid_distances_equal_kdtree_queries(lat, m):
     _assert_grid_distances_equal_kdtree_queries(enumerate_points(lat).as_array(), m)
 
 
+def _grid_centers_chunks(d: int, m: int):
+    """Yield cell-center chunks of the m^d midpoint grid, in lexicographic
+    order, with the chunk boundaries of `_grid_row_chunks`."""
+    axis = _grid_axis(m)
+    tail = (
+        np.stack(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
+        if d > 1
+        else np.empty((1, 0))
+    )
+    for start, stop in _grid_row_chunks(d, m):
+        block = axis[start:stop]
+        head = np.repeat(block, tail.shape[0])[:, None]
+        body = np.tile(tail, (block.shape[0], 1))
+        yield np.hstack([head, body])
+
+
 def _assert_grid_distances_equal_kdtree_queries(pts, m):
     tree = cKDTree(pts)
     d = pts.shape[1]
@@ -619,33 +618,9 @@ def test_error_proxy_equispaced():
     ps = enumerate_points(lat)
     sp = proxy_spec(2, 2, math.inf, 1)
     # gamma = inf, exponent = 2 - 1*(1/2) = 3/2; covering radius = 1/8
-    val = error_proxy(ps, sp, FAST)
+    assert sp.gamma == math.inf
+    val = distance_norms(ps, [math.inf], FAST)[math.inf].value ** float(sp.exponent)
     assert val == pytest.approx((1 / 8) ** 1.5, rel=1e-3)
-
-
-def test_nn_baseline_constant_function():
-    assert nn_baseline_error(P5, lambda x: np.ones(len(x)), math.inf) == 0.0
-
-
-@pytest.mark.parametrize("m", [0, -1, 2.0, True, None])
-def test_nn_baseline_rejects_a_grid_that_is_not_a_positive_integer(m):
-    with pytest.raises(ValueError, match="grid_per_dim must be an integer >= 1"):
-        nn_baseline_error(P5, lambda x: x[:, 0], math.inf, grid_per_dim=m)
-
-
-def test_nn_baseline_identity_1d():
-    ps = enumerate_points(rank1_lattice(8, (1,)))
-    err = nn_baseline_error(ps, lambda x: x[:, 0], math.inf, grid_per_dim=4001)
-    assert err == pytest.approx(1 / 8, abs=1e-3)
-
-
-def test_nn_baseline_lipschitz_bound():
-    ps = enumerate_points(fibonacci_lattice(8))
-    f = lambda x: x[:, 0] + 0.5 * x[:, 1]
-    lip = math.sqrt(1 + 0.25)
-    cr = covering_radius(ps, tol=1e-4)
-    err = nn_baseline_error(ps, f, math.inf, grid_per_dim=301)
-    assert err <= lip * cr.upper + 1e-6
 
 
 @settings(max_examples=40, deadline=None)

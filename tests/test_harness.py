@@ -19,7 +19,7 @@ from latdisc.harness import (
     write_artifacts,
 )
 from latdisc import distance
-from latdisc.distance import DistanceNormConfig, error_proxy, proxy_spec, verify_prop1
+from latdisc.distance import DistanceNormConfig, distance_norms, proxy_spec, verify_prop1
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
 from latdisc.reduction import spectral_test
 
@@ -363,7 +363,8 @@ def thm2_reference(budgets, k_lo, k_hi):
         sigma, n = spectral_test(lat).sigma, lat.n_points
         for s, p, q in budgets.thm2_triples:
             spec = proxy_spec(s, math.inf if p == "inf" else p, math.inf if q == "inf" else q, 2)
-            proxy = error_proxy(ps, spec, cfg)
+            g = math.inf if spec.gamma == math.inf else float(spec.gamma)
+            proxy = distance_norms(ps, [g], cfg)[g].value ** float(spec.exponent)
             table.append({
                 "k": k, "N": n, "sigma": sigma, "triple": f"s{s}-p{p}-q{q}", "proxy": proxy,
                 "scaled": proxy * n ** (s / 2 - max(float(spec.inv_p - spec.inv_q), 0.0)),
@@ -432,9 +433,40 @@ def test_campaign_json_does_not_depend_on_the_brackets_left_out(monkeypatch, tmp
 
 
 def test_thm2_without_triples_names_the_field():
-    c = Campaign(corpus=THM2_CORPUS, checks=("thm2-diagnostic",), budgets=Budgets(thm2_triples=()))
-    with pytest.raises(ValueError, match="thm2_triples"):
-        run_campaign(c)
+    # the spec fails when it is built, before any lattice task runs
+    with pytest.raises(ValueError, match=r"needs a triple in budgets\.thm2_triples$"):
+        Campaign(corpus=THM2_CORPUS, checks=("thm2-diagnostic",), budgets=Budgets(thm2_triples=()))
+
+
+def test_thm2_without_fibonacci_lattices_fails_at_load():
+    data = Campaign(checks=("prop1", "thm2-diagnostic")).to_json_dict()
+    data["corpus"]["fibonacci_k"] = [10, 5]
+    message = r"^thm2-diagnostic needs Fibonacci lattices, but corpus\.fibonacci_k = \[10, 5\]"
+    with pytest.raises(ValueError, match=message + r" is an empty range$"):
+        Campaign(corpus=CorpusSpec(fibonacci_k=(10, 5)), checks=("prop1", "thm2-diagnostic"))
+    with pytest.raises(ValueError, match=message):
+        Campaign.from_json_dict(data)
+    # without the diagnostic an empty Fibonacci range is a valid corpus
+    Campaign(corpus=CorpusSpec(fibonacci_k=(10, 5)), checks=("prop1",))
+
+
+def test_a_covering_radius_without_a_tolerance_fails_at_load():
+    corpus = CorpusSpec(
+        fibonacci_k=(5, 6), rank1_dims=(5,), rank1_sizes=(64,), rank1_per_cell=1, zd_dims=()
+    )
+    budgets = Budgets(covering_tols={2: 1e-4})
+    # prop1's gamma = inf computes a covering radius on every corpus member
+    with pytest.raises(ValueError, match=r"^budgets\.covering_tols has no tolerance for d = 5,"):
+        Campaign(corpus=corpus, checks=("prop1",), budgets=budgets)
+    # thm2's (2, 2, inf) triple has gamma = inf on the Fibonacci members, d = 2
+    with pytest.raises(ValueError, match=r"^budgets\.covering_tols has no tolerance for d = 2,"):
+        Campaign(corpus=corpus, checks=("thm2-diagnostic",), budgets=Budgets(covering_tols={}))
+    # with no gamma = inf no tolerance is read: these load and run
+    finite = Budgets(covering_tols={}, prop1_gammas=(1.0,), thm2_triples=((3, "inf", 1),))
+    zd5 = CorpusSpec(fibonacci_k=(5, 5), rank1_dims=(), zd_dims=(5,), include_bad_lattice=False)
+    res = run_campaign(Campaign(corpus=zd5, checks=("prop1", "thm2-diagnostic"), budgets=finite))
+    assert {r["subject"] for r in res.rows} == {"fib-k05", "zd-d5", "fibonacci"}
+    assert not any(r["check"] == "prop1-covering-width" for r in res.rows)
 
 
 def test_a_lattice_task_reduces_its_dual_basis_once(monkeypatch):

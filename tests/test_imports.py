@@ -66,3 +66,30 @@ def test_all_lists_exactly_the_names_the_package_imports():
     namespace: dict = {}
     exec("from latdisc import *", namespace)
     assert set(latdisc.__all__) <= set(namespace)
+
+
+def test_every_exported_name_has_a_program_caller_or_a_readme_use():
+    """A name in `__all__` is used by a module of the package other than
+    `__init__.py` (read as code, so a definition or a docstring does not
+    count) or is mentioned in the README; an uncalled helper is not exported."""
+    import ast
+    import re
+
+    import latdisc
+
+    used = set()
+    for path in Path(latdisc.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    readme = (SRC.parent / "README.md").read_text()
+    unused = [
+        name
+        for name in latdisc.__all__
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unused == []

@@ -21,7 +21,6 @@ from latdisc.lattice import (
     korobov_lattice,
     parse_lattice_text,
     rank1_lattice,
-    validate,
     write_points_csv,
 )
 
@@ -91,7 +90,7 @@ def test_rank1_5_12_determinant_and_containment():
     assert lat.n_points == 5
     # |det(basis / 5)| = |det basis| / 5^2 = 1/5
     assert lat.denom == 5 and abs(det_adj(lat.basis)[0]) == 5
-    assert validate(lat) == []
+    assert len(dual_basis(lat)) == 2  # dual_basis raises for an invalid lattice
     # up to unimodular equivalence the basis is {(1/5,2/5),(0,1)}
     assert same_lattice(lat, IntegrationLattice(2, ((1, 2), (0, 5)), 5, 5))
 
@@ -188,18 +187,29 @@ def test_dual_inner_products_are_integers():
 
 
 def test_validate_detects_det_mismatch():
-    lat = IntegrationLattice(2, ((1, 0), (0, 3)), 3, 4)  # rows (1/3, 0), (0, 1)
-    assert "determinant mismatch" in validate(lat)
+    # a lattice is validated by dual_basis's checks, which parse_lattice_text runs
+    lat =IntegrationLattice(2, ((1, 0), (0, 3)), 3, 4)  # rows (1/3, 0), (0, 1)
+    with pytest.raises(ValueError, match="^dual determinant 3 does not match N = 4$"):
+        dual_basis(lat)
+    with pytest.raises(
+        ValueError, match="^invalid lattice spec: dual determinant 3 does not match N = 4$"
+    ):
+        parse_lattice_text("2 4\n1/3 0\n0 1\n")
 
 
 def test_validate_detects_missing_zd():
     # rows (1/2, 1/3), (0, 1): det matches the claimed N, but solving for e1
     # needs coefficient -2/3
     lat = IntegrationLattice(2, ((3, 2), (0, 6)), 6, 2)
-    assert validate(lat) == ["Z^d not contained"]
+    missing = "dual basis is not integral; Z\\^d is not contained in L$"
+    with pytest.raises(ValueError, match="^" + missing):
+        dual_basis(lat)
+    with pytest.raises(ValueError, match="^invalid lattice spec: " + missing):
+        parse_lattice_text("2 2\n1/2 1/3\n0 1\n")
     # rows {(1/2,0),(0,1/3)} do contain Z^2; only the claimed N can be wrong
-    ok = IntegrationLattice(2, ((3, 0), (0, 2)), 6, 6)
-    assert validate(ok) == []
+    ok = parse_lattice_text("2 6\n1/2 0\n0 1/3\n")
+    assert ok == IntegrationLattice(2, ((3, 0), (0, 2)), 6, 6)
+    assert dual_basis(ok) == ((2, 0), (0, 3))
 
 
 def test_text_roundtrip_basis_form():
