@@ -19,7 +19,7 @@ from .convex import (
     remark_upper,
     steiner_volume,
 )
-from .discrepancy import N_SLABS, isotropic_lower_bound, thm1_verdict
+from .discrepancy import N_SLABS, isotropic_lower_bound, verify_thm1
 from .distance import DistanceNormConfig, distance_norms
 from .errors import LatdiscError
 from .harness import (
@@ -140,7 +140,7 @@ def _cmd_isodisc(args) -> int:
     lat = _read_lattice(args.lattice)
     rep = spectral_test(lat, N_SLABS)
     best, witnesses = isotropic_lower_bound(lat, report=rep)
-    report = thm1_verdict(lat, rep, best, witnesses)
+    report = verify_thm1(lat, report=rep)
     _emit_json(
         args,
         {

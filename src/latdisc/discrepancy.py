@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,21 +24,8 @@ from .reduction import SpectralReport, _dot, spectral_test
 
 
 # ---------------------------------------------------------------------------
-# Exact half-space geometry
+# Exact slab geometry
 # ---------------------------------------------------------------------------
-
-def _scaled_cut(a, b) -> tuple[list[int], int, int]:
-    """The cut a.x <= b of the cube in integers: zero coefficients dropped,
-    negative ones reflected via x -> 1 - x, then all scaled by the common
-    denominator c. Returns (pos, t, c); the cube volume is that of pos.x <= t.
-    """
-    a = [Fraction(x) for x in a]
-    b = Fraction(b) - sum(x for x in a if x < 0)
-    pos = [abs(x) for x in a if x]
-    c = math.lcm(b.denominator, *(x.denominator for x in pos))
-    scaled = [x.numerator * (c // x.denominator) for x in pos]
-    return scaled, b.numerator * (c // b.denominator), c
-
 
 def _subset_sums(pos: list[int]) -> list[tuple[int, int]]:
     """(sum S, (-1)^|S|) for every subset S of pos."""
@@ -54,32 +41,22 @@ def _ie_sum(sums: list[tuple[int, int]], t: int, power: int) -> int:
     return sum(sgn * (t - s) ** power for s, sgn in sums if t > s)
 
 
-def halfspace_cube_volume(a, b) -> Fraction:
-    """Vol({x in [0,1]^d : a.x <= b}) by inclusion-exclusion, exact.
+def _midplane_density(h: tuple[int, ...], k: int) -> Fraction:
+    """d/db Vol({x in [0,1]^d : h.x <= b}) at the midplane b = k + 1/2,
+    exact; times ||h|| it is the measure of that plane's section of the cube.
 
-    Zero coefficients factor out; negative ones are reflected. The closed
-    form is sum over vertex subsets S of (-1)^|S| (b - a_S)_+^k / (k! prod a),
-    evaluated in integers after scaling the cut to integer coefficients.
+    `_best_slab`'s reflection turns h.x <= b into y = sum a_i x_i <= j + 1/2,
+    a_i = |h_i| over the n nonzero entries and j = k + shift. Doubled to
+    integers, Vol(2a.x <= T) = I_n(T) / (n! prod 2a_i), I_p(T) = sum over
+    subsets S of (-1)^|S| (T - 2a_S)_+^p, and T = 2j + 1 moves by 2 per unit
+    of b, so the derivative is 2 I_(n-1)(2j + 1) / ((n-1)! prod 2a_i). It is
+    0 off the cube's range, where I_(n-1) vanishes.
     """
-    pos, t, _ = _scaled_cut(a, b)
-    if not pos:
-        return Fraction(int(t >= 0))
-    k = len(pos)
-    return Fraction(_ie_sum(_subset_sums(pos), t, k), math.factorial(k) * math.prod(pos))
-
-
-def halfspace_cube_volume_derivative(a, b) -> Fraction:
-    """d/db of the half-space cube volume.
-
-    Equals Vol_{d-1}({a.x = b} cap cube) / ||a||_2, so multiplying by ||a||
-    gives the exact cross-section measure.
-    """
-    pos, t, c = _scaled_cut(a, b)
-    k = len(pos)
-    if k == 0 or t <= 0 or t >= sum(pos):
-        return Fraction(0)
-    num = c * _ie_sum(_subset_sums(pos), t, k - 1)
-    return Fraction(num, math.factorial(k - 1) * math.prod(pos))
+    shift = -sum(x for x in h if x < 0)
+    pos = [2 * abs(x) for x in h if x]
+    n = len(pos)
+    num = 2 * _ie_sum(_subset_sums(pos), 2 * (k + shift) + 1, n - 1)
+    return Fraction(num, math.factorial(n - 1) * math.prod(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +72,15 @@ class DiscrepancyWitness:
     SLAB_EPS; its value is the slab's exact volume, so every witness is
     certified."""
 
-    local_value: float
     local_value_exact: Fraction
     dual_slab: tuple[tuple[int, ...], int]  # (h, k)
 
     family = "dual-slab"
     certified = True
+
+    @property
+    def local_value(self) -> float:
+        return float(self.local_value_exact)
 
     def to_json_dict(self) -> dict:
         """The witness with its slab intersected with the cube, written as
@@ -133,19 +113,9 @@ class Thm1Report:
     slab_floor_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "lattice_id": self.lattice_id,
-            "d": self.dim,
-            "N": self.n_points,
-            "sigma": self.sigma,
-            "j_lower": self.j_lower,
-            "bound": self.bound,
-            "old_bound": self.old_bound,
-            "verdict": self.verdict,
-            "slab_value": self.slab_value,
-            "slab_floor": self.slab_floor,
-            "slab_floor_ok": self.slab_floor_ok,
-        }
+        """The fields in order, with dim and n_points written as d and N."""
+        short = {"dim": "d", "n_points": "N"}
+        return {short.get(k, k): v for k, v in asdict(self).items()}
 
 
 def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:
@@ -227,11 +197,7 @@ def slab_witness(lat: IntegrationLattice, h: tuple[int, ...]) -> DiscrepancyWitn
     if any(_dot(row, h) % lat.denom for row in lat.basis):
         raise ValueError("h is not in the dual lattice")
     best_k, best_vol = _best_slab(h)
-    return DiscrepancyWitness(
-        local_value=float(best_vol),
-        local_value_exact=best_vol,
-        dual_slab=(h, best_k),
-    )
+    return DiscrepancyWitness(local_value_exact=best_vol, dual_slab=(h, best_k))
 
 
 N_SLABS = 10  # the shortest dual vectors whose slabs Theorem 1's witness search tries
@@ -276,31 +242,15 @@ def verify_thm1(
     """
     rep = report if report is not None else spectral_test(lat, N_SLABS)
     best, witnesses = isotropic_lower_bound(lat, report=rep)
-    return thm1_verdict(lat, rep, best, witnesses, lattice_id)
-
-
-def thm1_verdict(
-    lat: IntegrationLattice,
-    rep: SpectralReport,
-    best: DiscrepancyWitness,
-    witnesses: list[DiscrepancyWitness],
-    lattice_id: str = "",
-) -> Thm1Report:
-    """The Theorem 1 verdict from a finished witness search (see verify_thm1)."""
     d = lat.dim
-    nsq = rep.dual_norm_sq
     j = best.local_value_exact
     factor = d * 2 ** (2 * (d + 1))
     # j <= min(1, factor * sigma), decided in exact arithmetic
-    ok_one = j <= 1
-    ok_bound = j * j * nsq <= Fraction(factor) ** 2
-    slab = witnesses[0]  # the shortest dual vector's slab
-    # the floor is the cross-section of the slab witness's own (h, k)
-    h, best_k = slab.dual_slab
-    cross = halfspace_cube_volume_derivative(h, Fraction(2 * best_k + 1, 2))
-    floor = Fraction(1, 5) * cross  # 0.2 * sigma * cross-section; sigma*CS = dV/db
-    ok_slab = slab.local_value_exact >= floor and slab.local_value_exact > 0
-    verdict = "PASS" if (ok_one and ok_bound) else "FAIL"
+    ok = j <= 1 and j * j * rep.dual_norm_sq <= factor**2
+    # the floor: 0.2 sigma times the section of the shortest dual vector's
+    # slab at its midplane, that is 0.2 dV/db there
+    slab = witnesses[0]
+    floor = Fraction(1, 5) * _midplane_density(*slab.dual_slab)
     return Thm1Report(
         lattice_id=lattice_id,
         dim=d,
@@ -309,8 +259,8 @@ def thm1_verdict(
         j_lower=float(j),
         bound=factor * rep.sigma,
         old_bound=d * d * 2**d * rep.sigma,
-        verdict=verdict,
+        verdict="PASS" if ok else "FAIL",
         slab_value=slab.local_value,
         slab_floor=float(floor),
-        slab_floor_ok=bool(ok_slab),
+        slab_floor_ok=slab.local_value_exact >= floor,
     )

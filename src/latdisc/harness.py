@@ -3,7 +3,10 @@
 A campaign is fully determined by (corpus spec, checks, budgets, seed):
 reruns produce byte-identical JSON artifacts for any worker count. Every
 compared value is exact or a certified bound, so a check is PASS or FAIL,
-and a claim with an unknown constant is RECORDED, never failed.
+and a claim with an unknown constant is RECORDED, never failed. Four row
+kinds are the exception, decided by a float tolerance: lemma1 (a finite
+difference against 1e-3), steiner (against 1e-12), remark-s2 (against
+1e-10) and prop1-covering-width (a rhs widened by 1 + 1e-9).
 """
 
 from __future__ import annotations
@@ -119,7 +122,10 @@ _CORPUS_RULES = {
 
 _BUDGET_RULES = {
     "body_count": ("an integer >= 0", _int_at_least(0)),
-    "body_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
+    "body_dims": (  # run_body_task's polytopes need d >= 2, their exact parallel volumes d <= 4
+        "a list of integers from 2 to 4",
+        _list_of(lambda d: _is_int(d) and 2 <= d <= 4),
+    ),
     "body_mc_samples": ("an integer", _is_int),
     "rhos": ("a list of numbers in [0, 1]", _list_of(lambda r: _is_real(r) and 0 <= r <= 1)),
     "norm_mc_samples": ("an integer", _is_int),
@@ -130,8 +136,11 @@ _BUDGET_RULES = {
         and all(_is_int(d) and _is_real(t) and 0 < t < math.inf for d, t in v.items()),
     ),
     "remark_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
-    "remark_delta": ("a finite number", _is_finite),
-    "remark_kappa": ("a finite number", _is_finite),
+    "remark_delta": ("a number in (0, 2/3)", lambda v: _is_real(v) and 0 < v < 2 / 3),
+    "remark_kappa": (
+        "a finite number above e (2 pi)^(1/3)",
+        lambda v: _is_finite(v) and v > math.e * (2 * math.pi) ** (1 / 3),
+    ),
     "thm2_triples": (
         "a list of [s, p, q] triples: an integer s, and numbers or inf p and q",
         _list_of(

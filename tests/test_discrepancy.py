@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -8,16 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfspace_oracle import halfspace_cube_volume, halfspace_cube_volume_derivative
 from latdisc import cli, discrepancy, distance, harness, lattice
 from latdisc.convex import body_from_json_dict
 from latdisc.discrepancy import (
-    halfspace_cube_volume,
-    halfspace_cube_volume_derivative,
+    N_SLABS,
+    SLAB_EPS,
+    _best_slab,
+    _midplane_density,
     isotropic_lower_bound,
     slab_witness,
     verify_thm1,
 )
-from latdisc.discrepancy import N_SLABS, SLAB_EPS, _best_slab
 from latdisc.harness import Campaign, CorpusSpec, builtin_corpus, run_lattice_task
 from latdisc.lattice import (
     LatticePointSet,
@@ -318,6 +322,33 @@ def test_thm1_slab_floor_is_taken_at_the_witness_slab():
     floor = Fraction(1, 5) * halfspace_cube_volume_derivative(h, Fraction(2 * k + 1, 2))
     assert rep.slab_floor == float(floor) == 0.0625
     assert rep.slab_floor_ok
+
+
+def _midplane_cases():
+    """Every h in {-3..3}^3 but 0, then 2,000 seeded random h in d = 1..6
+    with entries in -9..9, each with every slab k that meets the cube."""
+    rng = random.Random(20200817)
+    hs = [h for h in itertools.product(range(-3, 4), repeat=3) if any(h)]
+    drawn = 0
+    while drawn < 2000:
+        h = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 6)))
+        if any(h):
+            hs.append(h)
+            drawn += 1
+    for h in hs:
+        for k in range(sum(min(x, 0) for x in h), sum(max(x, 0) for x in h)):
+            yield h, k
+
+
+def test_midplane_density_equals_the_half_space_derivative():
+    # the slab floor's density, from the reflected integer sum, against the
+    # oracle's general Fraction cut at b = k + 1/2
+    n = 0
+    for h, k in _midplane_cases():
+        oracle = halfspace_cube_volume_derivative(h, Fraction(2 * k + 1, 2))
+        assert _midplane_density(h, k) == oracle, (h, k)
+        n += 1
+    assert n > 30_000
 
 
 # ---------------------------------------------------------------------------

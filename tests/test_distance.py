@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from halfspace_oracle import halfspace_cube_volume
 from latdisc import distance
 from latdisc.distance import (
     DistanceNormConfig,
@@ -23,7 +24,6 @@ from latdisc.distance import (
     proxy_spec,
     verify_prop1,
 )
-from latdisc.discrepancy import halfspace_cube_volume
 from latdisc.harness import CorpusSpec, builtin_corpus, chunk_rng
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
 from latdisc.reduction import spectral_test

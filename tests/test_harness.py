@@ -296,6 +296,27 @@ def test_campaign_from_json_dict_names_a_field_of_the_wrong_type(section, key, v
         Campaign.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("body_dims", (1,)),  # run_body_task's polytopes need d >= 2
+        ("body_dims", (2, 5)),  # their exact parallel volumes need d <= 4
+        ("remark_delta", 0.7),  # remark_lower needs delta in (0, 2/3)
+        ("remark_delta", 0),
+        ("remark_kappa", 4.0),  # remark_upper needs kappa > e (2 pi)^(1/3) ~ 5.015
+    ],
+)
+def test_a_budget_its_task_would_refuse_fails_at_load(key, value):
+    with pytest.raises(ValueError, match=rf"^budgets\.{key} must be .*, got {re.escape(repr(value))}$"):
+        Budgets(**{key: value})
+    data = small_campaign().to_json_dict()
+    data["budgets"][key] = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(ValueError, match=rf"^budgets\.{key} must be "):
+        Campaign.from_json_dict(data)
+    # the edges that the tasks accept still load
+    Budgets(body_dims=(2, 3, 4), remark_delta=0.66, remark_kappa=5.02)
+
+
 def test_campaign_spec_must_be_an_object():
     with pytest.raises(ValueError, match=r"^campaign must be an object, got \[\]$"):
         Campaign.from_json_dict([])
