@@ -11,9 +11,9 @@ d <= 4) and its inner parallel body is again an H-polytope, measured by
 qhull.
 
 Importing this module loads numpy only. scipy is imported inside the
-functions that call it: qhull and the Chebyshev LP by the polytope
-methods, gammaln and logsumexp by `binom_kappa_sum`. A full V-polytope
-runs qhull's hull when it is built.
+functions that call it: qhull and the Chebyshev LP (HiGHS through
+`scipy.optimize.milp`) by the polytope methods, gammaln and logsumexp by
+`binom_kappa_sum`. A full V-polytope runs qhull's hull when it is built.
 """
 
 from __future__ import annotations
@@ -195,8 +195,8 @@ class _Faces:
     def __init__(self, vertices: np.ndarray, unit_normals: np.ndarray, unit_offsets: np.ndarray):
         incident = np.abs(vertices @ unit_normals.T - unit_offsets) <= INCIDENCE_TOL
         # HalfspaceIntersection repeats a non-simple vertex; a vertex is fixed
-        # by the planes it lies on, so one copy per incidence row is kept
-        keep = np.sort(np.unique(incident, axis=0, return_index=True)[1])
+        # by the planes it lies on, so the first copy per incidence row is kept
+        keep = _first_rows(incident)
         vertices, incident = vertices[keep], incident[keep]
         n, d = vertices.shape
         planes: dict[int, int] = {}  # vertex set (bit i: vertex i) -> first plane with that set
@@ -279,6 +279,15 @@ class _Faces:
         return v
 
 
+def _first_rows(rows: np.ndarray) -> list[int]:
+    """The index of the first occurrence of each distinct row of a boolean
+    matrix, in ascending order: one dict over the bit-packed rows."""
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(np.packbits(rows, axis=1)):
+        first.setdefault(row.tobytes(), i)
+    return list(first.values())  # a dict keeps insertion order
+
+
 def _wedge_angles(normals: np.ndarray) -> np.ndarray:
     """The angle between the two unit normals of each (2, d) stack entry, as
     a fraction of the full circle."""
@@ -350,17 +359,23 @@ class _Polytope(ConvexBody):
 
     def _chebyshev(self) -> tuple[np.ndarray, float]:
         """Centre and radius of the largest ball inside (the inradius), from
-        the LP: maximise r subject to a_i . c + |a_i| r <= b_i."""
+        the LP: maximise r >= 0 subject to a_i . c + |a_i| r <= b_i.
+
+        HiGHS solves it, called through `milp` with no integer variables:
+        the same solver as `linprog(method="highs")` and the same centre and
+        radius, bit for bit, behind a leaner front end. No vertex check can
+        stand in for the LP: qhull needs a strictly interior point before any
+        vertex exists, and the radius is both `inner_volume`'s zero test and
+        the inradius."""
         if self._cheb is None:
-            from scipy.optimize import linprog
+            from scipy.optimize import Bounds, LinearConstraint, milp
 
             d = self.dim
-            res = linprog(
-                c=np.r_[np.zeros(d), -1.0],
-                A_ub=np.c_[self.normals, np.linalg.norm(self.normals, axis=1)],
-                b_ub=self.offsets,
-                bounds=[(None, None)] * d + [(0, None)],
-                method="highs",
+            a_ub = np.c_[self.normals, np.linalg.norm(self.normals, axis=1)]
+            res = milp(
+                np.r_[np.zeros(d), -1.0],
+                constraints=LinearConstraint(a_ub, -np.inf, self.offsets),
+                bounds=Bounds(np.r_[np.full(d, -np.inf), 0.0], np.inf),
             )
             if res.status == 2:
                 raise EmptyBodyError("H-polytope is empty")

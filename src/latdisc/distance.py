@@ -301,12 +301,13 @@ def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
     The kept candidates are measured for many boxes per numpy call: boxes
     are grouped by shape and sorted by kept count, each batch is padded to
     its largest count with a sentinel point at +inf, and the results are
-    written through a strided view of the slab that tiles it with boxes
-    of the batch's shape, from the first box of that shape. Squares are
-    summed in axis order from 0.0, then min and sqrt: cKDTree's own
-    operations, so the result is bit-identical to its query. Every
-    temporary that grows with candidates times cells, and the coordinates
-    of each slice of filtered pairs, are held to GRID_BOX_ENTRIES entries.
+    written through a strided view of the slab, built once per shape, that
+    tiles it with boxes of that shape from the first box of that shape.
+    Squares are summed in axis order from 0.0, then min, then one sqrt
+    over the slab: cKDTree's own operations, so the result is bit-identical
+    to its query. Every temporary that grows with candidates times cells,
+    and the coordinates of each slice of filtered pairs, are held to
+    GRID_BOX_ENTRIES entries.
     """
     axis = _grid_axis(m)
     pts = tree.data
@@ -368,26 +369,10 @@ def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
         i = 0
         while i < n:
             shape = shapes[i]
-            limit = max(1, GRID_BOX_ENTRIES // math.prod(shape))  # box x candidate pairs
-            j = i + 1
-            while j < n and shapes[j] == shape and (j + 1 - i) * count_of[j] <= limit:
-                j += 1
-            width = count_of[j - 1]
-            idx = np.full((j - i, width), len(pts))
-            idx[np.arange(width) < counts[i:j, None]] = cand[ends[i] - count_of[i] : ends[j - 1]]
-            best = None
-            step = max(1, limit // (j - i))
-            for c in range(0, width, step):
-                part = padded[idx[:, c : c + step]]
-                sq = 0.0
-                for k, s in enumerate(shape):
-                    diff = coords[k][i:j, None, :s] - part[:, :, k, None]
-                    along_k = diff.shape[:2] + (1,) * k + (s,) + (1,) * (d - 1 - k)
-                    sq = sq + (diff * diff).reshape(along_k)
-                near = sq.min(axis=1)
-                best = near if best is None else np.minimum(best, near, out=best)
-            # the slab's cells tiled by boxes of this shape, viewed as
-            # (tile index per axis..., cell index per axis...)
+            # the slab's cells tiled by boxes of this shape, viewed as (tile
+            # index per axis..., cell index along the last axis, then along
+            # the others): a box's block holds its last axis outermost, so the
+            # one full-size add runs one inner loop over the other axes
             corner = corners[i]
             tiles = np.ndarray(
                 tuple((size - a) // s for size, a, s in zip(lens, corner, shape)) + shape,
@@ -395,8 +380,31 @@ def _grid_distance_chunks(tree: cKDTree, d: int, m: int):
                 offset=sum(a * t for a, t in zip(corner, out.strides)),
                 strides=tuple(t * s for t, s in zip(out.strides, shape)) + out.strides,
             )
-            tiles[tuple(tile_of[i:j].T)] = np.sqrt(best, out=best)
-            i = j
+            tiles = np.moveaxis(tiles, -1, d)
+            limit = max(1, GRID_BOX_ENTRIES // math.prod(shape))  # box x candidate pairs
+            while i < n and shapes[i] == shape:
+                j = i + 1
+                while j < n and shapes[j] == shape and (j + 1 - i) * count_of[j] <= limit:
+                    j += 1
+                width = count_of[j - 1]
+                idx = np.full((j - i, width), len(pts))
+                kept = cand[ends[i] - count_of[i] : ends[j - 1]]
+                idx[np.arange(width) < counts[i:j, None]] = kept
+                best = None
+                step = max(1, limit // (j - i))
+                for c in range(0, width, step):
+                    part = padded[idx[:, c : c + step]]
+                    sq = 0.0
+                    for k, s in enumerate(shape):
+                        diff = coords[k][i:j, None, :s] - part[:, :, k, None]
+                        pos = (k + 1) % d  # axis k's place in the block
+                        along_k = diff.shape[:2] + (1,) * pos + (s,) + (1,) * (d - 1 - pos)
+                        sq = sq + (diff * diff).reshape(along_k)
+                    near = sq.min(axis=1)
+                    best = near if best is None else np.minimum(best, near, out=best)
+                tiles[tuple(tile_of[i:j].T)] = best
+                i = j
+        np.sqrt(out, out=out)
         for a, b in slab:
             yield out[a - start : b - start].reshape(-1)
         del out, tiles  # free the slab before the next search, unless the caller holds a chunk

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from latdisc.convex import (
     AxisBox,
@@ -28,6 +30,7 @@ from latdisc.convex import (
     steiner_volume,
     unit_cube,
 )
+from latdisc.convex import _first_rows
 from latdisc.errors import EmptyBodyError
 from latdisc.harness import Budgets, chunk_rng
 
@@ -302,13 +305,13 @@ def test_hpolytope_runs_one_lp_and_one_halfspace_intersection(monkeypatch):
     import scipy.spatial
 
     calls = {}
-    _counted(monkeypatch, calls, scipy.optimize, "linprog")
+    _counted(monkeypatch, calls, scipy.optimize, "milp")
     _counted(monkeypatch, calls, scipy.spatial, "HalfspaceIntersection")
     body = _cut_cube_4d()
     body.bounding_box()
     body.volume_exact()
     body.intrinsic_volumes()
-    assert calls == {"linprog": 1, "HalfspaceIntersection": 1}
+    assert calls == {"milp": 1, "HalfspaceIntersection": 1}
 
 
 @pytest.mark.parametrize(
@@ -509,6 +512,59 @@ def _cut_cube_4d():
     d = 4
     normals = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d))])
     return HPolytope(normals, np.r_[np.ones(d), np.zeros(d), 2.0])
+
+
+def _linprog_chebyshev(normals, offsets):
+    """Test-side oracle: the Chebyshev LP through `linprog`'s HiGHS front end."""
+    from scipy.optimize import linprog
+
+    d = normals.shape[1]
+    res = linprog(
+        c=np.r_[np.zeros(d), -1.0],
+        A_ub=np.c_[normals, np.linalg.norm(normals, axis=1)],
+        b_ub=offsets,
+        bounds=[(None, None)] * d + [(0, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return res.x[:d], float(-res.fun)
+
+
+@pytest.mark.parametrize(
+    "kind, d", [("hpoly", 2), ("hpoly", 3), ("hpoly", 4), ("hull", 2), ("hull", 3), ("cut", 4)]
+)
+def test_chebyshev_ball_equals_linprog_bit_for_bit(kind, d):
+    if kind == "cut":
+        bodies = [_cut_cube_4d()]
+    else:
+        bodies = [random_body(d, np.random.default_rng(seed), kind) for seed in range(25)]
+    for i, body in enumerate(bodies):
+        centre, radius = body._chebyshev()
+        ref_centre, ref_radius = _linprog_chebyshev(body.normals, body.offsets)
+        assert np.array_equal(centre, ref_centre) and radius == ref_radius, i
+
+
+def _assert_first_rows_match_unique(m):
+    m = np.asarray(m, dtype=bool)
+    assert _first_rows(m) == np.sort(np.unique(m, axis=0, return_index=True)[1]).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(bool, array_shapes(min_dims=2, max_dims=2, max_side=40)))
+def test_first_rows_match_numpys_unique_on_random_incidences(m):
+    _assert_first_rows_match_unique(m)
+
+
+def test_first_rows_on_equal_rows_one_row_and_far_duplicates():
+    _assert_first_rows_match_unique(np.ones((7, 13)))  # all rows equal
+    _assert_first_rows_match_unique(np.zeros((7, 13)))
+    _assert_first_rows_match_unique([[True, False, True]])  # one row
+    # exact duplicates far apart: rows 0 and 199, and 3 and 150, of 200
+    # otherwise distinct rows 17 bits wide (three packed bytes)
+    m = (np.arange(200)[:, None] >> np.arange(17)) & 1
+    m[199], m[150] = m[0], m[3]
+    assert _first_rows(m.astype(bool)) == [i for i in range(200) if i not in (150, 199)]
+    _assert_first_rows_match_unique(m)
 
 
 def test_polytope_distance_with_non_simple_vertices():

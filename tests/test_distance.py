@@ -411,6 +411,25 @@ def test_grid_distances_equal_kdtree_queries_across_slabs(case):
         _assert_grid_distances_equal_kdtree_queries(pts, m)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=1, max_size=40),
+            st.integers(*_GRID_SIZES[d]),
+            st.integers(min_value=64, max_value=512),
+        )
+    )
+)
+def test_grid_distances_equal_kdtree_queries_under_candidate_chunking(case):
+    # a cap of 64-512 entries makes boxes of a few cells, of several shapes,
+    # and batches of few boxes whose candidates are measured a slice at a time
+    rows, m, entries = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "GRID_BOX_ENTRIES", entries)
+        _assert_grid_distances_equal_kdtree_queries(np.array(rows, dtype=float), m)
+
+
 @pytest.mark.parametrize(
     "lat, m, chunk_rows, n_chunks",
     [
