@@ -4,6 +4,7 @@ distance norms, body geometry, bound tables, and verification campaigns."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from .convex import (
     steiner_volume,
 )
 from .discrepancy import N_SLABS, isotropic_lower_bound, verify_thm1
-from .distance import DistanceNormConfig, distance_norms
+from .distance import distance_norms
 from .errors import LatdiscError
 from .harness import (
     ALL_CHECKS,
@@ -158,7 +159,7 @@ def _cmd_distnorm(args) -> int:
     lat = _read_lattice(args.lattice)
     ps = enumerate_points(lat)
     gammas = _parse_list(args.gamma, "--gamma", float)
-    reports = distance_norms(ps, gammas, DistanceNormConfig(covering_tol=args.tol))
+    reports = distance_norms(ps, gammas, covering_tol=args.tol)
     _emit_json(
         args,
         [reports[math.inf if math.isinf(g) else g].to_json_dict() for g in gammas],
@@ -185,6 +186,8 @@ def _cmd_geom(args) -> int:
 def _cmd_bounds_remark(args) -> int:
     rows = []
     for d in _parse_list(args.dims, "--dims"):
+        if d < 1:
+            raise ValueError(f"--dims: entry '{d}' is not a positive integer")
         rows.append(
             {
                 "d": d,
@@ -255,7 +258,7 @@ def _cmd_campaign(args) -> int:
 
 _GLOBAL_DEFAULTS = {
     "seed": None,
-    "tol": 1e-4,
+    "tol": inspect.signature(distance_norms).parameters["covering_tol"].default,
     "out": None,
     "format": "json",
     "workers": 1,
@@ -286,7 +289,7 @@ def _global_flags(with_defaults: bool) -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=dflt("tol"),
-        help="covering-radius tolerance read by `distnorm` (default: 1e-4)",
+        help=f"covering-radius tolerance read by `distnorm` (default: {_GLOBAL_DEFAULTS['tol']})",
     )
     p.add_argument(
         "--out",

@@ -50,18 +50,6 @@ COVERING_MAX_EVALS = 4_000_000  # distance evaluations before the covering radiu
 EPS = float(np.finfo(float).eps)  # 2^-52, twice the unit roundoff u
 
 
-@dataclass(frozen=True)
-class DistanceNormConfig:
-    grid_resolution: int | None = None  # per-axis; None picks a default by dim
-    covering_tol: float = 1e-4
-
-    def __post_init__(self):
-        m = self.grid_resolution
-        if m is not None and (isinstance(m, bool) or not isinstance(m, int) or m < 1):
-            raise ValueError(f"grid_resolution must be None or an integer >= 1, got {m!r}")
-        _check_tol("covering_tol", self.covering_tol)
-
-
 def _check_tol(name: str, tol) -> None:
     """Raise unless tol is a finite positive number: 0, nan and inf raise."""
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
@@ -124,7 +112,7 @@ class DistanceNormReport:
         }
 
 
-def covering_radius(ps: LatticePointSet, tol: float = 1e-4) -> CoveringRadius:
+def covering_radius(ps: LatticePointSet, tol: float) -> CoveringRadius:
     """Certified enclosure of sup_{y in cube} dist(y, P) by branch-and-bound.
 
     dist is 1-Lipschitz, so a cell of half-width h satisfies
@@ -459,31 +447,41 @@ def _grid_moments_multi(
     return out
 
 
+def _root(x: float, g: float) -> float:
+    """x^(1/g), or inf where that overflows, as it can for a tiny gamma."""
+    try:
+        return x ** (1.0 / g)
+    except OverflowError:
+        return math.inf
+
+
 def _root_outward(lo: float, hi: float, g: float) -> tuple[float, float]:
     """lo^(1/g) rounded down and hi^(1/g) rounded up: two ulps for the power,
-    and |ln x| eps / g for the rounding of the exponent 1/g."""
+    and |ln x| eps / g for the rounding of the exponent 1/g. A lower end
+    that underflows reads 0, and an upper end that overflows reads inf."""
 
     def widen(x: float) -> float:
         return (2 + abs(math.log(x)) / g) * EPS if x > 0 else 0.0
 
-    return lo ** (1.0 / g) * (1 - widen(lo)), hi ** (1.0 / g) * (1 + widen(hi))
+    return max(0.0, _root(lo, g) * (1 - widen(lo))), _root(hi, g) * (1 + widen(hi))
 
 
 def distance_norms(
     ps: LatticePointSet,
     gammas,
-    config: DistanceNormConfig | None = None,
+    covering_tol: float = 1e-4,
     *,
     bracketed=None,
 ) -> dict[GammaValue, DistanceNormReport]:
     """L_gamma norms of dist(., P) for several gammas, sharing the grid.
 
-    gamma = inf delegates to the covering radius. For d = 1 the piecewise
-    integral is evaluated in closed form from the exact integer gaps, and the
-    certified bounds widen it for every rounding (`_moment_1d`). For every d >= 2 the value is the
-    midpoint rule on a tensor grid (`_default_resolution`), and the
-    certified bounds are its per-cell brackets (`_grid_moments_multi`),
-    widened outward for rounding. Nothing is sampled.
+    gamma = inf delegates to the covering radius, to within `covering_tol`.
+    For d = 1 the piecewise integral is evaluated in closed form from the
+    exact integer gaps, and the certified bounds widen it for every rounding
+    (`_moment_1d`). For every d >= 2 the value is the midpoint rule on a grid
+    of `_default_resolution(d)`^d cells, and the certified bounds are its
+    per-cell brackets (`_grid_moments_multi`), widened outward for rounding.
+    Nothing is sampled.
 
     `bracketed` (default: every gamma) names the gammas whose certified
     bounds the caller reads. On the grid the bracket sums of the other
@@ -491,18 +489,14 @@ def distance_norms(
     enclosure [0, inf]; their values are unchanged. The closed form and the
     covering radius bracket every gamma, at no extra cost.
     """
-    cfg = config or DistanceNormConfig()
+    _check_tol("covering_tol", covering_tol)
     gammas = list(dict.fromkeys(gammas))  # a repeated gamma must not add its grid sums twice
-    d = ps.dim
-    pts = ps.as_array()
-    out: dict[GammaValue, DistanceNormReport] = {}
-
     bad = [g for g in gammas if not g > 0]  # also nan and -inf
     if bad:
         raise ValueError(f"gamma must be positive, got {bad[0]}")
-    finite = [g for g in gammas if not math.isinf(g)]
-    if any(math.isinf(g) for g in gammas):
-        cr = covering_radius(ps, tol=cfg.covering_tol)
+    out: dict[GammaValue, DistanceNormReport] = {}
+    if math.inf in gammas:
+        cr = covering_radius(ps, covering_tol)
         out[math.inf] = DistanceNormReport(
             gamma=math.inf,
             value=cr.estimate,
@@ -511,40 +505,30 @@ def distance_norms(
             method="covering",
             resolution=0,
         )
-
+    finite = [g for g in gammas if not math.isinf(g)]
     if not finite:
         return out
 
+    d = ps.dim
     if d == 1:
         xs = np.sort(ps.ints[:, 0])
-        for g in finite:
-            moment, lo, hi = _moment_1d(xs, ps.denom, g)
-            lower, upper = _root_outward(lo, hi, g)
-            out[g] = DistanceNormReport(
-                gamma=g,
-                value=moment ** (1.0 / g),
-                lower_certified=lower,
-                upper_certified=upper,
-                method="closed-form-1d",
-                resolution=0,
-            )
-        return out
+        method, m = "closed-form-1d", 0
+        moments = {g: _moment_1d(xs, ps.denom, g) for g in finite}
+    else:
+        from scipy.spatial import cKDTree
 
-    from scipy.spatial import cKDTree
-
-    m = cfg.grid_resolution or _default_resolution(d)
-    grid = _grid_moments_multi(
-        cKDTree(pts), d, m, finite, set(gammas if bracketed is None else bracketed)
-    )
-    for g in finite:
-        moment, lo, hi = grid[g]
+        method, m = "grid", _default_resolution(d)
+        moments = _grid_moments_multi(
+            cKDTree(ps.as_array()), d, m, finite, set(gammas if bracketed is None else bracketed)
+        )
+    for g, (moment, lo, hi) in moments.items():
         lower, upper = _root_outward(lo, hi, g)
         out[g] = DistanceNormReport(
             gamma=g,
-            value=moment ** (1.0 / g),
+            value=_root(moment, g),
             lower_certified=lower,
             upper_certified=upper,
-            method="grid",
+            method=method,
             resolution=m,
         )
     return out
@@ -580,7 +564,6 @@ def hyperplane_section_constant(d: int) -> float:
 def verify_prop1(
     lat: IntegrationLattice,
     gammas=(0.5, 1.0, 2.0, math.inf),
-    config: DistanceNormConfig | None = None,
     report: SpectralReport | None = None,
     norm_reports: dict[GammaValue, DistanceNormReport] | None = None,
 ) -> Prop1Report:
@@ -619,13 +602,13 @@ def verify_prop1(
     gammas = tuple(gammas)
     reports = norm_reports
     if reports is None:
-        reports = distance_norms(enumerate_points(lat), gammas, config)
+        reports = distance_norms(enumerate_points(lat), gammas)
     norms = tuple(reports[math.inf if math.isinf(g) else g] for g in gammas)
-    lower_bounds = tuple(
-        t_d * sigma / (1.0 if math.isinf(g) else 2.0 ** (1.0 / g)) for g in gammas
-    )
+    # 2^(1/inf) = 1; where 2^(1/gamma) overflows the bound underflows to 0,
+    # and only a positive certified end is above the positive bound it stands for
+    lower_bounds = tuple(t_d * sigma / _root(2.0, g) for g in gammas)
     lower_ok = tuple(
-        r.lower_certified >= lb for r, lb in zip(norms, lower_bounds)
+        r.lower_certified >= lb and r.lower_certified > 0 for r, lb in zip(norms, lower_bounds)
     )
     ratios = tuple(r.value / sigma for r in norms)
     return Prop1Report(

@@ -34,9 +34,9 @@ from .convex import (
     steiner_volume,
 )
 from .discrepancy import N_SLABS, verify_thm1
-from .distance import DistanceNormConfig, ProxySpec, proxy_spec, verify_prop1
+from .distance import ProxySpec, proxy_spec, verify_prop1
 from .lattice import enumerate_points, fibonacci_generator, rank1_lattice
-from .reduction import spectral_test
+from .reduction import SVP_DIMENSION_CAP, spectral_test
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -246,6 +246,15 @@ class Campaign:
                 )
             if not self.budgets.thm2_triples:
                 raise ValueError("thm2-diagnostic needs a triple in budgets.thm2_triples")
+        # every lattice task runs the spectral test, which has a dimension cap
+        if {"spectral-exact", "thm1", "prop1"} & set(self.checks):
+            for name in ("rank1_dims", "zd_dims"):
+                dims = getattr(self.corpus, name)
+                if any(d > SVP_DIMENSION_CAP for d in dims):
+                    raise ValueError(
+                        f"corpus.{name} must be a list of integers from 1 to {SVP_DIMENSION_CAP} "
+                        f"when a lattice check runs, got {dims!r}"
+                    )
         missing = sorted(_covering_dims(self) - set(self.budgets.covering_tols))
         if missing:
             raise ValueError(
@@ -386,7 +395,10 @@ def _thm2_specs(budgets: Budgets, d: int) -> list[tuple[tuple, ProxySpec, float]
     """((s, p, q), ProxySpec, gamma as a float) for each thm2 triple."""
     out = []
     for s, p, q in budgets.thm2_triples:
-        spec = proxy_spec(s, math.inf if p == "inf" else p, math.inf if q == "inf" else q, d)
+        try:
+            spec = proxy_spec(s, math.inf if p == "inf" else p, math.inf if q == "inf" else q, d)
+        except ValueError as exc:
+            raise ValueError(f"budgets.thm2_triples entry [{s}, {p}, {q}]: {exc}") from None
         out.append(((s, p, q), spec, math.inf if spec.gamma == math.inf else float(spec.gamma)))
     return out
 
@@ -421,14 +433,10 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
         prop1_gammas = c.budgets.prop1_gammas if "prop1" in c.checks else ()
         gammas = dict.fromkeys([*prop1_gammas, *(gamma for _, _, gamma in thm2)])
         # only gamma = inf computes a covering radius, and reads d's tolerance
-        config = (
-            DistanceNormConfig(covering_tol=c.budgets.covering_tols[d])
-            if math.inf in gammas
-            else DistanceNormConfig()
-        )
+        tol = {"covering_tol": c.budgets.covering_tols[d]} if math.inf in gammas else {}
         # thm2 reads only values, so only the prop1 gammas need certified brackets
         norms = distance.distance_norms(
-            enumerate_points(lat), gammas, config, bracketed=prop1_gammas
+            enumerate_points(lat), gammas, bracketed=prop1_gammas, **tol
         )
     if "prop1" in c.checks:
         p1 = verify_prop1(
@@ -465,7 +473,7 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
                 rows.append(_row("prop1-ratio-inf", lattice_id, ratio, None, RECORDED))
                 width = norm.upper_certified - norm.lower_certified
                 rows.append(_row(
-                    "prop1-covering-width", lattice_id, width, config.covering_tol * (1 + 1e-9)
+                    "prop1-covering-width", lattice_id, width, tol["covering_tol"] * (1 + 1e-9)
                 ))
     for (s, p, q), spec, gamma in thm2:
         proxy = norms[gamma].value ** float(spec.exponent)

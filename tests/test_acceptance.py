@@ -17,7 +17,6 @@ from scipy.spatial import cKDTree
 from latdisc.convex import Ball, kappa, offset_volumes, unit_cube
 from latdisc.discrepancy import verify_thm1
 from latdisc.distance import (
-    DistanceNormConfig,
     covering_radius,
     distance_norms,
     proxy_spec,
@@ -255,7 +254,7 @@ def test_criterion_7_proposition1(capsys, prop1_campaign):
     # equispaced d=1 closed form reproduced to 1e-10
     for n in (4, 64):
         ps = enumerate_points(rank1_lattice(n, (1,)))
-        rep = distance_norms(ps, [1.0], DistanceNormConfig())[1.0]
+        rep = distance_norms(ps, [1.0])[1.0]
         assert abs(rep.value - (n + 1) / (4 * n * n)) <= 1e-10
 
     # covering-radius width <= 1e-4 for every d=2 member (campaign rows), and

@@ -95,6 +95,18 @@ def test_distnorm(tmp_path, capsys):
     assert reports[1]["upper_certified"] >= 0.25
 
 
+def test_distnorm_at_a_tiny_gamma_prints_true_bounds(tmp_path, capsys):
+    # gamma = 1e-200 overflowed in the upper end's root; 1e-5 always ran
+    spec = tmp_path / "lat.txt"
+    spec.write_text("1 7\nrank1: 1\n")
+    code, out = run_cli(capsys, "distnorm", str(spec), "--gamma", "1e-200,1e-5")
+    assert code == 0
+    tiny, small = json.loads(out)
+    assert tiny["lower_certified"] == 0.0 and math.copysign(1, tiny["lower_certified"]) == 1
+    assert tiny["upper_certified"] == math.inf
+    assert 0 < small["lower_certified"] <= small["value"] <= small["upper_certified"] < 1
+
+
 def test_geom_commands(tmp_path, capsys):
     body = tmp_path / "ball.json"
     body.write_text(json.dumps({"variant": "ball", "center": [0.5, 0.5], "radius": 0.3}))
@@ -349,6 +361,7 @@ def test_gen_dimension_below_one_is_a_usage_error(capsys, family, d):
         (("distnorm", "{spec}", "--gamma", ","), "--gamma: the list is empty"),
         (("bounds", "remark", "--dims", ""), "--dims: the list is empty"),
         (("gen", "rank1", "--n", "5", "--g", ","), "--g: the list is empty"),
+        (("bounds", "remark", "--dims", "0,10"), "--dims: entry '0' is not a positive integer"),
     ],
 )
 def test_bad_list_entry_names_the_flag_and_the_entry(tmp_path, capsys, argv, message):

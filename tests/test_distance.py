@@ -1,5 +1,8 @@
+import dataclasses
+import decimal
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +14,6 @@ from scipy.spatial import cKDTree
 from halfspace_oracle import halfspace_cube_volume
 from latdisc import distance
 from latdisc.distance import (
-    DistanceNormConfig,
     _balanced_boxes,
     _default_resolution,
     _grid_axis,
@@ -33,7 +35,6 @@ EQUI4 = enumerate_points(rank1_lattice(4, (1,)))
 R5 = rank1_lattice(5, (1, 2))
 P5 = enumerate_points(R5)
 
-FAST = DistanceNormConfig(grid_resolution=201, covering_tol=1e-4)
 # the prop1 workload's d = 4, N = 1024 lattice: the most raw grid-search
 # candidates per cell of its rank-1 members
 R1024_D4 = rank1_lattice(1024, (312, 557, 248, 104))
@@ -76,18 +77,12 @@ def test_covering_radius_rejects_a_tolerance_that_is_not_finite_positive(tol):
         covering_radius(P5, tol=tol)
 
 
-@pytest.mark.parametrize("m", [-3, 0, 2.5, True, "21"])
-def test_config_rejects_a_bad_grid_resolution(m):
-    # grid_resolution=-3 used to certify a norm of 0 for a point set whose
-    # norm is 0.114; 0 ran at the default and 2.5 failed inside range()
-    with pytest.raises(ValueError, match=r"^grid_resolution must be None or an integer >= 1"):
-        DistanceNormConfig(grid_resolution=m)
-
-
 @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf, "1e-4", None])
 def test_config_rejects_a_bad_covering_tol(tol):
-    with pytest.raises(ValueError, match=r"^covering_tol must be a finite positive number"):
-        DistanceNormConfig(covering_tol=tol)
+    # whatever the gammas, though only gamma = inf reads the tolerance
+    for gammas in ([1.0], [math.inf]):
+        with pytest.raises(ValueError, match=r"^covering_tol must be a finite positive number"):
+            distance_norms(P5, gammas, covering_tol=tol)
 
 
 def test_covering_radius_equispaced_d1():
@@ -110,10 +105,10 @@ def test_distance_norm_equispaced_closed_form():
     # independent oracle: (N+1)/(4 N^2) for N equispaced points
     for n in (4, 16, 64):
         ps = enumerate_points(rank1_lattice(n, (1,)))
-        rep = distance_norms(ps, [1.0], FAST)[1.0]
+        rep = distance_norms(ps, [1.0])[1.0]
         assert rep.method == "closed-form-1d"
         assert rep.value == pytest.approx((n + 1) / (4 * n * n), abs=1e-10)
-    rep4 = distance_norms(EQUI4, [1.0], FAST)[1.0]
+    rep4 = distance_norms(EQUI4, [1.0])[1.0]
     assert rep4.value == pytest.approx(5 / 64, abs=1e-12)
 
 
@@ -131,25 +126,51 @@ def test_d1_bracket_contains_the_exact_moment(gamma):
     assert rep.upper_certified - rep.lower_certified <= 1e-9 * rep.value
 
 
+@pytest.mark.parametrize("gamma", [1e-5, 0.0005, 1e-200])
+def test_d1_ends_hold_at_a_tiny_gamma(gamma):
+    # the norm of dist(., {k/N}) in 400-digit decimals, from the moment
+    # ((N - 1) 2 (1/(2N))^g1 + (1/N)^g1) / g1, g1 = gamma + 1; at 1e-200 the
+    # upper end's root overflows and the lower end's underflows
+    n = 7
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        g, g1 = Decimal(gamma), Decimal(gamma) + 1
+        moment = ((n - 1) * 2 * (1 / Decimal(2 * n)) ** g1 + (1 / Decimal(n)) ** g1) / g1
+        exact = (moment.ln() / g).exp()
+    rep = distance_norms(enumerate_points(rank1_lattice(n, (1,))), [gamma])[gamma]
+    assert 0 <= Decimal(rep.lower_certified) <= exact <= Decimal(rep.upper_certified)
+    assert math.copysign(1, rep.lower_certified) == 1  # not -0.0
+
+
+def test_verify_prop1_at_a_gamma_whose_bound_underflows():
+    # 2^(1/0.0005) overflows, so the bound t_d sigma / 2^2000 reads 0, and a
+    # row passes only on a positive certified end
+    rep = verify_prop1(R5, gammas=(0.0005,))
+    assert rep.lower_bounds == (0.0,)
+    assert rep.norms[0].lower_certified > 0 and rep.lower_ok == (True,)
+    zero = dataclasses.replace(rep.norms[0], lower_certified=0.0)
+    assert verify_prop1(R5, gammas=(0.0005,), norm_reports={0.0005: zero}).lower_ok == (False,)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, -math.inf])
 def test_distance_norms_reject_a_gamma_that_is_not_positive(gamma):
     with pytest.raises(ValueError, match="gamma must be positive"):
-        distance_norms(P5, [1.0, gamma], FAST)
+        distance_norms(P5, [1.0, gamma])
 
 
 def test_distance_norms_count_a_repeated_gamma_once():
-    once = distance_norms(P5, [1.0, 2.0], FAST)
-    assert distance_norms(P5, [1.0, 2.0, 1, 1.0], FAST) == once
+    once = distance_norms(P5, [1.0, 2.0])
+    assert distance_norms(P5, [1.0, 2.0, 1, 1.0]) == once
 
 
 def test_distance_norm_single_point_d1():
     ps = enumerate_points(rank1_lattice(1, (0,)))
-    rep = distance_norms(ps, [1.0], FAST)[1.0]
+    rep = distance_norms(ps, [1.0])[1.0]
     assert rep.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_norm_monotone_in_gamma():
-    reports = distance_norms(P5, [0.5, 1.0, 2.0, math.inf], FAST)
+    reports = distance_norms(P5, [0.5, 1.0, 2.0, math.inf])
     vals = [reports[0.5].value, reports[1.0].value, reports[2.0].value]
     assert vals[0] <= vals[1] + 1e-9
     assert vals[1] <= vals[2] + 1e-9
@@ -198,7 +219,7 @@ def old_derivative_bounds(tree, d, m, g):
 
 def test_grid_norm_matches_mc_cross_check():
     ps = enumerate_points(fibonacci_lattice(9))
-    rep = distance_norms(ps, [2.0], FAST)[2.0]
+    rep = distance_norms(ps, [2.0])[2.0]
     assert rep.method == "grid"
     mean, se = mc_moment_oracle(ps, [2.0])[2.0]
     assert rep.lower_certified**2 <= mean + 4 * se
@@ -240,22 +261,22 @@ def test_enclosure_contains_dense_grid_oracle_d2():
 
 
 @pytest.mark.parametrize(
-    ("lat", "m"),
+    "lat",
     [
-        pytest.param(fibonacci_lattice(10), 401, id="fib-k10"),
-        pytest.param(rank1_lattice(256, (1, 0)), 401, id="bad-axis-d2"),
-        pytest.param(rank1_lattice(256, (1, 103, 211)), 101, id="rank1-d3-n256"),
-        pytest.param(D4, 21, id="rank1-d4-n256"),
-        pytest.param(rank1_lattice(1024, (1, 149, 469, 743)), 21, id="rank1-d4-n1024"),
+        pytest.param(fibonacci_lattice(10), id="fib-k10"),
+        pytest.param(rank1_lattice(256, (1, 0)), id="bad-axis-d2"),
+        pytest.param(rank1_lattice(256, (1, 103, 211)), id="rank1-d3-n256"),
+        pytest.param(D4, id="rank1-d4-n256"),
+        pytest.param(rank1_lattice(1024, (1, 149, 469, 743)), id="rank1-d4-n1024"),
     ],
 )
-def test_direct_bracket_at_least_as_tight_as_derivative_bound(lat, m):
+def test_direct_bracket_at_least_as_tight_as_derivative_bound(lat):
     gammas = [0.5, 1.0, 2.0]
     ps = enumerate_points(lat)
     tree = cKDTree(ps.as_array())
-    reports = distance_norms(ps, gammas, DistanceNormConfig(grid_resolution=m))
+    reports = distance_norms(ps, gammas)
     for g in gammas:
-        old_lo, old_hi = old_derivative_bounds(tree, lat.dim, m, g)
+        old_lo, old_hi = old_derivative_bounds(tree, lat.dim, reports[g].resolution, g)
         # equal per cell where every cell lies at least r from P and gamma = 1;
         # there the new bounds differ only by their outward rounding margin
         slack = 1e-9
@@ -292,7 +313,8 @@ def test_grid_certificate_brackets_closed_form_2d():
     # single point at the origin in d=2: integral of ||x||^1 over the square
     # is (sqrt(2) + asinh(1)) / 3
     ps = enumerate_points(rank1_lattice(1, (0, 0)))
-    rep = distance_norms(ps, [1.0], DistanceNormConfig(grid_resolution=401))[1.0]
+    rep = distance_norms(ps, [1.0])[1.0]
+    assert rep.method == "grid" and rep.resolution == 401
     exact = (math.sqrt(2) + math.asinh(1.0)) / 3
     assert rep.lower_certified <= exact <= rep.upper_certified
 
@@ -302,8 +324,7 @@ def test_grid_certificate_brackets_closed_form_3d(gamma, moment):
     # single point at the origin in d=3: integral of ||x||^2 over the cube is
     # 1 and of ||x||^4 is 3/5 + 6/9 = 19/15
     ps = enumerate_points(rank1_lattice(1, (0, 0, 0)))
-    cfg = DistanceNormConfig(grid_resolution=101)
-    rep = distance_norms(ps, [gamma], cfg)[gamma]
+    rep = distance_norms(ps, [gamma])[gamma]
     assert rep.method == "grid" and rep.resolution == 101
     assert rep.lower_certified <= moment ** (1 / gamma) <= rep.upper_certified
 
@@ -492,10 +513,9 @@ def test_unbracketed_gammas_skip_only_their_brackets():
     # a prop1 + thm2 lattice task: thm2 reads only the values of 3 and 4
     ps = enumerate_points(fibonacci_lattice(7))
     prop1, thm2 = [0.5, 1.0, 2.0, math.inf], [3.0, 4.0]
-    cfg = DistanceNormConfig(covering_tol=1e-4)
-    partial = distance_norms(ps, prop1 + thm2, cfg, bracketed=prop1)
-    full = distance_norms(ps, prop1 + thm2, cfg)
-    alone = distance_norms(ps, prop1, cfg)
+    partial = distance_norms(ps, prop1 + thm2, bracketed=prop1)
+    full = distance_norms(ps, prop1 + thm2)
+    alone = distance_norms(ps, prop1)
     assert all(partial[g] == alone[g] == full[g] for g in prop1)
     for g in thm2:
         assert partial[g].value == full[g].value and partial[g].method == "grid"
@@ -507,8 +527,8 @@ def test_bracketed_is_ignored_where_brackets_are_free():
     # the closed form in d = 1 and the covering radius bracket every gamma
     d1 = enumerate_points(rank1_lattice(7, (1,)))
     assert distance_norms(d1, [1.0, 3.0], bracketed=()) == distance_norms(d1, [1.0, 3.0])
-    covering = distance_norms(P5, [math.inf], FAST)
-    assert distance_norms(P5, [math.inf], FAST, bracketed=()) == covering
+    covering = distance_norms(P5, [math.inf])
+    assert distance_norms(P5, [math.inf], bracketed=()) == covering
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +589,7 @@ def test_prop1_vol_a_is_the_exact_slab_union_on_the_default_corpus():
 
 def test_verify_prop1_equispaced_d1():
     lat = rank1_lattice(4, (1,))
-    rep = verify_prop1(lat, gammas=(1.0,), config=FAST)
+    rep = verify_prop1(lat, gammas=(1.0,))
     assert rep.v_d == 1.0
     assert rep.t_d == pytest.approx(1 / 12)
     assert rep.vol_a_ok and rep.vol_b_bound_ok
@@ -581,13 +601,13 @@ def test_verify_prop1_equispaced_d1():
 
 def test_verify_prop1_sigma_norm_ratio_d1():
     lat = rank1_lattice(8, (1,))
-    rep = verify_prop1(lat, gammas=(math.inf,), config=FAST)
+    rep = verify_prop1(lat, gammas=(math.inf,))
     assert rep.sigma == pytest.approx(1 / 8)
     assert rep.ratios == (pytest.approx(1.0, abs=1e-3),)
 
 
 def test_verify_prop1_rank1_5_12_all_gammas():
-    rep = verify_prop1(R5, gammas=(0.5, 1.0, 2.0, math.inf), config=FAST)
+    rep = verify_prop1(R5, gammas=(0.5, 1.0, 2.0, math.inf))
     assert rep.vol_a_ok
     assert rep.vol_b_bound_ok
     assert all(rep.lower_ok)
@@ -596,9 +616,9 @@ def test_verify_prop1_rank1_5_12_all_gammas():
 
 def test_verify_prop1_with_passed_in_norm_reports_is_unchanged():
     gammas = (0.5, 2.0, math.inf)
-    plain = verify_prop1(R5, gammas=gammas, config=FAST)
+    plain = verify_prop1(R5, gammas=gammas)
     # the caller's reports may hold extra gammas; prop1 reads only its own
-    reports = distance_norms(P5, (*gammas, 3.0, 1.0), FAST)
+    reports = distance_norms(P5, (*gammas, 3.0, 1.0))
     given = verify_prop1(R5, gammas=gammas, report=spectral_test(R5), norm_reports=reports)
     assert given == plain
     no_inf = verify_prop1(R5, gammas=(1.0,), norm_reports=reports)
@@ -638,7 +658,7 @@ def test_error_proxy_equispaced():
     sp = proxy_spec(2, 2, math.inf, 1)
     # gamma = inf, exponent = 2 - 1*(1/2) = 3/2; covering radius = 1/8
     assert sp.gamma == math.inf
-    val = distance_norms(ps, [math.inf], FAST)[math.inf].value ** float(sp.exponent)
+    val = distance_norms(ps, [math.inf])[math.inf].value ** float(sp.exponent)
     assert val == pytest.approx((1 / 8) ** 1.5, rel=1e-3)
 
 

@@ -19,7 +19,7 @@ from latdisc.harness import (
     write_artifacts,
 )
 from latdisc import distance
-from latdisc.distance import DistanceNormConfig, distance_norms, proxy_spec, verify_prop1
+from latdisc.distance import distance_norms, proxy_spec, verify_prop1
 from latdisc.lattice import enumerate_points, fibonacci_lattice, rank1_lattice
 from latdisc.reduction import spectral_test
 
@@ -109,9 +109,8 @@ def test_prop1_volb_row_reads_the_reports_bound():
     rows = {r["subject"]: r for r in res.rows if r["check"] == "prop1-volB-bound"}
     entries = builtin_corpus(SMALL_CORPUS, 11)
     assert sorted(rows) == sorted(ident for ident, _, _ in entries)
-    cheap = DistanceNormConfig(grid_resolution=11)
     for ident, n, g in entries:
-        p1 = verify_prop1(rank1_lattice(n, g), gammas=(1.0,), config=cheap)
+        p1 = verify_prop1(rank1_lattice(n, g), gammas=(), norm_reports={})
         assert rows[ident]["rhs"] == p1.vol_b_bound
         assert p1.vol_b_bound_ok == (rows[ident]["verdict"] == "PASS")
 
@@ -376,7 +375,6 @@ def thm2_campaign(checks):
 def thm2_reference(budgets, k_lo, k_hi):
     """The thm2 table and window ratios computed one gamma at a time on each
     fibonacci_lattice(k), independently of the campaign's lattice tasks."""
-    cfg = DistanceNormConfig(covering_tol=budgets.covering_tols[2])
     table = []
     for k in range(k_lo, k_hi + 1):
         lat = fibonacci_lattice(k)
@@ -385,7 +383,8 @@ def thm2_reference(budgets, k_lo, k_hi):
         for s, p, q in budgets.thm2_triples:
             spec = proxy_spec(s, math.inf if p == "inf" else p, math.inf if q == "inf" else q, 2)
             g = math.inf if spec.gamma == math.inf else float(spec.gamma)
-            proxy = distance_norms(ps, [g], cfg)[g].value ** float(spec.exponent)
+            norm = distance_norms(ps, [g], covering_tol=budgets.covering_tols[2])[g]
+            proxy = norm.value ** float(spec.exponent)
             table.append({
                 "k": k, "N": n, "sigma": sigma, "triple": f"s{s}-p{p}-q{q}", "proxy": proxy,
                 "scaled": proxy * n ** (s / 2 - max(float(spec.inv_p - spec.inv_q), 0.0)),
@@ -421,10 +420,10 @@ def test_one_distance_pass_per_lattice(monkeypatch, checks):
     real = distance.distance_norms
     calls = []
 
-    def counted(ps, gammas, config=None, *, bracketed=None):
+    def counted(ps, gammas, *, bracketed=None, **kw):
         calls.append((ps.n, tuple(gammas)))
         brackets.append(tuple(bracketed))
-        return real(ps, gammas, config, bracketed=bracketed)
+        return real(ps, gammas, bracketed=bracketed, **kw)
 
     brackets = []
     monkeypatch.setattr(distance, "distance_norms", counted)
@@ -445,7 +444,7 @@ def test_campaign_json_does_not_depend_on_the_brackets_left_out(monkeypatch, tmp
     write_artifacts(run_campaign(thm2_campaign(("prop1", "thm2-diagnostic"))), tmp_path / "some")
     real = distance.distance_norms
     monkeypatch.setattr(
-        distance, "distance_norms", lambda ps, gammas, config, bracketed: real(ps, gammas, config)
+        distance, "distance_norms", lambda ps, gammas, bracketed, **kw: real(ps, gammas, **kw)
     )
     write_artifacts(run_campaign(thm2_campaign(("prop1", "thm2-diagnostic"))), tmp_path / "all")
     assert (tmp_path / "some" / "campaign.json").read_bytes() == (
@@ -469,6 +468,48 @@ def test_thm2_without_fibonacci_lattices_fails_at_load():
         Campaign.from_json_dict(data)
     # without the diagnostic an empty Fibonacci range is a valid corpus
     Campaign(corpus=CorpusSpec(fibonacci_k=(10, 5)), checks=("prop1",))
+
+
+@pytest.mark.parametrize(
+    "triple, message",
+    [
+        ((2, 0.5, 1), "p and q must lie in [1, inf]"),
+        ((1, 2, 2), "smoothness must satisfy s > d/p"),  # d = 2 on the Fibonacci members
+    ],
+)
+def test_a_thm2_triple_proxy_spec_refuses_names_the_field(triple, message):
+    data = thm2_campaign(("thm2-diagnostic",)).to_json_dict()
+    data["budgets"]["thm2_triples"] = [list(triple)]
+    full = rf"^budgets\.thm2_triples entry {re.escape(str(list(triple)))}: {re.escape(message)}$"
+    with pytest.raises(ValueError, match=full):
+        Campaign.from_json_dict(data)
+    # the triples are read only by the diagnostic
+    data["checks"] = ["prop1"]
+    Campaign.from_json_dict(data)
+
+
+@pytest.mark.parametrize("name", ["rank1_dims", "zd_dims"])
+def test_a_lattice_dimension_above_the_spectral_cap_fails_at_load(name):
+    data = Campaign(corpus=THM2_CORPUS, checks=("thm1",)).to_json_dict()
+    data["corpus"][name] = [2, 13]
+    message = rf"^corpus\.{name} must be a list of integers from 1 to 12 when a lattice check runs"
+    with pytest.raises(ValueError, match=message + r", got \(2, 13\)$"):
+        Campaign.from_json_dict(data)
+    # the diagnostic alone runs only the Fibonacci members, all in d = 2
+    data["checks"] = ["thm2-diagnostic"]
+    Campaign.from_json_dict(data)
+
+
+def test_a_tiny_prop1_gamma_runs_to_strict_json(tmp_path):
+    # 2^(1/gamma) overflows for gamma < 1/1024; the paper's lower bound then
+    # underflows to 0 and the certified ends stay positive, so the rows pass
+    c = small_campaign(checks=("prop1",), budgets=Budgets(prop1_gammas=(0.0005,)))
+    res = run_campaign(c)
+    lower = [r for r in res.rows if r["check"] == "prop1-lower-g0.0005"]
+    assert len(lower) == len(builtin_corpus(SMALL_CORPUS, 11))
+    assert all(r["lhs"] == 0.0 < r["rhs"] and r["verdict"] == "PASS" for r in lower)
+    write_artifacts(res, tmp_path)  # writes strict JSON, or raises
+    json.loads((tmp_path / "campaign.json").read_text(), parse_constant=pytest.fail)
 
 
 def test_a_covering_radius_without_a_tolerance_fails_at_load():
