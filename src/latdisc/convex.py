@@ -3,12 +3,12 @@ formula machinery, plus the quantitative sub-exponential bounds on the
 binomial-kappa sum.
 
 Geometry here is floating point; exact rational counting for discrepancy
-witnesses lives in the discrepancy module. Parallel-body volumes are exact
-and nothing here samples or measures a distance: balls and boxes have
-closed forms in every d; a polytope's outer parallel volume is its Steiner
-polynomial (intrinsic volumes from the face lattice and external angles,
-d <= 4) and its inner parallel body is again an H-polytope, measured by
-qhull.
+witnesses lives in the discrepancy module. Each body evaluates its own
+parallel-body volumes in closed form, as floats, and nothing here samples
+or measures a distance: balls and boxes have closed forms in every d; a
+polytope's outer parallel volume is its Steiner polynomial (intrinsic
+volumes from the face lattice and external angles, d <= 4) and its inner
+parallel body is again an H-polytope, measured by qhull.
 
 Importing this module loads numpy only. scipy is imported inside the
 functions that call it: qhull and the Chebyshev LP (HiGHS through
@@ -49,21 +49,31 @@ def log_kappa(j: int) -> float:
     return 0.5 * j * math.log(math.pi) - math.lgamma(1 + 0.5 * j)
 
 
+_KAPPA_BLOCK = 1 << 17  # terms per block of binom_kappa_sum
+
+
 def binom_kappa_sum(d: int) -> float:
-    """log of sum_{j=1}^d binom(d,j) kappa_j, evaluated in the log domain."""
+    """log of sum_{j=1}^d binom(d,j) kappa_j, evaluated in the log domain.
+
+    The terms are summed in blocks of `_KAPPA_BLOCK`, each block's log-sum
+    added to a running total, so memory stays bounded for any d; a d up to
+    the block size is one block, the plain `logsumexp` of all the terms."""
     if d < 1:
         raise ValueError("d must be positive")
     from scipy.special import gammaln, logsumexp
 
-    j = np.arange(1, d + 1, dtype=float)
-    log_terms = (
-        gammaln(d + 1)
-        - gammaln(j + 1)
-        - gammaln(d - j + 1)
-        + 0.5 * j * math.log(math.pi)
-        - gammaln(1 + 0.5 * j)
-    )
-    return float(logsumexp(log_terms))
+    total = -math.inf
+    for start in range(1, d + 1, _KAPPA_BLOCK):
+        j = np.arange(start, min(start + _KAPPA_BLOCK, d + 1), dtype=float)
+        log_terms = (
+            gammaln(d + 1)
+            - gammaln(j + 1)
+            - gammaln(d - j + 1)
+            + 0.5 * j * math.log(math.pi)
+            - gammaln(1 + 0.5 * j)
+        )
+        total = np.logaddexp(total, logsumexp(log_terms))
+    return float(total)
 
 
 def remark_lower(d: int, delta: float) -> float:
@@ -101,24 +111,38 @@ def _finite(field: str, values) -> np.ndarray:
 
 
 class ConvexBody:
-    """Common surface for the body variants; coordinates are floats."""
+    """Common surface for the body variants; coordinates are floats, and
+    each body evaluates its own closed forms in floats."""
 
-    variant: str
     dim: int
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def volume_exact(self) -> float:
+    def volume(self) -> float:
         raise NotImplementedError
 
-    def to_json_dict(self) -> dict:
+    def inradius(self) -> float:
+        """Largest radius of a ball contained in the body."""
         raise NotImplementedError
+
+    def parallel_volume(self, rho: float) -> float:
+        """v(rho) = Vol(K_rho); rho < 0 gives the inner parallel body."""
+        raise NotImplementedError
+
+    def offset_volume(self, rho: float, side: str) -> float:
+        """Vol(K_rho^+) = v(rho) - Vol(K) on the "outer" side, else
+        Vol(K_rho^-) = Vol(K) - v(-rho)."""
+        if side == "outer":
+            return self.parallel_volume(rho) - self.volume()
+        return self.volume() - self.parallel_volume(-rho)
+
+    def surface_area(self, rho: float) -> float:
+        """d W_1(K_rho): the derivative of v at rho."""
+        raise TypeError("closed-form surface area needs a ball or an axis box")
 
 
 class Ball(ConvexBody):
-    variant = "ball"
-
     def __init__(self, center: Sequence[float], radius: float):
         self.center = _finite("center", center)
         self.radius = float(_finite("radius", radius))
@@ -133,20 +157,31 @@ class Ball(ConvexBody):
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
 
-    def volume_exact(self):
+    def volume(self):
         return kappa(self.dim) * self.radius**self.dim
 
-    def to_json_dict(self):
-        return {
-            "variant": "ball",
-            "center": self.center.tolist(),
-            "radius": self.radius,
-        }
+    def inradius(self):
+        return self.radius
+
+    def parallel_volume(self, rho):
+        if rho < -self.radius:
+            return 0.0
+        return kappa(self.dim) * (self.radius + rho) ** self.dim
+
+    def offset_volume(self, rho, side):
+        r, d = self.radius, self.dim
+        if side == "outer":
+            return kappa(d) * ((r + rho) ** d - r**d)
+        return kappa(d) * (r**d - max(r - rho, 0.0) ** d)
+
+    def surface_area(self, rho):
+        r = self.radius + rho
+        if r < 0:
+            return 0.0
+        return self.dim * kappa(self.dim) * r ** (self.dim - 1)
 
 
 class AxisBox(ConvexBody):
-    variant = "axis_box"
-
     def __init__(self, lower: Sequence[float], upper: Sequence[float]):
         self.lower = _finite("lower", lower)
         self.upper = _finite("upper", upper)
@@ -165,15 +200,35 @@ class AxisBox(ConvexBody):
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
 
-    def volume_exact(self):
+    def volume(self):
         return float(np.prod(self.sides))
 
-    def to_json_dict(self):
-        return {
-            "variant": "axis_box",
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-        }
+    def inradius(self):
+        return float(np.min(self.sides)) / 2.0
+
+    def parallel_volume(self, rho):
+        if rho >= 0:
+            return box_steiner_volume(self.sides, rho)
+        return float(np.prod(np.maximum(self.sides + 2 * rho, 0.0)))
+
+    def offset_volume(self, rho, side):
+        if side == "outer":
+            return box_steiner_volume(self.sides, rho, outer_only=True)
+        inner = float(np.prod(np.maximum(self.sides - 2 * rho, 0.0)))
+        return self.volume() - inner
+
+    def surface_area(self, rho):
+        d = self.dim
+        if rho >= 0:
+            e = _elementary_symmetric(self.sides)
+            return sum(j * e[d - j] * kappa(j) * rho ** (j - 1) for j in range(1, d + 1))
+        shrunk = self.sides + 2 * rho
+        if np.any(shrunk < 0):
+            return 0.0
+        total = 0.0
+        for i in range(d):
+            total += 2 * float(np.prod(np.delete(shrunk, i)))
+        return total
 
 
 def unit_cube(d: int) -> AxisBox:
@@ -392,7 +447,7 @@ class _Polytope(ConvexBody):
             self._face_set = _Faces(self._vertices, self._unit_normals, self._unit_offsets)
         return self._face_set
 
-    def volume_exact(self) -> float:
+    def volume(self) -> float:
         """qhull's volume of the vertices."""
         if self._volume is None:
             from scipy.spatial import ConvexHull
@@ -409,9 +464,9 @@ class _Polytope(ConvexBody):
         if self._intrinsic is None:
             if self.dim > 4:
                 raise ValueError(
-                    f"exact parallel volumes of polytopes need d <= 4, got d = {self.dim}"
+                    f"parallel volumes of polytopes need d <= 4, got d = {self.dim}"
                 )
-            self._intrinsic = self._faces().intrinsic_volumes(self.volume_exact())
+            self._intrinsic = self._faces().intrinsic_volumes(self.volume())
         return self._intrinsic
 
     def inner_volume(self, rho: float) -> float:
@@ -427,6 +482,17 @@ class _Polytope(ConvexBody):
 
         hs = _halfspace_intersection(self._unit_normals, self._unit_offsets - rho, centre)
         return float(ConvexHull(hs.intersections).volume)
+
+    def inradius(self) -> float:
+        return self._chebyshev()[1]
+
+    def parallel_volume(self, rho: float) -> float:
+        """The Steiner polynomial sum_j kappa_{d-j} V_j rho^{d-j} at rho >= 0
+        (d <= 4, else ValueError), and `inner_volume` at |rho| below 0."""
+        if rho >= 0:
+            v, d = self.intrinsic_volumes(), self.dim
+            return float(sum(kappa(d - j) * v[j] * rho ** (d - j) for j in range(d + 1)))
+        return self.inner_volume(-rho)
 
     def bounding_box(self):
         """Extremes of the vertices (a bounded polytope is their hull)."""
@@ -444,8 +510,6 @@ class HPolytope(_Polytope):
     below -1e-9. qhull fails on points that span less than R^d (k <= d or
     rank A < d), an unbounded set as well. The vertices found are kept, and
     their extremes decide containment."""
-
-    variant = "h_polytope"
 
     def __init__(self, normals, offsets):
         normals = np.atleast_2d(_finite("normals", normals))
@@ -477,13 +541,6 @@ class HPolytope(_Polytope):
         if np.any(lo < -1e-9) or np.any(hi > 1 + 1e-9):
             raise ValueError("H-polytope is not contained in the unit cube")
 
-    def to_json_dict(self):
-        return {
-            "variant": "h_polytope",
-            "normals": self.normals.tolist(),
-            "offsets": self.offsets.tolist(),
-        }
-
 
 class VPolytope(_Polytope):
     """Convex hull of a vertex list.
@@ -495,8 +552,6 @@ class VPolytope(_Polytope):
     full hull runs qhull once and stores its planes, vertices and volume; if
     qhull finds the set flat after all, it raises the same ValueError.
     """
-
-    variant = "v_polytope"
 
     def __init__(self, vertices):
         self.vertices = np.atleast_2d(_finite("vertices", vertices))
@@ -530,9 +585,6 @@ class VPolytope(_Polytope):
         else:
             raise ValueError(_DEGENERATE_HULL)
 
-    def to_json_dict(self):
-        return {"variant": "v_polytope", "vertices": self.vertices.tolist()}
-
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
@@ -561,9 +613,9 @@ _BODY_FIELDS = {  # variant: (class, {field: (what it must be, predicate)})
 
 
 def body_from_json_dict(data: dict) -> ConvexBody:
-    """The body that `to_json_dict` wrote. ValueError names a non-object
-    input, an unknown variant, a missing field or a field of the wrong
-    shape."""
+    """The body a JSON object names by its `variant` and that variant's
+    fields. ValueError names a non-object input, an unknown variant, a
+    missing field or a field of the wrong shape."""
     if not isinstance(data, dict):
         raise ValueError(f"a body must be a JSON object, got {data!r}")
     if "variant" not in data:
@@ -603,105 +655,27 @@ def box_steiner_volume(sides: np.ndarray, rho: float, outer_only: bool = False) 
 
 
 def steiner_volume(body: ConvexBody, rho: float) -> float:
-    """Vol(K + rho B), exact: `parallel_body_volume` at rho >= 0."""
+    """Vol(K + rho B): the body's `parallel_volume` at rho >= 0."""
     if not 0 <= rho < math.inf:
         raise ValueError(f"rho must be a finite nonnegative number, got {rho}")
-    return parallel_body_volume(body, rho)
-
-
-def ball_offset_volume(ball: Ball, rho: float, side: str) -> float:
-    r, d = ball.radius, ball.dim
-    if side == "outer":
-        return kappa(d) * ((r + rho) ** d - r**d)
-    return kappa(d) * (r**d - max(r - rho, 0.0) ** d)
-
-
-def box_offset_volume(box: AxisBox, rho: float, side: str) -> float:
-    if side == "outer":
-        return box_steiner_volume(box.sides, rho, outer_only=True)
-    inner = float(np.prod(np.maximum(box.sides - 2 * rho, 0.0)))
-    return float(np.prod(box.sides)) - inner
+    return body.parallel_volume(rho)
 
 
 def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[float]:
-    """Vol(K_rho^+) = v(rho) - Vol(K) or Vol(K_rho^-) = Vol(K) - v(-rho) at
-    each radius, where v is `parallel_body_volume`; balls and boxes use
-    their closed forms directly. Polytopes need d <= 4 on the outer side."""
+    """The body's `offset_volume` on one side at each radius. Polytopes
+    need d <= 4 on the outer side."""
     rhos = [float(r) for r in rhos]
     bad = [r for r in rhos if not 0 <= r <= 1]  # nan fails both comparisons
     if bad:
         raise ValueError(f"rho must lie in [0, 1], got {bad[0]}")
     if side not in ("outer", "inner"):
         raise ValueError('side must be "outer" or "inner"')
-    if isinstance(body, Ball):
-        return [ball_offset_volume(body, r, side) for r in rhos]
-    if isinstance(body, AxisBox):
-        return [box_offset_volume(body, r, side) for r in rhos]
-    vol = body.volume_exact()
-    if side == "outer":
-        return [parallel_body_volume(body, r) - vol for r in rhos]
-    return [vol - parallel_body_volume(body, -r) for r in rhos]
+    return [body.offset_volume(r, side) for r in rhos]
 
 
 def boundary_neighborhood_volume(body: ConvexBody, rho: float) -> float:
     """Vol{x in R^d : dist(x, boundary K) <= rho} = outer + inner offsets."""
     return offset_volumes(body, [rho], "outer")[0] + offset_volumes(body, [rho], "inner")[0]
-
-
-def inradius(body: ConvexBody) -> float:
-    """Largest radius of a ball contained in the body."""
-    if isinstance(body, Ball):
-        return body.radius
-    if isinstance(body, AxisBox):
-        return float(np.min(body.sides)) / 2.0
-    if isinstance(body, _Polytope):
-        return body._chebyshev()[1]
-    raise TypeError(f"unsupported body type {type(body).__name__}")
-
-
-def parallel_body_volume(body: ConvexBody, rho: float) -> float:
-    """v(rho) = Vol(K_rho), exact; rho may be negative (inner body).
-
-    Balls and axis boxes in closed form. For a polytope, rho >= 0 gives the
-    Steiner polynomial sum_j kappa_{d-j} V_j rho^{d-j} (d <= 4, else
-    ValueError), and rho < 0 its `inner_volume` at |rho|.
-    """
-    if isinstance(body, Ball):
-        if rho < -body.radius:
-            return 0.0
-        return kappa(body.dim) * (body.radius + rho) ** body.dim
-    if isinstance(body, AxisBox):
-        if rho >= 0:
-            return box_steiner_volume(body.sides, rho)
-        return float(np.prod(np.maximum(body.sides + 2 * rho, 0.0)))
-    if isinstance(body, _Polytope):
-        if rho >= 0:
-            v, d = body.intrinsic_volumes(), body.dim
-            return float(sum(kappa(d - j) * v[j] * rho ** (d - j) for j in range(d + 1)))
-        return body.inner_volume(-rho)
-    raise TypeError(f"unsupported body type {type(body).__name__}")
-
-
-def surface_area_parallel(body: ConvexBody, rho: float) -> float:
-    """d W_1(K_rho): the derivative of the parallel-body volume at rho."""
-    if isinstance(body, Ball):
-        r = body.radius + rho
-        if r < 0:
-            return 0.0
-        return body.dim * kappa(body.dim) * r ** (body.dim - 1)
-    if isinstance(body, AxisBox):
-        d = body.dim
-        if rho >= 0:
-            e = _elementary_symmetric(body.sides)
-            return sum(j * e[d - j] * kappa(j) * rho ** (j - 1) for j in range(1, d + 1))
-        shrunk = body.sides + 2 * rho
-        if np.any(shrunk < 0):
-            return 0.0
-        total = 0.0
-        for i in range(d):
-            total += 2 * float(np.prod(np.delete(shrunk, i)))
-        return total
-    raise TypeError("closed-form surface area needs a ball or an axis box")
 
 
 def parallel_volume_derivative_check(
@@ -710,12 +684,10 @@ def parallel_volume_derivative_check(
     """(central finite difference of v at rho, analytic d W_1(K_rho))."""
     if h <= 0:
         raise ValueError("h must be positive")
-    if rho - h <= -inradius(body):
+    if rho - h <= -body.inradius():
         raise ValueError("rho - h must stay above -r(K)")
-    fd = (parallel_body_volume(body, rho + h) - parallel_body_volume(body, rho - h)) / (
-        2 * h
-    )
-    return fd, surface_area_parallel(body, rho)
+    fd = (body.parallel_volume(rho + h) - body.parallel_volume(rho - h)) / (2 * h)
+    return fd, body.surface_area(rho)
 
 
 # ---------------------------------------------------------------------------

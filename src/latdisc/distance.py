@@ -87,10 +87,6 @@ class CoveringRadius:
     converged: bool
     estimate: float
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class DistanceNormReport:

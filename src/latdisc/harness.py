@@ -6,7 +6,9 @@ compared value is exact or a certified bound, so a check is PASS or FAIL,
 and a claim with an unknown constant is RECORDED, never failed. Four row
 kinds are the exception, decided by a float tolerance: lemma1 (a finite
 difference against 1e-3), steiner (against 1e-12), remark-s2 (against
-1e-10) and prop1-covering-width (a rhs widened by 1 + 1e-9).
+1e-10) and prop1-covering-width (a rhs widened by 1 + 1e-9). The lemma2,
+lemma3 and corollary1 rows compare float body volumes, not enclosures,
+until ROADMAP item 16 certifies them.
 """
 
 from __future__ import annotations
@@ -108,6 +110,21 @@ def _check_fields(obj, where: str, rules: dict) -> None:
             raise ValueError(f"{where}{name} must be {expected}, got {value!r}")
 
 
+def _check_distinct(obj, where: str, labels: dict) -> None:
+    """Raise ValueError naming the first entry of a list field of `obj`
+    that prints as an earlier entry does: the two would write rows with the
+    same subjects. `labels` maps a field to how a subject prints an entry."""
+    for name, label in labels.items():
+        seen: dict[str, object] = {}
+        for x in getattr(obj, name):
+            if (key := label(x)) in seen:
+                raise ValueError(
+                    f"{where}{name} entry {x!r} prints as {key!r}, as the earlier entry "
+                    f"{seen[key]!r} does; their rows would share subjects"
+                )
+            seen[key] = x
+
+
 _CORPUS_RULES = {
     "fibonacci_k": (
         "a pair (k_lo, k_hi) of integers with k_lo >= 3",
@@ -122,7 +139,7 @@ _CORPUS_RULES = {
 
 _BUDGET_RULES = {
     "body_count": ("an integer >= 0", _int_at_least(0)),
-    "body_dims": (  # run_body_task's polytopes need d >= 2, their exact parallel volumes d <= 4
+    "body_dims": (  # run_body_task's polytopes need d >= 2, their outer parallel volumes d <= 4
         "a list of integers from 2 to 4",
         _list_of(lambda d: _is_int(d) and 2 <= d <= 4),
     ),
@@ -173,6 +190,8 @@ class CorpusSpec:
 
     def __post_init__(self):
         _check_fields(self, "corpus.", _CORPUS_RULES)
+        labels = dict.fromkeys(("rank1_dims", "rank1_sizes", "zd_dims"), str)
+        _check_distinct(self, "corpus.", labels)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -182,7 +201,7 @@ class CorpusSpec:
 class Budgets:
     body_count: int = 50
     body_dims: tuple[int, ...] = (2, 3, 4)
-    body_mc_samples: int = 10**6  # unread: body volumes are exact; specs that set it still load
+    body_mc_samples: int = 10**6  # unread: body volumes are closed forms; specs that set it still load
     rhos: tuple[float, ...] = (0.01, 0.05, 0.1)
     norm_mc_samples: int = 100_000  # unread: distance norms sample nothing; specs that set it still load
     prop1_gammas: tuple[float, ...] = (0.5, 1.0, 2.0, math.inf)
@@ -196,6 +215,9 @@ class Budgets:
 
     def __post_init__(self):
         _check_fields(self, "budgets.", _BUDGET_RULES)
+        g = "{:g}".format  # subjects print rhos and gammas with :g, dimensions in full
+        labels = {"body_dims": str, "rhos": g, "prop1_gammas": g, "remark_dims": str}
+        _check_distinct(self, "budgets.", labels)
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -515,7 +537,7 @@ def run_body_task(c: Campaign, d: int, index: int) -> dict:
             # limited only by float roundoff. For a polytope both sides come
             # from the same Steiner polynomial, so the polytope path is
             # checked against independent references in the unit tests.
-            expected = steiner_volume(body, rho) - body.volume_exact()
+            expected = steiner_volume(body, rho) - body.volume()
             rows.append(_row("steiner", at, abs(o - expected), 1e-12))
     if "lemma1" in c.checks and isinstance(body, (Ball, AxisBox)):
         h = 1e-3

@@ -16,13 +16,10 @@ from latdisc.convex import (
     binom_kappa_sum,
     body_from_json_dict,
     boundary_neighborhood_volume,
-    box_offset_volume,
     box_steiner_volume,
-    inradius,
     kappa,
     log_kappa,
     offset_volumes,
-    parallel_body_volume,
     parallel_volume_derivative_check,
     random_body,
     remark_lower,
@@ -136,7 +133,7 @@ def test_steiner_ball():
 
 def test_steiner_rho_zero_is_volume():
     for body in [unit_cube(3), Ball([0.5, 0.5], 0.25)]:
-        assert steiner_volume(body, 0.0) == pytest.approx(body.volume_exact(), abs=1e-12)
+        assert steiner_volume(body, 0.0) == pytest.approx(body.volume(), abs=1e-12)
 
 
 def test_steiner_cube_against_mc_oracle():
@@ -254,16 +251,16 @@ def test_boundary_neighborhood_cube_3d():
 
 
 def test_inradius_closed_forms():
-    assert inradius(unit_cube(4)) == pytest.approx(0.5)
-    assert inradius(Ball([0.5, 0.5], 0.21)) == 0.21
-    assert inradius(AxisBox([0.1, 0.2], [0.9, 0.5])) == pytest.approx(0.15)
+    assert unit_cube(4).inradius() == pytest.approx(0.5)
+    assert Ball([0.5, 0.5], 0.21).inradius() == 0.21
+    assert AxisBox([0.1, 0.2], [0.9, 0.5]).inradius() == pytest.approx(0.15)
 
 
 def test_inradius_triangle_chebyshev():
     # oracle: area / semiperimeter for a triangle
     area = 0.25
     semi = (1 + 0.5 + math.hypot(1, 0.5)) / 2
-    assert inradius(TRIANGLE) == pytest.approx(area / semi, abs=1e-9)
+    assert TRIANGLE.inradius() == pytest.approx(area / semi, abs=1e-9)
     assert area / semi == pytest.approx(0.190983, abs=1e-6)
 
 
@@ -309,7 +306,7 @@ def test_hpolytope_runs_one_lp_and_one_halfspace_intersection(monkeypatch):
     _counted(monkeypatch, calls, scipy.spatial, "HalfspaceIntersection")
     body = _cut_cube_4d()
     body.bounding_box()
-    body.volume_exact()
+    body.volume()
     body.intrinsic_volumes()
     assert calls == {"milp": 1, "HalfspaceIntersection": 1}
 
@@ -386,6 +383,47 @@ def test_binom_kappa_sum_small():
     assert binom_kappa_sum(2) == pytest.approx(math.log(4 + math.pi), abs=1e-12)
 
 
+def _one_shot_binom_kappa_sum(d):
+    """The sum's log-sum-exp over all d terms at once (O(d) memory)."""
+    from scipy.special import gammaln, logsumexp
+
+    j = np.arange(1, d + 1, dtype=float)
+    return float(logsumexp(
+        gammaln(d + 1) - gammaln(j + 1) - gammaln(d - j + 1)
+        + 0.5 * j * math.log(math.pi) - gammaln(1 + 0.5 * j)
+    ))
+
+
+def test_binom_kappa_sum_is_one_block_up_to_the_block_size():
+    from latdisc.convex import _KAPPA_BLOCK
+
+    assert _KAPPA_BLOCK >= 2**17
+    for d in (1, 2, 10, 1000, 10**5):
+        assert binom_kappa_sum(d) == _one_shot_binom_kappa_sum(d)
+
+
+@pytest.mark.parametrize("d", [1, 7, 64, 1000, 25_000])
+def test_binom_kappa_sum_in_small_blocks_matches_one_shot(d, monkeypatch):
+    from latdisc import convex
+
+    monkeypatch.setattr(convex, "_KAPPA_BLOCK", 7)
+    assert binom_kappa_sum(d) == pytest.approx(_one_shot_binom_kappa_sum(d), rel=1e-12)
+
+
+def test_binom_kappa_sum_memory_is_bounded_at_large_d():
+    import tracemalloc
+
+    binom_kappa_sum(10)  # scipy's import allocates too; keep it out of the peak
+    tracemalloc.start()
+    try:
+        value = binom_kappa_sum(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # the one-shot sum peaks at about 544 MiB here
+    assert remark_lower(10**7, 0.3) <= value <= remark_upper(10**7, 5.1)
+
+
 def test_remark_sandwich_large_d():
     for d in (10, 100, 1000):
         s = binom_kappa_sum(d)
@@ -407,8 +445,8 @@ def test_random_bodies_inside_cube_and_valid():
         for body in random_bodies(d, 8, rng):
             lo, hi = body.bounding_box()
             assert np.all(lo >= -1e-9) and np.all(hi <= 1 + 1e-9)
-            assert inradius(body) >= 0
-            assert 0 <= body.volume_exact() <= 1 + 1e-9
+            assert body.inradius() >= 0
+            assert 0 <= body.volume() <= 1 + 1e-9
 
 
 def test_lemma2_and_lemma3_small_sample():
@@ -433,23 +471,30 @@ def test_inner_offset_saturates_above_inradius():
     # K_rho is empty below -r(K), so the inner shell at rho > r(K) is all of K
     box = AxisBox([0.4, 0.1], [0.6, 0.9])  # inradius 0.1
     est = offset_volumes(box, [0.11], "inner")[0]
-    assert est == pytest.approx(box.volume_exact(), abs=1e-12)
+    assert est == pytest.approx(box.volume(), abs=1e-12)
     ball = Ball([0.5, 0.5], 0.2)
     est = offset_volumes(ball, [0.21], "inner")[0]
-    assert est == pytest.approx(ball.volume_exact(), abs=1e-12)
+    assert est == pytest.approx(ball.volume(), abs=1e-12)
 
 
 def test_body_json_roundtrip():
-    for body in [
-        Ball([0.5, 0.5], 0.2),
-        AxisBox([0.1, 0.2], [0.8, 0.9]),
-        TRIANGLE,
-        VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]]),
+    for data, cls, volume in [
+        ({"variant": "ball", "center": [0.5, 0.5], "radius": 0.2}, Ball, math.pi * 0.04),
+        ({"variant": "axis_box", "lower": [0.1, 0.2], "upper": [0.8, 0.9]}, AxisBox, 0.49),
+        (
+            {"variant": "h_polytope", "normals": [[1.0, 2.0], [-1.0, 0.0], [0.0, -1.0]],
+             "offsets": [1.0, 0.0, 0.0]},
+            HPolytope,
+            0.25,
+        ),
+        ({"variant": "v_polytope", "vertices": [[0.1, 0.1], [0.9, 0.1], [0.1, 0.5]]}, VPolytope, 0.16),
     ]:
-        back = body_from_json_dict(body.to_json_dict())
-        assert type(back) is type(body)
-        assert back.to_json_dict() == body.to_json_dict()
-        assert back.volume_exact() == body.volume_exact()
+        body = body_from_json_dict(data)
+        assert type(body) is cls
+        for name, value in data.items():
+            if name != "variant":
+                assert np.asarray(getattr(body, name)).tolist() == value
+        assert body.volume() == pytest.approx(volume, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +646,7 @@ def test_face_structure_is_built_only_for_intrinsic_volumes():
     hull = VPolytope([[0.1, 0.1], [0.9, 0.2], [0.3, 0.8]])
     body = _cut_cube_4d()
     for b in (hull, body):
-        b.volume_exact()
+        b.volume()
         offset_volumes(b, [0.05], "inner")
         assert b._face_set is None
         offset_volumes(b, [0.05], "outer")
@@ -645,7 +690,7 @@ def test_axis_box_as_hpolytope_matches_box_closed_forms(d):
     for rho in RHOS:
         assert abs(steiner_volume(h, rho) - box_steiner_volume(box.sides, rho)) <= 1e-12
         for side in ("outer", "inner"):
-            exact = box_offset_volume(box, rho, side)
+            exact = box.offset_volume(rho, side)
             assert abs(offset_volumes(h, [rho], side)[0] - exact) <= 1e-12
 
 
@@ -779,13 +824,13 @@ def test_inner_side_below_and_above_the_inradius(d):
     simplex = _corner_simplex(d)
     r = 1 / (d + math.sqrt(d))
     vol = 1 / math.factorial(d)
-    assert inradius(simplex) == pytest.approx(r, abs=1e-12)
-    assert simplex.volume_exact() == pytest.approx(vol, abs=1e-15)
+    assert simplex.inradius() == pytest.approx(r, abs=1e-12)
+    assert simplex.volume() == pytest.approx(vol, abs=1e-15)
     for rho in (0.01, 0.05, (1 - 1e-3) * r, (1 + 1e-3) * r):
         inner = offset_volumes(simplex, [rho], "inner")[0]
         # the inner parallel body is the simplex scaled by 1 - rho / r
         assert inner == pytest.approx(vol * (1 - max(1 - rho / r, 0.0) ** d), abs=1e-12)
-    assert offset_volumes(simplex, [1.001 * r], "inner")[0] == simplex.volume_exact()
+    assert offset_volumes(simplex, [1.001 * r], "inner")[0] == simplex.volume()
 
 
 def test_segment_neighbourhood_is_a_capsule():
@@ -804,7 +849,7 @@ def test_polytope_beyond_d4_raises_on_the_outer_side():
     # the inner side is a halfspace intersection, exact in any d
     inner = offset_volumes(cube5, [0.1], "inner")[0]
     assert inner == pytest.approx(1 - 0.8**5, abs=1e-12)
-    assert parallel_body_volume(cube5, -0.5) == 0.0
+    assert cube5.parallel_volume(-0.5) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -835,22 +880,22 @@ def test_vpolytope_point_segment_and_full_kinds(monkeypatch):
     calls = {}
     _counted(monkeypatch, calls, scipy.spatial, "ConvexHull")
     point = VPolytope([[0.4, 0.4, 0.4], [0.4, 0.4, 0.4]])
-    assert point.volume_exact() == 0.0 and inradius(point) == 0.0
+    assert point.volume() == 0.0 and point.inradius() == 0.0
     np.testing.assert_array_equal(point.intrinsic_volumes(), [1.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(point.bounding_box(), [[0.4] * 3, [0.4] * 3])
 
     a, b = [0.1, 0.2, 0.3], [0.5, 0.2, 0.3]
     segment = VPolytope([b, [0.3, 0.2, 0.3], a])
-    assert segment.volume_exact() == 0.0 and inradius(segment) == 0.0
+    assert segment.volume() == 0.0 and segment.inradius() == 0.0
     np.testing.assert_allclose(segment.intrinsic_volumes(), [1.0, 0.4, 0.0, 0.0], atol=1e-15)
     np.testing.assert_array_equal(segment.bounding_box(), [a, b])
-    assert parallel_body_volume(segment, -0.05) == 0.0
+    assert segment.parallel_volume(-0.05) == 0.0
     assert calls == {"ConvexHull": 0}  # the closed forms need no qhull
 
     # a full hull runs qhull once, when it is built
     tri = VPolytope([[0.1, 0.1], [0.9, 0.1], [0.1, 0.5], [0.3, 0.2]])
     assert calls == {"ConvexHull": 1}
-    assert tri.volume_exact() == pytest.approx(0.16, abs=1e-15)
+    assert tri.volume() == pytest.approx(0.16, abs=1e-15)
     assert len(tri.normals) == 3 and len(tri.intrinsic_volumes()) == 3
     np.testing.assert_array_equal(tri.bounding_box(), [[0.1, 0.1], [0.9, 0.5]])
     assert calls == {"ConvexHull": 1}
@@ -874,7 +919,7 @@ def test_polytopes_in_d1_name_d1_and_point_to_axis_box():
     with pytest.raises(ValueError, match=r"got d = 1; an interval is an AxisBox"):
         VPolytope([[0.2], [0.7], [0.2]])
     point = VPolytope([[0.3], [0.3]])
-    assert point.volume_exact() == 0.0
+    assert point.volume() == 0.0
     np.testing.assert_array_equal(point.intrinsic_volumes(), [1.0, 0.0])
     assert offset_volumes(point, [0.1], "outer")[0] == pytest.approx(0.2, abs=1e-15)
 

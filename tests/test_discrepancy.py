@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from halfspace_oracle import halfspace_cube_volume, halfspace_cube_volume_derivative
 from latdisc import cli, discrepancy, distance, harness, lattice
-from latdisc.convex import body_from_json_dict
+from latdisc.convex import HPolytope, body_from_json_dict
 from latdisc.discrepancy import (
     N_SLABS,
     SLAB_EPS,
@@ -199,14 +199,18 @@ def test_slab_witness_rank1_5_12():
     assert w.local_value_exact <= Fraction(1, 2)
     # the slab 1 + eps <= x_1 + 2 x_2 <= 2 - eps cut by the cube's faces
     assert w.dual_slab == ((1, 2), 1)
-    # read back as a checked polytope (bounded, full-dimensional, in the cube),
-    # it writes the same JSON: the witness and HPolytope share one layout
+    # read back as a checked polytope (bounded, full-dimensional, in the cube)
+    # with the same planes: the witness writes HPolytope's layout
     body = w.to_json_dict()["body"]
-    assert body_from_json_dict(body).to_json_dict() == body == {
+    assert body == {
         "variant": "h_polytope",
         "normals": [[1.0, 2.0], [-1.0, -2.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]],
         "offsets": [1.999999999, -1.000000001, 1.0, 1.0, 0.0, 0.0],
     }
+    back = body_from_json_dict(body)
+    assert type(back) is HPolytope
+    assert back.normals.tolist() == body["normals"]
+    assert back.offsets.tolist() == body["offsets"]
 
 
 def test_slab_witness_rejects_a_vector_outside_the_dual():

@@ -66,7 +66,7 @@ def test_covering_radius_stops_unconverged_at_the_evaluation_cap(monkeypatch):
     full = covering_radius(P5, tol=1e-6)
     monkeypatch.setattr(distance, "COVERING_MAX_EVALS", 50)
     cr = covering_radius(P5, tol=1e-6)
-    assert full.converged and not cr.converged and cr.width > 1e-6
+    assert full.converged and not cr.converged and cr.upper - cr.lower > 1e-6
     assert 50 <= cr.n_evals < 50 + 1024  # the cap is checked once per batch
     assert cr.lower <= full.lower and full.upper <= cr.upper
 
@@ -89,12 +89,12 @@ def test_covering_radius_equispaced_d1():
     cr = covering_radius(EQUI4, tol=1e-7)
     # sup of dist is 1/4, attained at the right edge of the closed cube
     assert cr.lower <= 0.25 <= cr.upper
-    assert cr.width <= 1e-7
+    assert cr.upper - cr.lower <= 1e-7
 
 
 def test_covering_radius_rank1_matches_dense_grid_oracle():
     cr = covering_radius(P5, tol=1e-4)
-    assert cr.converged and cr.width <= 1e-4
+    assert cr.converged and cr.upper - cr.lower <= 1e-4
     oracle, slack = dense_grid_covering_oracle(P5)
     # certified interval and oracle interval must overlap
     assert cr.lower <= oracle + slack
@@ -303,7 +303,7 @@ def test_enclosures_hold_in_exact_arithmetic():
     # float sqrt(2) lies above it, so a bound without a rounding margin fails
     cr = covering_radius(enumerate_points(rank1_lattice(1, (0, 0))), tol=1e-6)
     assert Fraction(cr.lower) ** 2 < 2 < Fraction(cr.upper) ** 2
-    assert cr.converged and cr.width <= 1e-6
+    assert cr.converged and cr.upper - cr.lower <= 1e-6
     # the integral of |x|^2 over the square is 2/3
     rep = distance_norms(enumerate_points(rank1_lattice(1, (0, 0))), [2.0])[2.0]
     assert Fraction(rep.lower_certified) ** 2 < Fraction(2, 3) < Fraction(rep.upper_certified) ** 2

@@ -299,7 +299,7 @@ def test_campaign_from_json_dict_names_a_field_of_the_wrong_type(section, key, v
     "key, value",
     [
         ("body_dims", (1,)),  # run_body_task's polytopes need d >= 2
-        ("body_dims", (2, 5)),  # their exact parallel volumes need d <= 4
+        ("body_dims", (2, 5)),  # their outer parallel volumes need d <= 4
         ("remark_delta", 0.7),  # remark_lower needs delta in (0, 2/3)
         ("remark_delta", 0),
         ("remark_kappa", 4.0),  # remark_upper needs kappa > e (2 pi)^(1/3) ~ 5.015
@@ -314,6 +314,33 @@ def test_a_budget_its_task_would_refuse_fails_at_load(key, value):
         Campaign.from_json_dict(data)
     # the edges that the tasks accept still load
     Budgets(body_dims=(2, 3, 4), remark_delta=0.66, remark_kappa=5.02)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, entry, label",
+    [
+        ("corpus", "rank1_dims", [2, 2], "2", "2"),  # two lattices named rank1-d2-n64-i00
+        ("corpus", "rank1_sizes", [64, 256, 64], "64", "64"),
+        ("corpus", "zd_dims", [3, 2, 3], "3", "3"),
+        ("budgets", "body_dims", [2, 3, 2], "2", "2"),
+        ("budgets", "rhos", [0.05, 0.1, 0.10000001], "0.10000001", "0.1"),  # same -rho0.1
+        ("budgets", "prop1_gammas", [1, 1.0, "inf"], "1.0", "1"),  # prop1-lower-g1 twice
+        ("budgets", "prop1_gammas", ["inf", 2, "inf"], "inf", "inf"),
+        ("budgets", "remark_dims", [10, 100, 10], "10", "10"),
+    ],
+    ids=[
+        "rank1_dims", "rank1_sizes", "zd_dims", "body_dims", "rhos",
+        "prop1_gammas", "prop1_gammas_inf", "remark_dims",
+    ],
+)
+def test_an_entry_that_repeats_a_subject_fails_at_load(section, key, value, entry, label):
+    data = small_campaign().to_json_dict()
+    data[section][key] = value
+    message = rf"^{section}\.{key} entry {re.escape(entry)} prints as '{re.escape(label)}', "
+    with pytest.raises(ValueError, match=message + "as the earlier entry"):
+        Campaign.from_json_dict(data)
+    # entries that print apart still load: integers print in full, not with :g
+    Budgets(remark_dims=(10**6, 10**6 + 1), rhos=(0.1, 0.1001), prop1_gammas=(1, 1.5))
 
 
 def test_campaign_spec_must_be_an_object():

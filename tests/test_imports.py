@@ -68,15 +68,17 @@ def test_all_lists_exactly_the_names_the_package_imports():
     assert set(latdisc.__all__) <= set(namespace)
 
 
-def _package_code() -> tuple[dict[str, str], set[str]]:
+def _package_code() -> tuple[dict[str, str], set[str], dict[str, str], set[str]]:
     """The top-level functions and classes of the package's modules other
-    than `__init__.py`, each with its file, and every name their code uses
-    (read as code, so a definition or a docstring is no use)."""
+    than `__init__.py`, each with its file, every name their code uses
+    (read as code, so a definition or a docstring is no use), the methods
+    and properties of their classes other than dunders, each as
+    `file:Class.name`, and the attribute names their code reads."""
     import ast
 
     import latdisc
 
-    defined, used = {}, set()
+    defined, used, methods, attributes = {}, set(), {}, set()
     for path in Path(latdisc.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -84,12 +86,17 @@ def _package_code() -> tuple[dict[str, str], set[str]]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        methods[f"{path.name}:{node.name}.{item.name}"] = item.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return defined, used
+                attributes.add(node.attr)
+    return defined, used, methods, attributes
 
 
 def _in_readme(name: str) -> bool:
@@ -104,7 +111,7 @@ def test_every_exported_name_has_a_program_caller_or_a_readme_use():
     exported."""
     import latdisc
 
-    _, used = _package_code()
+    _, used, _, _ = _package_code()
     assert [name for name in latdisc.__all__ if name not in used and not _in_readme(name)] == []
 
 
@@ -115,10 +122,18 @@ def test_every_top_level_definition_is_used_or_exported_with_a_readme_use():
     kept in the tests as an oracle."""
     import latdisc
 
-    defined, used = _package_code()
+    defined, used, _, _ = _package_code()
     dead = {
         name: where
         for name, where in defined.items()
         if name not in used and not (name in latdisc.__all__ and _in_readme(name))
     }
     assert dead == {}
+
+
+def test_every_method_and_property_is_read_as_an_attribute():
+    """A method or property of a class of the package is read as an
+    attribute (`x.name`) by a module of the package other than
+    `__init__.py`; one that only tests read is deleted."""
+    _, _, methods, attributes = _package_code()
+    assert [where for where, name in methods.items() if name not in attributes] == []
