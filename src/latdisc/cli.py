@@ -81,15 +81,16 @@ def _workers(args) -> int:
     return args.workers
 
 
-def _parse_list(text: str, flag: str, kind=int) -> list:
-    """The comma list given to `flag` as `kind` values (int, or float, which
-    also reads inf); empty entries are skipped. ValueError names the flag
-    and the entry, or the flag when the list holds no entry."""
+def _parse_entries(text: str, flag: str, kind=int) -> list[tuple[str, object]]:
+    """(entry, value) for each entry of the comma list given to `flag`, the
+    value as `kind` (int, or float, which also reads inf); empty entries are
+    skipped. ValueError names the flag and the entry, or the flag when the
+    list holds no entry."""
     out = []
     for tok in text.split(","):
         if tok:
             try:
-                out.append(kind(tok))
+                out.append((tok, kind(tok)))
             except ValueError:
                 expected = "an integer" if kind is int else "a number or inf"
                 raise ValueError(f"{flag}: entry {tok!r} is not {expected}") from None
@@ -98,9 +99,22 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
     return out
 
 
+def _parse_list(text: str, flag: str, kind=int) -> list:
+    """The values of the comma list given to `flag`, as `_parse_entries`
+    reads them. Each value prints its own output, so an entry that repeats
+    an earlier value (1 and 1.0 are one) is a ValueError naming the flag
+    and both entries."""
+    seen: dict = {}
+    for tok, value in _parse_entries(text, flag, kind):
+        if value in seen:
+            raise ValueError(f"{flag}: entry {tok!r} repeats the earlier entry {seen[value]!r}")
+        seen[value] = tok
+    return list(seen)
+
+
 def _cmd_gen(args) -> int:
     if args.family == "rank1":
-        g = _parse_list(args.g, "--g")
+        g = [value for _, value in _parse_entries(args.g, "--g")]  # a vector: entries may repeat
         lat = rank1_lattice(args.n, g)
         if lat.n_points == args.n:
             _emit(args, format_rank1_text(args.n, g))
@@ -357,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dn = add_parser("distnorm", help="distance-function L_gamma norms")
     dn.add_argument("lattice")
-    dn.add_argument("--gamma", default="1,2,inf", help="comma list, e.g. 0.5,1,2,inf")
+    dn.add_argument("--gamma", default="1,2,inf", help="comma list of distinct gammas, e.g. 0.5,1,2,inf")
     dn.set_defaults(fn=_cmd_distnorm)
 
     geom = add_parser("geom", help="parallel-body volume operations")
@@ -376,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = bounds.add_subparsers(dest="bounds_op", required=True)
     rem = bsub.add_parser("remark", parents=[common], help="binomial-kappa sum sandwich table")
     rem.add_argument(
-        "--dims", default="10,100,1000,10000,100000", help="comma list of dimensions d"
+        "--dims", default="10,100,1000,10000,100000", help="comma list of distinct dimensions d"
     )
     rem.add_argument("--delta", type=float, default=0.3, help="lower-bound delta (default: 0.3)")
     rem.add_argument("--kappa", type=float, default=5.1, help="upper-bound kappa (default: 5.1)")

@@ -7,8 +7,10 @@ witnesses lives in the discrepancy module. Each body evaluates its own
 parallel-body volumes in closed form, as floats, and nothing here samples
 or measures a distance: balls and boxes have closed forms in every d; a
 polytope's outer parallel volume is its Steiner polynomial (intrinsic
-volumes from the face lattice and external angles, d <= 4) and its inner
-parallel body is again an H-polytope, measured by qhull.
+volumes from the face lattice, its faces' contents by the cone recursion and
+external angles, d <= 4) and its inner parallel body is again an
+H-polytope, measured by qhull. qhull proposes vertices, volumes and inner
+bodies only; no face is measured by a hull of its own.
 
 Importing this module loads numpy only. scipy is imported inside the
 functions that call it: qhull and the Chebyshev LP (HiGHS through
@@ -309,15 +311,11 @@ class _Faces:
             angles[group] = _wedge_angles(normals) if codim == 2 else _solid_angles(normals)
         return angles
 
-    def intrinsic_volumes(self, volume: float) -> np.ndarray:
-        """V_0..V_d of the polytope of this volume: V_0 = 1, V_d = volume and
-        V_j = sum over the j-faces F of vol_j(F) times the external angle of F
-        (Schneider, Convex Bodies, 2nd ed., ch. 4). For d <= 4 every face of
-        dimension 1..d-1 has a normal cone of dimension at most 3. vol_j(F)
-        is taken in coordinates of aff(F): an edge's length, else qhull's
-        volume. The terms are added one face at a time, in face order."""
-        from scipy.spatial import ConvexHull
-
+    def contents(self) -> np.ndarray:
+        """vol_k(F) of each face F, 0 at the vertices: the recursion of
+        `intrinsic_volumes`, one numpy pass per k = 2..d-1. h_{F,G} is
+        p_F - p_G less its projection onto G's basis, p_G the mean of G's
+        vertices."""
         d = self.vertices.shape[1]
         contents = np.zeros(len(self.dims))
         edges = np.flatnonzero(self.dims == 1)
@@ -325,8 +323,40 @@ class _Faces:
             group = edges[self.counts[edges] == count]
             along = _matvec(self._stacked(group), np.array([self.bases[f][0] for f in group]))
             contents[group] = np.ptp(along, axis=1)
-        for f in np.flatnonzero(self.dims > 1):
-            contents[f] = ConvexHull(self.vertices[self.members[f]] @ self.bases[f].T).volume
+        centres = self.members @ self.vertices / self.counts[:, None]
+        for k in range(2, d):
+            faces, sides = np.flatnonzero(self.dims == k), np.flatnonzero(self.dims == k - 1)
+            # G lies in F iff none of G's vertices is outside F, as for `in_facet`
+            # (the counts are small integers, exact in floats)
+            outside = self.members[sides].astype(float) @ (~self.members[faces]).T
+            g, f = np.nonzero(outside == 0)
+            bases = np.array([self.bases[s] for s in sides])[g]
+            offset = centres[faces[f]] - centres[sides[g]]
+            normal = offset - np.einsum("pij,pi->pj", bases, _matvec(bases, offset))
+            heights = np.sqrt(_dot(normal, normal))
+            cones = np.bincount(f, heights * contents[sides[g]], minlength=len(faces))
+            contents[faces] = cones / k
+        return contents
+
+    def intrinsic_volumes(self, volume: float) -> np.ndarray:
+        """V_0..V_d of the polytope of this volume: V_0 = 1, V_d = volume and
+        V_j = sum over the j-faces F of vol_j(F) times the external angle of F
+        (Schneider, Convex Bodies, 2nd ed., ch. 4). For d <= 4 every face of
+        dimension 1..d-1 has a normal cone of dimension at most 3.
+
+        vol_j(F) comes from `contents`, without qhull: an edge's length, and
+        for a k-face F, k >= 2, the cone recursion
+
+            vol_k(F) = (1/k) sum over the (k-1)-faces G of F of h_{F,G} vol_{k-1}(G),
+
+        F cut into pyramids over its facets G with apex p_F, the mean of F's
+        vertices, and heights h_{F,G} = dist(p_F, aff G). p_F is a mean of
+        all of F's vertices, so it lies inside F, on the inner side of every
+        facet: each pyramid's signed height is the distance h_{F,G} >= 0, and
+        the pyramids tile F with no term cancelling another. The terms are
+        added one face at a time, in face order."""
+        d = self.vertices.shape[1]
+        contents = self.contents()
         v = np.zeros(d + 1)
         v[0], v[d] = 1.0, volume
         faces = np.flatnonzero(self.dims > 0)
@@ -390,7 +420,7 @@ def _halfspace_intersection(normals: np.ndarray, offsets: np.ndarray, centre: np
     from scipy.spatial import HalfspaceIntersection
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        return HalfspaceIntersection(np.c_[normals, -offsets], centre)
+        return HalfspaceIntersection(np.column_stack([normals, -offsets]), centre)
 
 
 class _Polytope(ConvexBody):
@@ -426,11 +456,11 @@ class _Polytope(ConvexBody):
             from scipy.optimize import Bounds, LinearConstraint, milp
 
             d = self.dim
-            a_ub = np.c_[self.normals, np.linalg.norm(self.normals, axis=1)]
+            a_ub = np.column_stack([self.normals, np.linalg.norm(self.normals, axis=1)])
             res = milp(
-                np.r_[np.zeros(d), -1.0],
+                np.concatenate([np.zeros(d), [-1.0]]),
                 constraints=LinearConstraint(a_ub, -np.inf, self.offsets),
-                bounds=Bounds(np.r_[np.full(d, -np.inf), 0.0], np.inf),
+                bounds=Bounds(np.concatenate([np.full(d, -np.inf), [0.0]]), np.inf),
             )
             if res.status == 2:
                 raise EmptyBodyError("H-polytope is empty")
@@ -714,7 +744,7 @@ def random_body(d: int, rng: np.random.Generator, kind: str) -> ConvexBody:
         u = rng.normal(size=(k, d))
         u /= np.linalg.norm(u, axis=1)[:, None]
         normals = np.vstack([u, np.eye(d), -np.eye(d)])
-        offsets = np.r_[u @ c + r, np.ones(d), np.zeros(d)]
+        offsets = np.concatenate([u @ c + r, np.ones(d), np.zeros(d)])
         return HPolytope(normals, offsets)
     if kind == "hull":
         m = int(rng.integers(d + 2, 33))

@@ -89,7 +89,8 @@ class DiscrepancyWitness:
         d = len(h)
         hf = np.array(h, dtype=float)
         normals = np.vstack([hf, -hf, np.eye(d), -np.eye(d)])
-        offsets = np.r_[float(k + 1 - SLAB_EPS), -float(k + SLAB_EPS), np.ones(d), np.zeros(d)]
+        planes = [float(k + 1 - SLAB_EPS), -float(k + SLAB_EPS)]
+        offsets = np.concatenate([planes, np.ones(d), np.zeros(d)])
         return {
             "family": self.family,
             "body": {"variant": "h_polytope", "normals": normals.tolist(), "offsets": offsets.tolist()},

@@ -216,7 +216,10 @@ class Budgets:
     def __post_init__(self):
         _check_fields(self, "budgets.", _BUDGET_RULES)
         g = "{:g}".format  # subjects print rhos and gammas with :g, dimensions in full
-        labels = {"body_dims": str, "rhos": g, "prop1_gammas": g, "remark_dims": str}
+        labels = {
+            "body_dims": str, "rhos": g, "prop1_gammas": g, "remark_dims": str,
+            "thm2_triples": lambda t: f"s{t[0]}-p{t[1]}-q{t[2]}",  # the thm2 rows' `triple`
+        }
         _check_distinct(self, "budgets.", labels)
 
     def to_json_dict(self) -> dict:

@@ -152,10 +152,11 @@ def test_campaign_json_encoder_matches_the_indenting_encoder(name, request):
 
 
 def test_body_campaign_json_is_byte_identical_to_the_recorded_one(body_campaign, tmp_path):
-    # sha256 of the campaign.json recorded when a V-polytope still measured
-    # its volumes through a separate H-form; the shared polytope code must not move a bit
+    # sha256 of the campaign.json recorded when face contents came from the
+    # cone recursion instead of one qhull hull per face; that moved the last
+    # bits of some lemma2, lemma3 and corollary1 values, and nothing may move since
     digest = _campaign_sha256(body_campaign, tmp_path)
-    assert digest == "4be769b05413b5af06e95052679cd8c6aa07acdeca6f9023af4e7c21ad523634"
+    assert digest == "3f2dd1650095dc84af38505bd2ce0e800a1abf670858f4ea1e33969c11fb77a8"
 
 
 def test_thm1_campaign_json_is_byte_identical_to_the_recorded_one(thm1_campaign, tmp_path):

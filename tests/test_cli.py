@@ -362,6 +362,9 @@ def test_gen_dimension_below_one_is_a_usage_error(capsys, family, d):
         (("bounds", "remark", "--dims", ""), "--dims: the list is empty"),
         (("gen", "rank1", "--n", "5", "--g", ","), "--g: the list is empty"),
         (("bounds", "remark", "--dims", "0,10"), "--dims: entry '0' is not a positive integer"),
+        # a repeated entry would print its row or report twice
+        (("bounds", "remark", "--dims", "10,100,10"), "--dims: entry '10' repeats the earlier entry '10'"),
+        (("distnorm", "{spec}", "--gamma", "1,inf,1.0"), "--gamma: entry '1.0' repeats the earlier entry '1'"),
     ],
 )
 def test_bad_list_entry_names_the_flag_and_the_entry(tmp_path, capsys, argv, message):
@@ -373,6 +376,13 @@ def test_bad_list_entry_names_the_flag_and_the_entry(tmp_path, capsys, argv, mes
     err = capsys.readouterr().err
     assert f"latdisc: error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_a_generator_may_repeat_an_entry(capsys):
+    # --g is a vector, not a list of choices: (1, 1) is the Fibonacci lattice of k = 3
+    code, out = run_cli(capsys, "gen", "rank1", "--n", "2", "--g", "1,1")
+    assert code == 0
+    assert out == "2 2\nrank1: 1 1\n"
 
 
 def test_campaign_spec_with_small_fibonacci_k_fails_at_load(tmp_path, capsys, monkeypatch):

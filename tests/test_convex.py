@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from face_oracle import face_contents
 from latdisc.convex import (
     AxisBox,
     Ball,
@@ -759,6 +760,15 @@ def test_external_angles_match_the_per_face_oracle(d):
     assert compared > 100
 
 
+def _face_content_error(body):
+    """The largest relative difference between a polytope's face contents
+    and the per-face qhull oracle's, over its faces of dimension >= 1."""
+    faces = body._faces()
+    got, want = faces.contents(), face_contents(faces)
+    edges_and_up = faces.dims > 0
+    return np.max(np.abs(got - want)[edges_and_up] / want[edges_and_up])
+
+
 def _cross_polytope_4d(r):
     """The 16-cell conv{0.5 +- r e_i} as a V-polytope and as an H-polytope,
     whose facets are s . (x - 0.5) <= r for the 16 sign vectors s."""
@@ -786,6 +796,35 @@ def test_non_simple_16_cell_intrinsic_volumes():
         assert np.bincount(faces.dims).tolist() == [8, 24, 32, 16]
         assert np.all(faces.in_facet[faces.dims == 1].sum(axis=1) == 4)
         np.testing.assert_allclose(body.intrinsic_volumes(), want, rtol=1e-14, atol=0)
+        assert _face_content_error(body) <= 1e-11
+
+
+@pytest.mark.parametrize("d, polytopes", [(2, 24), (3, 24), (4, 16)])
+def test_face_contents_match_the_qhull_oracle_on_the_acceptance_corpus(d, polytopes):
+    bodies = [_acceptance_body(d, index) for index in range(Budgets().body_count)]
+    errors = [_face_content_error(b) for b in bodies if isinstance(b, (HPolytope, VPolytope))]
+    assert len(errors) == polytopes
+    assert max(errors) <= 1e-11
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("kind", ["hpoly", "hull"])
+def test_face_contents_match_the_qhull_oracle_on_seeded_polytopes(d, kind):
+    for seed in range(8):
+        assert _face_content_error(random_body(d, chunk_rng(31, 100 * d + seed), kind)) <= 1e-11
+
+
+def test_face_contents_run_no_qhull_and_intrinsic_volumes_one(monkeypatch):
+    import scipy.spatial
+
+    calls = {}
+    _counted(monkeypatch, calls, scipy.spatial, "ConvexHull")
+    for body in (_cut_cube_4d(), _acceptance_body(4, 2), _acceptance_body(3, 2)):
+        calls["ConvexHull"] = 0
+        body._faces().intrinsic_volumes(1.0)
+        assert calls == {"ConvexHull": 0}
+        body.intrinsic_volumes()
+        assert calls == {"ConvexHull": 1}  # the volume, V_d
 
 
 def _mc_oracle(indicator, lo, hi, seed, n=1 << 17):

@@ -327,10 +327,12 @@ def test_a_budget_its_task_would_refuse_fails_at_load(key, value):
         ("budgets", "prop1_gammas", [1, 1.0, "inf"], "1.0", "1"),  # prop1-lower-g1 twice
         ("budgets", "prop1_gammas", ["inf", 2, "inf"], "inf", "inf"),
         ("budgets", "remark_dims", [10, 100, 10], "10", "10"),
+        # two thm2 rows per Fibonacci lattice, and each value read twice by the window
+        ("budgets", "thm2_triples", [[2, 2, "inf"], [2, 2, "inf"]], "(2, 2, 'inf')", "s2-p2-qinf"),
     ],
     ids=[
         "rank1_dims", "rank1_sizes", "zd_dims", "body_dims", "rhos",
-        "prop1_gammas", "prop1_gammas_inf", "remark_dims",
+        "prop1_gammas", "prop1_gammas_inf", "remark_dims", "thm2_triples",
     ],
 )
 def test_an_entry_that_repeats_a_subject_fails_at_load(section, key, value, entry, label):
@@ -341,6 +343,7 @@ def test_an_entry_that_repeats_a_subject_fails_at_load(section, key, value, entr
         Campaign.from_json_dict(data)
     # entries that print apart still load: integers print in full, not with :g
     Budgets(remark_dims=(10**6, 10**6 + 1), rhos=(0.1, 0.1001), prop1_gammas=(1, 1.5))
+    Budgets(thm2_triples=((2, 2, "inf"), (2, "inf", 2), (3, 2, "inf")))
 
 
 def test_campaign_spec_must_be_an_object():
