@@ -174,10 +174,7 @@ def _cmd_distnorm(args) -> int:
     ps = enumerate_points(lat)
     gammas = _parse_list(args.gamma, "--gamma", float)
     reports = distance_norms(ps, gammas, covering_tol=args.tol)
-    _emit_json(
-        args,
-        [reports[math.inf if math.isinf(g) else g].to_json_dict() for g in gammas],
-    )
+    _emit_json(args, [reports[g].to_json_dict() for g in gammas])
     return 0
 
 

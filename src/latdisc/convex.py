@@ -92,8 +92,8 @@ def remark_lower(d: int, delta: float) -> float:
 def remark_upper(d: int, kappa_exp: float) -> float:
     """log of the upper expression (d sqrt(2 e^3 pi))^(kappa d^(2/3)),
     implied constant taken as 1."""
-    if kappa_exp <= math.e * (2 * math.pi) ** (1 / 3):
-        raise ValueError("kappa must exceed e (2 pi)^(1/3)")
+    if not math.e * (2 * math.pi) ** (1 / 3) < kappa_exp < math.inf:  # refuses nan too
+        raise ValueError(f"kappa must be a finite number above e (2 pi)^(1/3), got {kappa_exp}")
     if d < 1:
         raise ValueError("d must be positive")
     return kappa_exp * d ** (2 / 3) * math.log(d * math.sqrt(2 * math.e**3 * math.pi))
@@ -645,7 +645,8 @@ _BODY_FIELDS = {  # variant: (class, {field: (what it must be, predicate)})
 def body_from_json_dict(data: dict) -> ConvexBody:
     """The body a JSON object names by its `variant` and that variant's
     fields. ValueError names a non-object input, an unknown variant, a
-    missing field or a field of the wrong shape."""
+    field the variant does not have, a missing field or a field of the
+    wrong shape."""
     if not isinstance(data, dict):
         raise ValueError(f"a body must be a JSON object, got {data!r}")
     if "variant" not in data:
@@ -654,6 +655,9 @@ def body_from_json_dict(data: dict) -> ConvexBody:
     if not isinstance(variant, str) or variant not in _BODY_FIELDS:
         raise ValueError(f"unknown body variant {variant!r}")
     cls, rules = _BODY_FIELDS[variant]
+    unknown = sorted(set(data) - {"variant", *rules})
+    if unknown:
+        raise ValueError(f"unknown {variant} body field(s): {', '.join(unknown)}")
     for name, (expected, ok) in rules.items():
         if name not in data:
             raise ValueError(f"{variant} body is missing the field {name!r}")

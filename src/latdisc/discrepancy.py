@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -116,7 +116,7 @@ class Thm1Report:
     def to_json_dict(self) -> dict:
         """The fields in order, with dim and n_points written as d and N."""
         short = {"dim": "d", "n_points": "N"}
-        return {short.get(k, k): v for k, v in asdict(self).items()}
+        return {short.get(k, k): v for k, v in vars(self).items()}
 
 
 def _best_slab(h: tuple[int, ...]) -> tuple[int, Fraction]:

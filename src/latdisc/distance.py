@@ -599,7 +599,7 @@ def verify_prop1(
     reports = norm_reports
     if reports is None:
         reports = distance_norms(enumerate_points(lat), gammas)
-    norms = tuple(reports[math.inf if math.isinf(g) else g] for g in gammas)
+    norms = tuple(reports[g] for g in gammas)
     # 2^(1/inf) = 1; where 2^(1/gamma) overflows the bound underflows to 0,
     # and only a positive certified end is above the positive bound it stands for
     lower_bounds = tuple(t_d * sigma / _root(2.0, g) for g in gammas)

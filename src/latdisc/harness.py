@@ -380,10 +380,17 @@ def builtin_corpus(
 def _covering_dims(c: Campaign) -> set[int]:
     """The dimensions whose lattice tasks compute a covering radius: those
     whose distance norms include gamma = inf, from prop1 on every corpus
-    member or from a thm2 triple on the Fibonacci members (d = 2)."""
+    member or from a thm2 triple on the Fibonacci members (d = 2). The
+    corpus's dimensions are read off its spec, as `builtin_corpus` lays it
+    out, without drawing a generator."""
     dims = set()
     if "prop1" in c.checks and math.inf in c.budgets.prop1_gammas:
-        dims = {len(g) for _, _, g in builtin_corpus(c.corpus, c.seed)}
+        spec = c.corpus
+        dims = set(spec.zd_dims)
+        if spec.rank1_sizes and spec.rank1_per_cell > 0:
+            dims.update(spec.rank1_dims)
+        if spec.fibonacci_k[0] <= spec.fibonacci_k[1] or spec.include_bad_lattice:
+            dims.add(2)
     if "thm2-diagnostic" in c.checks and any(
         math.isinf(gamma) for _, _, gamma in _thm2_specs(c.budgets, 2)
     ):
@@ -480,7 +487,7 @@ def run_lattice_task(c: Campaign, lattice_id: str, n: int, g: tuple[int, ...]) -
         for gname, norm, lb, ok, ratio in zip(
             p1.gammas, p1.norms, p1.lower_bounds, p1.lower_ok, p1.ratios
         ):
-            label = "inf" if math.isinf(gname) else f"{gname:g}"
+            label = f"{gname:g}"
             rows.append(_row(
                 f"prop1-lower-g{label}", lattice_id, lb, norm.lower_certified,
                 PASS if ok else FAIL,
@@ -683,57 +690,10 @@ def default_out_dir() -> str:
     return os.environ.get("LATDISC_OUT", "latdisc-artifacts")
 
 
-_JSON_SCALARS = {str, int, float, bool, type(None)}
-
-
-@functools.cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    """json's C encoder, separating items by a line break and the indent of
-    `depth`, as indent=2 does."""
-    return json.JSONEncoder(allow_nan=False, separators=(",\n" + "  " * depth, ": "))
-
-
-def _is_flat(obj) -> bool:
-    """obj is a nonempty dict or list of plain JSON scalars."""
-    values = obj.values() if isinstance(obj, dict) else obj
-    return bool(obj) and set(map(type, values)) <= _JSON_SCALARS
-
-
-def _json_indented(obj, depth: int = 0) -> str:
-    """json.dumps(obj, indent=2, allow_nan=False), byte for byte. indent
-    makes json use its pure-Python encoder; here json's C encoder writes
-    every flat container, and a list of flat objects (a table's rows) in one
-    call, so only the few containers above those are laid out in Python."""
-    pad, inner, deeper = "  " * depth, "  " * (depth + 1), "  " * (depth + 2)
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return _flat_encoder(0).encode(obj)
-    if _is_flat(obj):
-        text = _flat_encoder(depth + 1).encode(obj)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
-    if isinstance(obj, list) and all(isinstance(row, dict) and _is_flat(row) for row in obj):
-        # an encoded string holds no line break, so each "},\n{" is a
-        # separator between two rows, and gets the rows' own indent
-        text = _flat_encoder(depth + 2).encode(obj)[2:-2]
-        text = text.replace(f"}},\n{deeper}{{", f"\n{inner}}},\n{inner}{{\n{deeper}")
-        return f"[\n{inner}{{\n{deeper}{text}\n{inner}}}\n{pad}]"
-    if isinstance(obj, dict):
-        # each key as the C encoder writes it: '{"k": null}' less its ends
-        items = (
-            f"{_flat_encoder(0).encode({k: None})[1:-7]}: {_json_indented(v, depth + 1)}"
-            for k, v in obj.items()
-        )
-        brackets = "{}"
-    else:
-        items = (_json_indented(v, depth + 1) for v in obj)
-        brackets = "[]"
-    body = f",\n{inner}".join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
-
-
 def write_artifacts(result: CampaignResult, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    payload = _json_indented(result.to_json_dict()) + "\n"
+    payload = json.dumps(result.to_json_dict(), indent=2, allow_nan=False) + "\n"
     path = out_dir / "campaign.json"
     path.write_text(payload)
     written.append(path)

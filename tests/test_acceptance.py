@@ -25,7 +25,6 @@ from latdisc.harness import (
     Budgets,
     Campaign,
     CorpusSpec,
-    _json_indented,
     brute_force_min_dual_norm_sq,
     builtin_corpus,
     run_campaign,
@@ -142,13 +141,6 @@ def _campaign_sha256(campaign, tmp_path):
     res, _ = campaign
     write_artifacts(res, tmp_path)
     return hashlib.sha256((tmp_path / "campaign.json").read_bytes()).hexdigest()
-
-
-@pytest.mark.parametrize("name", ["thm1_campaign", "prop1_campaign", "body_campaign"])
-def test_campaign_json_encoder_matches_the_indenting_encoder(name, request):
-    res, _ = request.getfixturevalue(name)
-    data = res.to_json_dict()
-    assert _json_indented(data) == json.dumps(data, indent=2, allow_nan=False)
 
 
 def test_body_campaign_json_is_byte_identical_to_the_recorded_one(body_campaign, tmp_path):

@@ -161,6 +161,10 @@ def test_geom_rho_that_is_not_finite_is_a_usage_error(tmp_path, capsys, op, rho)
         ({"variant": "axis_box", "lower": [0.1, 0.1]}, "axis_box body is missing the field 'upper'"),
         ({"center": [0.5, 0.5], "radius": 0.1}, "body is missing the field 'variant'"),
         ({"variant": "cone"}, "unknown body variant 'cone'"),
+        (
+            {"variant": "ball", "center": [0.5, 0.5], "radius": 0.1, "raduis": 0.3},
+            "unknown ball body field(s): raduis",
+        ),
         ([1, 2], "a body must be a JSON object, got [1, 2]"),
         (
             {"variant": "ball", "center": 5, "radius": 0.1},
@@ -190,7 +194,7 @@ def test_geom_rho_that_is_not_finite_is_a_usage_error(tmp_path, capsys, op, rho)
         ),
     ],
     ids=[
-        "no-center", "no-upper", "no-variant", "unknown-variant", "list",
+        "no-center", "no-upper", "no-variant", "unknown-variant", "misspelt-field", "list",
         "ball-scalar-center", "box-scalar-upper", "box-nan-lower", "hpoly-flat-normals",
         "hpoly-offsets-count", "vpoly-ragged-vertices",
     ],
@@ -230,6 +234,17 @@ def test_bounds_remark_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "d,log_sum,log_lower,log_upper"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_bounds_remark_kappa_that_is_not_finite_is_a_usage_error(capsys, kappa):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "remark", "--kappa", kappa])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"latdisc: error: kappa must be a finite number above e (2 pi)^(1/3), got {kappa}"
+    assert expected in captured.err
 
 
 def test_verify_small_thm1(tmp_path, capsys):

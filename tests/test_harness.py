@@ -184,35 +184,12 @@ def test_campaign_json_is_strict_json_when_inf_is_not_a_prop1_gamma(tmp_path):
     assert checks == ["prop1-volA", "prop1-volB-bound", "prop1-lower-g1"]
 
 
-@pytest.mark.parametrize(
-    "obj",
-    [
-        0, -1.5e-300, "a\u00e9\n\"", None, True, [], {}, (1, (2, 3)), [[[]]],
-        [1, [2, []], {}], {"a": {"b": [1, 2.0, {"c": []}]}, "d": [], "e": {}},
-        {1: [1, {}], 2.5: "x", None: [3], True: {"q": 1e300}, "\u2211": ["\u00b5"]},
-        {"rows": [{"a": "},\n    {", "b": 1}, {"c": None, "d": -0.0}], "n": 2},
-        [{"a": 1}, {}], [{"a": 1}, 2], [{"a": 1}, {"b": [1]}], [{"a": 1}, {"b": []}],
-        [[{"a": 1}, {"b": 2}], ({"c": 3},)],
-    ],
-)
-def test_json_indented_matches_the_indenting_encoder(obj):
-    assert harness._json_indented(obj) == json.dumps(obj, indent=2, allow_nan=False)
-
-
-@pytest.mark.parametrize(
-    "obj, error",
-    [
-        (math.nan, ValueError),
-        ({"a": [{"b": -math.inf}]}, ValueError),
-        ({(1, 2): [1]}, TypeError),
-        ({"a": [object()]}, TypeError),
-    ],
-)
-def test_json_indented_refuses_what_the_indenting_encoder_refuses(obj, error):
-    with pytest.raises(error):
-        json.dumps(obj, indent=2, allow_nan=False)
-    with pytest.raises(error):
-        harness._json_indented(obj)
+def test_write_artifacts_refuses_a_nan_and_writes_no_campaign_json(tmp_path):
+    row = harness._row("lemma2", "ball-d2-i00-rho0.1", math.nan, 1.0, harness.RECORDED)
+    result = harness.CampaignResult(small_campaign(), [row], {}, {harness.RECORDED: 1})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_artifacts(result, tmp_path)
+    assert not (tmp_path / "campaign.json").exists()
 
 
 def test_campaign_json_roundtrip():
@@ -540,6 +517,35 @@ def test_a_tiny_prop1_gamma_runs_to_strict_json(tmp_path):
     assert all(r["lhs"] == 0.0 < r["rhs"] and r["verdict"] == "PASS" for r in lower)
     write_artifacts(res, tmp_path)  # writes strict JSON, or raises
     json.loads((tmp_path / "campaign.json").read_text(), parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        CorpusSpec(),
+        SMALL_CORPUS,
+        CorpusSpec(fibonacci_k=(6, 5), include_bad_lattice=False),
+        CorpusSpec(fibonacci_k=(6, 5), rank1_dims=(1, 3), rank1_per_cell=0, zd_dims=(4,),
+                   include_bad_lattice=False),
+        CorpusSpec(fibonacci_k=(6, 5), rank1_dims=(1, 3), rank1_sizes=(), zd_dims=(),
+                   include_bad_lattice=True),
+        CorpusSpec(fibonacci_k=(5, 5), rank1_dims=(1, 4), rank1_sizes=(2,), rank1_per_cell=1,
+                   zd_dims=(1,), include_bad_lattice=False),
+        CorpusSpec(fibonacci_k=(6, 5), rank1_dims=(), zd_dims=(), include_bad_lattice=False),
+    ],
+)
+def test_covering_dims_read_off_the_spec_are_the_corpus_dims(corpus):
+    c = Campaign(corpus=corpus, checks=("prop1",))
+    assert harness._covering_dims(c) == {len(g) for _, _, g in builtin_corpus(corpus, c.seed)}
+
+
+def test_a_prop1_campaign_builds_without_drawing_the_corpus(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("builtin_corpus called while building a Campaign")
+
+    monkeypatch.setattr(harness, "builtin_corpus", refuse)
+    c = Campaign(checks=("prop1",), budgets=Budgets(prop1_gammas=(1.0, math.inf)))
+    assert harness._covering_dims(c) == {2, 3, 4}
 
 
 def test_a_covering_radius_without_a_tolerance_fails_at_load():
