@@ -51,6 +51,18 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+
+
+def _read_json(path: str):
+    """The JSON value in the file at `path`; ValueError naming a path that
+    cannot be read or does not hold JSON."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
 def _read_lattice(path: str):
@@ -66,7 +78,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _seed(args, default: int = 0) -> int:
@@ -178,12 +190,8 @@ def _cmd_distnorm(args) -> int:
     return 0
 
 
-def _load_body(path: str):
-    return body_from_json_dict(json.loads(_read_text(path)))
-
-
 def _cmd_geom(args) -> int:
-    body = _load_body(args.body)
+    body = body_from_json_dict(_read_json(args.body))
     if args.geom_op == "steiner":
         value = steiner_volume(body, args.rho)
     elif args.geom_op == "offset":
@@ -254,8 +262,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_campaign(args) -> int:
     workers = _workers(args)
-    data = json.loads(_read_text(args.spec))
-    campaign = Campaign.from_json_dict(data)
+    campaign = Campaign.from_json_dict(_read_json(args.spec))
     campaign = replace(
         campaign, seed=_seed(args, campaign.seed), out_dir=args.out or campaign.out_dir
     )
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     geom = add_parser("geom", help="parallel-body volume operations")
     geom.add_argument("geom_op", choices=("steiner", "offset", "boundary"))
     geom.add_argument("--body", required=True, help="ConvexBody JSON file")
-    geom.add_argument("--rho", type=float, required=True, help="offset radius")
+    geom.add_argument("--rho", type=float, required=True, help="offset radius in [0, 1]")
     geom.add_argument(
         "--side",
         choices=("outer", "inner"),

@@ -688,20 +688,24 @@ def box_steiner_volume(sides: np.ndarray, rho: float, outer_only: bool = False) 
     return sum(e[d - j] * kappa(j) * rho**j for j in range(int(outer_only), d + 1))
 
 
+def _radius(rho) -> float:
+    """rho as a float; ValueError naming rho unless it lies in [0, 1], the
+    radii of the paper's parallel bodies inside the unit cube."""
+    rho = float(rho)
+    if not 0 <= rho <= 1:  # nan fails both comparisons
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    return rho
+
+
 def steiner_volume(body: ConvexBody, rho: float) -> float:
-    """Vol(K + rho B): the body's `parallel_volume` at rho >= 0."""
-    if not 0 <= rho < math.inf:
-        raise ValueError(f"rho must be a finite nonnegative number, got {rho}")
-    return body.parallel_volume(rho)
+    """Vol(K + rho B): the body's `parallel_volume` at rho in [0, 1]."""
+    return body.parallel_volume(_radius(rho))
 
 
 def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[float]:
-    """The body's `offset_volume` on one side at each radius. Polytopes
-    need d <= 4 on the outer side."""
-    rhos = [float(r) for r in rhos]
-    bad = [r for r in rhos if not 0 <= r <= 1]  # nan fails both comparisons
-    if bad:
-        raise ValueError(f"rho must lie in [0, 1], got {bad[0]}")
+    """The body's `offset_volume` on one side at each radius in [0, 1].
+    Polytopes need d <= 4 on the outer side."""
+    rhos = [_radius(r) for r in rhos]
     if side not in ("outer", "inner"):
         raise ValueError('side must be "outer" or "inner"')
     return [body.offset_volume(r, side) for r in rhos]

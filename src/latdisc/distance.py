@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -98,14 +98,8 @@ class DistanceNormReport:
     resolution: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma": "inf" if math.isinf(self.gamma) else self.gamma,
-            "value": self.value,
-            "lower_certified": self.lower_certified,
-            "upper_certified": self.upper_certified,
-            "method": self.method,
-            "resolution": self.resolution,
-        }
+        """The report's fields, each infinite value written as "inf"."""
+        return {k: "inf" if v == math.inf else v for k, v in asdict(self).items()}
 
 
 def covering_radius(ps: LatticePointSet, tol: float) -> CoveringRadius:
@@ -629,12 +623,9 @@ def verify_prop1(
 
 def _inv(x) -> Fraction:
     """1/x as an exact rational; x may be a number, Fraction, or inf."""
-    if x == math.inf or (isinstance(x, str) and x == "inf"):
-        return Fraction(0)
-    f = Fraction(x)
-    if f < 1:
+    if not x >= 1:  # nan fails the comparison
         raise ValueError("p and q must lie in [1, inf]")
-    return 1 / f
+    return Fraction(0) if x == math.inf else 1 / Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -81,7 +82,8 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    """A float, or an int that a float can hold: the checks compute in floats."""
+    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
 
 
 def _is_finite(x) -> bool:
@@ -150,7 +152,7 @@ _BUDGET_RULES = {
     "covering_tols": (
         "a map from dimension to a finite positive number",
         lambda v: isinstance(v, dict)
-        and all(_is_int(d) and _is_real(t) and 0 < t < math.inf for d, t in v.items()),
+        and all(_is_int(d) and d >= 1 and _is_real(t) and 0 < t < math.inf for d, t in v.items()),
     ),
     "remark_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
     "remark_delta": ("a number in (0, 2/3)", lambda v: _is_real(v) and 0 < v < 2 / 3),
@@ -162,7 +164,7 @@ _BUDGET_RULES = {
         "a list of [s, p, q] triples: an integer s, and numbers or inf p and q",
         _list_of(
             lambda t: isinstance(t, (list, tuple)) and len(t) == 3 and _is_int(t[0])
-            and all(_is_real(x) or x == "inf" for x in t[1:])
+            and all(_is_real(x) and x > -math.inf for x in t[1:])  # nan fails the comparison
         ),
     ),
 }
@@ -193,9 +195,6 @@ class CorpusSpec:
         labels = dict.fromkeys(("rank1_dims", "rank1_sizes", "zd_dims"), str)
         _check_distinct(self, "corpus.", labels)
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Budgets:
@@ -211,7 +210,7 @@ class Budgets:
     remark_dims: tuple[int, ...] = (10, 100, 1000, 10**4, 10**5)
     remark_delta: float = 0.3
     remark_kappa: float = 5.1
-    thm2_triples: tuple = ((2, 2, "inf"), (3, "inf", 1), (2, 2, 1))
+    thm2_triples: tuple = ((2, 2, math.inf), (3, math.inf, 1), (2, 2, 1))
 
     def __post_init__(self):
         _check_fields(self, "budgets.", _BUDGET_RULES)
@@ -221,12 +220,6 @@ class Budgets:
             "thm2_triples": lambda t: f"s{t[0]}-p{t[1]}-q{t[2]}",  # the thm2 rows' `triple`
         }
         _check_distinct(self, "budgets.", labels)
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["prop1_gammas"] = ["inf" if math.isinf(g) else g for g in self.prop1_gammas]
-        d["covering_tols"] = {str(k): v for k, v in self.covering_tols.items()}
-        return d
 
 
 def _check_keys(raw: dict, cls, where: str) -> dict:
@@ -238,15 +231,28 @@ def _check_keys(raw: dict, cls, where: str) -> dict:
     return raw
 
 
-def _tuples(v):
-    """A JSON value with its lists made tuples, at every depth."""
-    return tuple(map(_tuples, v)) if isinstance(v, list) else v
+def _from_json(v, numbers: bool):
+    """A JSON value in its spec form: lists made tuples, at every depth.
+    With `numbers` (the corpus and budgets sections, whose fields are all
+    numbers or flags), "inf" is made math.inf and a decimal object key an
+    int; anything else is left for the field checks to reject."""
+    if isinstance(v, (list, tuple)):
+        return tuple(_from_json(x, numbers) for x in v)
+    if isinstance(v, dict):
+        return {
+            int(k) if numbers and k.isdecimal() else k: _from_json(x, numbers) for k, x in v.items()
+        }
+    return math.inf if numbers and v == "inf" else v
 
 
-def _json_number(x):
-    """A JSON number as a float and "inf" as math.inf; anything else is
-    left for the field check to reject."""
-    return math.inf if x == "inf" else float(x) if _is_real(x) else x
+def _to_json(v):
+    """Inverse of _from_json: tuples made lists, math.inf made "inf" and
+    object keys made strings, at every depth."""
+    if isinstance(v, (list, tuple)):
+        return [_to_json(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _to_json(x) for k, x in v.items()}
+    return "inf" if v == math.inf else v
 
 
 @dataclass(frozen=True)
@@ -291,43 +297,15 @@ class Campaign:
     def from_json_dict(data: dict) -> "Campaign":
         """Inverse of to_json_dict; raises ValueError naming any unknown key
         and any field of the wrong type."""
-        _check_keys(data, Campaign, "campaign")
-        corpus = CorpusSpec(**{
-            k: _tuples(v)
-            for k, v in _check_keys(data.get("corpus", {}), CorpusSpec, "corpus").items()
+        sections = {"corpus": CorpusSpec, "budgets": Budgets}
+        return Campaign(**{
+            k: sections[k](**_from_json(_check_keys(v, sections[k], k), True))
+            if k in sections else _from_json(v, False)
+            for k, v in _check_keys(data, Campaign, "campaign").items()
         })
-        braw = {
-            k: _tuples(v)
-            for k, v in _check_keys(data.get("budgets", {}), Budgets, "budgets").items()
-        }
-        if isinstance(braw.get("prop1_gammas"), tuple):
-            braw["prop1_gammas"] = tuple(map(_json_number, braw["prop1_gammas"]))
-        if isinstance(braw.get("covering_tols"), dict):
-            braw["covering_tols"] = {
-                int(k) if k.isdecimal() else k: _json_number(v)
-                for k, v in braw["covering_tols"].items()
-            }
-        budgets = Budgets(**braw)
-        return Campaign(
-            corpus=corpus,
-            checks=_tuples(data.get("checks", ALL_CHECKS)),
-            budgets=budgets,
-            seed=data.get("seed", 20200817),
-            out_dir=data.get("out_dir"),
-            corrupt_check=data.get("corrupt_check"),
-            corrupt_rhs_scale=_json_number(data.get("corrupt_rhs_scale", 1.0)),
-        )
 
     def to_json_dict(self) -> dict:
-        return {
-            "corpus": self.corpus.to_json_dict(),
-            "checks": list(self.checks),
-            "budgets": self.budgets.to_json_dict(),
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "corrupt_check": self.corrupt_check,
-            "corrupt_rhs_scale": self.corrupt_rhs_scale,
-        }
+        return _to_json(asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +406,7 @@ def _thm2_specs(budgets: Budgets, d: int) -> list[tuple[tuple, ProxySpec, float]
     out = []
     for s, p, q in budgets.thm2_triples:
         try:
-            spec = proxy_spec(s, math.inf if p == "inf" else p, math.inf if q == "inf" else q, d)
+            spec = proxy_spec(s, p, q, d)
         except ValueError as exc:
             raise ValueError(f"budgets.thm2_triples entry [{s}, {p}, {q}]: {exc}") from None
         out.append(((s, p, q), spec, math.inf if spec.gamma == math.inf else float(spec.gamma)))

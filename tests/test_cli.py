@@ -101,9 +101,13 @@ def test_distnorm_at_a_tiny_gamma_prints_true_bounds(tmp_path, capsys):
     spec.write_text("1 7\nrank1: 1\n")
     code, out = run_cli(capsys, "distnorm", str(spec), "--gamma", "1e-200,1e-5")
     assert code == 0
-    tiny, small = json.loads(out)
+
+    def refuse(constant):
+        raise ValueError(f"distnorm printed {constant}, which is not strict JSON")
+
+    tiny, small = json.loads(out, parse_constant=refuse)
     assert tiny["lower_certified"] == 0.0 and math.copysign(1, tiny["lower_certified"]) == 1
-    assert tiny["upper_certified"] == math.inf
+    assert tiny["upper_certified"] == "inf"  # written as the report writes gamma = inf
     assert 0 < small["lower_certified"] <= small["value"] <= small["upper_certified"] < 1
 
 
@@ -149,9 +153,21 @@ def test_geom_rho_that_is_not_finite_is_a_usage_error(tmp_path, capsys, op, rho)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # steiner takes any finite rho >= 0; offset volumes, as `offset_volumes`, only [0, 1]
-    expected = "be a finite nonnegative number" if op == "steiner" else "lie in [0, 1]"
-    assert f"latdisc: error: rho must {expected}, got {rho}" in captured.err
+    assert f"latdisc: error: rho must lie in [0, 1], got {rho}" in captured.err
+
+
+@pytest.mark.parametrize("op", ["steiner", "offset", "boundary"])
+@pytest.mark.parametrize("rho", ["1e308", "2", "-0.1"])
+def test_geom_rho_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, op, rho):
+    # steiner once took any finite rho, and 1e308 overflowed in its Steiner sum
+    body = tmp_path / "ball.json"
+    body.write_text(json.dumps({"variant": "ball", "center": [0.5, 0.5], "radius": 0.3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["geom", op, "--body", str(body), "--rho", rho])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"latdisc: error: rho must lie in [0, 1], got {float(rho)}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -500,18 +516,38 @@ def test_campaign_spec_with_witness_budget_fails_at_load(tmp_path, capsys, monke
         ("geom", "steiner", "--body", "{missing}", "--rho", "0.1"),
         ("campaign", "run", "{missing}"),
         ("spectral", "{directory}"),
+        ("campaign", "run", "{binary}"),
     ],
-    ids=["lattice", "body", "spec", "directory"],
+    ids=["lattice", "body", "spec", "directory", "binary"],
 )
 def test_file_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setenv("LATDISC_OUT", str(tmp_path / "default"))
-    paths = {"missing": tmp_path / "nonexistent", "directory": tmp_path}
+    paths = {"missing": tmp_path / "nonexistent", "directory": tmp_path, "binary": tmp_path / "b"}
+    paths["binary"].write_bytes(b"\xff\xfe")  # not UTF-8 text
     with pytest.raises(SystemExit) as exc:
         main([a.format(**paths) for a in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     path = next(str(p) for k, p in paths.items() if f"{{{k}}}" in argv)
     assert f"latdisc: error: cannot read {path}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "default").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("geom", "steiner", "--body", "{path}", "--rho", "0.1"), ("campaign", "run", "{path}")],
+    ids=["body", "spec"],
+)
+def test_file_that_is_not_json_is_a_usage_error_naming_it(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("LATDISC_OUT", str(tmp_path / "default"))
+    path = tmp_path / "x.json"
+    path.write_text("not json\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(path=path) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"latdisc: error: {path} is not JSON: Expecting value: line 1 column 1 (char 0)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "default").exists()
 

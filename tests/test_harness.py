@@ -5,6 +5,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latdisc import harness
 from latdisc.harness import (
@@ -38,7 +40,7 @@ SMALL_BUDGETS = Budgets(
     body_mc_samples=50_000,
     norm_mc_samples=20_000,
     remark_dims=(10, 100, 1000),
-    thm2_triples=((2, 2, "inf"),),
+    thm2_triples=((2, 2, math.inf),),
 )
 
 
@@ -201,6 +203,106 @@ def test_campaign_json_roundtrip():
     assert back.checks == c.checks
 
 
+def _distinct(elements, label=str, **kw):
+    """Lists of `elements` whose entries print apart, as the spec requires."""
+    return st.lists(elements, unique_by=label, **kw).map(tuple)
+
+
+_g = "{:g}".format  # how subjects print rhos and gammas
+
+# valid specs, with integer-valued entries as ints, as a spec file may write them
+_TOL = st.one_of(st.integers(1, 3), st.floats(1e-9, 1.0))
+CORPUS_SPECS = st.builds(
+    CorpusSpec,
+    fibonacci_k=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+    rank1_dims=_distinct(st.integers(1, 12), max_size=3),
+    rank1_sizes=_distinct(st.integers(2, 10**6), max_size=3),
+    rank1_per_cell=st.integers(0, 30),
+    zd_dims=_distinct(st.integers(1, 12), max_size=3),
+    include_bad_lattice=st.booleans(),
+)
+BUDGETS = st.builds(
+    Budgets,
+    body_count=st.integers(0, 10**6),
+    body_dims=_distinct(st.integers(2, 4)),
+    body_mc_samples=st.integers(),
+    rhos=_distinct(st.one_of(st.sampled_from([0, 1]), st.floats(0, 1)), _g, max_size=4),
+    norm_mc_samples=st.integers(),
+    prop1_gammas=_distinct(
+        st.one_of(st.integers(1, 5), st.floats(1e-6, 1e6), st.just(math.inf)), _g, max_size=4
+    ),
+    # every dimension a lattice check accepts has a tolerance
+    covering_tols=st.dictionaries(st.integers(1, 12), _TOL, min_size=12, max_size=12),
+    remark_dims=_distinct(st.integers(1, 10**6), max_size=4),
+    remark_delta=st.floats(1e-6, 0.66),
+    remark_kappa=st.one_of(st.integers(6, 9), st.floats(5.1, 1e6)),
+    # s >= 3 and p, q >= 1 give a proxy in d = 2 for any p and q
+    thm2_triples=_distinct(
+        st.tuples(
+            st.integers(3, 6),
+            *[st.one_of(st.integers(1, 4), st.floats(1, 1e3), st.just(math.inf))] * 2,
+        ),
+        lambda t: f"s{t[0]}-p{t[1]}-q{t[2]}",
+        min_size=1,
+        max_size=3,
+    ),
+)
+CAMPAIGNS = st.builds(
+    Campaign,
+    corpus=CORPUS_SPECS.filter(lambda c: c.fibonacci_k[0] <= c.fibonacci_k[1]),
+    checks=st.lists(st.sampled_from(ALL_CHECKS), min_size=1, max_size=4).map(tuple),
+    budgets=BUDGETS,
+    seed=st.integers(-(2**70), 2**70),
+    out_dir=st.one_of(st.none(), st.sampled_from(["out", "inf", "1"])),
+    corrupt_check=st.one_of(st.none(), st.sampled_from(ALL_CHECKS)),
+    corrupt_rhs_scale=st.one_of(st.integers(-3, 3), st.floats(-1e6, 1e6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CAMPAIGNS)
+@example(Campaign(  # integer-valued entries once loaded as floats, and "inf" is a path here
+    budgets=Budgets(prop1_gammas=(1, 2), covering_tols={1: 1, 2: 2, 3: 1e-2, 4: 5e-2}),
+    corrupt_check="thm1",
+    corrupt_rhs_scale=2,
+    out_dir="inf",
+))
+def test_campaign_spec_load_inverts_dump(c):
+    text = json.dumps(c.to_json_dict())
+    back = Campaign.from_json_dict(json.loads(text))
+    assert back == c
+    assert json.dumps(back.to_json_dict()) == text
+
+
+def test_a_campaign_rerun_from_its_own_campaign_json_writes_the_same_bytes(tmp_path):
+    corpus = CorpusSpec(
+        fibonacci_k=(5, 6), rank1_per_cell=0, zd_dims=(), include_bad_lattice=False
+    )
+    budgets = Budgets(
+        prop1_gammas=(1, 2, math.inf),
+        covering_tols={2: 1e-4},
+        remark_dims=(10, 100),
+        remark_kappa=6,
+        thm2_triples=((2, 2, math.inf), (3, math.inf, 1)),
+    )
+    first = Campaign(
+        corpus=corpus,
+        checks=("prop1", "remark", "thm2-diagnostic"),
+        budgets=budgets,
+        corrupt_check="prop1-volA",
+        corrupt_rhs_scale=2,
+    )
+    write_artifacts(run_campaign(first), tmp_path / "first")
+    spec = json.loads((tmp_path / "first" / "campaign.json").read_text())["campaign"]
+    rerun = Campaign.from_json_dict(spec)
+    assert rerun == first
+    write_artifacts(run_campaign(rerun), tmp_path / "rerun")
+    names = sorted(p.name for p in (tmp_path / "first").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "rerun").iterdir())
+    for name in names:
+        assert (tmp_path / "rerun" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
+
 def test_all_checks_cover_spec_names():
     for name in ("thm1", "prop1", "lemma3", "corollary1", "remark", "thm2-diagnostic"):
         assert name in ALL_CHECKS
@@ -262,6 +364,12 @@ def test_bad_fibonacci_k_names_the_field(k):
         ("budgets", "covering_tols", {"2": "inf"}),
         (None, "corrupt_rhs_scale", "inf"),
         ("budgets", "remark_kappa", math.nan),
+        ("budgets", "prop1_gammas", [10**400]),  # no float holds it
+        ("budgets", "covering_tols", {"0": 1e-4}),
+        ("budgets", "thm2_triples", [[2, math.nan, 1]]),
+        ("budgets", "thm2_triples", [[2, 2, -math.inf]]),
+        pytest.param("budgets", "remark_kappa", 10**400, id="budgets-remark_kappa-huge"),
+        pytest.param(None, "corrupt_rhs_scale", -(10**400), id="None-corrupt_rhs_scale-huge"),
     ],
 )
 def test_campaign_from_json_dict_names_a_field_of_the_wrong_type(section, key, value):
@@ -305,7 +413,7 @@ def test_a_budget_its_task_would_refuse_fails_at_load(key, value):
         ("budgets", "prop1_gammas", ["inf", 2, "inf"], "inf", "inf"),
         ("budgets", "remark_dims", [10, 100, 10], "10", "10"),
         # two thm2 rows per Fibonacci lattice, and each value read twice by the window
-        ("budgets", "thm2_triples", [[2, 2, "inf"], [2, 2, "inf"]], "(2, 2, 'inf')", "s2-p2-qinf"),
+        ("budgets", "thm2_triples", [[2, 2, "inf"], [2, 2, "inf"]], "(2, 2, inf)", "s2-p2-qinf"),
     ],
     ids=[
         "rank1_dims", "rank1_sizes", "zd_dims", "body_dims", "rhos",
@@ -320,7 +428,7 @@ def test_an_entry_that_repeats_a_subject_fails_at_load(section, key, value, entr
         Campaign.from_json_dict(data)
     # entries that print apart still load: integers print in full, not with :g
     Budgets(remark_dims=(10**6, 10**6 + 1), rhos=(0.1, 0.1001), prop1_gammas=(1, 1.5))
-    Budgets(thm2_triples=((2, 2, "inf"), (2, "inf", 2), (3, 2, "inf")))
+    Budgets(thm2_triples=((2, 2, math.inf), (2, math.inf, 2), (3, 2, math.inf)))
 
 
 def test_campaign_spec_must_be_an_object():
@@ -388,7 +496,7 @@ def thm2_reference(budgets, k_lo, k_hi):
         ps = enumerate_points(lat)
         sigma, n = spectral_test(lat).sigma, lat.n_points
         for s, p, q in budgets.thm2_triples:
-            spec = proxy_spec(s, math.inf if p == "inf" else p, math.inf if q == "inf" else q, 2)
+            spec = proxy_spec(s, p, q, 2)
             g = math.inf if spec.gamma == math.inf else float(spec.gamma)
             norm = distance_norms(ps, [g], covering_tol=budgets.covering_tols[2])[g]
             proxy = norm.value ** float(spec.exponent)
@@ -560,7 +668,7 @@ def test_a_covering_radius_without_a_tolerance_fails_at_load():
     with pytest.raises(ValueError, match=r"^budgets\.covering_tols has no tolerance for d = 2,"):
         Campaign(corpus=corpus, checks=("thm2-diagnostic",), budgets=Budgets(covering_tols={}))
     # with no gamma = inf no tolerance is read: these load and run
-    finite = Budgets(covering_tols={}, prop1_gammas=(1.0,), thm2_triples=((3, "inf", 1),))
+    finite = Budgets(covering_tols={}, prop1_gammas=(1.0,), thm2_triples=((3, math.inf, 1),))
     zd5 = CorpusSpec(fibonacci_k=(5, 5), rank1_dims=(), zd_dims=(5,), include_bad_lattice=False)
     res = run_campaign(Campaign(corpus=zd5, checks=("prop1", "thm2-diagnostic"), budgets=finite))
     assert {r["subject"] for r in res.rows} == {"fib-k05", "zd-d5", "fibonacci"}
