@@ -3,14 +3,15 @@ formula machinery, plus the quantitative sub-exponential bounds on the
 binomial-kappa sum.
 
 Geometry here is floating point; exact rational counting for discrepancy
-witnesses lives in the discrepancy module. Each body evaluates its own
-parallel-body volumes in closed form, as floats, and nothing here samples
-or measures a distance: balls and boxes have closed forms in every d; a
-polytope's outer parallel volume is its Steiner polynomial (intrinsic
-volumes from the face lattice, its faces' contents by the cone recursion and
-external angles, d <= 4) and its inner parallel body is again an
-H-polytope, measured by qhull. qhull proposes vertices, volumes and inner
-bodies only; no face is measured by a hull of its own.
+witnesses lives in the discrepancy module. Each body gives its intrinsic
+volumes and its inner parallel volumes in closed form, as floats, and
+nothing here samples or measures a distance: balls and boxes in every d; a
+polytope's intrinsic volumes come from the face lattice (its faces'
+contents by the cone recursion and external angles, d <= 4) and its inner
+parallel body is again an H-polytope, measured by qhull. Parallel volumes,
+offsets and surface areas are one Steiner polynomial for every body. qhull
+proposes vertices, volumes and inner bodies only; no face is measured by a
+hull of its own.
 
 Importing this module loads numpy only. scipy is imported inside the
 functions that call it: qhull and the Chebyshev LP (HiGHS through
@@ -21,7 +22,8 @@ functions that call it: qhull and the Chebyshev LP (HiGHS through
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -113,8 +115,10 @@ def _finite(field: str, values) -> np.ndarray:
 
 
 class ConvexBody:
-    """Common surface for the body variants; coordinates are floats, and
-    each body evaluates its own closed forms in floats."""
+    """Common surface for the body variants; coordinates are floats. Each
+    body gives its intrinsic volumes and inner parallel volumes in closed
+    form; the rest is one Steiner polynomial v(rho) = sum_j V_{d-j} kappa_j
+    rho^j (Schneider, Convex Bodies, 2nd ed., ch. 4), in ascending powers."""
 
     dim: int
 
@@ -128,20 +132,38 @@ class ConvexBody:
         """Largest radius of a ball contained in the body."""
         raise NotImplementedError
 
-    def parallel_volume(self, rho: float) -> float:
-        """v(rho) = Vol(K_rho); rho < 0 gives the inner parallel body."""
+    def intrinsic_volumes(self) -> Sequence[float]:
+        """V_0..V_d, the coefficients of the Steiner polynomial."""
         raise NotImplementedError
 
+    def inner_volume(self, rho: float) -> float:
+        """Vol{x : B(x, rho) inside the body}, the inner parallel body at rho >= 0."""
+        raise NotImplementedError
+
+    def _steiner(self, rho: float, start: int) -> float:
+        """sum_{j >= start} V_{d-j} kappa_j rho^j."""
+        v, d = self.intrinsic_volumes(), self.dim
+        return sum(v[d - j] * kappa(j) * rho**j for j in range(start, d + 1))
+
+    def parallel_volume(self, rho: float) -> float:
+        """v(rho) = Vol(K + rho B); rho < 0 gives the inner parallel body."""
+        if rho >= 0:
+            return self._steiner(rho, 0)
+        return self.inner_volume(-rho)
+
     def offset_volume(self, rho: float, side: str) -> float:
-        """Vol(K_rho^+) = v(rho) - Vol(K) on the "outer" side, else
-        Vol(K_rho^-) = Vol(K) - v(-rho)."""
+        """Vol(K_rho^+) = v(rho) - Vol(K), the Steiner sum from j = 1, on the
+        "outer" side, else Vol(K_rho^-) = Vol(K) - `inner_volume(rho)`."""
         if side == "outer":
-            return self.parallel_volume(rho) - self.volume()
-        return self.volume() - self.parallel_volume(-rho)
+            return self._steiner(rho, 1)
+        return self.volume() - self.inner_volume(rho)
 
     def surface_area(self, rho: float) -> float:
-        """d W_1(K_rho): the derivative of v at rho."""
-        raise TypeError("closed-form surface area needs a ball or an axis box")
+        """d W_1(K_rho) = v'(rho), for rho >= 0 only."""
+        if rho < 0:
+            raise ValueError(f"surface areas need rho >= 0, got rho = {rho}")
+        v, d = self.intrinsic_volumes(), self.dim
+        return sum(j * v[d - j] * kappa(j) * rho ** (j - 1) for j in range(1, d + 1))
 
 
 class Ball(ConvexBody):
@@ -155,6 +177,12 @@ class Ball(ConvexBody):
             self.center + self.radius > 1 + 1e-12
         ):
             raise ValueError("ball is not contained in the unit cube")
+        # V_k = binom(d, k) kappa_d / kappa_{d-k} r^k, each V_k from V_{k-1}, so
+        # no factor leaves float range in any d (kappa_d is 0.0 beyond d ~ 450)
+        d, r, self._intrinsic = self.dim, self.radius, [1.0]
+        for k in range(1, d + 1):
+            ratio = math.exp(log_kappa(d - k + 1) - log_kappa(d - k))  # kappa_{d-k+1} / kappa_{d-k}
+            self._intrinsic.append(self._intrinsic[-1] * (d - k + 1) / k * ratio * r)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -165,22 +193,11 @@ class Ball(ConvexBody):
     def inradius(self):
         return self.radius
 
-    def parallel_volume(self, rho):
-        if rho < -self.radius:
-            return 0.0
-        return kappa(self.dim) * (self.radius + rho) ** self.dim
+    def intrinsic_volumes(self):
+        return self._intrinsic
 
-    def offset_volume(self, rho, side):
-        r, d = self.radius, self.dim
-        if side == "outer":
-            return kappa(d) * ((r + rho) ** d - r**d)
-        return kappa(d) * (r**d - max(r - rho, 0.0) ** d)
-
-    def surface_area(self, rho):
-        r = self.radius + rho
-        if r < 0:
-            return 0.0
-        return self.dim * kappa(self.dim) * r ** (self.dim - 1)
+    def inner_volume(self, rho):
+        return kappa(self.dim) * max(self.radius - rho, 0.0) ** self.dim
 
 
 class AxisBox(ConvexBody):
@@ -208,29 +225,15 @@ class AxisBox(ConvexBody):
     def inradius(self):
         return float(np.min(self.sides)) / 2.0
 
-    def parallel_volume(self, rho):
-        if rho >= 0:
-            return box_steiner_volume(self.sides, rho)
-        return float(np.prod(np.maximum(self.sides + 2 * rho, 0.0)))
+    def intrinsic_volumes(self):
+        """V_k = e_k(sides), the elementary symmetric polynomials."""
+        e = [1.0]
+        for side in self.sides:
+            e = [e[0]] + [e[i] + side * e[i - 1] for i in range(1, len(e))] + [side * e[-1]]
+        return e
 
-    def offset_volume(self, rho, side):
-        if side == "outer":
-            return box_steiner_volume(self.sides, rho, outer_only=True)
-        inner = float(np.prod(np.maximum(self.sides - 2 * rho, 0.0)))
-        return self.volume() - inner
-
-    def surface_area(self, rho):
-        d = self.dim
-        if rho >= 0:
-            e = _elementary_symmetric(self.sides)
-            return sum(j * e[d - j] * kappa(j) * rho ** (j - 1) for j in range(1, d + 1))
-        shrunk = self.sides + 2 * rho
-        if np.any(shrunk < 0):
-            return 0.0
-        total = 0.0
-        for i in range(d):
-            total += 2 * float(np.prod(np.delete(shrunk, i)))
-        return total
+    def inner_volume(self, rho):
+        return float(np.prod(np.maximum(self.sides - 2 * rho, 0.0)))
 
 
 def unit_cube(d: int) -> AxisBox:
@@ -516,14 +519,6 @@ class _Polytope(ConvexBody):
     def inradius(self) -> float:
         return self._chebyshev()[1]
 
-    def parallel_volume(self, rho: float) -> float:
-        """The Steiner polynomial sum_j kappa_{d-j} V_j rho^{d-j} at rho >= 0
-        (d <= 4, else ValueError), and `inner_volume` at |rho| below 0."""
-        if rho >= 0:
-            v, d = self.intrinsic_volumes(), self.dim
-            return float(sum(kappa(d - j) * v[j] * rho ** (d - j) for j in range(d + 1)))
-        return self.inner_volume(-rho)
-
     def bounding_box(self):
         """Extremes of the vertices (a bounded polytope is their hull)."""
         return self._vertices.min(axis=0), self._vertices.max(axis=0)
@@ -617,7 +612,8 @@ class VPolytope(_Polytope):
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite float, or an int (not a bool) that a float can hold."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _is_vector(v) -> bool:
@@ -671,23 +667,6 @@ def body_from_json_dict(data: dict) -> ConvexBody:
 # Steiner formula and offsets
 # ---------------------------------------------------------------------------
 
-def _elementary_symmetric(values: Iterable[float]) -> list[float]:
-    e = [1.0]
-    for v in values:
-        e = [e[0]] + [e[i] + v * e[i - 1] for i in range(1, len(e))] + [v * e[-1]]
-    return e
-
-
-def box_steiner_volume(sides: np.ndarray, rho: float, outer_only: bool = False) -> float:
-    """Vol(box + rho B) = sum_j V_{d-j}(box) kappa_j rho^j with V_k = e_k(sides).
-
-    With `outer_only` the sum starts at j = 1, leaving out the box itself:
-    the outer offset volume Vol(box_rho^+)."""
-    d = sides.shape[0]
-    e = _elementary_symmetric(sides)
-    return sum(e[d - j] * kappa(j) * rho**j for j in range(int(outer_only), d + 1))
-
-
 def _radius(rho) -> float:
     """rho as a float; ValueError naming rho unless it lies in [0, 1], the
     radii of the paper's parallel bodies inside the unit cube."""
@@ -713,19 +692,21 @@ def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[f
 
 def boundary_neighborhood_volume(body: ConvexBody, rho: float) -> float:
     """Vol{x in R^d : dist(x, boundary K) <= rho} = outer + inner offsets."""
-    return offset_volumes(body, [rho], "outer")[0] + offset_volumes(body, [rho], "inner")[0]
+    rho = _radius(rho)
+    return body.offset_volume(rho, "outer") + body.offset_volume(rho, "inner")
 
 
 def parallel_volume_derivative_check(
     body: ConvexBody, rho: float, h: float
 ) -> tuple[float, float]:
-    """(central finite difference of v at rho, analytic d W_1(K_rho))."""
+    """(central finite difference of v at rho, analytic d W_1(K_rho)), rho >= 0."""
     if h <= 0:
         raise ValueError("h must be positive")
+    analytic = body.surface_area(rho)
     if rho - h <= -body.inradius():
         raise ValueError("rho - h must stay above -r(K)")
     fd = (body.parallel_volume(rho + h) - body.parallel_volume(rho - h)) / (2 * h)
-    return fd, body.surface_area(rho)
+    return fd, analytic
 
 
 # ---------------------------------------------------------------------------

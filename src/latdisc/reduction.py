@@ -183,6 +183,14 @@ def _float_gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, bstar_sq
 
 
+def _float(x: int) -> float:
+    """float(x), or inf for an int too large for a float."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def enumerate_below(rows: Mat, bound_sq: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     """The nonzero coefficient vectors (one per +-sign pair) whose lattice
     vectors are the k shortest, given that at least k have exact squared
@@ -196,16 +204,25 @@ def enumerate_below(rows: Mat, bound_sq: int, k: int) -> list[tuple[tuple[int, .
     in Schnorr and Euchner (Math. Programming 66, 1994). The float pruning
     radius carries a relative safety margin over the bound; membership is
     always decided exactly. Returned sign-normalized (first nonzero entry
-    positive), in (squared norm, coefficient) order.
+    positive), in (squared norm, coefficient) order. A float the pruning
+    needs beyond float range is a ValueError naming it, before the search.
     """
     d = len(rows)
-    b = np.array([[float(x) for x in r] for r in rows])
-    mu, bstar_sq = _float_gram_schmidt(b)
+    b = np.array([[_float(x) for x in r] for r in rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, bstar_sq = _float_gram_schmidt(b)
+    radius = _float(bound_sq) * (1 + 1e-9) + 1e-12
+    for what, values in [
+        ("a basis entry", b.ravel().tolist()),
+        ("the bound", [radius]),
+        ("a Gram-Schmidt squared norm", bstar_sq.tolist()),
+    ]:
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{what} is beyond the float range the shortest-vector search prunes in")
     if np.any(bstar_sq <= 0):
         raise ValueError("basis rows are linearly dependent")
     mu, bstar_sq = mu.tolist(), bstar_sq.tolist()
     found: list[tuple[int, tuple[int, ...]]] = []  # (squared norm, coefficients), norm <= bound_sq
-    radius = float(bound_sq) * (1 + 1e-9) + 1e-12
     coeff = [0] * d
     cols = list(zip(*rows))
 

@@ -144,11 +144,12 @@ def _campaign_sha256(campaign, tmp_path):
 
 
 def test_body_campaign_json_is_byte_identical_to_the_recorded_one(body_campaign, tmp_path):
-    # sha256 of the campaign.json recorded when face contents came from the
-    # cone recursion instead of one qhull hull per face; that moved the last
-    # bits of some lemma2, lemma3 and corollary1 values, and nothing may move since
+    # sha256 of the campaign.json recorded when every body's parallel and
+    # offset volumes came from one Steiner polynomial of its intrinsic volumes;
+    # that moved the last bits of some ball and polytope lemma2, lemma3 and
+    # corollary1 values (<= 1.8e-15 relative), and nothing may move since
     digest = _campaign_sha256(body_campaign, tmp_path)
-    assert digest == "3f2dd1650095dc84af38505bd2ce0e800a1abf670858f4ea1e33969c11fb77a8"
+    assert digest == "293f3156e9e69fdc141156cbe1bcb0530f006bf03bc9a37ff9368d4a4656ca7c"
 
 
 def test_thm1_campaign_json_is_byte_identical_to_the_recorded_one(thm1_campaign, tmp_path):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from latdisc.cli import main
+from latdisc.lattice import fibonacci_generator
 
 
 def run_cli(capsys, *argv):
@@ -208,11 +209,21 @@ def test_geom_rho_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, o
             "v_polytope body field 'vertices' must be a non-empty list of equally long, "
             "non-empty lists of finite numbers, got [[0.1, 0.2], [0.3]]",
         ),
+        (
+            {"variant": "ball", "center": [0.5, 0.5], "radius": 10**400},
+            f"ball body field 'radius' must be a finite number, got {10**400}",
+        ),
+        (
+            {"variant": "axis_box", "lower": [0.1, 0.1], "upper": [0.9, 10**400]},
+            "axis_box body field 'upper' must be a non-empty list of finite numbers, "
+            f"got [0.9, {10**400}]",
+        ),
     ],
     ids=[
         "no-center", "no-upper", "no-variant", "unknown-variant", "misspelt-field", "list",
         "ball-scalar-center", "box-scalar-upper", "box-nan-lower", "hpoly-flat-normals",
-        "hpoly-offsets-count", "vpoly-ragged-vertices",
+        "hpoly-offsets-count", "vpoly-ragged-vertices", "ball-radius-beyond-float",
+        "box-upper-beyond-float",
     ],
 )
 def test_geom_malformed_body_is_a_usage_error(tmp_path, capsys, body, message):
@@ -362,6 +373,33 @@ def test_bad_lattice_spec_names_line_and_field(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert f"latdisc: error: {message}" in err
     assert "Traceback" not in err
+
+
+_N155 = 10**155
+_F1480, (_, _F1479) = fibonacci_generator(1480)
+
+
+@pytest.mark.parametrize("command", ["spectral", "isodisc"])
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        # an LLL row of norm ~1e155, whose float squared norm is inf
+        (f"2 {_N155}\nrank1: 1 {(_N155 // 3) | 1}\n", "a Gram-Schmidt squared norm"),
+        # the k = 1480 Fibonacci lattice, whose candidate bound is beyond 1.8e308
+        (f"2 {_F1480}\nrank1: 1 {_F1479}\n", "the bound"),
+    ],
+    ids=["rank1-1e155", "fibonacci-1480"],
+)
+def test_lattice_beyond_float_pruning_is_a_usage_error(tmp_path, capsys, command, text, what):
+    spec = tmp_path / "big.lat"
+    spec.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(spec)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"latdisc: error: {what} is beyond the float range" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_gen_fibonacci_small_k_is_a_usage_error(capsys):

@@ -17,7 +17,6 @@ from latdisc.convex import (
     binom_kappa_sum,
     body_from_json_dict,
     boundary_neighborhood_volume,
-    box_steiner_volume,
     kappa,
     log_kappa,
     offset_volumes,
@@ -368,15 +367,18 @@ def test_derivative_check_cube_outer():
     assert abs(fd - analytic) <= 1e-6
 
 
-def test_derivative_check_cube_inner():
-    fd, analytic = parallel_volume_derivative_check(unit_cube(2), -0.1, 1e-5)
-    assert analytic == pytest.approx(3.2, abs=1e-12)
-    assert abs(fd - analytic) <= 1e-6
+def test_derivative_check_refuses_negative_rho():
+    # surface areas come from the Steiner polynomial, which holds at rho >= 0 only
+    for body in (unit_cube(2), Ball([0.5, 0.5], 0.3), TRIANGLE):
+        with pytest.raises(ValueError, match=r"rho >= 0, got rho = -0\.1"):
+            parallel_volume_derivative_check(body, -0.1, 1e-5)
+        with pytest.raises(ValueError, match=r"rho >= 0, got rho = -0\.1"):
+            body.surface_area(-0.1)
 
 
 def test_derivative_check_domain_guard():
-    with pytest.raises(ValueError):
-        parallel_volume_derivative_check(Ball([0.5, 0.5], 0.3), -0.3, 1e-3)
+    with pytest.raises(ValueError, match="rho - h must stay above"):
+        parallel_volume_derivative_check(Ball([0.5, 0.5], 0.3), 0.0, 0.3)
 
 
 def test_binom_kappa_sum_small():
@@ -689,10 +691,70 @@ def test_axis_box_as_hpolytope_matches_box_closed_forms(d):
     lower, upper = np.linspace(0.1, 0.3, d), np.linspace(0.5, 0.9, d)
     box, h = AxisBox(lower, upper), _h_box(lower, upper)
     for rho in RHOS:
-        assert abs(steiner_volume(h, rho) - box_steiner_volume(box.sides, rho)) <= 1e-12
+        assert abs(steiner_volume(h, rho) - box.parallel_volume(rho)) <= 1e-12
         for side in ("outer", "inner"):
             exact = box.offset_volume(rho, side)
             assert abs(offset_volumes(h, [rho], side)[0] - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_ball_steiner_polynomial_matches_the_ball_closed_forms(d):
+    # the ball's own closed forms, independent of its intrinsic volumes
+    r = 0.3
+    ball = Ball(np.full(d, 0.5), r)
+    for rho in (0.0, 0.01, 0.1, 1.0):
+        want = {
+            "parallel": kappa(d) * (r + rho) ** d,
+            "outer": kappa(d) * ((r + rho) ** d - r**d),
+            "inner": kappa(d) * (r**d - max(r - rho, 0.0) ** d),
+            "surface": d * kappa(d) * (r + rho) ** (d - 1),
+        }
+        got = {
+            "parallel": ball.parallel_volume(rho),
+            "outer": ball.offset_volume(rho, "outer"),
+            "inner": ball.offset_volume(rho, "inner"),
+            "surface": ball.surface_area(rho),
+        }
+        assert got == pytest.approx(want, rel=1e-14, abs=0), rho
+
+
+def test_ball_intrinsic_volumes_stay_in_float_range_in_high_d():
+    # kappa_d underflows to 0 beyond d ~ 450 and binom(d, k) leaves float
+    # range beyond d ~ 1030, while these V_k stay in range
+    r = 0.4
+    for d in (500, 1100):
+        v = Ball(np.full(d, 0.5), r).intrinsic_volumes()
+        for k in (1, 10, 40):
+            log_v = (
+                math.lgamma(d + 1) - math.lgamma(k + 1) - math.lgamma(d - k + 1)
+                + log_kappa(d) - log_kappa(d - k) + k * math.log(r)
+            )
+            assert v[k] == pytest.approx(math.exp(log_v), rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_polytope_surface_area_is_twice_its_v_d_minus_1(d):
+    sides = np.array([0.2, 0.5, 0.3, 0.4][:d])
+    h = _h_box(np.full(d, 0.1), 0.1 + sides)
+    area = h.surface_area(0.0)
+    assert area == pytest.approx(2 * h.intrinsic_volumes()[d - 1], rel=1e-15, abs=0)
+    faces = sum(math.prod(np.delete(sides, i)) for i in range(d))
+    assert abs(area - 2 * faces) <= 1e-12
+
+
+def test_triangle_surface_area_is_its_perimeter():
+    assert TRIANGLE.surface_area(0.0) == pytest.approx(1.5 + math.sqrt(1.25), rel=1e-14)
+
+
+def test_polytope_outer_offset_is_the_steiner_sum_without_its_constant_term():
+    # Vol(K) is not subtracted, so a tiny rho keeps its relative accuracy
+    d = 3
+    h = _h_box(np.full(d, 0.1), np.array([0.3, 0.6, 0.4]))
+    v = h.intrinsic_volumes()
+    for rho in (1e-13, 0.01, 0.1):
+        want = sum(v[d - j] * kappa(j) * rho**j for j in range(1, d + 1))
+        assert h.offset_volume(rho, "outer") == want
+    assert h.offset_volume(1e-13, "outer") == pytest.approx(1e-13 * h.surface_area(0.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

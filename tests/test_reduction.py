@@ -392,6 +392,28 @@ def test_enumerate_below_keeps_only_the_k_th_norm_and_shorter(lat, k, monkeypatc
         assert len(hits) == k
 
 
+@pytest.mark.parametrize(
+    "rows, bound_sq, what",
+    [
+        (((10**400, 0), (0, 1)), 5, "a basis entry"),
+        (((3, 0), (0, 1)), 10**400, "the bound"),
+        (((10**155, 0), (0, 1)), 5, "a Gram-Schmidt squared norm"),
+    ],
+    ids=["basis", "bound", "gram-schmidt"],
+)
+def test_enumerate_below_refuses_floats_beyond_their_range(rows, bound_sq, what):
+    # a float pruning radius or norm of inf or nan once pruned every candidate,
+    # or a bound beyond 1.8e308 raised OverflowError
+    with pytest.raises(ValueError, match=f"^{what} is beyond the float range"):
+        reduction.enumerate_below(rows, bound_sq, 1)
+
+
+def test_spectral_test_just_inside_float_range():
+    # N = 10^150 keeps every float the search prunes with finite
+    n = 10**150
+    assert spectral_test(rank1_lattice(n, (1, (n // 3) | 1))).dual_norm_sq == 10
+
+
 @pytest.mark.parametrize("k", [-1, 0, True, False, 1.0, "3", None])
 def test_shortest_vectors_rejects_a_bad_k(k):
     # k = -1 once returned the first vectors but one, and k = 0 none
