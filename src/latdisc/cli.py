@@ -22,7 +22,7 @@ from .convex import (
 )
 from .discrepancy import N_SLABS, isotropic_lower_bound, verify_thm1
 from .distance import distance_norms
-from .errors import LatdiscError
+from .errors import COUNT, DIMS, SIZE, TOL, LatdiscError, require
 from .harness import (
     ALL_CHECKS,
     Budgets,
@@ -57,10 +57,18 @@ def _read_text(path: str) -> str:
 
 def _read_json(path: str):
     """The JSON value in the file at `path`; ValueError naming a path that
-    cannot be read or does not hold JSON."""
+    cannot be read or does not hold JSON, or the path and a literal no
+    finite float holds (1e400, NaN, Infinity; a spec spells infinity "inf")."""
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):  # also the constants, read as floats
+            raise ValueError(f"the literal {literal} in {path} is not a finite number")
+        return value
+
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not JSON: {exc}") from None
 
@@ -86,26 +94,23 @@ def _seed(args, default: int = 0) -> int:
     return default if args.seed is None else args.seed
 
 
-def _workers(args) -> int:
-    """--workers, which must be at least 1."""
-    if args.workers < 1:
-        raise ValueError("--workers must be at least 1")
-    return args.workers
-
-
 def _parse_entries(text: str, flag: str, kind=int) -> list[tuple[str, object]]:
     """(entry, value) for each entry of the comma list given to `flag`, the
     value as `kind` (int, or float, which also reads inf); empty entries are
     skipped. ValueError names the flag and the entry, or the flag when the
-    list holds no entry."""
+    list holds no entry; a float entry that is infinite but not spelled
+    inf (1e400, say) is refused."""
     out = []
     for tok in text.split(","):
         if tok:
             try:
-                out.append((tok, kind(tok)))
+                value = kind(tok)
             except ValueError:
                 expected = "an integer" if kind is int else "a number or inf"
                 raise ValueError(f"{flag}: entry {tok!r} is not {expected}") from None
+            if kind is float and math.isinf(value) and "inf" not in tok.lower():
+                raise ValueError(f"{flag}: entry {tok!r} is beyond the float range")
+            out.append((tok, value))
     if not out:
         raise ValueError(f"{flag}: the list is empty")
     return out
@@ -133,14 +138,16 @@ def _cmd_gen(args) -> int:
         else:
             _emit(args, format_lattice_text(lat))
     elif args.family == "fibonacci":
-        _emit(args, format_rank1_text(*fibonacci_generator(args.k)))
-    elif args.d < 1:
-        raise ValueError(f"--d must be at least 1, got {args.d}")
+        n, g = fibonacci_generator(args.k)
+        limit = sys.get_int_max_str_digits()  # the most digits str() converts, 0 for no limit
+        what = f"an integer whose F_k has at most {limit} digits (sys.get_int_max_str_digits())"
+        require("--k", args.k, (what, lambda k: not limit or n < 10**limit))  # n is F_k
+        _emit(args, format_rank1_text(n, g))
     elif args.family == "korobov":
-        lat = korobov_lattice(args.n, args.a, args.d)
+        lat = korobov_lattice(args.n, args.a, require("--d", args.d, COUNT))
         _emit(args, format_lattice_text(lat))
     else:  # zd
-        _emit(args, format_rank1_text(1, [0] * args.d))
+        _emit(args, format_rank1_text(1, [0] * require("--d", args.d, COUNT)))
     return 0
 
 
@@ -151,8 +158,9 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    if args.precision < 0:
-        raise ValueError(f"--precision must be at least 0, got {args.precision}")
+    limit = sys.get_int_max_str_digits()  # the most digits str() converts, 0 for no limit
+    what = f"an integer from 0 to {limit} (sys.get_int_max_str_digits())"
+    require("--precision", args.precision, (what, lambda p: 0 <= p <= limit) if limit else SIZE)
     lat = _read_lattice(args.lattice)
     ps = enumerate_points(lat, cap=args.cap)
     import io
@@ -180,8 +188,7 @@ def _cmd_isodisc(args) -> int:
 
 
 def _cmd_distnorm(args) -> int:
-    if not 0 < args.tol < math.inf:
-        raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
+    require("--tol", args.tol, TOL)
     lat = _read_lattice(args.lattice)
     ps = enumerate_points(lat)
     gammas = _parse_list(args.gamma, "--gamma", float)
@@ -204,9 +211,7 @@ def _cmd_geom(args) -> int:
 
 def _cmd_bounds_remark(args) -> int:
     rows = []
-    for d in _parse_list(args.dims, "--dims"):
-        if d < 1:
-            raise ValueError(f"--dims: entry '{d}' is not a positive integer")
+    for d in require("--dims", _parse_list(args.dims, "--dims"), DIMS):
         rows.append(
             {
                 "d": d,
@@ -244,7 +249,7 @@ def _small_corpus() -> CorpusSpec:
 
 
 def _cmd_verify(args) -> int:
-    workers = _workers(args)
+    workers = require("--workers", args.workers, COUNT)
     corpus = _small_corpus() if args.small else CorpusSpec()
     budgets = Budgets() if not args.small else Budgets(body_count=6)
     campaign = Campaign(
@@ -261,7 +266,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    workers = _workers(args)
+    workers = require("--workers", args.workers, COUNT)
     campaign = Campaign.from_json_dict(_read_json(args.spec))
     campaign = replace(
         campaign, seed=_seed(args, campaign.seed), out_dir=args.out or campaign.out_dir

@@ -22,12 +22,12 @@ functions that call it: qhull and the Chebyshev LP (HiGHS through
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyBodyError
+from .errors import COUNT, DELTA, FINITE, KAPPA, RHO, ROWS, VECTOR, EmptyBodyError
+from .errors import check_object, require
 
 INCIDENCE_TOL = 1e-9  # |margin| of a vertex on a facet plane
 RANK_TOL = 1e-9  # relative singular-value floor of a face's affine hull
@@ -62,8 +62,7 @@ def binom_kappa_sum(d: int) -> float:
     The terms are summed in blocks of `_KAPPA_BLOCK`, each block's log-sum
     added to a running total, so memory stays bounded for any d; a d up to
     the block size is one block, the plain `logsumexp` of all the terms."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    require("d", d, COUNT)
     from scipy.special import gammaln, logsumexp
 
     total = -math.inf
@@ -82,10 +81,8 @@ def binom_kappa_sum(d: int) -> float:
 
 def remark_lower(d: int, delta: float) -> float:
     """log of the sub-exponential lower expression for the binomial-kappa sum."""
-    if not 0 < delta < 2 / 3:
-        raise ValueError("delta must lie in (0, 2/3)")
-    if d < 1:
-        raise ValueError("d must be positive")
+    require("delta", delta, DELTA)
+    require("d", d, COUNT)
     return -math.log(math.sqrt(2 * math.pi) * math.e * d) + delta * d ** (
         2 / 3 - delta
     ) * math.log(d)
@@ -94,10 +91,8 @@ def remark_lower(d: int, delta: float) -> float:
 def remark_upper(d: int, kappa_exp: float) -> float:
     """log of the upper expression (d sqrt(2 e^3 pi))^(kappa d^(2/3)),
     implied constant taken as 1."""
-    if not math.e * (2 * math.pi) ** (1 / 3) < kappa_exp < math.inf:  # refuses nan too
-        raise ValueError(f"kappa must be a finite number above e (2 pi)^(1/3), got {kappa_exp}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    require("kappa", kappa_exp, KAPPA)
+    require("d", d, COUNT)
     return kappa_exp * d ** (2 / 3) * math.log(d * math.sqrt(2 * math.e**3 * math.pi))
 
 
@@ -507,14 +502,22 @@ class _Polytope(ConvexBody):
         {a_i . x <= b_i - rho} with unit normals: qhull's halfspace
         intersection seeded at the Chebyshev centre, about which the
         Chebyshev ball shrinks by rho. 0 once rho reaches the inradius (the
-        set is then at most a lower-dimensional piece)."""
+        set is then at most a lower-dimensional piece). A body qhull cannot
+        measure (seen in d = 5, where the inner body of a 22-point hull has
+        thousands of vertices) raises ValueError naming d and rho."""
         centre, radius = self._chebyshev()
         if rho >= radius:
             return 0.0
-        from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
 
-        hs = _halfspace_intersection(self._unit_normals, self._unit_offsets - rho, centre)
-        return float(ConvexHull(hs.intersections).volume)
+        try:
+            hs = _halfspace_intersection(self._unit_normals, self._unit_offsets - rho, centre)
+            return float(ConvexHull(hs.intersections).volume)
+        except QhullError:
+            raise ValueError(
+                f"qhull cannot measure the inner parallel body of this d = {self.dim} "
+                f"polytope at rho = {rho}"
+            ) from None
 
     def inradius(self) -> float:
         return self._chebyshev()[1]
@@ -611,55 +614,27 @@ class VPolytope(_Polytope):
             raise ValueError(_DEGENERATE_HULL)
 
 
-def _is_number(x) -> bool:
-    """A finite float, or an int (not a bool) that a float can hold."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
-def _is_vector(v) -> bool:
-    return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
-
-
-def _is_rows(v) -> bool:
-    return isinstance(v, list) and len(v) > 0 and all(map(_is_vector, v)) and (
-        len({len(row) for row in v}) == 1
-    )
-
-
-_NUMBER = ("a finite number", _is_number)
-_VECTOR = ("a non-empty list of finite numbers", _is_vector)
-_ROWS = ("a non-empty list of equally long, non-empty lists of finite numbers", _is_rows)
-
-_BODY_FIELDS = {  # variant: (class, {field: (what it must be, predicate)})
-    "ball": (Ball, {"center": _VECTOR, "radius": _NUMBER}),
-    "axis_box": (AxisBox, {"lower": _VECTOR, "upper": _VECTOR}),
-    "h_polytope": (HPolytope, {"normals": _ROWS, "offsets": _VECTOR}),
-    "v_polytope": (VPolytope, {"vertices": _ROWS}),
+_BODY_FIELDS = {  # variant: (class, {field: rule})
+    "ball": (Ball, {"center": VECTOR, "radius": FINITE}),
+    "axis_box": (AxisBox, {"lower": VECTOR, "upper": VECTOR}),
+    "h_polytope": (HPolytope, {"normals": ROWS, "offsets": VECTOR}),
+    "v_polytope": (VPolytope, {"vertices": ROWS}),
 }
 
 
 def body_from_json_dict(data: dict) -> ConvexBody:
     """The body a JSON object names by its `variant` and that variant's
-    fields. ValueError names a non-object input, an unknown variant, a
-    field the variant does not have, a missing field or a field of the
-    wrong shape."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a body must be a JSON object, got {data!r}")
-    if "variant" not in data:
-        raise ValueError("body is missing the field 'variant'")
-    variant = data["variant"]
-    if not isinstance(variant, str) or variant not in _BODY_FIELDS:
-        raise ValueError(f"unknown body variant {variant!r}")
+    fields. `check_object` names the fault: until `variant` names a body,
+    the object is checked as `body` with that one field, and then as the
+    variant (`ball`, say) with its fields."""
+    variants = tuple(_BODY_FIELDS)
+    head = {"variant": (f"one of {', '.join(variants)}", variants.__contains__)}
+    variant = data.get("variant") if isinstance(data, dict) else None
+    if variant not in variants:  # refused: not an object, or no variant that names a body
+        variant_only = {k: data[k] for k in head if k in data} if isinstance(data, dict) else data
+        check_object(variant_only, "body", head)
     cls, rules = _BODY_FIELDS[variant]
-    unknown = sorted(set(data) - {"variant", *rules})
-    if unknown:
-        raise ValueError(f"unknown {variant} body field(s): {', '.join(unknown)}")
-    for name, (expected, ok) in rules.items():
-        if name not in data:
-            raise ValueError(f"{variant} body is missing the field {name!r}")
-        if not ok(data[name]):
-            value = data[name]
-            raise ValueError(f"{variant} body field {name!r} must be {expected}, got {value!r}")
+    check_object(data, variant, {**head, **rules})
     return cls(*(data[name] for name in rules))
 
 
@@ -670,10 +645,7 @@ def body_from_json_dict(data: dict) -> ConvexBody:
 def _radius(rho) -> float:
     """rho as a float; ValueError naming rho unless it lies in [0, 1], the
     radii of the paper's parallel bodies inside the unit cube."""
-    rho = float(rho)
-    if not 0 <= rho <= 1:  # nan fails both comparisons
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    return rho
+    return require("rho", float(rho), RHO)
 
 
 def steiner_volume(body: ConvexBody, rho: float) -> float:
@@ -685,8 +657,7 @@ def offset_volumes(body: ConvexBody, rhos: Sequence[float], side: str) -> list[f
     """The body's `offset_volume` on one side at each radius in [0, 1].
     Polytopes need d <= 4 on the outer side."""
     rhos = [_radius(r) for r in rhos]
-    if side not in ("outer", "inner"):
-        raise ValueError('side must be "outer" or "inner"')
+    require("side", side, ('"outer" or "inner"', ("outer", "inner").__contains__))
     return [body.offset_volume(r, side) for r in rhos]
 
 

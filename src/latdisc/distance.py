@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import TOL, require
 from .lattice import IntegrationLattice, LatticePointSet, enumerate_points
 from .reduction import SpectralReport, spectral_test
 
@@ -48,12 +49,6 @@ GRID_CELL_BUDGET = 21**4  # cells of the default grid for d >= 4
 GRID_CHUNK_CELLS = 1 << 16  # cells per chunk of the grid walk
 COVERING_MAX_EVALS = 4_000_000  # distance evaluations before the covering radius stops unconverged
 EPS = float(np.finfo(float).eps)  # 2^-52, twice the unit roundoff u
-
-
-def _check_tol(name: str, tol) -> None:
-    """Raise unless tol is a finite positive number: 0, nan and inf raise."""
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-        raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
 
 
 def _default_resolution(d: int) -> int:
@@ -119,7 +114,7 @@ def covering_radius(ps: LatticePointSet, tol: float) -> CoveringRadius:
     enclosure it has, `converged` False. `estimate` is the midpoint of the
     interval before widening.
     """
-    _check_tol("tol", tol)
+    require("tol", tol, TOL)
     from scipy.spatial import cKDTree
 
     tree = cKDTree(ps.as_array())
@@ -479,7 +474,7 @@ def distance_norms(
     enclosure [0, inf]; their values are unchanged. The closed form and the
     covering radius bracket every gamma, at no extra cost.
     """
-    _check_tol("covering_tol", covering_tol)
+    require("covering_tol", covering_tol, TOL)
     gammas = list(dict.fromkeys(gammas))  # a repeated gamma must not add its grid sums twice
     bad = [g for g in gammas if not g > 0]  # also nan and -inf
     if bad:

@@ -3,12 +3,11 @@
 A campaign is fully determined by (corpus spec, checks, budgets, seed):
 reruns produce byte-identical JSON artifacts for any worker count. Every
 compared value is exact or a certified bound, so a check is PASS or FAIL,
-and a claim with an unknown constant is RECORDED, never failed. Four row
+and a claim with an unknown constant is RECORDED, never failed. Three row
 kinds are the exception, decided by a float tolerance: lemma1 (a finite
-difference against 1e-3), steiner (against 1e-12), remark-s2 (against
-1e-10) and prop1-covering-width (a rhs widened by 1 + 1e-9). The lemma2,
-lemma3 and corollary1 rows compare float body volumes, not enclosures,
-until ROADMAP item 16 certifies them.
+difference against 1e-3), steiner (against 1e-12) and prop1-covering-width
+(a rhs widened by 1 + 1e-9). The lemma2, lemma3 and corollary1 rows compare
+float body volumes, not enclosures, until ROADMAP item 16 certifies them.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import functools
 import json
 import math
 import os
-import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +36,8 @@ from .convex import (
 )
 from .discrepancy import N_SLABS, verify_thm1
 from .distance import ProxySpec, proxy_spec, verify_prop1
+from .errors import COUNT, DELTA, DIMS, FINITE, INTEGER, KAPPA, RHO, SIZE, TOL
+from .errors import check_object, int_at_least, is_int, is_real, list_of, require
 from .lattice import enumerate_points, fibonacci_generator, rank1_lattice
 from .reduction import SVP_DIMENSION_CAP, spectral_test
 
@@ -77,41 +77,6 @@ def _row(
     }
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    """A float, or an int that a float can hold: the checks compute in floats."""
-    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
-
-
-def _is_finite(x) -> bool:
-    return _is_real(x) and math.isfinite(x)
-
-
-def _int_at_least(lo: int):
-    return lambda x: _is_int(x) and x >= lo
-
-
-def _list_of(ok):
-    return lambda v: isinstance(v, (list, tuple)) and all(ok(x) for x in v)
-
-
-def _str_or_none(v) -> bool:
-    return v is None or isinstance(v, str)
-
-
-def _check_fields(obj, where: str, rules: dict) -> None:
-    """Raise ValueError naming the first field of `obj` that breaks its
-    rule; `rules` maps a field to (what it must be, predicate), and `where`
-    prefixes the field's name."""
-    for name, (expected, ok) in rules.items():
-        value = getattr(obj, name)
-        if not ok(value):
-            raise ValueError(f"{where}{name} must be {expected}, got {value!r}")
-
-
 def _check_distinct(obj, where: str, labels: dict) -> None:
     """Raise ValueError naming the first entry of a list field of `obj`
     that prints as an earlier entry does: the two would write rows with the
@@ -130,41 +95,38 @@ def _check_distinct(obj, where: str, labels: dict) -> None:
 _CORPUS_RULES = {
     "fibonacci_k": (
         "a pair (k_lo, k_hi) of integers with k_lo >= 3",
-        lambda k: isinstance(k, tuple) and len(k) == 2 and all(map(_is_int, k)) and k[0] >= 3,
+        lambda k: isinstance(k, tuple) and len(k) == 2 and all(map(is_int, k)) and k[0] >= 3,
     ),
-    "rank1_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
-    "rank1_sizes": ("a list of integers >= 2", _list_of(_int_at_least(2))),
-    "rank1_per_cell": ("an integer >= 0", _int_at_least(0)),
-    "zd_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
+    "rank1_dims": DIMS,
+    "rank1_sizes": ("a list of integers >= 2", list_of(int_at_least(2))),
+    "rank1_per_cell": SIZE,
+    "zd_dims": DIMS,
     "include_bad_lattice": ("true or false", lambda v: isinstance(v, bool)),
 }
 
 _BUDGET_RULES = {
-    "body_count": ("an integer >= 0", _int_at_least(0)),
+    "body_count": SIZE,
     "body_dims": (  # run_body_task's polytopes need d >= 2, their outer parallel volumes d <= 4
         "a list of integers from 2 to 4",
-        _list_of(lambda d: _is_int(d) and 2 <= d <= 4),
+        list_of(lambda d: is_int(d) and 2 <= d <= 4),
     ),
-    "body_mc_samples": ("an integer", _is_int),
-    "rhos": ("a list of numbers in [0, 1]", _list_of(lambda r: _is_real(r) and 0 <= r <= 1)),
-    "norm_mc_samples": ("an integer", _is_int),
-    "prop1_gammas": ("a list of positive numbers or inf", _list_of(lambda g: _is_real(g) and g > 0)),
+    "body_mc_samples": INTEGER,
+    "rhos": ("a list of numbers in [0, 1]", list_of(RHO[1])),
+    "norm_mc_samples": INTEGER,
+    "prop1_gammas": ("a list of positive numbers or inf", list_of(lambda g: is_real(g) and g > 0)),
     "covering_tols": (
         "a map from dimension to a finite positive number",
         lambda v: isinstance(v, dict)
-        and all(_is_int(d) and d >= 1 and _is_real(t) and 0 < t < math.inf for d, t in v.items()),
+        and all(is_int(d) and d >= 1 and TOL[1](t) for d, t in v.items()),
     ),
-    "remark_dims": ("a list of integers >= 1", _list_of(_int_at_least(1))),
-    "remark_delta": ("a number in (0, 2/3)", lambda v: _is_real(v) and 0 < v < 2 / 3),
-    "remark_kappa": (
-        "a finite number above e (2 pi)^(1/3)",
-        lambda v: _is_finite(v) and v > math.e * (2 * math.pi) ** (1 / 3),
-    ),
+    "remark_dims": DIMS,
+    "remark_delta": DELTA,
+    "remark_kappa": KAPPA,
     "thm2_triples": (
         "a list of [s, p, q] triples: an integer s, and numbers or inf p and q",
-        _list_of(
-            lambda t: isinstance(t, (list, tuple)) and len(t) == 3 and _is_int(t[0])
-            and all(_is_real(x) and x > -math.inf for x in t[1:])  # nan fails the comparison
+        list_of(
+            lambda t: isinstance(t, (list, tuple)) and len(t) == 3 and is_int(t[0])
+            and all(is_real(x) and x > -math.inf for x in t[1:])  # nan fails the comparison
         ),
     ),
 }
@@ -172,12 +134,12 @@ _BUDGET_RULES = {
 _CAMPAIGN_RULES = {  # the spec's top-level fields; corpus and budgets check their own
     "checks": (
         f"a non-empty list of checks from {', '.join(ALL_CHECKS)}",
-        lambda v: _list_of(ALL_CHECKS.__contains__)(v) and len(v) > 0,
+        lambda v: list_of(ALL_CHECKS.__contains__)(v) and len(v) > 0,
     ),
-    "seed": ("an integer", _is_int),
-    "out_dir": ("a path or null", _str_or_none),
-    "corrupt_check": ("a check name or null", _str_or_none),
-    "corrupt_rhs_scale": ("a finite number", _is_finite),
+    "seed": INTEGER,
+    "out_dir": ("a path or null", lambda v: v is None or isinstance(v, str)),
+    "corrupt_check": ("a check name or null", lambda v: v is None or isinstance(v, str)),
+    "corrupt_rhs_scale": FINITE,
 }
 
 
@@ -191,7 +153,7 @@ class CorpusSpec:
     include_bad_lattice: bool = True
 
     def __post_init__(self):
-        _check_fields(self, "corpus.", _CORPUS_RULES)
+        check_object(vars(self), "corpus", _CORPUS_RULES)
         labels = dict.fromkeys(("rank1_dims", "rank1_sizes", "zd_dims"), str)
         _check_distinct(self, "corpus.", labels)
 
@@ -213,22 +175,13 @@ class Budgets:
     thm2_triples: tuple = ((2, 2, math.inf), (3, math.inf, 1), (2, 2, 1))
 
     def __post_init__(self):
-        _check_fields(self, "budgets.", _BUDGET_RULES)
+        check_object(vars(self), "budgets", _BUDGET_RULES)
         g = "{:g}".format  # subjects print rhos and gammas with :g, dimensions in full
         labels = {
             "body_dims": str, "rhos": g, "prop1_gammas": g, "remark_dims": str,
             "thm2_triples": lambda t: f"s{t[0]}-p{t[1]}-q{t[2]}",  # the thm2 rows' `triple`
         }
         _check_distinct(self, "budgets.", labels)
-
-
-def _check_keys(raw: dict, cls, where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be an object, got {raw!r}")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {where} key(s) in campaign spec: {', '.join(unknown)}")
-    return raw
 
 
 def _from_json(v, numbers: bool):
@@ -266,26 +219,21 @@ class Campaign:
     corrupt_rhs_scale: float = 1.0
 
     def __post_init__(self):
-        _check_fields(self, "", _CAMPAIGN_RULES)
+        check_object({k: getattr(self, k) for k in _CAMPAIGN_RULES}, "campaign", _CAMPAIGN_RULES)
         # a spec that a check cannot run on fails here, before any task runs
-        if "thm2-diagnostic" in self.checks:
-            k_lo, k_hi = self.corpus.fibonacci_k
-            if k_lo > k_hi:
-                raise ValueError(
-                    "thm2-diagnostic needs Fibonacci lattices, but corpus.fibonacci_k = "
-                    f"[{k_lo}, {k_hi}] is an empty range"
-                )
-            if not self.budgets.thm2_triples:
-                raise ValueError("thm2-diagnostic needs a triple in budgets.thm2_triples")
+        if "thm2-diagnostic" in self.checks:  # it needs Fibonacci lattices and a triple
+            fibonacci = ("a non-empty range when thm2-diagnostic runs", lambda k: k[0] <= k[1])
+            require("corpus.fibonacci_k", self.corpus.fibonacci_k, fibonacci)
+            triples = ("a non-empty list when thm2-diagnostic runs", len)
+            require("budgets.thm2_triples", self.budgets.thm2_triples, triples)
         # every lattice task runs the spectral test, which has a dimension cap
         if {"spectral-exact", "thm1", "prop1"} & set(self.checks):
+            capped = (
+                f"a list of integers from 1 to {SVP_DIMENSION_CAP} when a lattice check runs",
+                list_of(lambda d: d <= SVP_DIMENSION_CAP),
+            )
             for name in ("rank1_dims", "zd_dims"):
-                dims = getattr(self.corpus, name)
-                if any(d > SVP_DIMENSION_CAP for d in dims):
-                    raise ValueError(
-                        f"corpus.{name} must be a list of integers from 1 to {SVP_DIMENSION_CAP} "
-                        f"when a lattice check runs, got {dims!r}"
-                    )
+                require(f"corpus.{name}", getattr(self.corpus, name), capped)
         missing = sorted(_covering_dims(self) - set(self.budgets.covering_tols))
         if missing:
             raise ValueError(
@@ -295,13 +243,18 @@ class Campaign:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Campaign":
-        """Inverse of to_json_dict; raises ValueError naming any unknown key
-        and any field of the wrong type."""
-        sections = {"corpus": CorpusSpec, "budgets": Budgets}
+        """Inverse of to_json_dict. The spec and each section are checked
+        by `check_object`, each field in its spec form; ValueError names
+        the first fault."""
+        sections = {"corpus": (CorpusSpec, _CORPUS_RULES), "budgets": (Budgets, _BUDGET_RULES)}
+        an_object = ("an object", lambda v: isinstance(v, dict))
+        top = {**_CAMPAIGN_RULES, **dict.fromkeys(sections, an_object)}
+        if isinstance(data, dict):  # each field in its spec form
+            data = {k: _from_json(v, k in sections) for k, v in data.items()}
         return Campaign(**{
-            k: sections[k](**_from_json(_check_keys(v, sections[k], k), True))
-            if k in sections else _from_json(v, False)
-            for k, v in _check_keys(data, Campaign, "campaign").items()
+            k: sections[k][0](**check_object(v, k, sections[k][1], required=False))
+            if k in sections else v
+            for k, v in check_object(data, "campaign", top, required=False).items()
         })
 
     def to_json_dict(self) -> dict:
@@ -538,8 +491,7 @@ def run_body_task(c: Campaign, d: int, index: int) -> dict:
 def run_remark_task(c: Campaign) -> dict:
     """The Remark's sandwich of the binomial-kappa sum over the budget's dimensions."""
     budgets = c.budgets
-    s2 = math.exp(binom_kappa_sum(2))
-    rows = [_row("remark-s2", "d2", abs(s2 - (4 + math.pi)), 1e-10)]
+    rows = []
     for d in budgets.remark_dims:
         log_sum = binom_kappa_sum(d)
         rows.append(_row("remark-lower", f"d{d}", remark_lower(d, budgets.remark_delta), log_sum))
@@ -619,8 +571,7 @@ def _build_tasks(c: Campaign) -> list[tuple]:
 
 
 def run_campaign(c: Campaign, workers: int = 1) -> CampaignResult:
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    require("workers", workers, COUNT)
     tasks = _build_tasks(c)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

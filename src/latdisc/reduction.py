@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionGuardError
+from .errors import COUNT, DimensionGuardError, require
 from .lattice import IntegrationLattice, Mat, det_adj, dual_basis
 
 SVP_DIMENSION_CAP = 12
@@ -287,13 +287,6 @@ def _candidate_bound(rows: Mat, k: int) -> int:
     return sorted(norms)[k - 1]
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError, naming `name`, unless value is an int >= 1; a bool
-    is not a count."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def shortest_vectors(reduced: ReducedBasis, k: int) -> list[ShortestVector]:
     """The k shortest nonzero vectors of the integer lattice that `reduced`
     spans, one per +-sign pair, in (squared norm, reduced-basis coefficient)
@@ -305,7 +298,7 @@ def shortest_vectors(reduced: ReducedBasis, k: int) -> list[ShortestVector]:
     is certified exactly: rebuilt from those coefficients, it has the
     enumerated squared norm. Raises ValueError unless k is an int >= 1.
     """
-    check_count("k", k)
+    require("k", k, COUNT)
     if reduced.dim > SVP_DIMENSION_CAP:
         raise DimensionGuardError(
             f"shortest_vectors supports d <= {SVP_DIMENSION_CAP}, got {reduced.dim}"
@@ -334,7 +327,7 @@ def spectral_test(lat: IntegrationLattice, n_shortest: int = 1) -> SpectralRepor
     invariant sigma <= sqrt(d) is verified exactly and raises on violation.
     Raises ValueError unless n_shortest is an int >= 1.
     """
-    check_count("n_shortest", n_shortest)
+    require("n_shortest", n_shortest, COUNT)
     duals = tuple(shortest_vectors(lll_reduce(dual_basis(lat)), n_shortest))
     if duals[0].norm_sq_exact * lat.dim < 1:  # sigma^2 <= d
         raise AssertionError("sigma exceeds sqrt(d)")

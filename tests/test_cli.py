@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from latdisc.cli import main
+from latdisc.convex import random_body
 from latdisc.lattice import fibonacci_generator
 
 
@@ -154,7 +157,7 @@ def test_geom_rho_that_is_not_finite_is_a_usage_error(tmp_path, capsys, op, rho)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"latdisc: error: rho must lie in [0, 1], got {rho}" in captured.err
+    assert f"latdisc: error: rho must be a number in [0, 1], got {rho}" in captured.err
 
 
 @pytest.mark.parametrize("op", ["steiner", "offset", "boundary"])
@@ -168,36 +171,40 @@ def test_geom_rho_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, o
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"latdisc: error: rho must lie in [0, 1], got {float(rho)}" in captured.err
+    assert f"latdisc: error: rho must be a number in [0, 1], got {float(rho)}" in captured.err
 
 
 @pytest.mark.parametrize(
     "body, message",
     [
-        ({"variant": "ball", "radius": 0.1}, "ball body is missing the field 'center'"),
-        ({"variant": "axis_box", "lower": [0.1, 0.1]}, "axis_box body is missing the field 'upper'"),
+        ({"variant": "ball", "radius": 0.1}, "ball is missing the field 'center'"),
+        ({"variant": "axis_box", "lower": [0.1, 0.1]}, "axis_box is missing the field 'upper'"),
         ({"center": [0.5, 0.5], "radius": 0.1}, "body is missing the field 'variant'"),
-        ({"variant": "cone"}, "unknown body variant 'cone'"),
+        (
+            {"variant": "cone"},
+            "body.variant must be one of ball, axis_box, h_polytope, v_polytope, got 'cone'",
+        ),
         (
             {"variant": "ball", "center": [0.5, 0.5], "radius": 0.1, "raduis": 0.3},
-            "unknown ball body field(s): raduis",
+            "unknown ball field(s): raduis",
         ),
-        ([1, 2], "a body must be a JSON object, got [1, 2]"),
+        ([1, 2], "body must be an object, got [1, 2]"),
         (
             {"variant": "ball", "center": 5, "radius": 0.1},
-            "ball body field 'center' must be a non-empty list of finite numbers, got 5",
+            "ball.center must be a non-empty list of finite numbers, got 5",
         ),
         (
             {"variant": "axis_box", "lower": [0.1, 0.1], "upper": 0.9},
-            "axis_box body field 'upper' must be a non-empty list of finite numbers, got 0.9",
+            "axis_box.upper must be a non-empty list of finite numbers, got 0.9",
         ),
         (
+            # the NaN constant is refused where the file is read
             {"variant": "axis_box", "lower": [math.nan, 0.1], "upper": [0.5, 0.5]},
-            "axis_box body field 'lower' must be a non-empty list of finite numbers, got [nan, 0.1]",
+            "the literal NaN in ",  # then the path
         ),
         (
             {"variant": "h_polytope", "normals": [1.0, 0.0], "offsets": [0.5]},
-            "h_polytope body field 'normals' must be a non-empty list of equally long, "
+            "h_polytope.normals must be a non-empty list of equally long, "
             "non-empty lists of finite numbers, got [1.0, 0.0]",
         ),
         (
@@ -206,16 +213,16 @@ def test_geom_rho_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, o
         ),
         (
             {"variant": "v_polytope", "vertices": [[0.1, 0.2], [0.3]]},
-            "v_polytope body field 'vertices' must be a non-empty list of equally long, "
+            "v_polytope.vertices must be a non-empty list of equally long, "
             "non-empty lists of finite numbers, got [[0.1, 0.2], [0.3]]",
         ),
         (
             {"variant": "ball", "center": [0.5, 0.5], "radius": 10**400},
-            f"ball body field 'radius' must be a finite number, got {10**400}",
+            f"ball.radius must be a finite number, got {10**400}",
         ),
         (
             {"variant": "axis_box", "lower": [0.1, 0.1], "upper": [0.9, 10**400]},
-            "axis_box body field 'upper' must be a non-empty list of finite numbers, "
+            "axis_box.upper must be a non-empty list of finite numbers, "
             f"got [0.9, {10**400}]",
         ),
     ],
@@ -417,7 +424,7 @@ def test_gen_dimension_below_one_is_a_usage_error(capsys, family, d):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"latdisc: error: --d must be at least 1, got {d}" in captured.err
+    assert f"latdisc: error: --d must be an integer >= 1, got {d}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -430,7 +437,7 @@ def test_gen_dimension_below_one_is_a_usage_error(capsys, family, d):
         (("distnorm", "{spec}", "--gamma", ","), "--gamma: the list is empty"),
         (("bounds", "remark", "--dims", ""), "--dims: the list is empty"),
         (("gen", "rank1", "--n", "5", "--g", ","), "--g: the list is empty"),
-        (("bounds", "remark", "--dims", "0,10"), "--dims: entry '0' is not a positive integer"),
+        (("bounds", "remark", "--dims", "0,10"), "--dims must be a list of integers >= 1, got [0, 10]"),
         # a repeated entry would print its row or report twice
         (("bounds", "remark", "--dims", "10,100,10"), "--dims: entry '10' repeats the earlier entry '10'"),
         (("distnorm", "{spec}", "--gamma", "1,inf,1.0"), "--gamma: entry '1.0' repeats the earlier entry '1'"),
@@ -521,7 +528,7 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, worke
     with pytest.raises(SystemExit) as exc:
         main(["--workers", workers, *(a.format(spec=spec) for a in command)])
     assert exc.value.code == 2
-    assert "latdisc: error: --workers must be at least 1" in capsys.readouterr().err
+    assert f"latdisc: error: --workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
     assert not (tmp_path / "default").exists()
 
 
@@ -542,7 +549,7 @@ def test_campaign_spec_with_witness_budget_fails_at_load(tmp_path, capsys, monke
         main(["campaign", "run", str(path)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "latdisc: error: unknown budgets key(s) in campaign spec: witness_budget" in err
+    assert "latdisc: error: unknown budgets field(s): witness_budget" in err
     assert "Traceback" not in err
     assert not (tmp_path / "default").exists()
 
@@ -594,7 +601,11 @@ def test_file_that_is_not_json_is_a_usage_error_naming_it(tmp_path, capsys, monk
     "flags,message",
     [
         (("--cap", "0"), "lattice has 21 points, cap is 0"),
-        (("--precision", "-1"), "--precision must be at least 0, got -1"),
+        (
+            ("--precision", "-1"),
+            f"--precision must be an integer from 0 to {sys.get_int_max_str_digits()} "
+            "(sys.get_int_max_str_digits()), got -1",
+        ),
     ],
 )
 def test_points_refusal_is_a_usage_error(tmp_path, capsys, flags, message):
@@ -631,3 +642,95 @@ def test_spectral_and_isodisc_name_the_same_shortest_dual_vector(tmp_path, capsy
     assert code == 0
     first = json.loads(out)["witnesses"][0]["body"]["normals"][0]
     assert h == [int(x) for x in first] == [-1, 2]
+
+
+def test_geom_inner_body_qhull_cannot_measure_is_a_usage_error(tmp_path, capsys):
+    # the second d = 5 hull that random_body draws from this stream: 22 points,
+    # whose inner parallel body at rho = 0.01 has thousands of vertices
+    rng = np.random.default_rng(20200817)
+    for d, kind in [(4, "hpoly")] * 4 + [(4, "hull")] * 4 + [(5, "hpoly")] * 4:
+        random_body(d, rng, kind)
+    first, second = random_body(5, rng, "hull"), random_body(5, rng, "hull")
+    assert (len(first.vertices), len(second.vertices)) == (9, 22)
+    argv = ["geom", "offset", "--side", "inner", "--rho", "0.01", "--body"]
+    for body in (first, second):
+        path = tmp_path / f"hull{len(body.vertices)}.json"
+        path.write_text(json.dumps({"variant": "v_polytope", "vertices": body.vertices.tolist()}))
+        if body is first:
+            code, out = run_cli(capsys, *argv, str(path))
+            assert code == 0 and json.loads(out)["value"] == pytest.approx(7.916e-4, rel=1e-3)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        message = "qhull cannot measure the inner parallel body of this d = 5 polytope at rho = 0.01"
+        assert f"latdisc: error: {message}" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gamma, entry", [("1e400,2", "1e400"), ("1,-1e999", "-1e999")])
+def test_an_infinite_gamma_not_spelled_inf_is_a_usage_error(tmp_path, capsys, gamma, entry):
+    spec = tmp_path / "fib.lat"
+    spec.write_text("2 21\nrank1: 1 13\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["distnorm", str(spec), "--gamma", gamma])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"latdisc: error: --gamma: entry '{entry}' is beyond the float range" in captured.err
+    # inf is spelled as float() reads it
+    code, out = run_cli(capsys, "distnorm", str(spec), "--gamma", "Infinity")
+    assert code == 0 and json.loads(out)[0]["gamma"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "section, key, value, literal",
+    [
+        ("budgets", "prop1_gammas", "[1e400]", "1e400"),
+        ("budgets", "thm2_triples", "[[2, 1e400, 1]]", "1e400"),
+        ("budgets", "prop1_gammas", "[Infinity]", "Infinity"),
+        ("budgets", "remark_kappa", "-Infinity", "-Infinity"),
+        ("budgets", "rhos", "[NaN]", "NaN"),
+        (None, "corrupt_rhs_scale", "1e999", "1e999"),
+    ],
+)
+def test_a_spec_number_no_float_holds_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, section, key, value, literal
+):
+    # each once loaded as an infinity or a nan; a spec spells infinity "inf"
+    monkeypatch.setenv("LATDISC_OUT", str(tmp_path / "default"))
+    spec = _tiny_campaign_spec(budgets={})
+    (spec[section] if section else spec)[key] = "@"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec).replace('"@"', value))
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "run", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"latdisc: error: the literal {literal} in {path} is not a finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "default").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "fibonacci", "--k", "100000"), "--k must be an integer whose F_k has at most"),
+        (("points", "{spec}", "--precision", "5000"), "--precision must be an integer from 0 to"),
+    ],
+)
+def test_an_integer_too_long_to_print_names_its_flag(tmp_path, capsys, argv, message):
+    spec = tmp_path / "fib.lat"
+    spec.write_text("2 21\nrank1: 1 13\n")
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(spec=spec) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"latdisc: error: {message} {limit}" in err
+    assert f"(sys.get_int_max_str_digits()), got {argv[-1]}" in err
+    assert "Traceback" not in err
+    # the limit itself prints
+    code, out = run_cli(capsys, "points", str(spec), "--precision", str(limit))
+    assert code == 0 and len(out.splitlines()[2].split(",")[0]) == limit + 2  # "0." and the digits

@@ -376,7 +376,7 @@ def test_bad_fibonacci_k_names_the_field(k):
 def test_campaign_from_json_dict_names_a_field_of_the_wrong_type(section, key, value):
     data = small_campaign().to_json_dict()
     (data[section] if section else data)[key] = value
-    name = f"{section}.{key}" if section else key
+    name = f"{section or 'campaign'}.{key}"
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "):
         Campaign.from_json_dict(data)
 
@@ -438,7 +438,7 @@ def test_campaign_spec_must_be_an_object():
 
 
 def test_run_campaign_needs_a_worker():
-    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+    with pytest.raises(ValueError, match="^workers must be an integer >= 1, got 0$"):
         run_campaign(small_campaign(), workers=0)
 
 
@@ -458,7 +458,7 @@ def test_the_deleted_witness_budget_fails_at_load():
     data = small_campaign().to_json_dict()
     assert "witness_budget" not in data["budgets"]
     data["budgets"]["witness_budget"] = 3
-    with pytest.raises(ValueError, match=r"^unknown budgets key\(s\) in campaign spec: witness_budget$"):
+    with pytest.raises(ValueError, match=r"^unknown budgets field\(s\): witness_budget$"):
         Campaign.from_json_dict(data)
     with pytest.raises(TypeError, match="witness_budget"):
         Budgets(witness_budget=3)
@@ -469,7 +469,7 @@ def test_campaign_spec_with_the_deleted_ball_budget_fails():
     data = small_campaign().to_json_dict()
     assert "witness_ball_mc" not in data["budgets"]
     data["budgets"]["witness_ball_mc"] = 50_000
-    with pytest.raises(ValueError, match="unknown budgets key.*witness_ball_mc"):
+    with pytest.raises(ValueError, match="unknown budgets field.*witness_ball_mc"):
         Campaign.from_json_dict(data)
 
 
@@ -570,15 +570,16 @@ def test_campaign_json_does_not_depend_on_the_brackets_left_out(monkeypatch, tmp
 
 def test_thm2_without_triples_names_the_field():
     # the spec fails when it is built, before any lattice task runs
-    with pytest.raises(ValueError, match=r"needs a triple in budgets\.thm2_triples$"):
+    message = r"^budgets\.thm2_triples must be a non-empty list when thm2-diagnostic runs, got \(\)$"
+    with pytest.raises(ValueError, match=message):
         Campaign(corpus=THM2_CORPUS, checks=("thm2-diagnostic",), budgets=Budgets(thm2_triples=()))
 
 
 def test_thm2_without_fibonacci_lattices_fails_at_load():
     data = Campaign(checks=("prop1", "thm2-diagnostic")).to_json_dict()
     data["corpus"]["fibonacci_k"] = [10, 5]
-    message = r"^thm2-diagnostic needs Fibonacci lattices, but corpus\.fibonacci_k = \[10, 5\]"
-    with pytest.raises(ValueError, match=message + r" is an empty range$"):
+    message = r"^corpus\.fibonacci_k must be a non-empty range when thm2-diagnostic runs"
+    with pytest.raises(ValueError, match=message + r", got \(10, 5\)$"):
         Campaign(corpus=CorpusSpec(fibonacci_k=(10, 5)), checks=("prop1", "thm2-diagnostic"))
     with pytest.raises(ValueError, match=message):
         Campaign.from_json_dict(data)

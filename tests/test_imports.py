@@ -137,3 +137,20 @@ def test_every_method_and_property_is_read_as_an_attribute():
     `__init__.py`; one that only tests read is deleted."""
     _, _, methods, attributes = _package_code()
     assert [where for where, name in methods.items() if name not in attributes] == []
+
+
+def test_only_errors_defines_predicates():
+    """The input vocabulary lives in `errors.py`: no other module of the
+    package defines a top-level `is_*` or `_is_*` function."""
+    import ast
+
+    import latdisc
+
+    found = [
+        f"{path.name}:{node.name}"
+        for path in Path(latdisc.__file__).parent.glob("*.py")
+        if path.name != "errors.py"
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").startswith("is_")
+    ]
+    assert found == []
